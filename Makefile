@@ -12,7 +12,7 @@ ADDR ?= :8080
 # the "benches" map into bench/BASELINE_<new>.json) once per PR.
 PR ?= 10
 
-.PHONY: build test race bench bench-store bench-json trend load-smoke chaos-smoke rpq-smoke lint fmt vet serve ci
+.PHONY: build test race bench bench-store bench-json trend load-smoke chaos-smoke rpq-smoke fuzz-xml lint fmt vet serve ci
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,12 @@ rpq-smoke:
 		-slo-error-rate 0 -fail-on-slo -quiet -report RPQ_LOAD.json
 	@echo "rpq-smoke: report in RPQ_LOAD.json"
 
+# Time-boxed fuzzing of the run decoder against encoding/xml (the
+# oracle kept in internal/xmlio's tests); the seed corpora of every
+# fuzz target already run in `make test`.
+fuzz-xml:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRunOracle -fuzztime 30s ./internal/xmlio/
+
 # Static analysis: cmd/provlint runs the repo-specific analyzer suite
 # (internal/lint — %w wrapping in the store, documented lock discipline,
 # route/counter registration, seeded randomness, never-dropped storage
@@ -108,4 +114,4 @@ vet:
 serve:
 	$(GO) run ./cmd/provserve -store $(STORE) -addr $(ADDR)
 
-ci: fmt vet lint build race bench bench-store load-smoke chaos-smoke rpq-smoke
+ci: fmt vet lint build race bench bench-store fuzz-xml load-smoke chaos-smoke rpq-smoke

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -283,5 +284,30 @@ func BenchmarkSearcherBFS(b *testing.B) {
 		u := VertexID(i % 2000)
 		v := VertexID((i * 7) % 2000)
 		s.ReachableBFS(u, v)
+	}
+}
+
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(12)
+		var edges []Edge
+		want := New(n)
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			e := Edge{VertexID(rng.Intn(n)), VertexID(rng.Intn(n))}
+			edges = append(edges, e)
+			want.AddEdge(e.Tail, e.Head)
+		}
+		got := FromEdges(n, edges)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("FromEdges(%d, %v) = %+v, want %+v", n, edges, got, want)
+		}
+		// Adjacency lists are carved from one array; growing one must
+		// not overwrite its neighbour.
+		got.AddEdge(0, VertexID(n-1))
+		want.AddEdge(0, VertexID(n-1))
+		if !reflect.DeepEqual(got.Edges(), want.Edges()) {
+			t.Fatalf("after AddEdge: %v, want %v", got.Edges(), want.Edges())
+		}
 	}
 }

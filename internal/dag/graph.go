@@ -28,6 +28,39 @@ func New(n int) *Graph {
 	return &Graph{out: make([][]VertexID, n), in: make([][]VertexID, n)}
 }
 
+// FromEdges returns the graph with n vertices that adding edges in order
+// with AddEdge would build, with all adjacency storage allocated at
+// once. It panics if an endpoint is out of range.
+func FromEdges(n int, edges []Edge) *Graph {
+	g := &Graph{out: make([][]VertexID, n), in: make([][]VertexID, n), m: len(edges)}
+	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	for _, e := range edges {
+		g.checkVertex(e.Tail)
+		g.checkVertex(e.Head)
+		deg[e.Tail]++
+		deg[n+int(e.Head)]++
+	}
+	adj := make([]VertexID, 2*len(edges))
+	off := 0
+	for v, d := range deg {
+		if d == 0 {
+			continue
+		}
+		s := adj[off : off : off+d]
+		if v < n {
+			g.out[v] = s
+		} else {
+			g.in[v-n] = s
+		}
+		off += d
+	}
+	for _, e := range edges {
+		g.out[e.Tail] = append(g.out[e.Tail], e.Head)
+		g.in[e.Head] = append(g.in[e.Head], e.Tail)
+	}
+	return g
+}
+
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return len(g.out) }
 

@@ -1,7 +1,7 @@
 package run
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/dag"
 )
@@ -14,18 +14,35 @@ type Namer struct {
 	byName map[string]dag.VertexID
 }
 
-// NewNamer indexes all vertex names of the run.
+// NewNamer indexes all vertex names of the run. The names are rendered
+// into one buffer and sliced out of a single string, so the number of
+// allocations does not grow with the run.
 func NewNamer(r *Run) *Namer {
 	n := r.NumVertices()
 	counts := make([]int, r.Spec.NumVertices())
+	size := 0
+	var digits [20]byte
+	for _, o := range r.Origin[:n] {
+		counts[o]++
+		size += len(r.Spec.NameOf(o)) + len(strconv.AppendInt(digits[:0], int64(counts[o]), 10))
+	}
+	clear(counts)
+	buf := make([]byte, 0, size)
+	ends := make([]int, n)
+	for v, o := range r.Origin[:n] {
+		counts[o]++
+		buf = append(buf, r.Spec.NameOf(o)...)
+		buf = strconv.AppendInt(buf, int64(counts[o]), 10)
+		ends[v] = len(buf)
+	}
+	all := string(buf)
 	names := make([]string, n)
 	byName := make(map[string]dag.VertexID, n)
-	for v := 0; v < n; v++ {
-		o := r.Origin[v]
-		counts[o]++
-		name := fmt.Sprintf("%s%d", r.Spec.NameOf(o), counts[o])
-		names[v] = name
-		byName[name] = dag.VertexID(v)
+	start := 0
+	for v, end := range ends {
+		names[v] = all[start:end]
+		byName[names[v]] = dag.VertexID(v)
+		start = end
 	}
 	return &Namer{names: names, byName: byName}
 }

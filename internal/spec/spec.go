@@ -110,6 +110,14 @@ func (s *Spec) VertexOf(name ModuleName) (dag.VertexID, bool) {
 	return v, ok
 }
 
+// VertexOfBytes is VertexOf for a byte-slice name; the conversion in
+// the map index does not allocate, so decoders resolve module names
+// straight from their input.
+func (s *Spec) VertexOfBytes(name []byte) (dag.VertexID, bool) {
+	v, ok := s.byName[ModuleName(name)]
+	return v, ok
+}
+
 // Hierarchy is the fork-and-loop hierarchy T_G (an unordered tree). Node 0
 // is the root and corresponds to the entire specification graph; node i >= 1
 // corresponds to Subgraphs[i-1].

@@ -1,12 +1,16 @@
 package faultinject_test
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"io/fs"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/label"
+	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/store/backendtest"
@@ -340,5 +344,58 @@ func mustInit(t *testing.T, b store.Backend) {
 	t.Helper()
 	if err := b.WriteSpec([]byte("<spec>")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// midDocument breaks run-document reads halfway with a transient error,
+// once armed: a stream that fails after its open succeeded, which the
+// injector's own faults (fired before the inner call) never produce.
+type midDocument struct {
+	store.Backend
+	armed bool
+}
+
+func (b *midDocument) ReadRun(name string) (io.ReadCloser, error) {
+	rc, err := b.Backend.ReadRun(name)
+	if err != nil || !b.armed {
+		return rc, err
+	}
+	doc, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		return nil, err
+	}
+	broken := store.Transient(errors.New("connection reset mid-document"))
+	return io.NopCloser(io.MultiReader(bytes.NewReader(doc[:len(doc)/2]), errReader{broken})), nil
+}
+
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// A cache miss whose document read breaks mid-stream must still report
+// a transient error through the run decoder, so the serving layer
+// retries and trips its breaker instead of calling the run corrupt.
+func TestMidDocumentReadFaultStaysTransient(t *testing.T) {
+	sp := spec.PaperSpec()
+	mid := &midDocument{Backend: store.NewMemBackend()}
+	st, err := store.New(faultinject.Wrap(mid, faultinject.Plan{Seed: 1}), sp, "paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := run.GenerateSized(sp, rand.New(rand.NewSource(1)), 60)
+	if err := st.PutRun("r", r, nil, label.TCM{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.OpenRun("r", label.TCM{}); err != nil {
+		t.Fatalf("unarmed OpenRun: %v", err)
+	}
+	mid.armed = true
+	_, err = st.OpenRun("r", label.TCM{})
+	if !errors.Is(err, store.ErrTransient) || !store.IsTransient(err) {
+		t.Fatalf("OpenRun = %v, want a transient error", err)
+	}
+	if !strings.HasPrefix(err.Error(), "xmlio: decode run: ") {
+		t.Fatalf("OpenRun = %q, want it to come through the run decoder", err)
 	}
 }

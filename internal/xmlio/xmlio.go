@@ -1,7 +1,3 @@
-// Package xmlio serializes workflow specifications, runs and data
-// annotations as XML, mirroring the paper's storage format ("both the
-// specification and runs are stored as XML files"). Parsing time is
-// excluded from all measurements, as in the paper.
 package xmlio
 
 import (
@@ -10,8 +6,6 @@ import (
 	"io"
 
 	"repro/internal/dag"
-	"repro/internal/provdata"
-	"repro/internal/run"
 	"repro/internal/spec"
 )
 
@@ -120,117 +114,4 @@ func DecodeSpec(r io.Reader) (*spec.Spec, string, error) {
 		return nil, "", err
 	}
 	return s, x.Name, nil
-}
-
-// xmlRun is the on-disk form of a run, optionally with data items.
-type xmlRun struct {
-	XMLName  xml.Name     `xml:"run"`
-	Workflow string       `xml:"workflow,attr,omitempty"`
-	Vertices []xmlVertex  `xml:"vertices>vertex"`
-	Edges    []xmlRunEdge `xml:"edges>edge"`
-}
-
-type xmlVertex struct {
-	ID     int    `xml:"id,attr"`
-	Module string `xml:"module,attr"`
-}
-
-type xmlRunEdge struct {
-	From  int      `xml:"from,attr"`
-	To    int      `xml:"to,attr"`
-	Items []string `xml:"data,omitempty"`
-}
-
-// EncodeRun writes the run (and, when ann is non-nil, its data items) as
-// XML. Items shared across channels appear on every channel they flow
-// over, identified by name, like x1 in Figure 11.
-func EncodeRun(w io.Writer, r *run.Run, ann *provdata.Annotation, workflowName string) error {
-	x := xmlRun{Workflow: workflowName}
-	for v := 0; v < r.NumVertices(); v++ {
-		x.Vertices = append(x.Vertices, xmlVertex{ID: v, Module: string(r.Spec.NameOf(r.Origin[v]))})
-	}
-	itemsOn := make(map[dag.Edge][]string)
-	if ann != nil {
-		for _, it := range ann.Items {
-			for _, c := range it.Consumers {
-				e := dag.Edge{Tail: it.Producer, Head: c}
-				itemsOn[e] = append(itemsOn[e], it.Name)
-			}
-		}
-	}
-	for _, e := range r.Graph.Edges() {
-		x.Edges = append(x.Edges, xmlRunEdge{
-			From:  int(e.Tail),
-			To:    int(e.Head),
-			Items: itemsOn[e],
-		})
-	}
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := enc.Encode(x); err != nil {
-		return fmt.Errorf("xmlio: encode run: %w", err)
-	}
-	enc.Flush()
-	_, err := io.WriteString(w, "\n")
-	return err
-}
-
-// DecodeRun reads a run (and its data annotation, if any items are
-// present) against the given specification and validates it.
-func DecodeRun(rd io.Reader, s *spec.Spec) (*run.Run, *provdata.Annotation, error) {
-	var x xmlRun
-	if err := xml.NewDecoder(rd).Decode(&x); err != nil {
-		return nil, nil, fmt.Errorf("xmlio: decode run: %w", err)
-	}
-	names := make([]spec.ModuleName, len(x.Vertices))
-	for i, v := range x.Vertices {
-		if v.ID != i {
-			return nil, nil, fmt.Errorf("xmlio: run vertex %d declared with id %d (ids must be dense and ordered)", i, v.ID)
-		}
-		names[i] = spec.ModuleName(v.Module)
-	}
-	origin, err := run.OriginByName(s, names)
-	if err != nil {
-		return nil, nil, err
-	}
-	g := dag.New(len(names))
-	type itemKey struct {
-		producer dag.VertexID
-		name     string
-	}
-	consumers := make(map[itemKey][]dag.VertexID)
-	var order []itemKey
-	for _, e := range x.Edges {
-		if e.From < 0 || e.From >= len(names) || e.To < 0 || e.To >= len(names) {
-			return nil, nil, fmt.Errorf("xmlio: run edge %d->%d out of range", e.From, e.To)
-		}
-		g.AddEdge(dag.VertexID(e.From), dag.VertexID(e.To))
-		for _, item := range e.Items {
-			k := itemKey{dag.VertexID(e.From), item}
-			if _, ok := consumers[k]; !ok {
-				order = append(order, k)
-			}
-			consumers[k] = append(consumers[k], dag.VertexID(e.To))
-		}
-	}
-	r := &run.Run{Spec: s, Graph: g, Origin: origin}
-	if err := r.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if len(order) == 0 {
-		return r, nil, nil
-	}
-	ann := &provdata.Annotation{Run: r}
-	for i, k := range order {
-		ann.Items = append(ann.Items, provdata.Item{
-			ID:        provdata.ItemID(i),
-			Name:      k.name,
-			Producer:  k.producer,
-			Consumers: consumers[k],
-		})
-	}
-	if err := ann.Validate(); err != nil {
-		return nil, nil, err
-	}
-	return r, ann, nil
 }
