@@ -33,14 +33,16 @@ bench-store:
 	$(GO) test -run='^$$' -bench='BenchmarkStore|BenchmarkServerBatchReachable' -benchtime=3x ./internal/store/ .
 
 # Serving-path benchmarks — snapshot codecs (SKL1/SKL2 encode+decode),
-# /batch reachability over fs and mem stores, and the ingest and delete
-# write paths — rendered to BENCH_$(PR).json with the pre-PR baseline
+# /batch reachability over fs and mem stores, the cold-load path (every
+# /reachable a cache miss), and the ingest and delete write paths —
+# rendered to BENCH_$(PR).json with the pre-PR baseline
 # embedded, the per-PR artifact `make trend` diffs and gates on. Each
 # go test runs as its own command so a failing bench fails the target
 # instead of emitting a silently incomplete BENCH_$(PR).json.
 bench-json:
 	$(GO) test -run='^$$' -bench='BenchmarkSnapshotDecode|BenchmarkSnapshotEncode' -benchtime=100x -count=3 ./internal/core/ > bench-json.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerBatchReachable' -benchtime=50x -count=3 . >> bench-json.out
+	$(GO) test -run='^$$' -bench='BenchmarkServerColdRead' -benchtime=200x -count=3 . >> bench-json.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerIngest|BenchmarkServerDelete|BenchmarkServerAppendEvents|BenchmarkServerRPQ' -benchtime=20x -count=3 . >> bench-json.out
 	$(GO) run ./cmd/benchjson -baseline bench/BASELINE_$(PR).json -o BENCH_$(PR).json < bench-json.out
 	@rm -f bench-json.out

@@ -84,7 +84,10 @@ type (
 	// Store is a provenance store (spec + runs + labels) over some
 	// StoreBackend.
 	Store = store.Store
-	// StoreSession is one stored run opened for querying.
+	// StoreSession is one stored run opened for querying: its labels are
+	// bound when it opens; its run document (graph and data items) is
+	// decoded once, on the first Document or DataView call, and shared by
+	// every caller after that.
 	StoreSession = store.Session
 	// StoreBackend is the blob-level storage substrate under a Store:
 	// fs (one directory), mem (RAM), shard (hash-routed children), or

@@ -18,13 +18,17 @@
 // are the gate's real teeth. Benchmarks present in the baseline but
 // missing from the current run (renamed or retired) are tolerated and
 // listed, never failed, so refactoring a benchmark does not wedge CI.
+// Benchmarks new in the current run have no baseline yet: they are
+// listed as new and start gating once a baseline includes them.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/trend"
@@ -88,6 +92,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 				baseLabel, tol.NsOp*100, tol.BOp*100, tol.AllocsOp*100)
 			for _, name := range missing {
 				fmt.Fprintf(&b, "- note: %q is in the baseline but not the current run (renamed or retired — tolerated)\n", name)
+			}
+			for _, name := range slices.Sorted(maps.Keys(cur.Benches)) {
+				if _, ok := baseline[name]; !ok {
+					fmt.Fprintf(&b, "- note: %q is new (no baseline yet — not gated)\n", name)
+				}
 			}
 			if len(regs) == 0 {
 				b.WriteString("- PASS: no benchmark regressed beyond tolerance\n")

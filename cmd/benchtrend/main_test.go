@@ -118,6 +118,34 @@ func TestGateRenamedBenchTolerated(t *testing.T) {
 	}
 }
 
+// A benchmark the baseline has never seen (a renamed one included) is
+// reported as new and never fails the gate, however slow it is.
+func TestGateNewBenchTolerated(t *testing.T) {
+	cur := filepath.Join(t.TempDir(), "BENCH_6.json")
+	writeBench(t, cur, 1.0, 0, "ServerIngest")
+	doc, err := trend.ReadFile(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.Benches["ServerColdRead"] = trend.Bench{NsOp: 1e9, BOp: 1 << 30, AllocsOp: 1 << 20}
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cur, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := runTrend(t, "-dir", fixtureDir(t), "-current", cur)
+	if code != 0 {
+		t.Fatalf("new benchmark wedged the gate: exit %d\n%s%s", code, out, errOut)
+	}
+	for _, want := range []string{`"ServerColdRead" is new`, `"ServerIngestRenamed" is new`, "PASS: no benchmark regressed"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestNoGateNeverFails(t *testing.T) {
 	cur := filepath.Join(t.TempDir(), "BENCH_6.json")
 	writeBench(t, cur, 10.0, 1000, "")

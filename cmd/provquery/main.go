@@ -163,7 +163,10 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		s, r, ann, l = st.Spec(), sess.Run, sess.Data, sess.Labels
+		if r, ann, err = sess.Document(); err != nil {
+			fatalf("%v", err)
+		}
+		s, l = st.Spec(), sess.Labels
 	} else {
 		sf, err := os.Open(*specPath)
 		if err != nil {

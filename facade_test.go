@@ -156,8 +156,11 @@ func TestFacadeStoreBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess, err := mem.OpenRun("r1", repro.TCM)
-	if err != nil || sess.Run.NumVertices() != r.NumVertices() {
+	if err != nil {
 		t.Fatalf("mem OpenRun = %v", err)
+	}
+	if got, _, err := sess.Document(); err != nil || got.NumVertices() != r.NumVertices() {
+		t.Fatalf("mem session document = %v", err)
 	}
 
 	// The same store reopened over its own backend handle.

@@ -98,6 +98,16 @@ func LabelRunWithPlan(r *run.Run, p *plan.Plan, skeleton label.Labeling) (*Label
 // Label returns the label of run vertex v.
 func (l *Labeling) Label(v dag.VertexID) Label { return l.labels[v] }
 
+// Origins returns each run vertex's specification vertex, read from
+// the labels' Orig components: the run's origin map without its graph.
+func (l *Labeling) Origins() []dag.VertexID {
+	out := make([]dag.VertexID, len(l.labels))
+	for v, lab := range l.labels {
+		out[v] = lab.Orig
+	}
+	return out
+}
+
 // NumVertices returns the number of labeled run vertices.
 func (l *Labeling) NumVertices() int { return len(l.labels) }
 

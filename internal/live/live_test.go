@@ -79,8 +79,12 @@ func TestFinishMatchesDirectPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Run.NumVertices() != r.NumVertices() {
-		t.Fatalf("finished run has %d vertices, want %d", sess.Run.NumVertices(), r.NumVertices())
+	fin, _, err := sess.Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.NumVertices() != r.NumVertices() {
+		t.Fatalf("finished run has %d vertices, want %d", fin.NumVertices(), r.NumVertices())
 	}
 	if err := st.PutRun("direct", r, nil, label.TCM{}); err != nil {
 		t.Fatal(err)
@@ -121,11 +125,15 @@ func TestLiveQueriesMatchFinished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := sess.Run.NumVertices()
+	fin, _, err := sess.Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := fin.NumVertices()
 	if ls.NumVertices() != n {
 		t.Fatalf("live session has %d vertices, finished run %d", ls.NumVertices(), n)
 	}
-	nm := run.NewNamer(sess.Run)
+	nm := run.NewNamer(fin)
 	for v := 0; v < n; v++ {
 		if got, want := ls.Name(dag.VertexID(v)), nm.Name(dag.VertexID(v)); got != want {
 			t.Fatalf("vertex %d named %q live, %q finished", v, got, want)

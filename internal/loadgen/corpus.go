@@ -78,7 +78,8 @@ func StreamEventBatches(sp *spec.Spec, size, per int, seed int64) ([]StreamBatch
 }
 
 // CorpusFromStore builds the read corpus from an already-populated
-// store (vertex counts come from opening each run once).
+// store (vertex counts come from each run's labels; no run document is
+// decoded).
 func CorpusFromStore(st *store.Store, scheme label.Scheme) (*Corpus, error) {
 	if scheme == nil {
 		scheme = label.TCM{}
@@ -93,7 +94,7 @@ func CorpusFromStore(st *store.Store, scheme label.Scheme) (*Corpus, error) {
 		if err != nil {
 			return nil, fmt.Errorf("corpus: open %s: %w", name, err)
 		}
-		c.Runs = append(c.Runs, RunInfo{Name: name, Vertices: sess.Run.NumVertices()})
+		c.Runs = append(c.Runs, RunInfo{Name: name, Vertices: sess.Labels.NumVertices()})
 	}
 	return c, nil
 }

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"repro/internal/dag"
+	"repro/internal/spec"
 )
 
 // Namer resolves the display names of run vertices (module name plus
@@ -14,24 +15,32 @@ type Namer struct {
 	byName map[string]dag.VertexID
 }
 
-// NewNamer indexes all vertex names of the run. The names are rendered
-// into one buffer and sliced out of a single string, so the number of
-// allocations does not grow with the run.
+// NewNamer indexes all vertex names of the run.
 func NewNamer(r *Run) *Namer {
-	n := r.NumVertices()
-	counts := make([]int, r.Spec.NumVertices())
+	return NewNamerFromOrigins(r.Spec, r.Origin[:r.NumVertices()])
+}
+
+// NewNamerFromOrigins indexes the names of run vertices 0..len(origin)-1
+// from their specification vertices alone, so a stored run's names come
+// from its label snapshot without decoding the run graph. Every origin
+// must be a vertex of s. The names are rendered into one buffer and
+// sliced out of a single string, so the number of allocations does not
+// grow with the run.
+func NewNamerFromOrigins(s *spec.Spec, origin []dag.VertexID) *Namer {
+	n := len(origin)
+	counts := make([]int, s.NumVertices())
 	size := 0
 	var digits [20]byte
-	for _, o := range r.Origin[:n] {
+	for _, o := range origin {
 		counts[o]++
-		size += len(r.Spec.NameOf(o)) + len(strconv.AppendInt(digits[:0], int64(counts[o]), 10))
+		size += len(s.NameOf(o)) + len(strconv.AppendInt(digits[:0], int64(counts[o]), 10))
 	}
 	clear(counts)
 	buf := make([]byte, 0, size)
 	ends := make([]int, n)
-	for v, o := range r.Origin[:n] {
+	for v, o := range origin {
 		counts[o]++
-		buf = append(buf, r.Spec.NameOf(o)...)
+		buf = append(buf, s.NameOf(o)...)
 		buf = strconv.AppendInt(buf, int64(counts[o]), 10)
 		ends[v] = len(buf)
 	}

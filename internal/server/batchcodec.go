@@ -476,7 +476,7 @@ func (p *jparser) lit(s string) error {
 // through the same resolver the GET endpoints use.
 func (se *session) vertexToken(t vertexToken) (dag.VertexID, bool) {
 	if t.id >= 0 {
-		if t.id < se.Run.NumVertices() {
+		if t.id < se.Labels.NumVertices() {
 			return dag.VertexID(t.id), true
 		}
 		return 0, false

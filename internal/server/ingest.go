@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"sync"
 
-	"repro/internal/run"
 	"repro/internal/store"
 	"repro/internal/xmlio"
 )
@@ -29,8 +28,10 @@ import (
 // in parallel. Cache *hits* take no lock at all: a resident session is
 // immutable. Writers from other processes on a shared store are outside
 // this lock and remain the deployment's to serialize, per the store
-// contract; OpenRun's vertex-count check turns such torn pairs into
-// errors rather than wrong answers whenever the sizes differ.
+// contract. Label queries on such a torn pair answer from the labels,
+// which are self-consistent; the first decode of its document checks
+// the vertex count and every vertex's origin against the labels, so
+// path queries and run status get an error rather than a wrong graph.
 
 // runLocks is the striped per-run-name RWMutex. 64 stripes keyed by
 // FNV-1a of the run name: collisions cost unrelated-name serialization,
@@ -112,7 +113,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// by query traffic, so a bulk ingest can never flush the query
 		// working set. Both steps happen under the write lock: no load
 		// is in flight, so nothing can re-cache the old run in between.
-		s.cache.Put(name, &session{Session: sess, namer: run.NewNamer(sess.Run)})
+		s.cache.Put(name, s.newSession(sess))
 	}
 	mu.Unlock()
 	s.brk.note(err)
@@ -140,13 +141,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	items := 0
-	if sess.Data != nil {
-		items = len(sess.Data.Items)
+	if ann != nil {
+		items = len(ann.Items)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"run":              name,
-		"vertices":         sess.Run.NumVertices(),
-		"edges":            sess.Run.NumEdges(),
+		"vertices":         rn.NumVertices(),
+		"edges":            rn.NumEdges(),
 		"data_items":       items,
 		"snapshot_version": sess.SnapshotVersion.String(),
 		"snapshot_bytes":   sess.SnapshotBytes,

@@ -115,7 +115,14 @@ func (s *Server) handleRPQ(w http.ResponseWriter, r *http.Request) {
 		}
 		match, err = m.Eval(rr.Graph, rr.Origin, ls.Reachable, u, v)
 	} else {
-		match, err = m.Eval(sess.Run.Graph, sess.Run.Origin, sess.Labels.Reachable, u, v)
+		// Path queries are the one label-free walk: they need the run's
+		// edges, so this is where a stored run's document gets decoded.
+		rn, _, derr := sess.Document()
+		if derr != nil {
+			writeErr(w, http.StatusInternalServerError, "loading run %q: %v", req.Run, derr)
+			return
+		}
+		match, err = m.Eval(rn.Graph, rn.Origin, sess.Labels.Reachable, u, v)
 	}
 	if err != nil {
 		if errors.Is(err, rpq.ErrStateBudget) {

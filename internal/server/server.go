@@ -42,9 +42,13 @@
 //
 // Vertices are addressed by occurrence name ("b2" = second execution of
 // module b) or by numeric vertex ID. All handlers are safe for concurrent
-// use: sessions are immutable once loaded (see the store package's
-// concurrency contract) and shared through an LRU cache with singleflight
-// load dedup, so a cache hit answers queries with zero disk I/O.
+// use: sessions are immutable once loaded, apart from their run document,
+// which is decoded at most once (see the store package's concurrency
+// contract), and they are shared through an LRU cache with singleflight
+// load dedup, so a cache hit answers queries with zero disk I/O. A cache
+// miss is the paper's label lookup: /reachable, /batch and /lineage run
+// on the stored labels and a name index built from their origin column;
+// only /rpq and finished-run status decode the run document.
 //
 // /batch is the allocation-critical path: request decode, pair
 // resolution, batch evaluation and response encode all run in pooled
@@ -270,10 +274,18 @@ func (c *servedCounters) snapshot() map[string]int64 {
 func (s *Server) Served() map[string]int64 { return s.served.snapshot() }
 
 // session is one cached run: the stored session plus the name index,
-// both immutable after load.
+// both immutable after load (the stored session decodes its run
+// document at most once, on the first query that needs it).
 type session struct {
 	*store.Session
 	namer *run.Namer
+}
+
+// newSession indexes a stored session's vertex names from its label
+// snapshot's origin column — the run document stays undecoded until a
+// path query or a run status asks for it.
+func (s *Server) newSession(sess *store.Session) *session {
+	return &session{Session: sess, namer: run.NewNamerFromOrigins(s.st.Spec(), sess.Labels.Origins())}
 }
 
 // New builds a Server for the configured store.
@@ -459,7 +471,7 @@ func (s *Server) load(name string) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &session{Session: sess, namer: run.NewNamer(sess.Run)}, nil
+	return s.newSession(sess), nil
 }
 
 // vertex resolves a vertex reference; it and the /batch decoder share
@@ -492,7 +504,7 @@ func (se *session) vertexBytes(ref []byte) (dag.VertexID, bool) {
 		if c < '0' || c > '9' {
 			return 0, false
 		}
-		if id = id*10 + int(c-'0'); id >= se.Run.NumVertices() {
+		if id = id*10 + int(c-'0'); id >= se.Labels.NumVertices() {
 			return 0, false
 		}
 	}

@@ -126,10 +126,11 @@ func TestReachableMatchesGraphSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	searcher := dag.NewSearcher(sess.Run.Graph)
-	nm := run.NewNamer(sess.Run)
+	rn := document(t, sess)
+	searcher := dag.NewSearcher(rn.Graph)
+	nm := run.NewNamer(rn)
 	rng := rand.New(rand.NewSource(3))
-	n := sess.Run.NumVertices()
+	n := rn.NumVertices()
 	for q := 0; q < 200; q++ {
 		u := dag.VertexID(rng.Intn(n))
 		v := dag.VertexID(rng.Intn(n))
@@ -155,9 +156,10 @@ func TestBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	searcher := dag.NewSearcher(sess.Run.Graph)
+	rn := document(t, sess)
+	searcher := dag.NewSearcher(rn.Graph)
 	rng := rand.New(rand.NewSource(5))
-	n := sess.Run.NumVertices()
+	n := rn.NumVertices()
 	pairs := make([][2]string, 8)
 	want := make([]bool, len(pairs))
 	for i := range pairs {
@@ -192,10 +194,11 @@ func TestLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm := run.NewNamer(sess.Run)
+	rn := document(t, sess)
+	nm := run.NewNamer(rn)
 	// The run's sink depends on everything upstream; check count against
 	// a direct graph traversal for a handful of vertices.
-	for _, v := range []dag.VertexID{0, dag.VertexID(sess.Run.NumVertices() / 2), dag.VertexID(sess.Run.NumVertices() - 1)} {
+	for _, v := range []dag.VertexID{0, dag.VertexID(rn.NumVertices() / 2), dag.VertexID(rn.NumVertices() - 1)} {
 		for _, dir := range []string{"up", "down"} {
 			var resp struct {
 				Count int      `json:"count"`
@@ -207,9 +210,9 @@ func TestLineage(t *testing.T) {
 			}
 			var want int
 			if dir == "up" {
-				want = len(coneSize(sess.Run.Graph, v, true))
+				want = len(coneSize(rn.Graph, v, true))
 			} else {
-				want = len(coneSize(sess.Run.Graph, v, false))
+				want = len(coneSize(rn.Graph, v, false))
 			}
 			if resp.Count != want || len(resp.Cone) != want {
 				t.Fatalf("lineage(%s,%s): got %d want %d", nm.Name(v), dir, resp.Count, want)
@@ -514,9 +517,10 @@ func TestBatchNumericPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nm := run.NewNamer(sess.Run)
+	rn := document(t, sess)
+	nm := run.NewNamer(rn)
 	rng := rand.New(rand.NewSource(17))
-	n := sess.Run.NumVertices()
+	n := rn.NumVertices()
 	type resp struct {
 		Count   int    `json:"count"`
 		Results []bool `json:"results"`
@@ -570,8 +574,9 @@ func TestBatchParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rn := document(t, sess)
 	rng := rand.New(rand.NewSource(23))
-	n := sess.Run.NumVertices()
+	n := rn.NumVertices()
 	var sb strings.Builder
 	sb.WriteString(`{"run":"alpha","pairs":[`)
 	const pairs = 3000 // above the 1024 fan-out threshold
@@ -689,4 +694,15 @@ func TestServedCounters(t *testing.T) {
 	if got := s.Served()["reachable"]; got != 2 {
 		t.Errorf("Served()[reachable] = %d, want 2", got)
 	}
+}
+
+// document is store.Session.Document for tests: the decoded run, or a
+// fatal error.
+func document(t testing.TB, sess *store.Session) *run.Run {
+	t.Helper()
+	r, _, err := sess.Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

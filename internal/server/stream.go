@@ -11,7 +11,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/events"
 	"repro/internal/live"
-	"repro/internal/run"
 	"repro/internal/store"
 )
 
@@ -349,7 +348,7 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		if s.cache.Invalidate(name) {
 			// Same refresh-in-place as PUT: the run was resident, so
 			// someone is querying it — hand them the sealed session.
-			s.cache.Put(name, &session{Session: sess, namer: run.NewNamer(sess.Run)})
+			s.cache.Put(name, s.newSession(sess))
 		}
 	}
 	seq := ls.Seq()
@@ -371,7 +370,13 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.brk.note(nil)
-	s.logf("server: finished streamed run %q (%d events, %d vertices)", name, seq, sess.Run.NumVertices())
+	// Sealed sessions hold the run they just stored: no decode, no error.
+	rn, _, err := sess.Document()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "finishing run %q: %v", name, err)
+		return
+	}
+	s.logf("server: finished streamed run %q (%d events, %d vertices)", name, seq, rn.NumVertices())
 	if s.maxRuns > 0 {
 		if _, err := s.EnforceMaxRuns(s.maxRuns, name); err != nil {
 			s.logf("server: retention sweep after finish %q: %v", name, err)
@@ -379,8 +384,8 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"run":              name,
-		"vertices":         sess.Run.NumVertices(),
-		"edges":            sess.Run.NumEdges(),
+		"vertices":         rn.NumVertices(),
+		"edges":            rn.NumEdges(),
 		"events":           seq,
 		"snapshot_version": sess.SnapshotVersion.String(),
 		"snapshot_bytes":   sess.SnapshotBytes,
@@ -415,15 +420,20 @@ func (s *Server) writeRunStatus(w http.ResponseWriter, name string) {
 		})
 		return
 	}
+	rn, ann, err := sess.Document()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "loading run %q: %v", name, err)
+		return
+	}
 	items := 0
-	if sess.Data != nil {
-		items = len(sess.Data.Items)
+	if ann != nil {
+		items = len(ann.Items)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"run":              name,
 		"status":           "finished",
-		"vertices":         sess.Run.NumVertices(),
-		"edges":            sess.Run.NumEdges(),
+		"vertices":         rn.NumVertices(),
+		"edges":            rn.NumEdges(),
 		"data_items":       items,
 		"max_label_bits":   sess.Labels.MaxLabelBits(),
 		"avg_label_bits":   sess.Labels.AvgLabelBits(),

@@ -306,7 +306,12 @@ func Run(t *testing.T, newBackend Factory) {
 						fail(fmt.Errorf("OpenRun(seed) during writes: %w", err))
 						return
 					}
-					if sess.Run.NumVertices() == 0 {
+					r, _, err := sess.Document()
+					if err != nil {
+						fail(fmt.Errorf("seed document during writes: %w", err))
+						return
+					}
+					if r.NumVertices() == 0 {
 						fail(errors.New("seed session is empty"))
 						return
 					}
@@ -332,9 +337,13 @@ func Run(t *testing.T, newBackend Factory) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sess.Run.NumVertices() != bigger.NumVertices() {
+		r, _, err := sess.Document()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.NumVertices() != bigger.NumVertices() {
 			t.Fatalf("after overwrite: session has %d vertices, want %d",
-				sess.Run.NumVertices(), bigger.NumVertices())
+				r.NumVertices(), bigger.NumVertices())
 		}
 		if n, err := st.Runs(); err != nil || len(n) != writers+1 {
 			t.Fatalf("Runs after overwrite = %v, %v", n, err)
@@ -843,8 +852,12 @@ func DeleteRunConformance(t *testing.T, newBackend Factory) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sess.Run.NumVertices() != reput.NumVertices() {
-			t.Fatalf("re-put session has %d vertices, want %d", sess.Run.NumVertices(), reput.NumVertices())
+		r, _, err := sess.Document()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.NumVertices() != reput.NumVertices() {
+			t.Fatalf("re-put session has %d vertices, want %d", r.NumVertices(), reput.NumVertices())
 		}
 		// Copy tolerates a run deleted between the listing and its read.
 		dst := store.NewMemBackend()

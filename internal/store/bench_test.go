@@ -62,9 +62,11 @@ func BenchmarkStorePutRun(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreOpenRun measures the session load path per backend kind:
-// decode run XML, read the snapshot, bind it to the cached skeleton
-// labeling. This is the cost a query-server cache miss pays.
+// BenchmarkStoreOpenRun measures the session load path per backend kind.
+// "labels" is what a query-server cache miss pays: read both blobs,
+// decode the snapshot, bind it to the cached skeleton labeling. Its
+// "document" twin adds the first Document call, the run XML decode that
+// path queries and run statistics pay on top.
 func BenchmarkStoreOpenRun(b *testing.B) {
 	for _, bk := range benchBackends {
 		b.Run(bk.kind, func(b *testing.B) {
@@ -73,12 +75,25 @@ func BenchmarkStoreOpenRun(b *testing.B) {
 			if err := st.PutRun("r1", r, ann, label.TCM{}); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.OpenRun("r1", label.TCM{}); err != nil {
-					b.Fatal(err)
+			for _, decode := range []bool{false, true} {
+				name := "labels"
+				if decode {
+					name = "document"
 				}
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						sess, err := st.OpenRun("r1", label.TCM{})
+						if err != nil {
+							b.Fatal(err)
+						}
+						if decode {
+							if _, _, err := sess.Document(); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+				})
 			}
 		})
 	}

@@ -40,8 +40,9 @@ func TestConcurrentStoreAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closure, _ := shared.Run.Graph.TransitiveClosure()
-	n := shared.Run.NumVertices()
+	sharedRun := document(t, shared)
+	closure, _ := sharedRun.Graph.TransitiveClosure()
+	n := sharedRun.NumVertices()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -72,7 +73,12 @@ func TestConcurrentStoreAccess(t *testing.T) {
 						fail(err)
 						return
 					}
-					m := sess.Run.NumVertices()
+					r, _, err := sess.Document()
+					if err != nil {
+						fail(err)
+						return
+					}
+					m := r.NumVertices()
 					for q := 0; q < 20; q++ {
 						sess.Labels.Reachable(dag.VertexID(rng.Intn(m)), dag.VertexID(rng.Intn(m)))
 					}

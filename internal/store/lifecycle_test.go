@@ -56,8 +56,11 @@ func TestFSOrphanSweepOnOpen(t *testing.T) {
 		t.Fatalf("sweep collected a live run's snapshot: %v", err)
 	}
 	sess, err := st2.OpenRun("intact", label.TCM{})
-	if err != nil || sess.Run.NumVertices() != r.NumVertices() {
+	if err != nil {
 		t.Fatalf("intact run after sweep: %v", err)
+	}
+	if document(t, sess).NumVertices() != r.NumVertices() {
+		t.Fatal("intact run changed size after sweep")
 	}
 	if names, err := st2.Runs(); err != nil || fmt.Sprint(names) != "[intact]" {
 		t.Fatalf("Runs after sweep = %v, %v", names, err)

@@ -29,12 +29,15 @@
 // safe by contract). Concurrent PutRun calls for the same name race on
 // the underlying blobs and must be serialized by the caller.
 //
-// A Session is immutable once OpenRun returns: Labels, DataView and the
-// run graph answer queries without mutating shared state (search-based
-// skeleton schemes draw per-query scratch from an internal pool), so one
-// Session may serve any number of concurrent readers. This contract is
-// what internal/server's session cache relies on and is enforced by the
-// -race tests in this package and internal/server.
+// A Session's labels are immutable once OpenRun returns and answer
+// queries without mutating shared state (search-based skeleton schemes
+// draw per-query scratch from an internal pool). Its run document is
+// decoded at most once: the first Document or DataView call decodes the
+// bytes OpenRun read, under a sync.Once, and every concurrent or later
+// caller sees that one result; the bytes are dropped after the decode.
+// So one Session may serve any number of concurrent readers. This
+// contract is what internal/server's session cache relies on and is
+// enforced by the -race tests in this package and internal/server.
 package store
 
 import (
@@ -47,6 +50,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/dag"
 	"repro/internal/label"
 	"repro/internal/provdata"
 	"repro/internal/run"
@@ -208,17 +212,14 @@ func (st *Store) PutRunSession(name string, r *run.Run, ann *provdata.Annotation
 	if err != nil {
 		return nil, err
 	}
-	sess := &Session{
-		Run: stored, Data: ann, Labels: l,
-		SnapshotVersion: core.SnapshotV2, SnapshotBytes: snapBytes,
-	}
+	var dv *provdata.Labeling
 	if ann != nil {
-		dv, err := provdata.LabelData(ann, l)
-		if err != nil {
+		if dv, err = provdata.LabelData(ann, l); err != nil {
 			return nil, err
 		}
-		sess.DataView = dv
 	}
+	sess := &Session{Labels: l, SnapshotVersion: core.SnapshotV2, SnapshotBytes: snapBytes}
+	sess.once.Do(func() { sess.run, sess.data, sess.dataView = stored, ann, dv })
 	return sess, nil
 }
 
@@ -310,23 +311,80 @@ func (st *Store) DeleteRunEvents(name string) error {
 }
 
 // Session is a loaded run ready for querying: stored labels bound to the
-// specification's skeleton labeling, plus the run and its data items.
+// specification's skeleton labeling, plus the run document (graph and
+// data items), decoded on first use. Reachability and lineage need only
+// Labels; path queries and run statistics need Document.
 type Session struct {
-	Run      *run.Run
-	Data     *provdata.Annotation
-	Labels   *core.Labeling
-	DataView *provdata.Labeling // nil when the run has no data items
+	Labels *core.Labeling
 	// SnapshotVersion is the wire format the run's stored label snapshot
 	// was encoded with (SKL1 or SKL2); stores written by older versions
 	// keep loading transparently.
 	SnapshotVersion core.SnapshotVersion
 	// SnapshotBytes is the stored label snapshot's size in bytes.
 	SnapshotBytes int
+
+	spec *spec.Spec
+	once sync.Once
+	// doc holds the stored run document until once decodes it.
+	doc      []byte
+	run      *run.Run
+	data     *provdata.Annotation
+	dataView *provdata.Labeling
+	docErr   error
+}
+
+// Document returns the run graph and its data items (nil when the run
+// has none). The first call decodes the document OpenRun read and
+// checks it against the labels; every call returns that one result.
+// A document that does not decode or does not match the labels (a torn
+// pair written by another process) is an error, never a wrong run.
+func (s *Session) Document() (*run.Run, *provdata.Annotation, error) {
+	s.once.Do(s.decode)
+	return s.run, s.data, s.docErr
+}
+
+// DataView returns the data items labeled for provenance queries (nil
+// when the run has none), built in the same step as Document.
+func (s *Session) DataView() (*provdata.Labeling, error) {
+	s.once.Do(s.decode)
+	return s.dataView, s.docErr
+}
+
+// decode is the once-only body behind Document.
+func (s *Session) decode() {
+	doc := s.doc
+	s.doc = nil
+	r, ann, err := xmlio.DecodeRunBytes(doc, s.spec)
+	if err != nil {
+		s.docErr = err
+		return
+	}
+	if n := s.Labels.NumVertices(); r.NumVertices() != n {
+		s.docErr = fmt.Errorf("store: snapshot covers %d vertices, run has %d", n, r.NumVertices())
+		return
+	}
+	for v, o := range r.Origin[:r.NumVertices()] {
+		if lo := s.Labels.Label(dag.VertexID(v)).Orig; lo != o {
+			s.docErr = fmt.Errorf("store: snapshot gives vertex %d origin %d, run has %d", v, lo, o)
+			return
+		}
+	}
+	var dv *provdata.Labeling
+	if ann != nil {
+		if dv, err = provdata.LabelData(ann, s.Labels); err != nil {
+			s.docErr = err
+			return
+		}
+	}
+	s.run, s.data, s.dataView = r, ann, dv
 }
 
 // OpenRun loads one run's labels for querying. The scheme's skeleton
 // labeling of the (small) specification comes from the store's cache;
 // the run labels come from the stored snapshot and are not recomputed.
+// Both blobs are read here, so a caller serializing OpenRun against
+// same-name writes gets a consistent pair; the run document is held as
+// bytes and decoded only when Document is first called.
 func (st *Store) OpenRun(name string, scheme label.Scheme) (*Session, error) {
 	if err := ValidRunName(name); err != nil {
 		return nil, err
@@ -335,7 +393,7 @@ func (st *Store) OpenRun(name string, scheme label.Scheme) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, ann, err := xmlio.DecodeRun(rf, st.spec)
+	doc, err := xmlio.ReadRunDocument(rf)
 	rf.Close()
 	if err != nil {
 		return nil, err
@@ -353,8 +411,8 @@ func (st *Store) OpenRun(name string, scheme label.Scheme) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(snap.Labels) != r.NumVertices() {
-		return nil, fmt.Errorf("store: snapshot covers %d vertices, run has %d", len(snap.Labels), r.NumVertices())
+	if snap.NumSpec != st.spec.NumVertices() {
+		return nil, fmt.Errorf("store: snapshot labels a %d-vertex specification, the store's has %d", snap.NumSpec, st.spec.NumVertices())
 	}
 	skel, err := st.skeleton(scheme)
 	if err != nil {
@@ -364,18 +422,10 @@ func (st *Store) OpenRun(name string, scheme label.Scheme) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess := &Session{
-		Run: r, Data: ann, Labels: l,
-		SnapshotVersion: snap.Version, SnapshotBytes: len(raw),
-	}
-	if ann != nil {
-		dv, err := provdata.LabelData(ann, l)
-		if err != nil {
-			return nil, err
-		}
-		sess.DataView = dv
-	}
-	return sess, nil
+	return &Session{
+		Labels: l, SnapshotVersion: snap.Version, SnapshotBytes: len(raw),
+		spec: st.spec, doc: doc,
+	}, nil
 }
 
 // HotListMeta is the meta blob holding the serving layer's hot-session

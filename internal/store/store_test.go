@@ -55,14 +55,15 @@ func TestStoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenRun(%s): %v", name, err)
 		}
-		if sess.Run.NumVertices() != originals[i].NumVertices() {
+		stored := document(t, sess)
+		if stored.NumVertices() != originals[i].NumVertices() {
 			t.Fatalf("%s: stored run size changed", name)
 		}
-		if sess.DataView == nil {
-			t.Fatalf("%s: data items lost", name)
+		if dv, err := sess.DataView(); err != nil || dv == nil {
+			t.Fatalf("%s: data items lost: %v", name, err)
 		}
-		searcher := dag.NewSearcher(sess.Run.Graph)
-		n := sess.Run.NumVertices()
+		searcher := dag.NewSearcher(stored.Graph)
+		n := stored.NumVertices()
 		for q := 0; q < 1000; q++ {
 			u := dag.VertexID(rng.Intn(n))
 			v := dag.VertexID(rng.Intn(n))
@@ -91,17 +92,29 @@ func TestStoreDifferentQueryScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	searcher := dag.NewSearcher(sess.Run.Graph)
+	stored := document(t, sess)
+	searcher := dag.NewSearcher(stored.Graph)
 	for q := 0; q < 1000; q++ {
-		u := dag.VertexID(rng.Intn(sess.Run.NumVertices()))
-		v := dag.VertexID(rng.Intn(sess.Run.NumVertices()))
+		u := dag.VertexID(rng.Intn(stored.NumVertices()))
+		v := dag.VertexID(rng.Intn(stored.NumVertices()))
 		if sess.Labels.Reachable(u, v) != searcher.ReachableBFS(u, v) {
 			t.Fatal("cross-scheme query wrong")
 		}
 	}
-	if sess.DataView != nil {
-		t.Error("run stored without data should have nil DataView")
+	if dv, err := sess.DataView(); err != nil || dv != nil {
+		t.Errorf("run stored without data: DataView = %v, %v; want nil, nil", dv, err)
 	}
+}
+
+// document is Session.Document for tests: the decoded run, or a fatal
+// error.
+func document(t testing.TB, sess *store.Session) *run.Run {
+	t.Helper()
+	r, _, err := sess.Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestStoreErrors(t *testing.T) {

@@ -156,7 +156,7 @@ func TestShardedStoreRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenRun(%s): %v", name, err)
 			}
-			if sess.Run.NumVertices() != runs[name].NumVertices() {
+			if document(t, sess).NumVertices() != runs[name].NumVertices() {
 				t.Fatalf("%s: stored run size changed", name)
 			}
 		}
@@ -165,8 +165,9 @@ func TestShardedStoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		searcher := dag.NewSearcher(sess.Run.Graph)
-		n := sess.Run.NumVertices()
+		stored := document(t, sess)
+		searcher := dag.NewSearcher(stored.Graph)
+		n := stored.NumVertices()
 		for q := 0; q < 300; q++ {
 			u, v := dag.VertexID(rng.Intn(n)), dag.VertexID(rng.Intn(n))
 			if sess.Labels.Reachable(u, v) != searcher.ReachableBFS(u, v) {
@@ -197,8 +198,11 @@ func TestOpenURL(t *testing.T) {
 			t.Fatalf("OpenURL(%q) spec = %q", url, st2.SpecName())
 		}
 		sess, err := st2.OpenRun("r1", label.TCM{})
-		if err != nil || sess.Run.NumVertices() != r.NumVertices() {
+		if err != nil {
 			t.Fatalf("OpenURL(%q).OpenRun = %v", url, err)
+		}
+		if document(t, sess).NumVertices() != r.NumVertices() {
+			t.Fatalf("OpenURL(%q): stored run size changed", url)
 		}
 	}
 

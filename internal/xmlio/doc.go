@@ -34,7 +34,9 @@
 //
 // DecodeRun reads the whole body first, so a size cap such as
 // http.MaxBytesReader covers all of it. It then scans the bytes without
-// reflection and without allocating per element. It accepts what
+// reflection and without allocating per element. The two steps are also
+// exported apart — ReadRunDocument, then DecodeRunBytes — for a store
+// that holds a document and decodes it only when needed. It accepts what
 // encoding/xml's strict Decoder accepted for the schema:
 //
 //   - an XML declaration (version 1.0 or none given, encoding UTF-8 or

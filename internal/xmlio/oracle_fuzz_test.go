@@ -134,6 +134,17 @@ func checkAgainstOracle(t *testing.T, s *spec.Spec, input string) {
 	t.Helper()
 	r, ann, err := xmlio.DecodeRun(strings.NewReader(input), s)
 	or, oann, oerr := oracleDecodeRun(strings.NewReader(input), s)
+	// The held-bytes path a stored session decodes through is the same
+	// decoder: same run, same error.
+	br, bann, berr := xmlio.DecodeRunBytes([]byte(input), s)
+	switch {
+	case (err == nil) != (berr == nil):
+		t.Fatalf("DecodeRun err = %v, DecodeRunBytes err = %v", err, berr)
+	case err != nil && err.Error() != berr.Error():
+		t.Fatalf("DecodeRun err = %q, DecodeRunBytes err = %q", err, berr)
+	case err == nil:
+		sameDecode(t, br, bann, r, ann)
+	}
 	switch {
 	case err == nil && oerr != nil:
 		t.Fatalf("accepted what the oracle rejects (%v)", oerr)
@@ -242,6 +253,54 @@ func TestDecodeRunRetainsNoInput(t *testing.T) {
 	}
 	if after := fmt.Sprintf("%v %q", r.Origin, ann.Items); after != before {
 		t.Fatalf("decoded run changed with its input:\n%s\n%s", before, after)
+	}
+}
+
+// ReadRunDocument hands back exactly the document, in a buffer of its
+// own exact size, and a DecodeRunBytes of it neither changes those bytes
+// nor keeps them in the decoders' pool.
+func TestReadRunDocumentThenDecodeBytes(t *testing.T) {
+	s, doc := paperDoc(t)
+	held, err := xmlio.ReadRunDocument(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(held) != doc || cap(held) != len(held) {
+		t.Fatalf("held %d bytes (cap %d) for a %d-byte document", len(held), cap(held), len(doc))
+	}
+	r, ann, err := xmlio.DecodeRunBytes(held, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(held) != doc {
+		t.Fatal("DecodeRunBytes modified its input")
+	}
+	before := fmt.Sprintf("%v %q", r.Origin, ann.Items)
+	// Reading and decoding other documents through the pool must not
+	// write into the held bytes.
+	other := strings.ReplaceAll(doc, "<data>x", "<data>y")
+	if _, _, err := xmlio.DecodeRun(strings.NewReader(other), s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := xmlio.ReadRunDocument(strings.NewReader(other)); err != nil {
+		t.Fatal(err)
+	}
+	if string(held) != doc {
+		t.Fatal("pooled decoding wrote into bytes DecodeRunBytes was given")
+	}
+	for i := range held {
+		held[i] = 'z'
+	}
+	if after := fmt.Sprintf("%v %q", r.Origin, ann.Items); after != before {
+		t.Fatalf("decoded run changed with its input:\n%s\n%s", before, after)
+	}
+
+	// A read failing mid-document keeps its identity, under the same
+	// prefix DecodeRun gives it.
+	fault := store.Transient(errors.New("disk hiccup"))
+	_, err = xmlio.ReadRunDocument(io.MultiReader(strings.NewReader(doc[:len(doc)/2]), &failingReader{err: fault}))
+	if !errors.Is(err, store.ErrTransient) || !strings.HasPrefix(err.Error(), "xmlio: decode run: ") {
+		t.Fatalf("err = %v, want the transient read error under the decode-run prefix", err)
 	}
 }
 

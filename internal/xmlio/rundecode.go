@@ -30,6 +30,39 @@ func DecodeRun(rd io.Reader, s *spec.Spec) (*run.Run, *provdata.Annotation, erro
 	if err := d.read(rd); err != nil {
 		return nil, nil, fmt.Errorf("xmlio: decode run: %w", err)
 	}
+	return d.decode(s)
+}
+
+// ReadRunDocument reads a whole run document for a later
+// DecodeRunBytes: through the decoders' pooled read buffer, then into
+// one exactly sized copy the caller owns. Read errors keep their
+// identity under DecodeRun's prefix.
+func ReadRunDocument(rd io.Reader) ([]byte, error) {
+	d := decoderPool.Get().(*runDecoder)
+	defer d.release()
+	if err := d.read(rd); err != nil {
+		return nil, fmt.Errorf("xmlio: decode run: %w", err)
+	}
+	doc := make([]byte, len(d.buf))
+	copy(doc, d.buf)
+	return doc, nil
+}
+
+// DecodeRunBytes is DecodeRun over a document already held in memory.
+// It neither modifies doc nor keeps a reference to it.
+func DecodeRunBytes(doc []byte, s *spec.Spec) (*run.Run, *provdata.Annotation, error) {
+	d := decoderPool.Get().(*runDecoder)
+	own := d.buf
+	d.buf = doc
+	defer func() {
+		d.buf = own
+		d.release()
+	}()
+	return d.decode(s)
+}
+
+// decode parses and builds the document held in buf.
+func (d *runDecoder) decode(s *spec.Spec) (*run.Run, *provdata.Annotation, error) {
 	if err := d.parse(s); err != nil {
 		return nil, nil, fmt.Errorf("xmlio: decode run: %w", err)
 	}
