@@ -12,7 +12,7 @@ ADDR ?= :8080
 # the "benches" map into bench/BASELINE_<new>.json) once per PR.
 PR ?= 10
 
-.PHONY: build test race bench bench-store bench-json trend load-smoke chaos-smoke rpq-smoke fuzz-xml lint fmt vet serve ci
+.PHONY: build test race bench bench-store bench-json trend load-smoke chaos-smoke rpq-smoke fuzz-xml lint loc fmt vet serve ci
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,18 @@ fuzz-xml:
 lint:
 	$(GO) run ./cmd/provlint -o LINT.json
 
+# Code size: non-blank, non-comment, non-test Go lines per package and
+# in total (go list picks each package's non-test files; awk drops blank
+# and //-comment lines). Deleting code counts as progress, so this
+# number is tracked next to the perf artifacts.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | \
+	while read -r pkg dir files; do \
+		[ -n "$$files" ] || continue; \
+		(cd "$$dir" && cat $$files) | awk -v pkg="$$pkg" \
+			'{ sub(/^[ \t]+/, "") } $$0 == "" || /^\/\// { next } { n++ } END { printf "%7d %s\n", n, pkg }'; \
+	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
+
 fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
@@ -116,4 +128,4 @@ vet:
 serve:
 	$(GO) run ./cmd/provserve -store $(STORE) -addr $(ADDR)
 
-ci: fmt vet lint build race bench bench-store fuzz-xml load-smoke chaos-smoke rpq-smoke
+ci: fmt vet lint build loc race bench bench-store fuzz-xml load-smoke chaos-smoke rpq-smoke

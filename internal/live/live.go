@@ -658,33 +658,11 @@ func (s *Session) execCopy(id int) *run.ExecCopy {
 // numbering run.Namer assigns on the finished run).
 func (s *Session) Name(v dag.VertexID) string { return s.names[v] }
 
-// Vertex resolves a vertex reference exactly like the stored-session
-// path: occurrence name first, then a numeric vertex ID.
-func (s *Session) Vertex(ref string) (dag.VertexID, bool) {
-	if v, ok := s.byName[ref]; ok {
-		return v, true
-	}
-	if len(ref) == 0 {
-		return 0, false
-	}
-	digits := ref
-	if digits[0] == '+' {
-		digits = digits[1:]
-	}
-	if len(digits) == 0 {
-		return 0, false
-	}
-	id := 0
-	for i := 0; i < len(digits); i++ {
-		c := digits[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		if id = id*10 + int(c-'0'); id >= len(s.origins) {
-			return 0, false
-		}
-	}
-	return dag.VertexID(id), true
+// Vertex looks up a live run vertex by occurrence name (the serving
+// layer adds the numeric-ID fallback for every run alike).
+func (s *Session) Vertex(name string) (dag.VertexID, bool) {
+	v, ok := s.byName[name]
+	return v, ok
 }
 
 // Reachable answers one reachability query on the live labels.

@@ -471,19 +471,6 @@ func (p *jparser) lit(s string) error {
 	return nil
 }
 
-// vertexToken resolves one parsed pair element against the session:
-// numeric elements are plain ID range checks, string elements go
-// through the same resolver the GET endpoints use.
-func (se *session) vertexToken(t vertexToken) (dag.VertexID, bool) {
-	if t.id >= 0 {
-		if t.id < se.Labels.NumVertices() {
-			return dag.VertexID(t.id), true
-		}
-		return 0, false
-	}
-	return se.vertexBytes(t.raw)
-}
-
 // appendBatchResponse encodes {"run":...,"count":N,"results":[...]}
 // into dst. Run names are validated to [A-Za-z0-9._-], so they embed in
 // JSON without escaping.

@@ -2,11 +2,10 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
 	"net/http"
 	"sort"
-
-	"repro/internal/store"
 )
 
 // delete.go is the run lifecycle's exit path: DELETE /runs/{name}
@@ -22,39 +21,25 @@ import (
 // guarantee), and the cache's generation fence keeps any load already
 // in flight from landing its pre-delete result in the cache.
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.ingest && !s.stream {
-		writeErr(w, http.StatusForbidden,
-			"deletion is disabled on this server (start it with ingest or streaming enabled to accept DELETE /runs)")
-		return
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
+	name, err := s.writeTarget(r, s.ingest || s.stream, "ingest or streaming")
+	if err != nil {
+		return err
 	}
-	name := r.PathValue("name")
-	if err := store.ValidRunName(name); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if s.brk.isOpen() {
-		s.unavailable(w, "degraded mode: the storage backend is unavailable, deletion is disabled")
-		return
-	}
-	switch err := s.deleteRun(name); {
+	err = s.deleteRun(name)
+	s.brk.note(err)
+	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		s.brk.note(nil)
-		writeErr(w, http.StatusNotFound, "unknown run %q", name)
+		return notFound(fmt.Sprintf("unknown run %q", name))
 	case err != nil:
-		s.brk.note(err)
-		if store.IsTransient(err) {
-			// Transient deletes are side-effect-free by contract: nothing
-			// was removed, so the client may retry the DELETE verbatim.
-			s.unavailable(w, "deleting run %q: %v", name, err)
-			return
-		}
-		writeErr(w, http.StatusInternalServerError, "deleting run %q: %v", name, err)
+		// Transient deletes are side-effect-free by contract: nothing was
+		// removed, so the client may retry the DELETE verbatim.
+		return fmt.Errorf("deleting run %q: %w", name, err)
 	default:
-		s.brk.note(nil)
 		s.logf("server: deleted run %q", name)
 		writeJSON(w, http.StatusOK, map[string]any{"run": name, "deleted": true})
 	}
+	return nil
 }
 
 // deleteRun removes the stored run and drops its cached session under

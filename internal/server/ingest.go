@@ -1,7 +1,7 @@
 package server
 
 import (
-	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 
@@ -59,61 +59,71 @@ func (l *runLocks) forName(name string) *sync.RWMutex {
 	return &l.mu[fnv32a(name)%uint32(len(l.mu))]
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if !s.ingest {
-		writeErr(w, http.StatusForbidden,
-			"ingest is disabled on this server (start it with ingest enabled to accept PUT /runs)")
-		return
+// writeTarget runs the write endpoints' shared checks — the endpoint
+// is enabled, the run name valid, the backend healthy — and returns the
+// run name or the error s.fail answers the request with.
+func (s *Server) writeTarget(r *http.Request, enabled bool, needs string) (string, error) {
+	if !enabled {
+		return "", fmt.Errorf("%s is %w on this server (start it with %s enabled)", r.Pattern, errDisabled, needs)
 	}
 	name := r.PathValue("name")
 	if err := store.ValidRunName(name); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return "", badRequest{err}
 	}
 	if s.brk.isOpen() {
-		s.unavailable(w, "degraded mode: the storage backend is unavailable, ingest is disabled")
-		return
+		return "", degraded(fmt.Sprintf("the storage backend is unavailable, %s is disabled", r.Pattern))
 	}
-	// Shield this name from retention sweeps for the whole handler: a
-	// sweep triggered by a concurrent PUT must not delete a run whose
-	// 200 is still on its way to the client.
+	return name, nil
+}
+
+// markIngesting adds delta to name's count of in-flight writes (PUT,
+// append, finish). A write marks its name from before it parses its
+// body until its response is written, and the retention sweep never
+// victimizes a marked name: without it, a concurrent sweep could list
+// another client's just-persisted (cold, unqueried) run and delete it
+// before that client even receives its 200.
+func (s *Server) markIngesting(name string, delta int) {
 	s.ingestingMu.Lock()
-	s.ingesting[name]++
+	if s.ingesting[name] += delta; s.ingesting[name] <= 0 {
+		delete(s.ingesting, name)
+	}
 	s.ingestingMu.Unlock()
-	defer func() {
-		s.ingestingMu.Lock()
-		if s.ingesting[name]--; s.ingesting[name] <= 0 {
-			delete(s.ingesting, name)
-		}
-		s.ingestingMu.Unlock()
-	}()
+}
+
+// refreshCached replaces name's resident session with one just written,
+// under the run's write lock. Only a resident run is refreshed — someone
+// is querying it, so it is handed the new labeling in place instead of
+// being evicted and re-read from the backend. Runs nobody queried stay
+// out of the cache entirely: cache membership is driven by query
+// traffic, so a bulk ingest can never flush the query working set. No
+// load is in flight under the write lock, so nothing can re-cache the
+// old run in between.
+func (s *Server) refreshCached(name string, sess *store.Session) {
+	if s.cache.Invalidate(name) {
+		s.cache.Put(name, s.newSession(sess))
+	}
+}
+
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
+	name, err := s.writeTarget(r, s.ingest, "ingest")
+	if err != nil {
+		return err
+	}
+	s.markIngesting(name, 1)
+	defer s.markIngesting(name, -1)
 	// The decoder must never trust Content-Length or read an unbounded
 	// hostile body: MaxBytesReader caps what xml parsing can consume.
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxIngestBytes)
 	rn, ann, err := xmlio.DecodeRun(r.Body, s.st.Spec())
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				"run document exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "malformed run document: %v", err)
-		return
+		return badRequestf("malformed run document: %w", err)
 	}
 
 	mu := s.runMu.forName(name)
 	mu.Lock()
 	sess, err := s.st.PutRunSession(name, rn, ann, s.scheme)
-	if err == nil && s.cache.Invalidate(name) {
-		// The run was resident, so someone is querying it: refresh the
-		// entry in place from the labeling just built instead of
-		// evicting it and re-reading the backend. Runs nobody queried
-		// stay out of the cache entirely — cache membership is driven
-		// by query traffic, so a bulk ingest can never flush the query
-		// working set. Both steps happen under the write lock: no load
-		// is in flight, so nothing can re-cache the old run in between.
-		s.cache.Put(name, s.newSession(sess))
+	if err == nil {
+		s.refreshCached(name, sess)
 	}
 	mu.Unlock()
 	s.brk.note(err)
@@ -124,12 +134,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// transient failure left no usable pair behind (a partial write
 		// is transient precisely because an overwrite retry heals it), so
 		// the client is told to retry, not that the server broke.
-		if store.IsTransient(err) {
-			s.unavailable(w, "storing run %q: %v", name, err)
-			return
-		}
-		writeErr(w, http.StatusInternalServerError, "storing run %q: %v", name, err)
-		return
+		return writeFailed("storing run %q: %w", name, err)
 	}
 	if s.maxRuns > 0 {
 		// Retention rides the write path: every PUT that may have grown
@@ -152,4 +157,5 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		"snapshot_version": sess.SnapshotVersion.String(),
 		"snapshot_bytes":   sess.SnapshotBytes,
 	})
+	return nil
 }

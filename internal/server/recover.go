@@ -1,16 +1,16 @@
 package server
 
 import (
+	"errors"
 	"time"
 
-	"repro/internal/live"
 	"repro/internal/store"
 )
 
 // recover.go is the streaming path's proactive side: crash recovery at
 // startup (instead of lazily on first touch) and an idle-TTL sweep that
 // retires abandoned live sessions. Both reuse the lazy path's building
-// blocks — live.Recover under the run's write lock, clearStreamState —
+// blocks — openStream under the run's write lock, clearStreamState —
 // so a run recovered eagerly is indistinguishable from one resurrected
 // by its first query, and an expired stream leaves exactly as little
 // behind as a DELETE.
@@ -44,24 +44,21 @@ func (s *Server) RecoverStreams() (recovered, cleaned int, err error) {
 		}
 		mu := s.runMu.forName(name)
 		mu.Lock()
-		switch {
-		case s.live.Get(name) != nil:
-			// Already live — an append raced the scan and resurrected it.
-		case s.runStored(name):
-			// Finish persisted the run but crashed before cleaning the log
-			// (or a PUT overwrote a streamed name). The stored run is the
-			// acknowledged state; the leftover stream state is garbage.
-			s.clearStreamState(name)
-			cleaned++
-			s.logf("server: startup recovery: run %q is stored, cleaned stale stream state", name)
-		default:
-			ls, rerr := live.Recover(s.st, name, s.streamSkel, s.live.Gauges())
-			if rerr != nil {
-				s.logf("server: startup recovery: stream %q: %v (left for lazy recovery)", name, rerr)
-			} else {
-				s.live.Put(name, ls)
+		// A session already live means an append raced the scan and
+		// resurrected it; otherwise the lazy path's rules apply.
+		if s.live.Get(name) == nil {
+			switch _, err := s.openStream(name, true); {
+			case errors.Is(err, errFinished):
+				// Finish persisted the run but crashed before cleaning the
+				// log (or a PUT overwrote a streamed name). The stored run is
+				// the acknowledged state; the leftover stream state is garbage.
+				s.clearStreamState(name)
+				cleaned++
+				s.logf("server: startup recovery: run %q is stored, cleaned stale stream state", name)
+			case err != nil:
+				s.logf("server: startup recovery: %v (left for lazy recovery)", err)
+			default:
 				recovered++
-				s.logf("server: startup recovery: stream %q live at sequence %d", name, ls.Seq())
 			}
 		}
 		mu.Unlock()

@@ -392,3 +392,106 @@ func TestSweepIdleStreams(t *testing.T) {
 		t.Fatalf("zero-TTL sweep expired %v", expired)
 	}
 }
+
+// TestTransientProbeKeepsRunFinished pins that a failed "is this run
+// stored?" probe is an error, never a "no": one transient ReadRun on an
+// append to a finished run must answer 503 + Retry-After, not open a
+// fresh live stream that shadows the stored run.
+func TestTransientProbeKeepsRunFinished(t *testing.T) {
+	s, fb, _ := newFaultServer(t, Config{EnableStream: true})
+	fb.SetPlan(faultinject.Plan{PerOp: map[faultinject.Op]faultinject.Rule{
+		faultinject.OpReadRun: {FailFirst: 1},
+	}})
+	rec := do(t, s, "POST", "/runs/alpha/events?offset=0", "exec a copy 0\n", nil)
+	if rec.Code != 503 || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("append to a finished run under a transient probe: %d (Retry-After %q) %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+	}
+	fb.SetPlan(faultinject.Plan{})
+	var status struct {
+		Status string `json:"status"`
+	}
+	if rec := do(t, s, "GET", "/runs/alpha", "", &status); rec.Code != 200 || status.Status != "finished" {
+		t.Fatalf("GET /runs/alpha after the failed append: %d %+v", rec.Code, status)
+	}
+	if rec := do(t, s, "POST", "/runs/alpha/events?offset=0", "exec a copy 0\n", nil); rec.Code != 409 {
+		t.Fatalf("append to a finished run: %d, want 409", rec.Code)
+	}
+}
+
+// TestFinishTransientRecovery pins that a transient failure while
+// /finish recovers a stream after a restart is a 503 with Retry-After
+// and one breaker strike, like every other transient backend failure —
+// and that the stream then finishes once the backend answers.
+func TestFinishTransientRecovery(t *testing.T) {
+	s1, fb, st := newFaultServer(t, Config{EnableStream: true})
+	r, p := run.GenerateSized(spec.PaperSpec(), rand.New(rand.NewSource(29)), 60)
+	streamRun(t, s1, "gamma", events.Emit(r, p), 16)
+
+	// Restart: the new server has the stream only as durable state.
+	s2, err := New(Config{Store: st, EnableStream: true,
+		BreakerThreshold: 2, BreakerCooldown: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb.SetPlan(faultinject.Plan{PerOp: map[faultinject.Op]faultinject.Rule{
+		faultinject.OpReadMeta: {FailFirst: 1},
+	}})
+	rec := do(t, s2, "POST", "/runs/gamma/finish", "", nil)
+	if rec.Code != 503 || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("finish under a transient recovery failure: %d (Retry-After %q) %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+	}
+	if h := getHealthz(t, s2); h.Breaker.Consecutive != 1 {
+		t.Fatalf("breaker after one transient recovery failure: %+v, want 1 strike", h.Breaker)
+	}
+	var fin struct {
+		Vertices int `json:"vertices"`
+	}
+	if rec := do(t, s2, "POST", "/runs/gamma/finish", "", &fin); rec.Code != 200 || fin.Vertices != r.NumVertices() {
+		t.Fatalf("finish after the fault: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestFinishRetryAfterCrash pins that a /finish retried across a crash
+// between sealing and log cleanup succeeds again: the restarted server
+// re-seals the leftover stream state into the same run, answers 200
+// with its statistics and cleans the state. A finish of a stored run
+// with no stream state left is still 409.
+func TestFinishRetryAfterCrash(t *testing.T) {
+	s1, st := newStreamServer(t, Config{})
+	r, p := run.GenerateSized(spec.PaperSpec(), rand.New(rand.NewSource(41)), 60)
+	evs := events.Emit(r, p)
+	streamRun(t, s1, "delta", evs, 16)
+	// The crash window: the run is stored, the event log not yet cleaned.
+	if err := st.PutRun("delta", r, nil, label.TCM{}); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(Config{Store: st, EnableStream: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fin struct {
+		Vertices int `json:"vertices"`
+		Events   int `json:"events"`
+	}
+	if rec := do(t, s2, "POST", "/runs/delta/finish", "", &fin); rec.Code != 200 {
+		t.Fatalf("retried finish: %d %s", rec.Code, rec.Body.String())
+	}
+	if fin.Vertices != r.NumVertices() || fin.Events != len(evs) {
+		t.Fatalf("retried finish = %+v, want %d vertices, %d events", fin, r.NumVertices(), len(evs))
+	}
+	if _, err := st.ReadRunEvents("delta"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("event log after the retried finish: err=%v, want ErrNotExist", err)
+	}
+	var status struct {
+		Status string `json:"status"`
+	}
+	if rec := do(t, s2, "GET", "/runs/delta", "", &status); rec.Code != 200 || status.Status != "finished" {
+		t.Fatalf("GET /runs/delta: %d %+v", rec.Code, status)
+	}
+	if rec := do(t, s2, "POST", "/runs/delta/finish", "", nil); rec.Code != 409 {
+		t.Fatalf("finish of a stored run without stream state: %d, want 409", rec.Code)
+	}
+}

@@ -3,11 +3,11 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 
 	"repro/internal/dag"
-	"repro/internal/live"
 	"repro/internal/rpq"
 	"repro/internal/spec"
 )
@@ -31,34 +31,24 @@ type rpqRequest struct {
 // serving resident runs in degraded mode. Bad patterns — syntax errors
 // and patterns whose determinization would exceed the DFA state
 // budget — are client errors (400), never engine failures.
-func (s *Server) handleRPQ(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRPQ(w http.ResponseWriter, r *http.Request) error {
 	if !requireMethod(w, r, http.MethodPost) {
-		return
+		return nil
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxRPQBody)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "reading request body: %v", err)
-		return
+		return badRequestf("reading request body: %w", err)
 	}
 	var req rpqRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "malformed request body: %v", err)
-		return
+		return badRequestf("malformed request body: %w", err)
 	}
 	if req.From == "" || req.To == "" {
-		writeErr(w, http.StatusBadRequest, "missing 'from' or 'to' field")
-		return
+		return badRequestf("missing 'from' or 'to' field")
 	}
 	if req.Pattern == "" {
-		writeErr(w, http.StatusBadRequest, "missing 'pattern' field (use \"()\" for the empty word)")
-		return
+		return badRequestf("missing 'pattern' field (use \"()\" for the empty word)")
 	}
 	// Compile before resolving the run: a bad pattern answers 400
 	// without touching any session, and no run lock is held while the
@@ -68,69 +58,34 @@ func (s *Server) handleRPQ(w http.ResponseWriter, r *http.Request) {
 		return sp.VertexOf(spec.ModuleName(name))
 	})
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad pattern: %v", err)
-		return
+		return badRequestf("bad pattern: %w", err)
 	}
-	ls, release, sess, ok := s.resolveRun(w, req.Run)
-	if !ok {
-		return
+	view, release, err := s.resolveRun(req.Run)
+	if err != nil {
+		return err
 	}
-	if ls != nil {
-		defer release()
+	defer release()
+	u, err := vertexParam(view, req.From)
+	if err != nil {
+		return err
 	}
-	var u, v dag.VertexID
-	var okU, okV bool
-	if ls != nil {
-		u, okU = ls.Vertex(req.From)
-		v, okV = ls.Vertex(req.To)
-	} else {
-		u, okU = sess.vertex(req.From)
-		v, okV = sess.vertex(req.To)
+	v, err := vertexParam(view, req.To)
+	if err != nil {
+		return err
 	}
-	if !okU || !okV {
-		bad := req.From
-		if okU {
-			bad = req.To
-		}
-		writeErr(w, http.StatusNotFound, "unknown vertex %q", bad)
-		return
+	// Path queries are the one label-free walk: they need the run's
+	// edges, which is where a stored run's document gets decoded and a
+	// live run's execution tree materialized.
+	g, err := view.graph()
+	if err != nil {
+		return fmt.Errorf("path query on run %q: %w", req.Run, err)
 	}
-	m := rpq.NewMatcher(prog, s.rpqMaxStates)
-	var match bool
-	if ls != nil {
-		// A live session has labels but no materialized edges; rebuild
-		// the run graph from the streamed execution tree (vertex IDs
-		// match the live numbering, so the online labels prune it).
-		rr, rerr := ls.MaterializedRun()
-		if rerr != nil {
-			var inc *live.IncompleteError
-			if errors.As(rerr, &inc) {
-				writeErr(w, http.StatusConflict,
-					"cannot answer a path query on run %q yet: %v", req.Run, inc.Err)
-				return
-			}
-			writeErr(w, http.StatusInternalServerError,
-				"materializing live run %q: %v", req.Run, rerr)
-			return
-		}
-		match, err = m.Eval(rr.Graph, rr.Origin, ls.Reachable, u, v)
-	} else {
-		// Path queries are the one label-free walk: they need the run's
-		// edges, so this is where a stored run's document gets decoded.
-		rn, _, derr := sess.Document()
-		if derr != nil {
-			writeErr(w, http.StatusInternalServerError, "loading run %q: %v", req.Run, derr)
-			return
-		}
-		match, err = m.Eval(rn.Graph, rn.Origin, sess.Labels.Reachable, u, v)
-	}
+	match, err := rpq.NewMatcher(prog, s.rpqMaxStates).Eval(g.Graph, g.Origin, view.Reachable, u, v)
 	if err != nil {
 		if errors.Is(err, rpq.ErrStateBudget) {
-			writeErr(w, http.StatusBadRequest, "bad pattern: %v", err)
-			return
+			err = badRequestf("bad pattern: %w", err)
 		}
-		writeErr(w, http.StatusInternalServerError, "evaluating path query: %v", err)
-		return
+		return fmt.Errorf("evaluating path query: %w", err)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"run":     req.Run,
@@ -139,4 +94,5 @@ func (s *Server) handleRPQ(w http.ResponseWriter, r *http.Request) {
 		"pattern": req.Pattern,
 		"match":   match,
 	})
+	return nil
 }

@@ -39,13 +39,50 @@
 //	                           one request
 //	GET  /lineage?run=R&vertex=V&dir=up|down
 //	                           the vertex's upstream or downstream cone
+//	POST /rpq                  {"run":R,"from":U,"to":V,"pattern":P} -> does
+//	                           some path from U to V spell P (see rpq.go)
 //
 // Vertices are addressed by occurrence name ("b2" = second execution of
-// module b) or by numeric vertex ID. All handlers are safe for concurrent
-// use: sessions are immutable once loaded, apart from their run document,
-// which is decoded at most once (see the store package's concurrency
-// contract), and they are shared through an LRU cache with singleflight
-// load dedup, so a cache hit answers queries with zero disk I/O. A cache
+// module b) or by numeric vertex ID, resolved the same way for every
+// endpoint (vertexParam).
+//
+// There is one query path (view.go). A query is a predicate over two
+// labels, the same whether the run was labeled offline at ingest or
+// online as it streams in, so every query handler runs the same four
+// steps: parse the request, resolveRun the name to a runView, evaluate
+// against the view, encode the answer. resolveRun hands back a stored
+// session from the cache or a live stream (with its read lock held until
+// the returned release, which is always callable); the handlers never
+// ask which.
+//
+// Every handler failure reaches HTTP through one mapping, Server.fail,
+// and every error body is {"error": message}. Only three answers are
+// written elsewhere: 405 by the method check before a handler runs,
+// 429 by admission control before it is reached, and an append's 409,
+// whose body also carries the applied "seq". The status codes:
+//
+//	400  malformed request: a missing or bad parameter, run name, body,
+//	     event log or pattern (a badRequest error)
+//	403  the write endpoint is disabled on this server (errDisabled)
+//	404  unknown run, vertex or live stream (fs.ErrNotExist, unless a
+//	     store write failed: that is a writeFailure, 503 or 500)
+//	405  wrong method; Allow names the right one
+//	409  stream conflict: an append gap or conflicting resend, a stream
+//	     that does not yet describe a complete run
+//	     (*live.IncompleteError), or an append to a stored run or a
+//	     finish of one with no stream state left (errFinished)
+//	413  request body over its limit (*http.MaxBytesError), or a /batch
+//	     over Config.MaxBatch pairs (errBatchTooLarge)
+//	429  shed by admission control, with Retry-After
+//	503  transient backend failure (store.IsTransient) or degraded mode
+//	     (a degraded error), with Retry-After
+//	500  anything else
+//
+// All handlers are safe for concurrent use: sessions are immutable once
+// loaded, apart from their run document, which is decoded at most once
+// (see the store package's concurrency contract), and they are shared
+// through an LRU cache with singleflight load dedup, so a cache hit
+// answers queries with zero disk I/O. A cache
 // miss is the paper's label lookup: /reachable, /batch and /lineage run
 // on the stored labels and a name index built from their origin column;
 // only /rpq and finished-run status decode the run document.
@@ -73,6 +110,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"strings"
 	"sync"
@@ -81,9 +119,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/label"
-	"repro/internal/lineage"
 	"repro/internal/live"
-	"repro/internal/run"
 	"repro/internal/store"
 )
 
@@ -273,21 +309,6 @@ func (c *servedCounters) snapshot() map[string]int64 {
 // admission layer are counted in AdmissionState instead).
 func (s *Server) Served() map[string]int64 { return s.served.snapshot() }
 
-// session is one cached run: the stored session plus the name index,
-// both immutable after load (the stored session decodes its run
-// document at most once, on the first query that needs it).
-type session struct {
-	*store.Session
-	namer *run.Namer
-}
-
-// newSession indexes a stored session's vertex names from its label
-// snapshot's origin column — the run document stays undecoded until a
-// path query or a run status asks for it.
-func (s *Server) newSession(sess *store.Session) *session {
-	return &session{Session: sess, namer: run.NewNamerFromOrigins(s.st.Spec(), sess.Labels.Origins())}
-}
-
 // New builds a Server for the configured store.
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
@@ -360,16 +381,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/specs", s.handleSpecs)
-	s.mux.HandleFunc("/runs", s.handleRuns)
-	s.mux.HandleFunc("GET /runs/{name}", s.handleRunStatus)
-	s.mux.HandleFunc("PUT /runs/{name}", s.handleIngest)
-	s.mux.HandleFunc("DELETE /runs/{name}", s.handleDelete)
-	s.mux.HandleFunc("POST /runs/{name}/events", s.handleAppendEvents)
-	s.mux.HandleFunc("POST /runs/{name}/finish", s.handleFinish)
-	s.mux.HandleFunc("/reachable", s.handleReachable)
-	s.mux.HandleFunc("/batch", s.handleBatch)
-	s.mux.HandleFunc("/lineage", s.handleLineage)
-	s.mux.HandleFunc("/rpq", s.handleRPQ)
+	s.mux.HandleFunc("/runs", s.handle(s.handleRuns))
+	s.mux.HandleFunc("GET /runs/{name}", s.handle(s.handleRunStatus))
+	s.mux.HandleFunc("PUT /runs/{name}", s.handle(s.handleIngest))
+	s.mux.HandleFunc("DELETE /runs/{name}", s.handle(s.handleDelete))
+	s.mux.HandleFunc("POST /runs/{name}/events", s.handle(s.handleAppendEvents))
+	s.mux.HandleFunc("POST /runs/{name}/finish", s.handle(s.handleFinish))
+	s.mux.HandleFunc("/reachable", s.handle(s.handleReachable))
+	s.mux.HandleFunc("/batch", s.handle(s.handleBatch))
+	s.mux.HandleFunc("/lineage", s.handle(s.handleLineage))
+	s.mux.HandleFunc("/rpq", s.handle(s.handleRPQ))
 	return s, nil
 }
 
@@ -474,43 +495,6 @@ func (s *Server) load(name string) (*session, error) {
 	return s.newSession(sess), nil
 }
 
-// vertex resolves a vertex reference; it and the /batch decoder share
-// vertexBytes so every endpoint resolves references identically.
-func (se *session) vertex(ref string) (dag.VertexID, bool) {
-	return se.vertexBytes([]byte(ref))
-}
-
-// vertexBytes resolves a vertex reference: an occurrence name ("b2")
-// first — so every name the server itself emits resolves, even when
-// module names start with digits — falling back to a numeric vertex ID
-// (sign-tolerant like the strconv.Atoi path it replaced, without the
-// string conversion the /batch hot path cannot afford).
-func (se *session) vertexBytes(ref []byte) (dag.VertexID, bool) {
-	if len(ref) == 0 {
-		return 0, false
-	}
-	if v, ok := se.namer.VertexBytes(ref); ok {
-		return v, true
-	}
-	digits := ref
-	if digits[0] == '+' {
-		digits = digits[1:]
-	}
-	if len(digits) == 0 {
-		return 0, false
-	}
-	id := 0
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		if id = id*10 + int(c-'0'); id >= se.Labels.NumVertices() {
-			return 0, false
-		}
-	}
-	return dag.VertexID(id), true
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
@@ -557,210 +541,135 @@ func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) error {
 	if !requireMethod(w, r, http.MethodGet) {
-		return
+		return nil
 	}
-	name := r.URL.Query().Get("run")
-	if name == "" {
-		if s.brk.isOpen() {
-			s.unavailable(w, "degraded mode: backend unavailable, run listing needs it")
-			return
-		}
-		runs, err := s.st.Runs()
-		s.brk.note(err)
-		if err != nil {
-			if store.IsTransient(err) {
-				s.unavailable(w, "listing runs: %v", err)
-				return
-			}
-			writeErr(w, http.StatusInternalServerError, "listing runs: %v", err)
-			return
-		}
-		if runs == nil {
-			runs = []string{}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"runs": runs})
-		return
+	if name := r.URL.Query().Get("run"); name != "" {
+		return s.writeRunStatus(w, name)
 	}
-	s.writeRunStatus(w, name)
+	if s.brk.isOpen() {
+		return degraded("the storage backend is unavailable, run listing needs it")
+	}
+	runs, err := s.st.Runs()
+	s.brk.note(err)
+	if err != nil {
+		return fmt.Errorf("listing runs: %w", err)
+	}
+	if runs == nil {
+		runs = []string{}
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"runs": runs})
+	return nil
 }
 
-func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) error {
 	if !requireMethod(w, r, http.MethodGet) {
-		return
+		return nil
 	}
 	q := r.URL.Query()
-	ls, release, sess, ok := s.resolveRun(w, q.Get("run"))
-	if !ok {
-		return
-	}
-	if ls != nil {
-		defer release()
-	}
 	from, to := q.Get("from"), q.Get("to")
 	if from == "" || to == "" {
-		writeErr(w, http.StatusBadRequest, "missing 'from' or 'to' parameter")
-		return
+		return badRequestf("missing 'from' or 'to' parameter")
 	}
-	var u, v dag.VertexID
-	var okU, okV bool
-	if ls != nil {
-		u, okU = ls.Vertex(from)
-		v, okV = ls.Vertex(to)
-	} else {
-		u, okU = sess.vertex(from)
-		v, okV = sess.vertex(to)
+	view, release, err := s.resolveRun(q.Get("run"))
+	if err != nil {
+		return err
 	}
-	if !okU || !okV {
-		bad := from
-		if okU {
-			bad = to
-		}
-		writeErr(w, http.StatusNotFound, "unknown vertex %q", bad)
-		return
+	defer release()
+	u, err := vertexParam(view, from)
+	if err != nil {
+		return err
 	}
-	var reach, byCtx bool
-	if ls != nil {
-		reach, byCtx = ls.Reachable(u, v), ls.ByContext(u, v)
-	} else {
-		reach, byCtx = sess.Labels.Reachable(u, v), sess.Labels.AnsweredByContext(u, v)
+	v, err := vertexParam(view, to)
+	if err != nil {
+		return err
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"run":        q.Get("run"),
 		"from":       from,
 		"to":         to,
-		"reachable":  reach,
-		"by_context": byCtx,
+		"reachable":  view.Reachable(u, v),
+		"by_context": view.ByContext(u, v),
 	})
+	return nil
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	if !requireMethod(w, r, http.MethodPost) {
-		return
+		return nil
 	}
 	// Bound the body by what maxBatch pairs could plausibly occupy.
 	r.Body = http.MaxBytesReader(w, r.Body, int64(s.maxBatch)*128+4096)
 	sc := getBatchScratch()
 	defer sc.release()
 	if err := sc.readBody(r.Body); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "reading request body: %v", err)
-		return
+		return badRequestf("reading request body: %w", err)
 	}
 	if err := parseBatchRequest(sc.body, sc, s.maxBatch); err != nil {
 		if errors.Is(err, errBatchTooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				"batch exceeds limit of %d pairs", s.maxBatch)
-			return
+			return fmt.Errorf("batch exceeds limit of %d pairs: %w", s.maxBatch, err)
 		}
-		writeErr(w, http.StatusBadRequest, "malformed request body: %v", err)
-		return
+		return badRequestf("malformed request body: %w", err)
 	}
-	ls, release, sess, ok := s.resolveRun(w, string(sc.run))
-	if !ok {
-		return
+	view, release, err := s.resolveRun(string(sc.run))
+	if err != nil {
+		return err
 	}
-	if ls != nil {
-		defer release()
-	}
-	for i := range sc.tokens {
-		var u, v dag.VertexID
-		var okU, okV bool
-		if ls != nil {
-			u, okU = liveVertexToken(ls, sc.tokens[i][0])
-			v, okV = liveVertexToken(ls, sc.tokens[i][1])
-		} else {
-			u, okU = sess.vertexToken(sc.tokens[i][0])
-			v, okV = sess.vertexToken(sc.tokens[i][1])
-		}
+	defer release()
+	for i, t := range sc.tokens {
+		u, okU := t[0].resolve(view)
+		v, okV := t[1].resolve(view)
 		if !okU || !okV {
-			bad := sc.tokens[i][0].raw
+			bad := t[0].raw
 			if okU {
-				bad = sc.tokens[i][1].raw
+				bad = t[1].raw
 			}
-			writeErr(w, http.StatusNotFound, "pair %d: unknown vertex %q", i, bad)
-			return
+			return notFound(fmt.Sprintf("pair %d: unknown vertex %q", i, bad))
 		}
 		sc.pairs = append(sc.pairs, [2]dag.VertexID{u, v})
 	}
-	if ls != nil {
-		// Live sessions answer sequentially: the online labeler is
-		// mutable state under the run lock, not a parallel-safe snapshot.
-		for _, p := range sc.pairs {
-			sc.results = append(sc.results, ls.Reachable(p[0], p[1]))
-		}
-	} else {
-		// The hot path: evaluation and encoding run entirely in the pooled
-		// scratch, fanning out across CPUs for large batches.
-		sc.results = sess.Labels.AppendReachableBatch(sc.results, sc.pairs, s.batchPar)
-	}
+	sc.results = view.appendReachable(sc.results, sc.pairs, s.batchPar)
 	sc.out = appendBatchResponse(sc.out, sc.run, sc.results)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(sc.out)
+	return nil
 }
 
-func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) error {
 	if !requireMethod(w, r, http.MethodGet) {
-		return
+		return nil
 	}
 	q := r.URL.Query()
-	ls, release, sess, ok := s.resolveRun(w, q.Get("run"))
-	if !ok {
-		return
-	}
-	if ls != nil {
-		defer release()
-	}
-	ref := q.Get("vertex")
+	ref, dir := q.Get("vertex"), q.Get("dir")
 	if ref == "" {
-		writeErr(w, http.StatusBadRequest, "missing 'vertex' parameter")
-		return
+		return badRequestf("missing 'vertex' parameter")
 	}
-	var v dag.VertexID
-	var okV bool
-	if ls != nil {
-		v, okV = ls.Vertex(ref)
-	} else {
-		v, okV = sess.vertex(ref)
-	}
-	if !okV {
-		writeErr(w, http.StatusNotFound, "unknown vertex %q", ref)
-		return
-	}
-	dir := q.Get("dir")
-	var cone []dag.VertexID
-	switch dir {
-	case "", "up":
+	if dir == "" {
 		dir = "up"
-		if ls != nil {
-			cone = ls.Upstream(v)
-		} else {
-			cone = lineage.UpstreamByLabels(sess.Labels, v)
-		}
-	case "down":
-		if ls != nil {
-			cone = ls.Downstream(v)
-		} else {
-			cone = lineage.DownstreamByLabels(sess.Labels, v)
-		}
-	default:
-		writeErr(w, http.StatusBadRequest, "dir must be 'up' or 'down', got %q", dir)
-		return
+	}
+	if dir != "up" && dir != "down" {
+		return badRequestf("dir must be 'up' or 'down', got %q", dir)
+	}
+	view, release, err := s.resolveRun(q.Get("run"))
+	if err != nil {
+		return err
+	}
+	defer release()
+	v, err := vertexParam(view, ref)
+	if err != nil {
+		return err
+	}
+	var cone []dag.VertexID
+	if dir == "up" {
+		cone = view.Upstream(v)
+	} else {
+		cone = view.Downstream(v)
 	}
 	names := make([]string, len(cone))
 	for i, u := range cone {
-		if ls != nil {
-			names[i] = ls.Name(u)
-		} else {
-			names[i] = sess.namer.Name(u)
-		}
+		names[i] = view.Name(u)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"run":       q.Get("run"),
@@ -769,6 +678,107 @@ func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) {
 		"count":     len(names),
 		"cone":      names,
 	})
+	return nil
+}
+
+// badRequest is an error in the request itself: s.fail answers it 400
+// with its message, unless it wraps a class that outranks it (an
+// oversized body is 413 however it surfaced).
+type badRequest struct{ err error }
+
+func (e badRequest) Error() string { return e.err.Error() }
+func (e badRequest) Unwrap() error { return e.err }
+
+func badRequestf(format string, args ...any) error {
+	return badRequest{fmt.Errorf(format, args...)}
+}
+
+// notFound is a missing run or vertex: it matches fs.ErrNotExist like
+// the store's own misses, so s.fail answers it 404 with its message.
+type notFound string
+
+func (e notFound) Error() string      { return string(e) }
+func (notFound) Is(target error) bool { return target == fs.ErrNotExist }
+
+// degraded is a request shed in degraded mode. It unwraps to
+// store.ErrTransient, so s.fail answers it 503 with Retry-After like
+// any transient backend failure.
+type degraded string
+
+func (e degraded) Error() string { return "degraded mode: " + string(e) }
+func (degraded) Unwrap() error   { return store.ErrTransient }
+
+// errDisabled marks a write endpoint this server was not started with:
+// s.fail answers it 403.
+var errDisabled = errors.New("disabled")
+
+// writeFailure is a failed store write (PUT, append, finish). A write
+// that fails is the backend's or the server's fault, never a missing
+// resource, even when the backend's error reads as not-exist (a
+// vanished directory), so s.fail answers it 503 when transient and 500
+// otherwise — never 404.
+type writeFailure struct{ err error }
+
+func (e writeFailure) Error() string { return e.err.Error() }
+func (e writeFailure) Unwrap() error { return e.err }
+
+func writeFailed(format string, args ...any) error {
+	return writeFailure{fmt.Errorf(format, args...)}
+}
+
+// fail answers a request whose handling failed, mapping the error's
+// class to its HTTP status (the package documentation's table). The
+// classes are checked in this order:
+//
+//	*http.MaxBytesError     413  request body over its limit
+//	errBatchTooLarge        413  /batch over Config.MaxBatch pairs
+//	badRequest              400  malformed request
+//	errDisabled             403  write endpoint not enabled
+//	fs.ErrNotExist          404  unknown run, vertex or stream (not on a writeFailure)
+//	*live.IncompleteError   409  stream does not yet describe a complete run
+//	errFinished             409  stream target is already a stored run
+//	store.IsTransient       503  transient backend failure or degraded mode, Retry-After
+//	anything else           500
+//
+// The body is always {"error": message}. fail does no breaker
+// accounting: handlers note backend outcomes at the backend call site,
+// where a non-backend error cannot reset the strike count.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	var (
+		tooLarge *http.MaxBytesError
+		bad      badRequest
+		write    writeFailure
+		inc      *live.IncompleteError
+	)
+	switch {
+	case errors.As(err, &tooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	case errors.Is(err, errBatchTooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, "%v", err)
+	case errors.As(err, &bad):
+		writeErr(w, http.StatusBadRequest, "%v", err)
+	case errors.Is(err, errDisabled):
+		writeErr(w, http.StatusForbidden, "%v", err)
+	case errors.Is(err, fs.ErrNotExist) && !errors.As(err, &write):
+		writeErr(w, http.StatusNotFound, "%v", err)
+	case errors.As(err, &inc) || errors.Is(err, errFinished):
+		writeErr(w, http.StatusConflict, "%v", err)
+	case store.IsTransient(err):
+		s.unavailable(w, "%v", err)
+	default:
+		writeErr(w, http.StatusInternalServerError, "%v", err)
+	}
+}
+
+// handle adapts an endpoint that returns its failure instead of
+// answering it: every such error goes through s.fail, so the
+// error-to-status mapping lives in exactly one place.
+func (s *Server) handle(h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := h(w, r); err != nil {
+			s.fail(w, err)
+		}
+	}
 }
 
 func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {

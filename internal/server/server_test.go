@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +17,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/label"
+	"repro/internal/live"
 	"repro/internal/provdata"
 	"repro/internal/run"
 	"repro/internal/spec"
@@ -705,4 +708,66 @@ func document(t testing.TB, sess *store.Session) *run.Run {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestFailMapping pins s.fail, the one error-to-status mapping: each
+// error class answers its status however deeply it is wrapped, an
+// oversized body outranks the bad-request wrapper it surfaces through,
+// Retry-After accompanies exactly the 503s, and every body is
+// {"error": message}.
+func TestFailMapping(t *testing.T) {
+	s, _ := newStreamServer(t, Config{})
+	tooLarge := &http.MaxBytesError{Limit: 64}
+	for _, c := range []struct {
+		name string
+		err  error
+		want int
+		msg  string // expected message; "" means err.Error()
+	}{
+		{"max bytes", tooLarge, 413, "request body exceeds 64 bytes"},
+		{"max bytes wrapped", fmt.Errorf("reading: %w", tooLarge), 413, "request body exceeds 64 bytes"},
+		{"max bytes under bad request", badRequestf("malformed event log: %w", tooLarge), 413, "request body exceeds 64 bytes"},
+		{"batch too large", fmt.Errorf("batch exceeds limit of %d pairs: %w", 8, errBatchTooLarge), 413, ""},
+		{"bad request", badRequestf("missing 'run' parameter"), 400, ""},
+		{"bad request wrapped", fmt.Errorf("evaluating path query: %w", badRequestf("bad pattern")), 400, ""},
+		{"disabled", fmt.Errorf("PUT /runs/{name} is %w on this server", errDisabled), 403, ""},
+		{"not found", notFound(`unknown run "x"`), 404, ""},
+		{"not exist wrapped", fmt.Errorf("loading run %q: %w", "x", fs.ErrNotExist), 404, ""},
+		{"incomplete", &live.IncompleteError{Err: errors.New("fork site without copies")}, 409, ""},
+		{"incomplete wrapped", fmt.Errorf("finishing run %q: %w", "x", &live.IncompleteError{Err: errors.New("x")}), 409, ""},
+		{"finished", fmt.Errorf("run %q is %w", "x", errFinished), 409, ""},
+		{"transient", store.Transient(errors.New("disk busy")), 503, ""},
+		{"transient wrapped", fmt.Errorf("storing run %q: %w", "x", store.Transient(errors.New("disk busy"))), 503, ""},
+		{"degraded", degraded("run listing needs the backend"), 503, ""},
+		{"degraded wrapped", fmt.Errorf("loading run %q: %w", "x", degraded("not resident")), 503, ""},
+		{"write failed transient", writeFailed("storing run %q: %w", "x", store.Transient(errors.New("disk busy"))), 503, ""},
+		{"write failed not exist", writeFailed("storing run %q: %w", "x", fs.ErrNotExist), 500, ""},
+		{"write failed incomplete", writeFailed("finishing run %q: %w", "x", &live.IncompleteError{Err: errors.New("x")}), 409, ""},
+		{"internal", errors.New("snapshot checksum mismatch"), 500, ""},
+		{"internal wrapped", fmt.Errorf("loading run %q: %w", "x", errors.New("corrupt")), 500, ""},
+	} {
+		rec := httptest.NewRecorder()
+		s.fail(rec, c.err)
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, rec.Code, c.want)
+		}
+		if got := rec.Header().Get("Retry-After"); (got != "") != (c.want == 503) {
+			t.Errorf("%s: Retry-After %q on a %d", c.name, got, rec.Code)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", c.name, ct)
+		}
+		var body map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || len(body) != 1 {
+			t.Errorf("%s: body %q is not {\"error\": ...} (%v)", c.name, rec.Body.String(), err)
+			continue
+		}
+		want := c.msg
+		if want == "" {
+			want = c.err.Error()
+		}
+		if body["error"] != want {
+			t.Errorf("%s: error %q, want %q", c.name, body["error"], want)
+		}
+	}
 }

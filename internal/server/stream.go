@@ -2,36 +2,36 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
-	"os"
 	"strconv"
 
-	"repro/internal/dag"
 	"repro/internal/events"
 	"repro/internal/live"
-	"repro/internal/store"
 )
 
 // stream.go is the server's streaming ingest path (Config.EnableStream):
 // POST /runs/{name}/events appends engine events to a live per-run
 // session labeled online by internal/live, POST /runs/{name}/finish
 // seals the session into a normal stored run, and GET /runs/{name}
-// reports either side's status. Query endpoints answer against the live
-// session transparently whenever one exists (resolveRun), so a client
-// can interrogate a run while the workflow is still executing.
+// reports either side's status. Queries never ask which side they hit:
+// resolveRun hands every query endpoint a runView (view.go) — a liveView
+// over the online labels while a stream is open, the stored session once
+// it is finished — so a client can interrogate a run while the workflow
+// is still executing and get the answers the finished run will give.
 //
 // Concurrency reuses the write path's striped per-run-name locks:
 // appends, finishes and recoveries hold the write side, queries against
-// a live session hold the read side for the whole answer (the online
-// labeler mutates under appends, unlike the immutable stored sessions),
-// and stored-session queries keep their existing lock-free cache-hit
+// a live session hold the read side until resolveRun's release (the
+// online labeler mutates under appends, unlike the immutable stored
+// sessions), and stored-session queries keep their lock-free cache-hit
 // path. Crash recovery is lazy: the first append, finish or query for a
 // run that has durable stream state but no registered session rebuilds
-// it from the checkpoint and event-log tail (live.Recover). When a run
-// is both stored and has leftover stream state, the stored run wins and
-// the stale stream state is discarded — Finish persists the run before
+// it from the checkpoint and event-log tail (openStream). When a run is
+// both stored and has leftover stream state, the stored run wins and the
+// stale stream state is discarded — Finish persists the run before
 // cleaning the log, so its crash window leaves exactly that pair.
 
 // maxEventLine bounds one event-log line accepted from the wire; the
@@ -39,212 +39,104 @@ import (
 // 4 KiB is generous without letting one token balloon.
 const maxEventLine = 4096
 
-// resolveRun resolves a run name for a query endpoint: the live session
-// when one exists (returned with its read lock held; call release when
-// done answering), the cached stored session otherwise. A cache miss on
-// a streaming server probes durable stream state and resurrects the
-// live session from it before answering 404. Exactly one of the session
-// returns is non-nil on ok.
-func (s *Server) resolveRun(w http.ResponseWriter, name string) (*live.Session, func(), *session, bool) {
-	if name == "" {
-		writeErr(w, http.StatusBadRequest, "missing 'run' parameter")
-		return nil, nil, nil, false
-	}
-	if err := store.ValidRunName(name); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return nil, nil, nil, false
-	}
-	if s.stream {
-		if ls, release := s.liveLocked(name); ls != nil {
-			ls.Touch()
-			return ls, release, nil, true
-		}
-	}
-	if s.brk.isOpen() {
-		// Degraded read-only mode: resident sessions answer at full
-		// fidelity, everything else is shed — a cache miss here would
-		// send a query to a backend known to be failing.
-		if sess, ok := s.cache.Peek(name); ok {
-			return nil, nil, sess, true
-		}
-		s.unavailable(w, "degraded mode: run %q is not resident and the storage backend is unavailable", name)
-		return nil, nil, nil, false
-	}
-	sess, err := s.cache.Get(name)
-	if err == nil {
-		return nil, nil, sess, true
-	}
-	if !errors.Is(err, os.ErrNotExist) {
-		if store.IsTransient(err) {
-			s.unavailable(w, "loading run %q: %v", name, err)
-			return nil, nil, nil, false
-		}
-		writeErr(w, http.StatusInternalServerError, "loading run %q: %v", name, err)
-		return nil, nil, nil, false
-	}
-	if s.stream {
-		ls, release, rerr := s.resurrect(name)
-		if rerr != nil {
-			s.brk.note(rerr)
-			if store.IsTransient(rerr) {
-				s.unavailable(w, "recovering stream %q: %v", name, rerr)
-				return nil, nil, nil, false
-			}
-			writeErr(w, http.StatusInternalServerError, "recovering stream %q: %v", name, rerr)
-			return nil, nil, nil, false
-		}
-		if ls != nil {
-			ls.Touch()
-			return ls, release, nil, true
-		}
-		// resurrect found a stored run instead of stream state: a PUT or
-		// finish landed after our cache miss. Load it.
-		if sess, err := s.cache.Get(name); err == nil {
-			return nil, nil, sess, true
-		}
-	}
-	writeErr(w, http.StatusNotFound, "unknown run %q", name)
-	return nil, nil, nil, false
-}
+// errFinished is openStream's answer for a run that is already stored:
+// the store wins over any leftover stream state. s.fail answers it 409.
+var errFinished = errors.New("already finished")
 
-// liveLocked returns name's live session with its stripe read lock
-// held, or (nil, nil) after releasing the lock. Holding the read side
-// across the whole query keeps appends (write side) from mutating the
-// labeler mid-answer.
-func (s *Server) liveLocked(name string) (*live.Session, func()) {
-	mu := s.runMu.forName(name)
-	mu.RLock()
+// openStream returns name's registered live session, or rebuilds it
+// from durable stream state (live.Recover), logs the recovery and
+// registers it. A run with no stream state answers errFinished when it
+// is stored and an error matching fs.ErrNotExist otherwise. With
+// storeWins a stored run answers errFinished before any recovery: its
+// stream state can only be what a crash between Finish's persist and
+// its log cleanup left behind. Appends, queries and startup recovery
+// pass true; /finish passes false, so a finish retried across that
+// crash re-seals the same state and succeeds as the first one did.
+// Callers hold the run's write lock.
+func (s *Server) openStream(name string, storeWins bool) (*live.Session, error) {
 	if ls := s.live.Get(name); ls != nil {
-		return ls, mu.RUnlock
+		return ls, nil
 	}
-	mu.RUnlock()
-	return nil, nil
-}
-
-// resurrect rebuilds a live session from durable stream state under the
-// run's write lock, registering it and returning it with that lock
-// still held. It returns (nil, nil, nil) when the run has no stream
-// state to recover — including when a stored run exists (store wins;
-// the caller should load that instead).
-func (s *Server) resurrect(name string) (*live.Session, func(), error) {
-	mu := s.runMu.forName(name)
-	mu.Lock()
-	if ls := s.live.Get(name); ls != nil {
-		// Another request resurrected it while we waited for the lock.
-		return ls, mu.Unlock, nil
-	}
-	if s.runStored(name) {
-		mu.Unlock()
-		return nil, nil, nil
+	if storeWins {
+		if err := s.notStored(name); err != nil {
+			return nil, err
+		}
 	}
 	ls, err := live.Recover(s.st, name, s.streamSkel, s.live.Gauges())
-	if err != nil {
-		mu.Unlock()
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil, nil
+	if errors.Is(err, fs.ErrNotExist) && !storeWins {
+		if serr := s.notStored(name); serr != nil {
+			return nil, serr
 		}
-		return nil, nil, err
+	}
+	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.brk.note(err)
+		}
+		return nil, fmt.Errorf("recovering stream %q: %w", name, err)
 	}
 	s.logf("server: recovered live stream %q at sequence %d", name, ls.Seq())
 	s.live.Put(name, ls)
-	return ls, mu.Unlock, nil
+	return ls, nil
 }
 
-// runStored reports whether a stored run document exists for name,
-// bypassing the session cache (a probe, not a load).
-func (s *Server) runStored(name string) bool {
+// notStored probes the backend for a stored run document, bypassing
+// the session cache (a probe, not a load): nil when there is none,
+// errFinished when there is. A failed probe is its error, never "not
+// stored": a transient read must not turn a finished run back into a
+// fresh stream.
+func (s *Server) notStored(name string) error {
 	rc, err := s.st.Backend().ReadRun(name)
-	if err != nil {
-		return false
+	switch {
+	case err == nil:
+		rc.Close()
+		return fmt.Errorf("run %q is %w", name, errFinished)
+	case errors.Is(err, fs.ErrNotExist):
+		return nil
 	}
-	rc.Close()
-	return true
+	s.brk.note(err)
+	return fmt.Errorf("probing run %q: %w", name, err)
 }
 
-func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) {
-	if !s.stream {
-		writeErr(w, http.StatusForbidden,
-			"streaming is disabled on this server (start it with streaming enabled to accept POST /runs/{name}/events)")
-		return
-	}
-	name := r.PathValue("name")
-	if err := store.ValidRunName(name); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if s.brk.isOpen() {
-		s.unavailable(w, "degraded mode: the storage backend is unavailable, appends are disabled")
-		return
+func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) error {
+	name, err := s.writeTarget(r, s.stream, "streaming")
+	if err != nil {
+		return err
 	}
 	offset := -1
 	if raw := r.URL.Query().Get("offset"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 {
-			writeErr(w, http.StatusBadRequest, "offset must be a non-negative integer, got %q", raw)
-			return
+			return badRequestf("offset must be a non-negative integer, got %q", raw)
 		}
 		offset = v
 	}
-	// Shield the name from retention sweeps while the append executes,
-	// exactly like PUT: a sweep must not delete a run mid-write.
-	s.ingestingMu.Lock()
-	s.ingesting[name]++
-	s.ingestingMu.Unlock()
-	defer func() {
-		s.ingestingMu.Lock()
-		if s.ingesting[name]--; s.ingesting[name] <= 0 {
-			delete(s.ingesting, name)
-		}
-		s.ingestingMu.Unlock()
-	}()
+	s.markIngesting(name, 1)
+	defer s.markIngesting(name, -1)
 	// Parse before taking the run lock: a slow client body must not
 	// block queries. The event count cap is what the byte cap implies
 	// (every record is several bytes), so neither bound is the weak one.
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxIngestBytes)
 	evs, err := events.ReadLogLimits(r.Body, maxEventLine, int(s.maxIngestBytes/8))
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				"event batch exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "malformed event log: %v", err)
-		return
+		return badRequestf("malformed event log: %w", err)
 	}
 
 	mu := s.runMu.forName(name)
 	mu.Lock()
 	defer mu.Unlock()
-	ls := s.live.Get(name)
-	if ls != nil && ls.Broken() {
+	if ls := s.live.Get(name); ls != nil && ls.Broken() {
 		// A storage failure left the durable tail unknown; drop the
 		// session and rebuild from disk. The client's offset-based resume
 		// re-sends anything the partial append lost.
 		s.live.Remove(name)
-		ls = nil
 	}
-	if ls == nil {
-		if s.runStored(name) {
-			writeErr(w, http.StatusConflict, "run %q is already finished", name)
-			return
-		}
-		switch recovered, err := live.Recover(s.st, name, s.streamSkel, s.live.Gauges()); {
-		case err == nil:
-			s.logf("server: recovered live stream %q at sequence %d", name, recovered.Seq())
-			ls = recovered
-		case errors.Is(err, fs.ErrNotExist):
-			ls = live.NewSession(s.st, name, s.streamSkel, s.live.Gauges())
-		default:
-			s.brk.note(err)
-			if store.IsTransient(err) {
-				s.unavailable(w, "recovering stream %q: %v", name, err)
-				return
-			}
-			writeErr(w, http.StatusInternalServerError, "recovering stream %q: %v", name, err)
-			return
-		}
+	ls, err := s.openStream(name, true)
+	if errors.Is(err, fs.ErrNotExist) {
+		ls, err = live.NewSession(s.st, name, s.streamSkel, s.live.Gauges()), nil
 		s.live.Put(name, ls)
+	}
+	if err != nil {
+		return err
 	}
 	ls.Touch()
 	if offset < 0 {
@@ -259,18 +151,13 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusConflict, map[string]any{
 				"error": err.Error(), "run": name, "seq": ls.Seq(),
 			})
-			return
+			return nil
 		}
+		// A transient failure had no side effect (the transient
+		// contract), so the session is intact and the client may simply
+		// retry the batch at the same offset.
 		s.brk.note(err)
-		if store.IsTransient(err) {
-			// The failed call had no side effect (the transient contract),
-			// so the session is intact and the client may simply retry the
-			// batch at the same offset.
-			s.unavailable(w, "appending to stream %q: %v", name, err)
-			return
-		}
-		writeErr(w, http.StatusInternalServerError, "appending to stream %q: %v", name, err)
-		return
+		return writeFailed("appending to stream %q: %w", name, err)
 	}
 	s.brk.note(nil)
 	if s.ckptEvery > 0 && ls.SinceCheckpoint() >= s.ckptEvery {
@@ -288,93 +175,51 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) {
 		"vertices": ls.NumVertices(),
 		"copies":   ls.NumCopies(),
 	})
+	return nil
 }
 
-func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
-	if !s.stream {
-		writeErr(w, http.StatusForbidden,
-			"streaming is disabled on this server (start it with streaming enabled to accept POST /runs/{name}/finish)")
-		return
-	}
-	name := r.PathValue("name")
-	if err := store.ValidRunName(name); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if s.brk.isOpen() {
-		s.unavailable(w, "degraded mode: the storage backend is unavailable, finish is disabled")
-		return
+func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) error {
+	name, err := s.writeTarget(r, s.stream, "streaming")
+	if err != nil {
+		return err
 	}
 	// Shield the freshly stored run from the retention sweep until the
 	// 200 is written, like PUT does for its run.
-	s.ingestingMu.Lock()
-	s.ingesting[name]++
-	s.ingestingMu.Unlock()
-	defer func() {
-		s.ingestingMu.Lock()
-		if s.ingesting[name]--; s.ingesting[name] <= 0 {
-			delete(s.ingesting, name)
-		}
-		s.ingestingMu.Unlock()
-	}()
+	s.markIngesting(name, 1)
+	defer s.markIngesting(name, -1)
 
 	mu := s.runMu.forName(name)
 	mu.Lock()
-	ls := s.live.Get(name)
-	if ls == nil {
-		switch recovered, err := live.Recover(s.st, name, s.streamSkel, s.live.Gauges()); {
-		case err == nil:
-			s.logf("server: recovered live stream %q at sequence %d", name, recovered.Seq())
-			ls = recovered
-			s.live.Put(name, ls)
-		case errors.Is(err, fs.ErrNotExist):
-			stored := s.runStored(name)
-			mu.Unlock()
-			if stored {
-				writeErr(w, http.StatusConflict, "run %q is already finished", name)
-			} else {
-				writeErr(w, http.StatusNotFound, "no live stream for run %q", name)
-			}
-			return
-		default:
-			mu.Unlock()
-			writeErr(w, http.StatusInternalServerError, "recovering stream %q: %v", name, err)
-			return
+	ls, err := s.openStream(name, false)
+	if err != nil {
+		mu.Unlock()
+		if errors.Is(err, fs.ErrNotExist) {
+			return notFound(fmt.Sprintf("no live stream for run %q", name))
 		}
+		return err
 	}
+	// On any failure the session stays registered and appendable: an
+	// incomplete stream continues, a store failure retries.
 	sess, err := ls.Finish(s.scheme)
 	if err == nil {
 		s.live.Remove(name)
-		if s.cache.Invalidate(name) {
-			// Same refresh-in-place as PUT: the run was resident, so
-			// someone is querying it — hand them the sealed session.
-			s.cache.Put(name, s.newSession(sess))
-		}
+		s.refreshCached(name, sess)
 	}
 	seq := ls.Seq()
 	mu.Unlock()
-	if err != nil {
-		// On any failure the session stays registered and appendable: an
-		// incomplete stream continues, a store failure retries.
-		var inc *live.IncompleteError
-		if errors.As(err, &inc) {
-			writeErr(w, http.StatusConflict, "cannot finish run %q: %v", name, inc.Err)
-			return
-		}
+	var inc *live.IncompleteError
+	if !errors.As(err, &inc) {
+		// An incomplete stream is the client's to continue, not a
+		// backend outcome.
 		s.brk.note(err)
-		if store.IsTransient(err) {
-			s.unavailable(w, "finishing run %q: %v", name, err)
-			return
-		}
-		writeErr(w, http.StatusInternalServerError, "finishing run %q: %v", name, err)
-		return
 	}
-	s.brk.note(nil)
+	if err != nil {
+		return writeFailed("finishing run %q: %w", name, err)
+	}
 	// Sealed sessions hold the run they just stored: no decode, no error.
 	rn, _, err := sess.Document()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "finishing run %q: %v", name, err)
-		return
+		return fmt.Errorf("finishing run %q: %w", name, err)
 	}
 	s.logf("server: finished streamed run %q (%d events, %d vertices)", name, seq, rn.NumVertices())
 	if s.maxRuns > 0 {
@@ -390,56 +235,30 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		"snapshot_version": sess.SnapshotVersion.String(),
 		"snapshot_bytes":   sess.SnapshotBytes,
 	})
+	return nil
 }
 
 // handleRunStatus answers GET /runs/{name} — the per-run twin of
 // /runs?run=R, distinguishing live streams from finished runs.
-func (s *Server) handleRunStatus(w http.ResponseWriter, r *http.Request) {
-	s.writeRunStatus(w, r.PathValue("name"))
+func (s *Server) handleRunStatus(w http.ResponseWriter, r *http.Request) error {
+	return s.writeRunStatus(w, r.PathValue("name"))
 }
 
 // writeRunStatus writes one run's status: live-session progress while a
 // stream is open, stored-run statistics once finished. Shared by
 // GET /runs/{name} and the /runs?run=R detail branch.
-func (s *Server) writeRunStatus(w http.ResponseWriter, name string) {
-	ls, release, sess, ok := s.resolveRun(w, name)
-	if !ok {
-		return
-	}
-	if ls != nil {
-		defer release()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"run":             name,
-			"status":          "live",
-			"vertices":        ls.NumVertices(),
-			"copies":          ls.NumCopies(),
-			"events":          ls.Seq(),
-			"renumbers":       ls.Renumbers(),
-			"checkpoint_seq":  ls.CheckpointSeq(),
-			"event_log_bytes": ls.EventLogBytes(),
-		})
-		return
-	}
-	rn, ann, err := sess.Document()
+func (s *Server) writeRunStatus(w http.ResponseWriter, name string) error {
+	view, release, err := s.resolveRun(name)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "loading run %q: %v", name, err)
-		return
+		return err
 	}
-	items := 0
-	if ann != nil {
-		items = len(ann.Items)
+	defer release()
+	body, err := view.status(name)
+	if err != nil {
+		return fmt.Errorf("loading run %q: %w", name, err)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"run":              name,
-		"status":           "finished",
-		"vertices":         rn.NumVertices(),
-		"edges":            rn.NumEdges(),
-		"data_items":       items,
-		"max_label_bits":   sess.Labels.MaxLabelBits(),
-		"avg_label_bits":   sess.Labels.AvgLabelBits(),
-		"snapshot_version": sess.SnapshotVersion.String(),
-		"snapshot_bytes":   sess.SnapshotBytes,
-	})
+	writeJSON(w, http.StatusOK, body)
+	return nil
 }
 
 // clearStreamState drops name's live session and durable stream state
@@ -469,17 +288,4 @@ func (s *Server) clearStreamState(name string) bool {
 		s.logf("server: clearing checkpoint for %q: %v", name, err)
 	}
 	return had
-}
-
-// liveVertexToken resolves one /batch pair element against a live
-// session, mirroring session.vertexToken: numeric elements are ID range
-// checks, string elements resolve by name first.
-func liveVertexToken(ls *live.Session, t vertexToken) (dag.VertexID, bool) {
-	if t.id >= 0 {
-		if t.id < ls.NumVertices() {
-			return dag.VertexID(t.id), true
-		}
-		return 0, false
-	}
-	return ls.Vertex(string(t.raw))
 }

@@ -2,13 +2,17 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/events"
+	"repro/internal/rpq"
 	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -70,9 +74,11 @@ func streamRun(t *testing.T, s *Server, name string, evs []events.Event, batch i
 }
 
 // TestStreamDifferential is the subsystem's acceptance check: a run
-// ingested event-by-event and finished must answer /reachable, /batch
-// and /lineage byte-identically to the same run ingested as one
+// ingested event-by-event and finished must answer /reachable, /batch,
+// /lineage and /rpq byte-identically to the same run ingested as one
 // document — and identically to its own live session before the finish.
+// Vertex references come in both forms (numeric IDs and occurrence
+// names like "b2"), pinning the one resolver both run views share.
 func TestStreamDifferential(t *testing.T) {
 	sp := spec.PaperSpec()
 	r, p := run.GenerateSized(sp, rand.New(rand.NewSource(41)), 120)
@@ -95,9 +101,35 @@ func TestStreamDifferential(t *testing.T) {
 			targets = append(targets, fmt.Sprintf("/reachable?run=r&from=%d&to=%d", u, v))
 		}
 	}
+	nm := run.NewNamer(r)
+	name := func(v int) string { return nm.Name(dag.VertexID(v)) }
+	for u := 1; u < n; u += 11 {
+		targets = append(targets, fmt.Sprintf("/reachable?run=r&from=%s&to=%s", name(u), name(n-1-u)))
+		targets = append(targets, fmt.Sprintf("/reachable?run=r&from=%s&to=%d", name(u), (u*7)%n))
+	}
 	for v := 0; v < n; v += 9 {
 		targets = append(targets, fmt.Sprintf("/lineage?run=r&vertex=%d&dir=up", v))
 		targets = append(targets, fmt.Sprintf("/lineage?run=r&vertex=%d&dir=down", v))
+	}
+	// Path queries: the live session answers over its materialized
+	// execution tree, the finished and PUT runs over the stored document.
+	modules := make([]string, sp.NumVertices())
+	for v := range modules {
+		modules[v] = string(sp.NameOf(dag.VertexID(v)))
+	}
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 8; i++ {
+		from, to := name(i*n/16), name(n-1-i*n/9)
+		if i%2 == 1 {
+			to = fmt.Sprint(n - 1 - i*n/9)
+		}
+		body, err := json.Marshal(map[string]string{
+			"run": "r", "from": from, "to": to, "pattern": rpq.RandomPattern(rng, modules, 2+i%2),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets = append(targets, "/rpq "+string(body))
 	}
 	var pairs bytes.Buffer
 	pairs.WriteString(`{"run":"r","pairs":[`)
@@ -110,11 +142,14 @@ func TestStreamDifferential(t *testing.T) {
 	pairs.WriteString("]}")
 
 	query := func(s *Server, target string) string {
-		method, body := "GET", ""
-		if target == "/batch" {
+		method, path, body := "GET", target, ""
+		switch {
+		case target == "/batch":
 			method, body = "POST", pairs.String()
+		case strings.HasPrefix(target, "/rpq "):
+			method, path, body = "POST", "/rpq", strings.TrimPrefix(target, "/rpq ")
 		}
-		rec := do(t, s, method, target, body, nil)
+		rec := do(t, s, method, path, body, nil)
 		if rec.Code != 200 {
 			t.Fatalf("%s %s: %d %s", method, target, rec.Code, rec.Body.String())
 		}
