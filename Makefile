@@ -5,14 +5,17 @@ GO ?= go
 STORE ?= ./provstore
 ADDR ?= :8080
 
-# The current PR number: bench-json emits BENCH_$(PR).json against the
-# checked-in pre-PR measurement bench/BASELINE_$(PR).json, extending the
-# perf lineage cmd/benchtrend renders and gates on. Bump it (and check
-# in a fresh baseline: `make bench-json` with the old number, then move
-# the "benches" map into bench/BASELINE_<new>.json) once per PR.
-PR ?= 10
+# The current PR number: the largest n among the checked-in
+# bench/BASELINE_<n>.json files. `make trend` records BENCH_$(PR).json
+# against the pre-PR measurement bench/BASELINE_$(PR).json, extending
+# the perf lineage cmd/benchtrend renders and gates on. Checking in the
+# next baseline is the bump: before changing any code, run `make trend`
+# on the unchanged tree (its gate verdict does not matter here), then
+# copy the "schema", "go" and "benches" fields of BENCH_$(PR).json into
+# bench/BASELINE_<new>.json.
+PR ?= $(shell ls bench | sed -n 's/^BASELINE_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -n 1)
 
-.PHONY: build test race bench bench-store bench-json trend load-smoke chaos-smoke rpq-smoke fuzz-xml lint loc fmt vet serve ci
+.PHONY: build test race bench bench-store trend load-smoke chaos-smoke rpq-smoke fuzz-xml lint loc fmt vet serve ci
 
 build:
 	$(GO) build ./...
@@ -32,26 +35,22 @@ bench:
 bench-store:
 	$(GO) test -run='^$$' -bench='BenchmarkStore|BenchmarkServerBatchReachable' -benchtime=3x ./internal/store/ .
 
-# Serving-path benchmarks — snapshot codecs (SKL1/SKL2 encode+decode),
+# Serving-path benchmarks — the SKL2 snapshot codec (encode+decode),
 # /batch reachability over fs and mem stores, the cold-load path (every
-# /reachable a cache miss), and the ingest and delete write paths —
-# rendered to BENCH_$(PR).json with the pre-PR baseline
-# embedded, the per-PR artifact `make trend` diffs and gates on. Each
-# go test runs as its own command so a failing bench fails the target
-# instead of emitting a silently incomplete BENCH_$(PR).json.
-bench-json:
-	$(GO) test -run='^$$' -bench='BenchmarkSnapshotDecode|BenchmarkSnapshotEncode' -benchtime=100x -count=3 ./internal/core/ > bench-json.out
-	$(GO) test -run='^$$' -bench='BenchmarkServerBatchReachable' -benchtime=50x -count=3 . >> bench-json.out
-	$(GO) test -run='^$$' -bench='BenchmarkServerColdRead' -benchtime=200x -count=3 . >> bench-json.out
-	$(GO) test -run='^$$' -bench='BenchmarkServerIngest|BenchmarkServerDelete|BenchmarkServerAppendEvents|BenchmarkServerRPQ' -benchtime=20x -count=3 . >> bench-json.out
-	$(GO) run ./cmd/benchjson -baseline bench/BASELINE_$(PR).json -o BENCH_$(PR).json < bench-json.out
-	@rm -f bench-json.out
-
-# Cross-PR perf trajectory + regression gate over the BASELINE lineage
-# and the current bench-json artifact (exits nonzero on a regression
-# beyond tolerance; see cmd/benchtrend for the tolerance knobs).
-trend: bench-json
-	$(GO) run ./cmd/benchtrend -dir bench -current BENCH_$(PR).json -o TREND.md
+# /reachable a cache miss), and the ingest, delete, stream-append and
+# /rpq paths — recorded by cmd/benchtrend as BENCH_$(PR).json with
+# bench/BASELINE_$(PR).json embedded, then rendered with the whole
+# lineage as TREND.md and gated: the target fails on a regression beyond
+# tolerance (see cmd/benchtrend). Each go test runs as its own command
+# so a failing bench fails the target instead of recording a silently
+# incomplete BENCH_$(PR).json.
+trend:
+	$(GO) test -run='^$$' -bench='BenchmarkSnapshotDecode|BenchmarkSnapshotEncode' -benchtime=100x -count=3 ./internal/core/ > trend.out
+	$(GO) test -run='^$$' -bench='BenchmarkServerBatchReachable' -benchtime=50x -count=3 . >> trend.out
+	$(GO) test -run='^$$' -bench='BenchmarkServerColdRead' -benchtime=200x -count=3 . >> trend.out
+	$(GO) test -run='^$$' -bench='BenchmarkServerIngest|BenchmarkServerDelete|BenchmarkServerAppendEvents|BenchmarkServerRPQ' -benchtime=20x -count=3 . >> trend.out
+	$(GO) run ./cmd/benchtrend -dir bench -bench trend.out -current BENCH_$(PR).json -o TREND.md
+	@rm -f trend.out
 
 # Short open-loop load run against an in-process mem-store server:
 # mixed reachable/batch/lineage/put/delete/stream traffic, zipfian

@@ -64,8 +64,8 @@ type (
 	OnlineCopy = online.Copy
 	// LabelSnapshot is a deserialized label set bindable to a skeleton.
 	LabelSnapshot = core.Snapshot
-	// SnapshotVersion identifies a label snapshot wire format (SKL1 or
-	// SKL2); writers emit SKL2, readers auto-detect either.
+	// SnapshotVersion identifies the wire format a label snapshot was
+	// decoded from (SKL1 or SKL2); writers emit only SKL2.
 	SnapshotVersion = core.SnapshotVersion
 	// EngineEvent is one workflow-engine log record.
 	EngineEvent = events.Event
@@ -242,23 +242,11 @@ func ReadRunXML(rd io.Reader, s *Spec) (*Run, *DataAnnotation, error) {
 	return xmlio.DecodeRun(rd, s)
 }
 
-// Label snapshot wire format versions. Labeling.WriteTo emits the
-// columnar SnapshotV2 format; WriteToVersion pins a version explicitly
-// and the readers auto-detect either, so stores mixing versions keep
-// loading transparently.
-const (
-	SnapshotV1 = core.SnapshotV1
-	SnapshotV2 = core.SnapshotV2
-)
-
 // ReadLabelSnapshot deserializes labels persisted with Labeling.WriteTo;
 // bind a skeleton labeling of the same specification to query them.
-// Both wire formats (SKL1, SKL2) are detected from the leading magic.
+// Both wire formats ever written (SKL1, SKL2) are detected from the
+// leading magic.
 func ReadLabelSnapshot(r io.Reader) (*LabelSnapshot, error) { return core.ReadSnapshot(r) }
-
-// DecodeLabelSnapshot is ReadLabelSnapshot over an in-memory buffer —
-// the fast path when the snapshot bytes are already resident.
-func DecodeLabelSnapshot(data []byte) (*LabelSnapshot, error) { return core.DecodeSnapshot(data) }
 
 // Upstream returns every module execution v's output was derived from,
 // by reverse traversal of the run graph.
@@ -334,9 +322,6 @@ func NewDataStream(reach provdata.ModuleReachability) *DataStream {
 func CreateStore(dir string, s *Spec, name string) (*Store, error) {
 	return store.Create(dir, s, name)
 }
-
-// OpenStore loads an existing fs-backed provenance store.
-func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
 
 // OpenStoreURL opens an existing store from a URL picking the backend:
 // "fs://dir" (a bare path means the same), "mem://dir" (preload the fs

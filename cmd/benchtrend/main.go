@@ -1,33 +1,39 @@
-// Command benchtrend renders the repo's cross-PR benchmark trajectory
-// and gates CI on perf regressions.
+// Command benchtrend records the repo's benchmarks, renders their
+// cross-PR trajectory and gates CI on perf regressions.
 //
 // It reads the checked-in bench/BASELINE_<n>.json lineage (the
 // measurement taken just before each PR's changes) plus the current
-// BENCH_<n>.json from `make bench-json`, prints markdown trajectory
-// tables for ns/op and allocs/op, and — unless -no-gate — compares the
+// BENCH_<n>.json, prints markdown trajectory tables for ns/op,
+// allocs/op and B/op, and, when -current is given, compares the
 // current run against its embedded pre-PR baseline, exiting nonzero
 // when any benchmark regressed beyond tolerance:
 //
-//	benchtrend -dir bench -current BENCH_6.json -o TREND.md
-//	benchtrend -dir bench                 # trajectory only, no gate
-//	benchtrend -current BENCH_6.json -tol 0.3 -tol-allocs 0.05
+//	benchtrend -dir bench -bench bench.out -current BENCH_17.json -o TREND.md
+//	benchtrend -dir bench -current BENCH_17.json   # gate an existing file
+//	benchtrend -dir bench                          # trajectory only, no gate
 //
-// Tolerances are relative slack per metric (0.5 = +50%); wall time
-// defaults loose because shared CI runners are noisy, while B/op and
-// allocs/op — deterministic under Go's allocator — default tight and
-// are the gate's real teeth. Benchmarks present in the baseline but
-// missing from the current run (renamed or retired) are tolerated and
-// listed, never failed, so refactoring a benchmark does not wedge CI.
+// With -bench, the `go test -bench` output in that file is first
+// written to -current as a provbench.v1 document with
+// <dir>/BASELINE_<n>.json embedded as its baseline (n from the -current
+// name). The gate's slack is relative per metric (trend.TolNsOp and
+// friends): wall time loose because shared CI runners are noisy, B/op
+// and allocs/op — deterministic under Go's allocator — tight, the
+// gate's real teeth. Benchmarks present in the baseline but missing
+// from the current run (renamed or retired) are tolerated and listed,
+// never failed, so refactoring a benchmark does not wedge CI.
 // Benchmarks new in the current run have no baseline yet: they are
 // listed as new and start gating once a baseline includes them.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"maps"
 	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 
@@ -42,16 +48,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchtrend", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		dir       = fs.String("dir", "bench", "directory holding the BASELINE_<n>.json lineage")
-		current   = fs.String("current", "", "current BENCH_<n>.json from `make bench-json` (enables the gate)")
-		tolNs     = fs.Float64("tol", trend.DefaultTolerance.NsOp, "ns/op regression tolerance (relative, 0.5 = +50%)")
-		tolB      = fs.Float64("tol-b", trend.DefaultTolerance.BOp, "B/op regression tolerance")
-		tolAllocs = fs.Float64("tol-allocs", trend.DefaultTolerance.AllocsOp, "allocs/op regression tolerance")
-		out       = fs.String("o", "", "also write the markdown report here")
-		noGate    = fs.Bool("no-gate", false, "render the trajectory only; never exit nonzero")
+		dir     = fs.String("dir", "bench", "directory holding the BASELINE_<n>.json lineage")
+		current = fs.String("current", "", "current BENCH_<n>.json (enables the gate)")
+		bench   = fs.String("bench", "", "go test -bench output to record as -current first")
+		out     = fs.String("o", "", "also write the markdown report here")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *bench != "" {
+		if err := record(*bench, *dir, *current); err != nil {
+			fmt.Fprintf(stderr, "benchtrend: %v\n", err)
+			return 2
+		}
 	}
 
 	points, err := trend.LoadLineage(*dir, *current)
@@ -75,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	b.WriteString(trend.Table(points, trend.MetricBOp))
 
 	exit := 0
-	if *current != "" && !*noGate {
+	if *current != "" {
 		cur, err := trend.ReadFile(*current)
 		if err != nil {
 			fmt.Fprintf(stderr, "benchtrend: %v\n", err)
@@ -86,10 +95,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if baseline == nil {
 			b.WriteString("No baseline to gate against.\n")
 		} else {
-			tol := trend.Tolerance{NsOp: *tolNs, BOp: *tolB, AllocsOp: *tolAllocs}
-			regs, missing := trend.Gate(baseline, cur.Benches, tol)
+			regs, missing := trend.Gate(baseline, cur.Benches)
 			fmt.Fprintf(&b, "Current vs %s, tolerance ns/op +%.0f%% · B/op +%.0f%% · allocs/op +%.0f%%.\n\n",
-				baseLabel, tol.NsOp*100, tol.BOp*100, tol.AllocsOp*100)
+				baseLabel, trend.TolNsOp*100, trend.TolBOp*100, trend.TolAllocsOp*100)
 			for _, name := range missing {
 				fmt.Fprintf(&b, "- note: %q is in the baseline but not the current run (renamed or retired — tolerated)\n", name)
 			}
@@ -139,4 +147,32 @@ func gateBaseline(cur *trend.File, points []trend.Point) (map[string]trend.Bench
 		}
 	}
 	return nil, ""
+}
+
+// record parses the `go test -bench` output in benchOut and writes it
+// to current (BENCH_<n>.json) with dir's BASELINE_<n>.json embedded.
+func record(benchOut, dir, current string) error {
+	seq := trend.SeqOf(current)
+	if seq < 0 {
+		return fmt.Errorf("-bench needs -current BENCH_<n>.json, got %q", current)
+	}
+	f, err := os.Open(benchOut)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	benches, err := trend.ParseBench(f)
+	if err != nil {
+		return fmt.Errorf("%s: %w", benchOut, err)
+	}
+	baseline, err := trend.ReadFile(filepath.Join(dir, fmt.Sprintf("BASELINE_%d.json", seq)))
+	if err != nil {
+		return err
+	}
+	doc := trend.File{Schema: "provbench.v1", Go: runtime.Version(), Benches: benches, Baseline: baseline}
+	enc, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(current, append(enc, '\n'), 0o644)
 }

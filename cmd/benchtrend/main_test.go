@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -146,12 +148,90 @@ func TestGateNewBenchTolerated(t *testing.T) {
 	}
 }
 
-func TestNoGateNeverFails(t *testing.T) {
-	cur := filepath.Join(t.TempDir(), "BENCH_6.json")
-	writeBench(t, cur, 10.0, 1000, "")
-	code, _, errOut := runTrend(t, "-dir", fixtureDir(t), "-current", cur, "-no-gate")
-	if code != 0 {
-		t.Fatalf("-no-gate exited %d: %s", code, errOut)
+// benchOutput is `go test -bench -count=2` output for two of the PR-5
+// baseline's benchmarks; the verb sets the faster SKL2 decode run's
+// ns/op.
+const benchOutput = `goos: linux
+goarch: amd64
+pkg: repro/internal/core
+BenchmarkSnapshotDecode/SKL2/n=4000-2   	     100	    999999 ns/op	  14.23 MB/s	         3.650 bytes/label	   57392 B/op	       2 allocs/op
+BenchmarkSnapshotDecode/SKL2/n=4000-2   	     100	     %d ns/op	 335.58 MB/s	         3.650 bytes/label	   57392 B/op	       2 allocs/op
+BenchmarkSnapshotEncode/SKL2-2          	     100	    320322 ns/op	  285432 B/op	      22 allocs/op
+PASS
+ok  	repro/internal/core	0.912s
+`
+
+// With -bench, benchtrend records the bench output as -current with the
+// matching BASELINE embedded, whatever the gate then decides, and gates
+// it against that baseline in the same run.
+func TestBenchRecordedAndGated(t *testing.T) {
+	dir := fixtureDir(t)
+	base, err := trend.ReadFile(filepath.Join(dir, "BASELINE_5.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		decodeNs int
+		wantCode int
+		wantLine string
+	}{
+		{"steady", 42410, 0, "PASS: no benchmark regressed"},
+		{"regressed", 200000, 1, "**FAIL** SnapshotDecode/SKL2/n=4000: ns/op"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			out, cur := filepath.Join(tmp, "bench.out"), filepath.Join(tmp, "BENCH_5.json")
+			if err := os.WriteFile(out, []byte(fmt.Sprintf(benchOutput, tc.decodeNs)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			code, report, errOut := runTrend(t, "-dir", dir, "-bench", out, "-current", cur)
+			if code != tc.wantCode {
+				t.Fatalf("exit %d, want %d\n%s%s", code, tc.wantCode, report, errOut)
+			}
+			doc, err := trend.ReadFile(cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := doc.Benches["SnapshotDecode/SKL2/n=4000"]; got.NsOp != float64(tc.decodeNs) || got.AllocsOp != 2 {
+				t.Errorf("recorded decode row = %+v", got)
+			}
+			if doc.Schema != "provbench.v1" || doc.Baseline == nil || !reflect.DeepEqual(doc.Baseline.Benches, base.Benches) {
+				t.Errorf("BENCH_5.json lacks the BASELINE_5 benches (schema %q)", doc.Schema)
+			}
+			for _, want := range []string{
+				"Current vs embedded pre-PR baseline",
+				`"SnapshotDecode/SKL1/n=4000" is in the baseline but not the current run`,
+				tc.wantLine,
+			} {
+				if !strings.Contains(report, want) {
+					t.Errorf("report missing %q:\n%s", want, report)
+				}
+			}
+		})
+	}
+}
+
+// -bench needs a -current named BENCH_<n>.json with a BASELINE_<n>.json
+// in -dir, and bench output that holds benchmark lines.
+func TestBenchRejectsBadInput(t *testing.T) {
+	dir, tmp := fixtureDir(t), t.TempDir()
+	good, empty := filepath.Join(tmp, "good.out"), filepath.Join(tmp, "empty.out")
+	if err := os.WriteFile(good, []byte(fmt.Sprintf(benchOutput, 42410)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(empty, []byte("PASS\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-bench", good},
+		{"-bench", good, "-current", filepath.Join(tmp, "current.json")},
+		{"-bench", good, "-current", filepath.Join(tmp, "BENCH_9.json")},
+		{"-bench", empty, "-current", filepath.Join(tmp, "BENCH_5.json")},
+	} {
+		if code, _, _ := runTrend(t, append([]string{"-dir", dir}, args...)...); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
 	}
 }
 

@@ -289,17 +289,18 @@
 //
 // # Snapshot wire format versioning
 //
-// Stored label snapshots carry a version magic. Writers emit SKL2, a
-// columnar block format (the four label components are stored as
-// independently compressed columns — constant, delta-varint or
-// fixed-width per block) that bulk-decodes in a single pass; readers
-// auto-detect the version, so stores written by pre-SKL2 versions keep
-// loading byte-identically and store.Copy replicates either format
-// untouched. The policy: new versions may only be added behind a new
-// magic, readers accept every version ever shipped, and
-// Labeling.WriteToVersion can pin SKL1 output for rollback
-// compatibility. On the paper's Fig-13 run sizes SKL2 cuts snapshots
-// from ~6.8 to ~4.0 bytes/label and decodes ~3.7x faster than the SKL1
+// Stored label snapshots carry a version magic. The policy: readers
+// accept every version ever shipped, and writers emit only the newest;
+// a new version goes behind a new magic and retires the previous
+// writer, never the previous reader. The newest is SKL2, a columnar
+// block format (the four label components are stored as independently
+// compressed columns — constant, delta-varint or fixed-width per block)
+// that bulk-decodes in a single pass. SKL1, the row-major format before
+// it, is still decoded, so stores written before SKL2 keep loading and
+// store.Copy replicates either format untouched; since nothing writes
+// SKL1 any more, a checked-in fixture (internal/core/testdata) pins its
+// reader. On the paper's Fig-13 run sizes SKL2 cuts snapshots from ~6.8
+// to ~4.0 bytes/label and decoded ~3.7x faster than the old SKL1
 // streaming reader (see BENCH_3.json; tracked by
 // BenchmarkSnapshotDecode).
 //
@@ -323,19 +324,21 @@
 // Each bench name maps to the best (minimum ns/op) of -count=3 runs;
 // mb_s is nonzero only for throughput-reporting benchmarks. bench/
 // holds one checked-in BASELINE_<n>.json per PR — the measurement taken
-// on the pre-PR tree — and `make bench-json` reproduces the current
-// tree's numbers as BENCH_<n>.json with that baseline embedded
-// verbatim, via cmd/benchjson parsing `go test -bench` output.
+// on the pre-PR tree — and the largest n is the current PR number, so
+// checking in a baseline is the bump.
 //
-// cmd/benchtrend (and `make trend`) reads the whole lineage, renders
-// per-metric trajectory tables (TREND.md), and gates: the current run
-// fails if any benchmark regresses past BOTH a relative tolerance and
-// an absolute noise floor — ns/op +50% and >50ns (wall time is noisy on
-// shared runners), B/op +25% and >64B, allocs/op +10% and >2 allocs
+// `make trend` runs the serving-path benchmarks and hands their output
+// to cmd/benchtrend, the one bench tool: it parses the `go test -bench`
+// lines (trend.ParseBench), writes BENCH_<n>.json with
+// BASELINE_<n>.json embedded, renders the whole lineage as per-metric
+// trajectory tables (TREND.md), and gates: the current run fails if any
+// benchmark regresses past BOTH a relative tolerance and an absolute
+// noise floor — ns/op +50% and >50ns (wall time is noisy on shared
+// runners), B/op +25% and >64B, allocs/op +10% and >2 allocs
 // (deterministic, the real teeth). Benchmarks missing from either side
 // (added, renamed, retired) are reported but never fail the gate, so
 // refactors don't have to ship baseline edits in the same change. CI
-// runs the gate on every push and uploads BENCH_<n>.json and TREND.md
+// runs `make trend` on every push and uploads BENCH_*.json and TREND.md
 // as artifacts; `make ci` mirrors the rest of the pipeline locally.
 //
 // # Static analysis: mechanically enforced invariants

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -23,13 +21,13 @@ import (
 //
 // # Wire formats
 //
-// Two versions exist; writers emit SKL2 by default and readers
-// auto-detect either from the leading magic, so stores mixing versions
-// keep loading transparently.
+// Two versions have shipped. Writers emit only SKL2; readers detect
+// either from the leading magic, so stores mixing versions keep loading
+// transparently.
 //
-// SKL1 (legacy, row-major): uvarint magic "SKL1", then uvarint count,
-// numPositioned, numSpec, then per label the four components
-// (Q1, Q2, Q3, Orig) as plain uvarints.
+// SKL1 (legacy, row-major, read-only): uvarint magic "SKL1", then
+// uvarint count, numPositioned, numSpec, then per label the four
+// components (Q1, Q2, Q3, Orig) as plain uvarints.
 //
 // SKL2 (columnar): uvarint magic "SKL2", then uvarint count,
 // numPositioned, numSpec, then ceil(count/4096) blocks of up to 4096
@@ -52,10 +50,11 @@ import (
 type SnapshotVersion int
 
 const (
-	// SnapshotV1 is the legacy row-major varint format ("SKL1").
+	// SnapshotV1 is the legacy row-major varint format ("SKL1"), still
+	// read but no longer written.
 	SnapshotV1 SnapshotVersion = 1
-	// SnapshotV2 is the columnar block format ("SKL2"), the default for
-	// writers since its introduction.
+	// SnapshotV2 is the columnar block format ("SKL2"), the only format
+	// written.
 	SnapshotV2 SnapshotVersion = 2
 )
 
@@ -72,8 +71,8 @@ func (v SnapshotVersion) String() string {
 }
 
 const (
-	snapshotMagicV1 = uint32(0x534b4c31) // "SKL1"
-	snapshotMagicV2 = uint32(0x534b4c32) // "SKL2"
+	snapshotMagicV1 = 0x534b4c31 // "SKL1"
+	snapshotMagicV2 = 0x534b4c32 // "SKL2"
 
 	// snapshotBlock is the number of labels per SKL2 block: large enough
 	// to amortize the 4 column headers, small enough that the decoder's
@@ -81,9 +80,9 @@ const (
 	snapshotBlock = 4096
 
 	// maxSnapshotLabels caps the label count a snapshot header may
-	// declare. Headers are attacker-controlled bytes, so the readers
-	// also never allocate more than a bounded chunk up front (see
-	// readSnapshotV1/decodeSnapshotV2): a hostile count fails at the
+	// declare. Headers are attacker-controlled bytes, so the decoders
+	// also never allocate beyond what the input can hold (see
+	// decodeSnapshotV1/decodeSnapshotV2): a hostile count fails at the
 	// first missing label, not with a multi-GiB make.
 	maxSnapshotLabels = 1 << 32
 
@@ -94,7 +93,7 @@ const (
 	// maxSnapshotSpec bounds numSpec so origins fit dag.VertexID (int32).
 	maxSnapshotSpec = 1 << 31
 
-	// snapshotPreallocLabels bounds the labels the readers allocate
+	// snapshotPreallocLabels bounds the labels SKL2 decoding allocates
 	// before any label data has actually been decoded (1<<16 labels =
 	// 1 MiB); beyond it the slice grows only as input is consumed.
 	snapshotPreallocLabels = 1 << 16
@@ -111,21 +110,9 @@ const (
 
 // WriteTo serializes the labeling's labels (not the skeleton labeling,
 // which is shared across runs and persisted once per specification) in
-// the current default format, SKL2.
+// SKL2, the only format written.
 func (l *Labeling) WriteTo(w io.Writer) (int64, error) {
-	return l.WriteToVersion(w, SnapshotV2)
-}
-
-// WriteToVersion serializes the labeling's labels in an explicit wire
-// format version. SnapshotV1 output is byte-identical to what pre-SKL2
-// writers produced; ReadSnapshot accepts both.
-func (l *Labeling) WriteToVersion(w io.Writer, v SnapshotVersion) (int64, error) {
-	s := Snapshot{
-		Labels:        l.labels,
-		NumPositioned: l.numPositioned,
-		NumSpec:       l.numSpec,
-		Version:       v,
-	}
+	s := Snapshot{Labels: l.labels, NumPositioned: l.numPositioned, NumSpec: l.numSpec}
 	return s.WriteTo(w)
 }
 
@@ -135,39 +122,16 @@ type Snapshot struct {
 	Labels        []Label
 	NumPositioned int
 	NumSpec       int
-	// Version is the wire format the snapshot was decoded from, or the
-	// one WriteTo will encode with; zero means the default (SnapshotV2).
+	// Version is the wire format the snapshot was decoded from; WriteTo
+	// ignores it.
 	Version SnapshotVersion
 }
 
-// WriteTo re-serializes the snapshot in its Version's wire format
-// (SnapshotV2 when Version is zero).
+// WriteTo serializes the snapshot in SKL2, whatever format it was
+// decoded from.
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	var buf []byte
-	switch v := s.Version; v {
-	case SnapshotV1:
-		buf = appendSnapshotV1(nil, s)
-	case 0, SnapshotV2:
-		buf = appendSnapshotV2(nil, s)
-	default:
-		return 0, fmt.Errorf("core: unknown snapshot version %d", int(v))
-	}
-	n, err := w.Write(buf)
+	n, err := w.Write(appendSnapshotV2(nil, s))
 	return int64(n), err
-}
-
-func appendSnapshotV1(dst []byte, s *Snapshot) []byte {
-	dst = binary.AppendUvarint(dst, uint64(snapshotMagicV1))
-	dst = binary.AppendUvarint(dst, uint64(len(s.Labels)))
-	dst = binary.AppendUvarint(dst, uint64(s.NumPositioned))
-	dst = binary.AppendUvarint(dst, uint64(s.NumSpec))
-	for _, lab := range s.Labels {
-		dst = binary.AppendUvarint(dst, uint64(lab.Q1))
-		dst = binary.AppendUvarint(dst, uint64(lab.Q2))
-		dst = binary.AppendUvarint(dst, uint64(lab.Q3))
-		dst = binary.AppendUvarint(dst, uint64(lab.Orig))
-	}
-	return dst
 }
 
 func appendSnapshotV2(dst []byte, s *Snapshot) []byte {
@@ -270,43 +234,33 @@ func zigzag(d int64) uint64 { return uint64((d << 1) ^ (d >> 63)) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// ReadSnapshot deserializes a label set written by WriteTo (either wire
-// format, auto-detected from the magic). Input is untrusted: headers
-// are validated and allocation stays proportional to the bytes actually
-// read, so a corrupt or hostile stream errors out instead of exhausting
-// memory.
+// ReadSnapshot deserializes a label set written by WriteTo or by an
+// earlier SKL1 writer; it is DecodeSnapshot over the reader's bytes.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	magic, err := binary.ReadUvarint(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("core: read snapshot header: %w", err)
+		return nil, fmt.Errorf("core: read snapshot: %w", err)
 	}
-	switch uint32(magic) {
-	case snapshotMagicV1:
-		return readSnapshotV1(br)
-	case snapshotMagicV2:
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: read snapshot body: %w", err)
-		}
-		return decodeSnapshotV2(data)
-	default:
-		return nil, fmt.Errorf("core: bad snapshot magic %#x", magic)
-	}
+	return DecodeSnapshot(data)
 }
 
-// DecodeSnapshot deserializes a label set from an in-memory buffer; it
-// is ReadSnapshot without the io.Reader indirection and is the fast
-// path for stores that already hold the snapshot bytes.
+// DecodeSnapshot deserializes a label set in either wire format,
+// detected from the magic. Input is untrusted: headers are validated
+// and allocation stays proportional to the input, so a corrupt or
+// hostile snapshot errors out instead of exhausting memory.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	magic, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, fmt.Errorf("core: read snapshot header: truncated magic")
 	}
-	if uint32(magic) == snapshotMagicV2 {
+	switch magic {
+	case snapshotMagicV1:
+		return decodeSnapshotV1(data[k:])
+	case snapshotMagicV2:
 		return decodeSnapshotV2(data[k:])
+	default:
+		return nil, fmt.Errorf("core: bad snapshot magic %#x", magic)
 	}
-	return ReadSnapshot(bytes.NewReader(data))
 }
 
 // readSnapshotHeader validates the three header counts shared by both
@@ -324,39 +278,41 @@ func readSnapshotHeader(count, np, ns uint64) error {
 	return nil
 }
 
-func readSnapshotV1(br *bufio.Reader) (*Snapshot, error) {
-	read := func() (uint64, error) { return binary.ReadUvarint(br) }
-	count, err := read()
-	if err != nil {
-		return nil, err
+// decodeSnapshotV1 decodes the legacy row-major format from the bytes
+// following the magic.
+func decodeSnapshotV1(data []byte) (*Snapshot, error) {
+	var vals [4]uint64
+	read := func(vals []uint64) bool {
+		for j := range vals {
+			v, k := binary.Uvarint(data)
+			if k <= 0 {
+				return false
+			}
+			vals[j], data = v, data[k:]
+		}
+		return true
 	}
-	np, err := read()
-	if err != nil {
-		return nil, err
+	if !read(vals[:3]) {
+		return nil, fmt.Errorf("core: read snapshot header: truncated")
 	}
-	ns, err := read()
-	if err != nil {
-		return nil, err
-	}
+	count, np, ns := vals[0], vals[1], vals[2]
 	if err := readSnapshotHeader(count, np, ns); err != nil {
 		return nil, err
 	}
+	// Each label takes at least four bytes, so a count the input cannot
+	// hold is rejected before anything is allocated for it.
+	if count > uint64(len(data)/4) {
+		return nil, fmt.Errorf("core: %d labels declared in %d bytes", count, len(data))
+	}
 	s := &Snapshot{
-		// The count is attacker-controlled: pre-allocate a bounded chunk
-		// and let append grow the slice as label data actually arrives.
-		Labels:        make([]Label, 0, min(count, snapshotPreallocLabels)),
+		Labels:        make([]Label, count),
 		NumPositioned: int(np),
 		NumSpec:       int(ns),
 		Version:       SnapshotV1,
 	}
-	for i := uint64(0); i < count; i++ {
-		var vals [4]uint64
-		for j := range vals {
-			v, err := read()
-			if err != nil {
-				return nil, fmt.Errorf("core: read label %d: %w", i, err)
-			}
-			vals[j] = v
+	for i := range s.Labels {
+		if !read(vals[:]) {
+			return nil, fmt.Errorf("core: read label %d: truncated", i)
 		}
 		if vals[0] > np || vals[1] > np || vals[2] > np {
 			return nil, fmt.Errorf("core: label %d position exceeds n+T=%d", i, np)
@@ -364,12 +320,7 @@ func readSnapshotV1(br *bufio.Reader) (*Snapshot, error) {
 		if vals[3] >= ns {
 			return nil, fmt.Errorf("core: label %d origin %d exceeds spec size %d", i, vals[3], ns)
 		}
-		s.Labels = append(s.Labels, Label{
-			Q1:   uint32(vals[0]),
-			Q2:   uint32(vals[1]),
-			Q3:   uint32(vals[2]),
-			Orig: dag.VertexID(vals[3]),
-		})
+		s.Labels[i] = Label{Q1: uint32(vals[0]), Q2: uint32(vals[1]), Q3: uint32(vals[2]), Orig: dag.VertexID(vals[3])}
 	}
 	return s, nil
 }

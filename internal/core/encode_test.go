@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/workload"
+	"repro/internal/xmlio"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -161,72 +164,103 @@ func labeledQBLAST(t testing.TB, size int) *core.Labeling {
 	return l
 }
 
-func encodeVersion(t testing.TB, l *core.Labeling, v core.SnapshotVersion) []byte {
+func encode(t testing.TB, l *core.Labeling) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	n, err := l.WriteToVersion(&buf, v)
+	n, err := l.WriteTo(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) {
-		t.Fatalf("WriteToVersion(%v) reported %d bytes, wrote %d", v, n, buf.Len())
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
 	return buf.Bytes()
 }
 
-// TestSnapshotCrossVersion pins the compatibility contract: both wire
-// formats decode into the same Snapshot (labels byte-identical), with
-// the detected version reported, and each re-encodes losslessly.
+// readFixture returns one file of the checked-in compatibility fixture
+// in testdata: a PaperSpec run (run.GenerateSized with seed 21 and a
+// 400-vertex target, 507 vertices) as paper.xml, and its TCM labels as
+// paper.skl1 and paper.skl2, written by the last release that still had
+// an SKL1 writer. No writer emits SKL1 any more, so this fixture is what
+// pins the SKL1 reader.
+func readFixture(t testing.TB, ext string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "paper."+ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestSnapshotCrossVersion pins the compatibility contract: the SKL1
+// fixture decodes to the SKL2 fixture's labels and reports SKL1, and
+// re-encoding either yields the SKL2 fixture byte for byte, as does
+// labeling the fixture's run afresh.
 func TestSnapshotCrossVersion(t *testing.T) {
-	l := labeledQBLAST(t, 2000)
-	var want *core.Snapshot
-	for _, v := range []core.SnapshotVersion{core.SnapshotV1, core.SnapshotV2} {
-		data := encodeVersion(t, l, v)
-		snap, err := core.DecodeSnapshot(data)
-		if err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if snap.Version != v {
-			t.Fatalf("decoded version = %v, want %v", snap.Version, v)
-		}
-		if want == nil {
-			want = snap
-		} else {
-			if !reflect.DeepEqual(snap.Labels, want.Labels) {
-				t.Fatalf("%v labels differ from %v labels", v, want.Version)
-			}
-			if snap.NumPositioned != want.NumPositioned || snap.NumSpec != want.NumSpec {
-				t.Fatalf("%v header (%d,%d) != (%d,%d)", v,
-					snap.NumPositioned, snap.NumSpec, want.NumPositioned, want.NumSpec)
-			}
-		}
-		// Snapshot.WriteTo round-trips in the same version.
+	v1, v2 := readFixture(t, "skl1"), readFixture(t, "skl2")
+	old, err := core.DecodeSnapshot(v1)
+	if err != nil {
+		t.Fatalf("SKL1 fixture: %v", err)
+	}
+	cur, err := core.DecodeSnapshot(v2)
+	if err != nil {
+		t.Fatalf("SKL2 fixture: %v", err)
+	}
+	if old.Version != core.SnapshotV1 || cur.Version != core.SnapshotV2 {
+		t.Fatalf("decoded versions = %v, %v; want SKL1, SKL2", old.Version, cur.Version)
+	}
+	if !reflect.DeepEqual(old.Labels, cur.Labels) {
+		t.Fatal("SKL1 fixture labels differ from SKL2 fixture labels")
+	}
+	if old.NumPositioned != cur.NumPositioned || old.NumSpec != cur.NumSpec {
+		t.Fatalf("SKL1 header (%d,%d) != SKL2 header (%d,%d)",
+			old.NumPositioned, old.NumSpec, cur.NumPositioned, cur.NumSpec)
+	}
+	for _, snap := range []*core.Snapshot{old, cur} {
 		var buf bytes.Buffer
 		if _, err := snap.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf.Bytes(), data) {
-			t.Fatalf("%v re-encode is not byte-identical", v)
+		if !bytes.Equal(buf.Bytes(), v2) {
+			t.Fatalf("%v fixture re-encodes differently from the SKL2 fixture", snap.Version)
 		}
-		// ReadSnapshot (the io.Reader path) agrees with DecodeSnapshot.
-		snap2, err := core.ReadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(snap2.Labels, snap.Labels) || snap2.Version != snap.Version {
-			t.Fatalf("%v: ReadSnapshot disagrees with DecodeSnapshot", v)
-		}
+	}
+
+	s := spec.PaperSpec()
+	r, _, err := xmlio.DecodeRunBytes(readFixture(t, "xml"), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skel, err := label.TCM{}.Build(s.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := core.LabelRun(r, skel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(t, l), v2) {
+		t.Fatal("labeling the fixture run does not reproduce the SKL2 fixture")
 	}
 }
 
 // TestSnapshotV2Smaller pins the codec's size win: on a Fig-13-sized
-// run SKL2 must use at most 60% of SKL1's bytes.
+// run SKL2 must use at most 60% of SKL1's bytes. SKL1's size follows
+// from its definition: the uvarint header and the 4n uvarint components.
 func TestSnapshotV2Smaller(t *testing.T) {
 	l := labeledQBLAST(t, 16000)
-	v1 := encodeVersion(t, l, core.SnapshotV1)
-	v2 := encodeVersion(t, l, core.SnapshotV2)
-	ratio := float64(len(v2)) / float64(len(v1))
-	t.Logf("n=%d: SKL1=%d bytes, SKL2=%d bytes (%.0f%%)", l.NumVertices(), len(v1), len(v2), 100*ratio)
+	v2 := encode(t, l)
+	snap, err := core.DecodeSnapshot(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func(x uint64) int { return len(binary.AppendUvarint(nil, x)) }
+	v1 := size(0x534b4c31) + size(uint64(len(snap.Labels))) + size(uint64(snap.NumPositioned)) + size(uint64(snap.NumSpec))
+	for _, lab := range snap.Labels {
+		v1 += size(uint64(lab.Q1)) + size(uint64(lab.Q2)) + size(uint64(lab.Q3)) + size(uint64(lab.Orig))
+	}
+	ratio := float64(len(v2)) / float64(v1)
+	t.Logf("n=%d: SKL1=%d bytes, SKL2=%d bytes (%.0f%%)", l.NumVertices(), v1, len(v2), 100*ratio)
 	if ratio > 0.60 {
 		t.Errorf("SKL2 uses %.0f%% of SKL1's bytes; want <= 60%%", 100*ratio)
 	}
@@ -234,11 +268,13 @@ func TestSnapshotV2Smaller(t *testing.T) {
 
 // TestSnapshotHostileCount verifies that a header declaring an enormous
 // label count fails fast instead of allocating tens of GiB before any
-// label data is read, in both wire formats.
+// label data is read, in both wire formats. A magic is compared whole,
+// so one widened past 32 bits is rejected even when the rest is a
+// valid empty snapshot.
 func TestSnapshotHostileCount(t *testing.T) {
-	header := func(magic uint32, count uint64) []byte {
+	header := func(magic, count uint64) []byte {
 		var b []byte
-		b = binary.AppendUvarint(b, uint64(magic))
+		b = binary.AppendUvarint(b, magic)
 		b = binary.AppendUvarint(b, count)
 		b = binary.AppendUvarint(b, 100) // numPositioned
 		b = binary.AppendUvarint(b, 10)  // numSpec
@@ -252,6 +288,8 @@ func TestSnapshotHostileCount(t *testing.T) {
 		{"v2-max-count", header(0x534b4c32, 1<<32)},
 		{"v1-implausible", header(0x534b4c31, 1<<40)},
 		{"v2-implausible", header(0x534b4c32, 1<<40)},
+		{"v1-widened-magic", header(0x1_534b4c31, 0)},
+		{"v2-widened-magic", header(0x1_534b4c32, 0)},
 		{"v2-huge-spec", func() []byte {
 			var b []byte
 			b = binary.AppendUvarint(b, 0x534b4c32)
@@ -300,61 +338,54 @@ func TestSnapshotArbitraryValues(t *testing.T) {
 	}
 	cases = append(cases, patterned)
 	for ci, labels := range cases {
-		for _, v := range []core.SnapshotVersion{core.SnapshotV1, core.SnapshotV2} {
-			snap := &core.Snapshot{Labels: labels, NumPositioned: np, NumSpec: ns, Version: v}
-			var buf bytes.Buffer
-			if _, err := snap.WriteTo(&buf); err != nil {
-				t.Fatalf("case %d %v: %v", ci, v, err)
-			}
-			got, err := core.DecodeSnapshot(buf.Bytes())
-			if err != nil {
-				t.Fatalf("case %d %v: %v", ci, v, err)
-			}
-			if len(got.Labels) != len(labels) {
-				t.Fatalf("case %d %v: %d labels, want %d", ci, v, len(got.Labels), len(labels))
-			}
-			for i := range labels {
-				if got.Labels[i] != labels[i] {
-					t.Fatalf("case %d %v: label %d = %+v, want %+v", ci, v, i, got.Labels[i], labels[i])
-				}
+		snap := &core.Snapshot{Labels: labels, NumPositioned: np, NumSpec: ns}
+		var buf bytes.Buffer
+		if _, err := snap.WriteTo(&buf); err != nil {
+			t.Fatalf("case %d: %v", ci, err)
+		}
+		got, err := core.DecodeSnapshot(buf.Bytes())
+		if err != nil {
+			t.Fatalf("case %d: %v", ci, err)
+		}
+		if len(got.Labels) != len(labels) {
+			t.Fatalf("case %d: %d labels, want %d", ci, len(got.Labels), len(labels))
+		}
+		for i := range labels {
+			if got.Labels[i] != labels[i] {
+				t.Fatalf("case %d: label %d = %+v, want %+v", ci, i, got.Labels[i], labels[i])
 			}
 		}
 	}
 }
 
-// BenchmarkSnapshotDecode compares decoding both wire formats at the
-// Fig-13 run sizes; the SKL2 columnar bulk decoder must beat the SKL1
-// streaming-varint path by >= 2x at n=16000 (tracked in BENCH_3.json).
+// BenchmarkSnapshotDecode measures decoding at the Fig-13 run sizes
+// (tracked in the BENCH_<n>.json lineage).
 func BenchmarkSnapshotDecode(b *testing.B) {
 	for _, size := range []int{4000, 16000} {
 		l := labeledQBLAST(b, size)
-		for _, v := range []core.SnapshotVersion{core.SnapshotV1, core.SnapshotV2} {
-			data := encodeVersion(b, l, v)
-			b.Run(fmt.Sprintf("%s/n=%d", v, size), func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(int64(len(data)))
-				b.ReportMetric(float64(len(data))/float64(l.NumVertices()), "bytes/label")
-				for i := 0; i < b.N; i++ {
-					if _, err := core.DecodeSnapshot(data); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkSnapshotEncode measures WriteTo for both formats.
-func BenchmarkSnapshotEncode(b *testing.B) {
-	l := labeledQBLAST(b, 16000)
-	for _, v := range []core.SnapshotVersion{core.SnapshotV1, core.SnapshotV2} {
-		b.Run(v.String(), func(b *testing.B) {
+		data := encode(b, l)
+		b.Run(fmt.Sprintf("SKL2/n=%d", size), func(b *testing.B) {
 			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			b.ReportMetric(float64(len(data))/float64(l.NumVertices()), "bytes/label")
 			for i := 0; i < b.N; i++ {
-				if _, err := l.WriteToVersion(io.Discard, v); err != nil {
+				if _, err := core.DecodeSnapshot(data); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// BenchmarkSnapshotEncode measures WriteTo.
+func BenchmarkSnapshotEncode(b *testing.B) {
+	l := labeledQBLAST(b, 16000)
+	b.Run("SKL2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := l.WriteTo(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -15,6 +15,7 @@ import (
 	"io"
 	"io/fs"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -626,17 +627,25 @@ func Run(t *testing.T, newBackend Factory) {
 		for i := range labels {
 			labels[i] = core.Label{Q1: uint32(i), Q2: uint32(2 * i), Q3: uint32(300 - i), Orig: dag.VertexID(i % 7)}
 		}
+		var skl2 bytes.Buffer
 		snap := &core.Snapshot{Labels: labels, NumPositioned: 600, NumSpec: 7}
-		blobs := map[string][]byte{}
-		for _, v := range []core.SnapshotVersion{core.SnapshotV1, core.SnapshotV2} {
-			snap.Version = v
-			var buf bytes.Buffer
-			if _, err := snap.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			name := "run-" + v.String()
-			blobs[name] = buf.Bytes()
-			if err := b.WriteRun(name, []byte("<run "+name+">"), buf.Bytes()); err != nil {
+		if _, err := snap.WriteTo(&skl2); err != nil {
+			t.Fatal(err)
+		}
+		// No writer emits SKL1 any more; this blob is one by hand:
+		// uvarint magic "SKL1", count 2, numPositioned 6, numSpec 2,
+		// then the labels (1,2,3,0) and (4,5,6,1).
+		skl1 := []byte{0xb1, 0x98, 0xad, 0x9a, 0x05, 2, 6, 2, 1, 2, 3, 0, 4, 5, 6, 1}
+		blobs := map[string]struct {
+			data    []byte
+			version core.SnapshotVersion
+			labels  []core.Label
+		}{
+			"run-SKL1": {skl1, core.SnapshotV1, []core.Label{{Q1: 1, Q2: 2, Q3: 3, Orig: 0}, {Q1: 4, Q2: 5, Q3: 6, Orig: 1}}},
+			"run-SKL2": {skl2.Bytes(), core.SnapshotV2, labels},
+		}
+		for name, blob := range blobs {
+			if err := b.WriteRun(name, []byte("<run "+name+">"), blob.data); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -647,20 +656,18 @@ func Run(t *testing.T, newBackend Factory) {
 		}
 		for name, want := range blobs {
 			got := read(t, func() (io.ReadCloser, error) { return dst.ReadLabels(name) })
-			if !bytes.Equal(got, want) {
+			if !bytes.Equal(got, want.data) {
 				t.Fatalf("%s: copied snapshot is not byte-identical", name)
 			}
 			decoded, err := core.DecodeSnapshot(got)
 			if err != nil {
 				t.Fatalf("%s: copied snapshot does not decode: %v", name, err)
 			}
-			if len(decoded.Labels) != len(labels) {
-				t.Fatalf("%s: %d labels after copy, want %d", name, len(decoded.Labels), len(labels))
+			if decoded.Version != want.version {
+				t.Fatalf("%s: copied snapshot decodes as %v", name, decoded.Version)
 			}
-			for i := range labels {
-				if decoded.Labels[i] != labels[i] {
-					t.Fatalf("%s: label %d changed across Copy", name, i)
-				}
+			if !slices.Equal(decoded.Labels, want.labels) {
+				t.Fatalf("%s: labels changed across Copy", name)
 			}
 		}
 	})

@@ -1,8 +1,9 @@
 package store_test
 
 import (
-	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -155,11 +156,24 @@ func TestStoreCrossCodecVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(21))
-	r, _ := run.GenerateSized(s, rng, 400)
-	// "new" goes through PutRun (SKL2). "old" simulates a pre-SKL2
-	// store: same run document, labels written in the V1 wire format
-	// straight through the backend.
+	// "old" is a pre-SKL2 store's run: core's compatibility fixture,
+	// a run document and its SKL1 labels, written straight through the
+	// backend. "new" is the same run put through PutRun (SKL2).
+	fixture := func(ext string) []byte {
+		data, err := os.ReadFile(filepath.Join("..", "core", "testdata", "paper."+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	doc, v1 := fixture("xml"), fixture("skl1")
+	if err := st.Backend().WriteRun("old", doc, v1); err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := xmlio.DecodeRunBytes(doc, s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := st.PutRun("new", r, nil, label.TCM{}); err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +183,6 @@ func TestStoreCrossCodecVersions(t *testing.T) {
 	}
 	l, err := core.LabelRun(r, skel)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var doc, v1 bytes.Buffer
-	if err := xmlio.EncodeRun(&doc, r, nil, "paper"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.WriteToVersion(&v1, core.SnapshotV1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Backend().WriteRun("old", doc.Bytes(), v1.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,9 +197,10 @@ func TestStoreCrossCodecVersions(t *testing.T) {
 	if oldSess.SnapshotVersion != core.SnapshotV1 || newSess.SnapshotVersion != core.SnapshotV2 {
 		t.Fatalf("snapshot versions = %v, %v; want SKL1, SKL2", oldSess.SnapshotVersion, newSess.SnapshotVersion)
 	}
-	if oldSess.SnapshotBytes != v1.Len() || newSess.SnapshotBytes <= 0 {
+	if oldSess.SnapshotBytes != len(v1) || newSess.SnapshotBytes <= 0 {
 		t.Fatalf("snapshot bytes = %d, %d", oldSess.SnapshotBytes, newSess.SnapshotBytes)
 	}
+	rng := rand.New(rand.NewSource(21))
 	n := r.NumVertices()
 	for q := 0; q < 2000; q++ {
 		u := dag.VertexID(rng.Intn(n))
@@ -221,7 +226,7 @@ func TestStoreCrossCodecVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if copied.SnapshotVersion != core.SnapshotV1 || copied.SnapshotBytes != v1.Len() {
+	if copied.SnapshotVersion != core.SnapshotV1 || copied.SnapshotBytes != len(v1) {
 		t.Fatalf("copy changed the stored codec: %v, %d bytes", copied.SnapshotVersion, copied.SnapshotBytes)
 	}
 }

@@ -1,19 +1,21 @@
 // Package trend turns the repo's per-PR benchmark artifacts — the
 // bench/BASELINE_<n>.json lineage plus the current BENCH_<n>.json
-// emitted by `make bench-json` — into a cross-PR perf trajectory table
-// and a regression gate with configurable tolerances (cmd/benchtrend).
+// that `make trend` builds from `go test -bench` output (ParseBench) —
+// into a cross-PR perf trajectory table and a regression gate
+// (cmd/benchtrend).
 //
-// The file format is benchjson's "provbench.v1": a flat benches map of
+// The file format is "provbench.v1": a flat benches map of
 // name -> {ns_op, b_op, allocs_op, mb_s}, with the pre-PR baseline
-// embedded verbatim under "baseline". BASELINE_<n>.json is the
-// measurement taken just before PR n's changes; comparing consecutive
-// baselines (and the current run) therefore renders how each benchmark
-// moved across PRs.
+// embedded under "baseline". BASELINE_<n>.json is the measurement taken
+// just before PR n's changes; comparing consecutive baselines (and the
+// current run) therefore renders how each benchmark moved across PRs.
 package trend
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -23,7 +25,7 @@ import (
 	"time"
 )
 
-// Bench is one benchmark's measurements, benchjson field names.
+// Bench is one benchmark's measurements.
 type Bench struct {
 	NsOp     float64 `json:"ns_op"`
 	BOp      int64   `json:"b_op,omitempty"`
@@ -60,6 +62,64 @@ func ReadFile(path string) (*File, error) {
 		return nil, fmt.Errorf("%s: no benches (schema %q)", path, f.Schema)
 	}
 	return &f, nil
+}
+
+var benchLine = regexp.MustCompile(`^Benchmark(\S+)\s+\d+\s+([\d.]+) ns/op(.*)$`)
+
+// ParseBench reads `go test -bench` output and returns each benchmark's
+// ns/op, B/op, allocs/op and MB/s, keyed by name without the
+// -GOMAXPROCS suffix. When -count ran a benchmark several times the
+// fastest run (minimum ns/op) is kept, the conventional way to suppress
+// scheduler noise. Lines that are not benchmark results are ignored;
+// input with none is an error.
+func ParseBench(r io.Reader) (map[string]Bench, error) {
+	benches := map[string]Bench{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		m := benchLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		ns, err := strconv.ParseFloat(m[2], 64)
+		if err != nil {
+			continue
+		}
+		b := Bench{NsOp: ns}
+		for _, f := range strings.Split(m[3], "\t") {
+			val, unit, _ := strings.Cut(strings.TrimSpace(f), " ")
+			switch unit {
+			case "B/op":
+				b.BOp, _ = strconv.ParseInt(val, 10, 64)
+			case "allocs/op":
+				b.AllocsOp, _ = strconv.ParseInt(val, 10, 64)
+			case "MB/s":
+				b.MBs, _ = strconv.ParseFloat(val, 64)
+			}
+		}
+		name := trimGOMAXPROCS(m[1])
+		if prev, ok := benches[name]; !ok || b.NsOp < prev.NsOp {
+			benches[name] = b
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(benches) == 0 {
+		return nil, fmt.Errorf("no benchmark lines found")
+	}
+	return benches, nil
+}
+
+// trimGOMAXPROCS drops the "-8" CPU suffix go test appends to
+// benchmark names.
+func trimGOMAXPROCS(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i]
+		}
+	}
+	return name
 }
 
 var fileSeq = regexp.MustCompile(`(?:BASELINE|BENCH)_(\d+)\.json$`)
@@ -120,20 +180,17 @@ func LoadLineage(dir, currentPath string) ([]Point, error) {
 	return points, nil
 }
 
-// Tolerance is the gate's per-metric relative slack: a measurement
-// regresses when cur > prev*(1+tol) AND the absolute growth clears a
-// small noise floor (50ns, 64 B, 2 allocs) — so a 2-alloc wobble on a
-// 22-alloc benchmark or scheduler jitter on a 3µs one never fails CI.
-type Tolerance struct {
-	NsOp     float64
-	BOp      float64
-	AllocsOp float64
-}
-
-// DefaultTolerance is deliberately loose on wall time (shared CI
-// runners are noisy) and tighter on the deterministic allocation
-// metrics, which are the stable regression signal.
-var DefaultTolerance = Tolerance{NsOp: 0.50, BOp: 0.25, AllocsOp: 0.10}
+// The gate's per-metric relative slack: a measurement regresses when
+// cur > prev*(1+tol) AND the absolute growth clears a small noise floor
+// (50ns, 64 B, 2 allocs) — so a 2-alloc wobble on a 22-alloc benchmark
+// or scheduler jitter on a 3µs one never fails CI. Wall time is
+// deliberately loose (shared CI runners are noisy); the deterministic
+// allocation metrics are tighter and are the stable regression signal.
+const (
+	TolNsOp     = 0.50
+	TolBOp      = 0.25
+	TolAllocsOp = 0.10
+)
 
 // noise floors below which absolute growth is never a regression.
 const (
@@ -161,7 +218,7 @@ func (r Regression) String() string {
 // prev but missing from cur (renamed or retired) are tolerated and
 // returned in missing; benchmarks new in cur have no baseline and are
 // ignored.
-func Gate(prev, cur map[string]Bench, tol Tolerance) (regs []Regression, missing []string) {
+func Gate(prev, cur map[string]Bench) (regs []Regression, missing []string) {
 	names := make([]string, 0, len(prev))
 	for name := range prev {
 		names = append(names, name)
@@ -177,14 +234,14 @@ func Gate(prev, cur map[string]Bench, tol Tolerance) (regs []Regression, missing
 		exceeds := func(prevV, curV, tol, floor float64) bool {
 			return prevV > 0 && curV > prevV*(1+tol) && curV-prevV > floor
 		}
-		if exceeds(p.NsOp, c.NsOp, tol.NsOp, noiseNs) {
-			regs = append(regs, Regression{Bench: name, Metric: "ns/op", Prev: p.NsOp, Cur: c.NsOp, Tol: tol.NsOp})
+		if exceeds(p.NsOp, c.NsOp, TolNsOp, noiseNs) {
+			regs = append(regs, Regression{Bench: name, Metric: "ns/op", Prev: p.NsOp, Cur: c.NsOp, Tol: TolNsOp})
 		}
-		if exceeds(float64(p.BOp), float64(c.BOp), tol.BOp, noiseBytes) {
-			regs = append(regs, Regression{Bench: name, Metric: "B/op", Prev: float64(p.BOp), Cur: float64(c.BOp), Tol: tol.BOp})
+		if exceeds(float64(p.BOp), float64(c.BOp), TolBOp, noiseBytes) {
+			regs = append(regs, Regression{Bench: name, Metric: "B/op", Prev: float64(p.BOp), Cur: float64(c.BOp), Tol: TolBOp})
 		}
-		if exceeds(float64(p.AllocsOp), float64(c.AllocsOp), tol.AllocsOp, noiseAllocs) {
-			regs = append(regs, Regression{Bench: name, Metric: "allocs/op", Prev: float64(p.AllocsOp), Cur: float64(c.AllocsOp), Tol: tol.AllocsOp})
+		if exceeds(float64(p.AllocsOp), float64(c.AllocsOp), TolAllocsOp, noiseAllocs) {
+			regs = append(regs, Regression{Bench: name, Metric: "allocs/op", Prev: float64(p.AllocsOp), Cur: float64(c.AllocsOp), Tol: TolAllocsOp})
 		}
 	}
 	return regs, missing

@@ -3,6 +3,7 @@ package trend
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -85,7 +86,7 @@ func TestTableGolden(t *testing.T) {
 func TestGateImprovementPasses(t *testing.T) {
 	prev := map[string]Bench{"X": {NsOp: 1000, BOp: 512, AllocsOp: 20}}
 	cur := map[string]Bench{"X": {NsOp: 600, BOp: 256, AllocsOp: 10}}
-	regs, missing := Gate(prev, cur, DefaultTolerance)
+	regs, missing := Gate(prev, cur)
 	if len(regs) != 0 || len(missing) != 0 {
 		t.Errorf("improvement flagged: regs=%v missing=%v", regs, missing)
 	}
@@ -94,7 +95,7 @@ func TestGateImprovementPasses(t *testing.T) {
 func TestGateRegressionBeyondTolerance(t *testing.T) {
 	prev := map[string]Bench{"X": {NsOp: 10_000, BOp: 4096, AllocsOp: 50}}
 	cur := map[string]Bench{"X": {NsOp: 30_000, BOp: 4096, AllocsOp: 120}}
-	regs, _ := Gate(prev, cur, DefaultTolerance)
+	regs, _ := Gate(prev, cur)
 	if len(regs) != 2 {
 		t.Fatalf("want ns/op + allocs/op regressions, got %v", regs)
 	}
@@ -115,7 +116,7 @@ func TestGateNoiseFloors(t *testing.T) {
 		"allocs": {NsOp: 1000, AllocsOp: 24},
 		"fast":   {NsOp: 70},
 	}
-	if regs, _ := Gate(prev, cur, DefaultTolerance); len(regs) != 0 {
+	if regs, _ := Gate(prev, cur); len(regs) != 0 {
 		t.Errorf("noise-floor wobble gated: %v", regs)
 	}
 }
@@ -123,12 +124,51 @@ func TestGateNoiseFloors(t *testing.T) {
 func TestGateMissingBenchTolerated(t *testing.T) {
 	prev := map[string]Bench{"Renamed": {NsOp: 1000}, "Kept": {NsOp: 1000}}
 	cur := map[string]Bench{"Kept": {NsOp: 900}, "Brand-new": {NsOp: 1}}
-	regs, missing := Gate(prev, cur, DefaultTolerance)
+	regs, missing := Gate(prev, cur)
 	if len(regs) != 0 {
 		t.Errorf("unexpected regressions: %v", regs)
 	}
 	if len(missing) != 1 || missing[0] != "Renamed" {
 		t.Errorf("missing = %v, want [Renamed]", missing)
+	}
+}
+
+// parseInput is captured `go test -bench -count=2` output, with the
+// package header, a log line, a benchmark run with GOMAXPROCS=1 (no
+// name suffix) and the closing PASS/ok lines around the results.
+const parseInput = `goos: linux
+goarch: amd64
+pkg: repro
+cpu: Intel(R) Xeon(R) CPU @ 2.20GHz
+BenchmarkServerIngest-2                 	      20	   2802141 ns/op	  54.21 MB/s	  851234 B/op	    5115 allocs/op
+BenchmarkServerIngest-2                 	      20	   2650337 ns/op	  57.32 MB/s	  851201 B/op	    5114 allocs/op
+BenchmarkServerRPQ/wild-card-2          	      20	     14295 ns/op	   10756 B/op	     100 allocs/op
+BenchmarkServerRPQ/wild-card-2          	      20	     15001 ns/op	   10756 B/op	     100 allocs/op
+    server_test.go:42: warmed 4 runs
+BenchmarkSnapshotDecode/SKL2/n=4000     	     100	     38893 ns/op	 365.93 MB/s	         3.650 bytes/label	   57392 B/op	       2 allocs/op
+--- BENCH: BenchmarkServerIngest-2
+PASS
+ok  	repro	4.201s
+`
+
+func TestParseBench(t *testing.T) {
+	got, err := ParseBench(strings.NewReader(parseInput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]Bench{
+		// The faster of the two runs, with that run's B/op, allocs and MB/s.
+		"ServerIngest": {NsOp: 2650337, BOp: 851201, AllocsOp: 5114, MBs: 57.32},
+		// Only the trailing -N is trimmed, not a dash inside the name.
+		"ServerRPQ/wild-card": {NsOp: 14295, BOp: 10756, AllocsOp: 100},
+		// Custom metrics (bytes/label) are skipped.
+		"SnapshotDecode/SKL2/n=4000": {NsOp: 38893, BOp: 57392, AllocsOp: 2, MBs: 365.93},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseBench =\n%+v\nwant\n%+v", got, want)
+	}
+	if _, err := ParseBench(strings.NewReader("goos: linux\nPASS\nok  \trepro\t0.1s\n")); err == nil {
+		t.Error("input without benchmark lines accepted")
 	}
 }
 
