@@ -67,8 +67,7 @@
 //	curl 'localhost:8080/lineage?run=r1&vertex=h1&dir=up'
 //
 // /batch pair elements may be occurrence names or vertex IDs, as JSON
-// strings or bare integers; -batch-parallelism fans large batches out
-// across CPUs.
+// strings or bare integers; large batches fan out across all CPUs.
 //
 // Admission control: at most -max-inflight requests execute at once
 // with up to -queue-depth more waiting; beyond that (or past a
@@ -102,7 +101,6 @@ func main() {
 		scheme      = flag.String("scheme", "TCM", "skeleton scheme for loaded sessions (TCM, BFS, DFS, Interval, Chain, 2-Hop, Dual)")
 		cache       = flag.Int("cache", 16, "maximum cached run sessions (LRU)")
 		maxBatch    = flag.Int("max-batch", 8192, "maximum pairs per /batch request")
-		batchPar    = flag.Int("batch-parallelism", 0, "CPUs fanning out one large /batch request (0 = all)")
 		ingest      = flag.Bool("ingest", false, "accept PUT /runs/{name} run documents and DELETE /runs/{name} (the write path)")
 		stream      = flag.Bool("stream", false, "accept streaming ingest: POST /runs/{name}/events and /finish (see internal/server)")
 		ckptEvery   = flag.Int("checkpoint-every", 256, "events between live-session checkpoints (negative disables; needs -stream)")
@@ -148,7 +146,6 @@ func main() {
 		Scheme:           sch,
 		CacheSize:        *cache,
 		MaxBatch:         *maxBatch,
-		BatchParallelism: *batchPar,
 		EnableIngest:     *ingest,
 		EnableStream:     *stream,
 		CheckpointEvery:  *ckptEvery,

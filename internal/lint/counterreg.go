@@ -2,104 +2,30 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
-	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// CounterReg keeps the server's observability contract closed over its
-// routes: every pattern registered on the internal/server request mux
-// must surface a matching key in the servedCounters snapshot that
-// /healthz reports (and cmd/provload diffs as server-side ground
-// truth), and every snapshot key except the "other" catch-all must
-// correspond to a registered route. Without this, a new endpoint ships
-// with its traffic silently lumped into "other" — exactly how the /rpq
-// counter had to be remembered by hand in PR 9 — and the load harness's
-// served-vs-completed cross-check develops a blind spot.
+// CounterReg keeps every internal/server endpoint in its route table.
+// The table is where an endpoint gets its /healthz served counter (the
+// ground truth cmd/provload diffs against its client-side counts), its
+// method check and its error mapping, all from one wrapper; a pattern
+// registered on the mux directly would skip all three, and its traffic
+// would be invisible. So every (*http.ServeMux).Handle or HandleFunc
+// call in the package must pass a route entry's pattern field, never a
+// literal or any other string.
 type CounterReg struct{}
 
 func (CounterReg) Name() string { return "counterreg" }
 
 func (CounterReg) Doc() string {
-	return "every mux route in internal/server has a servedCounters snapshot key, and every key (except \"other\") has a route"
-}
-
-// counterKeyForRoute derives the snapshot key a mux pattern must
-// surface: the last non-wildcard path segment, or for routes addressing
-// a run by wildcard ("GET /runs/{name}"), the conventional key of the
-// method (GET reads status, PUT ingests as "put", DELETE deletes).
-func counterKeyForRoute(route string) string {
-	method, path := "", route
-	if m, p, ok := strings.Cut(route, " "); ok && !strings.Contains(m, "/") {
-		method, path = m, strings.TrimSpace(p)
-	}
-	segs := strings.Split(strings.Trim(path, "/"), "/")
-	last := segs[len(segs)-1]
-	if last == "" {
-		return "other"
-	}
-	if strings.HasPrefix(last, "{") {
-		switch method {
-		case "GET":
-			return "status"
-		case "PUT":
-			return "put"
-		case "DELETE":
-			return "delete"
-		default:
-			return strings.ToLower(method)
-		}
-	}
-	return strings.TrimPrefix(last, "/")
+	return "every mux registration in internal/server passes a route table entry's pattern"
 }
 
 func (CounterReg) Check(pkg *Package, report Reporter) {
-	if pkg.Path != "repro/internal/server" && !strings.HasSuffix(pkg.Path, "/internal/server") {
+	if !strings.HasSuffix(pkg.Path, "/internal/server") {
 		return
 	}
-
-	// The counter type is the contract's anchor; a package without it
-	// has nothing to check.
-	obj := pkg.Pkg.Scope().Lookup("servedCounters")
-	if obj == nil {
-		return
-	}
-
-	// Snapshot keys: string keys of map literals inside servedCounters'
-	// snapshot method.
-	keys := make(map[string]token.Pos)
-	var snapshotEnd token.Pos
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Name.Name != "snapshot" || fn.Recv == nil || fn.Body == nil {
-				continue
-			}
-			if recvNamed(pkg.Info, fn) != obj {
-				continue
-			}
-			snapshotEnd = fn.Body.Rbrace
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				kv, ok := n.(*ast.KeyValueExpr)
-				if !ok {
-					return true
-				}
-				if tv, ok := pkg.Info.Types[kv.Key]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
-					keys[constant.StringVal(tv.Value)] = kv.Key.Pos()
-				}
-				return true
-			})
-		}
-	}
-	if snapshotEnd == token.NoPos {
-		return
-	}
-
-	// Routes: constant-string patterns handed to (*http.ServeMux).HandleFunc
-	// or Handle.
-	derived := make(map[string]bool)
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -114,51 +40,30 @@ func (CounterReg) Check(pkg *Package, report Reporter) {
 			if recv == nil || !strings.Contains(recv.Type().String(), "net/http.ServeMux") {
 				return true
 			}
-			tv, ok := pkg.Info.Types[call.Args[0]]
-			if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-				return true
-			}
-			route := constant.StringVal(tv.Value)
-			key := counterKeyForRoute(route)
-			derived[key] = true
-			if _, ok := keys[key]; !ok {
+			if !isRoutePattern(pkg.Info, call.Args[0]) {
 				report(call.Args[0].Pos(),
-					"route %q has no servedCounters snapshot key %q: its traffic would be invisible to /healthz and the provload cross-check",
-					route, key)
+					"mux registration outside the route table: declare the endpoint as a route so it is counted in /healthz, method-checked and error-mapped")
 			}
 			return true
 		})
 	}
-
-	// Reverse direction: stale keys with no route behind them.
-	var stale []string
-	for key := range keys {
-		if key != "other" && !derived[key] {
-			stale = append(stale, key)
-		}
-	}
-	sort.Strings(stale)
-	for _, key := range stale {
-		report(keys[key],
-			"servedCounters snapshot key %q matches no registered mux route: dead counter or renamed endpoint", key)
-	}
 }
 
-// recvNamed resolves a method's receiver to the type name object it is
-// declared on (pointer receivers included).
-func recvNamed(info *types.Info, fn *ast.FuncDecl) types.Object {
-	if len(fn.Recv.List) == 0 {
-		return nil
+// isRoutePattern reports whether e selects the pattern field of a
+// struct type named route.
+func isRoutePattern(info *types.Info, e ast.Expr) bool {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return false
 	}
-	t := info.Types[fn.Recv.List[0].Type].Type
-	if t == nil {
-		return nil
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal || s.Obj().Name() != "pattern" {
+		return false
 	}
+	t := s.Recv()
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj()
-	}
-	return nil
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "route"
 }

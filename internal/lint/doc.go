@@ -39,12 +39,12 @@
 //     catches the common regression: a new accessor that forgets the
 //     mutex entirely.
 //
-//   - counterreg: in internal/server, every route registered on the
-//     mux must have a matching key in servedCounters' snapshot map and
-//     vice versa ("other" is the sanctioned catch-all). /healthz is the
-//     observability contract; an endpoint whose traffic silently lands
-//     nowhere — or a stale key that reads forever-zero — is the kind of
-//     drift that only shows up during an incident.
+//   - counterreg: in internal/server, every (*http.ServeMux).Handle or
+//     HandleFunc call must pass the pattern field of a route table
+//     entry. The table's one wrapper counts each endpoint in /healthz,
+//     checks its method and maps its errors; an endpoint registered
+//     around it would serve traffic that silently lands nowhere — the
+//     kind of drift that only shows up during an incident.
 //
 //   - seededrand: no calls to math/rand's top-level (process-global,
 //     unseeded) functions outside _test.go files. Reproducibility is

@@ -355,24 +355,3 @@ func TestVerbParsing(t *testing.T) {
 		}
 	}
 }
-
-// TestCounterKeyForRoute pins the route -> snapshot-key derivation.
-func TestCounterKeyForRoute(t *testing.T) {
-	cases := map[string]string{
-		"/healthz":                 "healthz",
-		"/specs":                   "specs",
-		"/runs":                    "runs",
-		"/reachable":               "reachable",
-		"/rpq":                     "rpq",
-		"GET /runs/{name}":         "status",
-		"PUT /runs/{name}":         "put",
-		"DELETE /runs/{name}":      "delete",
-		"POST /runs/{name}/events": "events",
-		"POST /runs/{name}/finish": "finish",
-	}
-	for route, want := range cases {
-		if got := counterKeyForRoute(route); got != want {
-			t.Errorf("counterKeyForRoute(%q) = %q, want %q", route, got, want)
-		}
-	}
-}

@@ -1,31 +1,23 @@
 // Package server is the counterreg analyzer's golden fixture, loaded
-// under an import path ending in internal/server so the route/counter
-// contract applies: one route with no snapshot key, one stale key with
-// no route, and a wildcard run route resolved through its method.
+// under an import path ending in internal/server so the route-table
+// rule applies: a registration from the table is clean, one with a
+// literal pattern bypasses the table and is flagged.
 package server
 
-import (
-	"net/http"
-	"sync/atomic"
-)
+import "net/http"
 
-type servedCounters struct {
-	specs, status, stale atomic.Int64
-}
-
-func (c *servedCounters) snapshot() map[string]int64 {
-	return map[string]int64{
-		"specs":  c.specs.Load(),
-		"status": c.status.Load(),
-		"stale":  c.stale.Load(), //lintwant counterreg
-		"other":  0,
-	}
+type route struct {
+	pattern string
+	h       http.HandlerFunc
 }
 
 func register(mux *http.ServeMux) {
-	mux.HandleFunc("/specs", serve)
-	mux.HandleFunc("GET /runs/{name}", serve) // -> "status", registered
-	mux.HandleFunc("/orphan", serve)          //lintwant counterreg
+	routes := []route{{pattern: "/specs", h: serve}}
+	for i := range routes {
+		rt := &routes[i]
+		mux.HandleFunc(rt.pattern, rt.h)
+	}
+	mux.HandleFunc("/orphan", serve) //lintwant counterreg
 }
 
 func serve(w http.ResponseWriter, r *http.Request) {}

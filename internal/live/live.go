@@ -195,6 +195,32 @@ func (r *Registry) Stats() Stats { return r.g.snapshot() }
 // run's stream checkpoint. An absent or empty blob means no checkpoint.
 func CheckpointMeta(name string) string { return ".ckpt-" + name }
 
+// ListStreams lists the runs with an event log in st: the runs that
+// may hold durable stream state to Recover.
+func ListStreams(st *store.Store) ([]string, error) { return st.Backend().ListEventLogs() }
+
+// HasState reports whether name has durable stream state in st: an
+// event log or a non-empty checkpoint.
+func HasState(st *store.Store, name string) bool {
+	had := false
+	if rc, err := st.ReadRunEvents(name); err == nil {
+		rc.Close()
+		had = true
+	}
+	if rc, err := st.Backend().ReadMeta(CheckpointMeta(name)); err == nil {
+		data, _ := io.ReadAll(rc)
+		rc.Close()
+		had = had || len(data) > 0
+	}
+	return had
+}
+
+// DeleteState deletes name's durable stream state from st, its event
+// log and its checkpoint, and returns both deletes' failures joined.
+func DeleteState(st *store.Store, name string) error {
+	return errors.Join(st.DeleteRunEvents(name), st.Backend().WriteMeta(CheckpointMeta(name), nil))
+}
+
 // copyState is the session's own record of one started copy: the
 // labeler's Copy fields are unexported, and Finish needs the copy tree
 // back to rebuild the execution tree.
@@ -602,10 +628,9 @@ func (s *Session) Finish(scheme label.Scheme) (*store.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	//provlint:ignore droppederr best-effort cleanup after a durable PutRunSession; a stale log is reclaimed lazily by the serving layer's store-wins rule (documented above)
-	_ = s.st.DeleteRunEvents(s.name)
-	//provlint:ignore droppederr best-effort cleanup after a durable PutRunSession; a stale log is reclaimed lazily by the serving layer's store-wins rule (documented above)
-	_ = s.st.Backend().WriteMeta(CheckpointMeta(s.name), nil)
+	// Best-effort cleanup after a durable PutRunSession: stale stream
+	// state is reclaimed lazily by the serving layer's store-wins rule.
+	_ = DeleteState(s.st, s.name)
 	return sess, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"repro/internal/live"
 	"repro/internal/store"
 )
 
@@ -31,7 +32,7 @@ func (s *Server) RecoverStreams() (recovered, cleaned int, err error) {
 	if !s.stream {
 		return 0, 0, nil
 	}
-	names, err := s.st.Backend().ListEventLogs()
+	names, err := live.ListStreams(s.st)
 	if err != nil {
 		s.brk.note(err)
 		return 0, 0, err

@@ -32,9 +32,6 @@ type rpqRequest struct {
 // and patterns whose determinization would exceed the DFA state
 // budget — are client errors (400), never engine failures.
 func (s *Server) handleRPQ(w http.ResponseWriter, r *http.Request) error {
-	if !requireMethod(w, r, http.MethodPost) {
-		return nil
-	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxRPQBody)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {

@@ -8,7 +8,8 @@
 // process can front a local store, an ephemeral in-memory copy, or many
 // disks.
 //
-// Endpoints:
+// Endpoints, each declared once in New's route table (pattern, method,
+// served-counter key, handler):
 //
 //	GET  /healthz              liveness + backend + cache + admission stats
 //	GET  /specs                the store's specification (modules, channels)
@@ -42,6 +43,12 @@
 //	POST /rpq                  {"run":R,"from":U,"to":V,"pattern":P} -> does
 //	                           some path from U to V spell P (see rpq.go)
 //
+// One wrapper serves every route: it counts the request under the
+// route's key in /healthz "served", answers a wrong method 405 with
+// Allow, calls the handler and sends its error through Server.fail. A
+// request no route matches keeps the mux's own plain-text 404 or 405
+// and counts as "other".
+//
 // Vertices are addressed by occurrence name ("b2" = second execution of
 // module b) or by numeric vertex ID, resolved the same way for every
 // endpoint (vertexParam).
@@ -57,7 +64,7 @@
 //
 // Every handler failure reaches HTTP through one mapping, Server.fail,
 // and every error body is {"error": message}. Only three answers are
-// written elsewhere: 405 by the method check before a handler runs,
+// written elsewhere: 405 by the route wrapper before a handler runs,
 // 429 by admission control before it is reached, and an append's 409,
 // whose body also carries the applied "seq". The status codes:
 //
@@ -89,9 +96,9 @@
 //
 // /batch is the allocation-critical path: request decode, pair
 // resolution, batch evaluation and response encode all run in pooled
-// per-request scratch (see batchcodec.go), and large batches fan out
-// across CPUs through the labeling's parallel batch evaluator
-// (Config.BatchParallelism).
+// per-request scratch (see batchcodec.go), and batches of 1024 pairs or
+// more fan out across GOMAXPROCS CPUs through the labeling's parallel
+// batch evaluator.
 //
 // Every endpoint except /healthz sits behind an admission-control layer
 // (admission.go): a bounded concurrency gate with a bounded wait queue,
@@ -112,7 +119,6 @@ import (
 	"fmt"
 	"io/fs"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,12 +142,6 @@ type Config struct {
 	// MaxBatch bounds the number of pairs accepted by one /batch request.
 	// Defaults to 8192.
 	MaxBatch int
-	// BatchParallelism caps the goroutines answering one /batch
-	// request's pairs: batches of at least 1024 pairs are split across
-	// up to this many CPUs (smaller ones are answered sequentially —
-	// fan-out costs more than it saves). <= 0 uses GOMAXPROCS; 1 forces
-	// sequential evaluation.
-	BatchParallelism int
 	// EnableIngest turns on the write path: PUT /runs/{name} labels and
 	// persists posted run documents, and DELETE /runs/{name} removes
 	// stored runs. Off by default so a server over a shared or read-only
@@ -210,7 +210,6 @@ type Server struct {
 	scheme         label.Scheme
 	cache          *sessionCache
 	maxBatch       int
-	batchPar       int
 	ingest         bool
 	maxIngestBytes int64
 	maxRuns        int
@@ -240,74 +239,41 @@ type Server struct {
 	ingestingMu sync.Mutex
 	ingesting   map[string]int
 
-	served servedCounters
+	// routes is the endpoint table New registers on mux; other counts
+	// the requests no route matched (the mux's own 404s and 405s).
+	routes []route
+	other  atomic.Int64
 }
 
-// servedCounters counts admitted requests per endpoint — the
-// server-side ground truth a load harness (cmd/provload) diffs across a
-// run to cross-check its client-side counts: under overload, responses
-// lost in transit appear as a gap between served and completed.
-type servedCounters struct {
-	healthz, specs, runs, reachable, batch, lineage, ingest, delete atomic.Int64
-	events, finish, status, rpq, other                              atomic.Int64
-}
-
-// counterFor maps one request to its endpoint counter.
-func (c *servedCounters) counterFor(r *http.Request) *atomic.Int64 {
-	switch {
-	case r.URL.Path == "/healthz":
-		return &c.healthz
-	case r.URL.Path == "/specs":
-		return &c.specs
-	case r.URL.Path == "/runs":
-		return &c.runs
-	case r.URL.Path == "/reachable":
-		return &c.reachable
-	case r.URL.Path == "/batch":
-		return &c.batch
-	case r.URL.Path == "/lineage":
-		return &c.lineage
-	case r.URL.Path == "/rpq":
-		return &c.rpq
-	case strings.HasPrefix(r.URL.Path, "/runs/"):
-		switch {
-		case r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/events"):
-			return &c.events
-		case r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/finish"):
-			return &c.finish
-		case r.Method == http.MethodPut:
-			return &c.ingest
-		case r.Method == http.MethodDelete:
-			return &c.delete
-		case r.Method == http.MethodGet:
-			return &c.status
-		}
-	}
-	return &c.other
-}
-
-func (c *servedCounters) snapshot() map[string]int64 {
-	return map[string]int64{
-		"healthz":   c.healthz.Load(),
-		"specs":     c.specs.Load(),
-		"runs":      c.runs.Load(),
-		"reachable": c.reachable.Load(),
-		"batch":     c.batch.Load(),
-		"lineage":   c.lineage.Load(),
-		"put":       c.ingest.Load(),
-		"delete":    c.delete.Load(),
-		"events":    c.events.Load(),
-		"finish":    c.finish.Load(),
-		"status":    c.status.Load(),
-		"rpq":       c.rpq.Load(),
-		"other":     c.other.Load(),
-	}
+// route is one endpoint, declared once: its mux pattern, the method a
+// pattern without one requires, the key its served counter has in
+// /healthz, the counter and the handler. New registers every route
+// through one wrapper, so each is counted, method-checked and has its
+// errors mapped by s.fail the same way.
+type route struct {
+	pattern string
+	method  string
+	key     string
+	served  atomic.Int64
+	h       func(http.ResponseWriter, *http.Request) error
 }
 
 // Served returns the number of requests dispatched per endpoint since
-// the server started (admitted requests only — 429s rejected at the
-// admission layer are counted in AdmissionState instead).
-func (s *Server) Served() map[string]int64 { return s.served.snapshot() }
+// the server started — the server-side ground truth a load harness
+// (cmd/provload) diffs across a run to cross-check its client-side
+// counts. A request counts under the route the mux matched, whatever
+// its status; one no route matched counts as "other", and one the mux
+// redirects to its cleaned path counts when the redirected request
+// arrives. Requests admission control rejected with 429 are counted in
+// AdmissionState instead.
+func (s *Server) Served() map[string]int64 {
+	m := make(map[string]int64, len(s.routes)+1)
+	for i := range s.routes {
+		m[s.routes[i].key] = s.routes[i].served.Load()
+	}
+	m["other"] = s.other.Load()
+	return m
+}
 
 // New builds a Server for the configured store.
 func New(cfg Config) (*Server, error) {
@@ -348,7 +314,6 @@ func New(cfg Config) (*Server, error) {
 		st:             cfg.Store,
 		scheme:         cfg.Scheme,
 		maxBatch:       cfg.MaxBatch,
-		batchPar:       cfg.BatchParallelism,
 		ingest:         cfg.EnableIngest,
 		maxIngestBytes: cfg.MaxIngestBytes,
 		maxRuns:        cfg.MaxRuns,
@@ -379,18 +344,34 @@ func New(cfg Config) (*Server, error) {
 		s.streamSkel = skel
 		s.live = live.NewRegistry()
 	}
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/specs", s.handleSpecs)
-	s.mux.HandleFunc("/runs", s.handle(s.handleRuns))
-	s.mux.HandleFunc("GET /runs/{name}", s.handle(s.handleRunStatus))
-	s.mux.HandleFunc("PUT /runs/{name}", s.handle(s.handleIngest))
-	s.mux.HandleFunc("DELETE /runs/{name}", s.handle(s.handleDelete))
-	s.mux.HandleFunc("POST /runs/{name}/events", s.handle(s.handleAppendEvents))
-	s.mux.HandleFunc("POST /runs/{name}/finish", s.handle(s.handleFinish))
-	s.mux.HandleFunc("/reachable", s.handle(s.handleReachable))
-	s.mux.HandleFunc("/batch", s.handle(s.handleBatch))
-	s.mux.HandleFunc("/lineage", s.handle(s.handleLineage))
-	s.mux.HandleFunc("/rpq", s.handle(s.handleRPQ))
+	s.routes = []route{
+		{pattern: "/healthz", method: http.MethodGet, key: "healthz", h: s.handleHealthz},
+		{pattern: "/specs", method: http.MethodGet, key: "specs", h: s.handleSpecs},
+		{pattern: "/runs", method: http.MethodGet, key: "runs", h: s.handleRuns},
+		{pattern: "GET /runs/{name}", key: "status", h: s.handleRunStatus},
+		{pattern: "PUT /runs/{name}", key: "put", h: s.handleIngest},
+		{pattern: "DELETE /runs/{name}", key: "delete", h: s.handleDelete},
+		{pattern: "POST /runs/{name}/events", key: "events", h: s.handleAppendEvents},
+		{pattern: "POST /runs/{name}/finish", key: "finish", h: s.handleFinish},
+		{pattern: "/reachable", method: http.MethodGet, key: "reachable", h: s.handleReachable},
+		{pattern: "/batch", method: http.MethodPost, key: "batch", h: s.handleBatch},
+		{pattern: "/lineage", method: http.MethodGet, key: "lineage", h: s.handleLineage},
+		{pattern: "/rpq", method: http.MethodPost, key: "rpq", h: s.handleRPQ},
+	}
+	for i := range s.routes {
+		rt := &s.routes[i]
+		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
+			rt.served.Add(1)
+			if rt.method != "" && r.Method != rt.method {
+				w.Header().Set("Allow", rt.method)
+				writeErr(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+				return
+			}
+			if err := rt.h(w, r); err != nil {
+				s.fail(w, err)
+			}
+		})
+	}
 	return s, nil
 }
 
@@ -398,18 +379,17 @@ func New(cfg Config) (*Server, error) {
 // server stays observable while shedding load; everything else pays the
 // admission toll (rate limit + bounded concurrency) before dispatch.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/healthz" {
-		s.served.healthz.Add(1)
-		s.mux.ServeHTTP(w, r)
-		return
+	if r.URL.Path != "/healthz" {
+		release, ok := s.adm.admit(w, r)
+		if !ok {
+			return
+		}
+		defer release()
 	}
-	release, ok := s.adm.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	s.served.counterFor(r).Add(1)
 	s.mux.ServeHTTP(w, r)
+	if r.Pattern == "" {
+		s.other.Add(1)
+	}
 }
 
 // Stats returns the session cache's counters.
@@ -495,10 +475,7 @@ func (s *Server) load(name string) (*session, error) {
 	return s.newSession(sess), nil
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	degraded := s.brk.isOpen()
 	status := "ok"
 	if degraded {
@@ -515,19 +492,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"store":     s.st.Stat(),
 		"cache":     s.cache.Stats(),
 		"admission": s.adm.Stats(),
-		"served":    s.served.snapshot(),
+		"served":    s.Served(),
 	}
 	if s.stream {
 		body["live"] = s.live.Stats()
 		body["streams_expired"] = s.streamsExpired.Load()
 	}
 	writeJSON(w, http.StatusOK, body)
+	return nil
 }
 
-func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
+func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) error {
 	sp := s.st.Spec()
 	modules := make([]string, sp.NumVertices())
 	for v := range modules {
@@ -539,12 +514,10 @@ func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) {
 		"edges":    sp.NumEdges(),
 		"modules":  modules,
 	})
+	return nil
 }
 
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) error {
-	if !requireMethod(w, r, http.MethodGet) {
-		return nil
-	}
 	if name := r.URL.Query().Get("run"); name != "" {
 		return s.writeRunStatus(w, name)
 	}
@@ -564,9 +537,6 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) error {
-	if !requireMethod(w, r, http.MethodGet) {
-		return nil
-	}
 	q := r.URL.Query()
 	from, to := q.Get("from"), q.Get("to")
 	if from == "" || to == "" {
@@ -596,9 +566,6 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
-	if !requireMethod(w, r, http.MethodPost) {
-		return nil
-	}
 	// Bound the body by what maxBatch pairs could plausibly occupy.
 	r.Body = http.MaxBytesReader(w, r.Body, int64(s.maxBatch)*128+4096)
 	sc := getBatchScratch()
@@ -629,7 +596,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		}
 		sc.pairs = append(sc.pairs, [2]dag.VertexID{u, v})
 	}
-	sc.results = view.appendReachable(sc.results, sc.pairs, s.batchPar)
+	sc.results = view.appendReachable(sc.results, sc.pairs)
 	sc.out = appendBatchResponse(sc.out, sc.run, sc.results)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -638,9 +605,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) error {
-	if !requireMethod(w, r, http.MethodGet) {
-		return nil
-	}
 	q := r.URL.Query()
 	ref, dir := q.Get("vertex"), q.Get("dir")
 	if ref == "" {
@@ -768,26 +732,6 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	default:
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 	}
-}
-
-// handle adapts an endpoint that returns its failure instead of
-// answering it: every such error goes through s.fail, so the
-// error-to-status mapping lives in exactly one place.
-func (s *Server) handle(h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if err := h(w, r); err != nil {
-			s.fail(w, err)
-		}
-	}
-}
-
-func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method != method {
-		w.Header().Set("Allow", method)
-		writeErr(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return false
-	}
-	return true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -561,18 +561,12 @@ func TestBatchNumericPairs(t *testing.T) {
 	}
 }
 
-// TestBatchParallel answers one large batch with fan-out enabled and
-// checks it against the sequential answers pair by pair.
+// TestBatchParallel answers one batch large enough to fan out across
+// CPUs and checks it pair by pair against the same pairs asked one at a
+// time through /reachable.
 func TestBatchParallel(t *testing.T) {
 	_, st := newTestStore(t)
-	seq, err := New(Config{Store: st, MaxBatch: 5000, BatchParallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := New(Config{Store: st, MaxBatch: 5000, BatchParallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestServer(t, st, 4, 5000)
 	sess, err := st.OpenRun("alpha", label.TCM{})
 	if err != nil {
 		t.Fatal(err)
@@ -580,33 +574,38 @@ func TestBatchParallel(t *testing.T) {
 	rn := document(t, sess)
 	rng := rand.New(rand.NewSource(23))
 	n := rn.NumVertices()
+	const pairs = 3000 // above the 1024 fan-out threshold
+	ps := make([][2]int, pairs)
 	var sb strings.Builder
 	sb.WriteString(`{"run":"alpha","pairs":[`)
-	const pairs = 3000 // above the 1024 fan-out threshold
-	for i := 0; i < pairs; i++ {
+	for i := range ps {
+		ps[i] = [2]int{rng.Intn(n), rng.Intn(n)}
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		fmt.Fprintf(&sb, "[%d,%d]", rng.Intn(n), rng.Intn(n))
+		fmt.Fprintf(&sb, "[%d,%d]", ps[i][0], ps[i][1])
 	}
 	sb.WriteString(`]}`)
-	type resp struct {
+	var batch struct {
 		Count   int    `json:"count"`
 		Results []bool `json:"results"`
 	}
-	var rSeq, rPar resp
-	if rec := do(t, seq, "POST", "/batch", sb.String(), &rSeq); rec.Code != 200 {
-		t.Fatalf("sequential: %d %s", rec.Code, rec.Body)
+	if rec := do(t, s, "POST", "/batch", sb.String(), &batch); rec.Code != 200 {
+		t.Fatalf("batch: %d %s", rec.Code, rec.Body)
 	}
-	if rec := do(t, par, "POST", "/batch", sb.String(), &rPar); rec.Code != 200 {
-		t.Fatalf("parallel: %d %s", rec.Code, rec.Body)
+	if batch.Count != pairs || len(batch.Results) != pairs {
+		t.Fatalf("count %d with %d results, want %d", batch.Count, len(batch.Results), pairs)
 	}
-	if rSeq.Count != pairs || rPar.Count != pairs {
-		t.Fatalf("counts %d, %d, want %d", rSeq.Count, rPar.Count, pairs)
-	}
-	for i := range rSeq.Results {
-		if rSeq.Results[i] != rPar.Results[i] {
-			t.Fatalf("pair %d: sequential %v, parallel %v", i, rSeq.Results[i], rPar.Results[i])
+	for i, p := range ps {
+		var one struct {
+			Reachable bool `json:"reachable"`
+		}
+		target := fmt.Sprintf("/reachable?run=alpha&from=%d&to=%d", p[0], p[1])
+		if rec := do(t, s, "GET", target, "", &one); rec.Code != 200 {
+			t.Fatalf("%s: %d %s", target, rec.Code, rec.Body)
+		}
+		if batch.Results[i] != one.Reachable {
+			t.Fatalf("pair %d %v: batch %v, one at a time %v", i, p, batch.Results[i], one.Reachable)
 		}
 	}
 }
@@ -679,6 +678,23 @@ func TestServedCounters(t *testing.T) {
 	do(t, s, http.MethodPost, "/runs/alpha/finish", "", nil) // 403: stream off
 	do(t, s, http.MethodPost, "/rpq", `{"run":"alpha","from":"0","to":"1","pattern":".*"}`, nil)
 	do(t, s, http.MethodPost, "/rpq", `{"run":"alpha","from":"0","to":"1","pattern":"((("}`, nil) // 400 still counts
+	// A request counts under the route the mux matched: one the mux
+	// answers itself (no route for the method, or none for the path) is
+	// "other", and HEAD is served by the GET route.
+	for _, c := range []struct {
+		method, target string
+		code           int
+	}{
+		{http.MethodGet, "/runs/alpha/events", http.StatusMethodNotAllowed},
+		{http.MethodPut, "/runs/alpha/finish", http.StatusMethodNotAllowed},
+		{http.MethodPatch, "/runs/alpha", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/nope", http.StatusNotFound},
+		{http.MethodHead, "/runs/alpha", http.StatusOK},
+	} {
+		if rec := do(t, s, c.method, c.target, "", nil); rec.Code != c.code {
+			t.Errorf("%s %s = %d, want %d", c.method, c.target, rec.Code, c.code)
+		}
+	}
 
 	var health struct {
 		Served map[string]int64 `json:"served"`
@@ -686,13 +702,24 @@ func TestServedCounters(t *testing.T) {
 	do(t, s, http.MethodGet, "/healthz", "", &health)
 	want := map[string]int64{
 		"reachable": 2, "batch": 1, "runs": 1, "specs": 1,
-		"lineage": 1, "delete": 1, "healthz": 1, "put": 0, "other": 0,
-		"status": 1, "events": 1, "finish": 1, "rpq": 2,
+		"lineage": 1, "delete": 1, "healthz": 1, "put": 0, "other": 4,
+		"status": 2, "events": 1, "finish": 1, "rpq": 2,
+	}
+	if len(health.Served) != len(want) {
+		t.Errorf("served has keys %v, want exactly those of %v", health.Served, want)
 	}
 	for k, v := range want {
-		if health.Served[k] != v {
-			t.Errorf("served[%s] = %d, want %d (all: %v)", k, health.Served[k], v, health.Served)
+		if got, ok := health.Served[k]; !ok || got != v {
+			t.Errorf("served[%s] = %d (present %v), want %d (all: %v)", k, got, ok, v, health.Served)
 		}
+	}
+	// Two routes sharing a key would merge their counts silently.
+	keys := make(map[string]bool)
+	for i := range s.routes {
+		if k := s.routes[i].key; keys[k] || k == "other" {
+			t.Errorf("route %q reuses served key %q", s.routes[i].pattern, k)
+		}
+		keys[s.routes[i].key] = true
 	}
 	if got := s.Served()["reachable"]; got != 2 {
 		t.Errorf("Served()[reachable] = %d, want 2", got)

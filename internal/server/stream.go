@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"net/http"
 	"strconv"
@@ -267,25 +266,14 @@ func (s *Server) writeRunStatus(w http.ResponseWriter, name string) error {
 // still answer success. Callers hold the run's write lock.
 func (s *Server) clearStreamState(name string) bool {
 	had := s.live.Remove(name) != nil
-	if rc, err := s.st.ReadRunEvents(name); err == nil {
-		rc.Close()
+	if live.HasState(s.st, name) {
 		had = true
-	}
-	if rc, err := s.st.Backend().ReadMeta(live.CheckpointMeta(name)); err == nil {
-		data, _ := io.ReadAll(rc)
-		rc.Close()
-		if len(data) > 0 {
-			had = true
-		}
 	}
 	// Cleanup failures are survivable — the store-wins rule deletes
 	// stale stream state lazily — but a backend refusing deletes is an
 	// operator-visible condition, not one to swallow.
-	if err := s.st.DeleteRunEvents(name); err != nil {
-		s.logf("server: clearing event log for %q: %v", name, err)
-	}
-	if err := s.st.Backend().WriteMeta(live.CheckpointMeta(name), nil); err != nil {
-		s.logf("server: clearing checkpoint for %q: %v", name, err)
+	if err := live.DeleteState(s.st, name); err != nil {
+		s.logf("server: clearing stream state for %q: %v", name, err)
 	}
 	return had
 }

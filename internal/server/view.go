@@ -38,7 +38,7 @@ type runView interface {
 	ByContext(u, v dag.VertexID) bool
 	Upstream(v dag.VertexID) []dag.VertexID
 	Downstream(v dag.VertexID) []dag.VertexID
-	appendReachable(dst []bool, pairs [][2]dag.VertexID, par int) []bool
+	appendReachable(dst []bool, pairs [][2]dag.VertexID) []bool
 	// graph returns the run's edges, for the one label-free query (/rpq).
 	graph() (*run.Run, error)
 	status(name string) (map[string]any, error)
@@ -74,8 +74,8 @@ func (se *session) Downstream(v dag.VertexID) []dag.VertexID {
 
 // appendReachable is /batch's hot path: evaluation runs entirely in the
 // caller's pooled scratch, fanning out across CPUs for large batches.
-func (se *session) appendReachable(dst []bool, pairs [][2]dag.VertexID, par int) []bool {
-	return se.Labels.AppendReachableBatch(dst, pairs, par)
+func (se *session) appendReachable(dst []bool, pairs [][2]dag.VertexID) []bool {
+	return se.Labels.AppendReachableBatch(dst, pairs, 0)
 }
 
 func (se *session) graph() (*run.Run, error) {
@@ -112,7 +112,7 @@ type liveView struct{ *live.Session }
 
 func (lv liveView) vertexBytes(name []byte) (dag.VertexID, bool) { return lv.Vertex(string(name)) }
 
-func (lv liveView) appendReachable(dst []bool, pairs [][2]dag.VertexID, _ int) []bool {
+func (lv liveView) appendReachable(dst []bool, pairs [][2]dag.VertexID) []bool {
 	for _, p := range pairs {
 		dst = append(dst, lv.Reachable(p[0], p[1]))
 	}
