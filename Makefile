@@ -15,7 +15,7 @@ ADDR ?= :8080
 # bench/BASELINE_<new>.json.
 PR ?= $(shell ls bench | sed -n 's/^BASELINE_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -n 1)
 
-.PHONY: build test race bench bench-store trend load-smoke chaos-smoke rpq-smoke fuzz-xml lint loc fmt vet serve ci
+.PHONY: build test race bench bench-store trend load-smoke chaos-smoke rpq-smoke fuzz lint loc fmt vet serve ci
 
 build:
 	$(GO) build ./...
@@ -37,17 +37,19 @@ bench-store:
 
 # Serving-path benchmarks — the SKL2 snapshot codec (encode+decode),
 # /batch reachability over fs and mem stores, the cold-load path (every
-# /reachable a cache miss), and the ingest, delete, stream-append and
-# /rpq paths — recorded by cmd/benchtrend as BENCH_$(PR).json with
-# bench/BASELINE_$(PR).json embedded, then rendered with the whole
-# lineage as TREND.md and gated: the target fails on a regression beyond
-# tolerance (see cmd/benchtrend). Each go test runs as its own command
+# /reachable a cache miss), /lineage over a resident run, and the
+# ingest, delete, stream-append and /rpq paths — recorded by
+# cmd/benchtrend as BENCH_$(PR).json with bench/BASELINE_$(PR).json
+# embedded, then rendered with the whole lineage as TREND.md and gated:
+# the target fails on a regression beyond tolerance (see
+# cmd/benchtrend). Each go test runs as its own command
 # so a failing bench fails the target instead of recording a silently
 # incomplete BENCH_$(PR).json.
 trend:
 	$(GO) test -run='^$$' -bench='BenchmarkSnapshotDecode|BenchmarkSnapshotEncode' -benchtime=100x -count=3 ./internal/core/ > trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerBatchReachable' -benchtime=50x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerColdRead' -benchtime=200x -count=3 . >> trend.out
+	$(GO) test -run='^$$' -bench='BenchmarkServerLineage' -benchtime=200x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerIngest|BenchmarkServerDelete|BenchmarkServerAppendEvents|BenchmarkServerRPQ' -benchtime=20x -count=3 . >> trend.out
 	$(GO) run ./cmd/benchtrend -dir bench -bench trend.out -current BENCH_$(PR).json -o TREND.md
 	@rm -f trend.out
@@ -89,11 +91,14 @@ rpq-smoke:
 		-slo-error-rate 0 -fail-on-slo -quiet -report RPQ_LOAD.json
 	@echo "rpq-smoke: report in RPQ_LOAD.json"
 
-# Time-boxed fuzzing of the run decoder against encoding/xml (the
-# oracle kept in internal/xmlio's tests); the seed corpora of every
-# fuzz target already run in `make test`.
-fuzz-xml:
+# Time-boxed fuzzing against the oracles kept in the tests: the run
+# decoder against encoding/xml (internal/xmlio), and context-grouped
+# lineage cones against the per-vertex label scan over any snapshot the
+# decoder accepts (internal/core). The seed corpora of every fuzz
+# target already run in `make test`.
+fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRunOracle -fuzztime 30s ./internal/xmlio/
+	$(GO) test -run '^$$' -fuzz FuzzConeOracle -fuzztime 30s ./internal/core/
 
 # Static analysis: cmd/provlint runs the repo-specific analyzer suite
 # (internal/lint — %w wrapping in the store, documented lock discipline,
@@ -127,4 +132,4 @@ vet:
 serve:
 	$(GO) run ./cmd/provserve -store $(STORE) -addr $(ADDR)
 
-ci: fmt vet lint build loc race bench bench-store fuzz-xml load-smoke chaos-smoke rpq-smoke
+ci: fmt vet lint build loc race bench bench-store fuzz load-smoke chaos-smoke rpq-smoke

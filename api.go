@@ -255,8 +255,9 @@ func Upstream(r *Run, v VertexID) []VertexID { return lineage.Upstream(r, v) }
 // Downstream returns every module execution affected by v's output.
 func Downstream(r *Run, v VertexID) []VertexID { return lineage.Downstream(r, v) }
 
-// UpstreamByLabels computes the upstream cone from stored labels alone
-// (one constant-time label comparison per run vertex; no graph needed).
+// UpstreamByLabels computes the upstream cone from stored labels alone,
+// in ascending vertex ID (one comparison per plan context and at most
+// one skeleton query per origin; no graph needed).
 func UpstreamByLabels(l *Labeling, v VertexID) []VertexID {
 	return lineage.UpstreamByLabels(l, v)
 }

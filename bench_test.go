@@ -545,6 +545,51 @@ func BenchmarkServerRPQ(b *testing.B) {
 	}
 }
 
+// BenchmarkServerLineage measures GET /lineage end to end over a
+// cache-resident 5000-vertex run on the in-memory backend: vertex
+// resolution, the label-only cone and the response encode. The 64
+// precomputed queries alternate up and down over random vertices, so
+// cone sizes range from empty to most of the run.
+func BenchmarkServerLineage(b *testing.B) {
+	r := benchRun(b, 5000)
+	st, err := repro.NewMemStore(r.Spec, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.PutRun("r1", r, nil, repro.TCM); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := repro.NewServer(repro.ServerConfig{Store: st})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	const pool = 64
+	targets := make([]string, pool)
+	for i := range targets {
+		dir := "up"
+		if i%2 == 1 {
+			dir = "down"
+		}
+		targets[i] = fmt.Sprintf("/lineage?run=r1&vertex=%d&dir=%s", rng.Intn(r.NumVertices()), dir)
+	}
+	// Warm the session cache so the loop measures pure cache-hit serving.
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", targets[0], nil))
+	if rec.Code != 200 {
+		b.Fatalf("warmup: status %d body %s", rec.Code, rec.Body.String())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", targets[i%pool], nil))
+		if rec.Code != 200 {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // BenchmarkServerColdRead measures a session-cache miss end to end as
 // GET /reachable: backend read of both blobs, snapshot decode and bind,
 // and the name index built from the snapshot's origin column. Two

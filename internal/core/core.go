@@ -18,6 +18,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/label"
@@ -45,13 +46,18 @@ type Label struct {
 // labeling, whose implementations are likewise safe for concurrent
 // queries (see internal/label); any number of goroutines may query one
 // Labeling concurrently with no external locking. WriteTo also only
-// reads. This is the contract the store sessions and the query server
-// build on, enforced by -race tests here and in those packages.
+// reads. AppendCone builds its context index once, under a sync.Once,
+// and only reads it afterwards. This is the contract the store sessions
+// and the query server build on, enforced by -race tests here and in
+// those packages.
 type Labeling struct {
 	labels        []Label
 	skeleton      label.Labeling
 	numPositioned int
 	numSpec       int
+
+	coneOnce sync.Once
+	cone     *coneIndex
 }
 
 // LabelRun labels a run with the skeleton-based scheme, reconstructing the
@@ -126,14 +132,23 @@ func (l *Labeling) Reachable(u, v dag.VertexID) bool {
 // ReachableLabels is the binary predicate πr of Algorithm 3, evaluated on
 // two labels alone.
 func (l *Labeling) ReachableLabels(a, b Label) bool {
+	if reach, decided := byContext(a, b); decided {
+		return reach
+	}
+	return l.skeleton.Reachable(a.Orig, b.Orig)
+}
+
+// byContext is πr's context part, on order positions alone: decided
+// reports whether the contexts' LCA is an F− or L− node (d2·d3 < 0), and
+// reach is then the answer — reachable exactly for a forward loop
+// relationship. Otherwise the skeleton query on the origins decides.
+func byContext(a, b Label) (reach, decided bool) {
 	d2 := int64(a.Q2) - int64(b.Q2)
 	d3 := int64(a.Q3) - int64(b.Q3)
 	if d2*d3 < 0 {
-		// The contexts' LCA is an F− or L− node; reachable exactly for a
-		// forward loop relationship.
-		return a.Q1 < b.Q1 && a.Q3 > b.Q3
+		return a.Q1 < b.Q1 && a.Q3 > b.Q3, true
 	}
-	return l.skeleton.Reachable(a.Orig, b.Orig)
+	return false, false
 }
 
 // AnsweredByContext reports whether the query (u, v) is decided by the
@@ -141,10 +156,8 @@ func (l *Labeling) ReachableLabels(a, b Label) bool {
 // the experiments to explain why query time *drops* as runs grow when the
 // skeleton labeling is search-based (Section 8.2).
 func (l *Labeling) AnsweredByContext(u, v dag.VertexID) bool {
-	a, b := l.labels[u], l.labels[v]
-	d2 := int64(a.Q2) - int64(b.Q2)
-	d3 := int64(a.Q3) - int64(b.Q3)
-	return d2*d3 < 0
+	_, decided := byContext(l.labels[u], l.labels[v])
+	return decided
 }
 
 // MaxLabelBits returns the worst-case label length in bits under

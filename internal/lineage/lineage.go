@@ -4,9 +4,10 @@
 // (forward cones), and producing concrete dependency paths as evidence.
 //
 // Cone enumeration comes in two flavors: graph traversal (linear in the
-// cone) and label scan (linear in the run with O(1) per vertex) — the
-// label scan needs only the stored labels, not the run graph, which is
-// exactly the deployment the paper targets.
+// cone plus its edges) and the label path (O(n⁺_T + |cone|) after a
+// one-time O(n) index; see core.Labeling.AppendCone). The label path
+// needs only the stored labels, not the run graph, which is exactly the
+// deployment the paper targets.
 package lineage
 
 import (
@@ -54,36 +55,18 @@ func cone(g *dag.Graph, v dag.VertexID, reverse bool) []dag.VertexID {
 	return out
 }
 
-// UpstreamByLabels returns the upstream cone of v using only reachability
-// labels: a scan over all n vertices with one constant-time label
-// comparison each. No run graph is required — only the labeling.
+// UpstreamByLabels returns the upstream cone of v in ascending vertex
+// ID using only reachability labels: one context comparison per plan
+// context and at most one skeleton query per origin
+// (core.Labeling.AppendCone). No run graph is required — only the
+// labeling.
 func UpstreamByLabels(l *core.Labeling, v dag.VertexID) []dag.VertexID {
-	var out []dag.VertexID
-	target := l.Label(v)
-	for u := 0; u < l.NumVertices(); u++ {
-		if dag.VertexID(u) == v {
-			continue
-		}
-		if l.ReachableLabels(l.Label(dag.VertexID(u)), target) {
-			out = append(out, dag.VertexID(u))
-		}
-	}
-	return out
+	return l.AppendCone(nil, v, true)
 }
 
 // DownstreamByLabels is the forward counterpart of UpstreamByLabels.
 func DownstreamByLabels(l *core.Labeling, v dag.VertexID) []dag.VertexID {
-	var out []dag.VertexID
-	src := l.Label(v)
-	for u := 0; u < l.NumVertices(); u++ {
-		if dag.VertexID(u) == v {
-			continue
-		}
-		if l.ReachableLabels(src, l.Label(dag.VertexID(u))) {
-			out = append(out, dag.VertexID(u))
-		}
-	}
-	return out
+	return l.AppendCone(nil, v, false)
 }
 
 // Explain returns a concrete dependency path from u to v in the run

@@ -625,23 +625,13 @@ func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	var cone []dag.VertexID
-	if dir == "up" {
-		cone = view.Upstream(v)
-	} else {
-		cone = view.Downstream(v)
-	}
-	names := make([]string, len(cone))
-	for i, u := range cone {
-		names[i] = view.Name(u)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"run":       q.Get("run"),
-		"vertex":    ref,
-		"direction": dir,
-		"count":     len(names),
-		"cone":      names,
-	})
+	sc := getLineageScratch()
+	defer sc.release()
+	sc.cone = view.appendCone(sc.cone, v, dir == "up")
+	sc.out = appendLineageResponse(sc.out, view, sc.cone, dir, q.Get("run"), ref)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(sc.out)
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"io/fs"
 
 	"repro/internal/dag"
-	"repro/internal/lineage"
 	"repro/internal/live"
 	"repro/internal/run"
 	"repro/internal/store"
@@ -36,8 +35,9 @@ type runView interface {
 	// ByContext reports whether Reachable(u, v) was decided by the
 	// context comparison alone.
 	ByContext(u, v dag.VertexID) bool
-	Upstream(v dag.VertexID) []dag.VertexID
-	Downstream(v dag.VertexID) []dag.VertexID
+	// appendCone appends v's lineage cone in ascending vertex ID: the
+	// vertices reaching v when up, those v reaches otherwise.
+	appendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag.VertexID
 	appendReachable(dst []bool, pairs [][2]dag.VertexID) []bool
 	// graph returns the run's edges, for the one label-free query (/rpq).
 	graph() (*run.Run, error)
@@ -65,11 +65,8 @@ func (se *session) vertexBytes(name []byte) (dag.VertexID, bool) { return se.nam
 func (se *session) Name(v dag.VertexID) string                   { return se.namer.Name(v) }
 func (se *session) Reachable(u, v dag.VertexID) bool             { return se.Labels.Reachable(u, v) }
 func (se *session) ByContext(u, v dag.VertexID) bool             { return se.Labels.AnsweredByContext(u, v) }
-func (se *session) Upstream(v dag.VertexID) []dag.VertexID {
-	return lineage.UpstreamByLabels(se.Labels, v)
-}
-func (se *session) Downstream(v dag.VertexID) []dag.VertexID {
-	return lineage.DownstreamByLabels(se.Labels, v)
+func (se *session) appendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag.VertexID {
+	return se.Labels.AppendCone(dst, v, up)
 }
 
 // appendReachable is /batch's hot path: evaluation runs entirely in the
@@ -111,6 +108,15 @@ func (se *session) status(name string) (map[string]any, error) {
 type liveView struct{ *live.Session }
 
 func (lv liveView) vertexBytes(name []byte) (dag.VertexID, bool) { return lv.Vertex(string(name)) }
+
+// appendCone keeps the live labeler's own scan: online labels have no
+// context index.
+func (lv liveView) appendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag.VertexID {
+	if up {
+		return append(dst, lv.Upstream(v)...)
+	}
+	return append(dst, lv.Downstream(v)...)
+}
 
 func (lv liveView) appendReachable(dst []bool, pairs [][2]dag.VertexID) []bool {
 	for _, p := range pairs {
