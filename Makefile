@@ -37,8 +37,9 @@ bench-store:
 
 # Serving-path benchmarks — the SKL2 snapshot codec (encode+decode),
 # /batch reachability over fs and mem stores, the cold-load path (every
-# /reachable a cache miss), /lineage over a resident run, and the
-# ingest, delete, stream-append and /rpq paths — recorded by
+# /reachable a cache miss), /lineage over a resident run, the ingest,
+# delete, stream-append and /rpq paths, the per-stage split of ingest
+# and stream append, and plan construction alone — recorded by
 # cmd/benchtrend as BENCH_$(PR).json with bench/BASELINE_$(PR).json
 # embedded, then rendered with the whole lineage as TREND.md and gated:
 # the target fails on a regression beyond tolerance (see
@@ -51,6 +52,7 @@ trend:
 	$(GO) test -run='^$$' -bench='BenchmarkServerColdRead' -benchtime=200x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerLineage' -benchtime=200x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerIngest|BenchmarkServerDelete|BenchmarkServerAppendEvents|BenchmarkServerRPQ' -benchtime=20x -count=3 . >> trend.out
+	$(GO) test -run='^$$' -bench='BenchmarkIngestStages|BenchmarkAppendStages|BenchmarkConstructPlan' -benchtime=20x -count=3 . >> trend.out
 	$(GO) run ./cmd/benchtrend -dir bench -bench trend.out -current BENCH_$(PR).json -o TREND.md
 	@rm -f trend.out
 
@@ -92,13 +94,15 @@ rpq-smoke:
 	@echo "rpq-smoke: report in RPQ_LOAD.json"
 
 # Time-boxed fuzzing against the oracles kept in the tests: the run
-# decoder against encoding/xml (internal/xmlio), and context-grouped
+# decoder against encoding/xml (internal/xmlio), context-grouped
 # lineage cones against the per-vertex label scan over any snapshot the
-# decoder accepts (internal/core). The seed corpora of every fuzz
-# target already run in `make test`.
+# decoder accepts (internal/core), and the event-log parser against the
+# bufio/Sscanf parser it replaced (internal/events). The seed corpora of
+# every fuzz target already run in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRunOracle -fuzztime 30s ./internal/xmlio/
 	$(GO) test -run '^$$' -fuzz FuzzConeOracle -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzReadLogOracle -fuzztime 30s ./internal/events/
 
 # Static analysis: cmd/provlint runs the repo-specific analyzer suite
 # (internal/lint — %w wrapping in the store, documented lock discipline,

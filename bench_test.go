@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/events"
 )
 
 // benchRun builds a deterministic run of roughly the given size over the
@@ -645,4 +646,172 @@ func BenchmarkConstructPlan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkIngestStages splits BenchmarkServerIngest's PUT into the
+// stages a stored run passes through, each timed alone over the same
+// run: XML decode, validation against the spec, plan construction
+// (Section 5), orders and labels over that plan, SKL2 snapshot encode,
+// canonical document encode, and the backend write of both blobs to the
+// in-memory store. The stages' sum approximates one PUT minus HTTP and
+// cache plumbing, so an ingest change names the stage that moved.
+func BenchmarkIngestStages(b *testing.B) {
+	r := benchRun(b, 1000)
+	st, err := repro.NewMemStore(r.Spec, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := repro.WriteRunXML(&doc, r, nil, "bench"); err != nil {
+		b.Fatal(err)
+	}
+	body := doc.Bytes()
+	skel, err := repro.TCM.Build(r.Spec.Graph)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := repro.ConstructPlan(r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := repro.LabelWithPlan(r, p, skel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if _, err := l.WriteTo(&snap); err != nil {
+		b.Fatal(err)
+	}
+	stages := []struct {
+		name string
+		fn   func() error
+	}{
+		{"decode", func() error {
+			_, _, err := repro.ReadRunXML(bytes.NewReader(body), r.Spec)
+			return err
+		}},
+		{"validate", r.Validate},
+		{"plan", func() error {
+			_, err := repro.ConstructPlan(r)
+			return err
+		}},
+		{"label", func() error {
+			_, err := repro.LabelWithPlan(r, p, skel)
+			return err
+		}},
+		{"snapshot", func() error {
+			var buf bytes.Buffer
+			_, err := l.WriteTo(&buf)
+			return err
+		}},
+		{"encode", func() error {
+			var buf bytes.Buffer
+			return repro.WriteRunXML(&buf, r, nil, "bench")
+		}},
+		{"write", func() error {
+			return st.Backend().WriteRun("r1", body, snap.Bytes())
+		}},
+	}
+	for _, stage := range stages {
+		b.Run(stage.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := stage.fn(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAppendStages splits BenchmarkServerAppendEvents's 64-event
+// batch into its stages: parsing the wire log, applying the events to
+// an online labeler, and rendering plus durably appending the log bytes
+// to the in-memory store. Batches walk one 1000-vertex run's event
+// stream in order; when it is exhausted the labeler and the log are
+// reset off the clock.
+func BenchmarkAppendStages(b *testing.B) {
+	s, err := repro.StandInSpec("QBLAST", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, p := repro.GenerateRun(s, rand.New(rand.NewSource(1000)), 1000)
+	evs := repro.EmitEvents(r, p)
+	const per = 64
+	var batches [][]repro.EngineEvent
+	var logs [][]byte
+	for i := 0; i < len(evs); i += per {
+		batch := evs[i:min(i+per, len(evs))]
+		var buf bytes.Buffer
+		if err := repro.WriteEventLog(&buf, batch); err != nil {
+			b.Fatal(err)
+		}
+		batches = append(batches, batch)
+		logs = append(logs, buf.Bytes())
+	}
+	skel, err := repro.TCM.Build(s.Graph)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := repro.NewMemStore(s, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := repro.ReadEventLog(bytes.NewReader(logs[i%len(logs)])); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("apply", func(b *testing.B) {
+		var lab *repro.OnlineLabeler
+		var copies []*repro.OnlineCopy
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			step := i % len(batches)
+			if step == 0 {
+				b.StopTimer()
+				lab = repro.NewOnline(s, skel)
+				copies = append(copies[:0], lab.Root())
+				b.StartTimer()
+			}
+			for _, e := range batches[step] {
+				if e.Kind == events.CopyStart {
+					c, err := lab.StartCopy(copies[e.Parent], e.HNode)
+					if err != nil {
+						b.Fatal(err)
+					}
+					copies = append(copies, c)
+					continue
+				}
+				orig, _ := s.VertexOf(e.Module)
+				if _, err := lab.AddExec(copies[e.Copy], orig); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("log", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			step := i % len(batches)
+			if step == 0 {
+				b.StopTimer()
+				if err := st.DeleteRunEvents("r1"); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			var buf bytes.Buffer
+			if err := repro.WriteEventLog(&buf, batches[step]); err != nil {
+				b.Fatal(err)
+			}
+			if err := st.AppendRunEvents("r1", buf.Bytes()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

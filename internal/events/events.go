@@ -1,17 +1,12 @@
-// Package events models workflow-engine execution logs: a stream of
-// copy-start and module-execution events, like the logs the paper notes
-// Taverna produces ("the execution plan and context can be directly
-// extracted from the system log"). It provides an emitter that renders an
-// execution tree as a valid event stream, a text serialization for
-// log files, and a consumer that drives the online labeler — so a run can
-// be labeled straight from an engine log with no graph reconstruction.
 package events
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/label"
 	"repro/internal/online"
@@ -135,23 +130,40 @@ func Replay(s *spec.Spec, skeleton label.Labeling, events []Event) (*online.Labe
 //
 //	copy <id> parent <id> hnode <n>
 //	exec <module> copy <id>
+//
+// It renders the whole log into one buffer — the writer's own spare
+// capacity when it offers an AvailableBuffer, as *bytes.Buffer and
+// *bufio.Writer do — and hands it to w in one Write. An event of unknown
+// kind is an error, and then nothing is written.
 func WriteLog(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
+	var buf []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		buf = ab.AvailableBuffer()
+	}
 	for _, e := range events {
-		var err error
 		switch e.Kind {
 		case CopyStart:
-			_, err = fmt.Fprintf(bw, "copy %d parent %d hnode %d\n", e.Copy, e.Parent, e.HNode)
+			buf = append(buf, "copy "...)
+			buf = strconv.AppendInt(buf, int64(e.Copy), 10)
+			buf = append(buf, " parent "...)
+			buf = strconv.AppendInt(buf, int64(e.Parent), 10)
+			buf = append(buf, " hnode "...)
+			buf = strconv.AppendInt(buf, int64(e.HNode), 10)
 		case ModuleExec:
-			_, err = fmt.Fprintf(bw, "exec %s copy %d\n", e.Module, e.Copy)
+			buf = append(buf, "exec "...)
+			buf = append(buf, e.Module...)
+			buf = append(buf, " copy "...)
+			buf = strconv.AppendInt(buf, int64(e.Copy), 10)
 		default:
-			err = fmt.Errorf("events: unknown kind %d", e.Kind)
+			return fmt.Errorf("events: unknown kind %d", e.Kind)
 		}
-		if err != nil {
-			return err
-		}
+		buf = append(buf, '\n')
 	}
-	return bw.Flush()
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadLog parses a log written by WriteLog. Lines are capped at
@@ -166,46 +178,110 @@ func ReadLog(r io.Reader) ([]Event, error) {
 // bounds a server applies to wire input so a hostile body can neither
 // balloon a single token nor an event slice past what the request-size
 // cap implies. Zero (or negative) disables either limit, leaving the
-// scanner's default 64KiB line cap.
+// scanner's default 64KiB line cap. The package doc lists what a line
+// may hold.
 func ReadLogLimits(r io.Reader, maxLine, maxEvents int) ([]Event, error) {
 	var events []Event
 	sc := bufio.NewScanner(r)
 	if maxLine > 0 {
 		sc.Buffer(make([]byte, 0, min(maxLine, 64*1024)), maxLine)
 	}
+	var scratch [7][]byte
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line, fields := splitLine(sc.Bytes(), scratch[:0])
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
 		if maxEvents > 0 && len(events) >= maxEvents {
 			return nil, fmt.Errorf("events: line %d: more than %d events in one log", lineNo, maxEvents)
 		}
-		fields := strings.Fields(line)
+		var e Event
+		var err error
 		switch {
-		case fields[0] == "copy" && len(fields) == 6 && fields[2] == "parent" && fields[4] == "hnode":
-			var e Event
+		case len(fields) == 6 && string(fields[0]) == "copy" && string(fields[2]) == "parent" && string(fields[4]) == "hnode":
 			e.Kind = CopyStart
-			if _, err := fmt.Sscanf(line, "copy %d parent %d hnode %d", &e.Copy, &e.Parent, &e.HNode); err != nil {
-				return nil, fmt.Errorf("events: line %d: %w", lineNo, err)
+			if e.Copy, err = parseInt(fields[1]); err == nil {
+				if e.Parent, err = parseInt(fields[3]); err == nil {
+					e.HNode, err = parseInt(fields[5])
+				}
 			}
-			events = append(events, e)
-		case fields[0] == "exec" && len(fields) == 4 && fields[2] == "copy":
-			var e Event
+		case len(fields) == 4 && string(fields[0]) == "exec" && string(fields[2]) == "copy":
 			e.Kind = ModuleExec
 			e.Module = spec.ModuleName(fields[1])
-			if _, err := fmt.Sscanf(fields[3], "%d", &e.Copy); err != nil {
-				return nil, fmt.Errorf("events: line %d: %w", lineNo, err)
-			}
-			events = append(events, e)
+			e.Copy, err = parseInt(fields[3])
 		default:
 			return nil, fmt.Errorf("events: line %d: unrecognized record %q", lineNo, line)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("events: line %d: %w", lineNo, err)
+		}
+		events = append(events, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("events: %w", err)
 	}
 	return events, nil
+}
+
+// splitLine trims a line's surrounding white space and splits it into
+// white-space-separated fields, as strings.TrimSpace and strings.Fields
+// would. An ASCII line is split in place into dst's spare capacity, and
+// a line with more fields than that yields only cap(dst) of them: a
+// record has four or six, so a cap of seven tells every other count
+// apart. A line with a byte of 0x80 or more goes through bytes.TrimSpace
+// and bytes.Fields, whose white space is Unicode's.
+func splitLine(line []byte, dst [][]byte) (trimmed []byte, fields [][]byte) {
+	for _, c := range line {
+		if c >= utf8.RuneSelf {
+			trimmed = bytes.TrimSpace(line)
+			return trimmed, bytes.Fields(trimmed)
+		}
+	}
+	i, j := 0, len(line)
+	for i < j && asciiSpace[line[i]] {
+		i++
+	}
+	for j > i && asciiSpace[line[j-1]] {
+		j--
+	}
+	trimmed = line[i:j]
+	for k := 0; k < len(trimmed); {
+		if asciiSpace[trimmed[k]] {
+			k++
+			continue
+		}
+		start := k
+		for k < len(trimmed) && !asciiSpace[trimmed[k]] {
+			k++
+		}
+		if len(dst) == cap(dst) {
+			return trimmed, dst
+		}
+		dst = append(dst, trimmed[start:k])
+	}
+	return trimmed, dst
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports as space.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// parseInt parses a whole field as a decimal int: an optional sign and
+// at least one digit, nothing else.
+func parseInt(tok []byte) (int, error) {
+	digits := tok
+	if len(digits) > 0 && (digits[0] == '+' || digits[0] == '-') {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 {
+		return 0, fmt.Errorf("integer field %q is not a decimal integer", tok)
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, fmt.Errorf("integer field %q is not a decimal integer", tok)
+		}
+	}
+	v, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
+	return int(v), err
 }

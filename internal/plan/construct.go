@@ -20,6 +20,22 @@ import (
 // chains (linked by connector edges) under an ordered L− node. Each edge
 // is visited a constant number of times, so construction is O(m + n).
 //
+// The progressively collapsed graph lives in one edge arena: the run's
+// edges first, in g.Edges order, then each special copy or group edge as
+// it is made, all addressed by int32. Every vertex heads two singly
+// linked lists through the arena, its out-edges and its in-edges, with
+// first and last indices, and a special edge is appended at the tail of
+// both. A list therefore yields its edges in creation order, the order a
+// per-vertex slice grown with append would, and the plan — node IDs,
+// Children order, contexts, and the error on a run that does not
+// conform — does not depend on the layout. A deleted edge stays linked
+// until the next walk of a list that holds it, which unlinks it; each
+// edge is unlinked from its two lists once, so the walks stay O(m + n)
+// in total. Plan nodes come from slabs, and each node's Children are
+// sliced from one array filled when construction ends, so the
+// allocation count grows with the hierarchy and the plan's size in
+// slabs, not with the number of edges.
+//
 // Construct returns an error if the graph does not conform to the
 // specification's fork/loop structure.
 func Construct(s *spec.Spec, g *dag.Graph, origin []dag.VertexID) (*Plan, error) {
@@ -30,30 +46,52 @@ func Construct(s *spec.Spec, g *dag.Graph, origin []dag.VertexID) (*Plan, error)
 	return c.run()
 }
 
+// List directions: an edge sits on its tail's out-list and its head's
+// in-list.
+const (
+	outList = 0
+	inList  = 1
+)
+
 // workEdge is an edge of the progressively collapsed run graph.
 type workEdge struct {
 	tail, head dag.VertexID
-	deleted    bool
-	collected  bool
-	// copyPlus is set on the special edge standing for one collapsed copy
-	// (between the collapse and grouping steps of a level).
-	copyPlus *Node
-	// group is set on the special edge standing for all copies at a site.
-	group *Node
+	// next threads the edge through its tail's out-list (next[outList])
+	// and its head's in-list (next[inList]); -1 ends a list.
+	next [2]int32
+	// copyPlus is the + node of the collapsed copy this special edge
+	// stands for (between the collapse and grouping steps of a level),
+	// or -1.
+	copyPlus int32
+	// group is the − node of all copies at a site this special edge
+	// stands for, or -1.
+	group int32
 	// hnode is the hierarchy node of the collapse (0 for original edges).
-	hnode int
-	// leaderFor is the hierarchy node this group edge seeds, or -1.
-	leaderFor int
+	hnode     int32
+	deleted   bool
+	collected bool
 }
+
+// adjacency heads a vertex's out- and in-lists in the edge arena.
+type adjacency struct {
+	first, last [2]int32
+}
+
+// nodeSlab is how many plan nodes one slab allocation holds at most.
+const nodeSlab = 256
 
 type constructor struct {
 	s      *spec.Spec
-	g      *dag.Graph
 	origin []dag.VertexID
 
-	p   *Plan
-	out [][]*workEdge
-	in  [][]*workEdge
+	p     *Plan
+	edges []workEdge
+	adj   []adjacency
+	// slab holds the plan nodes not yet handed out; links records every
+	// (parent, child) link in order, so finishChildren can fill all
+	// Children slices from one array.
+	slab  []Node
+	links [][2]int32
 
 	// member[h] marks the specification vertices in V(H) of hierarchy
 	// node h (all vertices for the root).
@@ -62,30 +100,51 @@ type constructor struct {
 	// internal node h, or 0.
 	leaderChild []int
 	// seeds[h] collects the seed edges for copies of hierarchy node h.
-	seeds [][]*workEdge
+	seeds [][]int32
 
 	// DFS scratch.
 	visited  []uint32
 	gen      uint32
 	frontier []dag.VertexID
+
+	// The copy being collapsed: its kind and terminal origins, the
+	// terminals found so far, and the edges collected.
+	kind             spec.Kind
+	srcOrig, snkOrig dag.VertexID
+	memb             *bitset.Set
+	sTerm, tTerm     dag.VertexID
+	collected        []int32
+
+	// Grouping scratch. copyEdges holds the level's copy edges; chain,
+	// conn and hasPred are indexed by position in it; copyAt by run
+	// vertex (all -1 between uses); buckets, first and last by fork
+	// bucket.
+	copyEdges   []int32
+	chain       []int32
+	conn        []int32
+	hasPred     []bool
+	copyAt      []int32
+	buckets     map[[2]dag.VertexID]int32
+	first, last []int32
 }
 
 func newConstructor(s *spec.Spec, g *dag.Graph, origin []dag.VertexID) *constructor {
 	n := g.NumVertices()
+	m := g.NumEdges()
 	c := &constructor{
 		s:       s,
-		g:       g,
 		origin:  origin,
 		p:       &Plan{Spec: s, Context: make([]*Node, n)},
-		out:     make([][]*workEdge, n),
-		in:      make([][]*workEdge, n),
-		seeds:   make([][]*workEdge, s.Hier.NumNodes()),
+		edges:   make([]workEdge, 0, m+m/2+1),
+		adj:     make([]adjacency, n),
+		seeds:   make([][]int32, s.Hier.NumNodes()),
 		visited: make([]uint32, n),
 	}
+	for v := range c.adj {
+		c.adj[v] = adjacency{first: [2]int32{-1, -1}, last: [2]int32{-1, -1}}
+	}
 	for _, e := range g.Edges() {
-		we := &workEdge{tail: e.Tail, head: e.Head, leaderFor: -1}
-		c.out[e.Tail] = append(c.out[e.Tail], we)
-		c.in[e.Head] = append(c.in[e.Head], we)
+		c.addEdge(workEdge{tail: e.Tail, head: e.Head, copyPlus: -1, group: -1})
 	}
 	nSpec := s.Graph.NumVertices()
 	c.member = make([]*bitset.Set, s.Hier.NumNodes())
@@ -112,34 +171,96 @@ func newConstructor(s *spec.Spec, g *dag.Graph, origin []dag.VertexID) *construc
 
 // newDetached creates a plan node without linking it to a parent.
 func (c *constructor) newDetached(plus bool, hnode int) *Node {
-	n := &Node{ID: len(c.p.Nodes), Plus: plus, HNode: hnode}
+	if len(c.slab) == cap(c.slab) {
+		c.slab = make([]Node, 0, min(nodeSlab, 16+2*len(c.p.Nodes)))
+	}
+	c.slab = c.slab[:len(c.slab)+1]
+	n := &c.slab[len(c.slab)-1]
+	*n = Node{ID: len(c.p.Nodes), Plus: plus, HNode: hnode}
 	c.p.Nodes = append(c.p.Nodes, n)
 	return n
 }
 
-func link(parent, child *Node) {
+// link makes child the next child of parent. Children slices are
+// filled by finishChildren, in link order.
+func (c *constructor) link(parent, child *Node) {
 	child.Parent = parent
-	parent.Children = append(parent.Children, child)
+	c.links = append(c.links, [2]int32{int32(parent.ID), int32(child.ID)})
 }
 
-func (c *constructor) addEdge(we *workEdge) {
-	c.out[we.tail] = append(c.out[we.tail], we)
-	c.in[we.head] = append(c.in[we.head], we)
-}
-
-// compactIter invokes fn on each live edge of list, removing deleted edges
-// as it goes, and returns the compacted list.
-func compactIter(list []*workEdge, fn func(*workEdge)) []*workEdge {
-	w := 0
-	for _, e := range list {
-		if e.deleted {
-			continue
-		}
-		list[w] = e
-		w++
-		fn(e)
+// finishChildren gives every node its Children, in the order link
+// attached them, sliced from one array. Each slice is capped at its
+// length, so appending to one never writes into another.
+func (c *constructor) finishChildren() {
+	nodes := c.p.Nodes
+	// A counting sort of the links by parent: end[p] first counts p's
+	// children, then is where the next one goes, and ends at p's end.
+	end := make([]int32, len(nodes))
+	for _, l := range c.links {
+		end[l[0]]++
 	}
-	return list[:w]
+	var off int32
+	for p, k := range end {
+		end[p] = off
+		off += k
+	}
+	kids := make([]*Node, len(c.links))
+	for _, l := range c.links {
+		kids[end[l[0]]] = nodes[l[1]]
+		end[l[0]]++
+	}
+	var begin int32
+	for p, n := range nodes {
+		if end[p] > begin {
+			n.Children = kids[begin:end[p]:end[p]]
+		}
+		begin = end[p]
+	}
+}
+
+// addEdge appends e to the arena and to the tails of its two lists, and
+// returns its index.
+func (c *constructor) addEdge(e workEdge) int32 {
+	id := int32(len(c.edges))
+	e.next = [2]int32{-1, -1}
+	c.edges = append(c.edges, e)
+	for d, v := range [2]dag.VertexID{e.tail, e.head} {
+		a := &c.adj[v]
+		if a.last[d] < 0 {
+			a.first[d] = id
+		} else {
+			c.edges[a.last[d]].next[d] = id
+		}
+		a.last[d] = id
+	}
+	return id
+}
+
+// nextLive steps a walk of v's list d: it returns the first live edge
+// after prev (after the list head when prev is -1), or -1 at the end,
+// unlinking the deleted edges it passes. A walk must not delete the
+// edges it has been handed while it runs.
+func (c *constructor) nextLive(v dag.VertexID, d int, prev int32) int32 {
+	a := &c.adj[v]
+	e := a.first[d]
+	if prev >= 0 {
+		e = c.edges[prev].next[d]
+	}
+	if e < 0 || !c.edges[e].deleted {
+		return e
+	}
+	for e >= 0 && c.edges[e].deleted {
+		e = c.edges[e].next[d]
+	}
+	if prev >= 0 {
+		c.edges[prev].next[d] = e
+	} else {
+		a.first[d] = e
+	}
+	if e < 0 {
+		a.last[d] = prev
+	}
+	return e
 }
 
 func (c *constructor) run() (*Plan, error) {
@@ -153,11 +274,12 @@ func (c *constructor) run() (*Plan, error) {
 		}
 	}
 	if len(leafLeader) > 0 {
-		for v := range c.out {
-			for _, we := range c.out[v] {
+		for v := range c.adj {
+			for e := c.adj[v].first[outList]; e >= 0; e = c.edges[e].next[outList] {
+				we := &c.edges[e]
 				key := dag.Edge{Tail: c.origin[we.tail], Head: c.origin[we.head]}
 				if h, ok := leafLeader[key]; ok {
-					c.seeds[h] = append(c.seeds[h], we)
+					c.seeds[h] = append(c.seeds[h], e)
 				}
 			}
 		}
@@ -177,36 +299,85 @@ func (c *constructor) run() (*Plan, error) {
 // copies into − nodes.
 func (c *constructor) processSubgraph(h int) error {
 	kind := c.s.KindOf(h)
-	var copyEdges []*workEdge
+	c.copyEdges = c.copyEdges[:0]
 	for _, seed := range c.seeds[h] {
-		if seed.deleted || seed.collected {
+		if c.edges[seed].deleted || c.edges[seed].collected {
 			continue // consumed while collapsing an earlier copy (conformance errors only)
 		}
 		ce, err := c.collapseCopy(h, seed)
 		if err != nil {
 			return err
 		}
-		copyEdges = append(copyEdges, ce)
+		c.copyEdges = append(c.copyEdges, ce)
 	}
 	c.seeds[h] = nil
-	if len(copyEdges) == 0 {
+	if len(c.copyEdges) == 0 {
 		return fmt.Errorf("plan: no copies of %s %q..%q found in run",
 			kind, c.s.NameOf(c.s.SourceOf(h)), c.s.NameOf(c.s.SinkOf(h)))
 	}
 	if kind == spec.Fork {
-		return c.groupForks(h, copyEdges)
+		return c.groupForks(h)
 	}
-	return c.groupLoops(h, copyEdges)
+	return c.groupLoops(h)
+}
+
+// arrive marks v as reached by the search for the current copy, checks
+// that it may belong to the copy, notes it if it is a terminal, and
+// pushes it on the frontier.
+func (c *constructor) arrive(v dag.VertexID) error {
+	if c.visited[v] == c.gen {
+		return nil
+	}
+	c.visited[v] = c.gen
+	o := c.origin[v]
+	if !c.memb.Test(int(o)) {
+		return fmt.Errorf("plan: search for %s %q..%q escaped to vertex with origin %q — run does not conform",
+			c.kind, c.s.NameOf(c.srcOrig), c.s.NameOf(c.snkOrig), c.s.NameOf(o))
+	}
+	switch o {
+	case c.srcOrig:
+		if c.sTerm >= 0 && c.sTerm != v {
+			return fmt.Errorf("plan: copy of %s %q..%q has two sources", c.kind, c.s.NameOf(c.srcOrig), c.s.NameOf(c.snkOrig))
+		}
+		c.sTerm = v
+	case c.snkOrig:
+		if c.tTerm >= 0 && c.tTerm != v {
+			return fmt.Errorf("plan: copy of %s %q..%q has two sinks", c.kind, c.s.NameOf(c.srcOrig), c.s.NameOf(c.snkOrig))
+		}
+		c.tTerm = v
+	}
+	c.frontier = append(c.frontier, v)
+	return nil
+}
+
+// visit walks v's list d for the current copy: every live edge not yet
+// collected is collected and its far end arrives.
+func (c *constructor) visit(v dag.VertexID, d int) error {
+	for e := c.nextLive(v, d, -1); e >= 0; e = c.nextLive(v, d, e) {
+		we := &c.edges[e]
+		if we.collected {
+			continue
+		}
+		we.collected = true
+		c.collected = append(c.collected, e)
+		other := we.head
+		if d == inList {
+			other = we.tail
+		}
+		if err := c.arrive(other); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // collapseCopy explores the copy of h containing the seed edge, creates
 // its + node, attaches the group nodes of nested sites, assigns contexts,
 // and replaces the copy's edges by a special copy edge.
-func (c *constructor) collapseCopy(h int, seed *workEdge) (*workEdge, error) {
-	srcOrig := c.s.SourceOf(h)
-	snkOrig := c.s.SinkOf(h)
-	kind := c.s.KindOf(h)
-	memb := c.member[h]
+func (c *constructor) collapseCopy(h int, seed int32) (int32, error) {
+	c.kind = c.s.KindOf(h)
+	c.srcOrig, c.snkOrig = c.s.SourceOf(h), c.s.SinkOf(h)
+	c.memb = c.member[h]
 
 	plus := c.newDetached(true, h)
 
@@ -217,41 +388,16 @@ func (c *constructor) collapseCopy(h int, seed *workEdge) (*workEdge, error) {
 		}
 		c.gen = 1
 	}
-	var sTerm, tTerm dag.VertexID = -1, -1
-	collected := []*workEdge{seed}
-	seed.collected = true
+	c.sTerm, c.tTerm = -1, -1
+	c.collected = append(c.collected[:0], seed)
+	c.edges[seed].collected = true
 	c.frontier = c.frontier[:0]
 
-	arrive := func(v dag.VertexID) error {
-		if c.visited[v] == c.gen {
-			return nil
-		}
-		c.visited[v] = c.gen
-		o := c.origin[v]
-		if !memb.Test(int(o)) {
-			return fmt.Errorf("plan: search for %s %q..%q escaped to vertex with origin %q — run does not conform",
-				kind, c.s.NameOf(srcOrig), c.s.NameOf(snkOrig), c.s.NameOf(o))
-		}
-		switch o {
-		case srcOrig:
-			if sTerm >= 0 && sTerm != v {
-				return fmt.Errorf("plan: copy of %s %q..%q has two sources", kind, c.s.NameOf(srcOrig), c.s.NameOf(snkOrig))
-			}
-			sTerm = v
-		case snkOrig:
-			if tTerm >= 0 && tTerm != v {
-				return fmt.Errorf("plan: copy of %s %q..%q has two sinks", kind, c.s.NameOf(srcOrig), c.s.NameOf(snkOrig))
-			}
-			tTerm = v
-		}
-		c.frontier = append(c.frontier, v)
-		return nil
+	if err := c.arrive(c.edges[seed].tail); err != nil {
+		return -1, err
 	}
-	if err := arrive(seed.tail); err != nil {
-		return nil, err
-	}
-	if err := arrive(seed.head); err != nil {
-		return nil, err
+	if err := c.arrive(c.edges[seed].head); err != nil {
+		return -1, err
 	}
 
 	for len(c.frontier) > 0 {
@@ -260,167 +406,199 @@ func (c *constructor) collapseCopy(h int, seed *workEdge) (*workEdge, error) {
 		o := c.origin[v]
 		expandOut := true
 		expandIn := true
-		if o == srcOrig {
-			if kind == spec.Fork {
+		if o == c.srcOrig {
+			if c.kind == spec.Fork {
 				expandOut, expandIn = false, false
 			} else {
 				expandIn = false // only source-outgoing edges stay inside the loop copy
 			}
-		} else if o == snkOrig {
-			if kind == spec.Fork {
+		} else if o == c.snkOrig {
+			if c.kind == spec.Fork {
 				expandOut, expandIn = false, false
 			} else {
 				expandOut = false // only sink-incoming edges stay inside the loop copy
 			}
 		}
-		var err error
-		visit := func(we *workEdge, other dag.VertexID) {
-			if err != nil || we.collected {
-				return
-			}
-			we.collected = true
-			collected = append(collected, we)
-			err = arrive(other)
-		}
 		if expandOut {
-			c.out[v] = compactIter(c.out[v], func(we *workEdge) { visit(we, we.head) })
+			if err := c.visit(v, outList); err != nil {
+				return -1, err
+			}
 		}
 		if expandIn {
-			c.in[v] = compactIter(c.in[v], func(we *workEdge) { visit(we, we.tail) })
-		}
-		if err != nil {
-			return nil, err
+			if err := c.visit(v, inList); err != nil {
+				return -1, err
+			}
 		}
 	}
 
-	if sTerm < 0 || tTerm < 0 {
-		return nil, fmt.Errorf("plan: copy of %s %q..%q has no source or sink — run does not conform",
-			kind, c.s.NameOf(srcOrig), c.s.NameOf(snkOrig))
+	if c.sTerm < 0 || c.tTerm < 0 {
+		return -1, fmt.Errorf("plan: copy of %s %q..%q has no source or sink — run does not conform",
+			c.kind, c.s.NameOf(c.srcOrig), c.s.NameOf(c.snkOrig))
 	}
 
 	// Attach nested sites, assign contexts, delete the copy's edges.
-	for _, we := range collected {
-		if we.group != nil {
-			link(plus, we.group)
+	for _, e := range c.collected {
+		we := &c.edges[e]
+		if we.group >= 0 {
+			c.link(plus, c.p.Nodes[we.group])
 		}
 		we.deleted = true
 	}
 	// Context assignment: every visited vertex without a context belongs
 	// to this copy; fork copies do not own their terminals.
-	assign := func(v dag.VertexID) {
-		if c.p.Context[v] == nil {
-			c.p.Context[v] = plus
-		}
-	}
-	for _, we := range collected {
+	for _, e := range c.collected {
+		we := &c.edges[e]
 		for _, v := range [2]dag.VertexID{we.tail, we.head} {
-			if kind == spec.Fork && (v == sTerm || v == tTerm) {
+			if c.kind == spec.Fork && (v == c.sTerm || v == c.tTerm) {
 				continue
 			}
-			assign(v)
+			if c.p.Context[v] == nil {
+				c.p.Context[v] = plus
+			}
 		}
 	}
 
-	ce := &workEdge{tail: sTerm, head: tTerm, copyPlus: plus, hnode: h, leaderFor: -1}
-	c.addEdge(ce)
-	return ce, nil
+	return c.addEdge(workEdge{tail: c.sTerm, head: c.tTerm, copyPlus: int32(plus.ID), group: -1, hnode: int32(h)}), nil
 }
 
 // groupForks merges parallel copy edges sharing both endpoints into F−
-// nodes and replaces each bucket with one group edge.
-func (c *constructor) groupForks(h int, copyEdges []*workEdge) error {
-	type key struct{ s, t dag.VertexID }
-	buckets := make(map[key][]*workEdge)
-	order := make([]key, 0, len(copyEdges))
-	for _, ce := range copyEdges {
-		k := key{ce.tail, ce.head}
-		if _, ok := buckets[k]; !ok {
-			order = append(order, k)
-		}
-		buckets[k] = append(buckets[k], ce)
+// nodes and replaces each bucket with one group edge. Buckets are made
+// in order of their first copy; chain links each bucket's copies in
+// order.
+func (c *constructor) groupForks(h int) error {
+	if c.buckets == nil {
+		c.buckets = make(map[[2]dag.VertexID]int32)
 	}
-	for _, k := range order {
-		minus := c.newDetached(false, h)
-		for _, ce := range buckets[k] {
-			link(minus, ce.copyPlus)
-			ce.deleted = true
+	clear(c.buckets)
+	c.chain = resize(c.chain, len(c.copyEdges))
+	first, last := c.first[:0], c.last[:0]
+	for i, ce := range c.copyEdges {
+		c.chain[i] = -1
+		key := [2]dag.VertexID{c.edges[ce].tail, c.edges[ce].head}
+		if b, ok := c.buckets[key]; ok {
+			c.chain[last[b]] = int32(i)
+			last[b] = int32(i)
+			continue
 		}
-		c.emitGroupEdge(h, minus, k.s, k.t)
+		c.buckets[key] = int32(len(first))
+		first = append(first, int32(i))
+		last = append(last, int32(i))
+	}
+	c.first, c.last = first, last
+	for _, i := range first {
+		minus := c.newDetached(false, h)
+		ends := c.edges[c.copyEdges[i]]
+		for ; i >= 0; i = c.chain[i] {
+			we := &c.edges[c.copyEdges[i]]
+			c.link(minus, c.p.Nodes[we.copyPlus])
+			we.deleted = true
+		}
+		c.emitGroupEdge(h, minus, ends.tail, ends.head)
 	}
 	return nil
 }
 
 // groupLoops chains serial copy edges through their connector edges into
 // ordered L− nodes and replaces each chain with one group edge.
-func (c *constructor) groupLoops(h int, copyEdges []*workEdge) error {
+func (c *constructor) groupLoops(h int) error {
 	srcOrig := c.s.SourceOf(h)
-	bySource := make(map[dag.VertexID]*workEdge, len(copyEdges))
-	for _, ce := range copyEdges {
-		bySource[ce.tail] = ce
-	}
-	next := make(map[*workEdge]*workEdge, len(copyEdges))
-	connectors := make(map[*workEdge]*workEdge, len(copyEdges))
-	hasPred := make(map[*workEdge]bool, len(copyEdges))
-	for _, ce := range copyEdges {
-		// The connector, if any, is the unique out-edge of the copy's sink
-		// leading to a vertex originating from the loop source.
-		var conn *workEdge
-		c.out[ce.head] = compactIter(c.out[ce.head], func(we *workEdge) {
-			if we == ce || we.collected {
-				return
-			}
-			if c.origin[we.head] == srcOrig {
-				conn = we
-			}
-		})
-		if conn == nil {
-			continue
-		}
-		nxt, ok := bySource[conn.head]
-		if !ok || nxt == ce {
-			return fmt.Errorf("plan: loop %q..%q has a connector to a non-copy vertex",
-				c.s.NameOf(srcOrig), c.s.NameOf(c.s.SinkOf(h)))
-		}
-		next[ce] = nxt
-		connectors[ce] = conn
-		hasPred[nxt] = true
+	k := len(c.copyEdges)
+	if err := c.findConnectors(h); err != nil {
+		return err
 	}
 	chained := 0
-	for _, head := range copyEdges {
-		if hasPred[head] {
+	for i := range c.copyEdges {
+		if c.hasPred[i] {
 			continue
 		}
 		minus := c.newDetached(false, h)
-		first, last := head, head
-		for ce := head; ce != nil; ce = next[ce] {
-			link(minus, ce.copyPlus)
-			ce.deleted = true
-			if conn := connectors[ce]; conn != nil {
-				conn.deleted = true
+		last := i
+		for j := i; j >= 0; j = int(c.chain[j]) {
+			we := &c.edges[c.copyEdges[j]]
+			c.link(minus, c.p.Nodes[we.copyPlus])
+			we.deleted = true
+			if conn := c.conn[j]; conn >= 0 {
+				c.edges[conn].deleted = true
 			}
-			last = ce
+			last = j
 			chained++
-			if chained > len(copyEdges) {
+			if chained > k {
 				return fmt.Errorf("plan: loop %q..%q chain is cyclic", c.s.NameOf(srcOrig), c.s.NameOf(c.s.SinkOf(h)))
 			}
 		}
-		c.emitGroupEdge(h, minus, first.tail, last.head)
+		c.emitGroupEdge(h, minus, c.edges[c.copyEdges[i]].tail, c.edges[c.copyEdges[last]].head)
 	}
-	if chained != len(copyEdges) {
+	if chained != k {
 		return fmt.Errorf("plan: loop %q..%q chains cover %d of %d copies",
-			c.s.NameOf(srcOrig), c.s.NameOf(c.s.SinkOf(h)), chained, len(copyEdges))
+			c.s.NameOf(srcOrig), c.s.NameOf(c.s.SinkOf(h)), chained, k)
 	}
 	return nil
 }
 
+// findConnectors fills chain (the next copy in serial order, or -1),
+// conn (the connector edge to it, or -1) and hasPred for the level's
+// loop copies.
+func (c *constructor) findConnectors(h int) error {
+	srcOrig := c.s.SourceOf(h)
+	k := len(c.copyEdges)
+	c.chain, c.conn, c.hasPred = resize(c.chain, k), resize(c.conn, k), resize(c.hasPred, k)
+	if c.copyAt == nil {
+		c.copyAt = make([]int32, len(c.adj))
+		for v := range c.copyAt {
+			c.copyAt[v] = -1
+		}
+	}
+	for i, ce := range c.copyEdges {
+		c.chain[i], c.conn[i], c.hasPred[i] = -1, -1, false
+		c.copyAt[c.edges[ce].tail] = int32(i) // the last copy with a source wins
+	}
+	defer func() {
+		for _, ce := range c.copyEdges {
+			c.copyAt[c.edges[ce].tail] = -1
+		}
+	}()
+	for i, ce := range c.copyEdges {
+		// The connector, if any, is the unique out-edge of the copy's sink
+		// leading to a vertex originating from the loop source.
+		var conn int32 = -1
+		sink := c.edges[ce].head
+		for e := c.nextLive(sink, outList, -1); e >= 0; e = c.nextLive(sink, outList, e) {
+			if e == ce || c.edges[e].collected {
+				continue
+			}
+			if c.origin[c.edges[e].head] == srcOrig {
+				conn = e
+			}
+		}
+		if conn < 0 {
+			continue
+		}
+		nxt := c.copyAt[c.edges[conn].head]
+		if nxt < 0 || nxt == int32(i) {
+			return fmt.Errorf("plan: loop %q..%q has a connector to a non-copy vertex",
+				c.s.NameOf(srcOrig), c.s.NameOf(c.s.SinkOf(h)))
+		}
+		c.chain[i] = nxt
+		c.conn[i] = conn
+		c.hasPred[nxt] = true
+	}
+	return nil
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the contents are the caller's to set.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 func (c *constructor) emitGroupEdge(h int, minus *Node, sV, tV dag.VertexID) {
-	ge := &workEdge{tail: sV, head: tV, group: minus, hnode: h, leaderFor: -1}
-	parent := c.s.Hier.Parent[h]
-	if parent > 0 && c.leaderChild[parent] == h {
-		ge.leaderFor = parent
+	ge := c.addEdge(workEdge{tail: sV, head: tV, copyPlus: -1, group: int32(minus.ID), hnode: int32(h)})
+	if parent := c.s.Hier.Parent[h]; parent > 0 && c.leaderChild[parent] == h {
 		c.seeds[parent] = append(c.seeds[parent], ge)
 	}
-	c.addEdge(ge)
 }
 
 // finishRoot assigns the root context to every remaining vertex, attaches
@@ -428,12 +606,14 @@ func (c *constructor) emitGroupEdge(h int, minus *Node, sV, tV dag.VertexID) {
 func (c *constructor) finishRoot() (*Plan, error) {
 	root := c.newDetached(true, 0)
 	c.p.Root = root
-	for v := range c.out {
-		c.out[v] = compactIter(c.out[v], func(we *workEdge) {
-			if we.group != nil && we.group.Parent == nil {
-				link(root, we.group)
+	for v := range c.adj {
+		u := dag.VertexID(v)
+		for e := c.nextLive(u, outList, -1); e >= 0; e = c.nextLive(u, outList, e) {
+			we := &c.edges[e]
+			if we.group >= 0 && c.p.Nodes[we.group].Parent == nil {
+				c.link(root, c.p.Nodes[we.group])
 			}
-		})
+		}
 	}
 	for v, ctx := range c.p.Context {
 		if ctx == nil {
@@ -441,12 +621,13 @@ func (c *constructor) finishRoot() (*Plan, error) {
 		}
 	}
 	// Conformance: no ungrouped copy edges may survive.
-	for v := range c.out {
-		for _, we := range c.out[v] {
-			if we.copyPlus != nil && we.group == nil && !we.deleted {
+	for v := range c.adj {
+		for e := c.adj[v].first[outList]; e >= 0; e = c.edges[e].next[outList] {
+			if we := &c.edges[e]; we.copyPlus >= 0 && we.group < 0 && !we.deleted {
 				return nil, fmt.Errorf("plan: ungrouped copy of hierarchy node %d survived to the root", we.hnode)
 			}
 		}
 	}
+	c.finishChildren()
 	return c.p, nil
 }

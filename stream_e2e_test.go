@@ -109,6 +109,24 @@ func TestStreamEndToEnd(t *testing.T) {
 	}
 	getRaw(t, streamed.base+"/reachable?run=r&from=0&to=1") // must answer, not 404
 
+	// An integer field must be a whole integer. The next event with junk
+	// after its last integer is a 400 that applies nothing, where a
+	// parser reading the leading number would have applied the event.
+	var next bytes.Buffer
+	if err := repro.WriteEventLog(&next, evs[mid:mid+1]); err != nil {
+		t.Fatal(err)
+	}
+	for _, junk := range []string{"junk", "_0", ".0", "x1"} {
+		bad := strings.TrimSuffix(next.String(), "\n") + junk + "\n"
+		if status, resp := postEvents(t, streamed.base, "r", mid, []byte(bad)); status != 400 {
+			t.Fatalf("append %q: %d %v, want 400", bad, status, resp)
+		}
+	}
+	getJSON(t, streamed.base+"/runs/r", &st)
+	if st.Events != mid {
+		t.Fatalf("after rejected appends, status = %+v, want %d events", st, mid)
+	}
+
 	// provquery -append resumes from the server's cursor (the full log
 	// is on disk; the tool must skip the mid already-streamed events),
 	// then -finish seals the run into a stored SKL2 snapshot.
