@@ -199,26 +199,6 @@ func Duplicate(d Duplicatable) {
 	d.Site.Copies = copies
 }
 
-// RandomExec builds an execution tree by repeatedly applying Definition-6
-// duplication steps to uniformly random copies until the estimated run
-// size reaches targetVertices (or no fork/loop exists). This mirrors how a
-// real run grows: each duplication replicates a copy including all of its
-// nested executions.
-func RandomExec(s *spec.Spec, rng *rand.Rand, targetVertices int) *ExecTree {
-	t := SingleExec(s)
-	if len(s.Subgraphs) == 0 {
-		return t
-	}
-	for t.EstimateVertices(s) < targetVertices {
-		cands := t.duplicatables(nil)
-		if len(cands) == 0 {
-			break
-		}
-		Duplicate(cands[rng.Intn(len(cands))])
-	}
-	return t
-}
-
 // RandomExecSteps applies exactly n random duplication steps.
 func RandomExecSteps(s *spec.Spec, rng *rand.Rand, n int) *ExecTree {
 	t := SingleExec(s)

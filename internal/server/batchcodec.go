@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -13,23 +12,27 @@ import (
 	"repro/internal/dag"
 )
 
-// The /batch request and response codec. /batch is the serving hot path
-// — a cache-hit request is pure CPU — and encoding/json costs it one
-// reflection-driven allocation per decoded string plus an encoder
-// allocation per response. This file replaces both directions with a
-// hand-rolled codec over pooled buffers: the body is read into a reused
-// buffer, pair references are parsed as byte slices into that buffer
-// (resolved against the session's name index without string
-// conversions), and the response is appended into a reused buffer and
-// written in one call. A warm /batch request allocates O(1) regardless
-// of batch size.
+// The /batch request decoder. /batch is the serving hot path — a
+// cache-hit request is pure CPU — and encoding/json costs it one
+// reflection-driven allocation per decoded string. This hand-rolled
+// parser runs in a pooled scratch instead: the body is read into a
+// reused buffer and pair references are parsed as byte slices into it,
+// resolved against the session's name index without string
+// conversions. With the response in the pooled writer (jsonwriter.go),
+// a warm /batch request allocates O(1) regardless of batch size.
 //
 // The decoder accepts both pair element forms:
 //
 //	{"run":"r1","pairs":[["b2","c3"],["12","34"]]}   string refs
 //	{"run":"r1","pairs":[[12,34],[7,"c3"]]}          numeric vertex IDs
 //
-// Unknown object keys are skipped, matching encoding/json.
+// A body it accepts is valid JSON, and its run and pair texts are what
+// encoding/json decodes (FuzzBatchRequestOracle): unknown keys are
+// skipped, a repeated key keeps its last value, a lone surrogate escape
+// is U+FFFD. Two divergences are by design: keys match "run" and
+// "pairs" exactly, where encoding/json also accepts case-folded ones,
+// and raw invalid UTF-8 in a string is kept, where encoding/json
+// substitutes U+FFFD.
 
 // vertexToken is one parsed pair element: raw always holds the
 // reference text for error messages; id >= 0 carries the value of a
@@ -49,7 +52,6 @@ type batchScratch struct {
 	tokens  [][2]vertexToken
 	pairs   [][2]dag.VertexID
 	results []bool
-	out     []byte
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -61,7 +63,6 @@ func getBatchScratch() *batchScratch {
 	sc.tokens = sc.tokens[:0]
 	sc.pairs = sc.pairs[:0]
 	sc.results = sc.results[:0]
-	sc.out = sc.out[:0]
 	return sc
 }
 
@@ -249,28 +250,59 @@ func (p *jparser) vertexRef() (vertexToken, error) {
 		}
 		return vertexToken{raw: s, id: -1}, nil
 	}
-	start := p.pos
+	if c := p.data[p.pos]; c != '-' && (c < '0' || c > '9') {
+		return vertexToken{}, p.syntax("pair element must be a string or non-negative integer")
+	}
+	num, err := p.number()
+	if err != nil {
+		return vertexToken{}, err
+	}
 	n := 0
-	for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
+	for _, c := range num {
+		if c < '0' || c > '9' {
+			return vertexToken{}, p.syntax("pair element must be a non-negative integer")
+		}
 		if n < (math.MaxInt32-9)/10 {
-			n = n*10 + int(p.data[p.pos]-'0')
+			n = n*10 + int(c-'0')
 		} else {
 			// Out of dag.VertexID range: clamp so it resolves to
 			// "unknown vertex", like any other nonexistent numeric ID.
 			n = math.MaxInt32
 		}
-		p.pos++
 	}
-	if p.pos == start {
-		return vertexToken{}, p.syntax("pair element must be a string or non-negative integer")
+	return vertexToken{raw: num, id: n}, nil
+}
+
+// number scans one JSON number, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
+// and returns its text. A digit after a leading zero is not part of the
+// number, so the caller rejects it as a missing separator.
+func (p *jparser) number() ([]byte, error) {
+	start := p.pos
+	p.eat('-')
+	if !p.eat('0') && p.digits() == 0 {
+		return nil, p.syntax("invalid number")
 	}
-	if p.pos < len(p.data) {
-		switch p.data[p.pos] {
-		case '.', 'e', 'E', '+', '-':
-			return vertexToken{}, p.syntax("pair element must be an integer")
+	if p.eat('.') && p.digits() == 0 {
+		return nil, p.syntax("invalid number")
+	}
+	if p.eat('e') || p.eat('E') {
+		if !p.eat('+') {
+			p.eat('-')
+		}
+		if p.digits() == 0 {
+			return nil, p.syntax("invalid number")
 		}
 	}
-	return vertexToken{raw: p.data[start:p.pos], id: n}, nil
+	return p.data[start:p.pos], nil
+}
+
+// digits consumes a run of decimal digits and returns its length.
+func (p *jparser) digits() int {
+	start := p.pos
+	for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
+		p.pos++
+	}
+	return p.pos - start
 }
 
 // str parses a JSON string and returns its bytes — a zero-copy subslice
@@ -339,16 +371,7 @@ func (p *jparser) strEscaped(start int) ([]byte, error) {
 					return nil, err
 				}
 				if utf16.IsSurrogate(r) {
-					if p.pos+1 < len(p.data) && p.data[p.pos] == '\\' && p.data[p.pos+1] == 'u' {
-						p.pos += 2
-						r2, err := p.hex4()
-						if err != nil {
-							return nil, err
-						}
-						r = utf16.DecodeRune(r, r2)
-					} else {
-						r = utf8.RuneError
-					}
+					r = p.lowSurrogate(r)
 				}
 				out = utf8.AppendRune(out, r)
 			default:
@@ -357,6 +380,23 @@ func (p *jparser) strEscaped(start int) ([]byte, error) {
 		}
 	}
 	return nil, p.syntax("unterminated string")
+}
+
+// lowSurrogate completes the UTF-16 pair whose first half is hi. Like
+// encoding/json it consumes the next \u escape only if the two decode
+// to one rune; otherwise hi alone is U+FFFD and that escape stands on
+// its own.
+func (p *jparser) lowSurrogate(hi rune) rune {
+	start := p.pos
+	if p.eat('\\') && p.eat('u') {
+		if lo, err := p.hex4(); err == nil {
+			if r := utf16.DecodeRune(hi, lo); r != utf8.RuneError {
+				return r
+			}
+		}
+	}
+	p.pos = start
+	return utf8.RuneError
 }
 
 func (p *jparser) hex4() (rune, error) {
@@ -436,28 +476,8 @@ func (p *jparser) skipValue(depth int) error {
 	case c == 'n':
 		return p.lit("null")
 	case c == '-' || (c >= '0' && c <= '9'):
-		digits := 0
-		if c == '-' {
-			p.pos++
-		}
-		for p.pos < len(p.data) {
-			switch d := p.data[p.pos]; {
-			case d >= '0' && d <= '9':
-				digits++
-				p.pos++
-			case d == '.', d == 'e', d == 'E', d == '+', d == '-':
-				p.pos++
-			default:
-				if digits == 0 {
-					return p.syntax("invalid number")
-				}
-				return nil
-			}
-		}
-		if digits == 0 {
-			return p.syntax("invalid number")
-		}
-		return nil
+		_, err := p.number()
+		return err
 	default:
 		return p.syntax("unexpected character")
 	}
@@ -469,28 +489,4 @@ func (p *jparser) lit(s string) error {
 	}
 	p.pos += len(s)
 	return nil
-}
-
-// appendBatchResponse encodes {"run":...,"count":N,"results":[...]}
-// into dst. Run names are validated to [A-Za-z0-9._-], so they embed in
-// JSON without escaping.
-func appendBatchResponse(dst []byte, run []byte, results []bool) []byte {
-	dst = append(dst, `{"run":"`...)
-	dst = append(dst, run...)
-	dst = append(dst, `","count":`...)
-	dst = strconv.AppendInt(dst, int64(len(results)), 10)
-	dst = append(dst, `,"results":[`...)
-	for i, r := range results {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		if r {
-			dst = append(dst, "true"...)
-		} else {
-			dst = append(dst, "false"...)
-		}
-	}
-	// encoding/json's Encoder terminated the old responses with a
-	// newline; keep emitting it for byte-compatibility.
-	return append(dst, "]}\n"...)
 }

@@ -4,9 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"unicode/utf8"
+
+	"repro/internal/dag"
+	"repro/internal/label"
+	"repro/internal/run"
+	"repro/internal/spec"
+	"repro/internal/store"
 )
 
 // parseOK parses body into a fresh scratch, failing the test on error.
@@ -40,6 +49,9 @@ func TestParseBatchRequestForms(t *testing.T) {
 		{`{"run":"r1","pairs":[["b2","a\n"]]}`, "r1", [][2]string{{"b2", "a\n"}}},
 		// Unicode escapes decode, including a surrogate pair.
 		{`{"run":"r\u0031","pairs":[["\ud83d\ude00","b1"]]}`, "r1", [][2]string{{"\U0001F600", "b1"}}},
+		// A lone surrogate is U+FFFD, and an escape after it that does
+		// not complete a pair stands on its own.
+		{`{"run":"r","pairs":[["\ud800\u0041","\udc00x"]]}`, "r", [][2]string{{"\uFFFDA", "\uFFFDx"}}},
 	}
 	for _, c := range cases {
 		sc := parseOK(t, c.body, 100)
@@ -106,6 +118,15 @@ func TestParseBatchRequestErrors(t *testing.T) {
 		`{"x":-,"run":"r","pairs":[[0,1]]}`,    // bare minus in skipped number
 		`{"x":"\q","run":"r","pairs":[[0,1]]}`, // bad escape in skipped string
 		strings.Repeat(`{"x":`, 100) + `1` + strings.Repeat(`}`, 100), // deep nesting in a skipped key
+		// Numbers outside the JSON grammar, as a pair element or in a
+		// skipped key.
+		`{"run":"r","pairs":[[01,2]]}`,
+		`{"run":"r","pairs":[[1,2]],"n":01}`,
+		`{"run":"r","pairs":[[1,2]],"n":1.2.3}`,
+		`{"run":"r","pairs":[[1,2]],"n":1e}`,
+		`{"run":"r","pairs":[[1,2]],"n":--1}`,
+		`{"run":"r","pairs":[[1,2]],"n":1-}`,
+		`{"run":"r","pairs":[[1,2]],"n":1.}`,
 	}
 	for _, body := range bad {
 		sc := getBatchScratch()
@@ -128,29 +149,6 @@ func TestParseBatchRequestTooLarge(t *testing.T) {
 	}
 }
 
-func TestAppendBatchResponse(t *testing.T) {
-	out := appendBatchResponse(nil, []byte("my-run.1"), []bool{true, false, true})
-	var resp struct {
-		Run     string `json:"run"`
-		Count   int    `json:"count"`
-		Results []bool `json:"results"`
-	}
-	if err := json.Unmarshal(out, &resp); err != nil {
-		t.Fatalf("response %q is not valid JSON: %v", out, err)
-	}
-	if resp.Run != "my-run.1" || resp.Count != 3 ||
-		len(resp.Results) != 3 || !resp.Results[0] || resp.Results[1] || !resp.Results[2] {
-		t.Fatalf("response = %+v", resp)
-	}
-	if !bytes.HasSuffix(out, []byte("\n")) {
-		t.Error("response lost the trailing newline the json.Encoder used to emit")
-	}
-	// Empty results encode as an empty array, not null.
-	if out := appendBatchResponse(nil, []byte("r"), nil); !bytes.Contains(out, []byte(`"results":[]`)) {
-		t.Errorf("empty response = %q", out)
-	}
-}
-
 // TestBatchScratchReuse pins pooling behavior: a scratch reused across
 // requests must not leak state from the previous request.
 func TestBatchScratchReuse(t *testing.T) {
@@ -159,13 +157,12 @@ func TestBatchScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.results = append(sc.results, true, true)
-	sc.out = appendBatchResponse(sc.out, sc.run, sc.results)
 	sc.release()
 
 	sc2 := getBatchScratch()
 	defer sc2.release()
-	if len(sc2.tokens) != 0 || len(sc2.results) != 0 || len(sc2.out) != 0 || sc2.run != nil {
-		t.Fatalf("reused scratch carries state: %d tokens, %d results, %d out bytes", len(sc2.tokens), len(sc2.results), len(sc2.out))
+	if len(sc2.tokens) != 0 || len(sc2.results) != 0 || sc2.run != nil {
+		t.Fatalf("reused scratch carries state: %d tokens, %d results", len(sc2.tokens), len(sc2.results))
 	}
 	if err := parseBatchRequest([]byte(`{"run":"second","pairs":[["a1","b1"]]}`), sc2, 10); err != nil {
 		t.Fatal(err)
@@ -173,4 +170,137 @@ func TestBatchScratchReuse(t *testing.T) {
 	if string(sc2.run) != "second" || len(sc2.tokens) != 1 {
 		t.Fatalf("second parse: run=%q tokens=%d", sc2.run, len(sc2.tokens))
 	}
+}
+
+// oldBatchBody is the /batch response as encoding/json wrote it from
+// the struct the response writer replaced.
+func oldBatchBody(t *testing.T, run string, results []bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(struct {
+		Run     string `json:"run"`
+		Count   int    `json:"count"`
+		Results []bool `json:"results"`
+	}{run, len(results), results}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBatchByteIdentical serves batches from empty to past the parallel
+// evaluation threshold and compares each /batch body with the old
+// struct encoder's, byte for byte: valid JSON, the trailing newline and
+// "results":[] for an empty batch.
+func TestBatchByteIdentical(t *testing.T) {
+	s := spec.PaperSpec()
+	st, err := store.NewMem(s, "paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := run.GenerateSized(s, rand.New(rand.NewSource(3)), 300)
+	names := []string{"my-run.1", "R_2", "x"}
+	for _, name := range names {
+		if err := st.PutRun(name, r, nil, label.TCM{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess, err := st.OpenRun("x", label.TCM{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, st, 4, 2000)
+	rng := rand.New(rand.NewSource(5))
+	for _, name := range names {
+		for _, n := range []int{0, 1, 2, 64, 1500} {
+			results := []bool{}
+			var pairs []string
+			for i := 0; i < n; i++ {
+				u, v := rng.Intn(r.NumVertices()), rng.Intn(r.NumVertices())
+				pairs = append(pairs, fmt.Sprintf("[%d,%d]", u, v))
+				results = append(results, sess.Labels.Reachable(dag.VertexID(u), dag.VertexID(v)))
+			}
+			body := fmt.Sprintf(`{"run":%q,"pairs":[%s]}`, name, strings.Join(pairs, ","))
+			rec := do(t, srv, "POST", "/batch", body, nil)
+			if want := oldBatchBody(t, name, results); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("run %q, %d pairs: status %d\n got %q\nwant %q", name, n, rec.Code, rec.Body.Bytes(), want)
+			}
+		}
+	}
+}
+
+// FuzzBatchRequestOracle checks the /batch decoder against
+// encoding/json: a body parseBatchRequest accepts is valid JSON, and
+// its run and pair texts are what encoding/json decodes into the old
+// request struct, its pair elements widened from strings to strings or
+// numbers. Bodies in the decoder's two documented divergences (keys
+// that only case-folding matches, invalid UTF-8) are skipped.
+func FuzzBatchRequestOracle(f *testing.F) {
+	for _, body := range []string{
+		`{"run":"r1","pairs":[["b1","c3"],[12,34],["12",7]]}`,
+		`{"pairs":[],"run":"r2"}`,
+		` { "run" : "r1" , "pairs" : [ [ "a1" , 0 ] ] } `,
+		`{"run":"r1","debug":true,"opts":{"a":[1,{"b":null}],"s":"x,][}"},"n":-1.5e3,"pairs":[["a1","b2"]]}`,
+		`{"run":"r\u0031","pairs":[["\ud83d\ude00","b\n1"],["\ud800\u0041","\udc00"]]}`,
+		`{"run":"a","pairs":[[1,2]],"run":"b","pairs":[[3,4],[5,6]]}`,
+		`{"run":"r","pairs":[[99999999999999999999,0]],"n":[0,-0,0.5,1E+2,2e-3]}`,
+		`{"run":"r","pairs":[[01,2]]}`,
+		`{"run":"r","pairs":[[1,2]],"n":1.2.3}`,
+		`{"RUN":"r","Pairs":[[1,2]]}`,
+		"{\"run\":\"r\xff\",\"pairs\":[]}",
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		sc := getBatchScratch()
+		defer sc.release()
+		if parseBatchRequest([]byte(body), sc, 1<<20) != nil {
+			return
+		}
+		if !json.Valid([]byte(body)) {
+			t.Fatalf("accepted invalid JSON %q", body)
+		}
+		if !utf8.ValidString(body) || hasFoldedKey(t, body) {
+			return
+		}
+		var req struct {
+			Run   string   `json:"run"`
+			Pairs [][2]any `json:"pairs"`
+		}
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.UseNumber()
+		if err := dec.Decode(&req); err != nil {
+			t.Fatalf("accepted %q, encoding/json: %v", body, err)
+		}
+		if string(sc.run) != req.Run || len(sc.tokens) != len(req.Pairs) {
+			t.Fatalf("%q: run %q with %d pairs, encoding/json %q with %d", body, sc.run, len(sc.tokens), req.Run, len(req.Pairs))
+		}
+		for i, pair := range req.Pairs {
+			for k, e := range pair {
+				tok := sc.tokens[i][k]
+				text, _ := e.(string)
+				n, numeric := e.(json.Number)
+				if numeric {
+					text = n.String()
+				}
+				if string(tok.raw) != text || (tok.id >= 0) != numeric {
+					t.Fatalf("%q: pair %d element %d = %q (id %d), encoding/json %#v", body, i, k, tok.raw, tok.id, e)
+				}
+			}
+		}
+	})
+}
+
+// hasFoldedKey reports whether the object body has a top-level key that
+// encoding/json matches to "run" or "pairs" only by case-folding.
+func hasFoldedKey(t *testing.T, body string) bool {
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &keys); err != nil {
+		t.Fatal(err)
+	}
+	for k := range keys {
+		if k != "run" && k != "pairs" && (strings.EqualFold(k, "run") || strings.EqualFold(k, "pairs")) {
+			return true
+		}
+	}
+	return false
 }

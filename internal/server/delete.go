@@ -37,7 +37,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 		return fmt.Errorf("deleting run %q: %w", name, err)
 	default:
 		s.logf("server: deleted run %q", name)
-		writeJSON(w, http.StatusOK, map[string]any{"run": name, "deleted": true})
+		respond().boolean("deleted", true).str("run", name).send(w, http.StatusOK)
 	}
 	return nil
 }

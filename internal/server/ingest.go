@@ -149,13 +149,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	if ann != nil {
 		items = len(ann.Items)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"run":              name,
-		"vertices":         rn.NumVertices(),
-		"edges":            rn.NumEdges(),
-		"data_items":       items,
-		"snapshot_version": sess.SnapshotVersion.String(),
-		"snapshot_bytes":   sess.SnapshotBytes,
-	})
+	respond().num("data_items", items).num("edges", rn.NumEdges()).str("run", name).
+		num("snapshot_bytes", sess.SnapshotBytes).str("snapshot_version", sess.SnapshotVersion.String()).
+		num("vertices", rn.NumVertices()).send(w, http.StatusOK)
 	return nil
 }

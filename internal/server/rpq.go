@@ -84,12 +84,7 @@ func (s *Server) handleRPQ(w http.ResponseWriter, r *http.Request) error {
 		}
 		return fmt.Errorf("evaluating path query: %w", err)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"run":     req.Run,
-		"from":    req.From,
-		"to":      req.To,
-		"pattern": req.Pattern,
-		"match":   match,
-	})
+	respond().str("from", req.From).boolean("match", match).str("pattern", req.Pattern).
+		str("run", req.Run).str("to", req.To).send(w, http.StatusOK)
 	return nil
 }

@@ -62,11 +62,14 @@
 // the returned release, which is always callable); the handlers never
 // ask which.
 //
+// Every response body except /healthz's comes from one pooled JSON
+// writer (jsonwriter.go), byte for byte what encoding/json wrote for it.
 // Every handler failure reaches HTTP through one mapping, Server.fail,
-// and every error body is {"error": message}. Only three answers are
-// written elsewhere: 405 by the route wrapper before a handler runs,
-// 429 by admission control before it is reached, and an append's 409,
-// whose body also carries the applied "seq". The status codes:
+// and every error body is {"error": message} from that writer. Only
+// three answers are written elsewhere: 405 by the route wrapper before
+// a handler runs, 429 by admission control before it is reached, and an
+// append's 409, whose body also carries the applied "seq". The status
+// codes:
 //
 //	400  malformed request: a missing or bad parameter, run name, body,
 //	     event log or pattern (a badRequest error)
@@ -95,10 +98,10 @@
 // only /rpq and finished-run status decode the run document.
 //
 // /batch is the allocation-critical path: request decode, pair
-// resolution, batch evaluation and response encode all run in pooled
-// per-request scratch (see batchcodec.go), and batches of 1024 pairs or
-// more fan out across GOMAXPROCS CPUs through the labeling's parallel
-// batch evaluator.
+// resolution and batch evaluation run in pooled per-request scratch
+// (see batchcodec.go), the response in the pooled writer, and batches
+// of 1024 pairs or more fan out across GOMAXPROCS CPUs through the
+// labeling's parallel batch evaluator.
 //
 // Every endpoint except /healthz sits behind an admission-control layer
 // (admission.go): a bounded concurrency gate with a bounded wait queue,
@@ -114,7 +117,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -504,16 +506,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 
 func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) error {
 	sp := s.st.Spec()
-	modules := make([]string, sp.NumVertices())
-	for v := range modules {
-		modules[v] = string(sp.NameOf(dag.VertexID(v)))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"name":     s.st.SpecName(),
-		"vertices": sp.NumVertices(),
-		"edges":    sp.NumEdges(),
-		"modules":  modules,
-	})
+	respond().num("edges", sp.NumEdges()).
+		strs("modules", sp.NumVertices(), func(v int) string { return string(sp.NameOf(dag.VertexID(v))) }).
+		str("name", s.st.SpecName()).num("vertices", sp.NumVertices()).send(w, http.StatusOK)
 	return nil
 }
 
@@ -529,10 +524,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return fmt.Errorf("listing runs: %w", err)
 	}
-	if runs == nil {
-		runs = []string{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"runs": runs})
+	respond().strs("runs", len(runs), func(i int) string { return runs[i] }).send(w, http.StatusOK)
 	return nil
 }
 
@@ -555,13 +547,8 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"run":        q.Get("run"),
-		"from":       from,
-		"to":         to,
-		"reachable":  view.Reachable(u, v),
-		"by_context": view.ByContext(u, v),
-	})
+	respond().boolean("by_context", view.ByContext(u, v)).str("from", from).
+		boolean("reachable", view.Reachable(u, v)).str("run", q.Get("run")).str("to", to).send(w, http.StatusOK)
 	return nil
 }
 
@@ -579,7 +566,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		}
 		return badRequestf("malformed request body: %w", err)
 	}
-	view, release, err := s.resolveRun(string(sc.run))
+	run := string(sc.run)
+	view, release, err := s.resolveRun(run)
 	if err != nil {
 		return err
 	}
@@ -597,10 +585,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		sc.pairs = append(sc.pairs, [2]dag.VertexID{u, v})
 	}
 	sc.results = view.appendReachable(sc.results, sc.pairs)
-	sc.out = appendBatchResponse(sc.out, sc.run, sc.results)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(sc.out)
+	respond().str("run", run).num("count", len(sc.results)).bools("results", sc.results).send(w, http.StatusOK)
 	return nil
 }
 
@@ -625,13 +610,10 @@ func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	sc := getLineageScratch()
-	defer sc.release()
-	sc.cone = view.appendCone(sc.cone, v, dir == "up")
-	sc.out = appendLineageResponse(sc.out, view, sc.cone, dir, q.Get("run"), ref)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(sc.out)
+	jw := respond()
+	jw.cone = view.appendCone(jw.cone, v, dir == "up")
+	jw.strs("cone", len(jw.cone), func(i int) string { return view.Name(jw.cone[i]) }).num("count", len(jw.cone)).
+		str("direction", dir).str("run", q.Get("run")).str("vertex", ref).send(w, http.StatusOK)
 	return nil
 }
 
@@ -722,15 +704,4 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	default:
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

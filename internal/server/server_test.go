@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/dag"
 	"repro/internal/label"
@@ -69,12 +71,40 @@ func do(t *testing.T, s *Server, method, target, body string, out any) *httptest
 	}
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
+	checkReencodes(t, req, rec.Body.Bytes())
 	if out != nil {
 		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
 			t.Fatalf("%s %s: bad JSON %q: %v", method, target, rec.Body.String(), err)
 		}
 	}
 	return rec
+}
+
+// checkReencodes asserts that a JSON object body is byte for byte what
+// encoding/json writes for its decoded form: sorted keys, HTML-safe
+// escaping, a trailing newline. /batch keeps its struct's field order,
+// /healthz the field order of its nested stats structs, and U+FFFD may
+// stand for invalid UTF-8 the decode cannot restore, so none of those
+// is checked here.
+func checkReencodes(t testing.TB, req *http.Request, body []byte) {
+	t.Helper()
+	if len(body) == 0 || body[0] != '{' || req.URL.Path == "/batch" || req.URL.Path == "/healthz" ||
+		bytes.Contains(body, []byte(`\ufffd`)) || bytes.ContainsRune(body, utf8.RuneError) {
+		return
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatalf("%s %s: bad JSON %q: %v", req.Method, req.URL, body, err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("%s %s: body is not encoding/json's\n got %q\nwant %q", req.Method, req.URL, body, want.Bytes())
+	}
 }
 
 func TestEndpoints(t *testing.T) {

@@ -147,9 +147,7 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) erro
 		if errors.Is(err, live.ErrGap) || errors.Is(err, live.ErrConflict) || errors.As(err, &evErr) {
 			// The response carries the applied sequence so a resuming
 			// client knows exactly where to continue from.
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error": err.Error(), "run": name, "seq": ls.Seq(),
-			})
+			respond().str("error", err.Error()).str("run", name).num("seq", ls.Seq()).send(w, http.StatusConflict)
 			return nil
 		}
 		// A transient failure had no side effect (the transient
@@ -167,13 +165,8 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) erro
 			s.logf("server: checkpointing stream %q: %v", name, err)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"run":      name,
-		"applied":  applied,
-		"seq":      ls.Seq(),
-		"vertices": ls.NumVertices(),
-		"copies":   ls.NumCopies(),
-	})
+	respond().num("applied", applied).num("copies", ls.NumCopies()).str("run", name).
+		num("seq", ls.Seq()).num("vertices", ls.NumVertices()).send(w, http.StatusOK)
 	return nil
 }
 
@@ -226,14 +219,9 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) error {
 			s.logf("server: retention sweep after finish %q: %v", name, err)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"run":              name,
-		"vertices":         rn.NumVertices(),
-		"edges":            rn.NumEdges(),
-		"events":           seq,
-		"snapshot_version": sess.SnapshotVersion.String(),
-		"snapshot_bytes":   sess.SnapshotBytes,
-	})
+	respond().num("edges", rn.NumEdges()).num("events", seq).str("run", name).
+		num("snapshot_bytes", sess.SnapshotBytes).str("snapshot_version", sess.SnapshotVersion.String()).
+		num("vertices", rn.NumVertices()).send(w, http.StatusOK)
 	return nil
 }
 
@@ -252,11 +240,12 @@ func (s *Server) writeRunStatus(w http.ResponseWriter, name string) error {
 		return err
 	}
 	defer release()
-	body, err := view.status(name)
-	if err != nil {
+	jw := respond()
+	if err := view.status(jw, name); err != nil {
+		jw.release()
 		return fmt.Errorf("loading run %q: %w", name, err)
 	}
-	writeJSON(w, http.StatusOK, body)
+	jw.send(w, http.StatusOK)
 	return nil
 }
 

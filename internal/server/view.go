@@ -41,7 +41,8 @@ type runView interface {
 	appendReachable(dst []bool, pairs [][2]dag.VertexID) []bool
 	// graph returns the run's edges, for the one label-free query (/rpq).
 	graph() (*run.Run, error)
-	status(name string) (map[string]any, error)
+	// status writes the run's status fields into jw.
+	status(jw *jsonWriter, name string) error
 }
 
 // session is one cached run: the stored session plus the name index,
@@ -80,26 +81,19 @@ func (se *session) graph() (*run.Run, error) {
 	return rn, err
 }
 
-func (se *session) status(name string) (map[string]any, error) {
+func (se *session) status(jw *jsonWriter, name string) error {
 	rn, ann, err := se.Document()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	items := 0
 	if ann != nil {
 		items = len(ann.Items)
 	}
-	return map[string]any{
-		"run":              name,
-		"status":           "finished",
-		"vertices":         rn.NumVertices(),
-		"edges":            rn.NumEdges(),
-		"data_items":       items,
-		"max_label_bits":   se.Labels.MaxLabelBits(),
-		"avg_label_bits":   se.Labels.AvgLabelBits(),
-		"snapshot_version": se.SnapshotVersion.String(),
-		"snapshot_bytes":   se.SnapshotBytes,
-	}, nil
+	jw.float("avg_label_bits", se.Labels.AvgLabelBits()).num("data_items", items).num("edges", rn.NumEdges()).
+		num("max_label_bits", se.Labels.MaxLabelBits()).str("run", name).num("snapshot_bytes", se.SnapshotBytes).
+		str("snapshot_version", se.SnapshotVersion.String()).str("status", "finished").num("vertices", rn.NumVertices())
+	return nil
 }
 
 // liveView is a live stream as a runView. The online labeler is mutable
@@ -131,17 +125,11 @@ func (lv liveView) appendReachable(dst []bool, pairs [][2]dag.VertexID) []bool {
 // *live.IncompleteError.
 func (lv liveView) graph() (*run.Run, error) { return lv.MaterializedRun() }
 
-func (lv liveView) status(name string) (map[string]any, error) {
-	return map[string]any{
-		"run":             name,
-		"status":          "live",
-		"vertices":        lv.NumVertices(),
-		"copies":          lv.NumCopies(),
-		"events":          lv.Seq(),
-		"renumbers":       lv.Renumbers(),
-		"checkpoint_seq":  lv.CheckpointSeq(),
-		"event_log_bytes": lv.EventLogBytes(),
-	}, nil
+func (lv liveView) status(jw *jsonWriter, name string) error {
+	jw.num("checkpoint_seq", lv.CheckpointSeq()).num("copies", lv.NumCopies()).
+		num("event_log_bytes", int(lv.EventLogBytes())).num("events", lv.Seq()).num("renumbers", lv.Renumbers()).
+		str("run", name).str("status", "live").num("vertices", lv.NumVertices())
+	return nil
 }
 
 // noRelease is a stored view's release: resident sessions are immutable

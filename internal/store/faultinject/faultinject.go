@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -497,12 +496,4 @@ func init() {
 		}
 		return Wrap(inner, plan), nil
 	})
-}
-
-// Ops returns every injectable op sorted by name — handy for tests
-// that sweep the full surface.
-func Ops() []Op {
-	ops := append(append([]Op(nil), ReadOps...), WriteOps...)
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
-	return ops
 }

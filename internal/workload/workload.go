@@ -295,12 +295,3 @@ func Synthesize(rng *rand.Rand, p Params) (*spec.Spec, error) {
 func collectBuilderEdges(b *spec.Builder) [][2]spec.ModuleName {
 	return b.DeclaredEdges()
 }
-
-// MustSynthesize panics on error, for tests and benchmarks.
-func MustSynthesize(rng *rand.Rand, p Params) *spec.Spec {
-	s, err := Synthesize(rng, p)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
