@@ -97,14 +97,16 @@ rpq-smoke:
 # decoder against encoding/xml (internal/xmlio), context-grouped
 # lineage cones against the per-vertex label scan over any snapshot the
 # decoder accepts (internal/core), and the event-log parser against the
-# bufio/Sscanf parser it replaced (internal/events), and the /batch
-# request decoder against encoding/json (internal/server). The seed
+# bufio/Sscanf parser it replaced (internal/events), the /batch
+# request decoder against encoding/json (internal/server), and the
+# vertex namer grown by Add against Run.NameOf (internal/run). The seed
 # corpora of every fuzz target already run in `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRunOracle -fuzztime 30s ./internal/xmlio/
 	$(GO) test -run '^$$' -fuzz FuzzConeOracle -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReadLogOracle -fuzztime 30s ./internal/events/
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequestOracle -fuzztime 30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzNamerOracle -fuzztime 30s ./internal/run/
 
 # Static analysis: cmd/provlint runs the repo-specific analyzer suite
 # (internal/lint — %w wrapping in the store, documented lock discipline,

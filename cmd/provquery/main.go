@@ -208,15 +208,16 @@ func main() {
 		}
 	}
 
+	nm := repro.NewNamer(r)
 	if *from != "" || *to != "" {
 		if *from == "" || *to == "" {
 			fatalf("-from and -to must be given together")
 		}
-		u, err := findVertex(r, *from)
+		u, err := findVertex(nm, *from)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		v, err := findVertex(r, *to)
+		v, err := findVertex(nm, *to)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -226,7 +227,7 @@ func main() {
 				path := repro.Explain(r, u, v)
 				fmt.Print("  via:")
 				for _, p := range path {
-					fmt.Printf(" %s", r.NameOf(p))
+					fmt.Printf(" %s", nm.Name(p))
 				}
 				fmt.Println()
 			}
@@ -236,20 +237,19 @@ func main() {
 	}
 
 	if *upstream != "" {
-		v, err := findVertex(r, *upstream)
+		v, err := findVertex(nm, *upstream)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		cone := repro.UpstreamByLabels(l, v)
 		fmt.Printf("%s was derived from %d module executions:", *upstream, len(cone))
 		for _, u := range cone {
-			fmt.Printf(" %s", r.NameOf(u))
+			fmt.Printf(" %s", nm.Name(u))
 		}
 		fmt.Println()
 	}
 
 	if *interactive {
-		nm := repro.NewNamer(r)
 		sc := bufio.NewScanner(os.Stdin)
 		for sc.Scan() {
 			fields := strings.Fields(sc.Text())
@@ -599,8 +599,8 @@ func deleteRun(baseURL, name string) {
 	fmt.Printf("deleted %s\n", del.Run)
 }
 
-func findVertex(r *repro.Run, name string) (repro.VertexID, error) {
-	if v, ok := repro.NewNamer(r).Vertex(name); ok {
+func findVertex(nm *repro.Namer, name string) (repro.VertexID, error) {
+	if v, ok := nm.Vertex(name); ok {
 		return v, nil
 	}
 	return 0, fmt.Errorf("no vertex named %q in the run", name)

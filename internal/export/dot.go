@@ -73,6 +73,7 @@ func SpecDOT(w io.Writer, s *spec.Spec, name string) error {
 func RunDOT(w io.Writer, r *run.Run, p *plan.Plan, name string) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n  node [shape=circle];\n", nonEmpty(name, "run"))
+	nm := run.NewNamer(r)
 	for v := 0; v < r.NumVertices(); v++ {
 		attrs := ""
 		if p != nil {
@@ -86,10 +87,10 @@ func RunDOT(w io.Writer, r *run.Run, p *plan.Plan, name string) error {
 				attrs = ` [fillcolor=lightyellow, style=filled]`
 			}
 		}
-		fmt.Fprintf(&b, "  %q%s;\n", r.NameOf(dag.VertexID(v)), attrs)
+		fmt.Fprintf(&b, "  %q%s;\n", nm.Name(dag.VertexID(v)), attrs)
 	}
 	for _, e := range r.Graph.Edges() {
-		fmt.Fprintf(&b, "  %q -> %q;\n", r.NameOf(e.Tail), r.NameOf(e.Head))
+		fmt.Fprintf(&b, "  %q -> %q;\n", nm.Name(e.Tail), nm.Name(e.Head))
 	}
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())

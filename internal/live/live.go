@@ -3,7 +3,8 @@
 // instead of arriving as one finished document. Each Session wraps an
 // online.Labeler (the paper's Section 9 incremental scheme) fed by
 // events.Event appends, tracks its own copy table so the execution tree
-// can be reconstructed, and persists every accepted batch to a per-run
+// can be reconstructed, names vertices through run.Namer as they
+// execute, and persists every accepted batch to a per-run
 // event log blob (store.Backend.AppendEventLog) before applying it —
 // the log is the stream's write-ahead log, so a crash loses no accepted
 // event. Periodic checkpoints (an atomic meta blob holding the applied
@@ -200,19 +201,37 @@ func CheckpointMeta(name string) string { return ".ckpt-" + name }
 func ListStreams(st *store.Store) ([]string, error) { return st.Backend().ListEventLogs() }
 
 // HasState reports whether name has durable stream state in st: an
-// event log or a non-empty checkpoint.
-func HasState(st *store.Store, name string) bool {
-	had := false
-	if rc, err := st.ReadRunEvents(name); err == nil {
+// event log or a non-empty checkpoint. A failed read is an error, never
+// a "no": the state may exist behind it.
+func HasState(st *store.Store, name string) (bool, error) {
+	rc, err := st.ReadRunEvents(name)
+	if err == nil {
 		rc.Close()
-		had = true
+		return true, nil
 	}
-	if rc, err := st.Backend().ReadMeta(CheckpointMeta(name)); err == nil {
-		data, _ := io.ReadAll(rc)
+	if !errors.Is(err, fs.ErrNotExist) {
+		return false, fmt.Errorf("live: reading event log for %q: %w", name, err)
+	}
+	ckpt, err := readCheckpoint(st, name)
+	return len(ckpt) > 0, err
+}
+
+// readCheckpoint reads name's checkpoint blob; an absent one reads as
+// empty.
+func readCheckpoint(st *store.Store, name string) ([]byte, error) {
+	rc, err := st.Backend().ReadMeta(CheckpointMeta(name))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	var ckpt []byte
+	if err == nil {
+		ckpt, err = io.ReadAll(rc)
 		rc.Close()
-		had = had || len(data) > 0
 	}
-	return had
+	if err != nil {
+		return nil, fmt.Errorf("live: reading checkpoint for %q: %w", name, err)
+	}
+	return ckpt, nil
 }
 
 // DeleteState deletes name's durable stream state from st, its event
@@ -244,12 +263,9 @@ type Session struct {
 	copies  []copyState
 	history []events.Event
 	origins []dag.VertexID
-	// names/byName/counts are the incremental equivalent of run.Namer:
-	// occurrence names assigned as executions arrive, in the same
-	// per-origin counting order NewNamer uses on the materialized run.
-	names  []string
-	byName map[string]dag.VertexID
-	counts []int
+	// names names each module execution as apply records it, one Add per
+	// vertex, so the live run's names are the finished run's.
+	names *run.Namer
 
 	// logBytes is how much of the run's event log this session's history
 	// accounts for; appends extend it, recovery re-derives it.
@@ -290,8 +306,7 @@ func NewSession(st *store.Store, name string, skel label.Labeling, g *Gauges) *S
 		lab:    l,
 		g:      g,
 		copies: []copyState{{h: l.Root(), hnode: 0, parent: -1}},
-		byName: make(map[string]dag.VertexID),
-		counts: make([]int, sp.NumVertices()),
+		names:  run.NewNamerFromOrigins(sp, nil),
 	}
 	s.Touch()
 	return s
@@ -466,15 +481,11 @@ func (s *Session) apply(e events.Event) error {
 		s.copies = append(s.copies, copyState{h: c, hnode: e.HNode, parent: e.Parent})
 	case events.ModuleExec:
 		orig, _ := s.sp.VertexOf(e.Module)
-		v, err := s.lab.AddExec(s.copies[e.Copy].h, orig)
-		if err != nil {
+		if _, err := s.lab.AddExec(s.copies[e.Copy].h, orig); err != nil {
 			return err
 		}
 		s.origins = append(s.origins, orig)
-		s.counts[orig]++
-		name := fmt.Sprintf("%s%d", s.sp.NameOf(orig), s.counts[orig])
-		s.names = append(s.names, name)
-		s.byName[name] = v
+		s.names.Add(orig)
 	}
 	return nil
 }
@@ -514,32 +525,26 @@ func (s *Session) Checkpoint() error {
 // streamed to returns an error satisfying errors.Is(err, fs.ErrNotExist).
 func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Session, error) {
 	s := NewSession(st, name, skel, g)
-	haveCkpt := false
-	if rc, err := st.Backend().ReadMeta(CheckpointMeta(name)); err == nil {
-		data, rerr := io.ReadAll(rc)
-		rc.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("live: reading checkpoint for %q: %w", name, rerr)
+	ckpt, err := readCheckpoint(st, name)
+	if err != nil {
+		return nil, err
+	}
+	haveCkpt := len(ckpt) > 0
+	if haveCkpt {
+		seq, logBytes, evs, perr := parseCheckpoint(ckpt)
+		if perr != nil {
+			return nil, fmt.Errorf("live: checkpoint for %q: %w", name, perr)
 		}
-		if len(data) > 0 {
-			seq, logBytes, evs, perr := parseCheckpoint(data)
-			if perr != nil {
-				return nil, fmt.Errorf("live: checkpoint for %q: %w", name, perr)
-			}
-			if len(evs) != seq {
-				return nil, fmt.Errorf("live: checkpoint for %q holds %d events but declares %d", name, len(evs), seq)
-			}
-			if err := s.prevalidate(evs); err != nil {
-				return nil, fmt.Errorf("live: checkpoint for %q: %w", name, err)
-			}
-			if err := s.ingest(evs); err != nil {
-				return nil, fmt.Errorf("live: replaying checkpoint for %q: %w", name, err)
-			}
-			s.ckptSeq, s.ckptLogBytes = seq, logBytes
-			haveCkpt = true
+		if len(evs) != seq {
+			return nil, fmt.Errorf("live: checkpoint for %q holds %d events but declares %d", name, len(evs), seq)
 		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("live: reading checkpoint for %q: %w", name, err)
+		if err := s.prevalidate(evs); err != nil {
+			return nil, fmt.Errorf("live: checkpoint for %q: %w", name, err)
+		}
+		if err := s.ingest(evs); err != nil {
+			return nil, fmt.Errorf("live: replaying checkpoint for %q: %w", name, err)
+		}
+		s.ckptSeq, s.ckptLogBytes = seq, logBytes
 	}
 
 	var data []byte
@@ -679,16 +684,10 @@ func (s *Session) execCopy(id int) *run.ExecCopy {
 	return &run.ExecCopy{Sites: sites}
 }
 
-// Name returns the display name of live run vertex v (same occurrence
-// numbering run.Namer assigns on the finished run).
-func (s *Session) Name(v dag.VertexID) string { return s.names[v] }
-
-// Vertex looks up a live run vertex by occurrence name (the serving
-// layer adds the numeric-ID fallback for every run alike).
-func (s *Session) Vertex(name string) (dag.VertexID, bool) {
-	v, ok := s.byName[name]
-	return v, ok
-}
+// Namer names the live run's vertices and resolves their names: the
+// names the finished run gets (the serving layer adds the numeric-ID
+// fallback for every run alike).
+func (s *Session) Namer() *run.Namer { return s.names }
 
 // Reachable answers one reachability query on the live labels.
 func (s *Session) Reachable(u, v dag.VertexID) bool { return s.lab.Reachable(u, v) }
@@ -701,25 +700,14 @@ func (s *Session) ByContext(u, v dag.VertexID) bool {
 	return (a.K2 < b.K2) != (a.K3 < b.K3)
 }
 
-// Upstream returns every live vertex that reaches v (excluding v), by
-// label scan — the live counterpart of lineage.UpstreamByLabels.
-func (s *Session) Upstream(v dag.VertexID) []dag.VertexID {
-	var out []dag.VertexID
-	for u := 0; u < len(s.origins); u++ {
-		if dag.VertexID(u) != v && s.lab.Reachable(dag.VertexID(u), v) {
-			out = append(out, dag.VertexID(u))
+// AppendCone appends v's lineage cone in ascending vertex ID, by label
+// scan: the vertices reaching v when up, those v reaches otherwise. It is
+// the live counterpart of core.Labeling.AppendCone.
+func (s *Session) AppendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag.VertexID {
+	for u := dag.VertexID(0); int(u) < len(s.origins); u++ {
+		if u != v && (up && s.lab.Reachable(u, v) || !up && s.lab.Reachable(v, u)) {
+			dst = append(dst, u)
 		}
 	}
-	return out
-}
-
-// Downstream is the forward counterpart of Upstream.
-func (s *Session) Downstream(v dag.VertexID) []dag.VertexID {
-	var out []dag.VertexID
-	for u := 0; u < len(s.origins); u++ {
-		if dag.VertexID(u) != v && s.lab.Reachable(v, dag.VertexID(u)) {
-			out = append(out, dag.VertexID(u))
-		}
-	}
-	return out
+	return dst
 }

@@ -3,8 +3,10 @@ package live_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dag"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // newPaperStream returns a mem store for the paper spec plus the
@@ -135,10 +138,10 @@ func TestLiveQueriesMatchFinished(t *testing.T) {
 	}
 	nm := run.NewNamer(fin)
 	for v := 0; v < n; v++ {
-		if got, want := ls.Name(dag.VertexID(v)), nm.Name(dag.VertexID(v)); got != want {
+		if got, want := ls.Namer().Name(dag.VertexID(v)), nm.Name(dag.VertexID(v)); got != want {
 			t.Fatalf("vertex %d named %q live, %q finished", v, got, want)
 		}
-		if got, ok := ls.Vertex(nm.Name(dag.VertexID(v))); !ok || got != dag.VertexID(v) {
+		if got, ok := ls.Namer().Vertex(nm.Name(dag.VertexID(v))); !ok || got != dag.VertexID(v) {
 			t.Fatalf("Vertex(%q) = %d, %v", nm.Name(dag.VertexID(v)), got, ok)
 		}
 	}
@@ -148,6 +151,78 @@ func TestLiveQueriesMatchFinished(t *testing.T) {
 				t.Errorf("Reachable(%d,%d) = %v live, %v stored", u, v, got, want)
 			}
 		}
+	}
+}
+
+// TestLiveNamesCollide streams a QBLAST stand-in run, whose module
+// names extend each other (v4, v47), so some occurrence names collide
+// ("v471" is v4's 71st and v47's 1st). Every name must resolve live to
+// the vertex it resolves to on the finished run, and every vertex must
+// bear the same name on both.
+func TestLiveNamesCollide(t *testing.T) {
+	sp, err := workload.StandIn("QBLAST", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.NewMem(sp, "qblast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	skel, err := st.Skeleton(label.TCM{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, p := run.GenerateSized(sp, rand.New(rand.NewSource(4)), 1000)
+	ls := live.NewSession(st, "qblast", skel, nil)
+	appendAll(t, ls, events.Emit(r, p), 256)
+	fin, err := ls.MaterializedRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := run.NewNamer(fin), ls.Namer()
+	if got.Len() != fin.NumVertices() {
+		t.Fatalf("live session named %d vertices, finished run has %d", got.Len(), fin.NumVertices())
+	}
+	collisions := 0
+	for v := 0; v < fin.NumVertices(); v++ {
+		name := want.Name(dag.VertexID(v))
+		if live := got.Name(dag.VertexID(v)); live != name {
+			t.Fatalf("vertex %d named %q live, %q finished", v, live, name)
+		}
+		wv, _ := want.Vertex(name)
+		if lv, ok := got.Vertex(name); !ok || lv != wv {
+			t.Fatalf("Vertex(%q) = %d,%v live, %d finished", name, lv, ok, wv)
+		}
+		if wv != dag.VertexID(v) {
+			collisions++
+		}
+	}
+	if collisions == 0 {
+		t.Fatal("no occurrence names collide: the run does not exercise the collision rule")
+	}
+}
+
+// TestAppendAllocsFlat pins that recording a module execution costs no
+// allocation of its own: a batch of n executions into the started root
+// copy allocates only for the amortized growth of the session's tables.
+func TestAppendAllocsFlat(t *testing.T) {
+	st, skel, _, _ := newPaperStream(t)
+	sp := st.Spec()
+	allocs := func(n int) float64 {
+		batch := make([]events.Event, n)
+		for i := range batch {
+			batch[i] = events.Event{Kind: events.ModuleExec, Module: sp.NameOf(dag.VertexID(i % sp.NumVertices()))}
+		}
+		ls := live.NewSession(st, fmt.Sprintf("flat%d", n), skel, nil)
+		return testing.AllocsPerRun(4, func() {
+			if _, err := ls.Append(batch, ls.Seq()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(16), allocs(1024)
+	if large-small > (1024-16)/8 {
+		t.Fatalf("Append allocs grow with the batch: %v for 16 executions, %v for 1024", small, large)
 	}
 }
 

@@ -1,6 +1,7 @@
 package run
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -59,6 +60,60 @@ func TestNamerPrefixCollision(t *testing.T) {
 	if v, _ := NewNamer(r).Vertex("v471"); v != 75 {
 		t.Fatalf(`Vertex("v471") = %d, want 75 (the later of the two)`, v)
 	}
+}
+
+// FuzzNamerOracle grows a Namer by Add over a specification whose
+// module names extend each other (v, v4, v47, 47), so names collide
+// across modules, and checks it against a map of last vertices built
+// from Run.NameOf: every name, every resolved name, and an arbitrary
+// lookup, which must resolve only when the oracle knows it (a leading
+// zero or an unknown module resolves to nothing).
+func FuzzNamerOracle(f *testing.F) {
+	s := &spec.Spec{Graph: dag.New(4), Names: []spec.ModuleName{"v", "v4", "v47", "47"}}
+	collide := append(bytes.Repeat([]byte{1}, 71), 2, 0, 3, 3)
+	for _, lookup := range []string{"v471", "v47", "v41", "v1", "471", "4711", "v0471", "v40", "v4", "v", "", "v01", "0"} {
+		f.Add(collide, lookup)
+	}
+	f.Add([]byte{0, 1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, "v10")
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, "4710")
+	f.Fuzz(func(t *testing.T, data []byte, lookup string) {
+		if len(data) > 400 {
+			data = data[:400]
+		}
+		origin := make([]dag.VertexID, len(data))
+		for i, b := range data {
+			origin[i] = dag.VertexID(b % 4)
+		}
+		r := &Run{Spec: s, Graph: dag.New(len(origin)), Origin: origin}
+		nm := NewNamerFromOrigins(s, nil)
+		last := make(map[string]dag.VertexID)
+		for v, o := range origin {
+			if got := nm.Add(o); got != dag.VertexID(v) {
+				t.Fatalf("Add #%d returned vertex %d", v, got)
+			}
+			last[r.NameOf(dag.VertexID(v))] = dag.VertexID(v)
+		}
+		if nm.Len() != len(origin) {
+			t.Fatalf("Len = %d, want %d", nm.Len(), len(origin))
+		}
+		for v := range origin {
+			if got, want := nm.Name(dag.VertexID(v)), r.NameOf(dag.VertexID(v)); got != want {
+				t.Fatalf("Name(%d) = %q, want %q", v, got, want)
+			}
+		}
+		for name, want := range last {
+			if got, ok := nm.Vertex(name); !ok || got != want {
+				t.Fatalf("Vertex(%q) = %d,%v, want %d", name, got, ok, want)
+			}
+		}
+		want, wantOK := last[lookup]
+		if got, ok := nm.Vertex(lookup); ok != wantOK || got != want {
+			t.Fatalf("Vertex(%q) = %d,%v, want %d,%v", lookup, got, ok, want, wantOK)
+		}
+		if got, ok := nm.VertexBytes([]byte(lookup)); ok != wantOK || got != want {
+			t.Fatalf("VertexBytes(%q) = %d,%v, want %d,%v", lookup, got, ok, want, wantOK)
+		}
+	})
 }
 
 func BenchmarkNamerLookup(b *testing.B) {

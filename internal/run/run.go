@@ -31,9 +31,9 @@ func (r *Run) NumVertices() int { return r.Graph.NumVertices() }
 // NumEdges returns |E(R)|.
 func (r *Run) NumEdges() int { return r.Graph.NumEdges() }
 
-// NameOf renders the unique display name of run vertex v: the module name
-// of its origin plus the vertex's rank among copies of that origin
-// (matching the paper's b1, b2, ... convention).
+// NameOf renders the display name of run vertex v by the rule Namer
+// states, scanning the vertices before v: it is the O(n) per-call
+// reference, and callers naming many vertices build one Namer.
 func (r *Run) NameOf(v dag.VertexID) string {
 	rank := 1
 	for u := dag.VertexID(0); u < v; u++ {

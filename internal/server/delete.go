@@ -6,6 +6,8 @@ import (
 	"io/fs"
 	"net/http"
 	"sort"
+
+	"repro/internal/live"
 )
 
 // delete.go is the run lifecycle's exit path: DELETE /runs/{name}
@@ -55,14 +57,19 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 // On a streaming server the delete also aborts any live session and
 // clears the run's durable stream state: a run being streamed but never
 // finished has no stored blobs, so DeleteRun reports ErrNotExist — that
-// is still a successful delete when stream state existed.
+// is still a successful delete when stream state existed. A failed
+// probe for that state fails the delete before anything is removed.
 func (s *Server) deleteRun(name string) error {
 	mu := s.runMu.forName(name)
 	mu.Lock()
 	defer mu.Unlock()
 	hadStream := false
 	if s.stream {
-		hadStream = s.clearStreamState(name)
+		had, err := live.HasState(s.st, name)
+		if err != nil {
+			return err
+		}
+		hadStream = s.clearStreamState(name) || had
 	}
 	err := s.st.DeleteRun(name)
 	s.cache.Invalidate(name)

@@ -495,3 +495,35 @@ func TestFinishRetryAfterCrash(t *testing.T) {
 		t.Fatalf("finish of a stored run without stream state: %d, want 409", rec.Code)
 	}
 }
+
+// TestTransientProbeKeepsStreamDeletable pins that a failed probe for a
+// stream-only run's durable state is an error, never a "no". After a
+// restart the stream is not resident, so DELETE must read its event
+// log: one transient ReadEventLog answers 503 + Retry-After and removes
+// nothing, not 404; the retry deletes the stream.
+func TestTransientProbeKeepsStreamDeletable(t *testing.T) {
+	s, fb, st := newFaultServer(t, Config{EnableStream: true})
+	r, p := run.GenerateSized(spec.PaperSpec(), rand.New(rand.NewSource(41)), 60)
+	evs := events.Emit(r, p)
+	streamRun(t, s, "gamma", evs[:len(evs)/2], 16)
+
+	restarted, err := New(Config{Store: st, EnableStream: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb.SetPlan(faultinject.Plan{PerOp: map[faultinject.Op]faultinject.Rule{
+		faultinject.OpReadEventLog: {FailFirst: 1},
+	}})
+	rec := do(t, restarted, "DELETE", "/runs/gamma", "", nil)
+	if rec.Code != 503 || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("DELETE of a stream under a transient probe: %d (Retry-After %q) %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+	}
+	fb.SetPlan(faultinject.Plan{})
+	if rec := do(t, restarted, "DELETE", "/runs/gamma", "", nil); rec.Code != 200 {
+		t.Fatalf("retried DELETE: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, restarted, "GET", "/runs/gamma", "", nil); rec.Code != 404 {
+		t.Fatalf("GET deleted stream: %d %s", rec.Code, rec.Body.String())
+	}
+}

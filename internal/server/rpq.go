@@ -62,11 +62,11 @@ func (s *Server) handleRPQ(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	defer release()
-	u, err := vertexParam(view, req.From)
+	u, err := vertexParam(view.Namer(), req.From)
 	if err != nil {
 		return err
 	}
-	v, err := vertexParam(view, req.To)
+	v, err := vertexParam(view.Namer(), req.To)
 	if err != nil {
 		return err
 	}

@@ -94,7 +94,7 @@
 // through an LRU cache with singleflight load dedup, so a cache hit
 // answers queries with zero disk I/O. A cache
 // miss is the paper's label lookup: /reachable, /batch and /lineage run
-// on the stored labels and a name index built from their origin column;
+// on the stored labels and a run.Namer built from their origin column;
 // only /rpq and finished-run status decode the run document.
 //
 // /batch is the allocation-critical path: request decode, pair
@@ -539,11 +539,11 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	defer release()
-	u, err := vertexParam(view, from)
+	u, err := vertexParam(view.Namer(), from)
 	if err != nil {
 		return err
 	}
-	v, err := vertexParam(view, to)
+	v, err := vertexParam(view.Namer(), to)
 	if err != nil {
 		return err
 	}
@@ -572,9 +572,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	defer release()
+	nm := view.Namer()
 	for i, t := range sc.tokens {
-		u, okU := t[0].resolve(view)
-		v, okV := t[1].resolve(view)
+		u, okU := t[0].resolve(nm)
+		v, okV := t[1].resolve(nm)
 		if !okU || !okV {
 			bad := t[0].raw
 			if okU {
@@ -606,13 +607,14 @@ func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	defer release()
-	v, err := vertexParam(view, ref)
+	nm := view.Namer()
+	v, err := vertexParam(nm, ref)
 	if err != nil {
 		return err
 	}
 	jw := respond()
-	jw.cone = view.appendCone(jw.cone, v, dir == "up")
-	jw.strs("cone", len(jw.cone), func(i int) string { return view.Name(jw.cone[i]) }).num("count", len(jw.cone)).
+	jw.cone = view.AppendCone(jw.cone, v, dir == "up")
+	jw.strs("cone", len(jw.cone), func(i int) string { return nm.Name(jw.cone[i]) }).num("count", len(jw.cone)).
 		str("direction", dir).str("run", q.Get("run")).str("vertex", ref).send(w, http.StatusOK)
 	return nil
 }

@@ -250,14 +250,10 @@ func (s *Server) writeRunStatus(w http.ResponseWriter, name string) error {
 }
 
 // clearStreamState drops name's live session and durable stream state
-// (event log + checkpoint), reporting whether any existed — so DELETE
-// can abort a stream that was never finished (and so never stored) and
-// still answer success. Callers hold the run's write lock.
+// (event log + checkpoint), reporting whether a live session existed.
+// Callers hold the run's write lock.
 func (s *Server) clearStreamState(name string) bool {
 	had := s.live.Remove(name) != nil
-	if live.HasState(s.st, name) {
-		had = true
-	}
 	// Cleanup failures are survivable — the store-wins rule deletes
 	// stale stream state lazily — but a backend refusing deletes is an
 	// operator-visible condition, not one to swallow.

@@ -24,20 +24,17 @@ import (
 
 // runView is one queryable run.
 type runView interface {
-	NumVertices() int
-	// Vertex looks up an occurrence name ("b2"), and vertexBytes the same
-	// for /batch's byte-slice tokens (no string copy); the numeric-ID
-	// fallback is the server's, one vertexID for both views.
-	Vertex(name string) (dag.VertexID, bool)
-	vertexBytes(name []byte) (dag.VertexID, bool)
-	Name(v dag.VertexID) string
+	// Namer names the run's vertices and resolves occurrence names
+	// ("b2"); its Len is the vertex count. The numeric-ID fallback is the
+	// server's, one vertexID for both views.
+	Namer() *run.Namer
 	Reachable(u, v dag.VertexID) bool
 	// ByContext reports whether Reachable(u, v) was decided by the
 	// context comparison alone.
 	ByContext(u, v dag.VertexID) bool
-	// appendCone appends v's lineage cone in ascending vertex ID: the
+	// AppendCone appends v's lineage cone in ascending vertex ID: the
 	// vertices reaching v when up, those v reaches otherwise.
-	appendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag.VertexID
+	AppendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag.VertexID
 	appendReachable(dst []bool, pairs [][2]dag.VertexID) []bool
 	// graph returns the run's edges, for the one label-free query (/rpq).
 	graph() (*run.Run, error)
@@ -45,28 +42,25 @@ type runView interface {
 	status(jw *jsonWriter, name string) error
 }
 
-// session is one cached run: the stored session plus the name index,
-// both immutable after load (the stored session decodes its run
+// session is one cached run: the stored session plus its namer, both
+// immutable after load (the stored session decodes its run
 // document at most once, on the first query that needs it).
 type session struct {
 	*store.Session
 	namer *run.Namer
 }
 
-// newSession indexes a stored session's vertex names from its label
+// newSession names a stored session's vertices from its label
 // snapshot's origin column — the run document stays undecoded until a
 // path query or a run status asks for it.
 func (s *Server) newSession(sess *store.Session) *session {
 	return &session{Session: sess, namer: run.NewNamerFromOrigins(s.st.Spec(), sess.Labels.Origins())}
 }
 
-func (se *session) NumVertices() int                             { return se.Labels.NumVertices() }
-func (se *session) Vertex(name string) (dag.VertexID, bool)      { return se.namer.Vertex(name) }
-func (se *session) vertexBytes(name []byte) (dag.VertexID, bool) { return se.namer.VertexBytes(name) }
-func (se *session) Name(v dag.VertexID) string                   { return se.namer.Name(v) }
-func (se *session) Reachable(u, v dag.VertexID) bool             { return se.Labels.Reachable(u, v) }
-func (se *session) ByContext(u, v dag.VertexID) bool             { return se.Labels.AnsweredByContext(u, v) }
-func (se *session) appendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag.VertexID {
+func (se *session) Namer() *run.Namer                { return se.namer }
+func (se *session) Reachable(u, v dag.VertexID) bool { return se.Labels.Reachable(u, v) }
+func (se *session) ByContext(u, v dag.VertexID) bool { return se.Labels.AnsweredByContext(u, v) }
+func (se *session) AppendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag.VertexID {
 	return se.Labels.AppendCone(dst, v, up)
 }
 
@@ -100,17 +94,6 @@ func (se *session) status(jw *jsonWriter, name string) error {
 // state under the run lock, not a parallel-safe snapshot, so batches
 // answer sequentially.
 type liveView struct{ *live.Session }
-
-func (lv liveView) vertexBytes(name []byte) (dag.VertexID, bool) { return lv.Vertex(string(name)) }
-
-// appendCone keeps the live labeler's own scan: online labels have no
-// context index.
-func (lv liveView) appendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag.VertexID {
-	if up {
-		return append(dst, lv.Upstream(v)...)
-	}
-	return append(dst, lv.Downstream(v)...)
-}
 
 func (lv liveView) appendReachable(dst []bool, pairs [][2]dag.VertexID) []bool {
 	for _, p := range pairs {
@@ -205,10 +188,10 @@ func (s *Server) resolveRun(name string) (runView, func(), error) {
 // same way, for every endpoint and both views: an occurrence name
 // ("b2") first — so every name the server itself emits resolves, even
 // when module names start with digits — then a numeric vertex ID.
-func vertexParam(view runView, ref string) (dag.VertexID, error) {
-	v, ok := view.Vertex(ref)
+func vertexParam(nm *run.Namer, ref string) (dag.VertexID, error) {
+	v, ok := nm.Vertex(ref)
 	if !ok {
-		v, ok = vertexID(ref, view.NumVertices())
+		v, ok = vertexID(ref, nm.Len())
 	}
 	if !ok {
 		return 0, notFound(fmt.Sprintf("unknown vertex %q", ref))
@@ -218,14 +201,14 @@ func vertexParam(view runView, ref string) (dag.VertexID, error) {
 
 // resolve resolves one parsed /batch pair element: numeric elements are
 // plain ID range checks, string elements resolve like vertexParam.
-func (t vertexToken) resolve(view runView) (dag.VertexID, bool) {
+func (t vertexToken) resolve(nm *run.Namer) (dag.VertexID, bool) {
 	if t.id >= 0 {
-		return dag.VertexID(t.id), t.id < view.NumVertices()
+		return dag.VertexID(t.id), t.id < nm.Len()
 	}
-	if v, ok := view.vertexBytes(t.raw); ok {
+	if v, ok := nm.VertexBytes(t.raw); ok {
 		return v, true
 	}
-	return vertexID(t.raw, view.NumVertices())
+	return vertexID(t.raw, nm.Len())
 }
 
 // vertexID parses a numeric vertex ID below n, sign-tolerant like
