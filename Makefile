@@ -15,7 +15,7 @@ ADDR ?= :8080
 # bench/BASELINE_<new>.json.
 PR ?= $(shell ls bench | sed -n 's/^BASELINE_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -n 1)
 
-.PHONY: build test race bench bench-store trend load-smoke chaos-smoke rpq-smoke fuzz lint loc fmt vet serve ci
+.PHONY: build test race bench bench-store bench-harness trend load-smoke chaos-smoke rpq-smoke fuzz lint loc fmt vet serve ci
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,12 @@ bench:
 # path shows up even in the quick CI smoke.
 bench-store:
 	$(GO) test -run='^$$' -bench='BenchmarkStore|BenchmarkServerBatchReachable' -benchtime=3x ./internal/store/ .
+
+# perfbench is its own module, so `go build ./...` never compiles it:
+# vet and test it here, or an internal API change breaks the benchmark
+# harness unseen.
+bench-harness:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Serving-path benchmarks — the SKL2 snapshot codec (encode+decode),
 # /batch reachability over fs and mem stores, the cold-load path (every
@@ -99,8 +105,9 @@ rpq-smoke:
 # decoder accepts (internal/core), and the event-log parser against the
 # bufio/Sscanf parser it replaced (internal/events), the /batch
 # request decoder against encoding/json (internal/server), and the
-# vertex namer grown by Add against Run.NameOf (internal/run). The seed
-# corpora of every fuzz target already run in `make test`.
+# vertex namer, grown by Add and built in one call, against Run.NameOf
+# (internal/run). The seed corpora of every fuzz target already run in
+# `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRunOracle -fuzztime 30s ./internal/xmlio/
 	$(GO) test -run '^$$' -fuzz FuzzConeOracle -fuzztime 30s ./internal/core/
@@ -140,4 +147,4 @@ vet:
 serve:
 	$(GO) run ./cmd/provserve -store $(STORE) -addr $(ADDR)
 
-ci: fmt vet lint build loc race bench bench-store fuzz load-smoke chaos-smoke rpq-smoke
+ci: fmt vet lint build loc race bench bench-store bench-harness fuzz load-smoke chaos-smoke rpq-smoke

@@ -213,14 +213,8 @@ func main() {
 		if *from == "" || *to == "" {
 			fatalf("-from and -to must be given together")
 		}
-		u, err := findVertex(nm, *from)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		v, err := findVertex(nm, *to)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		u := mustVertex(nm, *from)
+		v := mustVertex(nm, *to)
 		if l.Reachable(u, v) {
 			fmt.Printf("%s -> %s: reachable (%s depends on %s)\n", *from, *to, *to, *from)
 			if *explain {
@@ -237,10 +231,7 @@ func main() {
 	}
 
 	if *upstream != "" {
-		v, err := findVertex(nm, *upstream)
-		if err != nil {
-			fatalf("%v", err)
-		}
+		v := mustVertex(nm, *upstream)
 		cone := repro.UpstreamByLabels(l, v)
 		fmt.Printf("%s was derived from %d module executions:", *upstream, len(cone))
 		for _, u := range cone {
@@ -599,11 +590,12 @@ func deleteRun(baseURL, name string) {
 	fmt.Printf("deleted %s\n", del.Run)
 }
 
-func findVertex(nm *repro.Namer, name string) (repro.VertexID, error) {
-	if v, ok := nm.Vertex(name); ok {
-		return v, nil
+func mustVertex(nm *repro.Namer, name string) repro.VertexID {
+	v, ok := nm.Vertex(name)
+	if !ok {
+		fatalf("no vertex named %q in the run", name)
 	}
-	return 0, fmt.Errorf("no vertex named %q in the run", name)
+	return v
 }
 
 func findItem(ann *repro.DataAnnotation, name string) (repro.DataItemID, error) {

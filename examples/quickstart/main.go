@@ -74,8 +74,9 @@ func main() {
 		{"c1", "b2", "successive loop iterations"},
 		{"b1", "c1", "same copy, decided by the skeleton labels"},
 	}
+	nm := repro.NewNamer(fr)
 	for _, q := range queries {
-		u, v := mustVertex(fr, q.from), mustVertex(fr, q.to)
+		u, v := mustVertex(nm, q.from), mustVertex(nm, q.to)
 		byContext := ""
 		if fl.AnsweredByContext(u, v) {
 			byContext = ", answered by context encoding alone"
@@ -186,14 +187,12 @@ func main() {
 	fmt.Printf("\nGET %s (after delete)\nstatus %d: %s", url, resp.StatusCode, answer)
 }
 
-func mustVertex(r *repro.Run, name string) repro.VertexID {
-	for v := 0; v < r.NumVertices(); v++ {
-		if r.NameOf(repro.VertexID(v)) == name {
-			return repro.VertexID(v)
-		}
+func mustVertex(nm *repro.Namer, name string) repro.VertexID {
+	v, ok := nm.Vertex(name)
+	if !ok {
+		log.Fatalf("vertex %s not found", name)
 	}
-	log.Fatalf("vertex %s not found", name)
-	return 0
+	return v
 }
 
 func log2(n int) float64 {

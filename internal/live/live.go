@@ -262,9 +262,8 @@ type Session struct {
 
 	copies  []copyState
 	history []events.Event
-	origins []dag.VertexID
-	// names names each module execution as apply records it, one Add per
-	// vertex, so the live run's names are the finished run's.
+	// names records each module execution's origin as apply sees it, one
+	// Add per vertex, so the live run's names are the finished run's.
 	names *run.Namer
 
 	// logBytes is how much of the run's event log this session's history
@@ -318,9 +317,6 @@ func (s *Session) Seq() int { return len(s.history) }
 
 // NumCopies returns the number of started copies including the root.
 func (s *Session) NumCopies() int { return len(s.copies) }
-
-// NumVertices returns the number of module executions recorded.
-func (s *Session) NumVertices() int { return len(s.origins) }
 
 // Renumbers reports the labeler's key redistributions so far.
 func (s *Session) Renumbers() int { return s.lab.Renumbers() }
@@ -484,7 +480,6 @@ func (s *Session) apply(e events.Event) error {
 		if _, err := s.lab.AddExec(s.copies[e.Copy].h, orig); err != nil {
 			return err
 		}
-		s.origins = append(s.origins, orig)
 		s.names.Add(orig)
 	}
 	return nil
@@ -654,10 +649,11 @@ func (s *Session) MaterializedRun() (*run.Run, error) {
 	if err != nil {
 		return nil, &IncompleteError{err}
 	}
-	if r.NumVertices() != len(s.origins) {
-		return nil, &IncompleteError{fmt.Errorf("materialization yields %d vertices, the stream recorded %d module executions", r.NumVertices(), len(s.origins))}
+	origins := s.names.Origins()
+	if r.NumVertices() != len(origins) {
+		return nil, &IncompleteError{fmt.Errorf("materialization yields %d vertices, the stream recorded %d module executions", r.NumVertices(), len(origins))}
 	}
-	for v, o := range s.origins {
+	for v, o := range origins {
 		if r.Origin[v] != o {
 			return nil, &IncompleteError{fmt.Errorf("exec order diverges from the materialization order at vertex %d (streams must follow the Emit convention)", v)}
 		}
@@ -704,7 +700,7 @@ func (s *Session) ByContext(u, v dag.VertexID) bool {
 // scan: the vertices reaching v when up, those v reaches otherwise. It is
 // the live counterpart of core.Labeling.AppendCone.
 func (s *Session) AppendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag.VertexID {
-	for u := dag.VertexID(0); int(u) < len(s.origins); u++ {
+	for u := dag.VertexID(0); int(u) < s.names.Len(); u++ {
 		if u != v && (up && s.lab.Reachable(u, v) || !up && s.lab.Reachable(v, u)) {
 			dst = append(dst, u)
 		}

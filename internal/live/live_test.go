@@ -133,8 +133,8 @@ func TestLiveQueriesMatchFinished(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := fin.NumVertices()
-	if ls.NumVertices() != n {
-		t.Fatalf("live session has %d vertices, finished run %d", ls.NumVertices(), n)
+	if ls.Namer().Len() != n {
+		t.Fatalf("live session has %d vertices, finished run %d", ls.Namer().Len(), n)
 	}
 	nm := run.NewNamer(fin)
 	for v := 0; v < n; v++ {

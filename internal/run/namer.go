@@ -1,10 +1,7 @@
 package run
 
 import (
-	"fmt"
-	"math"
 	"strconv"
-	"unsafe"
 
 	"repro/internal/dag"
 	"repro/internal/spec"
@@ -14,27 +11,39 @@ import (
 // the module name of its origin followed by its rank among the vertices
 // of that origin numbered before it, counting from 1 in decimal without
 // leading zeros: the paper's b1, b2, ... (Run.NameOf is the O(n)
-// per-call reference). Module names that extend each other can give two
-// vertices one name ("v471" is v4's 71st and v47's 1st); such a name
-// resolves to the last vertex that bears it.
+// per-call reference).
+//
+// No name is stored. A Namer keeps three integer columns: each vertex's
+// origin, each vertex's rank, and per origin its vertices in ID order,
+// cut from one backing array when the run's size is known up front.
+// Name and AppendName render module name and rank on demand. Vertex
+// reads a name back by trying each split into a module-name prefix and
+// a rank suffix (non-empty prefix, no leading zero, at most
+// maxRankDigits digits): the split matches when the prefix is a module
+// of the specification that has at least that many vertices. Module
+// names that extend each other can give two vertices one name ("v471"
+// is v4's 71st and v47's 1st); such a name resolves to the last vertex
+// that bears it, the largest vertex among the matching splits.
 //
 // A Namer grows by Add, one vertex at a time, so a stream names its
 // vertices as they execute and gets the names the finished run gets.
-// All names are appended to one buffer: vertex v's name ends at ends[v]
-// and starts where v-1's ends, so a name costs 4 bytes of index beyond
-// its text. Bytes once appended are never rewritten (growth copies them
-// to a new array and leaves the old one as it was), so Name and the
-// index keys alias the buffer as strings without copying, the way
-// strings.Builder's String does.
 type Namer struct {
-	spec   *spec.Spec
-	all    []byte // append-only
-	ends   []int32
-	counts []int32 // vertices named so far per origin
-	byName map[string]dag.VertexID
+	spec     *spec.Spec
+	origin   []dag.VertexID
+	rank     []int32
+	byOrigin [][]dag.VertexID
+	// Vertex looks up only the splits that could match: a prefix that
+	// starts like a module name and is no longer than the longest, a
+	// rank no larger than the largest given.
+	lead    [256]bool
+	maxLen  int
+	maxRank int32
 }
 
-// NewNamer indexes all vertex names of the run.
+// maxRankDigits bounds a rank's decimal digits: ranks are int32.
+const maxRankDigits = 10
+
+// NewNamer names all vertices of the run.
 func NewNamer(r *Run) *Namer {
 	return NewNamerFromOrigins(r.Spec, r.Origin[:r.NumVertices()])
 }
@@ -42,83 +51,85 @@ func NewNamer(r *Run) *Namer {
 // NewNamerFromOrigins names run vertices 0..len(origin)-1 from their
 // specification vertices alone, so a stored run's names come from its
 // label snapshot without decoding the run graph; an empty origin gives
-// a Namer for Add to grow. Every origin must be a vertex of s. The
-// buffer is sized up front, so the number of allocations does not grow
-// with the run. It renders into a local buffer and indexes afterwards,
-// not through Add: building a cold session's namer is the largest stage
-// of a cache miss, and the loop over Add measured 10-20% slower.
+// a Namer for Add to grow. Every origin must be a vertex of s, and s
+// must come from package spec's Builder or Validate: Vertex reads names
+// back through its module index. The columns are sized up front by
+// counting the origins, so the number of allocations does not grow
+// with the run.
 func NewNamerFromOrigins(s *spec.Spec, origin []dag.VertexID) *Namer {
 	counts := make([]int32, s.NumVertices())
-	size := 0
-	var digits [10]byte
 	for _, o := range origin {
 		counts[o]++
-		size += len(s.NameOf(o)) + len(strconv.AppendInt(digits[:0], int64(counts[o]), 10))
 	}
-	checkSize(size)
-	clear(counts)
-	buf := make([]byte, 0, size)
-	ends := make([]int32, len(origin))
-	for v, o := range origin {
-		counts[o]++
-		buf = appendName(buf, s.NameOf(o), counts[o])
-		ends[v] = int32(len(buf))
+	nm := &Namer{
+		spec:     s,
+		origin:   make([]dag.VertexID, 0, len(origin)),
+		rank:     make([]int32, 0, len(origin)),
+		byOrigin: make([][]dag.VertexID, len(counts)),
 	}
-	nm := &Namer{spec: s, all: buf, ends: ends, counts: counts}
-	nm.byName = make(map[string]dag.VertexID, len(origin))
-	for v := range ends {
-		nm.byName[nm.Name(dag.VertexID(v))] = dag.VertexID(v)
+	all := make([]dag.VertexID, len(origin))
+	for o, n := range counts {
+		nm.byOrigin[o], all = all[:0:n], all[n:]
+		name := s.NameOf(dag.VertexID(o))
+		nm.lead[name[0]], nm.maxLen = true, max(nm.maxLen, len(name))
+	}
+	for _, o := range origin {
+		nm.Add(o)
 	}
 	return nm
 }
 
 // Add names the next vertex, whose origin is specification vertex
-// origin, and returns its ID. All names must total under 2 GiB.
+// origin, and returns its ID.
 func (nm *Namer) Add(origin dag.VertexID) dag.VertexID {
-	v := dag.VertexID(len(nm.ends))
-	nm.counts[origin]++
-	nm.all = appendName(nm.all, nm.spec.NameOf(origin), nm.counts[origin])
-	checkSize(len(nm.all))
-	nm.ends = append(nm.ends, int32(len(nm.all)))
-	nm.byName[nm.Name(v)] = v
+	v := dag.VertexID(len(nm.origin))
+	nm.origin = append(nm.origin, origin)
+	nm.byOrigin[origin] = append(nm.byOrigin[origin], v)
+	r := int32(len(nm.byOrigin[origin]))
+	nm.rank = append(nm.rank, r)
+	nm.maxRank = max(nm.maxRank, r)
 	return v
 }
 
-// checkSize panics when size bytes of names overflow the int32 ends.
-func checkSize(size int) {
-	if size > math.MaxInt32 {
-		panic(fmt.Sprintf("run: %d bytes of vertex names exceed the namer's 2 GiB", size))
-	}
-}
-
-// appendName appends the name of a vertex of the given module and rank.
-func appendName(dst []byte, module spec.ModuleName, rank int32) []byte {
-	return strconv.AppendInt(append(dst, module...), int64(rank), 10)
-}
-
 // Len returns the number of vertices named.
-func (nm *Namer) Len() int { return len(nm.ends) }
+func (nm *Namer) Len() int { return len(nm.origin) }
+
+// Origins returns each named vertex's specification vertex. The slice
+// is the Namer's own column; callers must not modify it.
+func (nm *Namer) Origins() []dag.VertexID { return nm.origin }
+
+// AppendName appends the display name of vertex v to dst.
+func (nm *Namer) AppendName(dst []byte, v dag.VertexID) []byte {
+	dst = append(dst, nm.spec.NameOf(nm.origin[v])...)
+	return strconv.AppendInt(dst, int64(nm.rank[v]), 10)
+}
 
 // Name returns the display name of vertex v.
 func (nm *Namer) Name(v dag.VertexID) string {
-	start := int32(0)
-	if v > 0 {
-		start = nm.ends[v-1]
-	}
-	return unsafe.String(unsafe.SliceData(nm.all), len(nm.all))[start:nm.ends[v]]
+	var buf [32]byte
+	return string(nm.AppendName(buf[:0], v))
 }
 
 // Vertex resolves a display name back to its vertex.
 func (nm *Namer) Vertex(name string) (dag.VertexID, bool) {
-	v, ok := nm.byName[name]
-	return v, ok
+	return nm.VertexBytes([]byte(name))
 }
 
-// VertexBytes is Vertex for a byte-slice key: the compiler elides the
-// string conversion in the map index, so lookup hot paths (the query
-// server's hand-rolled /batch decoder) resolve names with zero
-// allocation.
+// VertexBytes is Vertex for a byte-slice name. It allocates nothing, so
+// lookup hot paths (the query server's hand-rolled /batch decoder)
+// resolve names straight from their input.
 func (nm *Namer) VertexBytes(name []byte) (dag.VertexID, bool) {
-	v, ok := nm.byName[string(name)]
-	return v, ok
+	last, found := dag.VertexID(0), false
+	rank, scale := int64(0), int64(1)
+	for i := len(name) - 1; i > 0 && len(name)-i <= maxRankDigits && '0' <= name[i] && name[i] <= '9'; i-- {
+		rank += int64(name[i]-'0') * scale
+		scale *= 10
+		if name[i] == '0' || !nm.lead[name[0]] || i > nm.maxLen || rank > int64(nm.maxRank) {
+			continue
+		}
+		if o, ok := nm.spec.VertexOfBytes(name[:i]); ok && rank <= int64(len(nm.byOrigin[o])) {
+			last, found = max(last, nm.byOrigin[o][rank-1]), true
+		}
+	}
+	return last, found
 }

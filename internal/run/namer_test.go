@@ -3,6 +3,8 @@ package run
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/dag"
@@ -52,7 +54,9 @@ func TestNamerMatchesNameOf(t *testing.T) {
 }
 
 func TestNamerPrefixCollision(t *testing.T) {
-	s := &spec.Spec{Graph: dag.New(2), Names: []spec.ModuleName{"v4", "v47"}}
+	b := spec.NewBuilder()
+	b.Chain("v4", "v47")
+	s := b.MustBuild()
 	origin := make([]dag.VertexID, 77)
 	origin[75], origin[76] = 1, 1 // 75 occurrences of v4, then v47 twice
 	r := &Run{Spec: s, Graph: dag.New(len(origin)), Origin: origin}
@@ -62,16 +66,21 @@ func TestNamerPrefixCollision(t *testing.T) {
 	}
 }
 
-// FuzzNamerOracle grows a Namer by Add over a specification whose
-// module names extend each other (v, v4, v47, 47), so names collide
-// across modules, and checks it against a map of last vertices built
-// from Run.NameOf: every name, every resolved name, and an arbitrary
-// lookup, which must resolve only when the oracle knows it (a leading
-// zero or an unknown module resolves to nothing).
+// FuzzNamerOracle names a run over a specification whose module names
+// extend each other (v, v4, v47, 47), so names collide across modules,
+// twice: grown by Add, and built in one call by NewNamerFromOrigins. It
+// checks both against a map of last vertices built from Run.NameOf:
+// every name (Name and AppendName), every resolved name, and an
+// arbitrary lookup, which must resolve only when the oracle knows it (a
+// leading zero, an overlong rank or an unknown module resolves to
+// nothing).
 func FuzzNamerOracle(f *testing.F) {
-	s := &spec.Spec{Graph: dag.New(4), Names: []spec.ModuleName{"v", "v4", "v47", "47"}}
+	b := spec.NewBuilder()
+	b.Chain("v", "v4", "v47", "47")
+	s := b.MustBuild()
 	collide := append(bytes.Repeat([]byte{1}, 71), 2, 0, 3, 3)
-	for _, lookup := range []string{"v471", "v47", "v41", "v1", "471", "4711", "v0471", "v40", "v4", "v", "", "v01", "0"} {
+	for _, lookup := range []string{"v471", "v47", "v41", "v1", "471", "4711", "v0471", "v40", "v4", "v", "", "v01", "0",
+		"v4700000000001", "v4799999999999999999999", "1234", "99999999999"} {
 		f.Add(collide, lookup)
 	}
 	f.Add([]byte{0, 1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, "v10")
@@ -85,44 +94,77 @@ func FuzzNamerOracle(f *testing.F) {
 			origin[i] = dag.VertexID(b % 4)
 		}
 		r := &Run{Spec: s, Graph: dag.New(len(origin)), Origin: origin}
-		nm := NewNamerFromOrigins(s, nil)
+		grown := NewNamerFromOrigins(s, nil)
 		last := make(map[string]dag.VertexID)
 		for v, o := range origin {
-			if got := nm.Add(o); got != dag.VertexID(v) {
+			if got := grown.Add(o); got != dag.VertexID(v) {
 				t.Fatalf("Add #%d returned vertex %d", v, got)
 			}
 			last[r.NameOf(dag.VertexID(v))] = dag.VertexID(v)
 		}
-		if nm.Len() != len(origin) {
-			t.Fatalf("Len = %d, want %d", nm.Len(), len(origin))
-		}
-		for v := range origin {
-			if got, want := nm.Name(dag.VertexID(v)), r.NameOf(dag.VertexID(v)); got != want {
-				t.Fatalf("Name(%d) = %q, want %q", v, got, want)
+		for _, nm := range []*Namer{grown, NewNamerFromOrigins(s, origin)} {
+			if nm.Len() != len(origin) {
+				t.Fatalf("Len = %d, want %d", nm.Len(), len(origin))
 			}
-		}
-		for name, want := range last {
-			if got, ok := nm.Vertex(name); !ok || got != want {
-				t.Fatalf("Vertex(%q) = %d,%v, want %d", name, got, ok, want)
+			for v := range origin {
+				want := r.NameOf(dag.VertexID(v))
+				if got := nm.Name(dag.VertexID(v)); got != want {
+					t.Fatalf("Name(%d) = %q, want %q", v, got, want)
+				}
+				if got := nm.AppendName([]byte("x"), dag.VertexID(v)); string(got) != "x"+want {
+					t.Fatalf("AppendName(x, %d) = %q, want %q", v, got, "x"+want)
+				}
 			}
-		}
-		want, wantOK := last[lookup]
-		if got, ok := nm.Vertex(lookup); ok != wantOK || got != want {
-			t.Fatalf("Vertex(%q) = %d,%v, want %d,%v", lookup, got, ok, want, wantOK)
-		}
-		if got, ok := nm.VertexBytes([]byte(lookup)); ok != wantOK || got != want {
-			t.Fatalf("VertexBytes(%q) = %d,%v, want %d,%v", lookup, got, ok, want, wantOK)
+			for name, want := range last {
+				if got, ok := nm.Vertex(name); !ok || got != want {
+					t.Fatalf("Vertex(%q) = %d,%v, want %d", name, got, ok, want)
+				}
+				if got, ok := nm.VertexBytes([]byte(name)); !ok || got != want {
+					t.Fatalf("VertexBytes(%q) = %d,%v, want %d", name, got, ok, want)
+				}
+			}
+			want, wantOK := last[lookup]
+			if got, ok := nm.Vertex(lookup); ok != wantOK || got != want {
+				t.Fatalf("Vertex(%q) = %d,%v, want %d,%v", lookup, got, ok, want, wantOK)
+			}
+			if got, ok := nm.VertexBytes([]byte(lookup)); ok != wantOK || got != want {
+				t.Fatalf("VertexBytes(%q) = %d,%v, want %d,%v", lookup, got, ok, want, wantOK)
+			}
 		}
 	})
 }
 
+// BenchmarkNamerLookup resolves the shuffled names of a 5000-vertex
+// QBLAST stand-in run, one in eight lookups an all-digit miss: /batch
+// tries a quoted "1234" ref as a name before reading it as an ID.
 func BenchmarkNamerLookup(b *testing.B) {
-	s := spec.PaperSpec()
-	r, _ := GenerateSized(s, rand.New(rand.NewSource(2)), 5000)
+	r, _ := GenerateSized(qblast(b), rand.New(rand.NewSource(2)), 5000)
 	nm := NewNamer(r)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nm.Name(dag.VertexID(i % r.NumVertices()))
+	var keys [][]byte
+	for v := 0; v < r.NumVertices(); v++ {
+		keys = append(keys, []byte(nm.Name(dag.VertexID(v))))
+		if v%7 == 0 {
+			keys = append(keys, strconv.AppendInt(nil, int64(v), 10))
+		}
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		nm.VertexBytes(keys[i%len(keys)])
+		i++
+	}
+}
+
+func BenchmarkNamerAppendName(b *testing.B) {
+	r, _ := GenerateSized(qblast(b), rand.New(rand.NewSource(2)), 5000)
+	nm := NewNamer(r)
+	var buf []byte
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		buf = nm.AppendName(buf[:0], dag.VertexID(i%nm.Len()))
+		i++
 	}
 }
 
@@ -132,13 +174,29 @@ func TestNamerAllocsFlat(t *testing.T) {
 		r, _ := GenerateSized(sp, rand.New(rand.NewSource(3)), size)
 		return testing.AllocsPerRun(5, func() { NewNamer(r) })
 	}
-	// No allocation per vertex: only the index map's own tables (one
-	// per ~900 entries) grow with the run.
-	small, large := allocs(200), allocs(4000)
-	if large-small > (4000-200)/100 {
+	if small, large := allocs(200), allocs(4000); small != large {
 		t.Fatalf("NewNamer allocs grow with the run: %v at 200 vertices, %v at 4000", small, large)
 	}
 }
+
+// TestNamerHeapPerVertex pins a namer's size: its integer columns, with
+// no name text or name index.
+func TestNamerHeapPerVertex(t *testing.T) {
+	const n, runs = 5000, 20
+	r, _ := GenerateSized(qblast(t), rand.New(rand.NewSource(4)), n)
+	origin := r.Origin[:r.NumVertices()]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		namerSink = NewNamerFromOrigins(r.Spec, origin)
+	}
+	runtime.ReadMemStats(&after)
+	if perVertex := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(origin)); perVertex > 16 {
+		t.Fatalf("NewNamerFromOrigins allocates %.1f B/vertex on a %d-vertex run, want at most 16", perVertex, len(origin))
+	}
+}
+
+var namerSink *Namer
 
 func qblast(t testing.TB) *spec.Spec {
 	s, err := workload.StandIn("QBLAST", 1)

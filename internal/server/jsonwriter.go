@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
 	"repro/internal/dag"
+	"repro/internal/run"
+	"repro/internal/spec"
 )
 
 // The one response writer. Every body except /healthz's is one flat
@@ -90,42 +93,57 @@ func (jw *jsonWriter) float(k string, v float64) *jsonWriter {
 	return jw
 }
 
-// strs adds an array of n strings, the i-th being at(i).
-func (jw *jsonWriter) strs(k string, n int, at func(i int) string) *jsonWriter {
-	return jw.array(k, n, func(i int) { jw.buf = appendJSONString(jw.buf, at(i)) })
+// names adds an array of vertex names, each rendered by nm straight
+// into the body. A rank is decimal digits, so the names need escaping
+// only when a module name of sp does.
+func (jw *jsonWriter) names(k string, nm *run.Namer, sp *spec.Spec, vs []dag.VertexID) *jsonWriter {
+	if slices.ContainsFunc(sp.Names, func(m spec.ModuleName) bool { return !plainJSON(string(m)) }) {
+		return jw.array(k, len(vs), func(b []byte, i int) []byte { return appendJSONString(b, nm.Name(vs[i])) })
+	}
+	return jw.array(k, len(vs), func(b []byte, i int) []byte { return append(nm.AppendName(append(b, '"'), vs[i]), '"') })
 }
 
 func (jw *jsonWriter) bools(k string, vs []bool) *jsonWriter {
-	return jw.array(k, len(vs), func(i int) { jw.buf = strconv.AppendBool(jw.buf, vs[i]) })
+	return jw.array(k, len(vs), func(b []byte, i int) []byte { return strconv.AppendBool(b, vs[i]) })
 }
 
-// array adds an array of n elements, each appended by elem(i).
-func (jw *jsonWriter) array(k string, n int, elem func(i int)) *jsonWriter {
-	jw.buf = append(jw.key(k), '[')
+// array adds an array of n elements, the i-th appended by elem(b, i)
+// to b. The body is passed along rather than reloaded through jw for
+// each element: /lineage appends thousands of names.
+func (jw *jsonWriter) array(k string, n int, elem func(b []byte, i int) []byte) *jsonWriter {
+	b := append(jw.key(k), '[')
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			jw.buf = append(jw.buf, ',')
+			b = append(b, ',')
 		}
-		elem(i)
+		b = elem(b, i)
 	}
-	jw.buf = append(jw.buf, ']')
+	jw.buf = append(b, ']')
 	return jw
 }
 
-// appendJSONString appends s as a JSON string. ASCII from space up,
-// without quote, backslash or HTML-significant bytes, is copied as is;
-// anything else takes encoding/json's own escaping, so the result
-// always equals what json.Marshal writes.
+// appendJSONString appends s as a JSON string. Plain text (see
+// plainJSON) is copied as is; anything else takes encoding/json's own
+// escaping, so the result always equals what json.Marshal writes.
 func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if !jsonPlain[s[i]] {
-			b, _ := json.Marshal(s) // a string always marshals
-			return append(dst, b...)
-		}
+	if !plainJSON(s) {
+		b, _ := json.Marshal(s) // a string always marshals
+		return append(dst, b...)
 	}
 	dst = append(dst, '"')
 	dst = append(dst, s...)
 	return append(dst, '"')
+}
+
+// plainJSON reports whether s is ASCII from space up, without quote,
+// backslash or HTML-significant bytes: text a JSON string holds as is.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !jsonPlain[s[i]] {
+			return false
+		}
+	}
+	return true
 }
 
 // jsonPlain marks the bytes encoding/json copies into a string

@@ -51,7 +51,8 @@
 //
 // Vertices are addressed by occurrence name ("b2" = second execution of
 // module b) or by numeric vertex ID, resolved the same way for every
-// endpoint (vertexParam).
+// endpoint (vertexParam). A run.Namer computes each name from the
+// vertex's origin and rank and stores none.
 //
 // There is one query path (view.go). A query is a predicate over two
 // labels, the same whether the run was labeled offline at ingest or
@@ -94,8 +95,9 @@
 // through an LRU cache with singleflight load dedup, so a cache hit
 // answers queries with zero disk I/O. A cache
 // miss is the paper's label lookup: /reachable, /batch and /lineage run
-// on the stored labels and a run.Namer built from their origin column;
-// only /rpq and finished-run status decode the run document.
+// on the stored labels and a run.Namer built from their origin column
+// (three integer columns, about 13 bytes per vertex); only /rpq and
+// finished-run status decode the run document.
 //
 // /batch is the allocation-critical path: request decode, pair
 // resolution and batch evaluation run in pooled per-request scratch
@@ -507,7 +509,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) error {
 	sp := s.st.Spec()
 	respond().num("edges", sp.NumEdges()).
-		strs("modules", sp.NumVertices(), func(v int) string { return string(sp.NameOf(dag.VertexID(v))) }).
+		array("modules", sp.NumVertices(), func(b []byte, v int) []byte { return appendJSONString(b, string(sp.NameOf(dag.VertexID(v)))) }).
 		str("name", s.st.SpecName()).num("vertices", sp.NumVertices()).send(w, http.StatusOK)
 	return nil
 }
@@ -524,7 +526,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return fmt.Errorf("listing runs: %w", err)
 	}
-	respond().strs("runs", len(runs), func(i int) string { return runs[i] }).send(w, http.StatusOK)
+	respond().array("runs", len(runs), func(b []byte, i int) []byte { return appendJSONString(b, runs[i]) }).send(w, http.StatusOK)
 	return nil
 }
 
@@ -614,7 +616,7 @@ func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) error {
 	}
 	jw := respond()
 	jw.cone = view.AppendCone(jw.cone, v, dir == "up")
-	jw.strs("cone", len(jw.cone), func(i int) string { return nm.Name(jw.cone[i]) }).num("count", len(jw.cone)).
+	jw.names("cone", nm, s.st.Spec(), jw.cone).num("count", len(jw.cone)).
 		str("direction", dir).str("run", q.Get("run")).str("vertex", ref).send(w, http.StatusOK)
 	return nil
 }

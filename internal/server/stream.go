@@ -166,7 +166,7 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) erro
 		}
 	}
 	respond().num("applied", applied).num("copies", ls.NumCopies()).str("run", name).
-		num("seq", ls.Seq()).num("vertices", ls.NumVertices()).send(w, http.StatusOK)
+		num("seq", ls.Seq()).num("vertices", ls.Namer().Len()).send(w, http.StatusOK)
 	return nil
 }
 

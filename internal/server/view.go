@@ -111,7 +111,7 @@ func (lv liveView) graph() (*run.Run, error) { return lv.MaterializedRun() }
 func (lv liveView) status(jw *jsonWriter, name string) error {
 	jw.num("checkpoint_seq", lv.CheckpointSeq()).num("copies", lv.NumCopies()).
 		num("event_log_bytes", int(lv.EventLogBytes())).num("events", lv.Seq()).num("renumbers", lv.Renumbers()).
-		str("run", name).str("status", "live").num("vertices", lv.NumVertices())
+		str("run", name).str("status", "live").num("vertices", lv.Namer().Len())
 	return nil
 }
 
@@ -189,10 +189,7 @@ func (s *Server) resolveRun(name string) (runView, func(), error) {
 // ("b2") first — so every name the server itself emits resolves, even
 // when module names start with digits — then a numeric vertex ID.
 func vertexParam(nm *run.Namer, ref string) (dag.VertexID, error) {
-	v, ok := nm.Vertex(ref)
-	if !ok {
-		v, ok = vertexID(ref, nm.Len())
-	}
+	v, ok := vertexToken{raw: []byte(ref), id: -1}.resolve(nm)
 	if !ok {
 		return 0, notFound(fmt.Sprintf("unknown vertex %q", ref))
 	}
@@ -214,7 +211,7 @@ func (t vertexToken) resolve(nm *run.Namer) (dag.VertexID, bool) {
 // vertexID parses a numeric vertex ID below n, sign-tolerant like
 // strconv.Atoi but without the string conversion the /batch hot path
 // cannot afford.
-func vertexID[R string | []byte](ref R, n int) (dag.VertexID, bool) {
+func vertexID(ref []byte, n int) (dag.VertexID, bool) {
 	if len(ref) > 0 && ref[0] == '+' {
 		ref = ref[1:]
 	}
