@@ -42,6 +42,7 @@ bench-harness:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Serving-path benchmarks — the SKL2 snapshot codec (encode+decode),
+# the label-only lineage cone on 5,000-vertex stand-in runs,
 # /batch reachability over fs and mem stores, the cold-load path (every
 # /reachable a cache miss), /lineage over a resident run, the ingest,
 # delete, stream-append and /rpq paths, the per-stage split of ingest
@@ -53,7 +54,7 @@ bench-harness:
 # so a failing bench fails the target instead of recording a silently
 # incomplete BENCH_$(PR).json.
 trend:
-	$(GO) test -run='^$$' -bench='BenchmarkSnapshotDecode|BenchmarkSnapshotEncode' -benchtime=100x -count=3 ./internal/core/ > trend.out
+	$(GO) test -run='^$$' -bench='BenchmarkSnapshotDecode|BenchmarkSnapshotEncode|BenchmarkAppendCone' -benchtime=100x -count=3 ./internal/core/ > trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerBatchReachable' -benchtime=50x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerColdRead' -benchtime=200x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerLineage' -benchtime=200x -count=3 . >> trend.out
@@ -100,16 +101,21 @@ rpq-smoke:
 	@echo "rpq-smoke: report in RPQ_LOAD.json"
 
 # Time-boxed fuzzing against the oracles kept in the tests: the run
-# decoder against encoding/xml (internal/xmlio), context-grouped
-# lineage cones against the per-vertex label scan over any snapshot the
-# decoder accepts (internal/core), and the event-log parser against the
+# decoder against encoding/xml (internal/xmlio), the label snapshot
+# decoder on untrusted bytes (whatever it accepts must round-trip
+# through SKL2) and context-grouped lineage cones against the
+# per-vertex label scan over any snapshot the decoder accepts
+# (internal/core), and the event-log parser against the
 # bufio/Sscanf parser it replaced (internal/events), the /batch
 # request decoder against encoding/json (internal/server), and the
 # vertex namer, grown by Add and built in one call, against Run.NameOf
 # (internal/run). The seed corpora of every fuzz target already run in
-# `make test`.
+# `make test`. FuzzReadSnapshot's seeds are 2 KB label fixtures: the
+# default minimization of one new input (up to 60 s) would take the
+# whole run, so it is capped.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRunOracle -fuzztime 30s ./internal/xmlio/
+	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime 30s -fuzzminimizetime 2s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzConeOracle -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReadLogOracle -fuzztime 30s ./internal/events/
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequestOracle -fuzztime 30s ./internal/server/

@@ -304,6 +304,12 @@
 // streaming reader (see BENCH_3.json; tracked by
 // BenchmarkSnapshotDecode).
 //
+// Both readers decode into the paper's factored labels: a context and
+// an origin per vertex, and one (Q2, Q3) row per context. That is their
+// one divergence from the formats as written: they reject a label set
+// no labeler writes, either a header declaring more contexts (n⁺_T)
+// than labels, or one Q1 given two different (Q2, Q3).
+//
 // # Benchmarks and the perf trend gate
 //
 // Serving-path performance is tracked across PRs as a lineage of JSON

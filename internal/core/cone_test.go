@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -51,12 +52,32 @@ func checkCones(t *testing.T, l *core.Labeling, sources []dag.VertexID) {
 	}
 }
 
-func labelsOf(l *core.Labeling) []core.Label {
+// labelsOf returns every label of a snapshot or labeling, in vertex
+// order.
+func labelsOf(l interface {
+	NumVertices() int
+	Label(dag.VertexID) core.Label
+}) []core.Label {
 	out := make([]core.Label, l.NumVertices())
 	for v := range out {
 		out[v] = l.Label(dag.VertexID(v))
 	}
 	return out
+}
+
+// rawSKL1 writes labels in the row-major SKL1 format without any check,
+// so tests can hand the decoder label sets no labeler writes.
+func rawSKL1(np, ns int, labels ...core.Label) []byte {
+	b := binary.AppendUvarint(nil, 0x534b4c31)
+	for _, x := range []uint64{uint64(len(labels)), uint64(np), uint64(ns)} {
+		b = binary.AppendUvarint(b, x)
+	}
+	for _, lab := range labels {
+		for _, x := range []uint64{uint64(lab.Q1), uint64(lab.Q2), uint64(lab.Q3), uint64(lab.Orig)} {
+			b = binary.AppendUvarint(b, x)
+		}
+	}
+	return b
 }
 
 func allVertices(n int) []dag.VertexID {
@@ -83,10 +104,12 @@ func TestConeMatchesScan(t *testing.T) {
 	}
 }
 
-// TestConeUntrustedLabels binds hand-built label sets that no labeler
-// produces — order positions above n⁺_T, one Q1 shared by labels with
-// different (Q2, Q3), origins beyond the spec — and checks that
-// grouping never changes an answer.
+// TestConeUntrustedLabels is the accept-or-reject oracle for label sets
+// no labeler may have written. Positions and origins stay in range, so
+// building the snapshot (NewSnapshot, or decoding the same labels as
+// SKL1) must fail exactly when n⁺_T > n or some Q1 comes with two
+// different (Q2, Q3); otherwise it succeeds, and every cone equals the
+// per-vertex scan.
 func TestConeUntrustedLabels(t *testing.T) {
 	s := spec.PaperSpec()
 	skel, err := label.TCM{}.Build(s.Graph)
@@ -94,22 +117,48 @@ func TestConeUntrustedLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 200; trial++ {
+	accepted := 0
+	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(40)
-		np := rng.Intn(12)
-		snap := &core.Snapshot{Labels: make([]core.Label, n), NumPositioned: np, NumSpec: s.NumVertices()}
-		if trial%4 == 0 {
-			// A header claiming fewer spec vertices than the origins use
-			// (and a memo too small for them).
-			snap.NumSpec = rng.Intn(s.NumVertices())
+		np := rng.Intn(n + 3)
+		// A row per context, which each label takes or (rarely) not.
+		rows := make([][2]uint32, np+1)
+		for q := range rows {
+			rows[q] = [2]uint32{uint32(rng.Intn(np + 1)), uint32(rng.Intn(np + 1))}
 		}
-		for i := range snap.Labels {
-			snap.Labels[i] = core.Label{
-				Q1:   uint32(rng.Intn(np + 4)),
-				Q2:   uint32(rng.Intn(np + 2)),
-				Q3:   uint32(rng.Intn(np + 2)),
-				Orig: dag.VertexID(rng.Intn(s.NumVertices())),
+		ns := s.NumVertices()
+		if trial%4 == 0 {
+			// A header declaring more spec vertices than the cone's
+			// memo covers, so the cone probes the skeleton directly.
+			ns = 1<<16 + 1
+		}
+		labels := make([]core.Label, n)
+		seen := map[uint32][2]uint32{}
+		wantErr := np > n
+		for i := range labels {
+			q1 := uint32(rng.Intn(np + 1))
+			row := rows[q1]
+			if rng.Intn(60) == 0 {
+				row = [2]uint32{uint32(rng.Intn(np + 1)), uint32(rng.Intn(np + 1))}
 			}
+			if prev, ok := seen[q1]; ok && prev != row {
+				wantErr = true
+			}
+			seen[q1] = row
+			labels[i] = core.Label{Q1: q1, Q2: row[0], Q3: row[1], Orig: dag.VertexID(rng.Intn(s.NumVertices()))}
+		}
+		snap, err := core.NewSnapshot(np, ns, labels)
+		_, decodeErr := core.DecodeSnapshot(rawSKL1(np, ns, labels...))
+		if (err != nil) != wantErr || (decodeErr != nil) != wantErr {
+			t.Fatalf("trial %d (n=%d, n+T=%d): NewSnapshot error %v, decode error %v; want an error: %v",
+				trial, n, np, err, decodeErr, wantErr)
+		}
+		if wantErr {
+			continue
+		}
+		accepted++
+		if got := labelsOf(snap); !slices.Equal(got, labels) {
+			t.Fatalf("trial %d: snapshot labels %v, want %v", trial, got, labels)
 		}
 		l, err := snap.Bind(skel)
 		if err != nil {
@@ -117,13 +166,14 @@ func TestConeUntrustedLabels(t *testing.T) {
 		}
 		checkCones(t, l, allVertices(n))
 	}
+	if accepted < 80 || accepted > 400-80 {
+		t.Fatalf("%d of 400 label sets accepted; the oracle needs both outcomes", accepted)
+	}
 }
 
 // FuzzConeOracle checks AppendCone against the per-vertex scan for any
 // snapshot DecodeSnapshot accepts with the paper specification's size,
-// bound to that specification's skeleton. Each input is checked twice:
-// as decoded, and with its n⁺_T header halved, so labels above
-// NumPositioned reach the cone.
+// bound to that specification's skeleton.
 func FuzzConeOracle(f *testing.F) {
 	s := spec.PaperSpec()
 	skel, err := label.BFS{}.Build(s.Graph)
@@ -131,36 +181,33 @@ func FuzzConeOracle(f *testing.F) {
 		f.Fatal(err)
 	}
 	ng := s.NumVertices()
-	seed := func(np int, labels ...core.Label) {
-		var buf bytes.Buffer
-		snap := &core.Snapshot{Labels: labels, NumPositioned: np, NumSpec: ng}
-		if _, err := snap.WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
 	// A real run's labels.
 	r, _ := run.GenerateSized(s, rand.New(rand.NewSource(3)), 60)
 	real, err := core.LabelRun(r, skel)
 	if err != nil {
 		f.Fatal(err)
 	}
-	seed(real.NumPositioned(), labelsOf(real)...)
-	// Every Q1 = 0, one context shared by all.
-	seed(3, core.Label{Orig: 1}, core.Label{Orig: 2}, core.Label{Orig: 5})
-	// Equal Q1 with different (Q2, Q3).
-	seed(4, core.Label{Q1: 2, Q2: 1, Q3: 3, Orig: 0}, core.Label{Q1: 2, Q2: 3, Q3: 1, Orig: 3},
-		core.Label{Q1: 1, Q2: 2, Q3: 2, Orig: 4}, core.Label{Q1: 3, Q2: 4, Q3: 0, Orig: 7})
-	// Q1 above NumPositioned once halved, and n⁺_T far above n.
-	seed(8, core.Label{Q1: 7, Q2: 1, Q3: 6, Orig: 2}, core.Label{Q1: 8, Q2: 8, Q3: 0, Orig: 6},
-		core.Label{Q1: 1, Q2: 5, Q3: 5, Orig: 0})
-	seed(1<<20, core.Label{Q1: 1 << 19, Q2: 3, Q3: 9, Orig: 1}, core.Label{Q1: 1 << 20, Q2: 9, Q3: 3, Orig: 5})
+	var buf bytes.Buffer
+	if _, err := real.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	// Every Q1 = 0, one context shared by all, the others unused.
+	f.Add(rawSKL1(3, ng, core.Label{Orig: 1}, core.Label{Orig: 2}, core.Label{Orig: 5}))
+	// Equal Q1 with different (Q2, Q3): rejected.
+	f.Add(rawSKL1(4, ng, core.Label{Q1: 2, Q2: 1, Q3: 3, Orig: 0}, core.Label{Q1: 2, Q2: 3, Q3: 1, Orig: 3},
+		core.Label{Q1: 1, Q2: 2, Q3: 2, Orig: 4}, core.Label{Q1: 3, Q2: 4, Q3: 0, Orig: 7}))
+	// One vertex per context, in an order no plan gives.
+	f.Add(rawSKL1(3, ng, core.Label{Q1: 3, Q2: 1, Q3: 2, Orig: 2}, core.Label{Q1: 1, Q2: 3, Q3: 3, Orig: 6},
+		core.Label{Q1: 2, Q2: 2, Q3: 1, Orig: 0}))
+	// n⁺_T far above n: rejected.
+	f.Add(rawSKL1(1<<20, ng, core.Label{Q1: 1 << 19, Q2: 3, Q3: 9, Orig: 1}, core.Label{Q1: 1 << 20, Q2: 9, Q3: 3, Orig: 5}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := core.DecodeSnapshot(data)
 		if err != nil || snap.NumSpec != ng {
 			return
 		}
-		n := len(snap.Labels)
+		n := snap.NumVertices()
 		sources := allVertices(n)
 		if n > 64 {
 			// Every vertex still appears in each checked cone's scan.
@@ -169,37 +216,40 @@ func FuzzConeOracle(f *testing.F) {
 				sources = append(sources, dag.VertexID(i*n/64))
 			}
 		}
-		for _, np := range []int{snap.NumPositioned, snap.NumPositioned / 2} {
-			snap.NumPositioned = np
-			l, err := snap.Bind(skel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkCones(t, l, sources)
+		l, err := snap.Bind(skel)
+		if err != nil {
+			t.Fatal(err)
 		}
+		checkCones(t, l, sources)
 	})
 }
 
-// TestConeFirstCallConcurrent races many goroutines into the first
-// AppendCone call on fresh Labelings, so the lazily built context index
-// is exercised under contention; run with -race to check the build is
-// properly published.
-func TestConeFirstCallConcurrent(t *testing.T) {
+// TestConeConcurrent runs many cones at once on one Labeling bound from
+// a decoded snapshot, each against the scan; run with -race to check
+// that AppendCone only reads the labeling and shares no scratch.
+func TestConeConcurrent(t *testing.T) {
 	s := workload.MustStandIn("QBLAST", 1)
 	r, _ := run.GenerateSized(s, rand.New(rand.NewSource(8)), 800)
 	base := mustLabel(t, r, label.TCM{})
 	n := base.NumVertices()
-	snap := &core.Snapshot{Labels: labelsOf(base), NumPositioned: base.NumPositioned(), NumSpec: s.NumVertices()}
+	var buf bytes.Buffer
+	if _, err := base.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := core.DecodeSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := snap.Bind(base.Skeleton())
+	if err != nil {
+		t.Fatal(err)
+	}
 	const workers = 8
 	want := make([][]dag.VertexID, workers)
 	for g := range want {
 		want[g] = scanCone(base, dag.VertexID(g*n/workers), g%2 == 0)
 	}
 	for round := 0; round < 20; round++ {
-		l, err := snap.Bind(base.Skeleton())
-		if err != nil {
-			t.Fatal(err)
-		}
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		got := make([][]dag.VertexID, workers)
@@ -215,7 +265,7 @@ func TestConeFirstCallConcurrent(t *testing.T) {
 		wg.Wait()
 		for g := range got {
 			if !slices.Equal(got[g], want[g]) {
-				t.Fatalf("round %d worker %d: concurrent first cone differs from the scan", round, g)
+				t.Fatalf("round %d worker %d: concurrent cone differs from the scan", round, g)
 			}
 		}
 	}
@@ -261,5 +311,25 @@ func TestConeProbesOncePerOrigin(t *testing.T) {
 	}
 	if maxProbes == 0 {
 		t.Fatal("no cone reached the skeleton")
+	}
+}
+
+// BenchmarkAppendCone measures lineage cones on 5,000-vertex stand-in
+// runs, both directions, cycling through 256 source vertices.
+func BenchmarkAppendCone(b *testing.B) {
+	for _, name := range []string{"QBLAST", "EBI", "ProDisc"} {
+		s := workload.MustStandIn(name, 1)
+		r, _ := run.GenerateSized(s, rand.New(rand.NewSource(1)), 5000)
+		l := mustLabel(b, r, label.TCM{})
+		n := l.NumVertices()
+		for _, up := range []bool{true, false} {
+			b.Run(fmt.Sprintf("%s/up=%v", name, up), func(b *testing.B) {
+				b.ReportAllocs()
+				var dst []dag.VertexID
+				for i := 0; b.Loop(); i++ {
+					dst = l.AppendCone(dst[:0], dag.VertexID(i%256*n/256), up)
+				}
+			})
+		}
 	}
 }

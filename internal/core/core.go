@@ -18,7 +18,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/label"
@@ -40,24 +39,19 @@ type Label struct {
 // Labeling is a labeled run: it answers reachability queries over run
 // vertices in constant time plus at most one skeleton query.
 //
-// A Labeling is immutable after construction. All query methods
-// (Reachable, ReachableLabels, AnsweredByContext, Label, the statistics
-// accessors) only read the label slice and delegate to the skeleton
-// labeling, whose implementations are likewise safe for concurrent
-// queries (see internal/label); any number of goroutines may query one
-// Labeling concurrently with no external locking. WriteTo also only
-// reads. AppendCone builds its context index once, under a sync.Once,
-// and only reads it afterwards. This is the contract the store sessions
-// and the query server build on, enforced by -race tests here and in
-// those packages.
+// A Labeling is a Snapshot bound to a skeleton labeling, so it holds the
+// paper's factoring of the labels (Lemma 4.7) and nothing else: each
+// vertex's context (its Q1) and origin, and one (Q2, Q3) row per
+// context. A Labeling is immutable after construction and builds nothing
+// lazily: every method only reads those columns and delegates to the
+// skeleton labeling, whose implementations are likewise safe for
+// concurrent queries (see internal/label). Any number of goroutines may
+// query one Labeling concurrently with no external locking. This is the
+// contract the store sessions and the query server build on, enforced by
+// -race tests here and in those packages.
 type Labeling struct {
-	labels        []Label
-	skeleton      label.Labeling
-	numPositioned int
-	numSpec       int
-
-	coneOnce sync.Once
-	cone     *coneIndex
+	snap     Snapshot
+	skeleton label.Labeling
 }
 
 // LabelRun labels a run with the skeleton-based scheme, reconstructing the
@@ -75,58 +69,51 @@ func LabelRun(r *run.Run, skeleton label.Labeling) (*Labeling, error) {
 // already available (the paper's "with execution plan & context" setting,
 // e.g. extracted from a workflow engine's log).
 func LabelRunWithPlan(r *run.Run, p *plan.Plan, skeleton label.Labeling) (*Labeling, error) {
-	if len(p.Context) != r.NumVertices() {
-		return nil, fmt.Errorf("core: plan context covers %d vertices, run has %d",
-			len(p.Context), r.NumVertices())
+	n := r.NumVertices()
+	if len(p.Context) != n {
+		return nil, fmt.Errorf("core: plan context covers %d vertices, run has %d", len(p.Context), n)
 	}
 	o := order.Generate(p)
-	labels := make([]Label, r.NumVertices())
-	for v := range labels {
-		x := p.Context[v]
+	l := &Labeling{skeleton: skeleton}
+	var err error
+	if l.snap, err = newSnapshot(uint64(n), uint64(o.NumPositioned), uint64(r.Spec.NumVertices()), 0); err != nil {
+		return nil, err
+	}
+	// The orders give each plan node one position apiece, so the labels
+	// factor by construction; put's checks are for stored labels.
+	s := &l.snap
+	for v, x := range p.Context {
 		if x == nil {
 			return nil, fmt.Errorf("core: vertex %d has no context", v)
 		}
-		labels[v] = Label{
-			Q1:   o.Pos1[x.ID],
-			Q2:   o.Pos2[x.ID],
-			Q3:   o.Pos3[x.ID],
-			Orig: r.Origin[v],
-		}
+		q := o.Pos1[x.ID]
+		s.q1[v], s.orig[v] = q, r.Origin[v]
+		s.ord[2*q], s.ord[2*q+1] = o.Pos2[x.ID], o.Pos3[x.ID]
 	}
-	return &Labeling{
-		labels:        labels,
-		skeleton:      skeleton,
-		numPositioned: o.NumPositioned,
-		numSpec:       r.Spec.NumVertices(),
-	}, nil
+	return l, nil
 }
 
 // Label returns the label of run vertex v.
-func (l *Labeling) Label(v dag.VertexID) Label { return l.labels[v] }
+func (l *Labeling) Label(v dag.VertexID) Label { return l.snap.Label(v) }
 
-// Origins returns each run vertex's specification vertex, read from
-// the labels' Orig components: the run's origin map without its graph.
-func (l *Labeling) Origins() []dag.VertexID {
-	out := make([]dag.VertexID, len(l.labels))
-	for v, lab := range l.labels {
-		out[v] = lab.Orig
-	}
-	return out
-}
+// Origins returns each run vertex's specification vertex: the run's
+// origin map without its graph. The slice is the labeling's own origin
+// column; callers must not modify it.
+func (l *Labeling) Origins() []dag.VertexID { return l.snap.orig }
 
 // NumVertices returns the number of labeled run vertices.
-func (l *Labeling) NumVertices() int { return len(l.labels) }
+func (l *Labeling) NumVertices() int { return l.snap.NumVertices() }
 
 // NumPositioned returns n⁺_T, the number of nonempty + nodes in the
 // execution plan (the range of the order positions).
-func (l *Labeling) NumPositioned() int { return l.numPositioned }
+func (l *Labeling) NumPositioned() int { return l.snap.NumPositioned }
 
 // Skeleton returns the underlying specification labeling.
 func (l *Labeling) Skeleton() label.Labeling { return l.skeleton }
 
 // Reachable reports whether run vertex v is reachable from run vertex u.
 func (l *Labeling) Reachable(u, v dag.VertexID) bool {
-	return l.ReachableLabels(l.labels[u], l.labels[v])
+	return l.ReachableLabels(l.snap.Label(u), l.snap.Label(v))
 }
 
 // ReachableLabels is the binary predicate πr of Algorithm 3, evaluated on
@@ -156,7 +143,7 @@ func byContext(a, b Label) (reach, decided bool) {
 // the experiments to explain why query time *drops* as runs grow when the
 // skeleton labeling is search-based (Section 8.2).
 func (l *Labeling) AnsweredByContext(u, v dag.VertexID) bool {
-	_, decided := byContext(l.labels[u], l.labels[v])
+	_, decided := byContext(l.snap.Label(u), l.snap.Label(v))
 	return decided
 }
 
@@ -164,7 +151,7 @@ func (l *Labeling) AnsweredByContext(u, v dag.VertexID) bool {
 // variable-length integer encoding: 3·⌈log(n⁺_T+1)⌉ for the three order
 // positions plus ⌈log n_G⌉ for the skeleton reference (Lemma 4.7).
 func (l *Labeling) MaxLabelBits() int {
-	return 3*intBits(uint64(l.numPositioned)) + intBits(uint64(l.numSpec-1))
+	return 3*intBits(uint64(l.snap.NumPositioned)) + intBits(uint64(l.snap.NumSpec-1))
 }
 
 // AvgLabelBits returns the mean label length in bits over all run
@@ -172,15 +159,17 @@ func (l *Labeling) MaxLabelBits() int {
 // its value (the paper's "average length ... measured only for the
 // variable-size labels").
 func (l *Labeling) AvgLabelBits() float64 {
-	if len(l.labels) == 0 {
+	n := l.NumVertices()
+	if n == 0 {
 		return 0
 	}
 	total := 0
-	for _, lab := range l.labels {
+	for v := range n {
+		lab := l.snap.Label(dag.VertexID(v))
 		total += intBits(uint64(lab.Q1)) + intBits(uint64(lab.Q2)) + intBits(uint64(lab.Q3)) +
 			intBits(uint64(lab.Orig))
 	}
-	return float64(total) / float64(len(l.labels))
+	return float64(total) / float64(n)
 }
 
 // intBits returns the number of bits needed to represent x (at least 1).

@@ -13,7 +13,7 @@ import (
 	"repro/internal/spec"
 )
 
-func mustLabel(t *testing.T, r *run.Run, scheme label.Scheme) *core.Labeling {
+func mustLabel(t testing.TB, r *run.Run, scheme label.Scheme) *core.Labeling {
 	t.Helper()
 	skel, err := scheme.Build(r.Spec.Graph)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/label"
@@ -45,6 +44,18 @@ import (
 // positions climb pays one byte where SKL1 paid thousands, and the
 // decoder bulk-reads each column in a single pass over a flat buffer
 // instead of one streaming varint read per component.
+//
+// # Labels no labeler writes
+//
+// Both formats store four components per label, but a Snapshot keeps
+// them factored (Q1 and origin per vertex, one (Q2, Q3) row per
+// context), so both readers reject the two label sets that cannot be
+// factored that way: a header whose n⁺_T exceeds the label count, and
+// two labels with one Q1 but different (Q2, Q3). Every positioned plan
+// node is the context of at least one vertex, and a context has one
+// position in each order, so no labeler writes either. These two
+// rejections are the one way the readers diverge from the formats as
+// written; every label set a labeler wrote decodes as before.
 
 // SnapshotVersion identifies a snapshot wire format.
 type SnapshotVersion int
@@ -80,23 +91,15 @@ const (
 	snapshotBlock = 4096
 
 	// maxSnapshotLabels caps the label count a snapshot header may
-	// declare. Headers are attacker-controlled bytes, so the decoders
-	// also never allocate beyond what the input can hold (see
-	// decodeSnapshotV1/decodeSnapshotV2): a hostile count fails at the
-	// first missing label, not with a multi-GiB make.
-	maxSnapshotLabels = 1 << 32
-
-	// maxSnapshotPositioned bounds numPositioned so order positions fit
-	// the uint32 label components.
-	maxSnapshotPositioned = 1<<32 - 1
+	// declare: vertex IDs are int32 (dag.VertexID). Headers are
+	// attacker-controlled bytes, so the decoders also never allocate
+	// beyond what the input can hold (see decodeSnapshotV1 and
+	// decodeSnapshotV2): a hostile count fails before the columns are
+	// sized, not with a multi-GiB make.
+	maxSnapshotLabels = 1 << 31
 
 	// maxSnapshotSpec bounds numSpec so origins fit dag.VertexID (int32).
 	maxSnapshotSpec = 1 << 31
-
-	// snapshotPreallocLabels bounds the labels SKL2 decoding allocates
-	// before any label data has actually been decoded (1<<16 labels =
-	// 1 MiB); beyond it the slice grows only as input is consumed.
-	snapshotPreallocLabels = 1 << 16
 )
 
 // SKL2 per-block column encodings.
@@ -111,20 +114,111 @@ const (
 // WriteTo serializes the labeling's labels (not the skeleton labeling,
 // which is shared across runs and persisted once per specification) in
 // SKL2, the only format written.
-func (l *Labeling) WriteTo(w io.Writer) (int64, error) {
-	s := Snapshot{Labels: l.labels, NumPositioned: l.numPositioned, NumSpec: l.numSpec}
-	return s.WriteTo(w)
-}
+func (l *Labeling) WriteTo(w io.Writer) (int64, error) { return l.snap.WriteTo(w) }
 
 // Snapshot is a deserialized label set: it answers reachability queries
 // from stored labels and a skeleton labeling, with no run graph needed.
+//
+// It holds the labels factored as the paper does (Lemma 4.7): a context
+// column (each vertex's Q1), an origin column, and one (Q2, Q3) row per
+// context, indexed by Q1 — n⁺_T+1 rows. Both wire-format readers and
+// NewSnapshot store labels through one check, put, so the factoring
+// holds for stored labels too.
 type Snapshot struct {
-	Labels        []Label
 	NumPositioned int
 	NumSpec       int
 	// Version is the wire format the snapshot was decoded from; WriteTo
 	// ignores it.
 	Version SnapshotVersion
+
+	q1   []uint32       // each vertex's context: its position in the first order
+	ord  []uint32       // context q's (Q2, Q3) at ord[2q] and ord[2q+1]
+	orig []dag.VertexID // each vertex's origin
+}
+
+// unsetRow marks a context row no label has filled yet. No position
+// reaches it: positions are at most n⁺_T, and n⁺_T at most the label
+// count, which maxSnapshotLabels keeps below it.
+const unsetRow = math.MaxUint32
+
+// newSnapshot validates a header (count labels, n⁺_T = np, n_G = ns)
+// and allocates the snapshot's columns, for put to fill. A header with
+// more contexts than labels is rejected: every positioned plan node is
+// the context of at least one vertex, so no labeler writes one, and the
+// row table stays no larger than the label columns.
+func newSnapshot(count, np, ns uint64, v SnapshotVersion) (Snapshot, error) {
+	if count > maxSnapshotLabels {
+		return Snapshot{}, fmt.Errorf("core: implausible label count %d", count)
+	}
+	if np > count {
+		return Snapshot{}, fmt.Errorf("core: n+T=%d exceeds the %d labels", np, count)
+	}
+	if ns > maxSnapshotSpec {
+		return Snapshot{}, fmt.Errorf("core: implausible spec size %d", ns)
+	}
+	// The context column and the row table share one allocation: every
+	// session-cache miss decodes a snapshot.
+	cols := make([]uint32, count+2*(np+1))
+	s := Snapshot{
+		NumPositioned: int(np),
+		NumSpec:       int(ns),
+		Version:       v,
+		q1:            cols[:count:count],
+		ord:           cols[count:],
+		orig:          make([]dag.VertexID, count),
+	}
+	for q := 0; q < len(s.ord); q += 2 {
+		s.ord[q] = unsetRow
+	}
+	return s, nil
+}
+
+// put stores label i after the checks every label passes, whatever its
+// source: positions at most n⁺_T, an origin in the specification, and
+// the same (Q2, Q3) as every earlier label with its Q1. A label set
+// that gives one context two rows is rejected; no labeler writes one.
+func (s *Snapshot) put(i int, q1, q2, q3, orig uint64) error {
+	np := uint64(s.NumPositioned)
+	if q1 > np || q2 > np || q3 > np {
+		return fmt.Errorf("core: label %d position exceeds n+T=%d", i, np)
+	}
+	if orig >= uint64(s.NumSpec) {
+		return fmt.Errorf("core: label %d origin %d exceeds spec size %d", i, orig, s.NumSpec)
+	}
+	if row := s.ord[2*q1 : 2*q1+2]; uint64(row[0]) != q2 || uint64(row[1]) != q3 {
+		if row[0] != unsetRow {
+			return fmt.Errorf("core: label %d gives context %d the orders (%d, %d), an earlier label (%d, %d)",
+				i, q1, q2, q3, row[0], row[1])
+		}
+		row[0], row[1] = uint32(q2), uint32(q3)
+	}
+	s.q1[i], s.orig[i] = uint32(q1), dag.VertexID(orig)
+	return nil
+}
+
+// NewSnapshot builds a snapshot from label rows, with the checks
+// DecodeSnapshot applies to stored labels: it fails exactly when
+// decoding the same labels would.
+func NewSnapshot(numPositioned, numSpec int, labels []Label) (*Snapshot, error) {
+	s, err := newSnapshot(uint64(len(labels)), uint64(numPositioned), uint64(numSpec), 0)
+	if err != nil {
+		return nil, err
+	}
+	for i, lab := range labels {
+		if err := s.put(i, uint64(lab.Q1), uint64(lab.Q2), uint64(lab.Q3), uint64(lab.Orig)); err != nil {
+			return nil, err
+		}
+	}
+	return &s, nil
+}
+
+// NumVertices returns the number of labels.
+func (s *Snapshot) NumVertices() int { return len(s.q1) }
+
+// Label returns the label of vertex v: its context's row and its origin.
+func (s *Snapshot) Label(v dag.VertexID) Label {
+	q := s.q1[v]
+	return Label{Q1: q, Q2: s.ord[2*q], Q3: s.ord[2*q+1], Orig: s.orig[v]}
 }
 
 // WriteTo serializes the snapshot in SKL2, whatever format it was
@@ -136,34 +230,24 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 
 func appendSnapshotV2(dst []byte, s *Snapshot) []byte {
 	dst = binary.AppendUvarint(dst, uint64(snapshotMagicV2))
-	dst = binary.AppendUvarint(dst, uint64(len(s.Labels)))
+	dst = binary.AppendUvarint(dst, uint64(s.NumVertices()))
 	dst = binary.AppendUvarint(dst, uint64(s.NumPositioned))
 	dst = binary.AppendUvarint(dst, uint64(s.NumSpec))
 	var col [snapshotBlock]uint32
-	for base := 0; base < len(s.Labels); base += snapshotBlock {
-		blk := s.Labels[base:min(base+snapshotBlock, len(s.Labels))]
-		for c := 0; c < 4; c++ {
-			vals := col[:len(blk)]
-			switch c {
-			case 0:
-				for i, lab := range blk {
-					vals[i] = lab.Q1
-				}
-			case 1:
-				for i, lab := range blk {
-					vals[i] = lab.Q2
-				}
-			case 2:
-				for i, lab := range blk {
-					vals[i] = lab.Q3
-				}
-			case 3:
-				for i, lab := range blk {
-					vals[i] = uint32(lab.Orig)
-				}
+	for base := 0; base < s.NumVertices(); base += snapshotBlock {
+		q1 := s.q1[base:min(base+snapshotBlock, s.NumVertices())]
+		vals := col[:len(q1)]
+		dst = appendColumn(dst, q1)
+		for c := range 2 {
+			for i, q := range q1 {
+				vals[i] = s.ord[2*q+uint32(c)]
 			}
 			dst = appendColumn(dst, vals)
 		}
+		for i, o := range s.orig[base : base+len(q1)] {
+			vals[i] = uint32(o)
+		}
+		dst = appendColumn(dst, vals)
 	}
 	return dst
 }
@@ -263,21 +347,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 }
 
-// readSnapshotHeader validates the three header counts shared by both
-// formats.
-func readSnapshotHeader(count, np, ns uint64) error {
-	if count > maxSnapshotLabels {
-		return fmt.Errorf("core: implausible label count %d", count)
-	}
-	if np > maxSnapshotPositioned {
-		return fmt.Errorf("core: implausible position bound %d", np)
-	}
-	if ns > maxSnapshotSpec {
-		return fmt.Errorf("core: implausible spec size %d", ns)
-	}
-	return nil
-}
-
 // decodeSnapshotV1 decodes the legacy row-major format from the bytes
 // following the magic.
 func decodeSnapshotV1(data []byte) (*Snapshot, error) {
@@ -295,34 +364,25 @@ func decodeSnapshotV1(data []byte) (*Snapshot, error) {
 	if !read(vals[:3]) {
 		return nil, fmt.Errorf("core: read snapshot header: truncated")
 	}
-	count, np, ns := vals[0], vals[1], vals[2]
-	if err := readSnapshotHeader(count, np, ns); err != nil {
-		return nil, err
-	}
+	count := vals[0]
 	// Each label takes at least four bytes, so a count the input cannot
 	// hold is rejected before anything is allocated for it.
 	if count > uint64(len(data)/4) {
 		return nil, fmt.Errorf("core: %d labels declared in %d bytes", count, len(data))
 	}
-	s := &Snapshot{
-		Labels:        make([]Label, count),
-		NumPositioned: int(np),
-		NumSpec:       int(ns),
-		Version:       SnapshotV1,
+	s, err := newSnapshot(count, vals[1], vals[2], SnapshotV1)
+	if err != nil {
+		return nil, err
 	}
-	for i := range s.Labels {
+	for i := range s.q1 {
 		if !read(vals[:]) {
 			return nil, fmt.Errorf("core: read label %d: truncated", i)
 		}
-		if vals[0] > np || vals[1] > np || vals[2] > np {
-			return nil, fmt.Errorf("core: label %d position exceeds n+T=%d", i, np)
+		if err := s.put(i, vals[0], vals[1], vals[2], vals[3]); err != nil {
+			return nil, err
 		}
-		if vals[3] >= ns {
-			return nil, fmt.Errorf("core: label %d origin %d exceeds spec size %d", i, vals[3], ns)
-		}
-		s.Labels[i] = Label{Q1: uint32(vals[0]), Q2: uint32(vals[1]), Q3: uint32(vals[2]), Orig: dag.VertexID(vals[3])}
 	}
-	return s, nil
+	return &s, nil
 }
 
 // decodeSnapshotV2 bulk-decodes the columnar format from the bytes
@@ -337,43 +397,40 @@ func decodeSnapshotV2(data []byte) (*Snapshot, error) {
 		hdr[i] = v
 		data = data[k:]
 	}
-	count, np, ns := hdr[0], hdr[1], hdr[2]
-	if err := readSnapshotHeader(count, np, ns); err != nil {
+	// Walk the column frames before sizing anything for them, so a count
+	// the input cannot frame fails having allocated nothing. Every
+	// encoding's payload holds at least one byte.
+	count, rest := hdr[0], data
+	for c := uint64(0); c < 4*(count/snapshotBlock+min(count%snapshotBlock, 1)); c++ {
+		plen, k := binary.Uvarint(rest)
+		if k <= 0 || plen == 0 || plen >= uint64(len(rest)-k) {
+			return nil, fmt.Errorf("core: label block at %d: truncated column", c/4*snapshotBlock)
+		}
+		rest = rest[k+1+int(plen):]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes after snapshot", len(rest))
+	}
+	s, err := newSnapshot(count, hdr[1], hdr[2], SnapshotV2)
+	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{
-		Labels:        make([]Label, 0, min(count, snapshotPreallocLabels)),
-		NumPositioned: int(np),
-		NumSpec:       int(ns),
-		Version:       SnapshotV2,
-	}
-	var q1, q2, q3, og [snapshotBlock]uint32
-	for remaining := count; remaining > 0; {
-		n := int(min(remaining, snapshotBlock))
-		base := len(s.Labels)
-		var err error
-		for _, col := range [4][]uint32{q1[:n], q2[:n], q3[:n], og[:n]} {
+	var q2, q3, og [snapshotBlock]uint32
+	for base := 0; base < len(s.q1); base += snapshotBlock {
+		q1 := s.q1[base:min(base+snapshotBlock, len(s.q1))]
+		n := len(q1)
+		for _, col := range [4][]uint32{q1, q2[:n], q3[:n], og[:n]} {
 			if data, err = decodeColumn(data, col); err != nil {
 				return nil, fmt.Errorf("core: label block at %d: %w", base, err)
 			}
 		}
-		s.Labels = slices.Grow(s.Labels, n)[:base+n]
-		blk := s.Labels[base:]
-		for i := 0; i < n; i++ {
-			if uint64(q1[i]) > np || uint64(q2[i]) > np || uint64(q3[i]) > np {
-				return nil, fmt.Errorf("core: label %d position exceeds n+T=%d", base+i, np)
+		for i, q := range q1 {
+			if err := s.put(base+i, uint64(q), uint64(q2[i]), uint64(q3[i]), uint64(og[i])); err != nil {
+				return nil, err
 			}
-			if uint64(og[i]) >= ns {
-				return nil, fmt.Errorf("core: label %d origin %d exceeds spec size %d", base+i, og[i], ns)
-			}
-			blk[i] = Label{Q1: q1[i], Q2: q2[i], Q3: q3[i], Orig: dag.VertexID(og[i])}
 		}
-		remaining -= uint64(n)
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes after snapshot", len(data))
-	}
-	return s, nil
+	return &s, nil
 }
 
 // decodeColumn decodes one column block into out (len(out) >= 1) and
@@ -461,16 +518,12 @@ func decodeColumn(data []byte, out []uint32) ([]byte, error) {
 }
 
 // Bind attaches a skeleton labeling to the snapshot, producing a fully
-// query-capable Labeling. The skeleton must label the same specification
-// the snapshot was created from.
+// query-capable Labeling that shares the snapshot's columns. The
+// skeleton must label the same specification the snapshot was created
+// from.
 func (s *Snapshot) Bind(skeleton label.Labeling) (*Labeling, error) {
 	if skeleton == nil {
 		return nil, fmt.Errorf("core: nil skeleton labeling")
 	}
-	return &Labeling{
-		labels:        s.Labels,
-		skeleton:      skeleton,
-		numPositioned: s.NumPositioned,
-		numSpec:       s.NumSpec,
-	}, nil
+	return &Labeling{snap: *s, skeleton: skeleton}, nil
 }

@@ -8,7 +8,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -42,8 +43,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Labels) != r.NumVertices() {
-		t.Fatalf("snapshot has %d labels, want %d", len(snap.Labels), r.NumVertices())
+	if snap.NumVertices() != r.NumVertices() {
+		t.Fatalf("snapshot has %d labels, want %d", snap.NumVertices(), r.NumVertices())
 	}
 	bound, err := snap.Bind(skel)
 	if err != nil {
@@ -209,7 +210,7 @@ func TestSnapshotCrossVersion(t *testing.T) {
 	if old.Version != core.SnapshotV1 || cur.Version != core.SnapshotV2 {
 		t.Fatalf("decoded versions = %v, %v; want SKL1, SKL2", old.Version, cur.Version)
 	}
-	if !reflect.DeepEqual(old.Labels, cur.Labels) {
+	if !slices.Equal(labelsOf(old), labelsOf(cur)) {
 		t.Fatal("SKL1 fixture labels differ from SKL2 fixture labels")
 	}
 	if old.NumPositioned != cur.NumPositioned || old.NumSpec != cur.NumSpec {
@@ -255,8 +256,8 @@ func TestSnapshotV2Smaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := func(x uint64) int { return len(binary.AppendUvarint(nil, x)) }
-	v1 := size(0x534b4c31) + size(uint64(len(snap.Labels))) + size(uint64(snap.NumPositioned)) + size(uint64(snap.NumSpec))
-	for _, lab := range snap.Labels {
+	v1 := size(0x534b4c31) + size(uint64(snap.NumVertices())) + size(uint64(snap.NumPositioned)) + size(uint64(snap.NumSpec))
+	for _, lab := range labelsOf(snap) {
 		v1 += size(uint64(lab.Q1)) + size(uint64(lab.Q2)) + size(uint64(lab.Q3)) + size(uint64(lab.Orig))
 	}
 	ratio := float64(len(v2)) / float64(v1)
@@ -310,35 +311,46 @@ func TestSnapshotHostileCount(t *testing.T) {
 	}
 }
 
-// TestSnapshotArbitraryValues round-trips hand-built snapshots hitting
-// every column encoding: constant columns, tiny deltas, wild jumps that
-// force fixed-width, and boundary values.
+// TestSnapshotArbitraryValues round-trips hand-built snapshots across
+// block boundaries, with columns in every encoding: a climbing block
+// (delta), a wild one (fixed 16- and 32-bit), a constant one (const, and
+// fixed 8-bit origins), and the largest origin. Column values no
+// factored snapshot can hold (positions beyond the label count) are
+// TestColumnArbitraryValues' job.
 func TestSnapshotArbitraryValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	// Boundary values chosen to exercise every column width while
-	// staying representable on 32-bit platforms (int, dag.VertexID).
-	const np = 1<<31 - 1
 	const ns = 1<<31 - 1
-	cases := [][]core.Label{
-		{},
-		{{Q1: 0, Q2: 0, Q3: 0, Orig: 0}},
-		{{Q1: np, Q2: np, Q3: np, Orig: ns - 1}},
+	type tc struct {
+		np     int
+		labels []core.Label
 	}
-	// One label set per stress pattern, sized to cross block boundaries.
-	patterned := make([]core.Label, 10000)
+	cases := []tc{
+		{0, nil},
+		{0, []core.Label{{Q1: 0, Q2: 0, Q3: 0, Orig: 0}}},
+		{1, []core.Label{{Q1: 1, Q2: 1, Q3: 1, Orig: ns - 1}}},
+	}
+	// Context q's row is (q, n⁺_T−q).
+	const n = 10000
+	patterned := make([]core.Label, n)
 	for i := range patterned {
-		switch {
-		case i%3 == 0: // slowly climbing (delta-friendly)
-			patterned[i] = core.Label{Q1: uint32(i), Q2: uint32(i / 2), Q3: uint32(2 * i), Orig: 5}
-		case i%3 == 1: // random wild jumps (fixed-width)
-			patterned[i] = core.Label{Q1: rng.Uint32() % np, Q2: rng.Uint32() % np, Q3: rng.Uint32() % np, Orig: dag.VertexID(rng.Intn(ns))}
-		default: // constant block
-			patterned[i] = core.Label{Q1: 7, Q2: 7, Q3: 7, Orig: 7}
+		var q uint32
+		var o dag.VertexID
+		switch i / 4096 {
+		case 0: // climbing
+			q, o = uint32(i/2+1), 5
+		case 1: // wild jumps
+			q, o = uint32(rng.Intn(n+1)), dag.VertexID(rng.Intn(ns))
+		default: // one context
+			q, o = 7, dag.VertexID(i%256)
 		}
+		patterned[i] = core.Label{Q1: q, Q2: q, Q3: n - q, Orig: o}
 	}
-	cases = append(cases, patterned)
-	for ci, labels := range cases {
-		snap := &core.Snapshot{Labels: labels, NumPositioned: np, NumSpec: ns}
+	cases = append(cases, tc{n, patterned})
+	for ci, c := range cases {
+		snap, err := core.NewSnapshot(c.np, ns, c.labels)
+		if err != nil {
+			t.Fatalf("case %d: %v", ci, err)
+		}
 		var buf bytes.Buffer
 		if _, err := snap.WriteTo(&buf); err != nil {
 			t.Fatalf("case %d: %v", ci, err)
@@ -347,14 +359,41 @@ func TestSnapshotArbitraryValues(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
-		if len(got.Labels) != len(labels) {
-			t.Fatalf("case %d: %d labels, want %d", ci, len(got.Labels), len(labels))
+		if got.NumPositioned != c.np || got.NumSpec != ns || !slices.Equal(labelsOf(got), c.labels) {
+			t.Fatalf("case %d: labels changed in the round trip", ci)
 		}
-		for i := range labels {
-			if got.Labels[i] != labels[i] {
-				t.Fatalf("case %d: label %d = %+v, want %+v", ci, i, got.Labels[i], labels[i])
-			}
+	}
+}
+
+// TestLabelingHeapPerVertex pins what a stored run's labels keep
+// resident: decoded, bound and asked for one cone, a 5,159-vertex
+// QBLAST stand-in run holds its context and origin columns and one row
+// per context, at most 12 B/vertex.
+func TestLabelingHeapPerVertex(t *testing.T) {
+	r, _ := run.GenerateSized(workload.MustStandIn("QBLAST", 1), rand.New(rand.NewSource(4)), 5000)
+	l := mustLabel(t, r, label.TCM{})
+	data := encode(t, l)
+	held := make([]*core.Labeling, 20)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range held {
+		snap, err := core.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if held[i], err = snap.Bind(l.Skeleton()); err != nil {
+			t.Fatal(err)
+		}
+		held[i].AppendCone(nil, dag.VertexID(i), true)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perVertex := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(held)*l.NumVertices())
+	runtime.KeepAlive(held)
+	t.Logf("%.1f B/vertex resident over %d vertices", perVertex, l.NumVertices())
+	if perVertex > 12 {
+		t.Fatalf("a bound snapshot keeps %.1f B/vertex resident on a %d-vertex run, want at most 12", perVertex, l.NumVertices())
 	}
 }
 

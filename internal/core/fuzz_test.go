@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -46,13 +47,8 @@ func FuzzReadSnapshot(f *testing.F) {
 		if again.Version != core.SnapshotV2 {
 			t.Fatalf("re-encoded snapshot decodes as %v, want SKL2", again.Version)
 		}
-		if len(again.Labels) != len(snap.Labels) {
-			t.Fatalf("round trip lost labels: %d != %d", len(again.Labels), len(snap.Labels))
-		}
-		for i := range snap.Labels {
-			if again.Labels[i] != snap.Labels[i] {
-				t.Fatalf("round trip changed label %d", i)
-			}
+		if !slices.Equal(labelsOf(again), labelsOf(snap)) {
+			t.Fatal("round trip changed the labels")
 		}
 	})
 }

@@ -40,6 +40,12 @@ type Namer struct {
 	maxRank int32
 }
 
+// firstListCap is the capacity an origin's vertex list starts at when
+// Add meets the origin first, so a namer grown by Add (a live stream)
+// skips append's smallest growth steps. NewNamerFromOrigins cuts each
+// list it can count to its exact size.
+const firstListCap = 8
+
 // maxRankDigits bounds a rank's decimal digits: ranks are int32.
 const maxRankDigits = 10
 
@@ -84,6 +90,9 @@ func NewNamerFromOrigins(s *spec.Spec, origin []dag.VertexID) *Namer {
 func (nm *Namer) Add(origin dag.VertexID) dag.VertexID {
 	v := dag.VertexID(len(nm.origin))
 	nm.origin = append(nm.origin, origin)
+	if cap(nm.byOrigin[origin]) == 0 {
+		nm.byOrigin[origin] = make([]dag.VertexID, 0, firstListCap)
+	}
 	nm.byOrigin[origin] = append(nm.byOrigin[origin], v)
 	r := int32(len(nm.byOrigin[origin]))
 	nm.rank = append(nm.rank, r)

@@ -78,10 +78,17 @@ func TestSnapshotForOtherSpecIs500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.NumSpec = sp.NumVertices() + 4
-	snap.Labels[0].Orig = dag.VertexID(sp.NumVertices() + 3)
+	labs := make([]core.Label, snap.NumVertices())
+	for v := range labs {
+		labs[v] = snap.Label(dag.VertexID(v))
+	}
+	labs[0].Orig = dag.VertexID(sp.NumVertices() + 3)
+	odd, err := core.NewSnapshot(snap.NumPositioned, sp.NumVertices()+4, labs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var crafted bytes.Buffer
-	if _, err := snap.WriteTo(&crafted); err != nil {
+	if _, err := odd.WriteTo(&crafted); err != nil {
 		t.Fatal(err)
 	}
 	s := serverOver(t, doc, crafted.Bytes())

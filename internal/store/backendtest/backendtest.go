@@ -623,25 +623,30 @@ func Run(t *testing.T, newBackend Factory) {
 		b := newBackend(t)
 		defer b.Close()
 		mustInit(t, b)
+		// 300 vertices in 150 contexts, two per context.
 		labels := make([]core.Label, 300)
 		for i := range labels {
-			labels[i] = core.Label{Q1: uint32(i), Q2: uint32(2 * i), Q3: uint32(300 - i), Orig: dag.VertexID(i % 7)}
+			q := uint32(i/2 + 1)
+			labels[i] = core.Label{Q1: q, Q2: 151 - q, Q3: q, Orig: dag.VertexID(i % 7)}
+		}
+		snap, err := core.NewSnapshot(150, 7, labels)
+		if err != nil {
+			t.Fatal(err)
 		}
 		var skl2 bytes.Buffer
-		snap := &core.Snapshot{Labels: labels, NumPositioned: 600, NumSpec: 7}
 		if _, err := snap.WriteTo(&skl2); err != nil {
 			t.Fatal(err)
 		}
 		// No writer emits SKL1 any more; this blob is one by hand:
-		// uvarint magic "SKL1", count 2, numPositioned 6, numSpec 2,
-		// then the labels (1,2,3,0) and (4,5,6,1).
-		skl1 := []byte{0xb1, 0x98, 0xad, 0x9a, 0x05, 2, 6, 2, 1, 2, 3, 0, 4, 5, 6, 1}
+		// uvarint magic "SKL1", count 2, numPositioned 2, numSpec 2,
+		// then the labels (1,2,1,0) and (2,1,2,1).
+		skl1 := []byte{0xb1, 0x98, 0xad, 0x9a, 0x05, 2, 2, 2, 1, 2, 1, 0, 2, 1, 2, 1}
 		blobs := map[string]struct {
 			data    []byte
 			version core.SnapshotVersion
 			labels  []core.Label
 		}{
-			"run-SKL1": {skl1, core.SnapshotV1, []core.Label{{Q1: 1, Q2: 2, Q3: 3, Orig: 0}, {Q1: 4, Q2: 5, Q3: 6, Orig: 1}}},
+			"run-SKL1": {skl1, core.SnapshotV1, []core.Label{{Q1: 1, Q2: 2, Q3: 1, Orig: 0}, {Q1: 2, Q2: 1, Q3: 2, Orig: 1}}},
 			"run-SKL2": {skl2.Bytes(), core.SnapshotV2, labels},
 		}
 		for name, blob := range blobs {
@@ -666,7 +671,11 @@ func Run(t *testing.T, newBackend Factory) {
 			if decoded.Version != want.version {
 				t.Fatalf("%s: copied snapshot decodes as %v", name, decoded.Version)
 			}
-			if !slices.Equal(decoded.Labels, want.labels) {
+			labels := make([]core.Label, decoded.NumVertices())
+			for v := range labels {
+				labels[v] = decoded.Label(dag.VertexID(v))
+			}
+			if !slices.Equal(labels, want.labels) {
 				t.Fatalf("%s: labels changed across Copy", name)
 			}
 		}

@@ -76,10 +76,17 @@ func TestOpenRunRejectsSnapshotForOtherSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.NumSpec = sp.NumVertices() + 4
-	snap.Labels[len(snap.Labels)-1].Orig = dag.VertexID(sp.NumVertices() + 2)
+	labs := make([]core.Label, snap.NumVertices())
+	for v := range labs {
+		labs[v] = snap.Label(dag.VertexID(v))
+	}
+	labs[len(labs)-1].Orig = dag.VertexID(sp.NumVertices() + 2)
+	odd, err := core.NewSnapshot(snap.NumPositioned, sp.NumVertices()+4, labs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var crafted bytes.Buffer
-	if _, err := snap.WriteTo(&crafted); err != nil {
+	if _, err := odd.WriteTo(&crafted); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Backend().WriteRun("odd", doc, crafted.Bytes()); err != nil {
@@ -94,8 +101,8 @@ func TestOpenRunRejectsSnapshotForOtherSpec(t *testing.T) {
 	}
 }
 
-// Labels answer without the document; the first Document call checks
-// the document against them, origin by origin, and reports a pair torn
+// Labels answer without the document; the first Document call compares
+// the document's origin column with the labels', and reports a pair torn
 // between two same-size runs instead of handing back the wrong graph.
 func TestDocumentChecksTornPair(t *testing.T) {
 	a, b := sameSizeRuns(t)

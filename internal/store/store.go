@@ -46,11 +46,11 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"slices"
 	"strings"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/dag"
 	"repro/internal/label"
 	"repro/internal/provdata"
 	"repro/internal/run"
@@ -363,11 +363,13 @@ func (s *Session) decode() {
 		s.docErr = fmt.Errorf("store: snapshot covers %d vertices, run has %d", n, r.NumVertices())
 		return
 	}
-	for v, o := range r.Origin[:r.NumVertices()] {
-		if lo := s.Labels.Label(dag.VertexID(v)).Orig; lo != o {
-			s.docErr = fmt.Errorf("store: snapshot gives vertex %d origin %d, run has %d", v, lo, o)
-			return
+	if lo, ro := s.Labels.Origins(), r.Origin[:r.NumVertices()]; !slices.Equal(lo, ro) {
+		v := 0
+		for lo[v] == ro[v] {
+			v++
 		}
+		s.docErr = fmt.Errorf("store: snapshot gives vertex %d origin %d, run has %d", v, lo[v], ro[v])
+		return
 	}
 	var dv *provdata.Labeling
 	if ann != nil {
