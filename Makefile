@@ -109,12 +109,15 @@ rpq-smoke:
 # bufio/Sscanf parser it replaced (internal/events), the /batch
 # request decoder against encoding/json (internal/server), and the
 # vertex namer, grown by Add and built in one call, against Run.NameOf
-# (internal/run). The seed corpora of every fuzz target already run in
+# (internal/run), and the PUT write path (internal/server), where every
+# accepted body must be stored byte for byte and say what its run's
+# canonical encoding says. The seed corpora of every fuzz target already run in
 # `make test`. FuzzReadSnapshot's seeds are 2 KB label fixtures: the
 # default minimization of one new input (up to 60 s) would take the
 # whole run, so it is capped.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRunOracle -fuzztime 30s ./internal/xmlio/
+	$(GO) test -run '^$$' -fuzz FuzzIngestRun -fuzztime 30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime 30s -fuzzminimizetime 2s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzConeOracle -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReadLogOracle -fuzztime 30s ./internal/events/

@@ -32,31 +32,33 @@ func New(n int) *Graph {
 // with AddEdge would build, with all adjacency storage allocated at
 // once. It panics if an endpoint is out of range.
 func FromEdges(n int, edges []Edge) *Graph {
-	g := &Graph{out: make([][]VertexID, n), in: make([][]VertexID, n), m: len(edges)}
-	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	adj := make([][]VertexID, 2*n) // out-lists, then in-lists
+	g := &Graph{out: adj[:n:n], in: adj[n:], m: len(edges)}
+	// A counting sort of the endpoints into one array: next[l] is where
+	// list l's next entry goes, and once filled, where list l ends.
+	next := make([]int32, 2*n+1)
 	for _, e := range edges {
 		g.checkVertex(e.Tail)
 		g.checkVertex(e.Head)
-		deg[e.Tail]++
-		deg[n+int(e.Head)]++
+		next[e.Tail+1]++
+		next[n+int(e.Head)+1]++
 	}
-	adj := make([]VertexID, 2*len(edges))
-	off := 0
-	for v, d := range deg {
-		if d == 0 {
-			continue
-		}
-		s := adj[off : off : off+d]
-		if v < n {
-			g.out[v] = s
-		} else {
-			g.in[v-n] = s
-		}
-		off += d
+	for l := 1; l < len(next); l++ {
+		next[l] += next[l-1]
 	}
+	ids := make([]VertexID, 2*len(edges))
 	for _, e := range edges {
-		g.out[e.Tail] = append(g.out[e.Tail], e.Head)
-		g.in[e.Head] = append(g.in[e.Head], e.Tail)
+		ids[next[e.Tail]] = e.Head
+		next[e.Tail]++
+		ids[next[n+int(e.Head)]] = e.Tail
+		next[n+int(e.Head)]++
+	}
+	start := int32(0)
+	for l, end := range next[:2*n] {
+		if end > start {
+			adj[l] = ids[start:end:end]
+			start = end
+		}
 	}
 	return g
 }

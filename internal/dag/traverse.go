@@ -9,25 +9,19 @@ import (
 // algorithm with a FIFO frontier seeded in increasing vertex order).
 func (g *Graph) TopoSort() ([]VertexID, bool) {
 	n := g.NumVertices()
-	indeg := make([]int, n)
+	indeg := make([]int32, n)
+	// Kahn's algorithm with the order as its own queue: the vertices
+	// still to visit are order[head:].
+	order := make([]VertexID, 0, n)
 	for v := 0; v < n; v++ {
-		indeg[v] = len(g.in[v])
-	}
-	queue := make([]VertexID, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, VertexID(v))
+		if indeg[v] = int32(len(g.in[v])); indeg[v] == 0 {
+			order = append(order, VertexID(v))
 		}
 	}
-	order := make([]VertexID, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, w := range g.out[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
+	for head := 0; head < len(order); head++ {
+		for _, w := range g.out[order[head]] {
+			if indeg[w]--; indeg[w] == 0 {
+				order = append(order, w)
 			}
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/workload"
+	"repro/internal/xmlio"
 )
 
 // newPaperStream returns a mem store for the paper spec plus the
@@ -389,6 +390,49 @@ func TestFinishIncomplete(t *testing.T) {
 	}
 	if _, err := ls.Finish(label.TCM{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A finished stream has no received bytes to keep: its stored document
+// is exactly the canonical encoding of its materialized run. The store
+// call Finish makes validates the run, so a run that fails run.Validate
+// is refused and nothing is written.
+func TestFinishStoresCanonicalDocument(t *testing.T) {
+	st, skel, evs, _ := newPaperStream(t)
+	ls := live.NewSession(st, "canon", skel, nil)
+	appendAll(t, ls, evs, 5)
+	r, err := ls.MaterializedRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ls.Finish(label.TCM{}); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := st.Backend().ReadRun("canon")
+	stored := readBlob(t, rc, err)
+	var canonical bytes.Buffer
+	if err := xmlio.EncodeRun(&canonical, r, nil, st.SpecName()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored, canonical.Bytes()) {
+		t.Fatalf("finished stream stored\n%s\nwant its canonical encoding\n%s", stored, canonical.Bytes())
+	}
+
+	// Closing the run's sink back to its source makes a cycle.
+	bad := &run.Run{Spec: r.Spec, Graph: r.Graph.Clone(), Origin: r.Origin}
+	src, snk, err := r.Graph.FlowNetworkTerminals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Graph.AddEdge(snk, src)
+	if bad.Validate() == nil {
+		t.Fatal("the corrupted run validates")
+	}
+	if _, err := st.PutRunSession("bad", bad, nil, label.TCM{}); err == nil {
+		t.Fatal("PutRunSession stored a run that fails run.Validate")
+	}
+	if _, err := st.Backend().ReadRun("bad"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a refused run left a document behind: err=%v", err)
 	}
 }
 

@@ -74,20 +74,27 @@ func (r *Run) Validate() error {
 		return fmt.Errorf("run: sink originates from %q, want %q",
 			r.Spec.NameOf(r.Origin[snk]), r.Spec.NameOf(r.Spec.Sink))
 	}
-	connector := make(map[dag.Edge]bool)
-	for _, sub := range r.Spec.Subgraphs {
-		if sub.Kind == spec.Loop {
-			connector[dag.Edge{Tail: sub.Sink, Head: sub.Source}] = true
-		}
-	}
-	for _, e := range r.Graph.Edges() {
-		oe := dag.Edge{Tail: r.Origin[e.Tail], Head: r.Origin[e.Head]}
-		if !r.Spec.Graph.HasEdge(oe.Tail, oe.Head) && !connector[oe] {
-			return fmt.Errorf("run: edge %d->%d originates from (%q,%q), which is neither a spec edge nor a loop connector",
-				e.Tail, e.Head, r.Spec.NameOf(oe.Tail), r.Spec.NameOf(oe.Head))
+	for u, ou := range r.Origin {
+		for _, v := range r.Graph.Out(dag.VertexID(u)) {
+			ov := r.Origin[v]
+			if !r.Spec.Graph.HasEdge(ou, ov) && !loopConnector(r.Spec, ou, ov) {
+				return fmt.Errorf("run: edge %d->%d originates from (%q,%q), which is neither a spec edge nor a loop connector",
+					u, v, r.Spec.NameOf(ou), r.Spec.NameOf(ov))
+			}
 		}
 	}
 	return nil
+}
+
+// loopConnector reports whether (t, h) is the connector (t(H), s(H)) of
+// some loop H of the specification.
+func loopConnector(s *spec.Spec, t, h dag.VertexID) bool {
+	for _, sub := range s.Subgraphs {
+		if sub.Kind == spec.Loop && sub.Sink == t && sub.Source == h {
+			return true
+		}
+	}
+	return false
 }
 
 // OriginByName computes the origin function for a run graph whose vertex

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -11,16 +12,21 @@ import (
 
 // ingest.go is the server's write path: PUT /runs/{name} accepts a run
 // document (the xmlio run XML, with data items inline when present),
-// labels and persists it through store.PutRun under the server's
-// scheme, refreshes the session cache so the very next query sees the
-// new run, and reports the stored snapshot's version and size. Ingest
-// is off unless Config.EnableIngest is set: a provserve fronting a
-// read-only store stays read-only.
+// reads it whole with xmlio.ReadRunDocument, and hands the bytes to
+// store.PutRunDocument, which decodes them once (the decode validates
+// the run against the spec), labels the run under the server's scheme
+// and stores the body as received next to the label snapshot. Nothing
+// on this path re-encodes the document. The handler then refreshes the
+// session cache so the very next query sees the new run, and reports
+// the stored snapshot's version and size. Ingest is off unless
+// Config.EnableIngest is set: a provserve fronting a read-only store
+// stays read-only.
 //
 // The store contract leaves same-name write/write and write/read races
 // to the caller, and this server is that caller: runLocks is a striped
-// reader/writer lock over run names. A PUT holds the write side across
-// store.PutRun and the cache invalidation; every cache-miss session
+// reader/writer lock over run names. A PUT reads its body before it
+// locks, then holds the write side across store.PutRunDocument and the
+// cache invalidation; every cache-miss session
 // load holds the read side (see Server.load). So concurrent PUTs for
 // one name serialize, a load can never interleave a WriteRun and pair
 // the old run document with the new label snapshot (a torn session),
@@ -111,29 +117,37 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	}
 	s.markIngesting(name, 1)
 	defer s.markIngesting(name, -1)
-	// The decoder must never trust Content-Length or read an unbounded
-	// hostile body: MaxBytesReader caps what xml parsing can consume.
+	// The reader must never trust Content-Length or read an unbounded
+	// hostile body: MaxBytesReader caps what the document can take. The
+	// body is read whole before the run's lock is taken, so a slow
+	// upload holds no lock.
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxIngestBytes)
-	rn, ann, err := xmlio.DecodeRun(r.Body, s.st.Spec())
+	doc, err := xmlio.ReadRunDocument(r.Body)
 	if err != nil {
 		return badRequestf("malformed run document: %w", err)
 	}
 
 	mu := s.runMu.forName(name)
 	mu.Lock()
-	sess, err := s.st.PutRunSession(name, rn, ann, s.scheme)
+	sess, err := s.st.PutRunDocument(name, doc, s.scheme)
 	if err == nil {
 		s.refreshCached(name, sess)
 	}
 	mu.Unlock()
+	var bad *store.InvalidRunError
+	if errors.As(err, &bad) {
+		// The client's document: the backend was never asked, so the
+		// breaker hears nothing.
+		return badRequestf("malformed run document: %w", bad.Err)
+	}
 	s.brk.note(err)
 	if err != nil {
-		// The document already decoded and validated against the spec,
-		// so a PutRunSession failure is the store's (labeling, encoding,
-		// or backend I/O) — the client's request was well-formed. A
-		// transient failure left no usable pair behind (a partial write
-		// is transient precisely because an overwrite retry heals it), so
-		// the client is told to retry, not that the server broke.
+		// The document is a run of the spec, so a failure here is the
+		// store's (snapshot encoding or backend I/O) — the client's
+		// request was well-formed. A transient failure left no usable
+		// pair behind (a partial write is transient precisely because an
+		// overwrite retry heals it), so the client is told to retry, not
+		// that the server broke.
 		return writeFailed("storing run %q: %w", name, err)
 	}
 	if s.maxRuns > 0 {
@@ -144,6 +158,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 		if _, err := s.EnforceMaxRuns(s.maxRuns, name); err != nil {
 			s.logf("server: retention sweep after PUT %q: %v", name, err)
 		}
+	}
+	// A session just stored holds its decoded run: no decode, no error.
+	rn, ann, err := sess.Document()
+	if err != nil {
+		return fmt.Errorf("storing run %q: %w", name, err)
 	}
 	items := 0
 	if ann != nil {

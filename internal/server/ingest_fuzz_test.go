@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"net/http/httptest"
 	"strings"
@@ -19,8 +20,10 @@ import (
 // 413 (too large) — never 5xx, never a panic, and never unbounded
 // allocation (the body cap is set low so the fuzzer can cross it). A
 // 200 must really mean stored: the run must be listed and queryable
-// afterwards. This mirrors the PR-3 hostile-snapshot-header hardening,
-// one layer up the stack.
+// afterwards, the stored document must be the body itself, and that
+// document must say what the run's canonical encoding says — decoding
+// the stored bytes and decoding EncodeRun of the run they hold give the
+// same graph, origins and data items.
 func FuzzIngestRun(f *testing.F) {
 	sp := spec.PaperSpec()
 	// Seeds from the xmlio corpus: a real generated run (with data
@@ -41,6 +44,7 @@ func FuzzIngestRun(f *testing.F) {
 	f.Add(genDoc.String())
 	f.Add(figDoc.String())
 	f.Add(genDoc.String()[:genDoc.Len()/2])
+	f.Add("<?xml version='1.0'?><!-- stored as sent -->" + strings.ReplaceAll(figDoc.String(), `"`, `'`))
 	f.Add(`<run><vertices><vertex id="0" module="a"/></vertices><edges/></run>`)
 	f.Add(`<run><vertices><vertex id="4294967295" module="a"/></vertices><edges/></run>`)
 	f.Add(`<run><vertices><vertex id="0" module="a"/></vertices><edges><edge from="0" to="999999999"/></edges></run>`)
@@ -71,6 +75,41 @@ func FuzzIngestRun(f *testing.F) {
 			if qr.Code != 200 {
 				t.Fatalf("ingest accepted a run that does not serve: %d %s", qr.Code, qr.Body.String())
 			}
+			checkStoredIsBody(t, st, body)
 		}
 	})
+}
+
+// checkStoredIsBody checks the document stored for an accepted PUT of
+// body: it is the body, byte for byte, and it decodes to what the
+// canonical encoding of its own run decodes to.
+func checkStoredIsBody(t *testing.T, st *store.Store, body string) {
+	t.Helper()
+	rc, err := st.Backend().ReadRun("fz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(stored) != body {
+		t.Fatalf("stored document is not the body: stored %q, body %q", stored, body)
+	}
+	r, ann, err := xmlio.DecodeRunBytes(stored, st.Spec())
+	if err != nil {
+		t.Fatalf("stored document does not decode: %v", err)
+	}
+	var canonical bytes.Buffer
+	if err := xmlio.EncodeRun(&canonical, r, ann, st.SpecName()); err != nil {
+		t.Fatal(err)
+	}
+	cr, cann, err := xmlio.DecodeRun(&canonical, st.Spec())
+	if err != nil {
+		t.Fatalf("canonical encoding of the stored run does not decode: %v", err)
+	}
+	if got, want := runContent(r, ann), runContent(cr, cann); got != want {
+		t.Fatalf("stored document says\n%s\nits canonical encoding says\n%s", got, want)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -161,6 +162,18 @@ func TestIngestRejections(t *testing.T) {
 		{"malformed xml", "/runs/ok", "<run><nope", 400},
 		{"wrong document", "/runs/ok", "<workflow></workflow>", 400},
 		{"oversized body", "/runs/ok", good + strings.Repeat("<!-- pad -->", 4096), 413},
+		// Passes run.Validate, but the copy of the loop e..g has two
+		// sinks, so no execution plan describes it.
+		{"no execution plan", "/runs/ok", `<run><vertices><vertex id="0" module="a"/><vertex id="1" module="h"/>` +
+			`<vertex id="2" module="d"/><vertex id="3" module="e"/><vertex id="4" module="g"/><vertex id="5" module="f"/>` +
+			`<vertex id="6" module="e"/><vertex id="7" module="g"/><vertex id="8" module="f"/><vertex id="9" module="f"/>` +
+			`<vertex id="10" module="b"/><vertex id="11" module="c"/><vertex id="12" module="b"/><vertex id="13" module="c"/>` +
+			`<vertex id="14" module="b"/><vertex id="15" module="c"/></vertices><edges>` +
+			`<edge from="0" to="10"/><edge from="0" to="14"/><edge from="0" to="2"/><edge from="2" to="3"/>` +
+			`<edge from="3" to="5"/><edge from="4" to="6"/><edge from="5" to="4"/><edge from="6" to="8"/>` +
+			`<edge from="3" to="9"/><edge from="7" to="1"/><edge from="8" to="7"/><edge from="9" to="7"/>` +
+			`<edge from="10" to="11"/><edge from="11" to="12"/><edge from="12" to="13"/><edge from="13" to="1"/>` +
+			`<edge from="14" to="15"/><edge from="15" to="1"/></edges></run>`, 400},
 	}
 	for _, c := range cases {
 		var e struct {
@@ -607,4 +620,110 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// runContent renders what a decoded run document says, for comparing
+// two documents of one run: each vertex's origin and out-edges in
+// order, and each named data item's consumer set by producer and name.
+// Item order and repeated channels are layout, not content. Items with
+// an empty name are left out, because the canonical encoding omits them.
+func runContent(r *run.Run, ann *provdata.Annotation) string {
+	var b strings.Builder
+	for v := range r.NumVertices() {
+		fmt.Fprintf(&b, "%d:%d->%v\n", v, r.Origin[v], r.Graph.Out(dag.VertexID(v)))
+	}
+	if ann == nil {
+		return b.String()
+	}
+	var items []string
+	for _, it := range ann.Items {
+		if it.Name == "" {
+			continue
+		}
+		cs := slices.Clone(it.Consumers)
+		slices.Sort(cs)
+		items = append(items, fmt.Sprintf("%d %q %v", it.Producer, it.Name, slices.Compact(cs)))
+	}
+	slices.Sort(items)
+	b.WriteString(strings.Join(items, "\n"))
+	return b.String()
+}
+
+// A PUT stores the request body byte for byte, however it is laid out,
+// and serves exactly what a PUT of the run's canonical encoding serves.
+func TestPutStoresReceivedBytes(t *testing.T) {
+	sp := spec.PaperSpec()
+	rng := rand.New(rand.NewSource(23))
+	r, _ := run.GenerateSized(sp, rng, 80)
+	ann := provdata.RandomItems(r, rng, 1.0, 0.4)
+	canonical := encodeRun(t, r, ann)
+	body := `<?xml version="1.0" encoding="UTF-8"?>` + "\n<!-- sent by a client -->\r\n" +
+		strings.NewReplacer(
+			`<run workflow="paper">`, "<run  workflow='elsewhere'\n\t>\n  <notes kind=\"x\"><n>not part of the run</n></notes>",
+			`"></vertex>`, `"  />`,
+			"\n    <edge ", "\n\t\t<edge   ",
+			"<data>", "<data><!-- item -->",
+		).Replace(canonical) + "<!-- trailing -->\n"
+	if !strings.Contains(canonical, "<data>") {
+		t.Fatal("the run has no data items")
+	}
+
+	got, gotStore := newIngestServer(t, Config{})
+	want, _ := newIngestServer(t, Config{})
+	if rec := do(t, got, "PUT", "/runs/r", body, nil); rec.Code != 200 {
+		t.Fatalf("PUT odd layout: %d %s", rec.Code, rec.Body)
+	}
+	if rec := do(t, want, "PUT", "/runs/r", canonical, nil); rec.Code != 200 {
+		t.Fatalf("PUT canonical: %d %s", rec.Code, rec.Body)
+	}
+
+	rc, err := gotStore.Backend().ReadRun("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(stored) != body {
+		t.Fatalf("stored document differs from the body sent:\n%s\nwant\n%s", stored, body)
+	}
+
+	wr, wann, err := xmlio.DecodeRunBytes([]byte(canonical), sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := gotStore.PutRunDocument("direct", []byte(body), label.TCM{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := gotStore.OpenRun("r", label.TCM{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sess := range map[string]*store.Session{"PutRunDocument": put, "OpenRun": opened} {
+		r, ann, err := sess.Document()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := runContent(r, ann), runContent(wr, wann); g != w || len(ann.Items) != len(wann.Items) {
+			t.Errorf("%s session's document differs from the canonical decode:\n%s\nwant\n%s", name, g, w)
+		}
+	}
+
+	nm := run.NewNamer(r)
+	for _, q := range []struct{ method, target, body string }{
+		{"GET", "/runs/r", ""},
+		{"GET", "/runs?run=r", ""},
+		{"POST", "/rpq", `{"run":"r","from":"0","to":"` + fmt.Sprint(r.NumVertices()-1) + `","pattern":".*"}`},
+		{"GET", "/lineage?run=r&vertex=" + nm.Name(dag.VertexID(r.NumVertices()/2)) + "&dir=up", ""},
+		{"GET", "/lineage?run=r&vertex=" + nm.Name(3) + "&dir=down", ""},
+	} {
+		g := do(t, got, q.method, q.target, q.body, nil)
+		w := do(t, want, q.method, q.target, q.body, nil)
+		if g.Code != 200 || g.Code != w.Code || g.Body.String() != w.Body.String() {
+			t.Errorf("%s %s: %d %s, canonical PUT answers %d %s", q.method, q.target, g.Code, g.Body, w.Code, w.Body)
+		}
+	}
 }

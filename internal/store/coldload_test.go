@@ -185,3 +185,34 @@ func TestDocumentDecodedOnce(t *testing.T) {
 		t.Fatalf("decoded run has %d vertices, want %d", got[0].NumVertices(), r.NumVertices())
 	}
 }
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// OpenRun's allocations do not grow with the run: the label snapshot is
+// read into one buffer of its exact size, not regrown as io.ReadAll
+// does, and the document goes through the decoders' pooled buffer.
+func TestOpenRunAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	sp := spec.PaperSpec()
+	st, err := store.NewMem(sp, "paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(size int) float64 {
+		r, _ := run.GenerateSized(sp, rand.New(rand.NewSource(6)), size)
+		if err := st.PutRun("r", r, nil, label.TCM{}); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := st.OpenRun("r", label.TCM{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(200), allocs(4000); small != large {
+		t.Fatalf("OpenRun allocs grow with the run: %v at 200 vertices, %v at 4000", small, large)
+	}
+}

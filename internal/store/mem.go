@@ -72,8 +72,14 @@ func (b *memBackend) readBlob(name string, pick func(memRun) []byte) (io.ReadClo
 	}
 	// Stored blobs are never mutated after WriteRun, so readers can share
 	// the slice without copying.
-	return io.NopCloser(bytes.NewReader(pick(r))), nil
+	return memBlob{bytes.NewReader(pick(r))}, nil
 }
+
+// memBlob reads one stored run blob. Its Len tells a reader the blob's
+// exact size, so OpenRun reads it into one buffer of that size.
+type memBlob struct{ *bytes.Reader }
+
+func (memBlob) Close() error { return nil }
 
 func (b *memBackend) WriteRun(name string, runDoc, labels []byte) error {
 	// Copy both blobs before taking the lock: the caller may reuse its

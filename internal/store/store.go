@@ -189,46 +189,29 @@ func (st *Store) skeleton(scheme label.Scheme) (label.Labeling, error) {
 }
 
 // PutRun labels the run (with the given scheme) and persists graph, data
-// items and label snapshot under the given run name. Putting an existing
-// name overwrites the stored run, but overwrite is not atomic across
-// the document/labels pair: concurrent PutRun or OpenRun calls for the
-// *same* name race and must be serialized by the caller — the serving
-// layer's ingest endpoint holds a per-run-name reader/writer lock
-// across its writes and loads for exactly this reason. Distinct names
-// never interfere.
+// items and label snapshot under the given run name; the document
+// stored is the run's canonical encoding (xmlio.EncodeRun). Putting an
+// existing name overwrites the stored run, but overwrite is not atomic
+// across the document/labels pair: concurrent writes or OpenRun calls
+// for the *same* name race and must be serialized by the caller — the
+// serving layer's ingest endpoint holds a per-run-name reader/writer
+// lock across its writes and loads for exactly this reason. Distinct
+// names never interfere.
 func (st *Store) PutRun(name string, r *run.Run, ann *provdata.Annotation, scheme label.Scheme) error {
-	_, _, _, err := st.putRun(name, r, ann, scheme)
+	_, err := st.PutRunSession(name, r, ann, scheme)
 	return err
 }
 
 // PutRunSession is PutRun plus a ready-to-query Session assembled from
-// the same in-memory labeling — the ingest path's fast lane: the caller
-// gets exactly what OpenRun would return without re-reading and
-// re-decoding the blobs that were just written (the differential tests
-// pin that a fresh labeling and a snapshot rebound to the skeleton
-// answer identically).
+// the same in-memory labeling: the caller gets exactly what OpenRun
+// would return without re-reading and re-decoding the blobs that were
+// just written (the differential tests pin that a fresh labeling and a
+// snapshot rebound to the skeleton answer identically). It is the write
+// path for runs that exist only in memory, such as a finished stream:
+// the run is validated once here and stored in its canonical encoding.
 func (st *Store) PutRunSession(name string, r *run.Run, ann *provdata.Annotation, scheme label.Scheme) (*Session, error) {
-	stored, l, snapBytes, err := st.putRun(name, r, ann, scheme)
-	if err != nil {
-		return nil, err
-	}
-	var dv *provdata.Labeling
-	if ann != nil {
-		if dv, err = provdata.LabelData(ann, l); err != nil {
-			return nil, err
-		}
-	}
-	sess := &Session{Labels: l, SnapshotVersion: core.SnapshotV2, SnapshotBytes: snapBytes}
-	sess.once.Do(func() { sess.run, sess.data, sess.dataView = stored, ann, dv })
-	return sess, nil
-}
-
-// putRun is the shared write path: validate, label, encode, persist.
-// It returns the (possibly spec-normalized) run, its labeling, and the
-// stored snapshot's size.
-func (st *Store) putRun(name string, r *run.Run, ann *provdata.Annotation, scheme label.Scheme) (*run.Run, *core.Labeling, int, error) {
 	if err := ValidRunName(name); err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
 	if r.Spec != st.spec {
 		// Allow structurally equal specs (e.g. reopened stores) as long
@@ -236,28 +219,60 @@ func (st *Store) putRun(name string, r *run.Run, ann *provdata.Annotation, schem
 		r = &run.Run{Spec: st.spec, Graph: r.Graph, Origin: r.Origin}
 	}
 	if err := r.Validate(); err != nil {
-		return nil, nil, 0, err
+		return nil, &InvalidRunError{err}
 	}
+	var doc bytes.Buffer
+	if err := xmlio.EncodeRun(&doc, r, ann, st.specName); err != nil {
+		return nil, err
+	}
+	return st.putRun(name, r, ann, doc.Bytes(), scheme)
+}
+
+// PutRunDocument is PutRunSession for a run that arrives as a document:
+// it decodes doc against the store's specification (xmlio.DecodeRunBytes,
+// which validates the run) and stores doc itself, the bytes as given,
+// with the label snapshot. The store keeps no reference to doc.
+func (st *Store) PutRunDocument(name string, doc []byte, scheme label.Scheme) (*Session, error) {
+	if err := ValidRunName(name); err != nil {
+		return nil, err
+	}
+	r, ann, err := xmlio.DecodeRunBytes(doc, st.spec)
+	if err != nil {
+		return nil, &InvalidRunError{err}
+	}
+	return st.putRun(name, r, ann, doc, scheme)
+}
+
+// putRun is the write path's shared tail, for a run validated against
+// the store's spec and a document that decodes to it: label the run,
+// persist the document and the label snapshot, and return the session
+// over them. Both write methods report input that is no run of the
+// spec as an *InvalidRunError, before anything is written.
+func (st *Store) putRun(name string, r *run.Run, ann *provdata.Annotation, doc []byte, scheme label.Scheme) (*Session, error) {
 	skel, err := st.skeleton(scheme)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
 	l, err := core.LabelRun(r, skel)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, &InvalidRunError{err}
 	}
-	var runDoc bytes.Buffer
-	if err := xmlio.EncodeRun(&runDoc, r, ann, st.specName); err != nil {
-		return nil, nil, 0, err
+	var dv *provdata.Labeling
+	if ann != nil {
+		if dv, err = provdata.LabelData(ann, l); err != nil {
+			return nil, &InvalidRunError{err}
+		}
 	}
 	var labels bytes.Buffer
 	if _, err := l.WriteTo(&labels); err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
-	if err := st.backend.WriteRun(name, runDoc.Bytes(), labels.Bytes()); err != nil {
-		return nil, nil, 0, err
+	if err := st.backend.WriteRun(name, doc, labels.Bytes()); err != nil {
+		return nil, err
 	}
-	return r, l, labels.Len(), nil
+	sess := &Session{Labels: l, SnapshotVersion: core.SnapshotV2, SnapshotBytes: labels.Len()}
+	sess.once.Do(func() { sess.run, sess.data, sess.dataView = r, ann, dv })
+	return sess, nil
 }
 
 // Runs lists the stored run names, sorted.
@@ -404,7 +419,7 @@ func (st *Store) OpenRun(name string, scheme label.Scheme) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := io.ReadAll(lf)
+	raw, err := readBlob(lf)
 	lf.Close()
 	if err != nil {
 		return nil, err
@@ -428,6 +443,18 @@ func (st *Store) OpenRun(name string, scheme label.Scheme) (*Session, error) {
 		Labels: l, SnapshotVersion: snap.Version, SnapshotBytes: len(raw),
 		spec: st.spec, doc: doc,
 	}, nil
+}
+
+// readBlob reads a whole blob: into one buffer of the exact size when
+// the reader reports how much is left (the mem backend's blobs do),
+// else through io.ReadAll.
+func readBlob(rd io.Reader) ([]byte, error) {
+	if l, ok := rd.(interface{ Len() int }); ok {
+		b := make([]byte, l.Len())
+		_, err := io.ReadFull(rd, b)
+		return b, err
+	}
+	return io.ReadAll(rd)
 }
 
 // HotListMeta is the meta blob holding the serving layer's hot-session

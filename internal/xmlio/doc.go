@@ -4,9 +4,9 @@
 // excluded from all measurements, as in the paper.
 //
 // Specifications go through encoding/xml: a store reads its one
-// specification when it opens. Runs are read on every session-cache
-// miss and written on every ingest, so they have a codec built for the
-// run schema:
+// specification when it opens. Runs are decoded on every ingest and on
+// the first path query of a loaded session, so they have a codec built
+// for the run schema:
 //
 //	<run workflow="paper">
 //	  <vertices>
@@ -28,16 +28,24 @@
 // characters, tab, newline and carriage return as references; bytes
 // that are not XML characters as U+FFFD), the empty
 // <vertices></vertices> of a run without vertices, and the omission of
-// empty item names. Stored documents therefore do not change.
+// empty item names. A store writes EncodeRun's bytes only for a run
+// that exists only in memory (store.PutRun, a finished stream); a run
+// that arrives as a document is stored as the bytes the client sent.
 //
 // # Decoding
 //
 // DecodeRun reads the whole body first, so a size cap such as
 // http.MaxBytesReader covers all of it. It then scans the bytes without
-// reflection and without allocating per element. The two steps are also
-// exported apart — ReadRunDocument, then DecodeRunBytes — for a store
-// that holds a document and decodes it only when needed. It accepts what
-// encoding/xml's strict Decoder accepted for the schema:
+// reflection and without allocating per element: names, attribute
+// values and text are classified eight bytes a step against 256-entry
+// class tables, and an end tag is matched against the name its start
+// tag spelled. The two steps are also exported apart, ReadRunDocument
+// then DecodeRunBytes, and they are the ingest pair: the server reads a
+// PUT body with ReadRunDocument, and store.PutRunDocument decodes it
+// with DecodeRunBytes and stores those same bytes, so a stored document
+// is the client's. A stored session reads its document the same way
+// and decodes it only when needed. DecodeRun accepts what encoding/xml's
+// strict Decoder accepted for the schema:
 //
 //   - an XML declaration (version 1.0 or none given, encoding UTF-8 or
 //     none given), comments, processing instructions and <!DOCTYPE ...>

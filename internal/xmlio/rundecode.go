@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,16 +71,18 @@ func (d *runDecoder) decode(s *spec.Spec) (*run.Run, *provdata.Annotation, error
 }
 
 // runDecoder scans one run document held whole in buf. All scratch is
-// reused across documents; nothing it returns aliases it.
+// reused across documents; nothing it returns aliases it. The scanner
+// keeps names and values as offsets, not slices, so its scratch holds
+// no pointers and filling it costs no write barriers.
 type runDecoder struct {
 	buf []byte
 	pos int
 
-	open      [][]byte // raw names of the open elements, innermost last
-	closeNext bool     // the last start tag was self-closing
+	open      []span // raw names of the open elements, innermost last
+	closeNext bool   // the last start tag was self-closing
 
 	// The start tag just scanned.
-	local []byte
+	local span
 	attrs []attr
 	vals  []byte // attribute values that needed entity or newline decoding
 
@@ -96,12 +99,24 @@ type runDecoder struct {
 	key        []byte
 }
 
-// attr is one attribute of the current start tag. val aliases buf, or
-// vals[off:] when the value had to be decoded (off >= 0).
-type attr struct {
-	local []byte
-	val   []byte
-	off   int
+// span is the bytes buf[start:end] of the document being scanned.
+type span struct{ start, end int }
+
+// attr is one attribute of the current start tag: its local name in
+// buf, and its value in buf, or in vals when it had to be decoded, which
+// val marks with a negative start (see value). Two spans and nothing
+// else keep an attr small enough to be built in registers.
+type attr struct{ local, val span }
+
+// name returns the bytes s covers in the document.
+func (d *runDecoder) name(s span) []byte { return d.buf[s.start:s.end] }
+
+// value returns the attribute's decoded value.
+func (d *runDecoder) value(a attr) []byte {
+	if a.val.start < 0 {
+		return d.vals[^a.val.start:a.val.end]
+	}
+	return d.buf[a.val.start:a.val.end]
 }
 
 // itemRef is one <data> element: the edge it sits on and its decoded
@@ -115,10 +130,7 @@ func (d *runDecoder) release() {
 	if cap(d.buf) > maxPooledBuf || cap(d.vals) > maxPooledBuf || cap(d.itemText) > maxPooledBuf {
 		return
 	}
-	clear(d.open)
-	clear(d.attrs)
-	d.buf, d.open, d.attrs = d.buf[:0], d.open[:0], d.attrs[:0]
-	d.local, d.badModStr = nil, ""
+	d.buf, d.badModStr = d.buf[:0], ""
 	decoderPool.Put(d)
 }
 
@@ -167,8 +179,8 @@ func (d *runDecoder) parse(s *spec.Spec) error {
 			break
 		}
 	}
-	if string(d.local) != "run" {
-		return fmt.Errorf("expected element type <run> but have <%s>", d.local)
+	if local := d.name(d.local); string(local) != "run" {
+		return fmt.Errorf("expected element type <run> but have <%s>", local)
 	}
 	for {
 		tok, err := d.next(nil)
@@ -178,7 +190,7 @@ func (d *runDecoder) parse(s *spec.Spec) error {
 		if tok == tokEnd {
 			return nil
 		}
-		switch string(d.local) {
+		switch string(d.name(d.local)) {
 		case "vertices":
 			err = d.container("vertex", s)
 		case "edges":
@@ -204,7 +216,7 @@ func (d *runDecoder) container(child string, s *spec.Spec) error {
 			return nil
 		}
 		switch {
-		case string(d.local) != child:
+		case string(d.name(d.local)) != child:
 			err = d.skip()
 		case child == "vertex":
 			err = d.vertex(s)
@@ -221,15 +233,15 @@ func (d *runDecoder) vertex(s *spec.Spec) error {
 	var id int64
 	var module []byte
 	for _, a := range d.attrs {
-		switch string(a.local) {
+		switch string(d.name(a.local)) {
 		case "id":
-			v, err := parseIntAttr(a.val)
+			v, err := parseIntAttr(d.value(a))
 			if err != nil {
 				return err
 			}
 			id = v
 		case "module":
-			module = a.val
+			module = d.value(a)
 		}
 	}
 	i := len(d.origin)
@@ -248,7 +260,7 @@ func (d *runDecoder) edge() error {
 	var from, to int64
 	for _, a := range d.attrs {
 		var dst *int64
-		switch string(a.local) {
+		switch string(d.name(a.local)) {
 		case "from":
 			dst = &from
 		case "to":
@@ -256,7 +268,7 @@ func (d *runDecoder) edge() error {
 		default:
 			continue
 		}
-		v, err := parseIntAttr(a.val)
+		v, err := parseIntAttr(d.value(a))
 		if err != nil {
 			return err
 		}
@@ -272,7 +284,7 @@ func (d *runDecoder) edge() error {
 		if tok == tokEnd {
 			return nil
 		}
-		if string(d.local) != "data" {
+		if string(d.name(d.local)) != "data" {
 			if err := d.skip(); err != nil {
 				return err
 			}
@@ -425,35 +437,49 @@ func (d *runDecoder) next(text *[]byte) (token, error) {
 		d.open = d.open[:len(d.open)-1]
 		return tokEnd, nil
 	}
+	buf := d.buf
 	for {
-		if d.pos >= len(d.buf) {
-			if len(d.open) > 0 {
-				return 0, d.syntaxError("unexpected EOF")
-			}
-			return tokEOF, nil
+		// Indentation, then printable ASCII text, decodes to itself and
+		// is passed over here; anything else takes charData's full check.
+		i := d.pos
+		for i < len(buf) && (buf[i] == ' ' || buf[i] == '\n') {
+			i++
 		}
-		if d.buf[d.pos] != '<' {
+		if i < len(buf) && buf[i] != '<' {
+			i = scanClass(buf, i, &plainText)
+		}
+		if i < len(buf) && buf[i] != '<' {
 			if err := d.charData(text); err != nil {
 				return 0, err
 			}
 			continue
 		}
-		d.pos++
-		b, err := d.peek()
-		if err != nil {
-			return 0, err
+		if text != nil {
+			*text = append(*text, buf[d.pos:i]...)
 		}
-		switch b {
+		if i >= len(buf) {
+			d.pos = i
+			if len(d.open) > 0 {
+				return 0, d.syntaxError("unexpected EOF")
+			}
+			return tokEOF, nil
+		}
+		if i+1 == len(buf) {
+			return 0, d.errorAt(i+1, "unexpected EOF")
+		}
+		var err error
+		switch buf[i+1] {
 		case '/':
-			d.pos++
+			d.pos = i + 2
 			return d.endTag()
 		case '?':
-			d.pos++
+			d.pos = i + 2
 			err = d.procInst()
 		case '!':
-			d.pos++
+			d.pos = i + 2
 			err = d.bang(text)
 		default:
+			d.pos = i + 1
 			return d.startTag()
 		}
 		if err != nil {
@@ -462,7 +488,21 @@ func (d *runDecoder) next(text *[]byte) (token, error) {
 	}
 }
 
+// endTag reads an end tag after "</". The common case — the open
+// element's own name, white space, '>' — is matched against the name
+// as the start tag spelled it; anything else is scanned as a name.
 func (d *runDecoder) endTag() (token, error) {
+	buf, i := d.buf, d.pos
+	if n := len(d.open); n > 0 {
+		top := d.name(d.open[n-1])
+		if j := i + len(top); j < len(buf) && string(buf[i:j]) == string(top) && nameClass[buf[j]] == nameEnd {
+			if j = skipSpace(buf, j); j < len(buf) && buf[j] == '>' {
+				d.pos = j + 1
+				d.open = d.open[:n-1]
+				return tokEnd, nil
+			}
+		}
+	}
 	name, local, err := d.nsname()
 	if err != nil {
 		return 0, err
@@ -480,93 +520,96 @@ func (d *runDecoder) endTag() (token, error) {
 	if len(d.open) == 0 {
 		return 0, d.syntaxError("unexpected end element </%s>", local)
 	}
-	if top := d.open[len(d.open)-1]; !bytes.Equal(top, name) {
+	if top := d.name(d.open[len(d.open)-1]); !bytes.Equal(top, name) {
 		return 0, d.syntaxError("element <%s> closed by </%s>", top, name)
 	}
 	d.open = d.open[:len(d.open)-1]
 	return tokEnd, nil
 }
 
+// startTag reads a start tag after '<' with a local index into buf:
+// the element name, then each attribute's name, '=' and quoted value.
+// Errors are reported from the byte encoding/xml reported them at.
 func (d *runDecoder) startTag() (token, error) {
-	name, local, err := d.nsname()
+	buf, i := d.buf, d.pos
+	end, local, err := d.nameAt(i)
 	if err != nil {
 		return 0, err
 	}
-	if name == nil {
+	if local < 0 {
 		return 0, d.syntaxError("expected element name after <")
 	}
-	d.local = local
-	d.attrs, d.vals = d.attrs[:0], d.vals[:0]
-	decoded := false
-	for {
-		d.space()
-		b, err := d.peek()
-		if err != nil {
-			return 0, err
+	name := span{i, end}
+	d.local = span{local, end}
+	attrs := d.attrs[:0]
+	d.vals = d.vals[:0]
+	for i = end; ; {
+		if i = skipSpace(buf, i); i >= len(buf) {
+			return 0, d.errorAt(i, "unexpected EOF")
 		}
-		if b == '/' {
-			d.pos++
-			if b, err := d.peek(); err != nil {
-				return 0, err
-			} else if b != '>' {
-				return 0, d.syntaxError("expected /> in element")
+		if c := buf[i]; c == '>' || c == '/' {
+			if c == '/' {
+				if i++; i >= len(buf) {
+					return 0, d.errorAt(i, "unexpected EOF")
+				}
+				if buf[i] != '>' {
+					return 0, d.errorAt(i, "expected /> in element")
+				}
+				d.closeNext = true
 			}
-			d.pos++
-			d.closeNext = true
-			break
+			d.pos = i + 1
+			d.attrs = attrs
+			d.open = append(d.open, name)
+			return tokStart, nil
 		}
-		if b == '>' {
-			d.pos++
-			break
-		}
-		aname, alocal, err := d.nsname()
+		aend, alocal, err := d.nameAt(i)
 		if err != nil {
 			return 0, err
 		}
-		if aname == nil {
+		if alocal < 0 {
 			return 0, d.syntaxError("expected attribute name in element")
 		}
-		d.space()
-		if b, err := d.peek(); err != nil {
-			return 0, err
-		} else if b != '=' {
-			return 0, d.syntaxError("attribute name without = in element")
+		if i = skipSpace(buf, aend); i >= len(buf) {
+			return 0, d.errorAt(i, "unexpected EOF")
 		}
-		d.pos++
-		d.space()
-		q, err := d.peek()
-		if err != nil {
-			return 0, err
+		if buf[i] != '=' {
+			return 0, d.errorAt(i, "attribute name without = in element")
 		}
+		if i = skipSpace(buf, i+1); i >= len(buf) {
+			return 0, d.errorAt(i, "unexpected EOF")
+		}
+		q := buf[i]
 		if q != '"' && q != '\'' {
-			return 0, d.syntaxError("unquoted or missing attribute value in element")
+			return 0, d.errorAt(i, "unquoted or missing attribute value in element")
 		}
-		d.pos++
-		start := d.pos
+		i++
+		start := i
+		if i = scanClass(buf, i, &plainText); i < len(buf) && buf[i] == q {
+			attrs = append(attrs, attr{local: span{alocal, aend}, val: span{start, i}})
+			i++
+			continue
+		}
+		// Entities, carriage returns, the other quote or non-ASCII.
+		d.pos = start
 		plain, err := d.scanText(q)
 		if err != nil {
 			return 0, err
 		}
-		raw := d.buf[start : d.pos-1]
+		i = d.pos
 		if plain {
-			d.attrs = append(d.attrs, attr{local: alocal, val: raw, off: -1})
+			attrs = append(attrs, attr{local: span{alocal, aend}, val: span{start, i - 1}})
 			continue
 		}
 		off := len(d.vals)
-		d.vals = appendDecoded(d.vals, raw, true)
-		d.attrs = append(d.attrs, attr{local: alocal, val: d.vals[off:], off: off})
-		decoded = true
+		d.vals = appendDecoded(d.vals, buf[start:i-1], true)
+		attrs = append(attrs, attr{local: span{alocal, aend}, val: span{^off, len(d.vals)}})
 	}
-	if decoded {
-		// Appending may have moved vals while the tag was scanned.
-		for i := range d.attrs {
-			if a := &d.attrs[i]; a.off >= 0 {
-				a.val = d.vals[a.off : a.off+len(a.val)]
-			}
-		}
-	}
-	d.open = append(d.open, name)
-	return tokStart, nil
+}
+
+// errorAt is a syntax error reported at buf[i].
+func (d *runDecoder) errorAt(i int, msg string) error {
+	d.pos = i
+	return d.syntaxError("%s", msg)
 }
 
 // charData consumes character data up to the next '<' or the end of
@@ -593,13 +636,11 @@ func (d *runDecoder) scanText(quote byte) (plain bool, err error) {
 	buf := d.buf
 	plain = true
 	i := d.pos
-	for i < len(buf) {
-		c := buf[i]
-		if plainText[c] {
-			i++
-			continue
+	for {
+		if i = scanClass(buf, i, &plainText); i >= len(buf) {
+			break
 		}
-		switch {
+		switch c := buf[i]; {
 		case c == quote && quote != 0:
 			d.pos = i + 1
 			return plain, nil
@@ -960,12 +1001,15 @@ func procInstParam(param string, content []byte) string {
 }
 
 // space skips XML white space.
-func (d *runDecoder) space() {
-	buf, i := d.buf, d.pos
+func (d *runDecoder) space() { d.pos = skipSpace(d.buf, d.pos) }
+
+// skipSpace returns the index of the first byte at or after i that is
+// not XML white space.
+func skipSpace(buf []byte, i int) int {
 	for i < len(buf) && (buf[i] == ' ' || buf[i] == '\n' || buf[i] == '\t' || buf[i] == '\r') {
 		i++
 	}
-	d.pos = i
+	return i
 }
 
 // nameClass classifies bytes for name scanning as encoding/xml reads
@@ -993,19 +1037,48 @@ var nameClass = func() (t [256]uint8) {
 	return t
 }()
 
-// plainText marks the bytes text scanning passes over without a second
-// look: printable ASCII other than quotes, '&', '<' and ']', plus tab
-// and newline.
-var plainText = func() (t [256]bool) {
+// plainText marks (with 1) the bytes text scanning passes over without
+// a second look: printable ASCII other than quotes, '&', '<' and ']',
+// plus tab and newline.
+var plainText = func() (t [256]uint8) {
 	for c := 0x20; c < utf8.RuneSelf; c++ {
-		t[c] = true
+		t[c] = 1
 	}
 	for _, c := range `"'&<]` {
-		t[c] = false
+		t[c] = 0
 	}
-	t['\t'], t['\n'] = true, true
+	t['\t'], t['\n'] = 1, 1
 	return t
 }()
+
+// nameChars marks (with 1) the bytes of nameClass nameChar.
+var nameChars = func() (t [256]uint8) {
+	for c := range t {
+		if nameClass[c] == nameChar {
+			t[c] = 1
+		}
+	}
+	return t
+}()
+
+// scanClass returns the index of the first byte at or after i that
+// class does not mark. It classifies eight bytes a step into a bit mask,
+// so a name or value shorter than eight bytes ends without a loop exit
+// the branch predictor has to guess.
+func scanClass(buf []byte, i int, class *[256]uint8) int {
+	for ; i+8 <= len(buf); i += 8 {
+		b := buf[i : i+8 : i+8]
+		m := uint(class[b[0]]) | uint(class[b[1]])<<1 | uint(class[b[2]])<<2 | uint(class[b[3]])<<3 |
+			uint(class[b[4]])<<4 | uint(class[b[5]])<<5 | uint(class[b[6]])<<6 | uint(class[b[7]])<<7
+		if m != 0xff {
+			return i + bits.TrailingZeros(^m)
+		}
+	}
+	for i < len(buf) && class[buf[i]] != 0 {
+		i++
+	}
+	return i
+}
 
 // scanName advances over a name and reports whether it is an ASCII XML
 // name (non-ASCII names are a documented divergence) and where its
@@ -1015,10 +1088,7 @@ func (d *runDecoder) scanName() (name []byte, ok bool, colon int) {
 	start, i := d.pos, d.pos
 	ok, colon = true, -1
 	for {
-		for i < len(buf) && nameClass[buf[i]] == nameChar {
-			i++
-		}
-		if i >= len(buf) {
+		if i = scanClass(buf, i, &nameChars); i >= len(buf) {
 			break
 		}
 		if c := nameClass[buf[i]]; c == nameColon {
@@ -1064,4 +1134,24 @@ func (d *runDecoder) nsname() (name, local []byte, err error) {
 		return name, name[colon+1:], nil
 	}
 	return name, name, nil
+}
+
+// nameAt is nsname at buf[i] returning offsets: the name's end and the
+// start of its local part, or a negative local when there is no name. A
+// name of ASCII letters, digits and "_.-" that starts with a letter or
+// '_', the common case, is scanned here; any other goes through nsname,
+// which leaves d.pos where an error about it is reported.
+func (d *runDecoder) nameAt(i int) (end, local int, err error) {
+	buf := d.buf
+	if j := scanClass(buf, i, &nameChars); j > i && j < len(buf) && nameClass[buf[j]] == nameEnd {
+		if c := buf[i]; 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_' {
+			return j, i, nil
+		}
+	}
+	d.pos = i
+	name, l, err := d.nsname()
+	if err != nil || name == nil {
+		return d.pos, -1, err
+	}
+	return d.pos, d.pos - len(l), nil
 }
