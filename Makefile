@@ -45,8 +45,9 @@ bench-harness:
 # the label-only lineage cone on 5,000-vertex stand-in runs,
 # /batch reachability over fs and mem stores, the cold-load path (every
 # /reachable a cache miss), /lineage over a resident run, the ingest,
-# delete, stream-append and /rpq paths, the per-stage split of ingest
-# and stream append, and plan construction alone — recorded by
+# delete, stream-append, stream-finish and /rpq paths, the per-stage
+# split of ingest, stream append and stream finish, and plan
+# construction alone — recorded by
 # cmd/benchtrend as BENCH_$(PR).json with bench/BASELINE_$(PR).json
 # embedded, then rendered with the whole lineage as TREND.md and gated:
 # the target fails on a regression beyond tolerance (see
@@ -58,8 +59,8 @@ trend:
 	$(GO) test -run='^$$' -bench='BenchmarkServerBatchReachable' -benchtime=50x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerColdRead' -benchtime=200x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerLineage' -benchtime=200x -count=3 . >> trend.out
-	$(GO) test -run='^$$' -bench='BenchmarkServerIngest|BenchmarkServerDelete|BenchmarkServerAppendEvents|BenchmarkServerRPQ' -benchtime=20x -count=3 . >> trend.out
-	$(GO) test -run='^$$' -bench='BenchmarkIngestStages|BenchmarkAppendStages|BenchmarkConstructPlan' -benchtime=20x -count=3 . >> trend.out
+	$(GO) test -run='^$$' -bench='BenchmarkServerIngest|BenchmarkServerDelete|BenchmarkServerAppendEvents|BenchmarkServerFinish|BenchmarkServerRPQ' -benchtime=20x -count=3 . >> trend.out
+	$(GO) test -run='^$$' -bench='BenchmarkIngestStages|BenchmarkAppendStages|BenchmarkFinishStages|BenchmarkConstructPlan' -benchtime=20x -count=3 . >> trend.out
 	$(GO) run ./cmd/benchtrend -dir bench -bench trend.out -current BENCH_$(PR).json -o TREND.md
 	@rm -f trend.out
 
@@ -105,6 +106,8 @@ rpq-smoke:
 # decoder on untrusted bytes (whatever it accepts must round-trip
 # through SKL2) and context-grouped lineage cones against the
 # per-vertex label scan over any snapshot the decoder accepts
+# (internal/core), labels from a materialized execution plan against
+# labels from plan.Construct's on every vertex pair of random runs
 # (internal/core), and the event-log parser against the
 # bufio/Sscanf parser it replaced (internal/events), the /batch
 # request decoder against encoding/json (internal/server), and the
@@ -120,6 +123,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIngestRun -fuzztime 30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime 30s -fuzzminimizetime 2s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzConeOracle -fuzztime 30s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzMaterializedPlanOracle -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReadLogOracle -fuzztime 30s ./internal/events/
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequestOracle -fuzztime 30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzNamerOracle -fuzztime 30s ./internal/run/

@@ -15,6 +15,8 @@ import (
 
 	"repro"
 	"repro/internal/events"
+	"repro/internal/live"
+	"repro/internal/store"
 )
 
 // benchRun builds a deterministic run of roughly the given size over the
@@ -818,4 +820,128 @@ func BenchmarkAppendStages(b *testing.B) {
 			}
 		}
 	})
+}
+
+// finishRun is the stream the finish benchmarks seal: a QBLAST stand-in
+// run of about 2,000 vertices, its ground-truth plan, and its event log
+// as one append body.
+func finishRun(b *testing.B) (*repro.Run, *repro.Plan, []repro.EngineEvent, []byte) {
+	b.Helper()
+	s, err := repro.StandInSpec("QBLAST", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, p := repro.GenerateRun(s, rand.New(rand.NewSource(2000)), 2000)
+	evs := repro.EmitEvents(r, p)
+	var log bytes.Buffer
+	if err := repro.WriteEventLog(&log, evs); err != nil {
+		b.Fatal(err)
+	}
+	return r, p, evs, log.Bytes()
+}
+
+// BenchmarkFinishStages splits a stream's /finish (live.Session.Finish)
+// into its stages, each timed alone over one fully appended stream:
+// materializing the copy table into the run and its plan (checked
+// against the live numbering), run.Validate, orders and labels over
+// that plan (the paper's with-plan setting: no plan is reconstructed),
+// the canonical document encode, the SKL2 snapshot encode, and the
+// backend write of both to the in-memory store. The stages' sum
+// approximates BenchmarkServerFinish minus HTTP and cache plumbing.
+func BenchmarkFinishStages(b *testing.B) {
+	r, p, evs, _ := finishRun(b)
+	st, err := store.NewMem(r.Spec, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	skel, err := st.Skeleton(repro.TCM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ls := live.NewSession(st, "r1", skel, nil)
+	if _, err := ls.Append(evs, 0); err != nil {
+		b.Fatal(err)
+	}
+	l, err := repro.LabelWithPlan(r, p, skel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var doc, snap bytes.Buffer
+	if err := repro.WriteRunXML(&doc, r, nil, "bench"); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := l.WriteTo(&snap); err != nil {
+		b.Fatal(err)
+	}
+	stages := []struct {
+		name string
+		fn   func() error
+	}{
+		{"materialize", func() error {
+			_, err := ls.MaterializedRun()
+			return err
+		}},
+		{"validate", r.Validate},
+		{"label", func() error {
+			_, err := repro.LabelWithPlan(r, p, skel)
+			return err
+		}},
+		{"encode", func() error {
+			var buf bytes.Buffer
+			return repro.WriteRunXML(&buf, r, nil, "bench")
+		}},
+		{"snapshot", func() error {
+			var buf bytes.Buffer
+			_, err := l.WriteTo(&buf)
+			return err
+		}},
+		{"write", func() error {
+			return st.Backend().WriteRun("r1", doc.Bytes(), snap.Bytes())
+		}},
+	}
+	for _, stage := range stages {
+		b.Run(stage.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := stage.fn(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServerFinish measures POST /runs/{name}/finish end to end
+// over the in-memory backend: materialize, validate, label with the
+// stream's plan, encode, snapshot, write, and the session-cache
+// refresh. Before each finish, off the clock, the finished run is
+// deleted and the whole event log is appended again in one batch.
+func BenchmarkServerFinish(b *testing.B) {
+	r, _, _, log := finishRun(b)
+	st, err := repro.NewMemStore(r.Spec, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := repro.NewServer(repro.ServerConfig{Store: st, EnableStream: true, CheckpointEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	do := func(method, target string, body []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+		if rec.Code != 200 {
+			b.Fatalf("%s %s: status %d: %s", method, target, rec.Code, rec.Body.String())
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i > 0 {
+			do("DELETE", "/runs/r1", nil)
+		}
+		do("POST", "/runs/r1/events?offset=0", log)
+		b.StartTimer()
+		do("POST", "/runs/r1/finish", nil)
+	}
 }

@@ -78,7 +78,13 @@
 // immediately, GET /runs/{name} reports its progress, and POST
 // /runs/{name}/finish seals it into a stored run indistinguishable
 // from a PUT ingest — the differential tests assert byte-identical
-// query answers between the two paths.
+// query answers between the two paths. /finish labels the run with the
+// execution plan its copy events describe (LabelWithPlan, the paper's
+// "with execution plan & context" setting) instead of reconstructing
+// one from the graph: answers and the stored run document equal a
+// PUT's, while the label snapshot may be laid out differently on some
+// specifications, since the two plans can order a node's children
+// differently.
 //
 // The wire format is the line-oriented engine event log (EmitEvents,
 // WriteEventLog, ReadEventLog):

@@ -50,6 +50,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/label"
 	"repro/internal/online"
+	"repro/internal/plan"
 	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -240,18 +241,6 @@ func DeleteState(st *store.Store, name string) error {
 	return errors.Join(st.DeleteRunEvents(name), st.Backend().WriteMeta(CheckpointMeta(name), nil))
 }
 
-// copyState is the session's own record of one started copy: the
-// labeler's Copy fields are unexported, and Finish needs the copy tree
-// back to rebuild the execution tree.
-type copyState struct {
-	h      *online.Copy
-	hnode  int
-	parent int
-	// kids lists the copies started under this copy per hierarchy child
-	// node, in start order — exactly an ExecTree site's copy list.
-	kids map[int][]int
-}
-
 // Session is one run being ingested event-by-event.
 type Session struct {
 	name string
@@ -260,7 +249,11 @@ type Session struct {
 	lab  *online.Labeler
 	g    *Gauges
 
-	copies  []copyState
+	// copies holds the labeler's handle of every started copy, and
+	// table each one's hierarchy node and parent copy: the execution
+	// tree Finish materializes, in start order.
+	copies  []*online.Copy
+	table   run.CopyTable
 	history []events.Event
 	// names records each module execution's origin as apply sees it, one
 	// Add per vertex, so the live run's names are the finished run's.
@@ -304,7 +297,8 @@ func NewSession(st *store.Store, name string, skel label.Labeling, g *Gauges) *S
 		sp:     sp,
 		lab:    l,
 		g:      g,
-		copies: []copyState{{h: l.Root(), hnode: 0, parent: -1}},
+		copies: []*online.Copy{l.Root()},
+		table:  run.CopyTable{HNode: []int32{0}, Parent: []int32{-1}},
 		names:  run.NewNamerFromOrigins(sp, nil),
 	}
 	s.Touch()
@@ -411,7 +405,7 @@ func (s *Session) prevalidate(evs []events.Event) error {
 		case id < 0:
 			return 0, false
 		case id < base:
-			return s.copies[id].hnode, true
+			return int(s.table.HNode[id]), true
 		case id-base < len(newHNodes):
 			return newHNodes[id-base], true
 		}
@@ -465,19 +459,16 @@ func (s *Session) ingest(evs []events.Event) error {
 func (s *Session) apply(e events.Event) error {
 	switch e.Kind {
 	case events.CopyStart:
-		parent := &s.copies[e.Parent]
-		c, err := s.lab.StartCopy(parent.h, e.HNode)
+		c, err := s.lab.StartCopy(s.copies[e.Parent], e.HNode)
 		if err != nil {
 			return err
 		}
-		if parent.kids == nil {
-			parent.kids = make(map[int][]int)
-		}
-		parent.kids[e.HNode] = append(parent.kids[e.HNode], e.Copy)
-		s.copies = append(s.copies, copyState{h: c, hnode: e.HNode, parent: e.Parent})
+		s.copies = append(s.copies, c)
+		s.table.HNode = append(s.table.HNode, int32(e.HNode))
+		s.table.Parent = append(s.table.Parent, int32(e.Parent))
 	case events.ModuleExec:
 		orig, _ := s.sp.VertexOf(e.Module)
-		if _, err := s.lab.AddExec(s.copies[e.Copy].h, orig); err != nil {
+		if _, err := s.lab.AddExec(s.copies[e.Copy], orig); err != nil {
 			return err
 		}
 		s.names.Add(orig)
@@ -610,21 +601,26 @@ func parseCheckpoint(data []byte) (seq int, logBytes int64, evs []events.Event, 
 	return seq, logBytes, evs, nil
 }
 
-// Finish seals the session into a normal stored run: the execution tree
-// is rebuilt from the copy table, materialized, checked against the
+// Finish seals the session into a normal stored run: the copy table is
+// materialized into the run and its execution plan, checked against the
 // live state (same vertex count, same origin per vertex — guaranteed
-// for Emit-convention streams), labeled and persisted through
-// store.PutRunSession. On success the event log and checkpoint are
-// cleaned up best-effort (a failure leaves a stale log the serving
+// for Emit-convention streams), and persisted through
+// store.PutRunSession with that plan, so the run is labeled in the
+// paper's with-plan setting (core.LabelRunWithPlan) and no plan is
+// reconstructed from the graph. The stored document is the run's
+// canonical encoding and answers every query as the same run PUT as one
+// document; the label snapshot may number plan nodes differently from a
+// PUT's on some specifications. On success the event log and checkpoint
+// are cleaned up best-effort (a failure leaves a stale log the serving
 // layer's store-wins rule deletes lazily) and the returned session is
 // ready to serve queries. An *IncompleteError means the stream does not
 // yet describe a complete run and the session stays appendable.
 func (s *Session) Finish(scheme label.Scheme) (*store.Session, error) {
-	r, err := s.MaterializedRun()
+	r, p, err := s.materialize()
 	if err != nil {
 		return nil, err
 	}
-	sess, err := s.st.PutRunSession(s.name, r, nil, scheme)
+	sess, err := s.st.PutRunSession(s.name, r, p, nil, scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -645,39 +641,26 @@ func (s *Session) Finish(scheme label.Scheme) (*store.Session, error) {
 // yet describe a complete run. Callers serialize against appends via
 // the session's run lock (the read side suffices; nothing is mutated).
 func (s *Session) MaterializedRun() (*run.Run, error) {
-	r, _, err := run.Materialize(s.sp, s.execTree())
+	r, _, err := s.materialize()
+	return r, err
+}
+
+// materialize is MaterializedRun that also returns the run's plan.
+func (s *Session) materialize() (*run.Run, *plan.Plan, error) {
+	r, p, err := run.MaterializeTable(s.sp, s.table)
 	if err != nil {
-		return nil, &IncompleteError{err}
+		return nil, nil, &IncompleteError{err}
 	}
 	origins := s.names.Origins()
 	if r.NumVertices() != len(origins) {
-		return nil, &IncompleteError{fmt.Errorf("materialization yields %d vertices, the stream recorded %d module executions", r.NumVertices(), len(origins))}
+		return nil, nil, &IncompleteError{fmt.Errorf("materialization yields %d vertices, the stream recorded %d module executions", r.NumVertices(), len(origins))}
 	}
 	for v, o := range origins {
 		if r.Origin[v] != o {
-			return nil, &IncompleteError{fmt.Errorf("exec order diverges from the materialization order at vertex %d (streams must follow the Emit convention)", v)}
+			return nil, nil, &IncompleteError{fmt.Errorf("exec order diverges from the materialization order at vertex %d (streams must follow the Emit convention)", v)}
 		}
 	}
-	return r, nil
-}
-
-// execTree rebuilds the run's execution tree from the copy table.
-func (s *Session) execTree() *run.ExecTree {
-	return &run.ExecTree{HNode: 0, Copies: []*run.ExecCopy{s.execCopy(0)}}
-}
-
-func (s *Session) execCopy(id int) *run.ExecCopy {
-	c := s.copies[id]
-	children := s.sp.Hier.Children[c.hnode]
-	sites := make([]*run.ExecTree, len(children))
-	for i, h := range children {
-		t := &run.ExecTree{HNode: h}
-		for _, kid := range c.kids[h] {
-			t.Copies = append(t.Copies, s.execCopy(kid))
-		}
-		sites[i] = t
-	}
-	return &run.ExecCopy{Sites: sites}
+	return r, p, nil
 }
 
 // Namer names the live run's vertices and resolves their names: the

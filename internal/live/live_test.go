@@ -428,7 +428,7 @@ func TestFinishStoresCanonicalDocument(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("the corrupted run validates")
 	}
-	if _, err := st.PutRunSession("bad", bad, nil, label.TCM{}); err == nil {
+	if _, err := st.PutRunSession("bad", bad, nil, nil, label.TCM{}); err == nil {
 		t.Fatal("PutRunSession stored a run that fails run.Validate")
 	}
 	if _, err := st.Backend().ReadRun("bad"); !errors.Is(err, fs.ErrNotExist) {

@@ -50,16 +50,6 @@ type Plan struct {
 	Context []*Node
 }
 
-// NewNode appends a fresh node to the plan and returns it.
-func (p *Plan) NewNode(plus bool, hnode int, parent *Node) *Node {
-	n := &Node{ID: len(p.Nodes), Plus: plus, HNode: hnode, Parent: parent}
-	p.Nodes = append(p.Nodes, n)
-	if parent != nil {
-		parent.Children = append(parent.Children, n)
-	}
-	return n
-}
-
 // NumPlus returns the number of + nodes.
 func (p *Plan) NumPlus() int {
 	c := 0

@@ -119,50 +119,18 @@ func (t *ExecTree) CountSites() int {
 	return total
 }
 
-// EstimateVertices returns |V(R)| for the materialized run, mirroring the
-// materializer's vertex creation exactly: each copy creates its direct
-// non-terminal vertices, each loop copy creates its own terminals except
-// where the first/last copy reuses a terminal shared with the enclosing
-// region, and the root creates the two run terminals.
+// EstimateVertices returns |V(R)| for the materialized run, counted from
+// the tree as Materialize counts it before emitting anything: the two run
+// terminals, each copy's direct non-terminal vertices, and each loop
+// copy's terminals except where the first/last copy reuses a terminal
+// shared with the enclosing region. A tree Materialize refuses counts 0.
 func (t *ExecTree) EstimateVertices(s *spec.Spec) int {
-	directNonTerminal := make([]int, s.Hier.NumNodes())
-	for h := range directNonTerminal {
-		n := 0
-		src, snk := s.SourceOf(h), s.SinkOf(h)
-		for _, v := range s.DirectVertices(h) {
-			if v != src && v != snk {
-				n++
-			}
-		}
-		directNonTerminal[h] = n
+	m := &materializer{s: s}
+	if m.index(t.table()) != nil {
+		return 0
 	}
-	var copyCount func(hnode int, c *ExecCopy) int
-	copyCount = func(hnode int, c *ExecCopy) int {
-		total := directNonTerminal[hnode]
-		src, snk := s.SourceOf(hnode), s.SinkOf(hnode)
-		for _, site := range c.Sites {
-			child := site.HNode
-			k := len(site.Copies)
-			if s.KindOf(child) == spec.Loop {
-				// Each loop copy creates both terminals, except a first
-				// copy reusing a shared source or a last copy reusing a
-				// shared sink.
-				terms := 2 * k
-				if s.SourceOf(child) == src {
-					terms--
-				}
-				if s.SinkOf(child) == snk {
-					terms--
-				}
-				total += terms
-			}
-			for _, cp := range site.Copies {
-				total += copyCount(child, cp)
-			}
-		}
-		return total
-	}
-	return 2 + copyCount(0, t.Copies[0])
+	vertices, _ := m.size()
+	return vertices
 }
 
 // Duplicatable collects every copy that can be duplicated (every copy of a

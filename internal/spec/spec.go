@@ -92,7 +92,12 @@ type Spec struct {
 	// Hier is the fork-and-loop hierarchy T_G.
 	Hier *Hierarchy
 
-	byName map[ModuleName]dag.VertexID
+	// Validate fills the module index and, per hierarchy node, the
+	// direct vertices and direct edges; a Spec assembled as a struct
+	// literal has none of them until then.
+	byName      map[ModuleName]dag.VertexID
+	direct      [][]dag.VertexID
+	directEdges [][]dag.Edge
 }
 
 // NumVertices returns |V(G)|.
@@ -104,8 +109,13 @@ func (s *Spec) NumEdges() int { return s.Graph.NumEdges() }
 // NameOf returns the module name of vertex v.
 func (s *Spec) NameOf(v dag.VertexID) ModuleName { return s.Names[v] }
 
-// VertexOf returns the vertex with the given module name.
+// VertexOf returns the vertex with the given module name. It panics on
+// a Spec that has module names but was never validated, which has no
+// module index to look them up in.
 func (s *Spec) VertexOf(name ModuleName) (dag.VertexID, bool) {
+	if s.byName == nil && len(s.Names) > 0 {
+		unvalidated("VertexOf")
+	}
 	v, ok := s.byName[name]
 	return v, ok
 }
@@ -114,8 +124,16 @@ func (s *Spec) VertexOf(name ModuleName) (dag.VertexID, bool) {
 // the map index does not allocate, so decoders resolve module names
 // straight from their input.
 func (s *Spec) VertexOfBytes(name []byte) (dag.VertexID, bool) {
+	if s.byName == nil && len(s.Names) > 0 {
+		unvalidated("VertexOfBytes")
+	}
 	v, ok := s.byName[ModuleName(name)]
 	return v, ok
+}
+
+// unvalidated panics for a lookup in a table only Validate fills.
+func unvalidated(method string) {
+	panic("spec: " + method + " on a Spec that was never validated; build it with a Builder or call spec.Validate")
 }
 
 // Hierarchy is the fork-and-loop hierarchy T_G (an unordered tree). Node 0
@@ -126,6 +144,8 @@ type Hierarchy struct {
 	Parent []int
 	// Children[i] lists the children of node i in increasing node order.
 	Children [][]int
+	// Index[i] is node i's position in Children[Parent[i]]; Index[0] is 0.
+	Index []int
 	// Depth[i] is the depth of node i; the root has depth 1.
 	Depth []int
 	// MaxDepth is the paper's [T_G]: the depth of the deepest node.
@@ -206,34 +226,66 @@ func (s *Spec) EdgeOwner() []int {
 // DirectVertices returns, for hierarchy node i, the vertices that belong to
 // the node's region but to no descendant's DomSet, excluding the region's
 // own terminals when the node is a fork (forks do not dominate terminals)
-// and excluding nothing extra for loops or the root. These are exactly the
-// vertices whose context in a run copy of this node is the copy itself,
-// unless claimed by a deeper shared-terminal loop.
+// and excluding nothing extra for loops or the root, in increasing order.
+// These are exactly the vertices whose context in a run copy of this node
+// is the copy itself, unless claimed by a deeper shared-terminal loop.
+// Validate computes the lists once; the returned slice is the Spec's own
+// and must not be modified. It panics on a Spec that was never validated.
 func (s *Spec) DirectVertices(node int) []dag.VertexID {
-	inRegion := make(map[dag.VertexID]bool)
-	if node == 0 {
-		for v := 0; v < s.Graph.NumVertices(); v++ {
-			inRegion[dag.VertexID(v)] = true
+	if s.direct == nil {
+		unvalidated("DirectVertices")
+	}
+	return s.direct[node]
+}
+
+// DirectEdges returns the edges of hierarchy node i's region that belong
+// to no child's subgraph: the edges EdgeOwner assigns to the node, in
+// Graph.Edges() order. Validate computes the lists once; the returned
+// slice is the Spec's own and must not be modified. It panics on a Spec
+// that was never validated.
+func (s *Spec) DirectEdges(node int) []dag.Edge {
+	if s.directEdges == nil {
+		unvalidated("DirectEdges")
+	}
+	return s.directEdges[node]
+}
+
+// directTables computes every hierarchy node's direct vertices and
+// direct edges, for Validate once the hierarchy is built.
+func (s *Spec) directTables() ([][]dag.VertexID, [][]dag.Edge) {
+	k := s.Hier.NumNodes()
+	direct := make([][]dag.VertexID, k)
+	in := make([]bool, s.Graph.NumVertices())
+	for node := range direct {
+		if node == 0 {
+			for v := range in {
+				in[v] = true
+			}
+		} else {
+			sub := s.Subgraphs[node-1]
+			for _, v := range sub.Vertices {
+				in[v] = true
+			}
+			if sub.Kind == Fork {
+				in[sub.Source], in[sub.Sink] = false, false
+			}
 		}
-	} else {
-		sub := s.Subgraphs[node-1]
-		for _, v := range sub.Vertices {
-			inRegion[v] = true
+		for _, c := range s.Hier.Children[node] {
+			for _, v := range s.Subgraphs[c-1].DomSet() {
+				in[v] = false
+			}
 		}
-		if sub.Kind == Fork {
-			delete(inRegion, sub.Source)
-			delete(inRegion, sub.Sink)
+		for v, ok := range in {
+			if ok {
+				direct[node] = append(direct[node], dag.VertexID(v))
+				in[v] = false
+			}
 		}
 	}
-	for _, c := range s.Hier.Children[node] {
-		for _, v := range s.Subgraphs[c-1].DomSet() {
-			delete(inRegion, v)
-		}
+	edges := make([][]dag.Edge, k)
+	owner := s.EdgeOwner()
+	for i, e := range s.Graph.Edges() {
+		edges[owner[i]] = append(edges[owner[i]], e)
 	}
-	out := make([]dag.VertexID, 0, len(inRegion))
-	for v := range inRegion {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return direct, edges
 }

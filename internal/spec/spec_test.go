@@ -398,3 +398,55 @@ func TestVertexOf(t *testing.T) {
 		t.Error("VertexOf found nonexistent module")
 	}
 }
+
+// A Spec assembled as a struct literal has its names but none of the
+// tables Validate fills: a lookup in one panics with a message that
+// says so instead of missing silently, and Validate makes it answer.
+func TestUnvalidatedSpecPanics(t *testing.T) {
+	p := PaperSpec()
+	s := &Spec{Graph: p.Graph, Names: p.Names, Source: p.Source, Sink: p.Sink, Subgraphs: p.Subgraphs}
+	for name, lookup := range map[string]func(){
+		"VertexOf":       func() { s.VertexOf("c") },
+		"VertexOfBytes":  func() { s.VertexOfBytes([]byte("c")) },
+		"DirectVertices": func() { s.DirectVertices(0) },
+		"DirectEdges":    func() { s.DirectEdges(0) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Validate") {
+					t.Errorf("%s on an unvalidated Spec: panic %q, want one naming Validate", name, msg)
+				}
+			}()
+			lookup()
+		}()
+	}
+	if err := Validate(s); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.VertexOfBytes([]byte("c")); !ok || s.NameOf(v) != "c" {
+		t.Errorf("VertexOfBytes(c) = %d, %v after Validate", v, ok)
+	}
+	if got, want := s.DirectEdges(0), p.DirectEdges(0); len(got) != len(want) {
+		t.Errorf("DirectEdges(0) = %v after Validate, want %v", got, want)
+	}
+}
+
+// DirectEdges partitions G's edges by EdgeOwner, keeping Edges() order.
+func TestDirectEdges(t *testing.T) {
+	s := PaperSpec()
+	owner := s.EdgeOwner()
+	next := make([]int, s.Hier.NumNodes())
+	for i, e := range s.Graph.Edges() {
+		h := owner[i]
+		if got := s.DirectEdges(h); next[h] >= len(got) || got[next[h]] != e {
+			t.Fatalf("edge %v owned by node %d is not next in DirectEdges(%d) = %v", e, h, h, got)
+		}
+		next[h]++
+	}
+	for h, n := range next {
+		if len(s.DirectEdges(h)) != n {
+			t.Errorf("DirectEdges(%d) has %d edges, EdgeOwner gives it %d", h, len(s.DirectEdges(h)), n)
+		}
+	}
+}

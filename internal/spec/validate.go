@@ -71,6 +71,7 @@ func Validate(s *Spec) error {
 		return err
 	}
 	s.Hier = hier
+	s.direct, s.directEdges = s.directTables()
 	return nil
 }
 
@@ -310,8 +311,12 @@ func (s *Spec) buildHierarchy() (*Hierarchy, error) {
 		p := parent[node]
 		children[p] = append(children[p], node)
 	}
+	index := make([]int, k+1)
 	for i := range children {
 		sort.Ints(children[i])
+		for j, c := range children[i] {
+			index[c] = j
+		}
 	}
 	depth := make([]int, k+1)
 	maxDepth := 1
@@ -339,6 +344,7 @@ func (s *Spec) buildHierarchy() (*Hierarchy, error) {
 	return &Hierarchy{
 		Parent:   parent,
 		Children: children,
+		Index:    index,
 		Depth:    depth,
 		MaxDepth: maxDepth,
 		byDepth:  byDepth,

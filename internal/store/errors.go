@@ -63,8 +63,9 @@ func IsTransient(err error) bool {
 // InvalidRunError is a run, or a run document, that is no run of the
 // store's specification: the document does not decode, or the run fails
 // run.Validate, or its execution plan cannot be built, or its data items
-// do not fit it. The caller's input is at fault, not the store, and
-// nothing was written.
+// do not fit it, or a run put from memory has a data item with an empty
+// name, which its canonical encoding cannot hold. The caller's input is
+// at fault, not the store, and nothing was written.
 type InvalidRunError struct{ Err error }
 
 func (e *InvalidRunError) Error() string { return e.Err.Error() }

@@ -52,6 +52,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/label"
+	"repro/internal/plan"
 	"repro/internal/provdata"
 	"repro/internal/run"
 	"repro/internal/spec"
@@ -196,9 +197,10 @@ func (st *Store) skeleton(scheme label.Scheme) (label.Labeling, error) {
 // for the *same* name race and must be serialized by the caller — the
 // serving layer's ingest endpoint holds a per-run-name reader/writer
 // lock across its writes and loads for exactly this reason. Distinct
-// names never interfere.
+// names never interfere. PutRun refuses data items with empty names, as
+// PutRunSession does.
 func (st *Store) PutRun(name string, r *run.Run, ann *provdata.Annotation, scheme label.Scheme) error {
-	_, err := st.PutRunSession(name, r, ann, scheme)
+	_, err := st.PutRunSession(name, r, nil, ann, scheme)
 	return err
 }
 
@@ -209,7 +211,19 @@ func (st *Store) PutRun(name string, r *run.Run, ann *provdata.Annotation, schem
 // snapshot rebound to the skeleton answer identically). It is the write
 // path for runs that exist only in memory, such as a finished stream:
 // the run is validated once here and stored in its canonical encoding.
-func (st *Store) PutRunSession(name string, r *run.Run, ann *provdata.Annotation, scheme label.Scheme) (*Session, error) {
+//
+// p is the run's execution plan when the caller knows it, as a stream's
+// /finish does from the copies its events started: the run is then
+// labeled with p (core.LabelRunWithPlan, the paper's "with execution
+// plan & context" setting) instead of reconstructing the plan from the
+// graph. A nil p, or one over another specification than the store's,
+// falls back to plan.Construct.
+//
+// The canonical encoding has no place for a data item with an empty
+// name, so an annotation holding one is refused as an *InvalidRunError,
+// before anything is written: the stored run must have every item the
+// returned session has.
+func (st *Store) PutRunSession(name string, r *run.Run, p *plan.Plan, ann *provdata.Annotation, scheme label.Scheme) (*Session, error) {
 	if err := ValidRunName(name); err != nil {
 		return nil, err
 	}
@@ -221,17 +235,28 @@ func (st *Store) PutRunSession(name string, r *run.Run, ann *provdata.Annotation
 	if err := r.Validate(); err != nil {
 		return nil, &InvalidRunError{err}
 	}
+	if ann != nil {
+		for _, it := range ann.Items {
+			if it.Name == "" {
+				return nil, &InvalidRunError{fmt.Errorf("store: data item %d has an empty name, which the stored document cannot hold", it.ID)}
+			}
+		}
+	}
 	var doc bytes.Buffer
 	if err := xmlio.EncodeRun(&doc, r, ann, st.specName); err != nil {
 		return nil, err
 	}
-	return st.putRun(name, r, ann, doc.Bytes(), scheme)
+	if p != nil && p.Spec != st.spec {
+		p = nil
+	}
+	return st.putRun(name, r, p, ann, doc.Bytes(), scheme)
 }
 
 // PutRunDocument is PutRunSession for a run that arrives as a document:
 // it decodes doc against the store's specification (xmlio.DecodeRunBytes,
 // which validates the run) and stores doc itself, the bytes as given,
-// with the label snapshot. The store keeps no reference to doc.
+// with the label snapshot. The store keeps no reference to doc. Data
+// items with empty names are kept: the stored bytes hold them.
 func (st *Store) PutRunDocument(name string, doc []byte, scheme label.Scheme) (*Session, error) {
 	if err := ValidRunName(name); err != nil {
 		return nil, err
@@ -240,20 +265,27 @@ func (st *Store) PutRunDocument(name string, doc []byte, scheme label.Scheme) (*
 	if err != nil {
 		return nil, &InvalidRunError{err}
 	}
-	return st.putRun(name, r, ann, doc, scheme)
+	return st.putRun(name, r, nil, ann, doc, scheme)
 }
 
 // putRun is the write path's shared tail, for a run validated against
 // the store's spec and a document that decodes to it: label the run,
-// persist the document and the label snapshot, and return the session
-// over them. Both write methods report input that is no run of the
-// spec as an *InvalidRunError, before anything is written.
-func (st *Store) putRun(name string, r *run.Run, ann *provdata.Annotation, doc []byte, scheme label.Scheme) (*Session, error) {
+// with its plan p when the caller has one over the store's spec and by
+// plan.Construct otherwise, persist the document and the label
+// snapshot, and return the session over them. Both write methods report
+// input that is no run of the spec as an *InvalidRunError, before
+// anything is written.
+func (st *Store) putRun(name string, r *run.Run, p *plan.Plan, ann *provdata.Annotation, doc []byte, scheme label.Scheme) (*Session, error) {
 	skel, err := st.skeleton(scheme)
 	if err != nil {
 		return nil, err
 	}
-	l, err := core.LabelRun(r, skel)
+	var l *core.Labeling
+	if p != nil {
+		l, err = core.LabelRunWithPlan(r, p, skel)
+	} else {
+		l, err = core.LabelRun(r, skel)
+	}
 	if err != nil {
 		return nil, &InvalidRunError{err}
 	}

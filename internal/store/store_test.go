@@ -1,6 +1,8 @@
 package store_test
 
 import (
+	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -228,5 +230,49 @@ func TestStoreCrossCodecVersions(t *testing.T) {
 	}
 	if copied.SnapshotVersion != core.SnapshotV1 || copied.SnapshotBytes != len(v1) {
 		t.Fatalf("copy changed the stored codec: %v, %d bytes", copied.SnapshotVersion, copied.SnapshotBytes)
+	}
+}
+
+// A run put from memory is stored in its canonical encoding, which
+// omits a data item with an empty name, so the stored run would lose an
+// item the returned session has. Both in-memory write methods refuse
+// such an annotation as an *InvalidRunError and write nothing.
+func TestPutRunRefusesEmptyItemName(t *testing.T) {
+	s := spec.PaperSpec()
+	st, err := store.NewMem(s, "paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(61))
+	r, _ := run.GenerateSized(s, rng, 60)
+	ann := provdata.RandomItems(r, rng, 1.5, 0.3)
+	if len(ann.Items) < 61 {
+		t.Fatalf("only %d items generated, want 61", len(ann.Items))
+	}
+	ann.Items = ann.Items[:61]
+	if err := st.PutRun("named", r, ann, label.TCM{}); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := st.OpenRun("named", label.TCM{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := sess.Document(); err != nil || len(got.Items) != 61 {
+		t.Fatalf("stored run reads back with %v items, err %v; want 61", got, err)
+	}
+
+	ann.Items[17].Name = ""
+	var invalid *store.InvalidRunError
+	if _, err := st.PutRunSession("unnamed", r, nil, ann, label.TCM{}); !errors.As(err, &invalid) {
+		t.Fatalf("PutRunSession with an empty item name: err = %v, want *InvalidRunError", err)
+	}
+	if err := st.PutRun("unnamed", r, ann, label.TCM{}); !errors.As(err, &invalid) {
+		t.Fatalf("PutRun with an empty item name: err = %v, want *InvalidRunError", err)
+	}
+	if _, err := st.Backend().ReadRun("unnamed"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a refused run left a document behind: err = %v", err)
+	}
+	if _, err := st.Backend().ReadLabels("unnamed"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a refused run left labels behind: err = %v", err)
 	}
 }
