@@ -112,7 +112,9 @@ rpq-smoke:
 # bufio/Sscanf parser it replaced (internal/events), the /batch
 # request decoder against encoding/json (internal/server), and the
 # vertex namer, grown by Add and built in one call, against Run.NameOf
-# (internal/run), and the PUT write path (internal/server), where every
+# (internal/run), graphs built by dag.FromEdges against plain
+# adjacency lists built edge by edge (internal/dag), and the PUT write
+# path (internal/server), where every
 # accepted body must be stored byte for byte and say what its run's
 # canonical encoding says. The seed corpora of every fuzz target already run in
 # `make test`. FuzzReadSnapshot's seeds are 2 KB label fixtures: the
@@ -127,6 +129,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadLogOracle -fuzztime 30s ./internal/events/
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequestOracle -fuzztime 30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzNamerOracle -fuzztime 30s ./internal/run/
+	$(GO) test -run '^$$' -fuzz FuzzGraphOracle -fuzztime 30s ./internal/dag/
 
 # Static analysis: cmd/provlint runs the repo-specific analyzer suite
 # (internal/lint — %w wrapping in the store, documented lock discipline,

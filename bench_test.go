@@ -878,7 +878,7 @@ func BenchmarkFinishStages(b *testing.B) {
 		fn   func() error
 	}{
 		{"materialize", func() error {
-			_, err := ls.MaterializedRun()
+			_, _, err := ls.Materialize()
 			return err
 		}},
 		{"validate", r.Validate},

@@ -53,9 +53,16 @@ import (
 // factored that way: a header whose n⁺_T exceeds the label count, and
 // two labels with one Q1 but different (Q2, Q3). Every positioned plan
 // node is the context of at least one vertex, and a context has one
-// position in each order, so no labeler writes either. These two
-// rejections are the one way the readers diverge from the formats as
-// written; every label set a labeler wrote decodes as before.
+// position in each order, so no labeler writes either. They also
+// reject a block of more than one label (4,096 labels from the first,
+// in both formats) that all have one Q1 and one origin: those would be
+// copies of one module in one context, which no run holds. That block
+// is the only one SKL2 writes with both its Q1 and origin columns
+// const, so every snapshot spends at least one byte per label, and the
+// SKL2 reader refuses a count above its input's length before sizing
+// anything for it. These rejections are the one way the readers
+// diverge from the formats as written; every label set a labeler wrote
+// decodes as before.
 
 // SnapshotVersion identifies a snapshot wire format.
 type SnapshotVersion int
@@ -209,7 +216,29 @@ func NewSnapshot(numPositioned, numSpec int, labels []Label) (*Snapshot, error) 
 			return nil, err
 		}
 	}
-	return &s, nil
+	return s.checkBlocks()
+}
+
+// checkBlocks returns s, or an error if a block of more than one label
+// has one Q1 and one origin throughout (see "Labels no labeler
+// writes").
+func (s *Snapshot) checkBlocks() (*Snapshot, error) {
+	for base := 0; base < len(s.q1); base += snapshotBlock {
+		end := min(base+snapshotBlock, len(s.q1))
+		if end-base > 1 && allEqual(s.q1[base:end]) && allEqual(s.orig[base:end]) {
+			return nil, fmt.Errorf("core: labels %d to %d share one context and one origin", base, end-1)
+		}
+	}
+	return s, nil
+}
+
+func allEqual[T comparable](xs []T) bool {
+	for _, x := range xs[1:] {
+		if x != xs[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // NumVertices returns the number of labels.
@@ -382,7 +411,7 @@ func decodeSnapshotV1(data []byte) (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	return &s, nil
+	return s.checkBlocks()
 }
 
 // decodeSnapshotV2 bulk-decodes the columnar format from the bytes
@@ -411,6 +440,12 @@ func decodeSnapshotV2(data []byte) (*Snapshot, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("core: %d trailing bytes after snapshot", len(rest))
 	}
+	// Const frames can still declare 4,096 labels in 12 bytes, but a
+	// snapshot the reader accepts spends a byte per label (see "Labels
+	// no labeler writes").
+	if count > uint64(len(data)) {
+		return nil, fmt.Errorf("core: %d labels declared in %d bytes", count, len(data))
+	}
 	s, err := newSnapshot(count, hdr[1], hdr[2], SnapshotV2)
 	if err != nil {
 		return nil, err
@@ -430,7 +465,7 @@ func decodeSnapshotV2(data []byte) (*Snapshot, error) {
 			}
 		}
 	}
-	return &s, nil
+	return s.checkBlocks()
 }
 
 // decodeColumn decodes one column block into out (len(out) >= 1) and

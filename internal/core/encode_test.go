@@ -289,6 +289,7 @@ func TestSnapshotHostileCount(t *testing.T) {
 		{"v2-max-count", header(0x534b4c32, 1<<32)},
 		{"v1-implausible", header(0x534b4c31, 1<<40)},
 		{"v2-implausible", header(0x534b4c32, 1<<40)},
+		{"v2-const-frames", constFrames(100)},
 		{"v1-widened-magic", header(0x1_534b4c31, 0)},
 		{"v2-widened-magic", header(0x1_534b4c32, 0)},
 		{"v2-huge-spec", func() []byte {
@@ -308,6 +309,129 @@ func TestSnapshotHostileCount(t *testing.T) {
 				t.Error("hostile header accepted by ReadSnapshot")
 			}
 		})
+	}
+}
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// constFrames hand-builds an SKL2 blob of the given number of full
+// blocks, every column a 3-byte const frame: 12 bytes declare 4,096
+// labels, all in one context and of one origin.
+func constFrames(blocks int) []byte {
+	b := binary.AppendUvarint(nil, 0x534b4c32)
+	for _, x := range []uint64{uint64(blocks) * 4096, 1, 1} {
+		b = binary.AppendUvarint(b, x)
+	}
+	for range blocks {
+		// Payload length, const tag, value: Q1 = Q2 = Q3 = 1, origin 0.
+		b = append(b, 1, 0x00, 1, 1, 0x00, 1, 1, 0x00, 1, 1, 0x00, 0)
+	}
+	return b
+}
+
+// TestSnapshotConstFramesBounded: a blob of const frames declares 2,700
+// times more labels than it has bytes. The decoder refuses it before
+// sizing a column for it, so the allocations stay those of the error,
+// however many blocks the blob declares.
+func TestSnapshotConstFramesBounded(t *testing.T) {
+	for _, blocks := range []int{1, 100, 1000} {
+		data := constFrames(blocks)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := core.DecodeSnapshot(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%d-byte blob of const frames accepted", len(data))
+		}
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 1024 {
+			t.Fatalf("rejecting a %d-byte blob of %d const blocks allocated %d bytes, want at most 1 KiB", len(data), blocks, bytes)
+		}
+		if raceEnabled {
+			continue // the race detector adds allocations of its own
+		}
+		if allocs := testing.AllocsPerRun(10, func() { core.DecodeSnapshot(data) }); allocs > 4 {
+			t.Fatalf("rejecting a %d-byte blob of %d const blocks made %v allocations, want at most 4", len(data), blocks, allocs)
+		}
+	}
+	if n := len(constFrames(100)); n != 1210 {
+		t.Fatalf("100 const blocks take %d bytes, want 1,210", n)
+	}
+}
+
+// TestSnapshotRejectsOneContextBlock: a block of more than one label in
+// one context and of one origin is refused from every source, however
+// its columns are framed, so whatever a reader accepts re-encodes in at
+// least a byte per label. A single label, or two labels that differ in
+// either column, are fine.
+func TestSnapshotRejectsOneContextBlock(t *testing.T) {
+	same := []core.Label{{Q1: 1, Q2: 1, Q3: 1, Orig: 0}, {Q1: 1, Q2: 1, Q3: 1, Orig: 0}}
+	if _, err := core.NewSnapshot(1, 2, same); err == nil {
+		t.Error("NewSnapshot accepted two labels with one context and one origin")
+	}
+	if _, err := core.DecodeSnapshot(rawSKL1(1, 2, same...)); err == nil {
+		t.Error("SKL1 reader accepted two labels with one context and one origin")
+	}
+	// The same two labels framed in SKL2 with fixed8 columns: 4 frames
+	// of 2 bytes, enough bytes for the count.
+	b := binary.AppendUvarint(nil, 0x534b4c32)
+	b = append(b, 2, 1, 2)
+	for _, v := range []byte{1, 1, 1, 0} {
+		b = append(b, 2, 0x02, v, v)
+	}
+	if _, err := core.DecodeSnapshot(b); err == nil {
+		t.Error("SKL2 reader accepted two fixed8-framed labels with one context and one origin")
+	}
+	for _, ok := range [][]core.Label{
+		same[:1],
+		{same[0], {Q1: 1, Q2: 1, Q3: 1, Orig: 1}},
+		{same[0], {Q1: 0, Q2: 0, Q3: 0, Orig: 0}},
+	} {
+		if _, err := core.NewSnapshot(1, 2, ok); err != nil {
+			t.Errorf("NewSnapshot(%v): %v", ok, err)
+		}
+	}
+}
+
+// TestSnapshotSpendsAByteALabel checks what the SKL2 reader's bound on
+// the label count rests on, over every run shape the project labels:
+// the paper fixture, and runs of the paper's specifications and of
+// every Table-1 stand-in from a single vertex up. No two vertices share
+// a context and an origin, so every snapshot's column frames take at
+// least one byte per label.
+func TestSnapshotSpendsAByteALabel(t *testing.T) {
+	check := func(name string, data []byte) {
+		t.Helper()
+		snap, err := core.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		seen := make(map[[2]uint32]bool, snap.NumVertices())
+		for _, lab := range labelsOf(snap) {
+			k := [2]uint32{lab.Q1, uint32(lab.Orig)}
+			if seen[k] {
+				t.Fatalf("%s: two vertices in context %d of origin %d", name, lab.Q1, lab.Orig)
+			}
+			seen[k] = true
+		}
+		hdr := 0
+		for _, x := range []uint64{0x534b4c32, uint64(snap.NumVertices()), uint64(snap.NumPositioned), uint64(snap.NumSpec)} {
+			hdr += len(binary.AppendUvarint(nil, x))
+		}
+		if frames := len(data) - hdr; frames < snap.NumVertices() {
+			t.Fatalf("%s: %d labels in %d bytes of column frames", name, snap.NumVertices(), frames)
+		}
+	}
+	check("paper fixture", readFixture(t, "skl2"))
+	specs := map[string]*spec.Spec{"paper": spec.PaperSpec(), "intro": spec.IntroSpec()}
+	for _, w := range workload.RealWorkflows() {
+		specs[w.Name] = workload.MustStandIn(w.Name, 1)
+	}
+	for name, s := range specs {
+		for _, size := range []int{1, 20, 300, 5000} {
+			r, _ := run.GenerateSized(s, rand.New(rand.NewSource(int64(size))), size)
+			check(fmt.Sprintf("%s run of %d vertices", name, r.NumVertices()), encode(t, mustLabel(t, r, label.TCM{})))
+		}
 	}
 }
 

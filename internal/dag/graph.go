@@ -1,7 +1,8 @@
 // Package dag provides the directed-graph substrate used throughout the
-// library: compact adjacency storage, topological sorting, reachability by
-// graph search, transitive closure, and flow-network structure checks
-// (single source / single sink, as required by the workflow model).
+// library: an immutable graph in compressed sparse row (CSR) form,
+// topological sorting, reachability by graph search, transitive closure,
+// and flow-network structure checks (single source / single sink, as
+// required by the workflow model).
 package dag
 
 import "fmt"
@@ -15,103 +16,93 @@ type Edge struct {
 	Tail, Head VertexID
 }
 
-// Graph is a mutable directed multigraph with dense vertex IDs.
-// It is not safe for concurrent mutation.
+// Graph is an immutable directed multigraph with dense vertex IDs, in
+// compressed sparse row form. One pointer-free array holds the whole
+// graph: its first 2n+1 entries are list boundaries, positions in the
+// array itself, and list l is csr[csr[l]:csr[l+1]], where lists 0..n-1
+// are the out-lists and lists n..2n-1 the in-lists. That is 8 bytes per
+// vertex plus 8 per edge, in one allocation. FromEdges is the only
+// constructor, so a Graph never changes once built and is safe for
+// concurrent use.
 type Graph struct {
-	out [][]VertexID
-	in  [][]VertexID
-	m   int
+	n   int
+	csr []VertexID
 }
 
-// New returns an empty graph with n vertices and no edges.
-func New(n int) *Graph {
-	return &Graph{out: make([][]VertexID, n), in: make([][]VertexID, n)}
-}
-
-// FromEdges returns the graph with n vertices that adding edges in order
-// with AddEdge would build, with all adjacency storage allocated at
-// once. It panics if an endpoint is out of range.
+// FromEdges returns the graph with n vertices and the given edges. Each
+// out-list and in-list keeps the order its edges have in edges. Parallel
+// edges and self loops are representable (the workflow validator rejects
+// them at a higher level). It panics if an endpoint is out of range.
 func FromEdges(n int, edges []Edge) *Graph {
-	adj := make([][]VertexID, 2*n) // out-lists, then in-lists
-	g := &Graph{out: adj[:n:n], in: adj[n:], m: len(edges)}
-	// A counting sort of the endpoints into one array: next[l] is where
-	// list l's next entry goes, and once filled, where list l ends.
-	next := make([]int32, 2*n+1)
+	// A counting sort of the endpoints: csr[l+1] counts list l, so the
+	// prefix sums from csr[0], the first neighbour's position, put each
+	// list's start at csr[l]. Filling list l then moves csr[l] to where
+	// the list ends, and shifting the boundaries by one place gives
+	// every list its start back.
+	bounds := 2*n + 1
+	g := &Graph{n: n, csr: make([]VertexID, bounds+2*len(edges))}
+	csr := g.csr
 	for _, e := range edges {
 		g.checkVertex(e.Tail)
 		g.checkVertex(e.Head)
-		next[e.Tail+1]++
-		next[n+int(e.Head)+1]++
+		csr[e.Tail+1]++
+		csr[n+int(e.Head)+1]++
 	}
-	for l := 1; l < len(next); l++ {
-		next[l] += next[l-1]
+	csr[0] = VertexID(bounds)
+	for l := 1; l < bounds; l++ {
+		csr[l] += csr[l-1]
 	}
-	ids := make([]VertexID, 2*len(edges))
 	for _, e := range edges {
-		ids[next[e.Tail]] = e.Head
-		next[e.Tail]++
-		ids[next[n+int(e.Head)]] = e.Tail
-		next[n+int(e.Head)]++
+		csr[csr[e.Tail]] = e.Head
+		csr[e.Tail]++
+		csr[csr[n+int(e.Head)]] = e.Tail
+		csr[n+int(e.Head)]++
 	}
-	start := int32(0)
-	for l, end := range next[:2*n] {
-		if end > start {
-			adj[l] = ids[start:end:end]
-			start = end
-		}
-	}
+	copy(csr[1:bounds], csr[:bounds-1])
+	csr[0] = VertexID(bounds)
 	return g
 }
 
 // NumVertices returns the number of vertices.
-func (g *Graph) NumVertices() int { return len(g.out) }
+func (g *Graph) NumVertices() int { return g.n }
 
 // NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return g.m }
+func (g *Graph) NumEdges() int { return (len(g.csr) - 2*g.n - 1) / 2 }
 
-// AddVertex adds a new vertex and returns its ID.
-func (g *Graph) AddVertex() VertexID {
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	return VertexID(len(g.out) - 1)
+// list returns list l, capped so that appending to it cannot overwrite
+// the next list.
+func (g *Graph) list(l int) []VertexID {
+	a, b := g.csr[l], g.csr[l+1]
+	return g.csr[a:b:b]
 }
 
-// AddEdge adds the directed edge (u, v). It panics if either endpoint is
-// out of range. Parallel edges and self loops are representable (the
-// workflow validator rejects them at a higher level).
-func (g *Graph) AddEdge(u, v VertexID) {
-	g.checkVertex(u)
-	g.checkVertex(v)
-	g.out[u] = append(g.out[u], v)
-	g.in[v] = append(g.in[v], u)
-	g.m++
-}
-
-// Out returns the out-neighbors of v. The returned slice is owned by the
-// graph and must not be modified.
+// Out returns the out-neighbors of v, in the order their edges were
+// given to FromEdges. The returned slice is owned by the graph and must
+// not be modified.
 func (g *Graph) Out(v VertexID) []VertexID {
 	g.checkVertex(v)
-	return g.out[v]
+	return g.list(int(v))
 }
 
-// In returns the in-neighbors of v. The returned slice is owned by the
-// graph and must not be modified.
+// In returns the in-neighbors of v, in the order their edges were given
+// to FromEdges. The returned slice is owned by the graph and must not be
+// modified.
 func (g *Graph) In(v VertexID) []VertexID {
 	g.checkVertex(v)
-	return g.in[v]
+	return g.list(g.n + int(v))
 }
 
 // OutDegree returns the number of outgoing edges of v.
-func (g *Graph) OutDegree(v VertexID) int { g.checkVertex(v); return len(g.out[v]) }
+func (g *Graph) OutDegree(v VertexID) int { return len(g.Out(v)) }
 
 // InDegree returns the number of incoming edges of v.
-func (g *Graph) InDegree(v VertexID) int { g.checkVertex(v); return len(g.in[v]) }
+func (g *Graph) InDegree(v VertexID) int { return len(g.In(v)) }
 
-// Edges returns all edges in an unspecified but deterministic order.
+// Edges returns all edges, by tail and then in out-list order.
 func (g *Graph) Edges() []Edge {
-	es := make([]Edge, 0, g.m)
-	for u := range g.out {
-		for _, v := range g.out[u] {
+	es := make([]Edge, 0, g.NumEdges())
+	for u := range g.NumVertices() {
+		for _, v := range g.list(u) {
 			es = append(es, Edge{VertexID(u), v})
 		}
 	}
@@ -120,18 +111,17 @@ func (g *Graph) Edges() []Edge {
 
 // HasEdge reports whether at least one edge (u, v) exists.
 func (g *Graph) HasEdge(u, v VertexID) bool {
-	g.checkVertex(u)
-	g.checkVertex(v)
+	out, in := g.Out(u), g.In(v)
 	// Scan the smaller adjacency list.
-	if len(g.out[u]) <= len(g.in[v]) {
-		for _, w := range g.out[u] {
+	if len(out) <= len(in) {
+		for _, w := range out {
 			if w == v {
 				return true
 			}
 		}
 		return false
 	}
-	for _, w := range g.in[v] {
+	for _, w := range in {
 		if w == u {
 			return true
 		}
@@ -139,25 +129,11 @@ func (g *Graph) HasEdge(u, v VertexID) bool {
 	return false
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		out: make([][]VertexID, len(g.out)),
-		in:  make([][]VertexID, len(g.in)),
-		m:   g.m,
-	}
-	for i := range g.out {
-		c.out[i] = append([]VertexID(nil), g.out[i]...)
-		c.in[i] = append([]VertexID(nil), g.in[i]...)
-	}
-	return c
-}
-
 // Sources returns the vertices with in-degree zero, in increasing ID order.
 func (g *Graph) Sources() []VertexID {
 	var s []VertexID
-	for v := range g.in {
-		if len(g.in[v]) == 0 {
+	for v := range g.NumVertices() {
+		if g.InDegree(VertexID(v)) == 0 {
 			s = append(s, VertexID(v))
 		}
 	}
@@ -167,8 +143,8 @@ func (g *Graph) Sources() []VertexID {
 // Sinks returns the vertices with out-degree zero, in increasing ID order.
 func (g *Graph) Sinks() []VertexID {
 	var s []VertexID
-	for v := range g.out {
-		if len(g.out[v]) == 0 {
+	for v := range g.NumVertices() {
+		if g.OutDegree(VertexID(v)) == 0 {
 			s = append(s, VertexID(v))
 		}
 	}
@@ -197,7 +173,7 @@ func (g *Graph) FlowNetworkTerminals() (source, sink VertexID, err error) {
 }
 
 func (g *Graph) checkVertex(v VertexID) {
-	if v < 0 || int(v) >= len(g.out) {
-		panic(fmt.Sprintf("dag: vertex %d out of range [0,%d)", v, len(g.out)))
+	if v < 0 || int(v) >= g.NumVertices() {
+		panic(fmt.Sprintf("dag: vertex %d out of range [0,%d)", v, g.NumVertices()))
 	}
 }

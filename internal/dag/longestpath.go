@@ -20,7 +20,7 @@ func (g *Graph) LongestPath(weight func(v VertexID) int64) (total int64, path []
 	var endBest int64
 	first := true
 	for _, v := range order {
-		for _, w := range g.out[v] {
+		for _, w := range g.list(int(v)) {
 			if cand := best[v] + weight(w); cand > best[w] {
 				best[w] = cand
 				pred[w] = v

@@ -7,10 +7,7 @@ import (
 )
 
 func TestLongestPathChain(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := FromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}})
 	w := []int64{5, 1, 7, 2}
 	total, path, ok := g.LongestPath(func(v VertexID) int64 { return w[v] })
 	if !ok || total != 15 {
@@ -23,11 +20,7 @@ func TestLongestPathChain(t *testing.T) {
 
 func TestLongestPathPicksHeavyBranch(t *testing.T) {
 	// 0 -> {1 (weight 100), 2 (weight 1)} -> 3
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 3)
+	g := diamond()
 	w := []int64{1, 100, 1, 1}
 	total, path, ok := g.LongestPath(func(v VertexID) int64 { return w[v] })
 	if !ok || total != 102 {
@@ -39,17 +32,15 @@ func TestLongestPathPicksHeavyBranch(t *testing.T) {
 }
 
 func TestLongestPathDegenerate(t *testing.T) {
-	if _, _, ok := New(0).LongestPath(func(VertexID) int64 { return 1 }); ok {
+	if _, _, ok := FromEdges(0, nil).LongestPath(func(VertexID) int64 { return 1 }); ok {
 		t.Error("empty graph should fail")
 	}
-	cyc := New(2)
-	cyc.AddEdge(0, 1)
-	cyc.AddEdge(1, 0)
+	cyc := FromEdges(2, []Edge{{0, 1}, {1, 0}})
 	if _, _, ok := cyc.LongestPath(func(VertexID) int64 { return 1 }); ok {
 		t.Error("cyclic graph should fail")
 	}
 	// Single vertex: path of itself.
-	one := New(1)
+	one := FromEdges(1, nil)
 	total, path, ok := one.LongestPath(func(VertexID) int64 { return 9 })
 	if !ok || total != 9 || len(path) != 1 {
 		t.Errorf("singleton: total=%d path=%v", total, path)

@@ -7,62 +7,60 @@ import "math/rand"
 // construction. Duplicate edges are suppressed, so the realized edge count
 // can be slightly below m on dense requests.
 func RandomDAG(rng *rand.Rand, n, m int) *Graph {
-	g := New(n)
 	if n < 2 {
-		return g
+		return FromEdges(n, nil)
 	}
 	perm := rng.Perm(n)
-	seen := make(map[[2]VertexID]bool, m)
-	for tries := 0; g.NumEdges() < m && tries < 20*m+100; tries++ {
+	seen := make(map[Edge]bool, m)
+	var edges []Edge
+	for tries := 0; len(edges) < m && tries < 20*m+100; tries++ {
 		i := rng.Intn(n - 1)
 		j := i + 1 + rng.Intn(n-i-1)
-		u, v := VertexID(perm[i]), VertexID(perm[j])
-		key := [2]VertexID{u, v}
-		if seen[key] {
+		e := Edge{VertexID(perm[i]), VertexID(perm[j])}
+		if seen[e] {
 			continue
 		}
-		seen[key] = true
-		g.AddEdge(u, v)
+		seen[e] = true
+		edges = append(edges, e)
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
 // RandomFlowNetwork generates a random acyclic flow network (single source,
 // single sink, every vertex on a source→sink path) with n >= 2 vertices and
 // approximately m edges.
 func RandomFlowNetwork(rng *rand.Rand, n, m int) *Graph {
-	g := New(n)
 	if n < 2 {
-		return g
+		return FromEdges(n, nil)
 	}
 	// Vertex 0 is the source and n-1 the sink; interior vertices are ordered
 	// by ID, giving acyclicity. First thread a random spanning structure so
 	// every interior vertex has an in-edge from a smaller vertex and an
 	// out-edge to a larger one.
+	var edges []Edge
 	for v := 1; v < n-1; v++ {
-		g.AddEdge(VertexID(rng.Intn(v)), VertexID(v))
+		edges = append(edges, Edge{VertexID(rng.Intn(v)), VertexID(v)})
 	}
 	for v := n - 2; v >= 1; v-- {
 		w := v + 1 + rng.Intn(n-1-v)
-		g.AddEdge(VertexID(v), VertexID(w))
+		edges = append(edges, Edge{VertexID(v), VertexID(w)})
 	}
 	if n == 2 {
-		g.AddEdge(0, 1)
-		return g
+		return FromEdges(n, []Edge{{0, 1}})
 	}
-	seen := make(map[[2]VertexID]bool, m)
-	for _, e := range g.Edges() {
-		seen[[2]VertexID{e.Tail, e.Head}] = true
+	seen := make(map[Edge]bool, m)
+	for _, e := range edges {
+		seen[e] = true
 	}
-	for tries := 0; g.NumEdges() < m && tries < 20*m+100; tries++ {
+	for tries := 0; len(edges) < m && tries < 20*m+100; tries++ {
 		u := rng.Intn(n - 1)
 		v := u + 1 + rng.Intn(n-1-u)
-		key := [2]VertexID{VertexID(u), VertexID(v)}
-		if seen[key] {
+		e := Edge{VertexID(u), VertexID(v)}
+		if seen[e] {
 			continue
 		}
-		seen[key] = true
-		g.AddEdge(VertexID(u), VertexID(v))
+		seen[e] = true
+		edges = append(edges, e)
 	}
-	return g
+	return FromEdges(n, edges)
 }

@@ -14,12 +14,12 @@ func (g *Graph) TopoSort() ([]VertexID, bool) {
 	// still to visit are order[head:].
 	order := make([]VertexID, 0, n)
 	for v := 0; v < n; v++ {
-		if indeg[v] = int32(len(g.in[v])); indeg[v] == 0 {
+		if indeg[v] = int32(g.InDegree(VertexID(v))); indeg[v] == 0 {
 			order = append(order, VertexID(v))
 		}
 	}
 	for head := 0; head < len(order); head++ {
-		for _, w := range g.out[order[head]] {
+		for _, w := range g.list(int(order[head])) {
 			if indeg[w]--; indeg[w] == 0 {
 				order = append(order, w)
 			}
@@ -90,7 +90,7 @@ func (s *Searcher) ReachableBFS(u, v VertexID) bool {
 	queue = append(queue, u)
 	for head := 0; head < len(queue); head++ {
 		x := queue[head]
-		for _, w := range s.g.out[x] {
+		for _, w := range s.g.list(int(x)) {
 			if w == v {
 				s.stack = queue[:0]
 				return true
@@ -117,7 +117,7 @@ func (s *Searcher) ReachableDFS(u, v VertexID) bool {
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range s.g.out[x] {
+		for _, w := range s.g.list(int(x)) {
 			if w == v {
 				s.stack = stack[:0]
 				return true
@@ -153,7 +153,7 @@ func (g *Graph) TransitiveClosure() (*Closure, bool) {
 		v := order[i]
 		row := bitset.New(n)
 		row.Set(int(v))
-		for _, w := range g.out[v] {
+		for _, w := range g.list(int(v)) {
 			row.Or(rows[w])
 		}
 		rows[v] = row

@@ -25,11 +25,7 @@ func buildAll(t *testing.T, g *dag.Graph) []Labeling {
 }
 
 func TestSchemesOnDiamond(t *testing.T) {
-	g := dag.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 3)
+	g := dag.FromEdges(4, []dag.Edge{{Tail: 0, Head: 1}, {Tail: 0, Head: 2}, {Tail: 1, Head: 3}, {Tail: 2, Head: 3}})
 	cases := []struct {
 		u, v dag.VertexID
 		want bool
@@ -47,9 +43,7 @@ func TestSchemesOnDiamond(t *testing.T) {
 }
 
 func TestSchemesRejectCycles(t *testing.T) {
-	g := dag.New(2)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
+	g := dag.FromEdges(2, []dag.Edge{{Tail: 0, Head: 1}, {Tail: 1, Head: 0}})
 	for _, s := range []Scheme{TCM{}, Interval{}, Chain{}} {
 		if _, err := s.Build(g); err == nil {
 			t.Errorf("%s accepted a cyclic graph", s.Name())

@@ -179,13 +179,13 @@ func ConeSubgraph(r *run.Run, v dag.VertexID) (*dag.Graph, []dag.VertexID) {
 	for i, m := range members {
 		idx[m] = dag.VertexID(i)
 	}
-	g := dag.New(len(members))
+	var edges []dag.Edge
 	for _, m := range members {
 		for _, w := range r.Graph.Out(m) {
 			if j, ok := idx[w]; ok {
-				g.AddEdge(idx[m], j)
+				edges = append(edges, dag.Edge{Tail: idx[m], Head: j})
 			}
 		}
 	}
-	return g, members
+	return dag.FromEdges(len(members), edges), members
 }

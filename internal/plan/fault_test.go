@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dag"
@@ -10,50 +11,29 @@ import (
 	"repro/internal/spec"
 )
 
-// mutateRun applies one random structural corruption to a copy of the
-// run graph and reports what it did.
+// mutateRun applies one random structural corruption to the run and
+// reports what it did. The run itself is left as it is.
 func mutateRun(rng *rand.Rand, r *run.Run) (*dag.Graph, []dag.VertexID, string) {
-	g := dag.New(r.NumVertices())
-	for _, e := range r.Graph.Edges() {
-		g.AddEdge(e.Tail, e.Head)
-	}
 	origin := append([]dag.VertexID(nil), r.Origin...)
 	n := r.NumVertices()
 	switch rng.Intn(3) {
 	case 0:
 		// Rewire a random edge to a random target (keeping direction by
 		// construction order, which may create cross-copy edges).
-		edges := g.Edges()
-		e := edges[rng.Intn(len(edges))]
-		g2 := dag.New(n)
-		skipped := false
-		for _, e2 := range edges {
-			if !skipped && e2 == e {
-				skipped = true
-				continue
-			}
-			g2.AddEdge(e2.Tail, e2.Head)
-		}
-		g2.AddEdge(e.Tail, dag.VertexID(rng.Intn(n)))
-		return g2, origin, "rewired edge"
+		edges := r.Graph.Edges()
+		i := rng.Intn(len(edges))
+		e := edges[i]
+		edges = append(slices.Delete(edges, i, i+1), dag.Edge{Tail: e.Tail, Head: dag.VertexID(rng.Intn(n))})
+		return dag.FromEdges(n, edges), origin, "rewired edge"
 	case 1:
 		// Corrupt one origin.
 		origin[rng.Intn(n)] = dag.VertexID(rng.Intn(r.Spec.NumVertices()))
-		return g, origin, "corrupted origin"
+		return r.Graph, origin, "corrupted origin"
 	default:
 		// Delete a random edge.
-		edges := g.Edges()
-		e := edges[rng.Intn(len(edges))]
-		g2 := dag.New(n)
-		skipped := false
-		for _, e2 := range edges {
-			if !skipped && e2 == e {
-				skipped = true
-				continue
-			}
-			g2.AddEdge(e2.Tail, e2.Head)
-		}
-		return g2, origin, "deleted edge"
+		edges := r.Graph.Edges()
+		i := rng.Intn(len(edges))
+		return dag.FromEdges(n, slices.Delete(edges, i, i+1)), origin, "deleted edge"
 	}
 }
 

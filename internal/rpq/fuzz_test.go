@@ -3,8 +3,6 @@ package rpq
 import (
 	"errors"
 	"testing"
-
-	"repro/internal/dag"
 )
 
 // FuzzRPQParse throws hostile pattern text at the full pipeline: parse,
@@ -34,12 +32,7 @@ func FuzzRPQParse(f *testing.F) {
 			}
 			return
 		}
-		g := dag.New(4)
-		g.AddEdge(0, 1)
-		g.AddEdge(0, 2)
-		g.AddEdge(1, 3)
-		g.AddEdge(2, 3)
-		syms := []dag.VertexID{0, 1, 2, 3}
+		g, syms := diamond()
 		const budget = 64
 		m := NewMatcher(p, budget)
 		got, err := m.Eval(g, syms, nil, 0, 3)

@@ -27,11 +27,7 @@ func compile(t *testing.T, pattern string) *Prog {
 
 // diamond returns the graph 0 -> {1,2} -> 3 with labels a,b,c,d.
 func diamond() (*dag.Graph, []dag.VertexID) {
-	g := dag.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 3)
+	g := dag.FromEdges(4, []dag.Edge{{Tail: 0, Head: 1}, {Tail: 0, Head: 2}, {Tail: 1, Head: 3}, {Tail: 2, Head: 3}})
 	return g, []dag.VertexID{0, 1, 2, 3}
 }
 
@@ -120,11 +116,7 @@ func TestParseErrors(t *testing.T) {
 func TestStateBudget(t *testing.T) {
 	pattern := "(a|b)* a . . . . . . . . . ."
 	p := compile(t, pattern)
-	g := dag.New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(0, 0)
-	g.AddEdge(1, 1)
+	g := dag.FromEdges(3, []dag.Edge{{Tail: 0, Head: 1}, {Tail: 1, Head: 0}, {Tail: 0, Head: 0}, {Tail: 1, Head: 1}})
 	syms := []dag.VertexID{0, 1, 2} // a, b, c; vertex 2 is isolated
 	m := NewMatcher(p, 32)
 	_, err := m.Eval(g, syms, nil, 0, 2)
@@ -150,18 +142,19 @@ func TestEvalAgainstOracle(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(8)
-		g := dag.New(n)
 		syms := make([]dag.VertexID, n)
 		for v := range syms {
 			syms[v] = dag.VertexID(rng.Intn(3))
 		}
+		var edges []dag.Edge
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if rng.Intn(3) == 0 {
-					g.AddEdge(dag.VertexID(i), dag.VertexID(j))
+					edges = append(edges, dag.Edge{Tail: dag.VertexID(i), Head: dag.VertexID(j)})
 				}
 			}
 		}
+		g := dag.FromEdges(n, edges)
 		tc, ok := g.TransitiveClosure()
 		if !ok {
 			t.Fatal("random DAG has a cycle")

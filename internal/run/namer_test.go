@@ -59,7 +59,7 @@ func TestNamerPrefixCollision(t *testing.T) {
 	s := b.MustBuild()
 	origin := make([]dag.VertexID, 77)
 	origin[75], origin[76] = 1, 1 // 75 occurrences of v4, then v47 twice
-	r := &Run{Spec: s, Graph: dag.New(len(origin)), Origin: origin}
+	r := &Run{Spec: s, Graph: dag.FromEdges(len(origin), nil), Origin: origin}
 	checkNamer(t, r)
 	if v, _ := NewNamer(r).Vertex("v471"); v != 75 {
 		t.Fatalf(`Vertex("v471") = %d, want 75 (the later of the two)`, v)
@@ -93,7 +93,7 @@ func FuzzNamerOracle(f *testing.F) {
 		for i, b := range data {
 			origin[i] = dag.VertexID(b % 4)
 		}
-		r := &Run{Spec: s, Graph: dag.New(len(origin)), Origin: origin}
+		r := &Run{Spec: s, Graph: dag.FromEdges(len(origin), nil), Origin: origin}
 		grown := NewNamerFromOrigins(s, nil)
 		last := make(map[string]dag.VertexID)
 		for v, o := range origin {

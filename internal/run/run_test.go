@@ -305,9 +305,8 @@ func TestValidateCatchesCorruptRuns(t *testing.T) {
 	}
 	// An edge whose origin pair is neither a spec edge nor a loop
 	// connector: c -> d crosses parallel branches of G.
-	g := r.Graph.Clone()
 	var cV, dV dag.VertexID = -1, -1
-	for v := 0; v < g.NumVertices(); v++ {
+	for v := 0; v < r.NumVertices(); v++ {
 		switch s.NameOf(r.Origin[v]) {
 		case "c":
 			cV = dag.VertexID(v)
@@ -315,7 +314,7 @@ func TestValidateCatchesCorruptRuns(t *testing.T) {
 			dV = dag.VertexID(v)
 		}
 	}
-	g.AddEdge(cV, dV)
+	g := dag.FromEdges(r.NumVertices(), append(r.Graph.Edges(), dag.Edge{Tail: cV, Head: dV}))
 	bad3 := &Run{Spec: s, Graph: g, Origin: r.Origin}
 	if err := bad3.Validate(); err == nil {
 		t.Error("cross-branch edge accepted")

@@ -115,7 +115,6 @@ func (b *Builder) Build() (*Spec, error) {
 		return nil, b.err
 	}
 	n := len(b.names)
-	g := dag.New(n)
 	seen := make(map[dag.Edge]bool, len(b.edges))
 	for _, e := range b.edges {
 		if e.Tail == e.Head {
@@ -125,8 +124,10 @@ func (b *Builder) Build() (*Spec, error) {
 			return nil, fmt.Errorf("spec: duplicate edge %q -> %q", b.names[e.Tail], b.names[e.Head])
 		}
 		seen[e] = true
-		g.AddEdge(e.Tail, e.Head)
 	}
+	// In declaration order: the adjacency lists keep it, and the plan
+	// and the orders walk a module's children in that order.
+	g := dag.FromEdges(n, b.edges)
 	source, sink, err := g.FlowNetworkTerminals()
 	if err != nil {
 		return nil, err

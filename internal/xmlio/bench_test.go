@@ -15,7 +15,7 @@ import (
 
 // qblastRun generates a QBLAST stand-in run of about n vertices, the
 // shape the serving benchmarks store and load.
-func qblastRun(b *testing.B, n int) (*spec.Spec, *run.Run) {
+func qblastRun(b testing.TB, n int) (*spec.Spec, *run.Run) {
 	s, err := workload.StandIn("QBLAST", 1)
 	if err != nil {
 		b.Fatal(err)

@@ -312,15 +312,15 @@ func oddRun(modA, modB, item string, seed int64) (*run.Run, *provdata.Annotation
 	rng := rand.New(rand.NewSource(seed))
 	s := &spec.Spec{Names: []spec.ModuleName{spec.ModuleName(modA), spec.ModuleName(modB)}}
 	n := rng.Intn(7)
-	g := dag.New(n)
 	origin := make([]dag.VertexID, n)
 	for v := range origin {
 		origin[v] = dag.VertexID(rng.Intn(2))
 	}
+	var edges []dag.Edge
 	for i := 0; n > 0 && i < rng.Intn(3*n); i++ {
-		g.AddEdge(dag.VertexID(rng.Intn(n)), dag.VertexID(rng.Intn(n)))
+		edges = append(edges, dag.Edge{Tail: dag.VertexID(rng.Intn(n)), Head: dag.VertexID(rng.Intn(n))})
 	}
-	r := &run.Run{Spec: s, Graph: g, Origin: origin}
+	r := &run.Run{Spec: s, Graph: dag.FromEdges(n, edges), Origin: origin}
 	ann := &provdata.Annotation{Run: r}
 	for i := 0; n > 0 && i < rng.Intn(4); i++ {
 		it := provdata.Item{ID: provdata.ItemID(i), Name: item, Producer: dag.VertexID(rng.Intn(n))}
@@ -387,7 +387,7 @@ func TestEncodeRunMatchesOracle(t *testing.T) {
 		r, ann := oddRun(name, odd[(i+1)%len(odd)], odd[(i+2)%len(odd)], int64(i))
 		cases = append(cases, tc{"odd names " + name, r, ann, odd[(i+3)%len(odd)]})
 	}
-	cases = append(cases, tc{"empty run", &run.Run{Spec: paper, Graph: dag.New(0)}, nil, ""})
+	cases = append(cases, tc{"empty run", &run.Run{Spec: paper, Graph: dag.FromEdges(0, nil)}, nil, ""})
 	for _, c := range cases {
 		var got bytes.Buffer
 		if err := xmlio.EncodeRun(&got, c.r, c.ann, c.workflow); err != nil {

@@ -81,7 +81,7 @@ func oracleDecodeRun(rd io.Reader, s *spec.Spec) (*run.Run, *provdata.Annotation
 	if err != nil {
 		return nil, nil, err
 	}
-	g := dag.New(len(names))
+	var edges []dag.Edge
 	type itemKey struct {
 		producer dag.VertexID
 		name     string
@@ -92,7 +92,7 @@ func oracleDecodeRun(rd io.Reader, s *spec.Spec) (*run.Run, *provdata.Annotation
 		if e.From < 0 || e.From >= len(names) || e.To < 0 || e.To >= len(names) {
 			return nil, nil, fmt.Errorf("xmlio: run edge %d->%d out of range", e.From, e.To)
 		}
-		g.AddEdge(dag.VertexID(e.From), dag.VertexID(e.To))
+		edges = append(edges, dag.Edge{Tail: dag.VertexID(e.From), Head: dag.VertexID(e.To)})
 		for _, item := range e.Items {
 			k := itemKey{dag.VertexID(e.From), item}
 			if _, ok := consumers[k]; !ok {
@@ -101,7 +101,7 @@ func oracleDecodeRun(rd io.Reader, s *spec.Spec) (*run.Run, *provdata.Annotation
 			consumers[k] = append(consumers[k], dag.VertexID(e.To))
 		}
 	}
-	r := &run.Run{Spec: s, Graph: g, Origin: origin}
+	r := &run.Run{Spec: s, Graph: dag.FromEdges(len(names), edges), Origin: origin}
 	if err := r.Validate(); err != nil {
 		return nil, nil, err
 	}
