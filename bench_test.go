@@ -878,7 +878,7 @@ func BenchmarkFinishStages(b *testing.B) {
 		fn   func() error
 	}{
 		{"materialize", func() error {
-			_, _, err := ls.Materialize()
+			_, err := ls.MaterializedRun()
 			return err
 		}},
 		{"validate", r.Validate},

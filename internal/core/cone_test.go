@@ -107,9 +107,10 @@ func TestConeMatchesScan(t *testing.T) {
 // TestConeUntrustedLabels is the accept-or-reject oracle for label sets
 // no labeler may have written. Positions and origins stay in range, so
 // building the snapshot (NewSnapshot, or decoding the same labels as
-// SKL1) must fail exactly when n⁺_T > n or some Q1 comes with two
-// different (Q2, Q3); otherwise it succeeds, and every cone equals the
-// per-vertex scan.
+// SKL1) must fail exactly when n⁺_T > n, some Q1 comes with two
+// different (Q2, Q3), or a block of more than one label has one Q1 and
+// one origin throughout; otherwise it succeeds, and every cone equals
+// the per-vertex scan.
 func TestConeUntrustedLabels(t *testing.T) {
 	s := spec.PaperSpec()
 	skel, err := label.TCM{}.Build(s.Graph)
@@ -135,6 +136,12 @@ func TestConeUntrustedLabels(t *testing.T) {
 		labels := make([]core.Label, n)
 		seen := map[uint32][2]uint32{}
 		wantErr := np > n
+		// Some trials give every label one origin, so that with one
+		// context as well the set is a block no labeler writes.
+		oneOrig := -1
+		if trial%8 == 1 {
+			oneOrig = rng.Intn(s.NumVertices())
+		}
 		for i := range labels {
 			q1 := uint32(rng.Intn(np + 1))
 			row := rows[q1]
@@ -145,7 +152,19 @@ func TestConeUntrustedLabels(t *testing.T) {
 				wantErr = true
 			}
 			seen[q1] = row
-			labels[i] = core.Label{Q1: q1, Q2: row[0], Q3: row[1], Orig: dag.VertexID(rng.Intn(s.NumVertices()))}
+			orig := oneOrig
+			if orig < 0 {
+				orig = rng.Intn(s.NumVertices())
+			}
+			labels[i] = core.Label{Q1: q1, Q2: row[0], Q3: row[1], Orig: dag.VertexID(orig)}
+		}
+		for base := 0; base < n; base += 4096 {
+			block := labels[base:min(base+4096, n)]
+			if len(block) > 1 && !slices.ContainsFunc(block, func(l core.Label) bool {
+				return l.Q1 != block[0].Q1 || l.Orig != block[0].Orig
+			}) {
+				wantErr = true
+			}
 		}
 		snap, err := core.NewSnapshot(np, ns, labels)
 		_, decodeErr := core.DecodeSnapshot(rawSKL1(np, ns, labels...))

@@ -268,10 +268,6 @@ type Session struct {
 	lastRenumbers int
 	broken        bool
 
-	// memo is the last MaterializedRun result. Queries hold only the
-	// run's read lock and may race to fill it, so it is swapped whole.
-	memo atomic.Pointer[materialized]
-
 	// lastActive is the wall time (unix nanos) of the session's last
 	// append or query, stored atomically so the serving layer's idle-TTL
 	// sweep reads it without the run lock. Zero means never touched;
@@ -620,7 +616,7 @@ func parseCheckpoint(data []byte) (seq int, logBytes int64, evs []events.Event, 
 // ready to serve queries. An *IncompleteError means the stream does not
 // yet describe a complete run and the session stays appendable.
 func (s *Session) Finish(scheme label.Scheme) (*store.Session, error) {
-	r, p, err := s.Materialize()
+	r, p, err := s.materialize()
 	if err != nil {
 		return nil, err
 	}
@@ -634,41 +630,23 @@ func (s *Session) Finish(scheme label.Scheme) (*store.Session, error) {
 	return sess, nil
 }
 
-// materialized is one MaterializedRun result and the sequence number
-// it was built at.
-type materialized struct {
-	seq int
-	r   *run.Run
-	err error
-}
-
-// MaterializedRun returns the run graph the streamed execution tree
-// describes so far: Materialize's run, built once per sequence number,
-// so queries between two appends share one run. A renumbering happens
-// only within an append and changes labels, not the run. Queries that
-// need actual run edges, like regular path queries, evaluate against
-// the result: its vertex IDs are exactly the session's, so the live
-// labels answer reachability for it. An *IncompleteError means the
-// stream does not yet describe a complete run. Callers serialize
-// against appends via the session's run lock (the read side suffices;
-// the memo has its own synchronization), and must not modify the run.
+// MaterializedRun rebuilds the run graph the streamed execution tree
+// describes so far — the same materialization Finish seals — and
+// verifies it matches the live vertex numbering (same count, same
+// origin per vertex; guaranteed for Emit-convention streams once every
+// fork and loop site has its copies). Queries that need actual run
+// edges, like regular path queries, evaluate against the result: its
+// vertex IDs are exactly the session's, so the live labels answer
+// reachability for it. An *IncompleteError means the stream does not
+// yet describe a complete run. Callers serialize against appends via
+// the session's run lock (the read side suffices; nothing is mutated).
 func (s *Session) MaterializedRun() (*run.Run, error) {
-	if m := s.memo.Load(); m != nil && m.seq == s.Seq() {
-		return m.r, m.err
-	}
-	r, _, err := s.Materialize()
-	s.memo.Store(&materialized{seq: s.Seq(), r: r, err: err})
+	r, _, err := s.materialize()
 	return r, err
 }
 
-// Materialize rebuilds the run and its execution plan from the streamed
-// execution tree — the materialization Finish seals — and verifies the
-// run matches the live vertex numbering (same count, same origin per
-// vertex; guaranteed for Emit-convention streams once every fork and
-// loop site has its copies). An *IncompleteError means the stream does
-// not yet describe a complete run. Callers serialize against appends
-// as for MaterializedRun.
-func (s *Session) Materialize() (*run.Run, *plan.Plan, error) {
+// materialize is MaterializedRun that also returns the run's plan.
+func (s *Session) materialize() (*run.Run, *plan.Plan, error) {
 	r, p, err := run.MaterializeTable(s.sp, s.table)
 	if err != nil {
 		return nil, nil, &IncompleteError{err}

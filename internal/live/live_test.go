@@ -7,7 +7,6 @@ import (
 	"io"
 	"io/fs"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/dag"
@@ -153,67 +152,6 @@ func TestLiveQueriesMatchFinished(t *testing.T) {
 				t.Errorf("Reachable(%d,%d) = %v live, %v stored", u, v, got, want)
 			}
 		}
-	}
-}
-
-// TestMaterializedRunMemo: between two appends the queries of a live
-// stream share one materialized run (the /rpq graph), and every append
-// makes the next query materialize afresh. The paper stream describes a
-// complete run only once its last event is in, so every earlier
-// materialization is an *IncompleteError, memoized alike.
-func TestMaterializedRunMemo(t *testing.T) {
-	st, skel, evs, _ := newPaperStream(t)
-	ls := live.NewSession(st, "memo", skel, nil)
-	type result struct {
-		r   *run.Run
-		err error
-	}
-	var prev result
-	for i := range evs {
-		if _, err := ls.Append(evs[i:i+1], i); err != nil {
-			t.Fatal(err)
-		}
-		// Queries hold only the read lock, so they may miss together.
-		got := make([]result, 4)
-		var wg sync.WaitGroup
-		for g := range got {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got[g].r, got[g].err = ls.MaterializedRun()
-			}()
-		}
-		wg.Wait()
-		first := result{}
-		first.r, first.err = ls.MaterializedRun()
-		if first == prev {
-			t.Fatalf("after append %d: the result from before the append was reused", i)
-		}
-		if allocs := testing.AllocsPerRun(5, func() {
-			var again result
-			again.r, again.err = ls.MaterializedRun()
-			if again != first {
-				t.Fatalf("after append %d: a query with no append since materialized again", i)
-			}
-		}); allocs != 0 {
-			t.Fatalf("after append %d: a repeated query allocated %v times", i, allocs)
-		}
-		for _, r := range got {
-			if (r.err == nil) != (first.err == nil) || r.err == nil && r.r.NumVertices() != first.r.NumVertices() {
-				t.Fatalf("after append %d: concurrent queries disagree: %v, %v", i, r.err, first.err)
-			}
-		}
-		var incomplete *live.IncompleteError
-		if i < len(evs)-1 && !errors.As(first.err, &incomplete) {
-			t.Fatalf("after %d of %d events: err = %v, want an *IncompleteError", i+1, len(evs), first.err)
-		}
-		prev = first
-	}
-	if prev.err != nil {
-		t.Fatal(prev.err)
-	}
-	if prev.r.NumVertices() != ls.Namer().Len() {
-		t.Fatalf("materialized %d vertices, the stream recorded %d", prev.r.NumVertices(), ls.Namer().Len())
 	}
 }
 
