@@ -44,7 +44,8 @@ bench-harness:
 # Serving-path benchmarks — the SKL2 snapshot codec (encode+decode),
 # the label-only lineage cone on 5,000-vertex stand-in runs,
 # /batch reachability over fs and mem stores, the cold-load path (every
-# /reachable a cache miss), /lineage over a resident run, the ingest,
+# /reachable a cache miss) and its per-stage split, /lineage over a
+# resident run, the ingest,
 # delete, stream-append, stream-finish and /rpq paths, the per-stage
 # split of ingest, stream append and stream finish, and plan
 # construction alone — recorded by
@@ -57,7 +58,7 @@ bench-harness:
 trend:
 	$(GO) test -run='^$$' -bench='BenchmarkSnapshotDecode|BenchmarkSnapshotEncode|BenchmarkAppendCone' -benchtime=100x -count=3 ./internal/core/ > trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerBatchReachable' -benchtime=50x -count=3 . >> trend.out
-	$(GO) test -run='^$$' -bench='BenchmarkServerColdRead' -benchtime=200x -count=3 . >> trend.out
+	$(GO) test -run='^$$' -bench='BenchmarkServerColdRead|BenchmarkColdLoad' -benchtime=200x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerLineage' -benchtime=200x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerIngest|BenchmarkServerDelete|BenchmarkServerAppendEvents|BenchmarkServerFinish|BenchmarkServerRPQ' -benchtime=20x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkIngestStages|BenchmarkAppendStages|BenchmarkFinishStages|BenchmarkConstructPlan' -benchtime=20x -count=3 . >> trend.out

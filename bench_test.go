@@ -14,8 +14,10 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/live"
+	"repro/internal/run"
 	"repro/internal/store"
 )
 
@@ -598,8 +600,9 @@ func BenchmarkServerLineage(b *testing.B) {
 // GET /reachable: backend read of both blobs, snapshot decode and bind,
 // and the name index built from the snapshot's origin column. Two
 // 1000-vertex runs alternate through a one-entry cache over the
-// in-memory backend, so every query misses; the run document is held
-// but never decoded, because reachability needs only labels.
+// in-memory backend, so every query misses; the run document is
+// borrowed from the backend but never decoded, because reachability
+// needs only labels.
 func BenchmarkServerColdRead(b *testing.B) {
 	r := benchRun(b, 1000)
 	st, err := repro.NewMemStore(r.Spec, "bench")
@@ -633,6 +636,87 @@ func BenchmarkServerColdRead(b *testing.B) {
 	b.StopTimer()
 	if stats := srv.Stats(); stats.Hits != 0 {
 		b.Fatalf("%d cache hits; every query must miss", stats.Hits)
+	}
+}
+
+// BenchmarkColdLoad splits BenchmarkServerColdRead's cache miss into
+// its stages, each timed alone over one stored 1000-vertex run on the
+// in-memory backend: the backend read of both blobs (document and label
+// snapshot) as OpenRun does it, the snapshot decode, binding it to the
+// cached skeleton labeling, and the vertex namer built from the
+// labels' origin column. The stages' sum approximates ServerColdRead
+// minus HTTP and cache plumbing, so a cold-miss change names the stage
+// that moved.
+func BenchmarkColdLoad(b *testing.B) {
+	r := benchRun(b, 1000)
+	st, err := repro.NewMemStore(r.Spec, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.PutRun("r1", r, nil, repro.TCM); err != nil {
+		b.Fatal(err)
+	}
+	skel, err := st.Skeleton(repro.TCM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	read := func() (doc, labels []byte, err error) {
+		rf, err := st.Backend().ReadRun("r1")
+		if err != nil {
+			return nil, nil, err
+		}
+		if doc, err = store.ReadBlob(rf); err != nil {
+			return nil, nil, err
+		}
+		lf, err := st.Backend().ReadLabels("r1")
+		if err != nil {
+			return nil, nil, err
+		}
+		labels, err = store.ReadBlob(lf)
+		return doc, labels, err
+	}
+	_, labels, err := read()
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := core.DecodeSnapshot(labels)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := snap.Bind(skel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stages := []struct {
+		name string
+		fn   func() error
+	}{
+		{"read", func() error {
+			_, _, err := read()
+			return err
+		}},
+		{"snapshot", func() error {
+			_, err := core.DecodeSnapshot(labels)
+			return err
+		}},
+		{"bind", func() error {
+			_, err := snap.Bind(skel)
+			return err
+		}},
+		{"namer", func() error {
+			run.NewNamerFromOrigins(r.Spec, l.Origins())
+			return nil
+		}},
+	}
+	for _, stage := range stages {
+		b.Run(stage.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := stage.fn(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -358,9 +358,12 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 }
 
 // DecodeSnapshot deserializes a label set in either wire format,
-// detected from the magic. Input is untrusted: headers are validated
-// and allocation stays proportional to the input, so a corrupt or
-// hostile snapshot errors out instead of exhausting memory.
+// detected from the magic. Input is untrusted: headers are validated,
+// bytes after the last label are refused, and allocation stays
+// proportional to the input, so a corrupt or hostile snapshot errors
+// out instead of exhausting memory. The labels are decoded straight
+// from data, which is neither modified nor kept: a caller may pass a
+// slice it borrowed, such as a store's resident blob.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	magic, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -410,6 +413,9 @@ func decodeSnapshotV1(data []byte) (*Snapshot, error) {
 		if err := s.put(i, vals[0], vals[1], vals[2], vals[3]); err != nil {
 			return nil, err
 		}
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes after snapshot", len(data))
 	}
 	return s.checkBlocks()
 }

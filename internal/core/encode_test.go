@@ -393,6 +393,33 @@ func TestSnapshotRejectsOneContextBlock(t *testing.T) {
 	}
 }
 
+// trailingSKL1 is a one-label SKL1 blob with four garbage bytes after
+// its label.
+func trailingSKL1() []byte {
+	return append(rawSKL1(1, 2, core.Label{Q1: 1, Q2: 1, Q3: 1}), 0xde, 0xad, 0xbe, 0xef)
+}
+
+// TestSnapshotRejectsTrailingBytes: both readers refuse input left over
+// after the declared labels, with one error.
+func TestSnapshotRejectsTrailingBytes(t *testing.T) {
+	if _, err := core.DecodeSnapshot(trailingSKL1()[:len(trailingSKL1())-4]); err != nil {
+		t.Fatalf("the one-label SKL1 blob without its garbage: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"skl1 one label", trailingSKL1()},
+		{"paper.skl1", append(readFixture(t, "skl1"), 0xde, 0xad, 0xbe, 0xef)},
+		{"paper.skl2", append(readFixture(t, "skl2"), 0xde, 0xad, 0xbe, 0xef)},
+	} {
+		_, err := core.DecodeSnapshot(tc.data)
+		if err == nil || err.Error() != "core: 4 trailing bytes after snapshot" {
+			t.Errorf("%s with 4 bytes appended: err = %v, want 4 trailing bytes", tc.name, err)
+		}
+	}
+}
+
 // TestSnapshotSpendsAByteALabel checks what the SKL2 reader's bound on
 // the label count rests on, over every run shape the project labels:
 // the paper fixture, and runs of the paper's specifications and of

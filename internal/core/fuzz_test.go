@@ -29,6 +29,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		hostile = binary.AppendUvarint(hostile, 1000)
 		f.Add(hostile)
 	}
+	f.Add(trailingSKL1())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -62,6 +62,20 @@ import "io"
 // — so a restarted serving layer can find interrupted streams without
 // probing every possible name (eager stream recovery).
 //
+// # Resident blobs
+//
+// A reader that ReadRun or ReadLabels returns may offer the blob whole
+// through a Bytes() []byte method, when the backend holds the blob in
+// memory (the mem backend does). The slice it returns is exactly what
+// reading the stream from its start yields, and the backend promises
+// never to mutate it: an overwrite or a delete of the name replaces or
+// drops the backend's reference, it does not write into the old bytes.
+// The caller must not modify the slice either; in exchange it may keep
+// it for as long as it likes without copying, which is how OpenRun
+// borrows a resident run's blobs (see ReadBlob). Wrapper backends
+// (shard, retry, fault injection) hand their child's reader through
+// unchanged, so the offer reaches the store through them.
+//
 // # Failure model
 //
 // Errors are classified transient or permanent via ErrTransient (see
@@ -82,9 +96,11 @@ type Backend interface {
 	// WriteSpec persists the specification document, initializing the
 	// backend's layout if needed. It overwrites any previous spec.
 	WriteSpec(data []byte) error
-	// ReadRun streams the named run's document.
+	// ReadRun streams the named run's document. The reader may offer
+	// the bytes whole (see "Resident blobs" above).
 	ReadRun(name string) (io.ReadCloser, error)
-	// ReadLabels streams the named run's label snapshot.
+	// ReadLabels streams the named run's label snapshot, and may offer
+	// its bytes like ReadRun.
 	ReadLabels(name string) (io.ReadCloser, error)
 	// WriteRun atomically persists a run document and its label snapshot
 	// under name. Implementations must not retain the slices.

@@ -4,8 +4,9 @@
 // fresh, empty backends; the suite pins down the parts of the contract
 // the Store and the serving layer rely on: blob round-trips, sorted and
 // complete listings, fs.ErrNotExist on missing documents (the server's
-// 404 path), overwrite semantics, and safety under concurrent readers
-// and writers (meaningful under -race).
+// 404 path), overwrite semantics, borrowed blobs that stay intact after
+// an overwrite or a delete, and safety under concurrent readers and
+// writers (meaningful under -race).
 package backendtest
 
 import (
@@ -118,6 +119,68 @@ func Run(t *testing.T, newBackend Factory) {
 		names, err := b.ListRuns()
 		if err != nil || len(names) != 1 {
 			t.Fatalf("ListRuns after overwrite = %v, %v", names, err)
+		}
+	})
+
+	t.Run("BorrowedBlobs", func(t *testing.T) {
+		b := newBackend(t)
+		defer b.Close()
+		mustInit(t, b)
+		const doc, labels = "borrowed-doc", "borrowed-skl"
+		for _, name := range []string{"over", "gone"} {
+			if err := b.WriteRun(name, []byte(doc), []byte(labels)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A reader that offers its bytes offers exactly what it streams,
+		// before and after the stream is read.
+		type loan struct {
+			what string
+			want string
+			lent []byte
+		}
+		var loans []loan
+		for _, name := range []string{"over", "gone"} {
+			for _, side := range []struct {
+				op   string
+				open func(string) (io.ReadCloser, error)
+				want string
+			}{{"ReadRun", b.ReadRun, doc}, {"ReadLabels", b.ReadLabels, labels}} {
+				rc, err := side.open(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				offer, ok := rc.(interface{ Bytes() []byte })
+				if !ok {
+					rc.Close()
+					continue
+				}
+				what := side.op + "(" + name + ")"
+				lent := offer.Bytes()
+				streamed, err := io.ReadAll(rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(lent) != side.want || string(streamed) != side.want || string(offer.Bytes()) != side.want {
+					t.Fatalf("%s offers %q, streams %q, then offers %q; want %q throughout", what, lent, streamed, offer.Bytes(), side.want)
+				}
+				rc.Close()
+				loans = append(loans, loan{what, side.want, lent})
+			}
+		}
+		// Borrowed bytes never change: not when the name is overwritten
+		// (with blobs of the same length, which a backend could be tempted
+		// to write in place) and not when it is deleted.
+		if err := b.WriteRun("over", []byte("XXXXXXXX-doc"), []byte("XXXXXXXX-skl")); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.DeleteRun("gone"); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range loans {
+			if string(l.lent) != l.want {
+				t.Fatalf("%s lent %q, which reads %q after the name was overwritten or deleted", l.what, l.want, l.lent)
+			}
 		}
 	})
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -189,9 +190,9 @@ func TestDocumentDecodedOnce(t *testing.T) {
 // raceEnabled is set under -race (race_test.go).
 var raceEnabled bool
 
-// OpenRun's allocations do not grow with the run: the label snapshot is
-// read into one buffer of its exact size, not regrown as io.ReadAll
-// does, and the document goes through the decoders' pooled buffer.
+// OpenRun's allocations do not grow with the run: on the mem backend
+// both blobs are borrowed, not read into buffers that io.ReadAll would
+// regrow.
 func TestOpenRunAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -214,5 +215,90 @@ func TestOpenRunAllocsFlat(t *testing.T) {
 	}
 	if small, large := allocs(200), allocs(4000); small != large {
 		t.Fatalf("OpenRun allocs grow with the run: %v at 200 vertices, %v at 4000", small, large)
+	}
+}
+
+// A session borrows its stored document on a backend that keeps blobs
+// resident; whatever the backend, a session opened before the run is
+// overwritten or deleted decodes its own document, not the new one.
+func TestSessionKeepsItsDocumentAcrossOverwrite(t *testing.T) {
+	sp := spec.PaperSpec()
+	a, _ := run.GenerateSized(sp, rand.New(rand.NewSource(7)), 120)
+	b, _ := run.GenerateSized(sp, rand.New(rand.NewSource(8)), 300)
+	for _, bk := range []struct {
+		kind string
+		open func(t *testing.T) (*store.Store, error)
+	}{
+		{"mem", func(t *testing.T) (*store.Store, error) { return store.NewMem(sp, "paper") }},
+		{"fs", func(t *testing.T) (*store.Store, error) { return store.Create(t.TempDir(), sp, "paper") }},
+		{"shard", func(t *testing.T) (*store.Store, error) {
+			return store.CreateSharded([]string{t.TempDir(), t.TempDir()}, sp, "paper")
+		}},
+	} {
+		t.Run(bk.kind, func(t *testing.T) {
+			st, err := bk.open(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"over", "gone"} {
+				if err := st.PutRun(name, a, nil, label.TCM{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			over, err := st.OpenRun("over", label.TCM{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gone, err := st.OpenRun("gone", label.TCM{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.PutRun("over", b, nil, label.TCM{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.DeleteRun("gone"); err != nil {
+				t.Fatal(err)
+			}
+			for name, sess := range map[string]*store.Session{"over": over, "gone": gone} {
+				got, _, err := sess.Document()
+				if err != nil {
+					t.Fatalf("%s: Document = %v", name, err)
+				}
+				if !slices.Equal(got.Origin, a.Origin) || !slices.Equal(got.Graph.Edges(), a.Graph.Edges()) {
+					t.Fatalf("%s: the session opened before the write decoded another run (%d vertices, want %d)", name, got.NumVertices(), a.NumVertices())
+				}
+			}
+		})
+	}
+}
+
+// OpenRun copies no document: on the mem backend the session borrows
+// the stored bytes, so what one OpenRun allocates stays below the
+// document's own length.
+func TestOpenRunCopiesNoDocument(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	sp := spec.PaperSpec()
+	r, _ := run.GenerateSized(sp, rand.New(rand.NewSource(6)), 4000)
+	doc, _ := storedBlobs(t, r)
+	st, err := store.NewMem(sp, "paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutRun("r", r, nil, label.TCM{}); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if _, err := st.OpenRun("r", label.TCM{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= uint64(len(doc)) {
+		t.Fatalf("OpenRun allocates %d bytes a call, the stored document is %d: it is copied", perCall, len(doc))
 	}
 }

@@ -72,14 +72,25 @@ func (b *memBackend) readBlob(name string, pick func(memRun) []byte) (io.ReadClo
 	}
 	// Stored blobs are never mutated after WriteRun, so readers can share
 	// the slice without copying.
-	return memBlob{bytes.NewReader(pick(r))}, nil
+	data := pick(r)
+	blob := &memBlob{data: data}
+	blob.Reset(data)
+	return blob, nil
 }
 
-// memBlob reads one stored run blob. Its Len tells a reader the blob's
-// exact size, so OpenRun reads it into one buffer of that size.
-type memBlob struct{ *bytes.Reader }
+// memBlob reads one stored run blob and offers it whole through Bytes,
+// the stored slice itself, so OpenRun borrows it instead of copying.
+// An overwrite stores a new slice and a delete drops the map entry;
+// neither writes into the old one, so a borrower's bytes stay intact.
+type memBlob struct {
+	bytes.Reader
+	data []byte
+}
 
-func (memBlob) Close() error { return nil }
+// Bytes returns the whole blob, which the caller must not modify.
+func (b *memBlob) Bytes() []byte { return b.data }
+
+func (*memBlob) Close() error { return nil }
 
 func (b *memBackend) WriteRun(name string, runDoc, labels []byte) error {
 	// Copy both blobs before taking the lock: the caller may reuse its

@@ -33,7 +33,8 @@
 // queries without mutating shared state (search-based skeleton schemes
 // draw per-query scratch from an internal pool). Its run document is
 // decoded at most once: the first Document or DataView call decodes the
-// bytes OpenRun read, under a sync.Once, and every concurrent or later
+// bytes OpenRun read (borrowed, not copied, from a backend that holds
+// them resident), under a sync.Once, and every concurrent or later
 // caller sees that one result; the bytes are dropped after the decode.
 // So one Session may serve any number of concurrent readers. This
 // contract is what internal/server's session cache relies on and is
@@ -372,7 +373,9 @@ type Session struct {
 
 	spec *spec.Spec
 	once sync.Once
-	// doc holds the stored run document until once decodes it.
+	// doc holds the stored run document until once decodes it. On a
+	// backend that keeps blobs resident it is the backend's own slice,
+	// borrowed (see "Resident blobs" on Backend): it is only read.
 	doc      []byte
 	run      *run.Run
 	data     *provdata.Annotation
@@ -431,9 +434,11 @@ func (s *Session) decode() {
 // OpenRun loads one run's labels for querying. The scheme's skeleton
 // labeling of the (small) specification comes from the store's cache;
 // the run labels come from the stored snapshot and are not recomputed.
-// Both blobs are read here, so a caller serializing OpenRun against
-// same-name writes gets a consistent pair; the run document is held as
-// bytes and decoded only when Document is first called.
+// Both blobs are read here, through ReadBlob, so a caller serializing
+// OpenRun against same-name writes gets a consistent pair. Neither is
+// copied when the backend holds it resident: the snapshot is decoded
+// straight from the stored bytes, and the session borrows the stored
+// document, which it decodes only when Document is first called.
 func (st *Store) OpenRun(name string, scheme label.Scheme) (*Session, error) {
 	if err := ValidRunName(name); err != nil {
 		return nil, err
@@ -442,17 +447,17 @@ func (st *Store) OpenRun(name string, scheme label.Scheme) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc, err := xmlio.ReadRunDocument(rf)
-	rf.Close()
+	doc, err := ReadBlob(rf)
 	if err != nil {
-		return nil, err
+		// A document read that breaks keeps the run decoder's error
+		// prefix, as when the decoder reads the stream itself.
+		return nil, fmt.Errorf("xmlio: decode run: %w", err)
 	}
 	lf, err := st.backend.ReadLabels(name)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := readBlob(lf)
-	lf.Close()
+	raw, err := ReadBlob(lf)
 	if err != nil {
 		return nil, err
 	}
@@ -477,16 +482,28 @@ func (st *Store) OpenRun(name string, scheme label.Scheme) (*Session, error) {
 	}, nil
 }
 
-// readBlob reads a whole blob: into one buffer of the exact size when
-// the reader reports how much is left (the mem backend's blobs do),
-// else through io.ReadAll.
-func readBlob(rd io.Reader) ([]byte, error) {
-	if l, ok := rd.(interface{ Len() int }); ok {
-		b := make([]byte, l.Len())
-		_, err := io.ReadFull(rd, b)
-		return b, err
+// ReadBlob reads a whole blob that a Backend read method opened, then
+// closes it, and copies nothing it can avoid. A reader that offers its
+// bytes resident (see "Resident blobs" on Backend) lends them: the
+// result is the backend's own slice, which the caller must not modify.
+// A reader that knows its size (an *os.File, through Stat) is read into
+// one buffer of that size plus the room bytes.Buffer wants for the read
+// that meets EOF. Any other reader goes through io.ReadAll.
+func ReadBlob(rc io.ReadCloser) ([]byte, error) {
+	defer rc.Close()
+	switch r := rc.(type) {
+	case interface{ Bytes() []byte }:
+		return r.Bytes(), nil
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			buf := bytes.NewBuffer(make([]byte, 0, fi.Size()+bytes.MinRead))
+			if _, err := buf.ReadFrom(rc); err != nil {
+				return nil, err
+			}
+			return buf.Bytes(), nil
+		}
 	}
-	return io.ReadAll(rd)
+	return io.ReadAll(rc)
 }
 
 // HotListMeta is the meta blob holding the serving layer's hot-session

@@ -172,6 +172,5 @@ func readAll(rc io.ReadCloser, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer rc.Close()
-	return io.ReadAll(rc)
+	return ReadBlob(rc)
 }

@@ -43,8 +43,10 @@
 // then DecodeRunBytes, and they are the ingest pair: the server reads a
 // PUT body with ReadRunDocument, and store.PutRunDocument decodes it
 // with DecodeRunBytes and stores those same bytes, so a stored document
-// is the client's. A stored session reads its document the same way
-// and decodes it only when needed. DecodeRun accepts what encoding/xml's
+// is the client's. ReadRunDocument serves only that PUT path: a stored
+// session gets its document from store.ReadBlob, which borrows a blob
+// the backend holds in memory and reads a file at its size, and
+// decodes it with DecodeRunBytes only when needed. DecodeRun accepts what encoding/xml's
 // strict Decoder accepted for the schema:
 //
 //   - an XML declaration (version 1.0 or none given, encoding UTF-8 or

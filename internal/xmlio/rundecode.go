@@ -34,10 +34,11 @@ func DecodeRun(rd io.Reader, s *spec.Spec) (*run.Run, *provdata.Annotation, erro
 	return d.decode(s)
 }
 
-// ReadRunDocument reads a whole run document for a later
-// DecodeRunBytes: through the decoders' pooled read buffer, then into
-// one exactly sized copy the caller owns. Read errors keep their
-// identity under DecodeRun's prefix.
+// ReadRunDocument reads a whole run document of unknown length, a PUT
+// body, for a later DecodeRunBytes: through the decoders' pooled read
+// buffer, then into one exactly sized copy the caller owns. Read errors
+// keep their identity under DecodeRun's prefix. A stored document is
+// not read here: store.OpenRun borrows it or reads it at its size.
 func ReadRunDocument(rd io.Reader) ([]byte, error) {
 	d := decoderPool.Get().(*runDecoder)
 	defer d.release()
