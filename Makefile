@@ -47,20 +47,24 @@ bench-harness:
 # /reachable a cache miss) and its per-stage split, /lineage over a
 # resident run, the ingest,
 # delete, stream-append, stream-finish and /rpq paths, the per-stage
-# split of ingest, stream append and stream finish, and plan
-# construction alone — recorded by
+# split of ingest, stream append, stream finish and /rpq (compile and
+# walk), and plan construction alone — recorded by
 # cmd/benchtrend as BENCH_$(PR).json with bench/BASELINE_$(PR).json
 # embedded, then rendered with the whole lineage as TREND.md and gated:
 # the target fails on a regression beyond tolerance (see
 # cmd/benchtrend). Each go test runs as its own command
 # so a failing bench fails the target instead of recording a silently
-# incomplete BENCH_$(PR).json.
+# incomplete BENCH_$(PR).json. The write-path rows run with GOGC=off:
+# their allocs/op otherwise move with when a collection happens to run
+# (each benchmark run still starts with the runtime.GC the testing
+# package forces, so the heap stays bounded by one run).
 trend:
 	$(GO) test -run='^$$' -bench='BenchmarkSnapshotDecode|BenchmarkSnapshotEncode|BenchmarkAppendCone' -benchtime=100x -count=3 ./internal/core/ > trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerBatchReachable' -benchtime=50x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerColdRead|BenchmarkColdLoad' -benchtime=200x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerLineage' -benchtime=200x -count=3 . >> trend.out
-	$(GO) test -run='^$$' -bench='BenchmarkServerIngest|BenchmarkServerDelete|BenchmarkServerAppendEvents|BenchmarkServerFinish|BenchmarkServerRPQ' -benchtime=20x -count=3 . >> trend.out
+	GOGC=off $(GO) test -run='^$$' -bench='BenchmarkServerIngest|BenchmarkServerDelete|BenchmarkServerAppendEvents|BenchmarkServerFinish' -benchtime=20x -count=3 . >> trend.out
+	$(GO) test -run='^$$' -bench='BenchmarkServerRPQ|BenchmarkRPQStages' -benchtime=200x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkIngestStages|BenchmarkAppendStages|BenchmarkFinishStages|BenchmarkConstructPlan' -benchtime=20x -count=3 . >> trend.out
 	$(GO) run ./cmd/benchtrend -dir bench -bench trend.out -current BENCH_$(PR).json -o TREND.md
 	@rm -f trend.out
@@ -114,7 +118,9 @@ rpq-smoke:
 # request decoder against encoding/json (internal/server), and the
 # vertex namer, grown by Add and built in one call, against Run.NameOf
 # (internal/run), graphs built by dag.FromEdges against plain
-# adjacency lists built edge by edge (internal/dag), and the PUT write
+# adjacency lists built edge by edge (internal/dag), the /rpq product
+# walk on fuzzed DAGs against dag.MatchAutomaton and the map-based walk
+# it replaced (internal/rpq), and the PUT write
 # path (internal/server), where every
 # accepted body must be stored byte for byte and say what its run's
 # canonical encoding says. The seed corpora of every fuzz target already run in
@@ -131,6 +137,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequestOracle -fuzztime 30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzNamerOracle -fuzztime 30s ./internal/run/
 	$(GO) test -run '^$$' -fuzz FuzzGraphOracle -fuzztime 30s ./internal/dag/
+	$(GO) test -run '^$$' -fuzz FuzzRPQEvalOracle -fuzztime 30s ./internal/rpq/
 
 # Static analysis: cmd/provlint runs the repo-specific analyzer suite
 # (internal/lint — %w wrapping in the store, documented lock discipline,

@@ -17,6 +17,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/events"
 	"repro/internal/live"
+	"repro/internal/loadgen"
+	"repro/internal/rpq"
 	"repro/internal/run"
 	"repro/internal/store"
 )
@@ -549,6 +551,64 @@ func BenchmarkServerRPQ(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRPQStages splits BenchmarkServerRPQ's evaluation into its two
+// stages over a resident 5,000-vertex QBLAST stand-in run, with
+// patterns drawn from loadgen.RPQPatternPool as the load harnesses draw
+// them: compile (rpq.Compile against the spec's module index) and walk
+// (NewMatcher + Eval with the run's labels as the pruning oracle, the
+// lazy determinization included). The walk queries are 64 (pattern,
+// pair) combinations whose vertices reach one another, so each one
+// walks instead of being refused by the labels in O(1).
+func BenchmarkRPQStages(b *testing.B) {
+	r := benchRun(b, 5000)
+	l, err := repro.LabelRun(r, repro.TCM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lookup := func(name string) (repro.VertexID, bool) {
+		return r.Spec.VertexOf(repro.ModuleName(name))
+	}
+	patterns := loadgen.RPQPatternPool(r.Spec, 8, 29)
+	type query struct {
+		prog *rpq.Prog
+		u, v repro.VertexID
+	}
+	rng := rand.New(rand.NewSource(29))
+	n := r.NumVertices()
+	var queries []query
+	for len(queries) < 64 {
+		u, v := repro.VertexID(rng.Intn(n)), repro.VertexID(rng.Intn(n))
+		if u == v || !l.Reachable(u, v) {
+			continue
+		}
+		prog, err := rpq.Compile(patterns[len(queries)%len(patterns)], lookup)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rpq.NewMatcher(prog, 0).Eval(r.Graph, r.Origin, l.Reachable, u, v); err != nil {
+			continue // over the state budget: the server refuses it
+		}
+		queries = append(queries, query{prog, u, v})
+	}
+	b.Run("compile", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := rpq.Compile(patterns[i%len(patterns)], lookup); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("walk", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			q := queries[i%len(queries)]
+			if _, err := rpq.NewMatcher(q.prog, 0).Eval(r.Graph, r.Origin, l.Reachable, q.u, q.v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkServerLineage measures GET /lineage end to end over a

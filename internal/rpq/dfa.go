@@ -2,35 +2,43 @@ package rpq
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/dag"
 )
 
-// deadState is the implicit DFA reject state (the empty NFA set). It is
-// never stored; transitions into it simply end the branch.
-const deadState = int32(-1)
+const (
+	// deadState is the implicit DFA reject state (the empty NFA set). It
+	// is never stored; transitions into it simply end the branch.
+	deadState = int32(-1)
+	// unknownState marks a transition not determinized yet.
+	unknownState = int32(-2)
+)
 
 // dstate is one lazily built DFA state: an epsilon-closed, sorted set of
-// NFA states with memoized outgoing transitions.
+// NFA states.
 type dstate struct {
 	set    []int32
 	accept bool
-	next   map[dag.VertexID]int32
 }
 
 // Matcher evaluates one compiled pattern with a lazily determinized DFA
-// under a hard state budget. The DFA cache persists across Eval calls,
-// so evaluating many pairs with one Matcher amortizes determinization.
-// A Matcher is not safe for concurrent use; create one per goroutine
-// (the Prog behind it is shareable).
+// under a hard state budget. Each DFA state has one dense row of
+// transitions over the pattern's symbol classes (see Prog), filled in
+// as the walk first needs them. The DFA cache persists across Eval
+// calls, so evaluating many pairs with one Matcher amortizes
+// determinization. A Matcher is not safe for concurrent use; create one
+// per goroutine (the Prog behind it is shareable).
 type Matcher struct {
 	p         *Prog
 	maxStates int
 	states    []dstate
+	next      []int32 // next[si*p.classes+c]: state si's move on class c
 	index     map[string]int32
 	seen      []bool // closure scratch, one flag per NFA state
 	stack     []int32
+	moved     []int32
 	key       []byte
 }
 
@@ -54,12 +62,14 @@ func (m *Matcher) NumDFAStates() int { return len(m.states) }
 // startState returns (building on first use) the DFA start state.
 func (m *Matcher) startState() (int32, error) {
 	if len(m.states) == 0 {
-		return m.intern(m.closure([]int32{m.p.start}))
+		m.moved = append(m.moved[:0], m.p.start)
+		return m.intern(m.closure(m.moved))
 	}
 	return 0, nil
 }
 
-// closure returns the sorted epsilon-closure of seed.
+// closure returns the sorted epsilon-closure of seed in the matcher's
+// scratch; intern copies it if the set is new.
 func (m *Matcher) closure(seed []int32) []int32 {
 	m.stack = m.stack[:0]
 	push := func(q int32) {
@@ -78,13 +88,11 @@ func (m *Matcher) closure(seed []int32) []int32 {
 			}
 		}
 	}
-	set := make([]int32, len(m.stack))
-	copy(set, m.stack)
-	for _, q := range set {
+	for _, q := range m.stack {
 		m.seen[q] = false
 	}
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-	return set
+	slices.Sort(m.stack)
+	return m.stack
 }
 
 // intern returns the DFA state for an epsilon-closed sorted set, adding
@@ -104,37 +112,31 @@ func (m *Matcher) intern(set []int32) (int32, error) {
 	if len(m.states) >= m.maxStates {
 		return 0, ErrStateBudget
 	}
-	accept := false
-	for _, q := range set {
-		if q == m.p.accept {
-			accept = true
-			break
-		}
-	}
 	si := int32(len(m.states))
-	m.states = append(m.states, dstate{set: set, accept: accept, next: make(map[dag.VertexID]int32)})
+	m.states = append(m.states, dstate{set: slices.Clone(set), accept: slices.Contains(set, m.p.accept)})
+	for range m.p.classes {
+		m.next = append(m.next, unknownState)
+	}
 	m.index[string(m.key)] = si
 	return si, nil
 }
 
-// step returns the DFA state after reading sym in state si, determinizing
-// and memoizing on first use.
-func (m *Matcher) step(si int32, sym dag.VertexID) (int32, error) {
-	if to, ok := m.states[si].next[sym]; ok {
-		return to, nil
-	}
-	var moved []int32
+// determinize builds and memoizes state si's move on a symbol of class
+// c, the slow path of the walk's row lookup: class 0
+// is taken only by '.', class k by '.' and by the one symbol it names.
+func (m *Matcher) determinize(si int32, c int) (int32, error) {
+	m.moved = m.moved[:0]
 	for _, q := range m.states[si].set {
 		st := &m.p.states[q]
-		if st.sym == symWild || (st.sym >= 0 && st.sym == sym) {
-			moved = append(moved, st.to)
+		if st.sym == symWild || (st.sym >= 0 && m.p.classOf(st.sym) == c) {
+			m.moved = append(m.moved, st.to)
 		}
 	}
-	to, err := m.intern(m.closure(moved))
+	to, err := m.intern(m.closure(m.moved))
 	if err != nil {
 		return 0, err
 	}
-	m.states[si].next[sym] = to
+	m.next[int(si)*m.p.classes+c] = to
 	return to, nil
 }
 
@@ -148,11 +150,25 @@ func (m *Matcher) step(si int32, sym dag.VertexID) (int32, error) {
 // may be nil (no pruning). With it, Eval upholds the label-pruning
 // guarantee: no product state whose graph vertex cannot reach 'to' is
 // ever explored, and an unreachable pair is rejected in O(1) before any
-// expansion.
+// expansion. The probes are part of the contract: reach(from, to) once
+// for a pair that is not answered by the empty word, then reach(y, to)
+// for every out-neighbour y != to of every dequeued product state, in
+// breadth-first order.
+//
+// The walk touches no map: a move is one load from the DFA state's
+// class row, and the visited product states and the queue live in
+// scratch drawn from a pool, sized to the largest graph walked and
+// cleared in O(1) by an epoch stamp per vertex.
 //
 // Eval returns ErrStateBudget when lazy determinization would exceed
 // the matcher's state budget.
 func (m *Matcher) Eval(g *dag.Graph, syms []dag.VertexID, reach func(u, v dag.VertexID) bool, from, to dag.VertexID) (bool, error) {
+	return m.eval(nil, g, syms, reach, from, to)
+}
+
+// eval is Eval walking with scratch w, or with pooled scratch when w is
+// nil.
+func (m *Matcher) eval(w *walk, g *dag.Graph, syms []dag.VertexID, reach func(u, v dag.VertexID) bool, from, to dag.VertexID) (bool, error) {
 	start, err := m.startState()
 	if err != nil {
 		return false, err
@@ -164,25 +180,26 @@ func (m *Matcher) Eval(g *dag.Graph, syms []dag.VertexID, reach func(u, v dag.Ve
 		// The labels answer "no path at all" in O(1): nothing to explore.
 		return false, nil
 	}
-	type pstate struct {
-		v dag.VertexID
-		d int32
+	if w == nil {
+		w = walks.Get().(*walk)
+		defer w.release()
 	}
-	key := func(v dag.VertexID, d int32) uint64 {
-		return uint64(uint32(v))<<32 | uint64(uint32(d))
-	}
-	visited := map[uint64]bool{key(from, start): true}
-	queue := []pstate{{from, start}}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
+	w.reset(g.NumVertices())
+	w.visit(from, start)
+	w.queue = append(w.queue, product{from, start})
+	for i := 0; i < len(w.queue); i++ {
+		p := w.queue[i]
+		row := int(p.d) * m.p.classes
 		for _, y := range g.Out(p.v) {
 			if y != to && reach != nil && !reach(y, to) {
 				continue // label pruning: y cannot reach the target
 			}
-			d2, err := m.step(p.d, syms[y])
-			if err != nil {
-				return false, err
+			c := m.p.classOf(syms[y])
+			d2 := m.next[row+c]
+			if d2 == unknownState {
+				if d2, err = m.determinize(p.d, c); err != nil {
+					return false, err
+				}
 			}
 			if d2 == deadState {
 				continue
@@ -190,11 +207,117 @@ func (m *Matcher) Eval(g *dag.Graph, syms []dag.VertexID, reach func(u, v dag.Ve
 			if y == to && m.states[d2].accept {
 				return true, nil
 			}
-			if k := key(y, d2); !visited[k] {
-				visited[k] = true
-				queue = append(queue, pstate{y, d2})
+			if w.visit(y, d2) {
+				w.queue = append(w.queue, product{y, d2})
 			}
 		}
 	}
 	return false, nil
+}
+
+// product is one state of the product walk: a graph vertex and a DFA
+// state.
+type product struct {
+	v dag.VertexID
+	d int32
+}
+
+// walk is the scratch of one product walk: the visited product states
+// and the breadth-first queue. A walk is reused through the walks pool;
+// reset readies it for another graph in O(1) by bumping the epoch.
+type walk struct {
+	epoch uint32
+	marks []mark     // per vertex: the DFA states 0..63 visited there
+	wide  []wideSlot // open-addressed (vertex, state) keys for states >= 64
+	nwide int
+	queue []product
+}
+
+// mark holds a vertex's visited DFA states below 64 as a bit mask, valid
+// only while epoch is the walk's.
+type mark struct {
+	epoch uint32
+	bits  uint64
+}
+
+// wideSlot is one slot of the wide set, live only while epoch is the
+// walk's.
+type wideSlot struct {
+	key   uint64
+	epoch uint32
+}
+
+// maxPooledProducts bounds the queue and wide set a walk keeps when it
+// goes back to the pool, so one pathological walk does not pin its
+// memory.
+const maxPooledProducts = 1 << 16
+
+var walks = sync.Pool{New: func() any { return new(walk) }}
+
+// release returns the walk to the pool.
+func (w *walk) release() {
+	if cap(w.queue) > maxPooledProducts {
+		w.queue = nil
+	}
+	if len(w.wide) > maxPooledProducts {
+		w.wide = nil
+	}
+	walks.Put(w)
+}
+
+// reset empties the walk for a graph of n vertices. Stamps are never 0
+// once the walk is reset, so freshly allocated marks and slots are
+// empty; when the epoch wraps, every stamp is cleared once.
+func (w *walk) reset(n int) {
+	if len(w.marks) < n {
+		w.marks = make([]mark, n)
+	}
+	w.epoch++
+	if w.epoch == 0 {
+		clear(w.marks)
+		clear(w.wide)
+		w.epoch = 1
+	}
+	w.nwide = 0
+	w.queue = w.queue[:0]
+}
+
+// visit marks (v, d) visited and reports whether it was new.
+func (w *walk) visit(v dag.VertexID, d int32) bool {
+	if d >= 64 {
+		return w.visitWide(uint64(uint32(v))<<32 | uint64(uint32(d)))
+	}
+	mk := &w.marks[v]
+	bits, bit := mk.bits, uint64(1)<<uint(d)
+	if mk.epoch != w.epoch {
+		mk.epoch, bits = w.epoch, 0
+	}
+	mk.bits = bits | bit
+	return bits&bit == 0
+}
+
+// visitWide adds key to the wide set, growing it to stay at most half
+// full, and reports whether it was new.
+func (w *walk) visitWide(key uint64) bool {
+	if 2*(w.nwide+1) > len(w.wide) {
+		old := w.wide
+		w.wide, w.nwide = make([]wideSlot, max(64, 2*len(old))), 0
+		for _, sl := range old {
+			if sl.epoch == w.epoch {
+				w.visitWide(sl.key)
+			}
+		}
+	}
+	mask := len(w.wide) - 1
+	for i := int((key*0x9E3779B97F4A7C15)>>32) & mask; ; i = (i + 1) & mask {
+		sl := &w.wide[i]
+		if sl.epoch != w.epoch {
+			sl.key, sl.epoch = key, w.epoch
+			w.nwide++
+			return true
+		}
+		if sl.key == key {
+			return false
+		}
+	}
 }

@@ -31,10 +31,20 @@
 //
 // # Engines
 //
-// Compile builds a Thompson NFA (states linear in the pattern).
-// NewMatcher wraps it in a lazily determinized DFA under a hard state
-// budget — pathological patterns fail with ErrStateBudget instead of
-// exponential memory — and Matcher.Eval runs the pruned product search.
+// Compile builds a Thompson NFA (states linear in the pattern) and a
+// class table: every symbol the pattern does not name is class 0, which
+// only '.' takes, and each named symbol has a class of its own.
+// NewMatcher wraps the NFA in a lazily determinized DFA under a hard
+// state budget — pathological patterns fail with ErrStateBudget instead
+// of exponential memory — whose states each hold one dense transition
+// row over the classes. Matcher.Eval runs the pruned breadth-first
+// product search without touching a map: a move is a row load, and the
+// visited (vertex, DFA state) set and the queue are pooled scratch,
+// reset in O(1) by an epoch stamp per vertex. Eval's reach probes (which
+// pairs, in which order) and the DFA states it builds (which sets, in
+// which order) are fixed by the pattern, graph and pair alone, and tests
+// hold them to the map-based walk this engine replaced.
+//
 // The deliberately naive reference evaluator, dag.MatchAutomaton, runs
 // the same NFA directly over (vertex, state) pairs with no
 // determinization and no pruning: the differential oracle the fast
@@ -94,11 +104,19 @@ type nstate struct {
 // It is immutable and safe for concurrent use. Prog implements
 // dag.Automaton, so the naive reference evaluator runs the exact same
 // automaton the fast engine determinizes.
+//
+// Every symbol the pattern does not name moves the automaton the same
+// way (only '.' takes it), so a Prog also carries a class table: class
+// 0 for any unnamed symbol, one class per named symbol. The DFA's
+// transition rows are indexed by class. Symbols are spec vertex IDs, so
+// the table is as long as the largest named one.
 type Prog struct {
 	states  []nstate
 	start   int32
 	accept  int32
 	pattern string
+	class   []uint16 // symbol -> class; symbols past the end are class 0
+	classes int      // number of classes, the unnamed class included
 }
 
 var _ dag.Automaton = (*Prog)(nil)
@@ -114,7 +132,9 @@ func Compile(pattern string, lookup func(name string) (dag.VertexID, bool)) (*Pr
 	if lookup == nil {
 		lookup = func(string) (dag.VertexID, bool) { return 0, false }
 	}
-	p := &parser{src: pattern, lookup: lookup}
+	// Patterns run about one NFA state per two bytes: size for that
+	// rather than growing the state slice from empty.
+	p := &parser{src: pattern, lookup: lookup, states: make([]nstate, 0, len(pattern)/2+2)}
 	f, err := p.parseAlt()
 	if err != nil {
 		return nil, err
@@ -125,7 +145,27 @@ func Compile(pattern string, lookup func(name string) (dag.VertexID, bool)) (*Pr
 	}
 	accept := p.add(nstate{sym: symNone, eps: [2]int32{-1, -1}})
 	p.patchAll(f.outs, accept)
-	return &Prog{states: p.states, start: f.start, accept: accept, pattern: pattern}, nil
+	prog := &Prog{states: p.states, start: f.start, accept: accept, pattern: pattern, classes: 1}
+	top := dag.VertexID(-1)
+	for _, st := range p.states {
+		top = max(top, st.sym)
+	}
+	prog.class = make([]uint16, top+1)
+	for _, st := range p.states {
+		if st.sym >= 0 && prog.class[st.sym] == 0 {
+			prog.class[st.sym] = uint16(prog.classes)
+			prog.classes++
+		}
+	}
+	return prog, nil
+}
+
+// classOf returns the class of symbol sym.
+func (p *Prog) classOf(sym dag.VertexID) int {
+	if uint(sym) < uint(len(p.class)) {
+		return int(p.class[sym])
+	}
+	return 0
 }
 
 // Pattern returns the source text the program was compiled from.
