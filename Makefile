@@ -114,8 +114,8 @@ rpq-smoke:
 # (internal/core), labels from a materialized execution plan against
 # labels from plan.Construct's on every vertex pair of random runs
 # (internal/core), and the event-log parser against the
-# bufio/Sscanf parser it replaced (internal/events), the /batch
-# request decoder against encoding/json (internal/server), and the
+# bufio/Sscanf parser it replaced (internal/events), the /batch and
+# /rpq request decoders against encoding/json (internal/server), and the
 # vertex namer, grown by Add and built in one call, against Run.NameOf
 # (internal/run), graphs built by dag.FromEdges against plain
 # adjacency lists built edge by edge (internal/dag), the /rpq product
@@ -135,6 +135,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMaterializedPlanOracle -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReadLogOracle -fuzztime 30s ./internal/events/
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequestOracle -fuzztime 30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzRPQRequestOracle -fuzztime 30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzNamerOracle -fuzztime 30s ./internal/run/
 	$(GO) test -run '^$$' -fuzz FuzzGraphOracle -fuzztime 30s ./internal/dag/
 	$(GO) test -run '^$$' -fuzz FuzzRPQEvalOracle -fuzztime 30s ./internal/rpq/

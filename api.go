@@ -88,8 +88,9 @@ type (
 	Store = store.Store
 	// StoreSession is one stored run opened for querying: its labels are
 	// bound when it opens; its run document (graph and data items) is
-	// decoded once, on the first Document or DataView call, and shared by
-	// every caller after that.
+	// decoded once, on the first Document call, and shared by every
+	// caller after that. LabelData(ann, sess.Labels) labels the data
+	// items Document returns for data-provenance queries.
 	StoreSession = store.Session
 	// StoreBackend is the blob-level storage substrate under a Store:
 	// fs (one directory), mem (RAM), shard (hash-routed children), or

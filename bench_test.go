@@ -364,9 +364,8 @@ func BenchmarkServerDelete(b *testing.B) {
 // append, and incremental skeleton labeling — as POST /runs/{name}/events
 // batches of 64 engine events against the in-memory backend. This is
 // the per-batch cost of live ingest, the streaming counterpart of
-// BenchmarkServerIngest. Checkpointing is disabled so every iteration
-// measures the same work; the checkpoint itself is a snapshot encode,
-// already covered by the snapshot benches.
+// BenchmarkServerIngest. The event log is the stream's only durable
+// write, so every iteration measures the same work.
 func BenchmarkServerAppendEvents(b *testing.B) {
 	s, err := repro.StandInSpec("QBLAST", 1)
 	if err != nil {
@@ -391,7 +390,7 @@ func BenchmarkServerAppendEvents(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := repro.NewServer(repro.ServerConfig{Store: st, EnableStream: true, CheckpointEvery: -1})
+	srv, err := repro.NewServer(repro.ServerConfig{Store: st, EnableStream: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1066,7 +1065,7 @@ func BenchmarkServerFinish(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := repro.NewServer(repro.ServerConfig{Store: st, EnableStream: true, CheckpointEvery: -1})
+	srv, err := repro.NewServer(repro.ServerConfig{Store: st, EnableStream: true})
 	if err != nil {
 		b.Fatal(err)
 	}

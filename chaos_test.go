@@ -142,7 +142,6 @@ func TestChaos(t *testing.T) {
 		CacheSize:        16,
 		EnableIngest:     true,
 		EnableStream:     true,
-		CheckpointEvery:  16,
 		BreakerThreshold: 5,
 		BreakerCooldown:  25 * time.Millisecond,
 	})

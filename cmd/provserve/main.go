@@ -22,8 +22,8 @@
 //	                                              POST /runs/{name}/events
 //	                                              appends engine events to
 //	                                              a live run, /finish seals
-//	                                              it (-checkpoint-every
-//	                                              bounds crash replay)
+//	                                              it; a restart replays the
+//	                                              event log
 //
 // Fault tolerance (see the failure model on the store backend and
 // internal/server's breaker):
@@ -103,7 +103,6 @@ func main() {
 		maxBatch    = flag.Int("max-batch", 8192, "maximum pairs per /batch request")
 		ingest      = flag.Bool("ingest", false, "accept PUT /runs/{name} run documents and DELETE /runs/{name} (the write path)")
 		stream      = flag.Bool("stream", false, "accept streaming ingest: POST /runs/{name}/events and /finish (see internal/server)")
-		ckptEvery   = flag.Int("checkpoint-every", 256, "events between live-session checkpoints (negative disables; needs -stream)")
 		maxIngest   = flag.Int64("max-ingest-bytes", 16<<20, "maximum ingest request body size")
 		maxRuns     = flag.Int("max-runs", 0, "retention bound: after each ingest, delete least-recently-used runs beyond this count (0 = unlimited; needs -ingest)")
 		maxInflight = flag.Int("max-inflight", 64, "maximum concurrently executing requests")
@@ -129,7 +128,7 @@ func main() {
 	}
 	if *retry > 0 {
 		// Re-open the store over the retry-wrapped backend so every
-		// backend trip (loads, ingests, appends, checkpoints) absorbs
+		// backend trip (loads, ingests, appends, deletes) absorbs
 		// transient faults before the server's breaker ever sees them.
 		st, err = repro.OpenStoreOverBackend(
 			repro.WithRetryBackend(st.Backend(), repro.StoreRetryPolicy{MaxAttempts: *retry}))
@@ -148,7 +147,6 @@ func main() {
 		MaxBatch:         *maxBatch,
 		EnableIngest:     *ingest,
 		EnableStream:     *stream,
-		CheckpointEvery:  *ckptEvery,
 		MaxIngestBytes:   *maxIngest,
 		MaxRuns:          *maxRuns,
 		MaxInflight:      *maxInflight,

@@ -104,14 +104,16 @@
 //
 // Durability is write-ahead: an accepted batch is appended to a
 // per-run event-log blob (Backend.AppendEventLog) before it is
-// acknowledged or applied, and every CheckpointEvery events
-// (`-checkpoint-every`, default 256) the live labeler is checkpointed
-// as an SKL2 snapshot, so crash recovery replays at most checkpoint +
-// log tail and no acknowledged event is ever lost — a SIGKILL
-// mid-stream followed by a restart resumes exactly at the acknowledged
-// cursor. Live-session gauges (open sessions, events appended,
-// renumbers, replays, checkpoints, checkpoint lag) ride on /healthz
-// under "live".
+// acknowledged or applied. That log is the stream's only durable copy:
+// the online scheme labels a run from its event sequence alone, so
+// crash recovery replays the log and no acknowledged event is ever lost
+// — a SIGKILL mid-stream followed by a restart resumes exactly at the
+// acknowledged cursor. The one other blob a stream can get is a
+// checkpoint, written only when recovery fences the torn last record a
+// crashed append left (so the garbage is never parsed); DELETE, /finish
+// and the sweeps remove the log and any checkpoint. Live-session gauges
+// (open sessions, events appended, renumbers, replays, checkpoints,
+// checkpoint lag) ride on /healthz under "live".
 //
 // # Regular path queries
 //
@@ -176,7 +178,9 @@
 //     EnableStream / -stream): a read-only server answers 403; a
 //     missing run answers 404. With streaming enabled, DELETE also
 //     aborts a live stream under the name, clearing its event log and
-//     checkpoint so the name can stream again from offset zero.
+//     any checkpoint so the name can stream again from offset zero; it
+//     answers 200 only once both are gone (a failed clear is a 503 and
+//     leaves the stream live for the retry).
 //
 // Retention builds on deletion: `provserve -ingest -max-runs N` (or
 // ServerConfig.MaxRuns / Server.EnforceMaxRuns in-process) sweeps after

@@ -5,12 +5,21 @@
 // events.Event appends, tracks its own copy table so the execution tree
 // can be reconstructed, names vertices through run.Namer as they
 // execute, and persists every accepted batch to a per-run
-// event log blob (store.Backend.AppendEventLog) before applying it —
-// the log is the stream's write-ahead log, so a crash loses no accepted
-// event. Periodic checkpoints (an atomic meta blob holding the applied
-// event prefix) bound what recovery must re-parse from the log to the
-// tail written since the last checkpoint, and tolerate the torn final
-// record a crashed append may leave.
+// event log blob (store.Backend.AppendEventLog) before applying it.
+//
+// # Durability
+//
+// The event log is the stream's one durable copy: the online scheme
+// labels a run from its event sequence alone, so Recover rebuilds a
+// session by replaying the log, and a crash loses no acknowledged
+// event. Nothing else is written while a stream runs. The one other
+// blob is a checkpoint (an atomic meta blob holding an applied event
+// prefix and the log bytes it covers), which Recover writes only to
+// fence a torn final record a crashed append left: later appends land
+// after the garbage, and recovery slices the log at the checkpoint's
+// byte offset, so the garbage is never parsed. Stores written by
+// earlier versions may also hold periodic checkpoints; Recover reads
+// those the same way. DeleteState removes the log and any checkpoint.
 //
 // # Wire protocol
 //
@@ -29,9 +38,8 @@
 // # Concurrency
 //
 // A Session is not self-synchronizing: the serving layer serializes
-// appends, checkpoints, finishes and queries per run name (its striped
-// run locks — appends under the write side, queries under the read
-// side). The Registry and Gauges are safe for concurrent use on their
+// appends, finishes and queries per run name (its striped run locks —
+// appends under the write side, queries under the read side). The Registry and Gauges are safe for concurrent use on their
 // own locks/atomics, so health endpoints never block on a stream.
 package live
 
@@ -105,11 +113,11 @@ type Stats struct {
 	Renumbers int64 `json:"renumbers"`
 	// Replays counts crash recoveries performed.
 	Replays int64 `json:"replays"`
-	// Checkpoints counts checkpoints written.
+	// Checkpoints counts checkpoints written: torn-tail fences, unless
+	// a caller checkpoints on its own.
 	Checkpoints int64 `json:"checkpoints"`
 	// CheckpointLag sums, over open sessions, the events applied since
-	// each session's last checkpoint — the replay debt a crash right now
-	// would incur.
+	// each session's last checkpoint (SinceCheckpoint).
 	CheckpointLag int64 `json:"checkpoint_lag"`
 }
 
@@ -201,22 +209,6 @@ func CheckpointMeta(name string) string { return ".ckpt-" + name }
 // may hold durable stream state to Recover.
 func ListStreams(st *store.Store) ([]string, error) { return st.Backend().ListEventLogs() }
 
-// HasState reports whether name has durable stream state in st: an
-// event log or a non-empty checkpoint. A failed read is an error, never
-// a "no": the state may exist behind it.
-func HasState(st *store.Store, name string) (bool, error) {
-	rc, err := st.ReadRunEvents(name)
-	if err == nil {
-		rc.Close()
-		return true, nil
-	}
-	if !errors.Is(err, fs.ErrNotExist) {
-		return false, fmt.Errorf("live: reading event log for %q: %w", name, err)
-	}
-	ckpt, err := readCheckpoint(st, name)
-	return len(ckpt) > 0, err
-}
-
 // readCheckpoint reads name's checkpoint blob; an absent one reads as
 // empty.
 func readCheckpoint(st *store.Store, name string) ([]byte, error) {
@@ -235,10 +227,36 @@ func readCheckpoint(st *store.Store, name string) ([]byte, error) {
 	return ckpt, nil
 }
 
-// DeleteState deletes name's durable stream state from st, its event
-// log and its checkpoint, and returns both deletes' failures joined.
-func DeleteState(st *store.Store, name string) error {
-	return errors.Join(st.DeleteRunEvents(name), st.Backend().WriteMeta(CheckpointMeta(name), nil))
+// DeleteState deletes name's durable stream state from st and reports
+// whether there was any: its event log, then its checkpoint if it has
+// one (clearing writes the checkpoint empty, so a run without one gets
+// no blob). A failed read is an error, never a "no", and removes
+// nothing; otherwise DeleteState stops at the first failure. The log
+// goes first: a checkpoint left without its log still counts as state,
+// and Recover refuses it rather than resurrect a stream, so a retried
+// DeleteState removes it.
+func DeleteState(st *store.Store, name string) (bool, error) {
+	ckpt, err := readCheckpoint(st, name)
+	if err != nil {
+		return false, err
+	}
+	switch rc, err := st.ReadRunEvents(name); {
+	case err == nil:
+		rc.Close()
+		if err := st.DeleteRunEvents(name); err != nil {
+			return false, fmt.Errorf("live: deleting event log for %q: %w", name, err)
+		}
+	case !errors.Is(err, fs.ErrNotExist):
+		return false, fmt.Errorf("live: reading event log for %q: %w", name, err)
+	case len(ckpt) == 0:
+		return false, nil
+	}
+	if len(ckpt) > 0 {
+		if err := st.Backend().WriteMeta(CheckpointMeta(name), nil); err != nil {
+			return false, fmt.Errorf("live: clearing checkpoint for %q: %w", name, err)
+		}
+	}
+	return true, nil
 }
 
 // Session is one run being ingested event-by-event.
@@ -319,8 +337,8 @@ func (s *Session) Renumbers() int { return s.lab.Renumbers() }
 // (0 when none was written).
 func (s *Session) CheckpointSeq() int { return s.ckptSeq }
 
-// SinceCheckpoint returns how many applied events a crash right now
-// would have to re-parse from the event log.
+// SinceCheckpoint returns how many applied events lie past the last
+// checkpoint: all of them when none was written.
 func (s *Session) SinceCheckpoint() int { return len(s.history) - s.ckptSeq }
 
 // EventLogBytes returns how many event-log bytes the session covers.
@@ -476,9 +494,12 @@ func (s *Session) apply(e events.Event) error {
 	return nil
 }
 
-// Checkpoint atomically persists the applied event prefix to the run's
-// checkpoint meta blob, so recovery replays it from one validated blob
-// and re-parses only the log bytes written afterwards.
+// Checkpoint atomically persists the applied event prefix and the log
+// bytes it covers to the run's checkpoint meta blob; recovery then
+// replays the prefix from that blob and parses the log only past those
+// bytes. Recover calls it to fence a torn tail. The serving layer never
+// calls it otherwise: the prefix is already in the log, so a periodic
+// copy costs writes and saves recovery nothing.
 func (s *Session) Checkpoint() error {
 	if s.broken {
 		return fmt.Errorf("live: session %q needs recovery after a storage failure", s.name)
@@ -500,15 +521,16 @@ func (s *Session) Checkpoint() error {
 }
 
 // Recover rebuilds the live session for name from its durable state:
-// the checkpoint's event prefix (if one was written) plus the event-log
-// tail beyond the bytes the checkpoint covers. A torn final record —
-// the partial line a crashed append can leave — is tolerated: complete
+// the event log, read past the bytes a checkpoint covers when there is
+// one, after that checkpoint's event prefix. A torn final record — the
+// partial line a crashed append can leave — is tolerated: complete
 // lines replay (they were validated before ever reaching the log), the
-// partial tail is skipped, and a fresh checkpoint is written over it so
-// no future recovery parses those bytes (later appends land after them,
+// partial tail is skipped, and a checkpoint is written over it so no
+// future recovery parses those bytes (later appends land after them,
 // and recovery slices the log at the checkpoint's byte offset, so the
-// garbage is never glued into a parsed record). A run that was never
-// streamed to returns an error satisfying errors.Is(err, fs.ErrNotExist).
+// garbage is never glued into a parsed record). That fence is the only
+// checkpoint a stream gets. A run that was never streamed to returns an
+// error satisfying errors.Is(err, fs.ErrNotExist).
 func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Session, error) {
 	s := NewSession(st, name, skel, g)
 	ckpt, err := readCheckpoint(st, name)
@@ -610,10 +632,10 @@ func parseCheckpoint(data []byte) (seq int, logBytes int64, evs []events.Event, 
 // reconstructed from the graph. The stored document is the run's
 // canonical encoding and answers every query as the same run PUT as one
 // document; the label snapshot may number plan nodes differently from a
-// PUT's on some specifications. On success the event log and checkpoint
-// are cleaned up best-effort (a failure leaves a stale log the serving
-// layer's store-wins rule deletes lazily) and the returned session is
-// ready to serve queries. An *IncompleteError means the stream does not
+// PUT's on some specifications. On success the event log and any
+// checkpoint are cleaned up best-effort (a failure leaves stale state
+// the serving layer's store-wins rule deletes lazily) and the returned
+// session is ready to serve queries. An *IncompleteError means the stream does not
 // yet describe a complete run and the session stays appendable.
 func (s *Session) Finish(scheme label.Scheme) (*store.Session, error) {
 	r, p, err := s.materialize()
@@ -626,7 +648,7 @@ func (s *Session) Finish(scheme label.Scheme) (*store.Session, error) {
 	}
 	// Best-effort cleanup after a durable PutRunSession: stale stream
 	// state is reclaimed lazily by the serving layer's store-wins rule.
-	_ = DeleteState(s.st, s.name)
+	_, _ = DeleteState(s.st, s.name)
 	return sess, nil
 }
 

@@ -12,8 +12,8 @@ import (
 	"repro/internal/dag"
 )
 
-// The /batch request decoder. /batch is the serving hot path — a
-// cache-hit request is pure CPU — and encoding/json costs it one
+// The /batch and /rpq request decoders. /batch is the serving hot path —
+// a cache-hit request is pure CPU — and encoding/json costs it one
 // reflection-driven allocation per decoded string. This hand-rolled
 // parser runs in a pooled scratch instead: the body is read into a
 // reused buffer and pair references are parsed as byte slices into it,
@@ -21,18 +21,18 @@ import (
 // conversions. With the response in the pooled writer (jsonwriter.go),
 // a warm /batch request allocates O(1) regardless of batch size.
 //
-// The decoder accepts both pair element forms:
+// /batch accepts both pair element forms:
 //
 //	{"run":"r1","pairs":[["b2","c3"],["12","34"]]}   string refs
 //	{"run":"r1","pairs":[[12,34],[7,"c3"]]}          numeric vertex IDs
 //
-// A body it accepts is valid JSON, and its run and pair texts are what
-// encoding/json decodes (FuzzBatchRequestOracle): unknown keys are
-// skipped, a repeated key keeps its last value, a lone surrogate escape
-// is U+FFFD. Two divergences are by design: keys match "run" and
-// "pairs" exactly, where encoding/json also accepts case-folded ones,
-// and raw invalid UTF-8 in a string is kept, where encoding/json
-// substitutes U+FFFD.
+// A body either decoder accepts is valid JSON, and its texts are what
+// encoding/json decodes (FuzzBatchRequestOracle, FuzzRPQRequestOracle):
+// unknown keys are skipped, a repeated key keeps its last value, a lone
+// surrogate escape is U+FFFD. Two divergences are by design: keys match
+// exactly, where encoding/json also accepts case-folded ones, and raw
+// invalid UTF-8 in a string is kept, where encoding/json substitutes
+// U+FFFD. A known key with a null value is malformed.
 
 // vertexToken is one parsed pair element: raw always holds the
 // reference text for error messages; id >= 0 carries the value of a
@@ -43,15 +43,17 @@ type vertexToken struct {
 	id  int
 }
 
-// batchScratch is the per-request scratch a pooled /batch request runs
-// in. All slices are reused across requests; their capacity is bounded
-// by the request body limit and the batch size limit.
+// batchScratch is the per-request scratch a pooled /batch or /rpq
+// request runs in. All slices are reused across requests; their
+// capacity is bounded by the request body limit and the batch size
+// limit.
 type batchScratch struct {
-	body    []byte
-	run     []byte
-	tokens  [][2]vertexToken
-	pairs   [][2]dag.VertexID
-	results []bool
+	body              []byte
+	run               []byte
+	tokens            [][2]vertexToken
+	pairs             [][2]dag.VertexID
+	results           []bool
+	from, to, pattern []byte // /rpq's fields
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -59,7 +61,7 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 func getBatchScratch() *batchScratch {
 	sc := batchScratchPool.Get().(*batchScratch)
 	sc.body = sc.body[:0]
-	sc.run = nil
+	sc.run, sc.from, sc.to, sc.pattern = nil, nil, nil, nil
 	sc.tokens = sc.tokens[:0]
 	sc.pairs = sc.pairs[:0]
 	sc.results = sc.results[:0]
@@ -95,15 +97,15 @@ func (sc *batchScratch) readBody(r io.Reader) error {
 // handler maps it to 413.
 var errBatchTooLarge = errors.New("too many pairs")
 
-// batchSyntaxError is any malformed-body condition; the handler maps it
-// to 400.
-type batchSyntaxError struct {
+// syntaxError is any malformed-body condition; the handlers map it to
+// 400.
+type syntaxError struct {
 	off int
 	msg string
 }
 
-func (e *batchSyntaxError) Error() string {
-	return fmt.Sprintf("invalid batch request at offset %d: %s", e.off, e.msg)
+func (e *syntaxError) Error() string {
+	return fmt.Sprintf("invalid request at offset %d: %s", e.off, e.msg)
 }
 
 // jparser is a minimal JSON parser over the request bytes.
@@ -112,7 +114,7 @@ type jparser struct {
 	pos  int
 }
 
-func (p *jparser) syntax(msg string) error { return &batchSyntaxError{off: p.pos, msg: msg} }
+func (p *jparser) syntax(msg string) error { return &syntaxError{off: p.pos, msg: msg} }
 
 func (p *jparser) ws() {
 	for p.pos < len(p.data) {
@@ -136,50 +138,70 @@ func (p *jparser) eat(c byte) bool {
 
 // parseBatchRequest decodes {"run":string,"pairs":[[ref,ref],...]} into
 // sc.run and sc.tokens. Returns errBatchTooLarge once pairs exceed
-// maxPairs, or a *batchSyntaxError for malformed input.
+// maxPairs, or a *syntaxError for malformed input.
 func parseBatchRequest(data []byte, sc *batchScratch, maxPairs int) error {
 	p := &jparser{data: data}
+	return p.object(func(key []byte) (err error) {
+		switch string(key) {
+		case "run":
+			sc.run, err = p.str()
+		case "pairs":
+			err = p.pairs(sc, maxPairs)
+		default:
+			err = p.skipValue(0)
+		}
+		return err
+	})
+}
+
+// parseRPQRequest decodes {"run","from","to","pattern"}, all strings,
+// into the scratch's fields, or returns a *syntaxError.
+func parseRPQRequest(data []byte, sc *batchScratch) error {
+	p := &jparser{data: data}
+	return p.object(func(key []byte) (err error) {
+		switch string(key) {
+		case "run":
+			sc.run, err = p.str()
+		case "from":
+			sc.from, err = p.str()
+		case "to":
+			sc.to, err = p.str()
+		case "pattern":
+			sc.pattern, err = p.str()
+		default:
+			err = p.skipValue(0)
+		}
+		return err
+	})
+}
+
+// object parses the whole input as one JSON object, calling member with
+// each key and the parser at its value, which member must consume.
+func (p *jparser) object(member func(key []byte) error) error {
 	p.ws()
 	if !p.eat('{') {
 		return p.syntax("expected '{'")
 	}
 	p.ws()
-	if !p.eat('}') {
-		for {
-			p.ws()
-			key, err := p.str()
-			if err != nil {
-				return err
+	for closed := p.eat('}'); !closed; {
+		p.ws()
+		key, err := p.str()
+		if err != nil {
+			return err
+		}
+		p.ws()
+		if !p.eat(':') {
+			return p.syntax("expected ':' after object key")
+		}
+		p.ws()
+		if err := member(key); err != nil {
+			return err
+		}
+		p.ws()
+		if !p.eat(',') {
+			if closed = p.eat('}'); !closed {
+				return p.syntax("expected ',' or '}'")
 			}
-			p.ws()
-			if !p.eat(':') {
-				return p.syntax("expected ':' after object key")
-			}
-			p.ws()
-			switch string(key) {
-			case "run":
-				v, err := p.str()
-				if err != nil {
-					return err
-				}
-				sc.run = v
-			case "pairs":
-				if err := p.pairs(sc, maxPairs); err != nil {
-					return err
-				}
-			default:
-				if err := p.skipValue(0); err != nil {
-					return err
-				}
-			}
-			p.ws()
-			if p.eat(',') {
-				continue
-			}
-			if p.eat('}') {
-				break
-			}
-			return p.syntax("expected ',' or '}'")
 		}
 	}
 	p.ws()

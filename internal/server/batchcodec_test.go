@@ -259,7 +259,7 @@ func FuzzBatchRequestOracle(f *testing.F) {
 		if !json.Valid([]byte(body)) {
 			t.Fatalf("accepted invalid JSON %q", body)
 		}
-		if !utf8.ValidString(body) || hasFoldedKey(t, body) {
+		if !utf8.ValidString(body) || hasFoldedKey(t, body, "run", "pairs") {
 			return
 		}
 		var req struct {
@@ -291,16 +291,68 @@ func FuzzBatchRequestOracle(f *testing.F) {
 }
 
 // hasFoldedKey reports whether the object body has a top-level key that
-// encoding/json matches to "run" or "pairs" only by case-folding.
-func hasFoldedKey(t *testing.T, body string) bool {
+// encoding/json matches to one of fields only by case-folding.
+func hasFoldedKey(t *testing.T, body string, fields ...string) bool {
 	var keys map[string]json.RawMessage
 	if err := json.Unmarshal([]byte(body), &keys); err != nil {
 		t.Fatal(err)
 	}
 	for k := range keys {
-		if k != "run" && k != "pairs" && (strings.EqualFold(k, "run") || strings.EqualFold(k, "pairs")) {
-			return true
+		for _, f := range fields {
+			if k != f && strings.EqualFold(k, f) {
+				return true
+			}
 		}
 	}
 	return false
+}
+
+// FuzzRPQRequestOracle holds the /rpq body decoder to encoding/json: a
+// body it accepts is valid JSON, and its four fields are what
+// encoding/json decodes into the struct the handler used to unmarshal
+// (the documented divergences aside: exact key match, raw invalid UTF-8
+// kept).
+func FuzzRPQRequestOracle(f *testing.F) {
+	for _, body := range []string{
+		`{"run":"r1","from":"b1","to":"c3","pattern":".*"}`,
+		`{"pattern":"(a|b)* d","to":"7","from":"0","run":"r2"}`,
+		` { "run" : "r1" , "from" : "0" , "to" : "1" , "pattern" : "()" } `,
+		`{"run":"r1","debug":true,"opts":{"a":[1,{"b":null}],"s":"x,][}"},"n":-1.5e3,"from":"a1","to":"b2","pattern":"."}`,
+		`{"run":"r\u0031","from":"\ud83d\ude00","to":"b\n1","pattern":"\ud800\u0041"}`,
+		`{"run":"a","from":"1","run":"b","from":"2","to":"3","pattern":"x"}`,
+		`{"run":"r","from":null,"to":"1","pattern":"."}`,
+		`{"run":"r","from":0,"to":"1","pattern":"."}`,
+		`{"run":"r","pattern":"."}`,
+		`{"RUN":"r","From":"0","TO":"1","Pattern":"."}`,
+		"{\"run\":\"r\xff\",\"from\":\"0\",\"to\":\"1\",\"pattern\":\".\"}",
+		`{"run":"r","from":"0","to":"1","pattern":"."} x`,
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		sc := getBatchScratch()
+		defer sc.release()
+		if parseRPQRequest([]byte(body), sc) != nil {
+			return
+		}
+		if !json.Valid([]byte(body)) {
+			t.Fatalf("accepted invalid JSON %q", body)
+		}
+		if !utf8.ValidString(body) || hasFoldedKey(t, body, "run", "from", "to", "pattern") {
+			return
+		}
+		var req struct {
+			Run     string `json:"run"`
+			From    string `json:"from"`
+			To      string `json:"to"`
+			Pattern string `json:"pattern"`
+		}
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatalf("accepted %q, encoding/json: %v", body, err)
+		}
+		got := [4]string{string(sc.run), string(sc.from), string(sc.to), string(sc.pattern)}
+		if want := [4]string{req.Run, req.From, req.To, req.Pattern}; got != want {
+			t.Fatalf("%q: decoded %q, encoding/json %q", body, got, want)
+		}
+	})
 }

@@ -6,8 +6,6 @@ import (
 	"io/fs"
 	"net/http"
 	"sort"
-
-	"repro/internal/live"
 )
 
 // delete.go is the run lifecycle's exit path: DELETE /runs/{name}
@@ -44,39 +42,45 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// deleteRun removes the stored run and drops its cached session under
-// the run's write lock, so no cache-miss load can interleave: a load
-// either completes before the backend delete (and is then invalidated
-// and generation-fenced) or starts after it (and reports the run
-// missing). The cache is invalidated unconditionally — on ErrNotExist
-// a session cached before some external process removed the blobs is a
-// zombie, and on any other error the backend may have deleted the pair
-// partway (fs removes the document first; shard stops mid-children), so
-// a cached session could otherwise keep answering for a run that is
-// already gone from the store.
-// On a streaming server the delete also aborts any live session and
-// clears the run's durable stream state: a run being streamed but never
-// finished has no stored blobs, so DeleteRun reports ErrNotExist — that
-// is still a successful delete when stream state existed. A failed
-// probe for that state fails the delete before anything is removed.
+// deleteRun is DELETE's removeRun under the run's write lock, so no
+// cache-miss load can interleave: a load either completes before the
+// backend delete (and is then invalidated and generation-fenced) or
+// starts after it (and reports the run missing). A run being streamed
+// but never finished has no stored blobs, so DeleteRun reports
+// ErrNotExist — that is still a successful delete when stream state
+// existed.
 func (s *Server) deleteRun(name string) error {
 	mu := s.runMu.forName(name)
 	mu.Lock()
 	defer mu.Unlock()
-	hadStream := false
-	if s.stream {
-		had, err := live.HasState(s.st, name)
-		if err != nil {
-			return err
-		}
-		hadStream = s.clearStreamState(name) || had
-	}
-	err := s.st.DeleteRun(name)
-	s.cache.Invalidate(name)
+	hadStream, err := s.removeRun(name)
 	if hadStream && errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
 	return err
+}
+
+// removeRun clears name's stream state on a streaming server, so a
+// deleted run is never resurrected as a live session from a stale log,
+// then deletes the stored run and drops its cached session, reporting
+// whether stream state existed. A failed clear removes nothing else
+// and leaves the stream live (clearStreamState), so a delete never
+// succeeds while its event log or checkpoint survives. The cache is
+// invalidated unconditionally — on ErrNotExist a session cached before
+// some external process removed the blobs is a zombie, and on any other
+// error the backend may have deleted the pair partway (fs removes the
+// document first; shard stops mid-children), so a cached session could
+// otherwise keep answering for a run that is already gone from the
+// store. Callers hold the run's write lock.
+func (s *Server) removeRun(name string) (hadStream bool, err error) {
+	if s.stream {
+		if hadStream, err = s.clearStreamState(name); err != nil {
+			return false, err
+		}
+	}
+	err = s.st.DeleteRun(name)
+	s.cache.Invalidate(name)
+	return hadStream, err
 }
 
 // deleteIdleRun is the retention sweep's delete: it re-checks the
@@ -100,13 +104,7 @@ func (s *Server) deleteIdleRun(name string) (bool, error) {
 	if busy {
 		return false, nil
 	}
-	if s.stream {
-		// Clear any leftover stream state too, so a retention-deleted run
-		// cannot be resurrected as a zombie live session from a stale log.
-		s.clearStreamState(name)
-	}
-	err := s.st.DeleteRun(name)
-	s.cache.Invalidate(name)
+	_, err := s.removeRun(name)
 	return err == nil, err
 }
 

@@ -53,7 +53,10 @@ func (s *Server) RecoverStreams() (recovered, cleaned int, err error) {
 				// Finish persisted the run but crashed before cleaning the
 				// log (or a PUT overwrote a streamed name). The stored run is
 				// the acknowledged state; the leftover stream state is garbage.
-				s.clearStreamState(name)
+				if _, err := s.clearStreamState(name); err != nil {
+					s.logf("server: startup recovery: run %q is stored, cleaning stale stream state: %v", name, err)
+					break
+				}
 				cleaned++
 				s.logf("server: startup recovery: run %q is stored, cleaned stale stream state", name)
 			case err != nil:
@@ -67,11 +70,11 @@ func (s *Server) RecoverStreams() (recovered, cleaned int, err error) {
 	return recovered, cleaned, nil
 }
 
-// SweepIdleStreams expires live sessions idle for at least ttl: the
-// session, its event log and its checkpoint are dropped, exactly as a
-// DELETE would — an abandoned stream (a client that crashed mid-run and
-// never resumed) must not hold its labeler and history in memory
-// forever. Activity is anything that touches the session: appends,
+// SweepIdleStreams expires live sessions idle for at least ttl, clearing
+// them exactly as a DELETE would — an abandoned stream (a client that
+// crashed mid-run and never resumed) must not hold its labeler and
+// history in memory forever; one whose clear fails stays for the next
+// sweep. Activity is anything that touches the session: appends,
 // finishes and queries all stamp it. Returns the expired run names;
 // /healthz counts them cumulatively as streams_expired. provserve runs
 // this on a ticker when started with -stream-ttl; it is exported for
@@ -85,11 +88,14 @@ func (s *Server) SweepIdleStreams(ttl time.Duration) []string {
 		mu := s.runMu.forName(name)
 		mu.Lock()
 		if ls := s.live.Get(name); ls != nil && time.Since(ls.LastActive()) >= ttl {
-			s.clearStreamState(name)
-			s.streamsExpired.Add(1)
-			expired = append(expired, name)
-			s.logf("server: expired idle stream %q (last active %s ago)",
-				name, time.Since(ls.LastActive()).Round(time.Second))
+			if _, err := s.clearStreamState(name); err != nil {
+				s.logf("server: expiring idle stream %q: %v (kept for the next sweep)", name, err)
+			} else {
+				s.streamsExpired.Add(1)
+				expired = append(expired, name)
+				s.logf("server: expired idle stream %q (last active %s ago)",
+					name, time.Since(ls.LastActive()).Round(time.Second))
+			}
 		}
 		mu.Unlock()
 	}

@@ -289,7 +289,7 @@ func TestRecoverStreams(t *testing.T) {
 	r2, p2 := run.GenerateSized(sp, rand.New(rand.NewSource(32)), 60)
 	evs2 := events.Emit(r2, p2)
 
-	s1, err := New(Config{Store: st, EnableStream: true, CheckpointEvery: 8})
+	s1, err := New(Config{Store: st, EnableStream: true})
 	if err != nil {
 		t.Fatal(err)
 	}

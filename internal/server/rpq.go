@@ -1,10 +1,8 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"repro/internal/dag"
@@ -16,57 +14,51 @@ import (
 // pattern inside it, so this only needs headroom for the envelope.
 const maxRPQBody = rpq.MaxPatternLen + 4096
 
-// rpqRequest is the POST /rpq body.
-type rpqRequest struct {
-	Run     string `json:"run"`
-	From    string `json:"from"`
-	To      string `json:"to"`
-	Pattern string `json:"pattern"`
-}
-
 // handleRPQ answers POST /rpq: does some path from 'from' to 'to' in
 // the run spell a word matching 'pattern' (a regular expression over
 // module labels — see internal/rpq)? Like /reachable it is admission-
 // gated, answers live streaming sessions transparently, and keeps
 // serving resident runs in degraded mode. Bad patterns — syntax errors
 // and patterns whose determinization would exceed the DFA state
-// budget — are client errors (400), never engine failures.
+// budget — are client errors (400), never engine failures. The body is
+// decoded like /batch's (batchcodec.go).
 func (s *Server) handleRPQ(w http.ResponseWriter, r *http.Request) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRPQBody)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
+	sc := getBatchScratch()
+	defer sc.release()
+	if err := sc.readBody(r.Body); err != nil {
 		return badRequestf("reading request body: %w", err)
 	}
-	var req rpqRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := parseRPQRequest(sc.body, sc); err != nil {
 		return badRequestf("malformed request body: %w", err)
 	}
-	if req.From == "" || req.To == "" {
+	runName, from, to, pattern := string(sc.run), string(sc.from), string(sc.to), string(sc.pattern)
+	if from == "" || to == "" {
 		return badRequestf("missing 'from' or 'to' field")
 	}
-	if req.Pattern == "" {
+	if pattern == "" {
 		return badRequestf("missing 'pattern' field (use \"()\" for the empty word)")
 	}
 	// Compile before resolving the run: a bad pattern answers 400
 	// without touching any session, and no run lock is held while the
 	// pattern is parsed.
 	sp := s.st.Spec()
-	prog, err := rpq.Compile(req.Pattern, func(name string) (dag.VertexID, bool) {
+	prog, err := rpq.Compile(pattern, func(name string) (dag.VertexID, bool) {
 		return sp.VertexOf(spec.ModuleName(name))
 	})
 	if err != nil {
 		return badRequestf("bad pattern: %w", err)
 	}
-	view, release, err := s.resolveRun(req.Run)
+	view, release, err := s.resolveRun(runName)
 	if err != nil {
 		return err
 	}
 	defer release()
-	u, err := vertexParam(view.Namer(), req.From)
+	u, err := vertexParam(view.Namer(), from)
 	if err != nil {
 		return err
 	}
-	v, err := vertexParam(view.Namer(), req.To)
+	v, err := vertexParam(view.Namer(), to)
 	if err != nil {
 		return err
 	}
@@ -75,7 +67,7 @@ func (s *Server) handleRPQ(w http.ResponseWriter, r *http.Request) error {
 	// live run's execution tree materialized.
 	g, err := view.graph()
 	if err != nil {
-		return fmt.Errorf("path query on run %q: %w", req.Run, err)
+		return fmt.Errorf("path query on run %q: %w", runName, err)
 	}
 	match, err := rpq.NewMatcher(prog, s.rpqMaxStates).Eval(g.Graph, g.Origin, view.Reachable, u, v)
 	if err != nil {
@@ -84,7 +76,7 @@ func (s *Server) handleRPQ(w http.ResponseWriter, r *http.Request) error {
 		}
 		return fmt.Errorf("evaluating path query: %w", err)
 	}
-	respond().str("from", req.From).boolean("match", match).str("pattern", req.Pattern).
-		str("run", req.Run).str("to", req.To).send(w, http.StatusOK)
+	respond().str("from", from).boolean("match", match).str("pattern", pattern).
+		str("run", runName).str("to", to).send(w, http.StatusOK)
 	return nil
 }

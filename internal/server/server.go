@@ -160,11 +160,6 @@ type Config struct {
 	// transparently (see stream.go). Independent of EnableIngest: a
 	// server may accept streams but not documents, or vice versa.
 	EnableStream bool
-	// CheckpointEvery bounds how many events a live session applies
-	// between checkpoints — the replay debt a crash can accumulate.
-	// 0 defaults to 256; negative disables periodic checkpointing
-	// (recovery then replays the whole event log).
-	CheckpointEvery int
 	// MaxRuns, when positive, bounds how many runs the store may hold:
 	// after each successful ingest the retention sweep deletes
 	// least-valuable runs (cold before cached, cached in LRU order —
@@ -225,10 +220,9 @@ type Server struct {
 	mux            *http.ServeMux
 
 	// Streaming ingest state (nil/zero unless Config.EnableStream):
-	// the live-session registry, the skeleton labeling feeding online
-	// labelers, and the checkpoint cadence. See stream.go.
+	// the live-session registry and the skeleton labeling feeding online
+	// labelers. See stream.go.
 	stream     bool
-	ckptEvery  int
 	live       *live.Registry
 	streamSkel label.Labeling
 	// streamsExpired counts live sessions the idle-TTL sweep reclaimed
@@ -299,9 +293,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 64
 	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 256
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 2 * cfg.MaxInflight
 	}
@@ -344,7 +335,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: building skeleton labeling for streaming: %w", err)
 		}
 		s.stream = true
-		s.ckptEvery = cfg.CheckpointEvery
 		s.streamSkel = skel
 		s.live = live.NewRegistry()
 	}

@@ -27,9 +27,9 @@ import (
 // online labeler mutates under appends, unlike the immutable stored
 // sessions), and stored-session queries keep their lock-free cache-hit
 // path. Crash recovery is lazy: the first append, finish or query for a
-// run that has durable stream state but no registered session rebuilds
-// it from the checkpoint and event-log tail (openStream). When a run is
-// both stored and has leftover stream state, the stored run wins and the
+// run with an event log (a stream's only durable copy) but no
+// registered session replays it (openStream). When a run is both
+// stored and has leftover stream state, the stored run wins and the
 // stale stream state is discarded — Finish persists the run before
 // cleaning the log, so its crash window leaves exactly that pair.
 
@@ -157,14 +157,6 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) erro
 		return writeFailed("appending to stream %q: %w", name, err)
 	}
 	s.brk.note(nil)
-	if s.ckptEvery > 0 && ls.SinceCheckpoint() >= s.ckptEvery {
-		// Checkpoint failure never fails the append — the events are
-		// already durable in the log; only the replay bound suffers.
-		if err := ls.Checkpoint(); err != nil {
-			s.brk.note(err)
-			s.logf("server: checkpointing stream %q: %v", name, err)
-		}
-	}
 	respond().num("applied", applied).num("copies", ls.NumCopies()).str("run", name).
 		num("seq", ls.Seq()).num("vertices", ls.Namer().Len()).send(w, http.StatusOK)
 	return nil
@@ -249,16 +241,14 @@ func (s *Server) writeRunStatus(w http.ResponseWriter, name string) error {
 	return nil
 }
 
-// clearStreamState drops name's live session and durable stream state
-// (event log + checkpoint), reporting whether a live session existed.
-// Callers hold the run's write lock.
-func (s *Server) clearStreamState(name string) bool {
-	had := s.live.Remove(name) != nil
-	// Cleanup failures are survivable — the store-wins rule deletes
-	// stale stream state lazily — but a backend refusing deletes is an
-	// operator-visible condition, not one to swallow.
-	if err := live.DeleteState(s.st, name); err != nil {
-		s.logf("server: clearing stream state for %q: %v", name, err)
+// clearStreamState deletes name's durable stream state, then drops its
+// live session, reporting whether either existed. A failed delete leaves
+// the session registered, answering until a retry. Callers hold the
+// run's write lock.
+func (s *Server) clearStreamState(name string) (bool, error) {
+	had, err := live.DeleteState(s.st, name)
+	if err != nil {
+		return false, err
 	}
-	return had
+	return s.live.Remove(name) != nil || had, nil
 }

@@ -84,78 +84,15 @@ func TestStreamDifferential(t *testing.T) {
 	r, p := run.GenerateSized(sp, rand.New(rand.NewSource(41)), 120)
 	evs := events.Emit(r, p)
 
-	streamed, _ := newStreamServer(t, Config{CheckpointEvery: 32})
+	streamed, _ := newStreamServer(t, Config{})
 	direct, _ := newIngestServer(t, Config{})
 	if rec := do(t, direct, "PUT", "/runs/r", encodeRun(t, r, nil), nil); rec.Code != 200 {
 		t.Fatalf("direct PUT: %d %s", rec.Code, rec.Body.String())
 	}
 
 	streamRun(t, streamed, "r", evs, 7)
-
-	// Collect the differential query set: every endpoint the subsystem
-	// must answer identically, over a spread of vertices.
 	n := r.NumVertices()
-	var targets []string
-	for u := 0; u < n; u += 7 {
-		for v := 0; v < n; v += 5 {
-			targets = append(targets, fmt.Sprintf("/reachable?run=r&from=%d&to=%d", u, v))
-		}
-	}
-	nm := run.NewNamer(r)
-	name := func(v int) string { return nm.Name(dag.VertexID(v)) }
-	for u := 1; u < n; u += 11 {
-		targets = append(targets, fmt.Sprintf("/reachable?run=r&from=%s&to=%s", name(u), name(n-1-u)))
-		targets = append(targets, fmt.Sprintf("/reachable?run=r&from=%s&to=%d", name(u), (u*7)%n))
-	}
-	for v := 0; v < n; v += 9 {
-		targets = append(targets, fmt.Sprintf("/lineage?run=r&vertex=%d&dir=up", v))
-		targets = append(targets, fmt.Sprintf("/lineage?run=r&vertex=%d&dir=down", v))
-	}
-	// Path queries: the live session answers over its materialized
-	// execution tree, the finished and PUT runs over the stored document.
-	modules := make([]string, sp.NumVertices())
-	for v := range modules {
-		modules[v] = string(sp.NameOf(dag.VertexID(v)))
-	}
-	rng := rand.New(rand.NewSource(47))
-	for i := 0; i < 8; i++ {
-		from, to := name(i*n/16), name(n-1-i*n/9)
-		if i%2 == 1 {
-			to = fmt.Sprint(n - 1 - i*n/9)
-		}
-		body, err := json.Marshal(map[string]string{
-			"run": "r", "from": from, "to": to, "pattern": rpq.RandomPattern(rng, modules, 2+i%2),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		targets = append(targets, "/rpq "+string(body))
-	}
-	var pairs bytes.Buffer
-	pairs.WriteString(`{"run":"r","pairs":[`)
-	for i := 0; i < n-1; i++ {
-		if i > 0 {
-			pairs.WriteByte(',')
-		}
-		fmt.Fprintf(&pairs, "[%d,%d]", i, i+1)
-	}
-	pairs.WriteString("]}")
-
-	query := func(s *Server, target string) string {
-		method, path, body := "GET", target, ""
-		switch {
-		case target == "/batch":
-			method, body = "POST", pairs.String()
-		case strings.HasPrefix(target, "/rpq "):
-			method, path, body = "POST", "/rpq", strings.TrimPrefix(target, "/rpq ")
-		}
-		rec := do(t, s, method, path, body, nil)
-		if rec.Code != 200 {
-			t.Fatalf("%s %s: %d %s", method, target, rec.Code, rec.Body.String())
-		}
-		return rec.Body.String()
-	}
-	targets = append(targets, "/batch")
+	targets, query := differentialQueries(t, r, "r")
 
 	live := make(map[string]string, len(targets))
 	for _, tg := range targets {
@@ -194,8 +131,84 @@ func TestStreamDifferential(t *testing.T) {
 	}
 }
 
+// differentialQueries returns the differential query set for run r
+// stored or streamed under runName — /reachable by numeric IDs and by
+// occurrence names, /lineage both ways, /rpq with random patterns over
+// the spec's modules, and one /batch over consecutive vertex pairs — and
+// the function that sends one of them and returns the 200 body. Strides
+// grow with the run, so a large run costs about as many queries as a
+// 120-vertex one.
+func differentialQueries(t *testing.T, r *run.Run, runName string) ([]string, func(*Server, string) string) {
+	t.Helper()
+	sp := r.Spec
+	n := r.NumVertices()
+	k := max(1, n/120)
+	var targets []string
+	for u := 0; u < n; u += 7 * k {
+		for v := 0; v < n; v += 5 * k {
+			targets = append(targets, fmt.Sprintf("/reachable?run=%s&from=%d&to=%d", runName, u, v))
+		}
+	}
+	nm := run.NewNamer(r)
+	name := func(v int) string { return nm.Name(dag.VertexID(v)) }
+	for u := 1; u < n; u += 11 * k {
+		targets = append(targets, fmt.Sprintf("/reachable?run=%s&from=%s&to=%s", runName, name(u), name(n-1-u)))
+		targets = append(targets, fmt.Sprintf("/reachable?run=%s&from=%s&to=%d", runName, name(u), (u*7)%n))
+	}
+	for v := 0; v < n; v += 9 * k {
+		targets = append(targets, fmt.Sprintf("/lineage?run=%s&vertex=%d&dir=up", runName, v))
+		targets = append(targets, fmt.Sprintf("/lineage?run=%s&vertex=%d&dir=down", runName, v))
+	}
+	// Path queries: the live session answers over its materialized
+	// execution tree, the finished and PUT runs over the stored document.
+	modules := make([]string, sp.NumVertices())
+	for v := range modules {
+		modules[v] = string(sp.NameOf(dag.VertexID(v)))
+	}
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 8; i++ {
+		from, to := name(i*n/16), name(n-1-i*n/9)
+		if i%2 == 1 {
+			to = fmt.Sprint(n - 1 - i*n/9)
+		}
+		body, err := json.Marshal(map[string]string{
+			"run": runName, "from": from, "to": to, "pattern": rpq.RandomPattern(rng, modules, 2+i%2),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets = append(targets, "/rpq "+string(body))
+	}
+	var pairs bytes.Buffer
+	fmt.Fprintf(&pairs, `{"run":%q,"pairs":[`, runName)
+	for i := 0; i < n-1; i++ {
+		if i > 0 {
+			pairs.WriteByte(',')
+		}
+		fmt.Fprintf(&pairs, "[%d,%d]", i, i+1)
+	}
+	pairs.WriteString("]}")
+	targets = append(targets, "/batch")
+
+	query := func(s *Server, target string) string {
+		method, path, body := "GET", target, ""
+		switch {
+		case target == "/batch":
+			method, body = "POST", pairs.String()
+		case strings.HasPrefix(target, "/rpq "):
+			method, path, body = "POST", "/rpq", strings.TrimPrefix(target, "/rpq ")
+		}
+		rec := do(t, s, method, path, body, nil)
+		if rec.Code != 200 {
+			t.Fatalf("%s %s: %d %s", method, target, rec.Code, rec.Body.String())
+		}
+		return rec.Body.String()
+	}
+	return targets, query
+}
+
 func TestStreamStatusAndHealth(t *testing.T) {
-	s, _ := newStreamServer(t, Config{CheckpointEvery: 4})
+	s, _ := newStreamServer(t, Config{})
 	sp := spec.PaperSpec()
 	r, p := run.Figure3Run(sp)
 	evs := events.Emit(r, p)
@@ -214,8 +227,8 @@ func TestStreamStatusAndHealth(t *testing.T) {
 	if detail.Status != "live" || detail.Events != seq || detail.Vertices != r.NumVertices() {
 		t.Fatalf("live status = %+v (want live, %d events, %d vertices)", detail, seq, r.NumVertices())
 	}
-	if detail.CheckpointSeq == 0 || detail.LogBytes == 0 {
-		t.Fatalf("live status = %+v: expected periodic checkpoint and a durable log", detail)
+	if detail.CheckpointSeq != 0 || detail.LogBytes == 0 {
+		t.Fatalf("live status = %+v: expected a durable log and no checkpoint", detail)
 	}
 
 	// The /runs?run= detail branch answers live runs identically.
@@ -237,7 +250,7 @@ func TestStreamStatusAndHealth(t *testing.T) {
 		} `json:"live"`
 	}
 	do(t, s, "GET", "/healthz", "", &health)
-	if !health.Stream || health.Live.Open != 1 || health.Live.Events != int64(seq) || health.Live.Checkpoints == 0 {
+	if !health.Stream || health.Live.Open != 1 || health.Live.Events != int64(seq) || health.Live.Checkpoints != 0 {
 		t.Fatalf("/healthz live gauges = %+v", health)
 	}
 }
@@ -359,15 +372,15 @@ func TestStreamRejections(t *testing.T) {
 
 // TestStreamRecovery simulates a crash by building a second server over
 // the same store: the registry dies with the first server, and the
-// second must resurrect the session from the checkpoint plus the
-// event-log tail with no accepted event lost.
+// second must resurrect the session from the event log with no
+// accepted event lost.
 func TestStreamRecovery(t *testing.T) {
 	st, err := store.NewMem(spec.PaperSpec(), "paper")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	s1, err := New(Config{Store: st, EnableStream: true, CheckpointEvery: 8})
+	s1, err := New(Config{Store: st, EnableStream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +391,7 @@ func TestStreamRecovery(t *testing.T) {
 	streamRun(t, s1, "crashy", evs[:mid], 5)
 
 	// "Crash": s1 is abandoned; s2 shares only the durable store.
-	s2, err := New(Config{Store: st, EnableStream: true, CheckpointEvery: 8})
+	s2, err := New(Config{Store: st, EnableStream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +437,7 @@ func TestStreamRecovery(t *testing.T) {
 }
 
 func TestStreamDelete(t *testing.T) {
-	s, _ := newStreamServer(t, Config{CheckpointEvery: 2})
+	s, _ := newStreamServer(t, Config{})
 	sp := spec.PaperSpec()
 	r, p := run.Figure3Run(sp)
 	evs := events.Emit(r, p)
@@ -455,10 +468,10 @@ func TestStreamDelete(t *testing.T) {
 
 // TestStreamStress is the streaming twin of TestIngestNoTornSessions:
 // one run takes concurrent event appends, reachability/batch/lineage
-// queries, status reads and periodic checkpoints, then a finish races
+// queries and status reads, then a finish races
 // the readers. Run under -race this is the subsystem's locking proof.
 func TestStreamStress(t *testing.T) {
-	s, _ := newStreamServer(t, Config{CheckpointEvery: 16})
+	s, _ := newStreamServer(t, Config{})
 	sp := spec.PaperSpec()
 	r, p := run.GenerateSized(sp, rand.New(rand.NewSource(43)), 150)
 	evs := events.Emit(r, p)
@@ -551,7 +564,7 @@ func FuzzIngestEvents(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	s, err := New(Config{Store: st, EnableStream: true, CheckpointEvery: 4})
+	s, err := New(Config{Store: st, EnableStream: true})
 	if err != nil {
 		f.Fatal(err)
 	}

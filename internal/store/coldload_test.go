@@ -131,9 +131,6 @@ func TestDocumentChecksTornPair(t *testing.T) {
 	if _, _, err := sess.Document(); err == nil || !strings.Contains(err.Error(), "origin") {
 		t.Fatalf("Document of a torn pair = %v, want an origin mismatch", err)
 	}
-	if dv, err := sess.DataView(); err == nil || dv != nil {
-		t.Fatalf("DataView of a torn pair = %v, %v; want the same error", dv, err)
-	}
 
 	// A pair torn between runs of different sizes fails the count check.
 	big, _ := run.GenerateSized(a.Spec, rand.New(rand.NewSource(99)), 200)

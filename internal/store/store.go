@@ -32,10 +32,10 @@
 // A Session's labels are immutable once OpenRun returns and answer
 // queries without mutating shared state (search-based skeleton schemes
 // draw per-query scratch from an internal pool). Its run document is
-// decoded at most once: the first Document or DataView call decodes the
-// bytes OpenRun read (borrowed, not copied, from a backend that holds
-// them resident), under a sync.Once, and every concurrent or later
-// caller sees that one result; the bytes are dropped after the decode.
+// decoded at most once: the first Document call decodes the bytes
+// OpenRun read (borrowed, not copied, from a backend that holds them
+// resident), under a sync.Once, and every concurrent or later caller
+// sees that one result; the bytes are dropped after the decode.
 // So one Session may serve any number of concurrent readers. This
 // contract is what internal/server's session cache relies on and is
 // enforced by the -race tests in this package and internal/server.
@@ -237,6 +237,9 @@ func (st *Store) PutRunSession(name string, r *run.Run, p *plan.Plan, ann *provd
 		return nil, &InvalidRunError{err}
 	}
 	if ann != nil {
+		if err := ann.Validate(); err != nil {
+			return nil, &InvalidRunError{err}
+		}
 		for _, it := range ann.Items {
 			if it.Name == "" {
 				return nil, &InvalidRunError{fmt.Errorf("store: data item %d has an empty name, which the stored document cannot hold", it.ID)}
@@ -290,12 +293,6 @@ func (st *Store) putRun(name string, r *run.Run, p *plan.Plan, ann *provdata.Ann
 	if err != nil {
 		return nil, &InvalidRunError{err}
 	}
-	var dv *provdata.Labeling
-	if ann != nil {
-		if dv, err = provdata.LabelData(ann, l); err != nil {
-			return nil, &InvalidRunError{err}
-		}
-	}
 	var labels bytes.Buffer
 	if _, err := l.WriteTo(&labels); err != nil {
 		return nil, err
@@ -304,7 +301,7 @@ func (st *Store) putRun(name string, r *run.Run, p *plan.Plan, ann *provdata.Ann
 		return nil, err
 	}
 	sess := &Session{Labels: l, SnapshotVersion: core.SnapshotV2, SnapshotBytes: labels.Len()}
-	sess.once.Do(func() { sess.run, sess.data, sess.dataView = r, ann, dv })
+	sess.once.Do(func() { sess.run, sess.data = r, ann })
 	return sess, nil
 }
 
@@ -376,11 +373,10 @@ type Session struct {
 	// doc holds the stored run document until once decodes it. On a
 	// backend that keeps blobs resident it is the backend's own slice,
 	// borrowed (see "Resident blobs" on Backend): it is only read.
-	doc      []byte
-	run      *run.Run
-	data     *provdata.Annotation
-	dataView *provdata.Labeling
-	docErr   error
+	doc    []byte
+	run    *run.Run
+	data   *provdata.Annotation
+	docErr error
 }
 
 // Document returns the run graph and its data items (nil when the run
@@ -391,13 +387,6 @@ type Session struct {
 func (s *Session) Document() (*run.Run, *provdata.Annotation, error) {
 	s.once.Do(s.decode)
 	return s.run, s.data, s.docErr
-}
-
-// DataView returns the data items labeled for provenance queries (nil
-// when the run has none), built in the same step as Document.
-func (s *Session) DataView() (*provdata.Labeling, error) {
-	s.once.Do(s.decode)
-	return s.dataView, s.docErr
 }
 
 // decode is the once-only body behind Document.
@@ -421,14 +410,7 @@ func (s *Session) decode() {
 		s.docErr = fmt.Errorf("store: snapshot gives vertex %d origin %d, run has %d", v, lo[v], ro[v])
 		return
 	}
-	var dv *provdata.Labeling
-	if ann != nil {
-		if dv, err = provdata.LabelData(ann, s.Labels); err != nil {
-			s.docErr = err
-			return
-		}
-	}
-	s.run, s.data, s.dataView = r, ann, dv
+	s.run, s.data = r, ann
 }
 
 // OpenRun loads one run's labels for querying. The scheme's skeleton

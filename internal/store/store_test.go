@@ -62,8 +62,8 @@ func TestStoreRoundTrip(t *testing.T) {
 		if stored.NumVertices() != originals[i].NumVertices() {
 			t.Fatalf("%s: stored run size changed", name)
 		}
-		if dv, err := sess.DataView(); err != nil || dv == nil {
-			t.Fatalf("%s: data items lost: %v", name, err)
+		if _, ann, _ := sess.Document(); ann == nil {
+			t.Fatalf("%s: data items lost", name)
 		}
 		searcher := dag.NewSearcher(stored.Graph)
 		n := stored.NumVertices()
@@ -104,8 +104,8 @@ func TestStoreDifferentQueryScheme(t *testing.T) {
 			t.Fatal("cross-scheme query wrong")
 		}
 	}
-	if dv, err := sess.DataView(); err != nil || dv != nil {
-		t.Errorf("run stored without data: DataView = %v, %v; want nil, nil", dv, err)
+	if _, ann, err := sess.Document(); err != nil || ann != nil {
+		t.Errorf("run stored without data: Document data = %v, %v; want nil, nil", ann, err)
 	}
 }
 

@@ -202,8 +202,8 @@ func TestStreamEndToEnd(t *testing.T) {
 
 // TestStreamCrashRecoveryEndToEnd SIGKILLs provserve mid-stream and
 // restarts it on the same fs store: every acknowledged append must
-// survive (recovered from the last checkpoint plus the durable event
-// log tail), the stream must resume from the server's cursor, and the
+// survive (replayed from the durable event log, the stream's only
+// copy), the stream must resume from the server's cursor, and the
 // sealed run must match the generated one. This is the crash-safety
 // contract of the acknowledged-write path with the real binary and real
 // disk state.
@@ -217,16 +217,13 @@ func TestStreamCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	bin := buildProvserve(t, dir)
-	p := startProvserve(t, bin, "-store", storeDir, "-stream", "-checkpoint-every", "16")
+	p := startProvserve(t, bin, "-store", storeDir, "-stream")
 
 	rng := rand.New(rand.NewSource(100))
 	r, pl := repro.GenerateRun(repro.PaperSpec(), rng, 160)
 	evs := repro.EmitEvents(r, pl)
 
-	// Stream two thirds in small batches. The batch size is coprime to
-	// -checkpoint-every, so the kill lands with a checkpoint behind the
-	// cursor and acknowledged events after it — recovery must combine
-	// both, not just reload a checkpoint that happens to be current.
+	// Stream two thirds in small batches.
 	mid := 2 * len(evs) / 3
 	acked := 0
 	for acked < mid {
@@ -242,12 +239,12 @@ func TestStreamCrashRecoveryEndToEnd(t *testing.T) {
 		acked = j
 	}
 
-	// SIGKILL: no shutdown hooks, no final checkpoint — only what the
-	// durable append path already wrote survives.
+	// SIGKILL: no shutdown hooks — only what the durable append path
+	// already wrote survives.
 	p.cmd.Process.Kill()
 	<-p.exited
 
-	p2 := startProvserve(t, bin, "-store", storeDir, "-stream", "-checkpoint-every", "16")
+	p2 := startProvserve(t, bin, "-store", storeDir, "-stream")
 	var st struct {
 		Status        string `json:"status"`
 		Events        int    `json:"events"`
@@ -257,8 +254,8 @@ func TestStreamCrashRecoveryEndToEnd(t *testing.T) {
 	if st.Status != "live" || st.Events != acked {
 		t.Fatalf("after SIGKILL+restart: %+v, want live with all %d acknowledged events", st, acked)
 	}
-	if st.CheckpointSeq == 0 || st.CheckpointSeq >= acked {
-		t.Fatalf("recovery should combine a checkpoint with a log tail, got checkpoint_seq=%d of %d events", st.CheckpointSeq, acked)
+	if st.CheckpointSeq != 0 {
+		t.Fatalf("recovery of a log with no torn tail should write no checkpoint, got checkpoint_seq=%d of %d events", st.CheckpointSeq, acked)
 	}
 
 	// Resume from the server's cursor and seal.
