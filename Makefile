@@ -150,8 +150,9 @@ lint:
 
 # Code size: non-blank, non-comment, non-test Go lines per package and
 # in total (go list picks each package's non-test files; awk drops blank
-# and //-comment lines). Deleting code counts as progress, so this
-# number is tracked next to the perf artifacts.
+# and //-comment lines), then internal/server's non-test files by plain
+# wc -l, comments and blanks included. Deleting code counts as progress,
+# so these numbers are tracked next to the perf artifacts.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | \
 	while read -r pkg dir files; do \
@@ -159,6 +160,9 @@ loc:
 		(cd "$$dir" && cat $$files) | awk -v pkg="$$pkg" \
 			'{ sub(/^[ \t]+/, "") } $$0 == "" || /^\/\// { next } { n++ } END { printf "%7d %s\n", n, pkg }'; \
 	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
+	@$(GO) list -f '{{.Dir}} {{join .GoFiles " "}}' ./internal/server | \
+	while read -r dir files; do (cd "$$dir" && cat $$files); done | \
+		awk 'END { printf "%7d repro/internal/server (wc -l, non-test)\n", NR }'
 
 fmt:
 	@out="$$(gofmt -l .)"; \

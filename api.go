@@ -93,10 +93,11 @@ type (
 	// items Document returns for data-provenance queries.
 	StoreSession = store.Session
 	// StoreBackend is the blob-level storage substrate under a Store:
-	// fs (one directory), mem (RAM), shard (hash-routed children), or
-	// any implementation passing store/backendtest.
+	// fs (one directory), mem (RAM), or any implementation passing
+	// store/backendtest.
 	StoreBackend = store.Backend
-	// StoreStats describes a store's backend (kind, path, shard children).
+	// StoreStats describes a store's backend (kind, path or run count,
+	// and the wrapped backend's stats for a wrapper).
 	StoreStats = store.Stats
 	// StoreRetryPolicy tunes WithRetryBackend's backoff.
 	StoreRetryPolicy = store.RetryPolicy
@@ -328,22 +329,13 @@ func CreateStore(dir string, s *Spec, name string) (*Store, error) {
 }
 
 // OpenStoreURL opens an existing store from a URL picking the backend:
-// "fs://dir" (a bare path means the same), "mem://dir" (preload the fs
-// store at dir into RAM and serve from memory), or "shard://a,b,..."
-// (a store sharded across the listed directories, as created by
-// NewShardedStore with the same list).
+// "fs://dir" (a bare path means the same) or "mem://dir" (preload the
+// fs store at dir into RAM and serve from memory).
 func OpenStoreURL(url string) (*Store, error) { return store.OpenURL(url) }
 
 // NewMemStore returns a store over a fresh in-memory backend — the
 // fastest substrate for tests, examples and ephemeral serving.
 func NewMemStore(s *Spec, name string) (*Store, error) { return store.NewMem(s, name) }
-
-// NewShardedStore initializes a store sharded across fs-backed child
-// directories: runs are routed to children by hash of the run name, and
-// the spec is replicated so each child is independently openable.
-func NewShardedStore(dirs []string, s *Spec, name string) (*Store, error) {
-	return store.CreateSharded(dirs, s, name)
-}
 
 // NewStoreOverBackend initializes a store over any StoreBackend
 // implementation, persisting the spec through it. Custom backends should

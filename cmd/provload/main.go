@@ -13,7 +13,7 @@
 //
 //	provload -store mem: -clients 16 -rate 500 -duration 10s
 //	provload -store fs://./loadstore -runs 128 -run-size 1000
-//	provload -store shard://a,b,c -mix reachable=60,batch=20,put=15,delete=5
+//	provload -store fs://./loadstore -mix reachable=60,batch=20,put=15,delete=5
 //	provload -store mem: -mix reachable=60,rpq=10,batch=30   regular path
 //	                                                    queries ride along
 //	provload -store mem: -mix reachable=70,stream=30    streaming ingest:
@@ -60,7 +60,7 @@ import (
 func main() {
 	var (
 		target  = flag.String("target", "", "base URL of a running provserve to drive (target mode); empty = self-serve mode")
-		storeU  = flag.String("store", "mem:", "self-serve mode: store URL (fs://dir, bare path, mem:, shard://a,b); created and populated if missing")
+		storeU  = flag.String("store", "mem:", "self-serve mode: store URL (fs://dir, bare path, mem:); created and populated if missing")
 		specN   = flag.String("spec", "QBLAST", "self-serve mode: stand-in workflow for a fresh corpus (EBI, PubMed, QBLAST, BioAID, ProScan, ProDisc)")
 		runs    = flag.Int("runs", 64, "self-serve mode: corpus size in runs (fresh stores)")
 		runSize = flag.Int("run-size", 400, "self-serve mode: target vertices per generated run")

@@ -10,11 +10,10 @@
 //
 // With -store, queries hit a stored run's snapshot labels (nothing is
 // relabeled) and -run names the stored run instead of an XML file. The
-// store URL picks the backend: fs://dir (or a bare path), mem://dir,
-// shard://dirA,dirB,...
+// store URL picks the backend: fs://dir (or a bare path) or mem://dir.
 //
 //	provquery -store ./provstore -run r1 -from b1 -to c3
-//	provquery -store 'shard://a,b' -run r1 -stats
+//	provquery -store 'mem://./provstore' -run r1 -stats
 //
 // With -put, provquery becomes an ingest smoke-test client: it PUTs the
 // run XML at -run to a running provserve (started with -ingest) under
@@ -78,7 +77,7 @@ func main() {
 	var (
 		specPath    = flag.String("spec", "", "specification XML (required unless -store is given)")
 		runPath     = flag.String("run", "", "run XML, or the stored run name with -store (required)")
-		storeURL    = flag.String("store", "", "provenance store URL (fs://dir, bare path, mem://dir, shard://a,b); queries use stored labels")
+		storeURL    = flag.String("store", "", "provenance store URL (fs://dir, bare path, mem://dir); queries use stored labels")
 		scheme      = flag.String("scheme", "TCM", "specification labeling scheme (TCM, BFS, DFS, Interval, Chain)")
 		from        = flag.String("from", "", "source vertex occurrence name (e.g. b1)")
 		to          = flag.String("to", "", "target vertex occurrence name (e.g. c3)")

@@ -9,8 +9,6 @@
 //	provserve -store fs:///var/prov               same, explicit
 //	provserve -store 'mem://./provstore'          preload into RAM, serve
 //	                                              with zero disk I/O
-//	provserve -store 'shard://diskA/p,diskB/p'    one store sharded
-//	                                              across directories
 //	provserve -store ./provstore -addr :9090 -scheme BFS -cache 64
 //	provserve -store ./provstore -ingest -warm    accept PUT/DELETE /runs
 //	                                              and warm-restart the cache
@@ -97,7 +95,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		storeURL    = flag.String("store", "", "store URL: fs://dir (or a bare path), mem://dir, shard://dirA,dirB,... (required)")
+		storeURL    = flag.String("store", "", "store URL: fs://dir (or a bare path), mem://dir (required)")
 		scheme      = flag.String("scheme", "TCM", "skeleton scheme for loaded sessions (TCM, BFS, DFS, Interval, Chain, 2-Hop, Dual)")
 		cache       = flag.Int("cache", 16, "maximum cached run sessions (LRU)")
 		maxBatch    = flag.Int("max-batch", 8192, "maximum pairs per /batch request")

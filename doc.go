@@ -112,8 +112,8 @@
 // checkpoint, written only when recovery fences the torn last record a
 // crashed append left (so the garbage is never parsed); DELETE, /finish
 // and the sweeps remove the log and any checkpoint. Live-session gauges
-// (open sessions, events appended, renumbers, replays, checkpoints,
-// checkpoint lag) ride on /healthz under "live".
+// (open sessions, events appended, renumbers, replays, checkpoints)
+// ride on /healthz under "live".
 //
 // # Regular path queries
 //
@@ -164,9 +164,8 @@
 //     loses its snapshot mid-delete. On disk the .xml is durably
 //     removed before the .skl.
 //   - Crash debris: either ordering can strand an orphaned .skl with no
-//     sibling .xml; the fs backend sweeps those on store open, on the
-//     first run listing (which on a shard set reaches every child), and
-//     on delete (throttled to once per second, so bulk retention sweeps
+//     sibling .xml; the fs backend sweeps those on store open and on
+//     delete (throttled to once per second, so bulk retention sweeps
 //     stay linear), so they never accumulate.
 //   - Cache coherence: DELETE holds the same per-name write lock as
 //     PUT across the backend delete and the session-cache invalidation,
@@ -223,7 +222,7 @@
 //
 // A Store is backend-agnostic logic (validation, labeling, snapshot
 // binding) over the blob-level StoreBackend interface, so the same
-// labeling and query layer runs on interchangeable substrates. Three
+// labeling and query layer runs on interchangeable substrates. Two
 // backends ship with the library, openable by URL with OpenStoreURL and
 // `provserve -store <url>`:
 //
@@ -231,12 +230,10 @@
 //	                  writes are atomic temp-file+rename
 //	mem://dir         the fs store at dir preloaded into RAM: ephemeral
 //	                  serving with zero disk I/O even on cache misses
-//	shard://a,b,...   one store hash-routed across many directories (or
-//	                  disks): `provserve -store 'shard://a,b'` fronts all
-//	                  of them at once
 //
-// In-process, NewMemStore builds an ephemeral store for tests and demos,
-// NewShardedStore creates a shard set, and NewStoreOverBackend accepts
+// An fs store spans several disks when its directory sits on a volume
+// built from them (LVM, RAID 0). In-process, NewMemStore builds an
+// ephemeral store for tests and demos, and NewStoreOverBackend accepts
 // any custom StoreBackend (e.g. a future object-store layout) — the
 // conformance suite in internal/store/backendtest defines the contract.
 //

@@ -11,7 +11,6 @@
 //
 //	provserve -store ./provstore              # one directory
 //	provserve -store 'mem://./provstore'      # preloaded into RAM
-//	provserve -store 'shard://diskA,diskB'    # sharded across disks
 package main
 
 import (
@@ -85,11 +84,11 @@ func main() {
 	}
 
 	// Persist the labeled run and serve it. In production this is
-	// `provserve -store <url>` over an fs or sharded store; here an
-	// in-memory store backend keeps the demo self-contained and the
-	// server runs in-process on an ephemeral port, answering one query
-	// before exiting. Swapping backends is one line: CreateStore(dir,...)
-	// for a directory, NewShardedStore(dirs,...) to span disks.
+	// `provserve -store <url>` over an fs store; here an in-memory store
+	// backend keeps the demo self-contained and the server runs
+	// in-process on an ephemeral port, answering one query before
+	// exiting. Swapping backends is one line: CreateStore(dir,...) for a
+	// directory.
 	st, err := repro.NewMemStore(s, "quickstart")
 	if err != nil {
 		log.Fatal(err)

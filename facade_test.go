@@ -168,31 +168,4 @@ func TestFacadeStoreBackends(t *testing.T) {
 	if err != nil || again.SpecName() != "paper" {
 		t.Fatalf("OpenStoreOverBackend = %v", err)
 	}
-
-	// Sharded store: runs spread over directories, reopened by URL.
-	dirs := []string{t.TempDir(), t.TempDir()}
-	sh, err := repro.NewShardedStore(dirs, s, "paper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"a", "b", "c", "d"} {
-		r, _ := repro.GenerateRun(s, rng, 100)
-		if err := sh.PutRun(name, r, nil, repro.TCM); err != nil {
-			t.Fatalf("PutRun(%s): %v", name, err)
-		}
-	}
-	reopened, err := repro.OpenStoreURL("shard://" + strings.Join(dirs, ","))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := reopened.Stat(); st.Kind != "shard" || len(st.Shards) != 2 {
-		t.Fatalf("sharded Stat = %+v", st)
-	}
-	names, err := reopened.Runs()
-	if err != nil || len(names) != 4 {
-		t.Fatalf("sharded Runs = %v, %v", names, err)
-	}
-	if _, err := reopened.OpenRun("c", repro.BFS); err != nil {
-		t.Fatalf("sharded OpenRun: %v", err)
-	}
 }

@@ -100,7 +100,6 @@ type Gauges struct {
 	renumbers   atomic.Int64
 	replays     atomic.Int64
 	checkpoints atomic.Int64
-	lag         atomic.Int64
 }
 
 // Stats is a snapshot of Gauges for serialization.
@@ -116,19 +115,15 @@ type Stats struct {
 	// Checkpoints counts checkpoints written: torn-tail fences, unless
 	// a caller checkpoints on its own.
 	Checkpoints int64 `json:"checkpoints"`
-	// CheckpointLag sums, over open sessions, the events applied since
-	// each session's last checkpoint (SinceCheckpoint).
-	CheckpointLag int64 `json:"checkpoint_lag"`
 }
 
 func (g *Gauges) snapshot() Stats {
 	return Stats{
-		Open:          g.open.Load(),
-		Events:        g.events.Load(),
-		Renumbers:     g.renumbers.Load(),
-		Replays:       g.replays.Load(),
-		Checkpoints:   g.checkpoints.Load(),
-		CheckpointLag: g.lag.Load(),
+		Open:        g.open.Load(),
+		Events:      g.events.Load(),
+		Renumbers:   g.renumbers.Load(),
+		Replays:     g.replays.Load(),
+		Checkpoints: g.checkpoints.Load(),
 	}
 }
 
@@ -166,7 +161,7 @@ func (r *Registry) Put(name string, s *Session) {
 }
 
 // Remove unregisters and returns name's session (nil if absent),
-// retiring its contribution to the open and checkpoint-lag gauges.
+// retiring its contribution to the open-sessions gauge.
 func (r *Registry) Remove(name string) *Session {
 	r.mu.Lock()
 	s := r.sessions[name]
@@ -174,7 +169,6 @@ func (r *Registry) Remove(name string) *Session {
 	r.mu.Unlock()
 	if s != nil {
 		r.g.open.Add(-1)
-		r.g.lag.Add(-int64(s.SinceCheckpoint()))
 	}
 	return s
 }
@@ -400,7 +394,6 @@ func (s *Session) Append(evs []events.Event, offset int) (int, error) {
 		return 0, fmt.Errorf("live: applying events for %q: %w", s.name, err)
 	}
 	s.g.events.Add(int64(len(fresh)))
-	s.g.lag.Add(int64(len(fresh)))
 	s.bumpRenumbers()
 	return len(fresh), nil
 }
@@ -512,11 +505,9 @@ func (s *Session) Checkpoint() error {
 	if err := s.st.Backend().WriteMeta(CheckpointMeta(s.name), buf.Bytes()); err != nil {
 		return fmt.Errorf("live: checkpointing %q: %w", s.name, err)
 	}
-	covered := len(s.history) - s.ckptSeq
 	s.ckptSeq = len(s.history)
 	s.ckptLogBytes = s.logBytes
 	s.g.checkpoints.Add(1)
-	s.g.lag.Add(-int64(covered))
 	return nil
 }
 
@@ -591,7 +582,6 @@ func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Ses
 	s.logBytes = s.ckptLogBytes + int64(clean)
 	s.g.replays.Add(1)
 	s.g.events.Add(int64(len(s.history)))
-	s.g.lag.Add(int64(s.SinceCheckpoint()))
 	s.bumpRenumbers()
 	if clean < len(tail) {
 		// Torn tail: account the garbage bytes to the session and

@@ -127,8 +127,8 @@ func RPQPatternPool(sp *spec.Spec, n int, seed int64) []string {
 }
 
 // OpenOrCreateStore opens the store at a provserve-style URL
-// (fs://dir, bare path, mem:, mem://, shard://a,b), creating it with
-// the given spec when it does not exist yet. The second result reports
+// (fs://dir, bare path, mem:, mem://), creating it with the given spec
+// when it does not exist yet. The second result reports
 // whether the store was created (and therefore needs a corpus).
 // A fault://opts/inner URL opens (or creates) the inner store and
 // wraps its backend in the chaos fault injector — the plan is armed
@@ -167,14 +167,11 @@ func OpenOrCreateStore(url string, sp *spec.Spec, specName string) (*store.Store
 		}
 		st, err := store.OpenURL(url)
 		return st, false, err
-	case strings.HasPrefix(url, "shard://"):
-		dirs := strings.Split(strings.TrimPrefix(url, "shard://"), ",")
-		if st, err := store.OpenSharded(dirs); err == nil {
-			return st, false, nil
-		}
-		st, err := store.CreateSharded(dirs, sp, specName)
-		return st, true, err
 	default:
+		// Any other scheme is refused, not taken for a directory name.
+		if scheme, _, ok := strings.Cut(url, "://"); ok && scheme != "fs" {
+			return nil, false, fmt.Errorf("loadgen: unknown store URL scheme %q (want fs, mem or fault)", scheme)
+		}
 		dir := strings.TrimPrefix(url, "fs://")
 		if st, err := store.Open(dir); err == nil {
 			return st, false, nil

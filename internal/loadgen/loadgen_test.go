@@ -3,7 +3,11 @@ package loadgen
 import (
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
+
+	"repro/internal/spec"
 )
 
 func TestZipfDeterministic(t *testing.T) {
@@ -158,5 +162,18 @@ func TestParseMix(t *testing.T) {
 		if _, err := ParseMix(bad); err == nil {
 			t.Errorf("ParseMix(%q) should fail", bad)
 		}
+	}
+}
+
+// An unknown scheme is refused, not created as a directory named after
+// the URL.
+func TestOpenOrCreateStoreRefusesUnknownScheme(t *testing.T) {
+	t.Chdir(t.TempDir())
+	_, _, err := OpenOrCreateStore("shard://a,b", spec.PaperSpec(), "paper")
+	if err == nil || !strings.Contains(err.Error(), `unknown store URL scheme "shard"`) {
+		t.Fatalf("OpenOrCreateStore(shard://a,b) = %v, want an unknown-scheme error", err)
+	}
+	if entries, _ := os.ReadDir("."); len(entries) != 0 {
+		t.Fatalf("a refused URL left %v behind", entries)
 	}
 }

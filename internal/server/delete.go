@@ -69,9 +69,9 @@ func (s *Server) deleteRun(name string) error {
 // invalidated unconditionally — on ErrNotExist a session cached before
 // some external process removed the blobs is a zombie, and on any other
 // error the backend may have deleted the pair partway (fs removes the
-// document first; shard stops mid-children), so a cached session could
-// otherwise keep answering for a run that is already gone from the
-// store. Callers hold the run's write lock.
+// document first), so a cached session could otherwise keep answering
+// for a run that is already gone from the store. Callers hold the run's
+// write lock.
 func (s *Server) removeRun(name string) (hadStream bool, err error) {
 	if s.stream {
 		if hadStream, err = s.clearStreamState(name); err != nil {

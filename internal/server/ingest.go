@@ -47,11 +47,10 @@ type runLocks struct {
 	mu [64]sync.RWMutex
 }
 
-// fnv32a is the package's one inlined FNV-1a over a run name (the same
-// keying as the shard backend's router) — hash/fnv would heap-allocate
-// its state and copy the name on every load and every PUT. Both stripe
-// consumers (runLocks, the session cache's generation table) derive
-// their index from this single implementation.
+// fnv32a is the package's one inlined FNV-1a over a run name — hash/fnv
+// would heap-allocate its state and copy the name on every load and
+// every PUT. Both stripe consumers (runLocks, the session cache's
+// generation table) derive their index from this single implementation.
 func fnv32a(name string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(name); i++ {

@@ -4,9 +4,8 @@
 // motivates — labels are computed once at ingest (store.PutRun) and then
 // answer constant-time queries for many concurrent clients. The server
 // is backend-agnostic: it speaks to store.Store, which runs over any
-// store.Backend (one directory, RAM, or a shard set), so the same
-// process can front a local store, an ephemeral in-memory copy, or many
-// disks.
+// store.Backend (one directory or RAM), so the same process can front a
+// local store or an ephemeral in-memory copy.
 //
 // Endpoints, each declared once in New's route table (pattern, method,
 // served-counter key, handler):

@@ -460,10 +460,10 @@ func TestConcurrentServer(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServerAllBackends serves the same workload from fs-, mem- and
-// shard-backed stores: the server is backend-agnostic by construction
+// TestServerAllBackends serves the same workload from fs- and
+// mem-backed stores: the server is backend-agnostic by construction
 // (it only sees store.Store), and /healthz reports which substrate is
-// underneath, including per-shard stats.
+// underneath.
 func TestServerAllBackends(t *testing.T) {
 	s := spec.PaperSpec()
 	backends := []struct {
@@ -479,13 +479,6 @@ func TestServerAllBackends(t *testing.T) {
 		}},
 		{"mem", func(t *testing.T) *store.Store {
 			st, err := store.NewMem(s, "paper")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st
-		}},
-		{"shard", func(t *testing.T) *store.Store {
-			st, err := store.CreateSharded([]string{t.TempDir(), t.TempDir()}, s, "paper")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -514,9 +507,6 @@ func TestServerAllBackends(t *testing.T) {
 			}
 			if health.Status != "ok" || health.Store.Kind != bk.kind {
 				t.Fatalf("/healthz = %+v, want store kind %q", health, bk.kind)
-			}
-			if bk.kind == "shard" && len(health.Store.Shards) != 2 {
-				t.Fatalf("/healthz shard stats = %+v, want 2 children", health.Store)
 			}
 
 			var runs struct {

@@ -7,8 +7,8 @@ import "io"
 // label snapshots — without interpreting them; all validation, labeling
 // and snapshot binding happens in Store. Keeping the interface at the
 // blob level is what lets one labeling/query layer sit on interchangeable
-// substrates: a directory (fs), RAM (mem), a hash-routed fan-out over
-// child backends (shard), or a future remote/object-store layout.
+// substrates: a directory (fs), RAM (mem), or a wrapper around either
+// (retry, fault injection).
 //
 // # Contract
 //
@@ -73,7 +73,7 @@ import "io"
 // The caller must not modify the slice either; in exchange it may keep
 // it for as long as it likes without copying, which is how OpenRun
 // borrows a resident run's blobs (see ReadBlob). Wrapper backends
-// (shard, retry, fault injection) hand their child's reader through
+// (retry, fault injection) hand their inner backend's reader through
 // unchanged, so the offer reaches the store through them.
 //
 // # Failure model
@@ -132,8 +132,7 @@ type Backend interface {
 	ReadMeta(name string) (io.ReadCloser, error)
 	// WriteMeta atomically persists a small metadata blob under name,
 	// overwriting any previous value. Implementations must not retain
-	// the slice. Sharded backends replicate meta to every child, like
-	// the spec.
+	// the slice.
 	WriteMeta(name string, data []byte) error
 	// Stat cheaply describes the backend for monitoring (no I/O heavier
 	// than constant-time bookkeeping).
@@ -145,17 +144,15 @@ type Backend interface {
 
 // Stats describes a backend for monitoring endpoints (e.g. the query
 // server's /healthz). Fields are populated where they are cheap: Path
-// for fs backends, Runs for mem backends, Shards (one child entry each)
-// for shard backends.
+// for fs backends, Runs for mem backends.
 type Stats struct {
-	// Kind identifies the backend implementation: "fs", "mem" or "shard".
+	// Kind identifies the backend implementation: "fs", "mem", or a
+	// wrapper's kind ("retry", "fault").
 	Kind string `json:"kind"`
 	// Path is the fs backend's directory.
 	Path string `json:"path,omitempty"`
 	// Runs is the mem backend's resident run count.
 	Runs int `json:"runs,omitempty"`
-	// Shards holds one entry per child of a shard backend.
-	Shards []Stats `json:"shards,omitempty"`
 	// Wrapped is the inner backend's stats for wrapper backends (the
 	// retry layer, the fault injector).
 	Wrapped *Stats `json:"wrapped,omitempty"`

@@ -7,8 +7,7 @@ import (
 	"repro/internal/store/backendtest"
 )
 
-// Every shipped backend passes the same conformance suite; shard is run
-// twice to show child backends are interchangeable too.
+// Every shipped backend passes the same conformance suite.
 
 func TestFSBackendConformance(t *testing.T) {
 	backendtest.Run(t, func(t *testing.T) store.Backend {
@@ -22,30 +21,6 @@ func TestMemBackendConformance(t *testing.T) {
 	})
 }
 
-func TestShardFSBackendConformance(t *testing.T) {
-	backendtest.Run(t, func(t *testing.T) store.Backend {
-		b, err := store.NewShardBackend(
-			store.NewFSBackend(t.TempDir()),
-			store.NewFSBackend(t.TempDir()),
-			store.NewFSBackend(t.TempDir()),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	})
-}
-
-func TestShardMemBackendConformance(t *testing.T) {
-	backendtest.Run(t, func(t *testing.T) store.Backend {
-		b, err := store.NewShardBackend(store.NewMemBackend(), store.NewMemBackend())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	})
-}
-
 // The retry wrapper must be contract-transparent: a conformance pass
 // over a wrapped mem backend shows retries never change semantics on a
 // healthy substrate.
@@ -53,10 +28,4 @@ func TestRetryBackendConformance(t *testing.T) {
 	backendtest.Run(t, func(t *testing.T) store.Backend {
 		return store.WithRetry(store.NewMemBackend(), store.RetryPolicy{})
 	})
-}
-
-func TestShardNeedsChildren(t *testing.T) {
-	if _, err := store.NewShardBackend(); err == nil {
-		t.Fatal("NewShardBackend() accepted zero children")
-	}
 }

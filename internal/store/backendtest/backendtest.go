@@ -1,5 +1,5 @@
 // Package backendtest is the conformance suite for store.Backend
-// implementations. Every backend — fs, mem, shard, and any future
+// implementations. Every backend — fs, mem, the wrappers, and any future
 // remote/object-store layout — must pass Run against a factory producing
 // fresh, empty backends; the suite pins down the parts of the contract
 // the Store and the serving layer rely on: blob round-trips, sorted and

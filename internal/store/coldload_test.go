@@ -228,9 +228,6 @@ func TestSessionKeepsItsDocumentAcrossOverwrite(t *testing.T) {
 	}{
 		{"mem", func(t *testing.T) (*store.Store, error) { return store.NewMem(sp, "paper") }},
 		{"fs", func(t *testing.T) (*store.Store, error) { return store.Create(t.TempDir(), sp, "paper") }},
-		{"shard", func(t *testing.T) (*store.Store, error) {
-			return store.CreateSharded([]string{t.TempDir(), t.TempDir()}, sp, "paper")
-		}},
 	} {
 		t.Run(bk.kind, func(t *testing.T) {
 			st, err := bk.open(t)

@@ -4,13 +4,13 @@
 // torn event-log tails, and runs whose label write landed but whose
 // document write did not.
 //
-// The wrapper composes around any backend — fs, mem, shard, or the
+// The wrapper composes around any backend — fs, mem, or the
 // retry wrapper itself — either in-process via Wrap, or from a store
 // URL once this package is imported:
 //
 //	fault://rate=0.05,seed=7/mem://dir
 //	fault://torn=0.1,latency=2ms/fs:///var/prov
-//	fault://reads=0.2,writes=0.05,seed=1/shard://a,b
+//	fault://reads=0.2,writes=0.05,seed=1/dir
 //
 // Everything between "fault://" and the first "/" is a comma-separated
 // option list (see ParsePlan); the remainder is the inner store URL,

@@ -37,12 +37,11 @@ import (
 // to serialize.
 //
 // Orphaned .skl files (a crash landed between the two renames of a
-// write or a delete) are swept once on the first ReadSpec or ListRuns —
-// store open and the first listing, which on a shard set reaches every
-// child — and again on DeleteRun (throttled, see there). The sweep
-// serializes against
-// in-process writes through sweepMu: WriteRun holds the read side
-// across its rename pair so the sweep can never observe (and collect)
+// write or a delete) are swept once on the first ReadSpec — OpenBackend
+// (through any wrapper) and Copy read the spec before they list runs —
+// and again on DeleteRun (throttled, see there). The sweep serializes
+// against in-process writes through sweepMu: WriteRun holds the read
+// side across its rename pair so the sweep can never observe (and collect)
 // the .skl of a write whose .xml rename is still in flight. Writers in
 // other processes are outside this lock and remain the deployment's to
 // serialize, as everywhere else in the contract.
@@ -53,8 +52,7 @@ type fsBackend struct {
 	// skl/xml rename pair (read side); see the type comment.
 	sweepMu sync.RWMutex
 	// sweepOnce runs the open-time orphan sweep exactly once, from the
-	// first ReadSpec (OpenBackend's entry point into the layout) or
-	// ListRuns (which reaches every child of a shard set).
+	// first ReadSpec (OpenBackend's entry point into the layout).
 	sweepOnce sync.Once
 	// lastSweepNs throttles the delete-time sweep (unix nanos of the
 	// last one): a bulk retention sweep deleting thousands of runs must
@@ -283,12 +281,6 @@ func (b *fsBackend) WriteMeta(name string, data []byte) error {
 }
 
 func (b *fsBackend) ListRuns() ([]string, error) {
-	// The sweep also hooks the first listing: a shard set only reads the
-	// spec from its first child, so for children 1..n this is the call
-	// that collects their crash debris at startup (every shard ListRuns
-	// fans out to all children; serving layers list before they sweep
-	// retention).
-	b.sweepOnce.Do(func() { b.sweepOrphans() })
 	entries, err := os.ReadDir(filepath.Join(b.dir, "runs"))
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)

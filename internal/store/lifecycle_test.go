@@ -67,42 +67,6 @@ func TestFSOrphanSweepOnOpen(t *testing.T) {
 	}
 }
 
-// TestShardChildOrphanSweepOnList: a shard set reads its spec only from
-// the first child, so for the other children the first run listing is
-// what triggers the open-time sweep — debris on any child must be gone
-// after one ListRuns over the shard.
-func TestShardChildOrphanSweepOnList(t *testing.T) {
-	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	s := spec.PaperSpec()
-	st, err := store.CreateSharded(dirs, s, "paper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := run.GenerateSized(s, rand.New(rand.NewSource(3)), 80)
-	if err := st.PutRun("intact", r, nil, label.TCM{}); err != nil {
-		t.Fatal(err)
-	}
-	orphans := make([]string, len(dirs))
-	for i, d := range dirs {
-		orphans[i] = plantOrphan(t, d, "crashed")
-	}
-	st2, err := store.OpenSharded(dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names, err := st2.Runs(); err != nil || fmt.Sprint(names) != "[intact]" {
-		t.Fatalf("Runs = %v, %v", names, err)
-	}
-	for i, orphan := range orphans {
-		if _, err := os.Stat(orphan); !errors.Is(err, fs.ErrNotExist) {
-			t.Fatalf("orphan on shard child %d survived the first listing: %v", i, err)
-		}
-	}
-	if _, err := st2.OpenRun("intact", label.TCM{}); err != nil {
-		t.Fatalf("intact run after shard sweep: %v", err)
-	}
-}
-
 // TestFSOrphanSweepOnDelete: DeleteRun collects crash debris left by
 // earlier interrupted writes, so a retention sweep doubles as garbage
 // collection.

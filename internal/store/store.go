@@ -9,16 +9,14 @@
 //
 // Store is backend-agnostic logic (run validation, labeling, snapshot
 // binding, session construction) over a blob-level Backend interface.
-// Three backends ship with the package:
+// Two backends ship with the package:
 //
 //   - fs: one directory on disk (spec.xml, runs/<name>.xml,
 //     runs/<name>.skl), with atomic temp-file+rename writes
 //   - mem: everything in RAM, for tests and ephemeral serving
-//   - shard: runs hash-routed across N child backends, so one store
-//     spans many directories or disks
 //
-// OpenURL opens any of them from a URL ("fs://dir", a bare path,
-// "mem://dir" to preload a directory into RAM, "shard://a,b,c").
+// OpenURL opens either from a URL ("fs://dir", a bare path, or
+// "mem://dir" to preload a directory into RAM).
 //
 // # Concurrency
 //
@@ -118,36 +116,6 @@ func Open(dir string) (*Store, error) {
 // NewMem returns a store over a fresh in-memory backend.
 func NewMem(s *spec.Spec, name string) (*Store, error) {
 	return New(NewMemBackend(), s, name)
-}
-
-// CreateSharded initializes a store sharded across fs-backed child
-// directories, replicating the spec to each so every shard is also
-// independently openable.
-func CreateSharded(dirs []string, s *spec.Spec, name string) (*Store, error) {
-	b, err := newShardFS(dirs)
-	if err != nil {
-		return nil, err
-	}
-	return New(b, s, name)
-}
-
-// OpenSharded loads an existing store sharded across fs-backed child
-// directories; the directory list must match the one it was created
-// with (routing hashes the run name over the shard count and order).
-func OpenSharded(dirs []string) (*Store, error) {
-	b, err := newShardFS(dirs)
-	if err != nil {
-		return nil, err
-	}
-	return OpenBackend(b)
-}
-
-func newShardFS(dirs []string) (Backend, error) {
-	children := make([]Backend, len(dirs))
-	for i, d := range dirs {
-		children[i] = NewFSBackend(d)
-	}
-	return NewShardBackend(children...)
 }
 
 // Spec returns the store's specification.
@@ -580,7 +548,7 @@ func ValidMetaName(name string) error {
 // one or more characters from [A-Za-z0-9._-], not starting with ".".
 // The character class rules out separators, whitespace and control
 // characters on every backend, so a run name is always safe to embed in
-// a file path, a URL or a shard key; banning the leading dot covers the
+// a file path or a URL; banning the leading dot covers the
 // path specials "." and ".." and reserves the dot-prefixed namespace
 // for the fs backend's temp files. Callers accepting run names from
 // untrusted input (e.g. the query server) can reject bad names up front

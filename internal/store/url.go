@@ -14,8 +14,6 @@ import (
 //	fs://dir          one directory on disk (a bare path means the same)
 //	mem://dir         preload the fs store at dir into RAM and serve from
 //	                  memory (ephemeral: writes are lost on exit)
-//	shard://a,b,...   a store sharded across the listed directories, as
-//	                  created by CreateSharded with the same list
 //
 // Additional schemes can be added through RegisterURLScheme; importing
 // internal/store/faultinject registers "fault", a fault-injecting
@@ -37,7 +35,7 @@ func OpenURL(rawurl string) (*Store, error) {
 }
 
 // schemes holds the extension openers RegisterURLScheme added; the
-// built-in fs/mem/shard schemes are matched first and cannot be
+// built-in fs and mem schemes are matched first and cannot be
 // overridden.
 var (
 	schemesMu sync.RWMutex
@@ -49,11 +47,11 @@ var (
 // database/sql-driver pattern for storage substrates: wrapper and
 // remote backends register themselves from their own package's init, so
 // the core store package never imports them. Registering a built-in
-// scheme (fs, mem, shard) or registering the same scheme twice panics —
+// scheme (fs, mem) or registering the same scheme twice panics —
 // both are wiring bugs, not runtime conditions.
 func RegisterURLScheme(scheme string, open func(rest string) (Backend, error)) {
 	switch scheme {
-	case "fs", "mem", "shard":
+	case "fs", "mem":
 		panic("store: cannot override built-in URL scheme " + scheme)
 	}
 	schemesMu.Lock()
@@ -91,23 +89,12 @@ func OpenBackendURL(rawurl string) (Backend, error) {
 			return nil, err
 		}
 		return mem, nil
-	case "shard":
-		var dirs []string
-		for _, d := range strings.Split(rest, ",") {
-			if d = strings.TrimSpace(d); d != "" {
-				dirs = append(dirs, d)
-			}
-		}
-		if len(dirs) == 0 {
-			return nil, fmt.Errorf("store: shard:// needs a comma-separated directory list")
-		}
-		return newShardFS(dirs)
 	default:
 		schemesMu.RLock()
 		open, ok := schemes[scheme]
 		schemesMu.RUnlock()
 		if !ok {
-			return nil, fmt.Errorf("store: unknown store URL scheme %q (want fs, mem, shard or a registered scheme)", scheme)
+			return nil, fmt.Errorf("store: unknown store URL scheme %q (want fs, mem or a registered scheme)", scheme)
 		}
 		return open(rest)
 	}
@@ -115,11 +102,10 @@ func OpenBackendURL(rawurl string) (Backend, error) {
 
 // Copy replicates src's spec and every run into dst. It is the
 // workhorse behind "mem://<dir>" warm loading and works between any two
-// backends — e.g. snapshotting an in-memory store to disk, or fanning a
-// single directory out into a fresh shard set. Runs deleted from src
-// between the listing and their read (a retention sweep on a live
-// store) are skipped, not errors: the copy lands without them, exactly
-// as if it had started a moment later.
+// backends — e.g. snapshotting an in-memory store to disk. Runs
+// deleted from src between the listing and their read (a retention
+// sweep on a live store) are skipped, not errors: the copy lands
+// without them, exactly as if it had started a moment later.
 func Copy(dst, src Backend) error {
 	spec, err := readAll(src.ReadSpec())
 	if err != nil {

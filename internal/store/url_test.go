@@ -4,10 +4,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/dag"
 	"repro/internal/label"
 	"repro/internal/run"
 	"repro/internal/spec"
@@ -99,84 +99,6 @@ func TestFSWriteRunAtomic(t *testing.T) {
 	}
 }
 
-// TestShardedStoreRoundTrip drives the full Store logic over a sharded
-// backend: runs spread across children, every child is a valid store of
-// its own, and reopening via both OpenSharded and OpenURL answers
-// queries from stored labels.
-func TestShardedStoreRoundTrip(t *testing.T) {
-	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	s := spec.PaperSpec()
-	st, err := store.CreateSharded(dirs, s, "paper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"}
-	runs := make(map[string]*run.Run, len(names))
-	for _, name := range names {
-		r, _ := run.GenerateSized(s, rng, 120)
-		if err := st.PutRun(name, r, nil, label.TCM{}); err != nil {
-			t.Fatalf("PutRun(%s): %v", name, err)
-		}
-		runs[name] = r
-	}
-	got, err := st.Runs()
-	if err != nil || len(got) != len(names) {
-		t.Fatalf("Runs() = %v, %v", got, err)
-	}
-	// FNV routing should put at least one run in more than one shard, and
-	// each child must be an openable store in its own right.
-	populated := 0
-	for _, d := range dirs {
-		child, err := store.Open(d)
-		if err != nil {
-			t.Fatalf("child %s not independently openable: %v", d, err)
-		}
-		childRuns, err := child.Runs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(childRuns) > 0 {
-			populated++
-		}
-	}
-	if populated < 2 {
-		t.Fatalf("10 runs landed in %d of 3 shards; routing is degenerate", populated)
-	}
-	for _, reopen := range []func() (*store.Store, error){
-		func() (*store.Store, error) { return store.OpenSharded(dirs) },
-		func() (*store.Store, error) { return store.OpenURL("shard://" + strings.Join(dirs, ",")) },
-	} {
-		st2, err := reopen()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range names {
-			sess, err := st2.OpenRun(name, label.TCM{})
-			if err != nil {
-				t.Fatalf("OpenRun(%s): %v", name, err)
-			}
-			if document(t, sess).NumVertices() != runs[name].NumVertices() {
-				t.Fatalf("%s: stored run size changed", name)
-			}
-		}
-		// Spot-check answers on one run against direct search.
-		sess, err := st2.OpenRun("a", label.TCM{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stored := document(t, sess)
-		searcher := dag.NewSearcher(stored.Graph)
-		n := stored.NumVertices()
-		for q := 0; q < 300; q++ {
-			u, v := dag.VertexID(rng.Intn(n)), dag.VertexID(rng.Intn(n))
-			if sess.Labels.Reachable(u, v) != searcher.ReachableBFS(u, v) {
-				t.Fatalf("sharded store labels wrong at (%d,%d)", u, v)
-			}
-		}
-	}
-}
-
 func TestOpenURL(t *testing.T) {
 	dir := t.TempDir()
 	s := spec.PaperSpec()
@@ -226,6 +148,14 @@ func TestOpenURL(t *testing.T) {
 	for _, bad := range []string{"", "mem://", "fs://", "shard://", "s3://bucket"} {
 		if _, err := store.OpenURL(bad); err == nil {
 			t.Errorf("OpenURL(%q) succeeded", bad)
+		}
+	}
+	// A scheme that is neither built in nor registered is refused, and
+	// the error names it.
+	for _, scheme := range []string{"shard", "s3"} {
+		_, err := store.OpenURL(scheme + "://a,b")
+		if err == nil || !strings.Contains(err.Error(), "unknown store URL scheme") || !strings.Contains(err.Error(), strconv.Quote(scheme)) {
+			t.Errorf("OpenURL(%s://a,b) = %v, want an unknown-scheme error naming %q", scheme, err, scheme)
 		}
 	}
 }

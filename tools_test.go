@@ -104,7 +104,7 @@ func TestToolProvbench(t *testing.T) {
 	}
 }
 
-// TestToolProvserve builds the provserve binary, points it at a sharded
+// TestToolProvserve builds the provserve binary, points it at an fs
 // store created through the public Store API (exercising the -store URL
 // plumbing), and exercises the HTTP endpoints end to end.
 func TestToolProvserve(t *testing.T) {
@@ -113,12 +113,11 @@ func TestToolProvserve(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	// A real on-disk store, sharded across two directories, with one
-	// labeled run.
+	// A real on-disk store with one labeled run.
 	s := repro.PaperSpec()
-	shardDirs := []string{filepath.Join(dir, "shardA"), filepath.Join(dir, "shardB")}
-	storeURL := "shard://" + strings.Join(shardDirs, ",")
-	st, err := repro.NewShardedStore(shardDirs, s, "paper")
+	storeDir := filepath.Join(dir, "store")
+	storeURL := "fs://" + storeDir
+	st, err := repro.CreateStore(storeDir, s, "paper")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,13 +190,13 @@ func TestToolProvserve(t *testing.T) {
 
 	var health struct {
 		Store struct {
-			Kind   string `json:"kind"`
-			Shards []any  `json:"shards"`
+			Kind string `json:"kind"`
+			Path string `json:"path"`
 		} `json:"store"`
 	}
 	getJSON(t, base+"/healthz", &health)
-	if health.Store.Kind != "shard" || len(health.Store.Shards) != 2 {
-		t.Fatalf("/healthz store = %+v, want shard with 2 children", health.Store)
+	if health.Store.Kind != "fs" || health.Store.Path != storeDir {
+		t.Fatalf("/healthz store = %+v, want fs at %s", health.Store, storeDir)
 	}
 
 	var reach struct {
