@@ -628,15 +628,14 @@ func BenchmarkServerLineage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(13))
-	const pool = 64
-	targets := make([]string, pool)
-	for i := range targets {
+	queries := lineageQueries(r)
+	targets := make([]string, len(queries))
+	for i, q := range queries {
 		dir := "up"
-		if i%2 == 1 {
+		if !q.up {
 			dir = "down"
 		}
-		targets[i] = fmt.Sprintf("/lineage?run=r1&vertex=%d&dir=%s", rng.Intn(r.NumVertices()), dir)
+		targets[i] = fmt.Sprintf("/lineage?run=r1&vertex=%d&dir=%s", q.v, dir)
 	}
 	// Warm the session cache so the loop measures pure cache-hit serving.
 	rec := httptest.NewRecorder()
@@ -648,11 +647,63 @@ func BenchmarkServerLineage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest("GET", targets[i%pool], nil))
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", targets[i%len(targets)], nil))
 		if rec.Code != 200 {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
 	}
+}
+
+// lineageQuery is one /lineage source vertex and direction.
+type lineageQuery struct {
+	v  repro.VertexID
+	up bool
+}
+
+// lineageQueries returns BenchmarkServerLineage's 64 queries over r:
+// random vertices, alternating up and down.
+func lineageQueries(r *repro.Run) []lineageQuery {
+	rng := rand.New(rand.NewSource(13))
+	queries := make([]lineageQuery, 64)
+	for i := range queries {
+		queries[i] = lineageQuery{repro.VertexID(rng.Intn(r.NumVertices())), i%2 == 0}
+	}
+	return queries
+}
+
+// BenchmarkLineageStages splits BenchmarkServerLineage into its two
+// stages over the same run and queries: the label-only cone
+// (core.Labeling.AppendCone) and the encode of the cone's vertex names
+// into a response body, as jsonWriter.names writes them for module
+// names that need no escaping. The two sum to ServerLineage minus
+// vertex resolution and HTTP plumbing.
+func BenchmarkLineageStages(b *testing.B) {
+	r := benchRun(b, 5000)
+	l, err := repro.LabelRun(r, repro.TCM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nm := run.NewNamerFromOrigins(r.Spec, l.Origins())
+	queries := lineageQueries(r)
+	cones := make([][]repro.VertexID, len(queries))
+	for i, q := range queries {
+		cones[i] = l.AppendCone(nil, q.v, q.up)
+	}
+	b.Run("cone", func(b *testing.B) {
+		b.ReportAllocs()
+		var dst []repro.VertexID
+		for i := 0; i < b.N; i++ {
+			q := queries[i%len(queries)]
+			dst = l.AppendCone(dst[:0], q.v, q.up)
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		var body []byte
+		for i := 0; i < b.N; i++ {
+			body = append(nm.AppendQuotedNames(append(body[:0], '['), cones[i%len(cones)]), ']')
+		}
+	})
 }
 
 // BenchmarkServerColdRead measures a session-cache miss end to end as

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/dag"
@@ -14,6 +15,7 @@ const maxConeMemo = 1 << 16
 // Cone verdicts. A context is in the cone, out of it, or left to the
 // skeleton query on each member's origin (askSkeleton); an origin's
 // memo entry is askSkeleton until the skeleton has been probed for it.
+// Only inCone has bit 0 set (v&inCone is 1 exactly when v is inCone).
 const (
 	askSkeleton uint8 = iota
 	inCone
@@ -34,8 +36,7 @@ var coneScratchPool = sync.Pool{New: func() any { return new(coneScratch) }}
 // AppendCone appends v's lineage cone to dst in ascending vertex ID and
 // returns the extended slice: every other vertex that reaches v when up
 // is true (the upstream cone), every vertex v reaches otherwise. The
-// cone equals a scan of ReachableLabels over all n vertices, computed in
-// O(n⁺_T + n) with no index.
+// cone equals a scan of ReachableLabels over all n vertices.
 //
 // Algorithm 3's predicate πr splits in two. Its context test reads only
 // (Q1, Q2, Q3), which every vertex of one plan context shares, so when
@@ -43,9 +44,14 @@ var coneScratchPool = sync.Pool{New: func() any { return new(coneScratch) }}
 // vertices. Otherwise the answer is the skeleton query on the origins,
 // and a per-query memo over spec vertices makes that at most one
 // skeleton.Reachable per origin rather than per vertex. So AppendCone
-// first decides each context once, then scans the context column in
-// vertex order, appending the vertices whose context (or origin) is in
-// the cone.
+// first decides each context once, then walks the snapshot's context
+// spans in vertex order: a span whose context is out of the cone is
+// skipped whole, one in the cone is appended as a range, and only the
+// vertices of undecided spans go through the skeleton memo. That costs
+// O(n⁺_T + spans + vertices in undecided spans + |cone|). When
+// contexts interleave in vertex order, spans are too short to pay for
+// their index, the snapshot keeps none, and AppendCone scans the
+// context column: O(n⁺_T + n).
 func (l *Labeling) AppendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag.VertexID {
 	s := l.Label(v)
 	sc := coneScratchPool.Get().(*coneScratch)
@@ -74,36 +80,77 @@ func (l *Labeling) AppendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag
 			}
 		}
 	}
-	// skeleton answers πr's origin part for origin o, probing the
-	// skeleton at most once per origin the memo covers.
-	skeleton := func(o dag.VertexID) bool {
-		inMemo := uint(o) < uint(len(memo))
-		if inMemo && memo[o] != askSkeleton {
-			return memo[o] == inCone
+	// probe answers πr's origin part for origin o with the skeleton
+	// and records the verdict in the memo, if the memo covers o.
+	probe := func(o dag.VertexID) uint8 {
+		r := outOfCone
+		if up && l.skeleton.Reachable(o, s.Orig) || !up && l.skeleton.Reachable(s.Orig, o) {
+			r = inCone
 		}
-		r := up && l.skeleton.Reachable(o, s.Orig) || !up && l.skeleton.Reachable(s.Orig, o)
-		if inMemo {
-			memo[o] = outOfCone
-			if r {
-				memo[o] = inCone
-			}
+		if uint(o) < uint(len(memo)) {
+			memo[o] = r
 		}
 		return r
 	}
-	for u, q := range l.snap.q1 {
-		switch verdict[q] {
-		case outOfCone:
-			continue
-		case askSkeleton:
-			if !skeleton(l.snap.orig[u]) {
-				continue
+	// Each loop below writes every candidate vertex and advances past
+	// it only when it is in the cone (r&inCone), so the verdicts, which
+	// vary from vertex to vertex, cost no branch.
+	q1, orig, spans := l.snap.q1, l.snap.orig, l.snap.spans
+	if spans == nil {
+		dst = slices.Grow(dst, len(q1))
+		k, out := len(dst), dst[:len(dst)+len(q1)]
+		for u, q := range q1 {
+			r := verdict[q]
+			if r == askSkeleton {
+				if r = memoAt(memo, orig[u]); r == askSkeleton {
+					r = probe(orig[u])
+				}
+			}
+			out[k] = dag.VertexID(u)
+			if dag.VertexID(u) != v {
+				k += int(r & inCone)
 			}
 		}
-		if dag.VertexID(u) != v {
-			dst = append(dst, dag.VertexID(u))
+		dst = out[:k]
+	}
+	for i := 1; i < len(spans); i++ {
+		lo, hi := dag.VertexID(spans[i-1]), dag.VertexID(spans[i])
+		r := verdict[q1[lo]]
+		if r == outOfCone {
+			continue
 		}
+		dst = slices.Grow(dst, int(hi-lo))
+		k, out := len(dst), dst[:len(dst)+int(hi-lo)]
+		if r == inCone {
+			// v's own context has v's row (d2 = d3 = 0), which the
+			// context test never decides, so v is in no such span.
+			for j := range out[k:] {
+				out[k+j] = lo + dag.VertexID(j)
+			}
+			dst = out
+			continue
+		}
+		for u := lo; u < hi; u++ {
+			if r = memoAt(memo, orig[u]); r == askSkeleton {
+				r = probe(orig[u])
+			}
+			out[k] = u
+			if u != v {
+				k += int(r & inCone)
+			}
+		}
+		dst = out[:k]
 	}
 	clear(memo)
 	coneScratchPool.Put(sc)
 	return dst
+}
+
+// memoAt returns origin o's memo entry, or askSkeleton when the memo
+// does not cover o.
+func memoAt(memo []uint8, o dag.VertexID) uint8 {
+	if uint(o) < uint(len(memo)) {
+		return memo[o]
+	}
+	return askSkeleton
 }

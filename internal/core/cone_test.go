@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -104,6 +105,24 @@ func TestConeMatchesScan(t *testing.T) {
 	}
 }
 
+// TestConeInterleavedContexts pins the cone to the per-vertex scan on
+// a QBLAST stand-in run numbered in orders no execution gives: every
+// vertex ID permuted, so contexts interleave throughout, and a few IDs
+// swapped, so some contexts split into several spans among long ones.
+func TestConeInterleavedContexts(t *testing.T) {
+	s := workload.MustStandIn("QBLAST", 1)
+	r, _ := run.GenerateSized(s, rand.New(rand.NewSource(12)), 800)
+	for _, scheme := range []label.Scheme{label.TCM{}, label.BFS{}} {
+		l := mustLabel(t, r, scheme)
+		n := l.NumVertices()
+		for _, swaps := range []int{n, n / 64} {
+			t.Run(fmt.Sprintf("%s/swaps=%d", scheme.Name(), swaps), func(t *testing.T) {
+				checkCones(t, permuted(t, l, s.NumVertices(), 7, swaps), allVertices(n))
+			})
+		}
+	}
+}
+
 // TestConeUntrustedLabels is the accept-or-reject oracle for label sets
 // no labeler may have written. Positions and origins stay in range, so
 // building the snapshot (NewSnapshot, or decoding the same labels as
@@ -191,26 +210,42 @@ func TestConeUntrustedLabels(t *testing.T) {
 }
 
 // FuzzConeOracle checks AppendCone against the per-vertex scan for any
-// snapshot DecodeSnapshot accepts with the paper specification's size,
-// bound to that specification's skeleton.
+// snapshot DecodeSnapshot accepts with the size of the paper
+// specification or of the QBLAST stand-in, bound to that
+// specification's skeleton.
 func FuzzConeOracle(f *testing.F) {
-	s := spec.PaperSpec()
-	skel, err := label.BFS{}.Build(s.Graph)
-	if err != nil {
-		f.Fatal(err)
+	s, qblast := spec.PaperSpec(), workload.MustStandIn("QBLAST", 1)
+	skeletons := map[int]label.Labeling{}
+	for _, sp := range []*spec.Spec{s, qblast} {
+		skel, err := label.BFS{}.Build(sp.Graph)
+		if err != nil {
+			f.Fatal(err)
+		}
+		skeletons[sp.NumVertices()] = skel
 	}
 	ng := s.NumVertices()
+	snapshot := func(l *core.Labeling) []byte {
+		var buf bytes.Buffer
+		if _, err := l.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	// A real run's labels.
 	r, _ := run.GenerateSized(s, rand.New(rand.NewSource(3)), 60)
-	real, err := core.LabelRun(r, skel)
+	real, err := core.LabelRun(r, skeletons[ng])
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := real.WriteTo(&buf); err != nil {
+	f.Add(snapshot(real))
+	// A QBLAST run's labels with every vertex ID permuted, and with a
+	// few swapped (see TestConeInterleavedContexts).
+	r, _ = run.GenerateSized(qblast, rand.New(rand.NewSource(12)), 300)
+	if real, err = core.LabelRun(r, skeletons[qblast.NumVertices()]); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
+	f.Add(snapshot(interleaved(f, real, qblast.NumVertices(), 7)))
+	f.Add(snapshot(permuted(f, real, qblast.NumVertices(), 7, real.NumVertices()/64)))
 	// Every Q1 = 0, one context shared by all, the others unused.
 	f.Add(rawSKL1(3, ng, core.Label{Orig: 1}, core.Label{Orig: 2}, core.Label{Orig: 5}))
 	// Equal Q1 with different (Q2, Q3): rejected.
@@ -223,7 +258,7 @@ func FuzzConeOracle(f *testing.F) {
 	f.Add(rawSKL1(1<<20, ng, core.Label{Q1: 1 << 19, Q2: 3, Q3: 9, Orig: 1}, core.Label{Q1: 1 << 20, Q2: 9, Q3: 3, Orig: 5}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := core.DecodeSnapshot(data)
-		if err != nil || snap.NumSpec != ng {
+		if err != nil || skeletons[snap.NumSpec] == nil {
 			return
 		}
 		n := snap.NumVertices()
@@ -235,7 +270,7 @@ func FuzzConeOracle(f *testing.F) {
 				sources = append(sources, dag.VertexID(i*n/64))
 			}
 		}
-		l, err := snap.Bind(skel)
+		l, err := snap.Bind(skeletons[snap.NumSpec])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,13 +368,55 @@ func TestConeProbesOncePerOrigin(t *testing.T) {
 	}
 }
 
+// interleaved returns l's labels, over a specification of numSpec
+// vertices, with the vertex IDs permuted at random (seed), bound to l's
+// skeleton: the same run numbered in an order no execution gives, so
+// every context's vertices are scattered across the ID range instead of
+// forming one run of consecutive IDs.
+func interleaved(t testing.TB, l *core.Labeling, numSpec int, seed int64) *core.Labeling {
+	return permuted(t, l, numSpec, seed, l.NumVertices())
+}
+
+// permuted is interleaved with only swaps random pairs of vertex IDs
+// swapped, or every ID permuted when swaps is at least the vertex
+// count. A few swaps split some contexts into several spans and keep
+// most spans long.
+func permuted(t testing.TB, l *core.Labeling, numSpec int, seed int64, swaps int) *core.Labeling {
+	t.Helper()
+	labels := labelsOf(l)
+	rng := rand.New(rand.NewSource(seed))
+	if swaps >= len(labels) {
+		rng.Shuffle(len(labels), func(i, j int) { labels[i], labels[j] = labels[j], labels[i] })
+	} else {
+		for ; swaps > 0; swaps-- {
+			i, j := rng.Intn(len(labels)), rng.Intn(len(labels))
+			labels[i], labels[j] = labels[j], labels[i]
+		}
+	}
+	snap, err := core.NewSnapshot(l.NumPositioned(), numSpec, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := snap.Bind(l.Skeleton())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // BenchmarkAppendCone measures lineage cones on 5,000-vertex stand-in
-// runs, both directions, cycling through 256 source vertices.
+// runs, both directions, cycling through 256 source vertices. The
+// QBLAST-interleaved rows take the QBLAST run with its vertex IDs
+// permuted, so contexts interleave in vertex order: the cone's worst
+// case.
 func BenchmarkAppendCone(b *testing.B) {
-	for _, name := range []string{"QBLAST", "EBI", "ProDisc"} {
-		s := workload.MustStandIn(name, 1)
+	for _, name := range []string{"QBLAST", "EBI", "ProDisc", "QBLAST-interleaved"} {
+		s := workload.MustStandIn(strings.TrimSuffix(name, "-interleaved"), 1)
 		r, _ := run.GenerateSized(s, rand.New(rand.NewSource(1)), 5000)
 		l := mustLabel(b, r, label.TCM{})
+		if strings.HasSuffix(name, "-interleaved") {
+			l = interleaved(b, l, s.NumVertices(), 1)
+		}
 		n := l.NumVertices()
 		for _, up := range []bool{true, false} {
 			b.Run(fmt.Sprintf("%s/up=%v", name, up), func(b *testing.B) {

@@ -42,7 +42,9 @@ type Label struct {
 // A Labeling is a Snapshot bound to a skeleton labeling, so it holds the
 // paper's factoring of the labels (Lemma 4.7) and nothing else: each
 // vertex's context (its Q1) and origin, and one (Q2, Q3) row per
-// context. A Labeling is immutable after construction and builds nothing
+// context, plus the snapshot's index of context spans (runs of
+// consecutive vertices with one context; see Snapshot), which AppendCone
+// walks. A Labeling is immutable after construction and builds nothing
 // lazily: every method only reads those columns and delegates to the
 // skeleton labeling, whose implementations are likewise safe for
 // concurrent queries (see internal/label). Any number of goroutines may
@@ -90,6 +92,7 @@ func LabelRunWithPlan(r *run.Run, p *plan.Plan, skeleton label.Labeling) (*Label
 		s.q1[v], s.orig[v] = q, r.Origin[v]
 		s.ord[2*q], s.ord[2*q+1] = o.Pos2[x.ID], o.Pos3[x.ID]
 	}
+	s.spans = contextSpans(s.q1)
 	return l, nil
 }
 

@@ -131,6 +131,16 @@ func (l *Labeling) WriteTo(w io.Writer) (int64, error) { return l.snap.WriteTo(w
 // context, indexed by Q1 — n⁺_T+1 rows. Both wire-format readers and
 // NewSnapshot store labels through one check, put, so the factoring
 // holds for stored labels too.
+//
+// Beside the columns it keeps one index, derived from the context
+// column and never written: the start of each maximal run of vertices
+// with equal context (a span), plus an end marker. Vertex IDs follow
+// execution order, so a plan context is usually one span, and the
+// index costs 4 B per span plus 4 B (0.5 B/vertex on a 5,000-vertex
+// QBLAST stand-in run). Labels numbered in another order can split
+// contexts into spans of a vertex or two; when spans average fewer
+// than minSpanLen vertices the snapshot keeps no index, so it never
+// costs more than 1 B/vertex + 4 B.
 type Snapshot struct {
 	NumPositioned int
 	NumSpec       int
@@ -138,9 +148,10 @@ type Snapshot struct {
 	// ignores it.
 	Version SnapshotVersion
 
-	q1   []uint32       // each vertex's context: its position in the first order
-	ord  []uint32       // context q's (Q2, Q3) at ord[2q] and ord[2q+1]
-	orig []dag.VertexID // each vertex's origin
+	q1    []uint32       // each vertex's context: its position in the first order
+	ord   []uint32       // context q's (Q2, Q3) at ord[2q] and ord[2q+1]
+	orig  []dag.VertexID // each vertex's origin
+	spans []uint32       // span i is vertices spans[i] to spans[i+1]-1, all of one context
 }
 
 // unsetRow marks a context row no label has filled yet. No position
@@ -216,20 +227,55 @@ func NewSnapshot(numPositioned, numSpec int, labels []Label) (*Snapshot, error) 
 			return nil, err
 		}
 	}
-	return s.checkBlocks()
+	return s.finish()
 }
 
-// checkBlocks returns s, or an error if a block of more than one label
-// has one Q1 and one origin throughout (see "Labels no labeler
-// writes").
-func (s *Snapshot) checkBlocks() (*Snapshot, error) {
+// finish completes a snapshot whose labels are all put: it returns an
+// error if a block of more than one label has one Q1 and one origin
+// throughout (see "Labels no labeler writes"), and otherwise indexes
+// the context spans and returns s.
+func (s *Snapshot) finish() (*Snapshot, error) {
 	for base := 0; base < len(s.q1); base += snapshotBlock {
 		end := min(base+snapshotBlock, len(s.q1))
 		if end-base > 1 && allEqual(s.q1[base:end]) && allEqual(s.orig[base:end]) {
 			return nil, fmt.Errorf("core: labels %d to %d share one context and one origin", base, end-1)
 		}
 	}
+	s.spans = contextSpans(s.q1)
 	return s, nil
+}
+
+// minSpanLen is the mean span length below which a snapshot keeps no
+// span index: spans that short save a cone little over a scan of the
+// context column (with one vertex per span the walk is the slower), and
+// the index would cost more than 1 B/vertex.
+const minSpanLen = 4
+
+// contextSpans returns the start of each maximal run of equal values
+// in q1, then len(q1), in a slice of exactly that length; or nil when
+// q1 is empty or its runs average fewer than minSpanLen values.
+func contextSpans(q1 []uint32) []uint32 {
+	if len(q1) == 0 {
+		return nil
+	}
+	n, prev := 1, q1[0]
+	for _, q := range q1 {
+		if q != prev {
+			n++
+		}
+		prev = q
+	}
+	if n*minSpanLen > len(q1) {
+		return nil
+	}
+	spans, prev := make([]uint32, 1, n+1), q1[0]
+	for i, q := range q1 {
+		if q != prev {
+			spans = append(spans, uint32(i))
+		}
+		prev = q
+	}
+	return append(spans, uint32(len(q1)))
 }
 
 func allEqual[T comparable](xs []T) bool {
@@ -417,7 +463,7 @@ func decodeSnapshotV1(data []byte) (*Snapshot, error) {
 	if len(data) != 0 {
 		return nil, fmt.Errorf("core: %d trailing bytes after snapshot", len(data))
 	}
-	return s.checkBlocks()
+	return s.finish()
 }
 
 // decodeSnapshotV2 bulk-decodes the columnar format from the bytes
@@ -471,7 +517,7 @@ func decodeSnapshotV2(data []byte) (*Snapshot, error) {
 			}
 		}
 	}
-	return s.checkBlocks()
+	return s.finish()
 }
 
 // decodeColumn decodes one column block into out (len(out) >= 1) and

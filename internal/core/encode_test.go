@@ -518,11 +518,46 @@ func TestSnapshotArbitraryValues(t *testing.T) {
 
 // TestLabelingHeapPerVertex pins what a stored run's labels keep
 // resident: decoded, bound and asked for one cone, a 5,159-vertex
-// QBLAST stand-in run holds its context and origin columns and one row
-// per context, at most 12 B/vertex.
+// QBLAST stand-in run holds its context and origin columns, one row
+// per context and its span index, at most 12 B/vertex.
 func TestLabelingHeapPerVertex(t *testing.T) {
 	r, _ := run.GenerateSized(workload.MustStandIn("QBLAST", 1), rand.New(rand.NewSource(4)), 5000)
 	l := mustLabel(t, r, label.TCM{})
+	perVertex := residentPerVertex(t, l)
+	t.Logf("%.1f B/vertex resident over %d vertices", perVertex, l.NumVertices())
+	if perVertex > 12 {
+		t.Fatalf("a bound snapshot keeps %.1f B/vertex resident on a %d-vertex run, want at most 12", perVertex, l.NumVertices())
+	}
+}
+
+// TestConeIndexHeapPerVertex pins the span index's share of the
+// resident labels at 4 B/vertex, on TestLabelingHeapPerVertex's run in
+// vertex order and with every vertex ID permuted (so every context
+// splits into many spans): beyond the label columns (8 B/vertex and
+// 8 B per context), a bound snapshot keeps at most 4.5 B/vertex, the
+// half byte for allocation size classes.
+func TestConeIndexHeapPerVertex(t *testing.T) {
+	s := workload.MustStandIn("QBLAST", 1)
+	r, _ := run.GenerateSized(s, rand.New(rand.NewSource(4)), 5000)
+	l := mustLabel(t, r, label.TCM{})
+	n := l.NumVertices()
+	columns := 8 + 8*float64(l.NumPositioned()+1)/float64(n)
+	for _, tc := range []struct {
+		name string
+		l    *core.Labeling
+	}{{"ordered", l}, {"interleaved", interleaved(t, l, s.NumVertices(), 1)}} {
+		extra := residentPerVertex(t, tc.l) - columns
+		t.Logf("%s: %.2f B/vertex beyond the label columns over %d vertices", tc.name, extra, n)
+		if extra > 4.5 {
+			t.Fatalf("%s: a bound snapshot keeps %.2f B/vertex beyond its label columns, want at most 4.5", tc.name, extra)
+		}
+	}
+}
+
+// residentPerVertex returns the heap, per vertex, that l's snapshot
+// keeps once decoded, bound and asked for one cone, over 20 copies.
+func residentPerVertex(t *testing.T, l *core.Labeling) float64 {
+	t.Helper()
 	data := encode(t, l)
 	held := make([]*core.Labeling, 20)
 	var before, after runtime.MemStats
@@ -540,12 +575,8 @@ func TestLabelingHeapPerVertex(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	perVertex := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(held)*l.NumVertices())
 	runtime.KeepAlive(held)
-	t.Logf("%.1f B/vertex resident over %d vertices", perVertex, l.NumVertices())
-	if perVertex > 12 {
-		t.Fatalf("a bound snapshot keeps %.1f B/vertex resident on a %d-vertex run, want at most 12", perVertex, l.NumVertices())
-	}
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(held)*l.NumVertices())
 }
 
 // BenchmarkSnapshotDecode measures decoding at the Fig-13 run sizes

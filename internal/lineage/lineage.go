@@ -4,8 +4,9 @@
 // (forward cones), and producing concrete dependency paths as evidence.
 //
 // Cone enumeration comes in two flavors: graph traversal (linear in the
-// cone plus its edges) and the label path (O(n⁺_T + n) with no index:
-// one test per plan context, then one scan of the context column; see
+// cone plus its edges) and the label path (one test per plan context,
+// then a walk of the runs of consecutive vertices that share a context,
+// skipping or taking whole the ones the test decided; see
 // core.Labeling.AppendCone). The label path
 // needs only the stored labels, not the run graph, which is exactly the
 // deployment the paper targets.

@@ -1,6 +1,9 @@
 package run
 
 import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
 	"strconv"
 
 	"repro/internal/dag"
@@ -15,8 +18,11 @@ import (
 //
 // No name is stored. A Namer keeps three integer columns: each vertex's
 // origin, each vertex's rank, and per origin its vertices in ID order,
-// cut from one backing array when the run's size is known up front.
-// Name and AppendName render module name and rank on demand. Vertex
+// cut from one backing array when the run's size is known up front;
+// for specifications whose module names are all shorter than 8 bytes,
+// also one word per module (its name, quoted). Name and AppendName
+// render module name and rank on demand, AppendQuotedNames a whole
+// list of names in one pass. Vertex
 // reads a name back by trying each split into a module-name prefix and
 // a rank suffix (non-empty prefix, no leading zero, at most
 // maxRankDigits digits): the split matches when the prefix is a module
@@ -38,6 +44,10 @@ type Namer struct {
 	lead    [256]bool
 	maxLen  int
 	maxRank int32
+	// quoted holds, per specification vertex, a double quote and its
+	// module name as one little-endian word, when every module name
+	// is shorter than 8 bytes (AppendQuotedNames); nil otherwise.
+	quoted []uint64
 }
 
 // firstListCap is the capacity an origin's vertex list starts at when
@@ -79,6 +89,15 @@ func NewNamerFromOrigins(s *spec.Spec, origin []dag.VertexID) *Namer {
 		name := s.NameOf(dag.VertexID(o))
 		nm.lead[name[0]], nm.maxLen = true, max(nm.maxLen, len(name))
 	}
+	if nm.maxLen < 8 {
+		nm.quoted = make([]uint64, len(counts))
+		for o := range nm.quoted {
+			var w [8]byte
+			w[0] = '"'
+			copy(w[1:], s.NameOf(dag.VertexID(o)))
+			nm.quoted[o] = binary.LittleEndian.Uint64(w[:])
+		}
+	}
 	for _, o := range origin {
 		nm.Add(o)
 	}
@@ -111,6 +130,90 @@ func (nm *Namer) Origins() []dag.VertexID { return nm.origin }
 func (nm *Namer) AppendName(dst []byte, v dag.VertexID) []byte {
 	dst = append(dst, nm.spec.NameOf(nm.origin[v])...)
 	return strconv.AppendInt(dst, int64(nm.rank[v]), 10)
+}
+
+// AppendQuotedNames appends the names of vs to dst, each in double
+// quotes, separated by commas: "b1","b2",... — the elements of a JSON
+// array when no module name needs escaping. It grows dst once, by
+// len(vs) × (longest module name + the largest rank's digits + 3) plus
+// 8 bytes of slack, and then writes each name with no per-name capacity
+// check or strconv call: the opening quote and module name as one
+// 8-byte store when every module name is shorter than 8 bytes (quoted),
+// and a rank below 10,000 with its closing quote and comma as another,
+// its digits read two at a time from a table.
+func (nm *Namer) AppendQuotedNames(dst []byte, vs []dag.VertexID) []byte {
+	if len(vs) == 0 {
+		return dst
+	}
+	n := len(dst)
+	b := slices.Grow(dst, len(vs)*(nm.maxLen+decimalLen(uint32(nm.maxRank))+3)+8)
+	b = b[:cap(b)]
+	names, origin, rank, quoted := nm.spec.Names, nm.origin, nm.rank, nm.quoted
+	for _, v := range vs {
+		o := origin[v]
+		if quoted != nil {
+			binary.LittleEndian.PutUint64(b[n:], quoted[o])
+			n += 1 + len(names[o])
+		} else {
+			b[n] = '"'
+			n += 1 + copy(b[n+1:], names[o])
+		}
+		if r := uint32(rank[v]); r < 10000 {
+			// Four digits, leading zeros first in memory; a rank is at
+			// least 1, so at most three of them are zeros to drop.
+			w := uint64(digitPairs[r/100]) | uint64(digitPairs[r%100])<<16
+			zeros := bits.TrailingZeros64(w^0x30303030) / 8
+			d := 4 - zeros
+			w = w>>(8*zeros) | uint64('"'|','<<8)<<(8*d)
+			binary.LittleEndian.PutUint64(b[n:], w)
+			n += d + 2
+		} else {
+			n = putDecimal(b, n, r)
+			b[n], b[n+1] = '"', ','
+			n += 2
+		}
+	}
+	return b[:n-1]
+}
+
+// digitPairs holds the two decimal digits of 0 to 99 as little-endian
+// ASCII pairs: the tens digit in the low byte.
+var digitPairs = func() (t [100]uint16) {
+	for i := range t {
+		t[i] = uint16('0'+i/10) | uint16('0'+i%10)<<8
+	}
+	return t
+}()
+
+// putDecimal writes x in decimal into b from index n and returns the
+// index after its last digit.
+func putDecimal(b []byte, n int, x uint32) int {
+	end := n + decimalLen(x)
+	for i := end; ; {
+		if x < 10 {
+			b[i-1] = byte('0' + x)
+			return end
+		}
+		i -= 2
+		binary.LittleEndian.PutUint16(b[i:], digitPairs[x%100])
+		if x /= 100; x == 0 {
+			return end
+		}
+	}
+}
+
+// pow10[t] is the least number of t+1 digits; pow10[0] is 0, so 0 has
+// one digit.
+var pow10 = [...]uint32{0, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// decimalLen returns the number of decimal digits of x: bits.Len32
+// times log10(2) (1233/4096) is that number or one less.
+func decimalLen(x uint32) int {
+	t := bits.Len32(x|1) * 1233 >> 12
+	if x < pow10[t] {
+		return t
+	}
+	return t + 1
 }
 
 // Name returns the display name of vertex v.

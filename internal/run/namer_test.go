@@ -2,8 +2,10 @@ package run
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -66,6 +68,24 @@ func TestNamerPrefixCollision(t *testing.T) {
 	}
 }
 
+// checkQuotedNames fails t unless AppendQuotedNames writes the names of
+// vs as AppendName renders them, each quoted, joined by commas, after
+// whatever dst held.
+func checkQuotedNames(t *testing.T, nm *Namer, vs []dag.VertexID) {
+	t.Helper()
+	want := []byte("x")
+	for i, v := range vs {
+		if i > 0 {
+			want = append(want, ',')
+		}
+		want = append(nm.AppendName(append(want, '"'), v), '"')
+	}
+	// A dst with no spare capacity, so the writer sizes the body itself.
+	if got := nm.AppendQuotedNames([]byte("x"), vs); !bytes.Equal(got, want) {
+		t.Fatalf("AppendQuotedNames(x, %v) = %q, want %q", vs, got, want)
+	}
+}
+
 // FuzzNamerOracle names a run over a specification whose module names
 // extend each other (v, v4, v47, 47), so names collide across modules,
 // twice: grown by Add, and built in one call by NewNamerFromOrigins. It
@@ -73,7 +93,8 @@ func TestNamerPrefixCollision(t *testing.T) {
 // every name (Name and AppendName), every resolved name, and an
 // arbitrary lookup, which must resolve only when the oracle knows it (a
 // leading zero, an overlong rank or an unknown module resolves to
-// nothing).
+// nothing). It also checks the list writer, AppendQuotedNames, against
+// AppendName's names quoted and joined by commas.
 func FuzzNamerOracle(f *testing.F) {
 	b := spec.NewBuilder()
 	b.Chain("v", "v4", "v47", "47")
@@ -94,6 +115,14 @@ func FuzzNamerOracle(f *testing.F) {
 			origin[i] = dag.VertexID(b % 4)
 		}
 		r := &Run{Spec: s, Graph: dag.FromEdges(len(origin), nil), Origin: origin}
+		// The list writer's input: every vertex whose byte has bit 2
+		// clear (the origin reads bits 0 and 1), in ID order like a cone.
+		var vs []dag.VertexID
+		for v, b := range data {
+			if b&4 == 0 {
+				vs = append(vs, dag.VertexID(v))
+			}
+		}
 		grown := NewNamerFromOrigins(s, nil)
 		last := make(map[string]dag.VertexID)
 		for v, o := range origin {
@@ -123,6 +152,7 @@ func FuzzNamerOracle(f *testing.F) {
 					t.Fatalf("VertexBytes(%q) = %d,%v, want %d", name, got, ok, want)
 				}
 			}
+			checkQuotedNames(t, nm, vs)
 			want, wantOK := last[lookup]
 			if got, ok := nm.Vertex(lookup); ok != wantOK || got != want {
 				t.Fatalf("Vertex(%q) = %d,%v, want %d,%v", lookup, got, ok, want, wantOK)
@@ -132,6 +162,47 @@ func FuzzNamerOracle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestAppendQuotedNamesRanks checks the list writer at every rank
+// width, across each digit boundary up to the int32 limit, for module
+// names short enough to be written as one word and for longer ones.
+func TestAppendQuotedNamesRanks(t *testing.T) {
+	ranks := []int32{1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001, 99999, 100000,
+		999999, 1000000, 9999999, 10000000, 99999999, 100000000, 999999999, 1000000000,
+		math.MaxInt32 - 1, math.MaxInt32}
+	for _, modules := range [][]spec.ModuleName{{"a", "bcdefgh"}, {"a", "bcdefghi"}, {"a_long_module_name", "b"}} {
+		b := spec.NewBuilder()
+		b.Chain(modules...)
+		s := b.MustBuild()
+		origin := make([]dag.VertexID, len(ranks))
+		for v := range origin {
+			origin[v] = dag.VertexID(v % 2)
+		}
+		nm := NewNamerFromOrigins(s, origin)
+		// Ranks this large would take billions of vertices: set them.
+		copy(nm.rank, ranks)
+		nm.maxRank = math.MaxInt32
+		all := allIDs(len(ranks))
+		checkQuotedNames(t, nm, all)
+		checkQuotedNames(t, nm, nil)
+		for v := range all {
+			checkQuotedNames(t, nm, all[v:v+1])
+			if got := nm.Name(dag.VertexID(v)); got != string(modules[v%2])+strconv.Itoa(int(ranks[v])) {
+				t.Fatalf("Name(%d) = %q with rank %d", v, got, ranks[v])
+			}
+		}
+		slices.Reverse(all)
+		checkQuotedNames(t, nm, all)
+	}
+}
+
+func allIDs(n int) []dag.VertexID {
+	vs := make([]dag.VertexID, n)
+	for i := range vs {
+		vs[i] = dag.VertexID(i)
+	}
+	return vs
 }
 
 // BenchmarkNamerLookup resolves the shuffled names of a 5000-vertex

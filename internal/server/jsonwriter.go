@@ -93,14 +93,21 @@ func (jw *jsonWriter) float(k string, v float64) *jsonWriter {
 	return jw
 }
 
-// names adds an array of vertex names, each rendered by nm straight
-// into the body. A rank is decimal digits, so the names need escaping
-// only when a module name of sp does.
-func (jw *jsonWriter) names(k string, nm *run.Namer, sp *spec.Spec, vs []dag.VertexID) *jsonWriter {
-	if slices.ContainsFunc(sp.Names, func(m spec.ModuleName) bool { return !plainJSON(string(m)) }) {
+// names adds an array of vertex names, rendered by nm straight into
+// the body, escaped if escape is set (see namesNeedEscaping).
+func (jw *jsonWriter) names(k string, nm *run.Namer, vs []dag.VertexID, escape bool) *jsonWriter {
+	if escape {
 		return jw.array(k, len(vs), func(b []byte, i int) []byte { return appendJSONString(b, nm.Name(vs[i])) })
 	}
-	return jw.array(k, len(vs), func(b []byte, i int) []byte { return append(nm.AppendName(append(b, '"'), vs[i]), '"') })
+	jw.buf = append(nm.AppendQuotedNames(append(jw.key(k), '['), vs), ']')
+	return jw
+}
+
+// namesNeedEscaping reports whether vertex names over sp may need JSON
+// escaping. A rank is decimal digits, so they may only when a module
+// name does.
+func namesNeedEscaping(sp *spec.Spec) bool {
+	return slices.ContainsFunc(sp.Names, func(m spec.ModuleName) bool { return !plainJSON(string(m)) })
 }
 
 func (jw *jsonWriter) bools(k string, vs []bool) *jsonWriter {
@@ -109,7 +116,7 @@ func (jw *jsonWriter) bools(k string, vs []bool) *jsonWriter {
 
 // array adds an array of n elements, the i-th appended by elem(b, i)
 // to b. The body is passed along rather than reloaded through jw for
-// each element: /lineage appends thousands of names.
+// each element: /lineage can append thousands of escaped names.
 func (jw *jsonWriter) array(k string, n int, elem func(b []byte, i int) []byte) *jsonWriter {
 	b := append(jw.key(k), '[')
 	for i := 0; i < n; i++ {

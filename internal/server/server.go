@@ -218,6 +218,10 @@ type Server struct {
 	brk            *breaker
 	mux            *http.ServeMux
 
+	// escapeNames is namesNeedEscaping of the store's spec, decided once:
+	// a store serves one spec.
+	escapeNames bool
+
 	// Streaming ingest state (nil/zero unless Config.EnableStream):
 	// the live-session registry and the skeleton labeling feeding online
 	// labelers. See stream.go.
@@ -307,6 +311,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		st:             cfg.Store,
 		scheme:         cfg.Scheme,
+		escapeNames:    namesNeedEscaping(cfg.Store.Spec()),
 		maxBatch:       cfg.MaxBatch,
 		ingest:         cfg.EnableIngest,
 		maxIngestBytes: cfg.MaxIngestBytes,
@@ -605,7 +610,7 @@ func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) error {
 	}
 	jw := respond()
 	jw.cone = view.AppendCone(jw.cone, v, dir == "up")
-	jw.names("cone", nm, s.st.Spec(), jw.cone).num("count", len(jw.cone)).
+	jw.names("cone", nm, jw.cone, s.escapeNames).num("count", len(jw.cone)).
 		str("direction", dir).str("run", q.Get("run")).str("vertex", ref).send(w, http.StatusOK)
 	return nil
 }
