@@ -42,8 +42,7 @@ bench-harness:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Serving-path benchmarks — the SKL2 snapshot codec (encode+decode),
-# the label-only lineage cone on 5,000-vertex stand-in runs (256
-# iterations, so each sample visits every one of its 256 sources once),
+# the label-only lineage cone on 5,000-vertex stand-in runs,
 # /batch reachability over fs and mem stores, the cold-load path (every
 # /reachable a cache miss) and its per-stage split, /lineage over a
 # resident run and its split into cone and name encode, the ingest,
@@ -60,8 +59,7 @@ bench-harness:
 # (each benchmark run still starts with the runtime.GC the testing
 # package forces, so the heap stays bounded by one run).
 trend:
-	$(GO) test -run='^$$' -bench='BenchmarkSnapshotDecode|BenchmarkSnapshotEncode' -benchtime=100x -count=3 ./internal/core/ > trend.out
-	$(GO) test -run='^$$' -bench='BenchmarkAppendCone' -benchtime=256x -count=3 ./internal/core/ >> trend.out
+	$(GO) test -run='^$$' -bench='BenchmarkSnapshotDecode|BenchmarkSnapshotEncode|BenchmarkAppendCone' -benchtime=100x -count=3 ./internal/core/ > trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerBatchReachable' -benchtime=50x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerColdRead|BenchmarkColdLoad' -benchtime=200x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerLineage|BenchmarkLineageStages' -benchtime=200x -count=3 . >> trend.out

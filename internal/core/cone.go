@@ -50,100 +50,107 @@ var coneScratchPool = sync.Pool{New: func() any { return new(coneScratch) }}
 // vertices of undecided spans go through the skeleton memo. That costs
 // O(n⁺_T + spans + vertices in undecided spans + |cone|). When
 // contexts interleave in vertex order, spans are too short to pay for
-// their index, the snapshot keeps none, and AppendCone scans the
-// context column: O(n⁺_T + n).
+// their index, the snapshot keeps none (see minSpanLen), and AppendCone
+// scans the context column vertex by vertex: O(n⁺_T + n).
 func (l *Labeling) AppendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag.VertexID {
-	s := l.Label(v)
+	w := coneWalk{l: l, s: l.Label(v), v: v, up: up}
 	sc := coneScratchPool.Get().(*coneScratch)
 	contexts := len(l.snap.ord) / 2
 	if cap(sc.verdict) < contexts {
 		sc.verdict = make([]uint8, contexts)
 	}
-	verdict := sc.verdict[:contexts]
-	var memo []uint8
+	w.verdict = sc.verdict[:contexts]
 	if numSpec := l.snap.NumSpec; numSpec <= max(l.NumVertices(), maxConeMemo) {
 		if cap(sc.memo) < numSpec {
 			sc.memo = make([]uint8, numSpec)
 		}
-		memo = sc.memo[:numSpec]
+		w.memo = sc.memo[:numSpec]
 	}
-	for q := range verdict {
-		from, to := Label{Q1: uint32(q), Q2: l.snap.ord[2*q], Q3: l.snap.ord[2*q+1]}, s
+	for q := range w.verdict {
+		from, to := Label{Q1: uint32(q), Q2: l.snap.ord[2*q], Q3: l.snap.ord[2*q+1]}, w.s
 		if !up {
-			from, to = s, from
+			from, to = w.s, from
 		}
-		verdict[q] = askSkeleton
+		w.verdict[q] = askSkeleton
 		if reach, decided := byContext(from, to); decided {
-			verdict[q] = outOfCone
+			w.verdict[q] = outOfCone
 			if reach {
-				verdict[q] = inCone
+				w.verdict[q] = inCone
 			}
 		}
 	}
-	// probe answers πr's origin part for origin o with the skeleton
-	// and records the verdict in the memo, if the memo covers o.
-	probe := func(o dag.VertexID) uint8 {
-		r := outOfCone
-		if up && l.skeleton.Reachable(o, s.Orig) || !up && l.skeleton.Reachable(s.Orig, o) {
-			r = inCone
-		}
-		if uint(o) < uint(len(memo)) {
-			memo[o] = r
-		}
-		return r
-	}
-	// Each loop below writes every candidate vertex and advances past
-	// it only when it is in the cone (r&inCone), so the verdicts, which
-	// vary from vertex to vertex, cost no branch.
-	q1, orig, spans := l.snap.q1, l.snap.orig, l.snap.spans
+	// dst is grown once, to hold every vertex, so nothing below checks
+	// its capacity.
+	q1, spans := l.snap.q1, l.snap.spans
+	dst = slices.Grow(dst, len(q1))
+	k, out := len(dst), dst[:len(dst)+len(q1)]
 	if spans == nil {
-		dst = slices.Grow(dst, len(q1))
-		k, out := len(dst), dst[:len(dst)+len(q1)]
-		for u, q := range q1 {
-			r := verdict[q]
-			if r == askSkeleton {
-				if r = memoAt(memo, orig[u]); r == askSkeleton {
-					r = probe(orig[u])
-				}
-			}
-			out[k] = dag.VertexID(u)
-			if dag.VertexID(u) != v {
-				k += int(r & inCone)
-			}
-		}
-		dst = out[:k]
+		k = w.scan(out, k, 0, dag.VertexID(len(q1)))
 	}
 	for i := 1; i < len(spans); i++ {
 		lo, hi := dag.VertexID(spans[i-1]), dag.VertexID(spans[i])
-		r := verdict[q1[lo]]
-		if r == outOfCone {
-			continue
-		}
-		dst = slices.Grow(dst, int(hi-lo))
-		k, out := len(dst), dst[:len(dst)+int(hi-lo)]
-		if r == inCone {
+		switch w.verdict[q1[lo]] {
+		case inCone:
 			// v's own context has v's row (d2 = d3 = 0), which the
 			// context test never decides, so v is in no such span.
-			for j := range out[k:] {
-				out[k+j] = lo + dag.VertexID(j)
+			for u := lo; u < hi; u++ {
+				out[k] = u
+				k++
 			}
-			dst = out
-			continue
+		case askSkeleton:
+			k = w.scan(out, k, lo, hi)
 		}
-		for u := lo; u < hi; u++ {
-			if r = memoAt(memo, orig[u]); r == askSkeleton {
-				r = probe(orig[u])
-			}
-			out[k] = u
-			if u != v {
-				k += int(r & inCone)
-			}
-		}
-		dst = out[:k]
 	}
-	clear(memo)
+	clear(w.memo)
 	coneScratchPool.Put(sc)
-	return dst
+	return out[:k]
+}
+
+// coneWalk is one AppendCone call: the source v and its label s, the
+// direction, and the call's scratch.
+type coneWalk struct {
+	l       *Labeling
+	s       Label
+	v       dag.VertexID
+	up      bool
+	verdict []uint8 // per context
+	memo    []uint8 // per origin, when the memo covers the spec
+}
+
+// scan decides vertices lo to hi-1 one by one, each by its context's
+// verdict or else by its origin's, and writes those in the cone, other
+// than v, to out from index k; it returns the index after the last.
+// Every vertex is written and kept only when it is in the cone
+// (r&inCone), so verdicts that vary from vertex to vertex cost no
+// branch.
+func (w *coneWalk) scan(out []dag.VertexID, k int, lo, hi dag.VertexID) int {
+	q1, orig, verdict, memo := w.l.snap.q1, w.l.snap.orig, w.verdict, w.memo
+	for u := lo; u < hi; u++ {
+		r := verdict[q1[u]]
+		if r == askSkeleton {
+			if r = memoAt(memo, orig[u]); r == askSkeleton {
+				r = w.probe(orig[u])
+			}
+		}
+		out[k] = u
+		if u != w.v {
+			k += int(r & inCone)
+		}
+	}
+	return k
+}
+
+// probe answers πr's origin part for origin o with the skeleton and
+// records the verdict in the memo, if the memo covers o.
+func (w *coneWalk) probe(o dag.VertexID) uint8 {
+	r := outOfCone
+	if w.up && w.l.skeleton.Reachable(o, w.s.Orig) || !w.up && w.l.skeleton.Reachable(w.s.Orig, o) {
+		r = inCone
+	}
+	if uint(o) < uint(len(w.memo)) {
+		w.memo[o] = r
+	}
+	return r
 }
 
 // memoAt returns origin o's memo entry, or askSkeleton when the memo

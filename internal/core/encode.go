@@ -135,12 +135,12 @@ func (l *Labeling) WriteTo(w io.Writer) (int64, error) { return l.snap.WriteTo(w
 // Beside the columns it keeps one index, derived from the context
 // column and never written: the start of each maximal run of vertices
 // with equal context (a span), plus an end marker. Vertex IDs follow
-// execution order, so a plan context is usually one span, and the
-// index costs 4 B per span plus 4 B (0.5 B/vertex on a 5,000-vertex
-// QBLAST stand-in run). Labels numbered in another order can split
-// contexts into spans of a vertex or two; when spans average fewer
-// than minSpanLen vertices the snapshot keeps no index, so it never
-// costs more than 1 B/vertex + 4 B.
+// execution order, so a plan context is usually one span (a 5,000-vertex
+// QBLAST stand-in run has one per 8 vertices). The index is built in one
+// pass with room for n/minSpanLen+1 entries, so it costs 1 B/vertex +
+// 4 B. Labels numbered in another order can split contexts into spans
+// of a vertex or two; when spans average fewer than minSpanLen vertices
+// the snapshot keeps no index.
 type Snapshot struct {
 	NumPositioned int
 	NumSpec       int
@@ -246,36 +246,33 @@ func (s *Snapshot) finish() (*Snapshot, error) {
 }
 
 // minSpanLen is the mean span length below which a snapshot keeps no
-// span index: spans that short save a cone little over a scan of the
-// context column (with one vertex per span the walk is the slower), and
-// the index would cost more than 1 B/vertex.
+// span index: AppendCone then scans the context column vertex by
+// vertex, which beats a walk of spans that short, and the index would
+// cost more than 1 B/vertex.
 const minSpanLen = 4
 
 // contextSpans returns the start of each maximal run of equal values
-// in q1, then len(q1), in a slice of exactly that length; or nil when
-// q1 is empty or its runs average fewer than minSpanLen values.
+// in q1, then len(q1), in one pass; or nil when q1 is empty or its
+// runs average fewer than minSpanLen values. The slice's capacity is
+// the most starts an index is kept for, plus one: len(q1)/minSpanLen+1.
 func contextSpans(q1 []uint32) []uint32 {
-	if len(q1) == 0 {
+	most := len(q1) / minSpanLen
+	if most == 0 {
 		return nil
 	}
-	n, prev := 1, q1[0]
-	for _, q := range q1 {
-		if q != prev {
-			n++
+	// Each index is written as a candidate start and kept when it is
+	// one; the slot after the last start takes the end marker.
+	spans, k := make([]uint32, most+1), 1
+	for i := 1; i < len(q1); i++ {
+		spans[k] = uint32(i)
+		if q1[i] != q1[i-1] {
+			if k++; k > most {
+				return nil
+			}
 		}
-		prev = q
 	}
-	if n*minSpanLen > len(q1) {
-		return nil
-	}
-	spans, prev := make([]uint32, 1, n+1), q1[0]
-	for i, q := range q1 {
-		if q != prev {
-			spans = append(spans, uint32(i))
-		}
-		prev = q
-	}
-	return append(spans, uint32(len(q1)))
+	spans[k] = uint32(len(q1))
+	return spans[:k+1]
 }
 
 func allEqual[T comparable](xs []T) bool {

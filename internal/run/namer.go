@@ -18,14 +18,12 @@ import (
 //
 // No name is stored. A Namer keeps three integer columns: each vertex's
 // origin, each vertex's rank, and per origin its vertices in ID order,
-// cut from one backing array when the run's size is known up front;
-// for specifications whose module names are all shorter than 8 bytes,
-// also one word per module (its name, quoted). Name and AppendName
-// render module name and rank on demand, AppendQuotedNames a whole
-// list of names in one pass. Vertex
-// reads a name back by trying each split into a module-name prefix and
-// a rank suffix (non-empty prefix, no leading zero, at most
-// maxRankDigits digits): the split matches when the prefix is a module
+// cut from one backing array when the run's size is known up front.
+// Name and AppendName render module name and rank on demand,
+// AppendQuotedNames a whole list of names in one pass. Vertex reads a
+// name back by trying each split into a module-name prefix and a rank
+// suffix (non-empty prefix, no leading zero, at most maxRankDigits
+// digits): the split matches when the prefix is a module
 // of the specification that has at least that many vertices. Module
 // names that extend each other can give two vertices one name ("v471"
 // is v4's 71st and v47's 1st); such a name resolves to the last vertex
@@ -44,10 +42,6 @@ type Namer struct {
 	lead    [256]bool
 	maxLen  int
 	maxRank int32
-	// quoted holds, per specification vertex, a double quote and its
-	// module name as one little-endian word, when every module name
-	// is shorter than 8 bytes (AppendQuotedNames); nil otherwise.
-	quoted []uint64
 }
 
 // firstListCap is the capacity an origin's vertex list starts at when
@@ -89,15 +83,6 @@ func NewNamerFromOrigins(s *spec.Spec, origin []dag.VertexID) *Namer {
 		name := s.NameOf(dag.VertexID(o))
 		nm.lead[name[0]], nm.maxLen = true, max(nm.maxLen, len(name))
 	}
-	if nm.maxLen < 8 {
-		nm.quoted = make([]uint64, len(counts))
-		for o := range nm.quoted {
-			var w [8]byte
-			w[0] = '"'
-			copy(w[1:], s.NameOf(dag.VertexID(o)))
-			nm.quoted[o] = binary.LittleEndian.Uint64(w[:])
-		}
-	}
 	for _, o := range origin {
 		nm.Add(o)
 	}
@@ -135,43 +120,24 @@ func (nm *Namer) AppendName(dst []byte, v dag.VertexID) []byte {
 // AppendQuotedNames appends the names of vs to dst, each in double
 // quotes, separated by commas: "b1","b2",... — the elements of a JSON
 // array when no module name needs escaping. It grows dst once, by
-// len(vs) × (longest module name + the largest rank's digits + 3) plus
-// 8 bytes of slack, and then writes each name with no per-name capacity
-// check or strconv call: the opening quote and module name as one
-// 8-byte store when every module name is shorter than 8 bytes (quoted),
-// and a rank below 10,000 with its closing quote and comma as another,
-// its digits read two at a time from a table.
+// len(vs) × (longest module name + the largest rank's digits + 3), and
+// then writes each name with no per-name capacity check or strconv
+// call: the module name by copy, the rank's digits two at a time from
+// a table.
 func (nm *Namer) AppendQuotedNames(dst []byte, vs []dag.VertexID) []byte {
 	if len(vs) == 0 {
 		return dst
 	}
 	n := len(dst)
-	b := slices.Grow(dst, len(vs)*(nm.maxLen+decimalLen(uint32(nm.maxRank))+3)+8)
+	b := slices.Grow(dst, len(vs)*(nm.maxLen+decimalLen(uint32(nm.maxRank))+3))
 	b = b[:cap(b)]
-	names, origin, rank, quoted := nm.spec.Names, nm.origin, nm.rank, nm.quoted
+	names, origin, rank := nm.spec.Names, nm.origin, nm.rank
 	for _, v := range vs {
-		o := origin[v]
-		if quoted != nil {
-			binary.LittleEndian.PutUint64(b[n:], quoted[o])
-			n += 1 + len(names[o])
-		} else {
-			b[n] = '"'
-			n += 1 + copy(b[n+1:], names[o])
-		}
-		if r := uint32(rank[v]); r < 10000 {
-			// Four digits, leading zeros first in memory; a rank is at
-			// least 1, so at most three of them are zeros to drop.
-			w := uint64(digitPairs[r/100]) | uint64(digitPairs[r%100])<<16
-			zeros := bits.TrailingZeros64(w^0x30303030) / 8
-			d := 4 - zeros
-			w = w>>(8*zeros) | uint64('"'|','<<8)<<(8*d)
-			binary.LittleEndian.PutUint64(b[n:], w)
-			n += d + 2
-		} else {
-			n = putDecimal(b, n, r)
-			b[n], b[n+1] = '"', ','
-			n += 2
-		}
+		b[n] = '"'
+		n += 1 + copy(b[n+1:], names[origin[v]])
+		n = putDecimal(b, n, uint32(rank[v]))
+		b[n], b[n+1] = '"', ','
+		n += 2
 	}
 	return b[:n-1]
 }

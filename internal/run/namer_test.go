@@ -165,8 +165,8 @@ func FuzzNamerOracle(f *testing.F) {
 }
 
 // TestAppendQuotedNamesRanks checks the list writer at every rank
-// width, across each digit boundary up to the int32 limit, for module
-// names short enough to be written as one word and for longer ones.
+// width, across each digit boundary up to the int32 limit, for short
+// and long module names.
 func TestAppendQuotedNamesRanks(t *testing.T) {
 	ranks := []int32{1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001, 99999, 100000,
 		999999, 1000000, 9999999, 10000000, 99999999, 100000000, 999999999, 1000000000,
