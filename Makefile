@@ -109,14 +109,17 @@ rpq-smoke:
 # Time-boxed fuzzing against the oracles kept in the tests: the run
 # decoder against encoding/xml (internal/xmlio), the label snapshot
 # decoder on untrusted bytes (whatever it accepts must round-trip
-# through SKL2) and context-grouped lineage cones against the
+# through SKL2), the snapshot readers and NewSnapshot against the
+# per-label reference decoder they replaced (the same errors, columns
+# and span index), and context-grouped lineage cones against the
 # per-vertex label scan over any snapshot the decoder accepts
 # (internal/core), labels from a materialized execution plan against
 # labels from plan.Construct's on every vertex pair of random runs
 # (internal/core), and the event-log parser against the
 # bufio/Sscanf parser it replaced (internal/events), the /batch and
 # /rpq request decoders against encoding/json (internal/server), and the
-# vertex namer, grown by Add and built in one call, against Run.NameOf
+# vertex namer, grown by Add and built in two counting passes, against
+# Run.NameOf and each other
 # (internal/run), graphs built by dag.FromEdges against plain
 # adjacency lists built edge by edge (internal/dag), the /rpq product
 # walk on fuzzed DAGs against dag.MatchAutomaton and the map-based walk
@@ -131,6 +134,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRunOracle -fuzztime 30s ./internal/xmlio/
 	$(GO) test -run '^$$' -fuzz FuzzIngestRun -fuzztime 30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime 30s -fuzzminimizetime 2s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecodeOracle -fuzztime 30s -fuzzminimizetime 2s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzConeOracle -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzMaterializedPlanOracle -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReadLogOracle -fuzztime 30s ./internal/events/

@@ -708,7 +708,7 @@ func BenchmarkLineageStages(b *testing.B) {
 
 // BenchmarkServerColdRead measures a session-cache miss end to end as
 // GET /reachable: backend read of both blobs, snapshot decode and bind,
-// and the name index built from the snapshot's origin column. Two
+// and the namer built over the snapshot's origin column. Two
 // 1000-vertex runs alternate through a one-entry cache over the
 // in-memory backend, so every query misses; the run document is
 // borrowed from the backend but never decoded, because reachability
@@ -752,9 +752,11 @@ func BenchmarkServerColdRead(b *testing.B) {
 // BenchmarkColdLoad splits BenchmarkServerColdRead's cache miss into
 // its stages, each timed alone over one stored 1000-vertex run on the
 // in-memory backend: the backend read of both blobs (document and label
-// snapshot) as OpenRun does it, the snapshot decode, binding it to the
-// cached skeleton labeling, and the vertex namer built from the
-// labels' origin column. The stages' sum approximates ServerColdRead
+// snapshot) as OpenRun does it, the snapshot decode (one block-wise
+// pass that checks the labels and indexes the context spans), binding
+// it to the cached skeleton labeling, and the vertex namer built in two
+// counting passes over the labels' origin column, which it shares
+// rather than copies. The stages' sum approximates ServerColdRead
 // minus HTTP and cache plumbing, so a cold-miss change names the stage
 // that moved.
 func BenchmarkColdLoad(b *testing.B) {

@@ -82,7 +82,7 @@ func LabelRunWithPlan(r *run.Run, p *plan.Plan, skeleton label.Labeling) (*Label
 		return nil, err
 	}
 	// The orders give each plan node one position apiece, so the labels
-	// factor by construction; put's checks are for stored labels.
+	// factor by construction; labelCheck's checks are for stored labels.
 	s := &l.snap
 	for v, x := range p.Context {
 		if x == nil {
@@ -101,7 +101,9 @@ func (l *Labeling) Label(v dag.VertexID) Label { return l.snap.Label(v) }
 
 // Origins returns each run vertex's specification vertex: the run's
 // origin map without its graph. The slice is the labeling's own origin
-// column; callers must not modify it.
+// column, not a copy: run.NewNamerFromOrigins keeps it as the namer's
+// origin column, so a stored run's vertex names cost no second column.
+// Callers must not modify it.
 func (l *Labeling) Origins() []dag.VertexID { return l.snap.orig }
 
 // NumVertices returns the number of labeled run vertices.

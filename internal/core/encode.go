@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/label"
@@ -129,18 +130,19 @@ func (l *Labeling) WriteTo(w io.Writer) (int64, error) { return l.snap.WriteTo(w
 // It holds the labels factored as the paper does (Lemma 4.7): a context
 // column (each vertex's Q1), an origin column, and one (Q2, Q3) row per
 // context, indexed by Q1 — n⁺_T+1 rows. Both wire-format readers and
-// NewSnapshot store labels through one check, put, so the factoring
-// holds for stored labels too.
+// NewSnapshot pass their labels through one check, labelCheck, so the
+// factoring holds for stored labels too.
 //
 // Beside the columns it keeps one index, derived from the context
 // column and never written: the start of each maximal run of vertices
 // with equal context (a span), plus an end marker. Vertex IDs follow
 // execution order, so a plan context is usually one span (a 5,000-vertex
-// QBLAST stand-in run has one per 8 vertices). The index is built in one
-// pass with room for n/minSpanLen+1 entries, so it costs 1 B/vertex +
-// 4 B. Labels numbered in another order can split contexts into spans
-// of a vertex or two; when spans average fewer than minSpanLen vertices
-// the snapshot keeps no index.
+// QBLAST stand-in run has one per 8 vertices). The index is built in the
+// pass that checks the labels (LabelRunWithPlan, which checks nothing,
+// calls contextSpans), with room for n/minSpanLen+1 entries, so it
+// costs 1 B/vertex + 4 B. Labels numbered in another order can split
+// contexts into spans of a vertex or two; when spans average fewer than
+// minSpanLen vertices the snapshot keeps no index.
 type Snapshot struct {
 	NumPositioned int
 	NumSpec       int
@@ -160,10 +162,10 @@ type Snapshot struct {
 const unsetRow = math.MaxUint32
 
 // newSnapshot validates a header (count labels, n⁺_T = np, n_G = ns)
-// and allocates the snapshot's columns, for put to fill. A header with
-// more contexts than labels is rejected: every positioned plan node is
-// the context of at least one vertex, so no labeler writes one, and the
-// row table stays no larger than the label columns.
+// and allocates the snapshot's columns, for a reader to fill. A header
+// with more contexts than labels is rejected: every positioned plan
+// node is the context of at least one vertex, so no labeler writes one,
+// and the row table stays no larger than the label columns.
 func newSnapshot(count, np, ns uint64, v SnapshotVersion) (Snapshot, error) {
 	if count > maxSnapshotLabels {
 		return Snapshot{}, fmt.Errorf("core: implausible label count %d", count)
@@ -191,11 +193,12 @@ func newSnapshot(count, np, ns uint64, v SnapshotVersion) (Snapshot, error) {
 	return s, nil
 }
 
-// put stores label i after the checks every label passes, whatever its
-// source: positions at most n⁺_T, an origin in the specification, and
-// the same (Q2, Q3) as every earlier label with its Q1. A label set
-// that gives one context two rows is rejected; no labeler writes one.
-func (s *Snapshot) put(i int, q1, q2, q3, orig uint64) error {
+// check applies to label i the checks every label passes, whatever
+// its source: positions at most n⁺_T, an origin in the specification,
+// and the same (Q2, Q3) as every earlier label with its Q1. It fills
+// the context's row when the label is its first. A label set that gives
+// one context two rows is rejected; no labeler writes one.
+func (s *Snapshot) check(i int, q1, q2, q3, orig uint64) error {
 	np := uint64(s.NumPositioned)
 	if q1 > np || q2 > np || q3 > np {
 		return fmt.Errorf("core: label %d position exceeds n+T=%d", i, np)
@@ -210,9 +213,78 @@ func (s *Snapshot) put(i int, q1, q2, q3, orig uint64) error {
 		}
 		row[0], row[1] = uint32(q2), uint32(q3)
 	}
-	s.q1[i], s.orig[i] = uint32(q1), dag.VertexID(orig)
 	return nil
 }
+
+// labelCheck is one snapshot's pass over its labels, block by block,
+// once a block's Q1 and origin columns are in the snapshot and its Q2
+// and Q3 columns in scratch. Every reader and NewSnapshot go through
+// it, so they reject the same label sets with the same errors.
+//
+// A label whose (Q1, Q2, Q3) equals the previous label's passes every
+// position and row check that label passed, so only the first label of
+// each run of equal positions goes through check; every label's origin
+// is compared with the spec size. The same pass records where each
+// context span starts, and notes a block of more than one label with
+// one Q1 and one origin, whose error comes after every label's (the
+// readers report a label's error first, however late the label).
+type labelCheck struct {
+	s      *Snapshot
+	p1     uint64 // the previous label's Q1; 1<<32, matching none, before the first
+	p2, p3 uint32
+	spans  []uint32 // span starts so far, or nil once they are too many to index
+	shared error    // the first block of one context and one origin
+}
+
+func newLabelCheck(s *Snapshot) labelCheck {
+	return labelCheck{s: s, p1: 1 << 32, spans: newSpans(len(s.q1))}
+}
+
+// block checks labels base to base+len(q2)-1, whose Q2 and Q3 are q2
+// and q3 (len(q3) = len(q2)).
+func (c *labelCheck) block(base int, q2, q3 []uint32) error {
+	s := c.s
+	q1, orig := s.q1[base:base+len(q2)], s.orig[base:base+len(q2)]
+	q2, q3 = q2[:len(q1)], q3[:len(q1)]
+	// NumSpec is at most maxSnapshotSpec, so it fits a uint32, and an
+	// origin read as a uint32 is the value its column held.
+	numSpec := uint32(s.NumSpec)
+	p1, p2, p3, oneContext := c.p1, c.p2, c.p3, true
+	for i, q := range q1 {
+		if uint64(q) == p1 && q2[i] == p2 && q3[i] == p3 && uint32(orig[i]) < numSpec {
+			continue
+		}
+		if err := s.check(base+i, uint64(q), uint64(q2[i]), uint64(q3[i]), uint64(uint32(orig[i]))); err != nil {
+			return err
+		}
+		if uint64(q) != p1 {
+			oneContext = oneContext && i == 0
+			c.spans = addSpan(c.spans, base+i)
+		}
+		p1, p2, p3 = uint64(q), q2[i], q3[i]
+	}
+	c.p1, c.p2, c.p3 = p1, p2, p3
+	if len(q1) > 1 && oneContext && c.shared == nil && allEqual(orig) {
+		c.shared = fmt.Errorf("core: labels %d to %d share one context and one origin", base, base+len(q1)-1)
+	}
+	return nil
+}
+
+// done completes the snapshot once every block has passed: it returns
+// the error of a block of one context and one origin, if there was one,
+// and otherwise the snapshot with its span index.
+func (c *labelCheck) done() (*Snapshot, error) {
+	if c.shared != nil {
+		return nil, c.shared
+	}
+	c.s.spans = endSpans(c.spans, len(c.s.q1))
+	return c.s, nil
+}
+
+// blockScratch holds a reader's Q2 and Q3 columns for one block. The
+// columns are written in full before they are read, so the scratch is
+// pooled rather than zeroed per snapshot.
+var blockScratch = sync.Pool{New: func() any { return new([2 * snapshotBlock]uint32) }}
 
 // NewSnapshot builds a snapshot from label rows, with the checks
 // DecodeSnapshot applies to stored labels: it fails exactly when
@@ -222,27 +294,20 @@ func NewSnapshot(numPositioned, numSpec int, labels []Label) (*Snapshot, error) 
 	if err != nil {
 		return nil, err
 	}
-	for i, lab := range labels {
-		if err := s.put(i, uint64(lab.Q1), uint64(lab.Q2), uint64(lab.Q3), uint64(lab.Orig)); err != nil {
+	sc := blockScratch.Get().(*[2 * snapshotBlock]uint32)
+	defer blockScratch.Put(sc)
+	c := newLabelCheck(&s)
+	for base := 0; base < len(labels); base += snapshotBlock {
+		block := labels[base:min(base+snapshotBlock, len(labels))]
+		q2, q3 := sc[:len(block)], sc[snapshotBlock:][:len(block)]
+		for i, lab := range block {
+			s.q1[base+i], q2[i], q3[i], s.orig[base+i] = lab.Q1, lab.Q2, lab.Q3, lab.Orig
+		}
+		if err := c.block(base, q2, q3); err != nil {
 			return nil, err
 		}
 	}
-	return s.finish()
-}
-
-// finish completes a snapshot whose labels are all put: it returns an
-// error if a block of more than one label has one Q1 and one origin
-// throughout (see "Labels no labeler writes"), and otherwise indexes
-// the context spans and returns s.
-func (s *Snapshot) finish() (*Snapshot, error) {
-	for base := 0; base < len(s.q1); base += snapshotBlock {
-		end := min(base+snapshotBlock, len(s.q1))
-		if end-base > 1 && allEqual(s.q1[base:end]) && allEqual(s.orig[base:end]) {
-			return nil, fmt.Errorf("core: labels %d to %d share one context and one origin", base, end-1)
-		}
-	}
-	s.spans = contextSpans(s.q1)
-	return s, nil
+	return c.done()
 }
 
 // minSpanLen is the mean span length below which a snapshot keeps no
@@ -251,28 +316,46 @@ func (s *Snapshot) finish() (*Snapshot, error) {
 // cost more than 1 B/vertex.
 const minSpanLen = 4
 
-// contextSpans returns the start of each maximal run of equal values
-// in q1, then len(q1), in one pass; or nil when q1 is empty or its
-// runs average fewer than minSpanLen values. The slice's capacity is
-// the most starts an index is kept for, plus one: len(q1)/minSpanLen+1.
-func contextSpans(q1 []uint32) []uint32 {
-	most := len(q1) / minSpanLen
-	if most == 0 {
+// newSpans returns an empty span index for n vertices with room for the
+// most starts an index is kept for, n/minSpanLen, plus the end marker;
+// or nil when n is under minSpanLen.
+func newSpans(n int) []uint32 {
+	if n < minSpanLen {
 		return nil
 	}
-	// Each index is written as a candidate start and kept when it is
-	// one; the slot after the last start takes the end marker.
-	spans, k := make([]uint32, most+1), 1
-	for i := 1; i < len(q1); i++ {
-		spans[k] = uint32(i)
-		if q1[i] != q1[i-1] {
-			if k++; k > most {
-				return nil
-			}
+	return make([]uint32, 0, n/minSpanLen+1)
+}
+
+// addSpan records a span starting at vertex i, or gives up the index
+// (nil) when it already holds the most starts it is kept for.
+func addSpan(spans []uint32, i int) []uint32 {
+	if len(spans) >= cap(spans)-1 {
+		return nil
+	}
+	return append(spans, uint32(i))
+}
+
+// endSpans appends the end marker n to an index that was kept.
+func endSpans(spans []uint32, n int) []uint32 {
+	if spans == nil {
+		return nil
+	}
+	return append(spans, uint32(n))
+}
+
+// contextSpans returns the span index of context column q1: the start
+// of each maximal run of equal values, then len(q1); or nil when q1 is
+// empty or its runs average fewer than minSpanLen values. The slice's
+// capacity is the most starts an index is kept for, plus one:
+// len(q1)/minSpanLen+1.
+func contextSpans(q1 []uint32) []uint32 {
+	spans := newSpans(len(q1))
+	for i, q := range q1 {
+		if i == 0 || q != q1[i-1] {
+			spans = addSpan(spans, i)
 		}
 	}
-	spans[k] = uint32(len(q1))
-	return spans[:k+1]
+	return endSpans(spans, len(q1))
 }
 
 func allEqual[T comparable](xs []T) bool {
@@ -449,18 +532,39 @@ func decodeSnapshotV1(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	sc := blockScratch.Get().(*[2 * snapshotBlock]uint32)
+	defer blockScratch.Put(sc)
+	q2, q3 := sc[:snapshotBlock], sc[snapshotBlock:]
+	c, base := newLabelCheck(&s), 0
 	for i := range s.q1 {
-		if !read(vals[:]) {
-			return nil, fmt.Errorf("core: read label %d: truncated", i)
+		if i-base == snapshotBlock {
+			if err := c.block(base, q2, q3); err != nil {
+				return nil, err
+			}
+			base = i
 		}
-		if err := s.put(i, vals[0], vals[1], vals[2], vals[3]); err != nil {
-			return nil, err
+		ok := read(vals[:])
+		if !ok || max(vals[0], vals[1], vals[2], vals[3]) > math.MaxUint32 {
+			// Label i fails: the block's earlier labels are checked
+			// first. A component beyond 32 bits is a position beyond
+			// n⁺_T or an origin beyond the spec, which check reports.
+			if err := c.block(base, q2[:i-base], q3[:i-base]); err != nil {
+				return nil, err
+			}
+			if !ok {
+				return nil, fmt.Errorf("core: read label %d: truncated", i)
+			}
+			return nil, s.check(i, vals[0], vals[1], vals[2], vals[3])
 		}
+		s.q1[i], q2[i-base], q3[i-base], s.orig[i] = uint32(vals[0]), uint32(vals[1]), uint32(vals[2]), dag.VertexID(vals[3])
+	}
+	if err := c.block(base, q2[:len(s.q1)-base], q3[:len(s.q1)-base]); err != nil {
+		return nil, err
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("core: %d trailing bytes after snapshot", len(data))
 	}
-	return s.finish()
+	return c.done()
 }
 
 // decodeSnapshotV2 bulk-decodes the columnar format from the bytes
@@ -499,27 +603,39 @@ func decodeSnapshotV2(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	var q2, q3, og [snapshotBlock]uint32
+	// Q1 and origin are decoded straight into the snapshot's columns,
+	// Q2 and Q3 into block-sized scratch that labelCheck reads once.
+	sc := blockScratch.Get().(*[2 * snapshotBlock]uint32)
+	defer blockScratch.Put(sc)
+	c := newLabelCheck(&s)
 	for base := 0; base < len(s.q1); base += snapshotBlock {
-		q1 := s.q1[base:min(base+snapshotBlock, len(s.q1))]
-		n := len(q1)
-		for _, col := range [4][]uint32{q1, q2[:n], q3[:n], og[:n]} {
-			if data, err = decodeColumn(data, col); err != nil {
-				return nil, fmt.Errorf("core: label block at %d: %w", base, err)
-			}
+		end := min(base+snapshotBlock, len(s.q1))
+		q2, q3 := sc[:end-base], sc[snapshotBlock:][:end-base]
+		data, err = decodeColumn(data, s.q1[base:end])
+		if err == nil {
+			data, err = decodeColumn(data, q2)
 		}
-		for i, q := range q1 {
-			if err := s.put(base+i, uint64(q), uint64(q2[i]), uint64(q3[i]), uint64(og[i])); err != nil {
-				return nil, err
-			}
+		if err == nil {
+			data, err = decodeColumn(data, q3)
+		}
+		if err == nil {
+			data, err = decodeColumn(data, s.orig[base:end])
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: label block at %d: %w", base, err)
+		}
+		if err := c.block(base, q2, q3); err != nil {
+			return nil, err
 		}
 	}
-	return s.finish()
+	return c.done()
 }
 
 // decodeColumn decodes one column block into out (len(out) >= 1) and
-// returns the remaining input.
-func decodeColumn(data []byte, out []uint32) ([]byte, error) {
+// returns the remaining input. A value is stored as its 32 bits: an
+// origin column's values land in dag.VertexID, and labelCheck reads them
+// back as uint32.
+func decodeColumn[T uint32 | dag.VertexID](data []byte, out []T) ([]byte, error) {
 	plen64, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, fmt.Errorf("truncated column header")
@@ -537,7 +653,7 @@ func decodeColumn(data []byte, out []uint32) ([]byte, error) {
 		if k != len(payload) || k <= 0 || v > math.MaxUint32 {
 			return nil, fmt.Errorf("bad const column")
 		}
-		c := uint32(v)
+		c := T(v)
 		for i := range out {
 			out[i] = c
 		}
@@ -546,7 +662,7 @@ func decodeColumn(data []byte, out []uint32) ([]byte, error) {
 		if k <= 0 || v0 > math.MaxUint32 {
 			return nil, fmt.Errorf("bad delta column start")
 		}
-		out[0] = uint32(v0)
+		out[0] = T(v0)
 		prev := int64(v0)
 		p := payload[k:]
 		for i := 1; i < len(out); i++ {
@@ -568,7 +684,7 @@ func decodeColumn(data []byte, out []uint32) ([]byte, error) {
 			if v < 0 || v > math.MaxUint32 {
 				return nil, fmt.Errorf("delta column value out of range")
 			}
-			out[i] = uint32(v)
+			out[i] = T(v)
 			prev = v
 		}
 		if len(p) != 0 {
@@ -579,21 +695,21 @@ func decodeColumn(data []byte, out []uint32) ([]byte, error) {
 			return nil, fmt.Errorf("fixed8 column holds %d bytes, want %d", len(payload), len(out))
 		}
 		for i, b := range payload {
-			out[i] = uint32(b)
+			out[i] = T(b)
 		}
 	case colFixed16:
 		if len(payload) != 2*len(out) {
 			return nil, fmt.Errorf("fixed16 column holds %d bytes, want %d", len(payload), 2*len(out))
 		}
 		for i := range out {
-			out[i] = uint32(binary.LittleEndian.Uint16(payload[2*i:]))
+			out[i] = T(binary.LittleEndian.Uint16(payload[2*i:]))
 		}
 	case colFixed32:
 		if len(payload) != 4*len(out) {
 			return nil, fmt.Errorf("fixed32 column holds %d bytes, want %d", len(payload), 4*len(out))
 		}
 		for i := range out {
-			out[i] = binary.LittleEndian.Uint32(payload[4*i:])
+			out[i] = T(binary.LittleEndian.Uint32(payload[4*i:]))
 		}
 	default:
 		return nil, fmt.Errorf("unknown column tag %#x", tag)

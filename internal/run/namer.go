@@ -17,8 +17,10 @@ import (
 // per-call reference).
 //
 // No name is stored. A Namer keeps three integer columns: each vertex's
-// origin, each vertex's rank, and per origin its vertices in ID order,
-// cut from one backing array when the run's size is known up front.
+// origin, each vertex's rank, and per origin its vertices in ID order.
+// A Namer built for a whole run shares the caller's origin column (a
+// stored run's is its label snapshot's) and cuts the per-origin lists
+// from one backing array.
 // Name and AppendName render module name and rank on demand,
 // AppendQuotedNames a whole list of names in one pass. Vertex reads a
 // name back by trying each split into a module-name prefix and a rank
@@ -53,7 +55,8 @@ const firstListCap = 8
 // maxRankDigits bounds a rank's decimal digits: ranks are int32.
 const maxRankDigits = 10
 
-// NewNamer names all vertices of the run.
+// NewNamer names all vertices of the run. The Namer shares the run's
+// origin column.
 func NewNamer(r *Run) *Namer {
 	return NewNamerFromOrigins(r.Spec, r.Origin[:r.NumVertices()])
 }
@@ -63,28 +66,41 @@ func NewNamer(r *Run) *Namer {
 // label snapshot without decoding the run graph; an empty origin gives
 // a Namer for Add to grow. Every origin must be a vertex of s, and s
 // must come from package spec's Builder or Validate: Vertex reads names
-// back through its module index. The columns are sized up front by
-// counting the origins, so the number of allocations does not grow
-// with the run.
+// back through its module index.
+//
+// The Namer shares origin as its origin column, so the caller must not
+// modify it; the Namer never writes it either: the column is clipped to
+// its length, so a later Add copies it before appending. The other two
+// columns take two counting passes over origin: the first counts each
+// origin, and a vertex's rank is its origin's count so far; the second
+// puts each vertex into its origin's list, cut to the origin's count
+// from one backing array, at its rank. The number of allocations does
+// not grow with the run.
 func NewNamerFromOrigins(s *spec.Spec, origin []dag.VertexID) *Namer {
+	n := len(origin)
 	counts := make([]int32, s.NumVertices())
-	for _, o := range origin {
-		counts[o]++
-	}
 	nm := &Namer{
 		spec:     s,
-		origin:   make([]dag.VertexID, 0, len(origin)),
-		rank:     make([]int32, 0, len(origin)),
+		origin:   origin[:n:n],
+		rank:     make([]int32, n),
 		byOrigin: make([][]dag.VertexID, len(counts)),
 	}
-	all := make([]dag.VertexID, len(origin))
-	for o, n := range counts {
-		nm.byOrigin[o], all = all[:0:n], all[n:]
+	for v, o := range origin {
+		counts[o]++
+		nm.rank[v] = counts[o]
+	}
+	// counts[o] becomes the index just before origin o's list in all,
+	// so vertex v, whose rank counts from 1, goes at counts[o] + rank.
+	all, end := make([]dag.VertexID, n), int32(0)
+	for o, c := range counts {
+		nm.byOrigin[o] = all[end : end+c : end+c]
+		counts[o], end = end-1, end+c
+		nm.maxRank = max(nm.maxRank, c)
 		name := s.NameOf(dag.VertexID(o))
 		nm.lead[name[0]], nm.maxLen = true, max(nm.maxLen, len(name))
 	}
-	for _, o := range origin {
-		nm.Add(o)
+	for v, o := range origin {
+		all[counts[o]+nm.rank[v]] = dag.VertexID(v)
 	}
 	return nm
 }
@@ -108,7 +124,9 @@ func (nm *Namer) Add(origin dag.VertexID) dag.VertexID {
 func (nm *Namer) Len() int { return len(nm.origin) }
 
 // Origins returns each named vertex's specification vertex. The slice
-// is the Namer's own column; callers must not modify it.
+// is the Namer's origin column, which a Namer built by
+// NewNamerFromOrigins shares with its caller; callers must not modify
+// it.
 func (nm *Namer) Origins() []dag.VertexID { return nm.origin }
 
 // AppendName appends the display name of vertex v to dst.

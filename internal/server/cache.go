@@ -11,8 +11,9 @@ import (
 // concurrently for a run that is not cached, exactly one performs the
 // disk load while the others block on the in-flight entry and share its
 // result. Cache hits never touch disk — the session (labels, the
-// run.Namer built from their origin column, which keeps integer columns
-// and renders names on demand, and the run document: held bytes until a
+// run.Namer built in two counting passes over their origin column, which
+// it shares, keeping only ranks and per-origin lists of its own and
+// rendering names on demand, and the run document: held bytes until a
 // path query or run status decodes them once) lives entirely in memory.
 type sessionCache struct {
 	loadFn func(name string) (*session, error)

@@ -51,8 +51,9 @@ type session struct {
 }
 
 // newSession names a stored session's vertices from its label
-// snapshot's origin column — the run document stays undecoded until a
-// path query or a run status asks for it.
+// snapshot's origin column, which the namer shares (it is built in two
+// counting passes and copies no column) — the run document stays
+// undecoded until a path query or a run status asks for it.
 func (s *Server) newSession(sess *store.Session) *session {
 	return &session{Session: sess, namer: run.NewNamerFromOrigins(s.st.Spec(), sess.Labels.Origins())}
 }
