@@ -123,7 +123,9 @@ rpq-smoke:
 # (internal/run), graphs built by dag.FromEdges against plain
 # adjacency lists built edge by edge (internal/dag), the /rpq product
 # walk on fuzzed DAGs against dag.MatchAutomaton and the map-based walk
-# it replaced (internal/rpq), and the PUT write
+# it replaced (internal/rpq), one verdict per event log from
+# events.Replay and a live session, with the same reachability when
+# both accept (internal/live), and the PUT write
 # path (internal/server), where every
 # accepted body must be stored byte for byte and say what its run's
 # canonical encoding says. The seed corpora of every fuzz target already run in
@@ -143,6 +145,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzNamerOracle -fuzztime 30s ./internal/run/
 	$(GO) test -run '^$$' -fuzz FuzzGraphOracle -fuzztime 30s ./internal/dag/
 	$(GO) test -run '^$$' -fuzz FuzzRPQEvalOracle -fuzztime 30s ./internal/rpq/
+	$(GO) test -run '^$$' -fuzz FuzzReplayVerdict -fuzztime 30s ./internal/live/
 
 # Static analysis: cmd/provlint runs the repo-specific analyzer suite
 # (internal/lint — %w wrapping in the store, documented lock discipline,
@@ -180,4 +183,4 @@ vet:
 serve:
 	$(GO) run ./cmd/provserve -store $(STORE) -addr $(ADDR)
 
-ci: fmt vet lint build loc race bench bench-store bench-harness fuzz load-smoke chaos-smoke rpq-smoke
+ci: fmt vet lint build loc race bench bench-store bench-harness fuzz load-smoke chaos-smoke rpq-smoke trend

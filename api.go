@@ -286,7 +286,10 @@ func WriteEventLog(w io.Writer, evs []EngineEvent) error { return events.WriteLo
 func ReadEventLog(r io.Reader) ([]EngineEvent, error) { return events.ReadLog(r) }
 
 // ReplayEvents drives an online labeler from an engine event log,
-// labeling each module execution the moment its event arrives.
+// labeling each module execution the moment its event arrives. The log
+// goes through events.Applier, the checks a streaming session makes: it
+// must follow EmitEvents' convention (copies numbered densely in start
+// order, copy 0 the run), and a log that does not is refused whole.
 func ReplayEvents(s *Spec, skeleton SpecLabeling, evs []EngineEvent) (*OnlineLabeler, error) {
 	return events.Replay(s, skeleton, evs)
 }

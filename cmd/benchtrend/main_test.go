@@ -43,8 +43,9 @@ func writeBench(t *testing.T, path string, nsScale float64, allocDelta int64, re
 	benches := map[string]trend.Bench{}
 	for name, b := range base.Benches {
 		b.NsOp *= nsScale
-		if b.AllocsOp > 0 {
-			b.AllocsOp += allocDelta
+		if b.AllocsOp != nil && *b.AllocsOp > 0 {
+			allocs := *b.AllocsOp + allocDelta
+			b.AllocsOp = &allocs
 		}
 		if name == rename {
 			name += "Renamed"
@@ -129,7 +130,8 @@ func TestGateNewBenchTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc.Benches["ServerColdRead"] = trend.Bench{NsOp: 1e9, BOp: 1 << 30, AllocsOp: 1 << 20}
+	bOp, allocsOp := int64(1<<30), int64(1<<20)
+	doc.Benches["ServerColdRead"] = trend.Bench{NsOp: 1e9, BOp: &bOp, AllocsOp: &allocsOp}
 	raw, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +195,7 @@ func TestBenchRecordedAndGated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := doc.Benches["SnapshotDecode/SKL2/n=4000"]; got.NsOp != float64(tc.decodeNs) || got.AllocsOp != 2 {
+			if got := doc.Benches["SnapshotDecode/SKL2/n=4000"]; got.NsOp != float64(tc.decodeNs) || got.AllocsOp == nil || *got.AllocsOp != 2 {
 				t.Errorf("recorded decode row = %+v", got)
 			}
 			if doc.Schema != "provbench.v1" || doc.Baseline == nil || !reflect.DeepEqual(doc.Baseline.Benches, base.Benches) {

@@ -131,10 +131,10 @@
 // Evaluation compiles the pattern to a Thompson NFA and walks the
 // (vertex, state) product graph breadth-first with two bounds. First,
 // the NFA is determinized lazily into a DFA with a hard state budget
-// (ServerConfig.RPQMaxDFAStates, default 4096): each graph step costs
-// one memoized DFA transition, and a pattern whose subset construction
-// would exceed the budget is rejected as a client error rather than
-// growing without bound. Second — the label-pruning guarantee — a
+// of 4096 states (internal/rpq's DefaultMaxDFAStates): each graph step
+// costs one memoized DFA transition, and a pattern whose subset
+// construction would exceed the budget is rejected as a client error
+// rather than growing without bound. Second — the label-pruning guarantee — a
 // product state (y, q) is never expanded unless y == to or the
 // skeleton labels certify Reachable(y, to): every vertex the evaluator
 // touches lies on some u→v path, so the walk explores the subgraph
@@ -348,11 +348,15 @@
 // benchmark regresses past BOTH a relative tolerance and an absolute
 // noise floor — ns/op +50% and >50ns (wall time is noisy on shared
 // runners), B/op +25% and >64B, allocs/op +10% and >2 allocs
-// (deterministic, the real teeth). Benchmarks missing from either side
-// (added, renamed, retired) are reported but never fail the gate, so
-// refactors don't have to ship baseline edits in the same change. CI
-// runs `make trend` on every push and uploads BENCH_*.json and TREND.md
-// as artifacts; `make ci` mirrors the rest of the pipeline locally.
+// (deterministic, the real teeth). A B/op or allocs/op of 0 is
+// recorded as "b_op": 0 and gated like any other baseline, so a
+// benchmark that allocated nothing fails once it allocates past the
+// floor; an absent figure was not reported and is not gated.
+// Benchmarks missing from either side (added, renamed, retired) are
+// reported but never fail the gate, so refactors don't have to ship
+// baseline edits in the same change. Every CI step is one Makefile
+// target, uploading BENCH_*.json and TREND.md as artifacts; `make ci`
+// runs the same targets locally.
 //
 // # Static analysis: mechanically enforced invariants
 //

@@ -6,6 +6,21 @@
 // log files, and a consumer that drives the online labeler — so a run can
 // be labeled straight from an engine log with no graph reconstruction.
 //
+// # Replay
+//
+// Applier is the one path from events to the online labeler: Replay,
+// the live streaming sessions (internal/live) and the Section 9
+// experiment all go through it. Check refuses a batch that breaks the
+// Emit convention (copies numbered densely in start order, copy 0 the
+// run, a copy started before anything refers to it), names a module
+// the specification does not have, or starts or executes where the
+// hierarchy does not allow; it changes nothing. Apply then applies
+// what Check accepted, and cannot fail: the hierarchy and subgraph
+// rules are the labeler's own predicates, online.CheckChild and
+// online.CheckExec. So Replay refuses a log that breaks the dense
+// numbering, such as one that starts copy 2 first, exactly as a live
+// stream refuses it.
+//
 // # Log format
 //
 // A log has one event per line:

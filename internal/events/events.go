@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"unicode/utf8"
 
-	"repro/internal/label"
-	"repro/internal/online"
 	"repro/internal/plan"
 	"repro/internal/run"
 	"repro/internal/spec"
@@ -83,47 +81,6 @@ func plusParent(n *plan.Node) *plan.Node {
 		return n
 	}
 	return n.Parent.Parent
-}
-
-// Replay feeds an event stream into an online labeler. It returns the
-// labeler and the run vertex IDs in event order. Copy numbering must
-// follow the Emit convention (0 = the run, parents before children, loop
-// iterations in serial order).
-func Replay(s *spec.Spec, skeleton label.Labeling, events []Event) (*online.Labeler, error) {
-	l := online.New(s, skeleton)
-	copies := map[int]*online.Copy{0: l.Root()}
-	for i, e := range events {
-		switch e.Kind {
-		case CopyStart:
-			parent, ok := copies[e.Parent]
-			if !ok {
-				return nil, fmt.Errorf("events: event %d starts copy %d under unknown parent %d", i, e.Copy, e.Parent)
-			}
-			if _, dup := copies[e.Copy]; dup {
-				return nil, fmt.Errorf("events: event %d restarts copy %d", i, e.Copy)
-			}
-			c, err := l.StartCopy(parent, e.HNode)
-			if err != nil {
-				return nil, fmt.Errorf("events: event %d: %w", i, err)
-			}
-			copies[e.Copy] = c
-		case ModuleExec:
-			c, ok := copies[e.Copy]
-			if !ok {
-				return nil, fmt.Errorf("events: event %d executes in unknown copy %d", i, e.Copy)
-			}
-			orig, ok := s.VertexOf(e.Module)
-			if !ok {
-				return nil, fmt.Errorf("events: event %d references unknown module %q", i, e.Module)
-			}
-			if _, err := l.AddExec(c, orig); err != nil {
-				return nil, fmt.Errorf("events: event %d: %w", i, err)
-			}
-		default:
-			return nil, fmt.Errorf("events: event %d has unknown kind %d", i, e.Kind)
-		}
-	}
-	return l, nil
 }
 
 // WriteLog serializes events as a line-oriented log:

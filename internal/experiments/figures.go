@@ -80,7 +80,6 @@ func Fig13(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	for _, sr := range set.runs {
-		sr := sr
 		deflt := timeIt(5*time.Millisecond, func() {
 			if _, err := core.LabelRun(sr.r, skel); err != nil {
 				panic(err)
@@ -210,7 +209,6 @@ func Fig16(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	for _, sr := range set.runs {
-		sr := sr
 		sklTime := timeIt(5*time.Millisecond, func() {
 			if _, err := core.LabelRun(sr.r, skel); err != nil {
 				panic(err)
@@ -393,7 +391,6 @@ func Fig19(cfg Config) (*Result, error) {
 			}
 		})
 		for _, sr := range set.runs {
-			sr := sr
 			sklTime := timeIt(5*time.Millisecond, func() {
 				if _, err := core.LabelRun(sr.r, skel); err != nil {
 					panic(err)

@@ -196,7 +196,6 @@ func Run(pkgs []*Package, analyzers []Analyzer, root string) []Diagnostic {
 	for _, pkg := range pkgs {
 		idx := indexSuppressions(pkg, root, func(d Diagnostic) { diags = append(diags, d) })
 		for _, a := range analyzers {
-			a := a
 			a.Check(pkg, func(pos token.Pos, format string, args ...any) {
 				p := pkg.Fset.Position(pos)
 				d := Diagnostic{

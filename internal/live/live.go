@@ -1,11 +1,12 @@
 // Package live owns per-run streaming ingest sessions: runs that are
 // being labeled event-by-event while the workflow still executes,
-// instead of arriving as one finished document. Each Session wraps an
-// online.Labeler (the paper's Section 9 incremental scheme) fed by
-// events.Event appends, tracks its own copy table so the execution tree
-// can be reconstructed, names vertices through run.Namer as they
-// execute, and persists every accepted batch to a per-run
-// event log blob (store.Backend.AppendEventLog) before applying it.
+// instead of arriving as one finished document. Each Session feeds its
+// events.Event appends to an events.Applier, which owns the
+// online.Labeler (the paper's Section 9 incremental scheme), the copy
+// table the execution tree is reconstructed from and the run.Namer
+// that names vertices as they execute. A session checks every batch
+// with the applier, persists it to a per-run event log blob
+// (store.Backend.AppendEventLog), and only then applies it.
 //
 // # Durability
 //
@@ -30,10 +31,12 @@
 // and only the surplus is applied. Copies must be numbered densely in
 // start order (copy 0 is the run itself and is never started), parents
 // before children and loop iterations in serial order — the convention
-// events.Emit produces. Streams following it replay to the same dense
-// vertex IDs run.Materialize assigns, which is what lets Finish seal
-// the session into a stored run answering queries byte-identically to
-// the same run ingested as one document.
+// events.Emit produces. events.Applier.Check enforces it, the check
+// events.Replay makes, so a log one accepts the other accepts too, and
+// a batch in the log always applies. Streams following it replay to
+// the same dense vertex IDs run.Materialize assigns, which is what lets
+// Finish seal the session into a stored run answering queries
+// byte-identically to the same run ingested as one document.
 //
 // # Concurrency
 //
@@ -57,10 +60,8 @@ import (
 	"repro/internal/dag"
 	"repro/internal/events"
 	"repro/internal/label"
-	"repro/internal/online"
 	"repro/internal/plan"
 	"repro/internal/run"
-	"repro/internal/spec"
 	"repro/internal/store"
 )
 
@@ -73,15 +74,9 @@ var ErrGap = errors.New("live: offset beyond the applied event sequence")
 var ErrConflict = errors.New("live: resent events conflict with the applied history")
 
 // EventError reports a semantically invalid event (unknown module,
-// out-of-sequence copy, wrong hierarchy parent) at Index within the
-// fresh part of a batch. Nothing from the batch is applied.
-type EventError struct {
-	Index int
-	Err   error
-}
-
-func (e *EventError) Error() string { return fmt.Sprintf("live: event %d: %v", e.Index, e.Err) }
-func (e *EventError) Unwrap() error { return e.Err }
+// out-of-sequence copy, wrong hierarchy parent); an append's Index is
+// within the fresh part of its batch. Nothing from the batch is applied.
+type EventError = events.EventError
 
 // IncompleteError reports a Finish on a stream that does not describe a
 // complete run: some fork or loop site has no copy yet, or the exec
@@ -257,19 +252,12 @@ func DeleteState(st *store.Store, name string) (bool, error) {
 type Session struct {
 	name string
 	st   *store.Store
-	sp   *spec.Spec
-	lab  *online.Labeler
 	g    *Gauges
 
-	// copies holds the labeler's handle of every started copy, and
-	// table each one's hierarchy node and parent copy: the execution
-	// tree Finish materializes, in start order.
-	copies  []*online.Copy
-	table   run.CopyTable
+	// app holds the labeler, the copy table Finish materializes and the
+	// namer, and checks every batch before it reaches the log.
+	app     *events.Applier
 	history []events.Event
-	// names records each module execution's origin as apply sees it, one
-	// Add per vertex, so the live run's names are the finished run's.
-	names *run.Namer
 
 	// logBytes is how much of the run's event log this session's history
 	// accounts for; appends extend it, recovery re-derives it.
@@ -301,18 +289,7 @@ func NewSession(st *store.Store, name string, skel label.Labeling, g *Gauges) *S
 	if g == nil {
 		g = new(Gauges)
 	}
-	sp := st.Spec()
-	l := online.New(sp, skel)
-	s := &Session{
-		name:   name,
-		st:     st,
-		sp:     sp,
-		lab:    l,
-		g:      g,
-		copies: []*online.Copy{l.Root()},
-		table:  run.CopyTable{HNode: []int32{0}, Parent: []int32{-1}},
-		names:  run.NewNamerFromOrigins(sp, nil),
-	}
+	s := &Session{name: name, st: st, g: g, app: events.NewApplier(st.Spec(), skel)}
 	s.Touch()
 	return s
 }
@@ -322,10 +299,10 @@ func NewSession(st *store.Store, name string, skel label.Labeling, g *Gauges) *S
 func (s *Session) Seq() int { return len(s.history) }
 
 // NumCopies returns the number of started copies including the root.
-func (s *Session) NumCopies() int { return len(s.copies) }
+func (s *Session) NumCopies() int { return len(s.app.Table().HNode) }
 
 // Renumbers reports the labeler's key redistributions so far.
-func (s *Session) Renumbers() int { return s.lab.Renumbers() }
+func (s *Session) Renumbers() int { return s.app.Labeler().Renumbers() }
 
 // CheckpointSeq returns the sequence the last checkpoint covered
 // (0 when none was written).
@@ -370,7 +347,7 @@ func (s *Session) Append(evs []events.Event, offset int) (int, error) {
 	if len(fresh) == 0 {
 		return 0, nil
 	}
-	if err := s.prevalidate(fresh); err != nil {
+	if err := s.app.Check(fresh); err != nil {
 		return 0, err
 	}
 	var buf bytes.Buffer
@@ -389,102 +366,18 @@ func (s *Session) Append(evs []events.Event, offset int) (int, error) {
 		return 0, fmt.Errorf("live: appending event log for %q: %w", s.name, err)
 	}
 	s.logBytes += int64(buf.Len())
-	if err := s.ingest(fresh); err != nil {
-		s.broken = true
-		return 0, fmt.Errorf("live: applying events for %q: %w", s.name, err)
-	}
+	s.app.Apply(fresh)
+	s.history = append(s.history, fresh...)
 	s.g.events.Add(int64(len(fresh)))
 	s.bumpRenumbers()
 	return len(fresh), nil
 }
 
 func (s *Session) bumpRenumbers() {
-	if rn := s.lab.Renumbers(); rn != s.lastRenumbers {
+	if rn := s.app.Labeler().Renumbers(); rn != s.lastRenumbers {
 		s.g.renumbers.Add(int64(rn - s.lastRenumbers))
 		s.lastRenumbers = rn
 	}
-}
-
-// prevalidate checks a batch against the session state without mutating
-// it, replicating every check StartCopy and AddExec would make — so
-// once the batch is in the write-ahead log, applying it cannot fail.
-func (s *Session) prevalidate(evs []events.Event) error {
-	base := len(s.copies)
-	var newHNodes []int // hnodes of copies this batch starts
-	hnodeOf := func(id int) (int, bool) {
-		switch {
-		case id < 0:
-			return 0, false
-		case id < base:
-			return int(s.table.HNode[id]), true
-		case id-base < len(newHNodes):
-			return newHNodes[id-base], true
-		}
-		return 0, false
-	}
-	for i, e := range evs {
-		switch e.Kind {
-		case events.CopyStart:
-			if e.Copy != base+len(newHNodes) {
-				return &EventError{i, fmt.Errorf("copy %d out of sequence (next is %d; copies are numbered densely in start order)", e.Copy, base+len(newHNodes))}
-			}
-			ph, ok := hnodeOf(e.Parent)
-			if !ok {
-				return &EventError{i, fmt.Errorf("unknown parent copy %d", e.Parent)}
-			}
-			if e.HNode < 1 || e.HNode >= s.sp.Hier.NumNodes() || s.sp.Hier.Parent[e.HNode] != ph {
-				return &EventError{i, fmt.Errorf("hierarchy node %d is not a child of copy %d's node %d", e.HNode, e.Parent, ph)}
-			}
-			newHNodes = append(newHNodes, e.HNode)
-		case events.ModuleExec:
-			h, ok := hnodeOf(e.Copy)
-			if !ok {
-				return &EventError{i, fmt.Errorf("unknown copy %d", e.Copy)}
-			}
-			orig, known := s.sp.VertexOf(e.Module)
-			if !known {
-				return &EventError{i, fmt.Errorf("unknown module %q", e.Module)}
-			}
-			if h != 0 && !s.sp.SubgraphOf(h).HasVertex(orig) {
-				return &EventError{i, fmt.Errorf("module %q is not in copy %d's subgraph", e.Module, e.Copy)}
-			}
-		default:
-			return &EventError{i, fmt.Errorf("unknown event kind %d", e.Kind)}
-		}
-	}
-	return nil
-}
-
-// ingest applies prevalidated events to the labeler and records them in
-// the history. Errors are invariant violations, not client mistakes.
-func (s *Session) ingest(evs []events.Event) error {
-	for _, e := range evs {
-		if err := s.apply(e); err != nil {
-			return err
-		}
-		s.history = append(s.history, e)
-	}
-	return nil
-}
-
-func (s *Session) apply(e events.Event) error {
-	switch e.Kind {
-	case events.CopyStart:
-		c, err := s.lab.StartCopy(s.copies[e.Parent], e.HNode)
-		if err != nil {
-			return err
-		}
-		s.copies = append(s.copies, c)
-		s.table.HNode = append(s.table.HNode, int32(e.HNode))
-		s.table.Parent = append(s.table.Parent, int32(e.Parent))
-	case events.ModuleExec:
-		orig, _ := s.sp.VertexOf(e.Module)
-		if _, err := s.lab.AddExec(s.copies[e.Copy], orig); err != nil {
-			return err
-		}
-		s.names.Add(orig)
-	}
-	return nil
 }
 
 // Checkpoint atomically persists the applied event prefix and the log
@@ -529,6 +422,7 @@ func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Ses
 		return nil, err
 	}
 	haveCkpt := len(ckpt) > 0
+	var prefix []events.Event
 	if haveCkpt {
 		seq, logBytes, evs, perr := parseCheckpoint(ckpt)
 		if perr != nil {
@@ -537,12 +431,7 @@ func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Ses
 		if len(evs) != seq {
 			return nil, fmt.Errorf("live: checkpoint for %q holds %d events but declares %d", name, len(evs), seq)
 		}
-		if err := s.prevalidate(evs); err != nil {
-			return nil, fmt.Errorf("live: checkpoint for %q: %w", name, err)
-		}
-		if err := s.ingest(evs); err != nil {
-			return nil, fmt.Errorf("live: replaying checkpoint for %q: %w", name, err)
-		}
+		prefix = evs
 		s.ckptSeq, s.ckptLogBytes = seq, logBytes
 	}
 
@@ -573,12 +462,14 @@ func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Ses
 	if err != nil {
 		return nil, fmt.Errorf("live: event log for %q: %w", name, err)
 	}
-	if err := s.prevalidate(evs); err != nil {
-		return nil, fmt.Errorf("live: event log for %q: %w", name, err)
+	// One check and one apply over the checkpoint's prefix and the log
+	// past it: an event's index counts from the prefix's first.
+	evs = append(prefix, evs...)
+	if err := s.app.Check(evs); err != nil {
+		return nil, fmt.Errorf("live: stream state for %q: %w", name, err)
 	}
-	if err := s.ingest(evs); err != nil {
-		return nil, fmt.Errorf("live: replaying event log for %q: %w", name, err)
-	}
+	s.app.Apply(evs)
+	s.history = evs
 	s.logBytes = s.ckptLogBytes + int64(clean)
 	s.g.replays.Add(1)
 	s.g.events.Add(int64(len(s.history)))
@@ -659,11 +550,11 @@ func (s *Session) MaterializedRun() (*run.Run, error) {
 
 // materialize is MaterializedRun that also returns the run's plan.
 func (s *Session) materialize() (*run.Run, *plan.Plan, error) {
-	r, p, err := run.MaterializeTable(s.sp, s.table)
+	r, p, err := run.MaterializeTable(s.st.Spec(), s.app.Table())
 	if err != nil {
 		return nil, nil, &IncompleteError{err}
 	}
-	origins := s.names.Origins()
+	origins := s.app.Namer().Origins()
 	if r.NumVertices() != len(origins) {
 		return nil, nil, &IncompleteError{fmt.Errorf("materialization yields %d vertices, the stream recorded %d module executions", r.NumVertices(), len(origins))}
 	}
@@ -678,16 +569,17 @@ func (s *Session) materialize() (*run.Run, *plan.Plan, error) {
 // Namer names the live run's vertices and resolves their names: the
 // names the finished run gets (the serving layer adds the numeric-ID
 // fallback for every run alike).
-func (s *Session) Namer() *run.Namer { return s.names }
+func (s *Session) Namer() *run.Namer { return s.app.Namer() }
 
 // Reachable answers one reachability query on the live labels.
-func (s *Session) Reachable(u, v dag.VertexID) bool { return s.lab.Reachable(u, v) }
+func (s *Session) Reachable(u, v dag.VertexID) bool { return s.app.Labeler().Reachable(u, v) }
 
 // ByContext reports whether Reachable(u, v) was decided by the context
 // comparison alone (Algorithm 3's fast path), mirroring the stored
 // labeling's AnsweredByContext.
 func (s *Session) ByContext(u, v dag.VertexID) bool {
-	a, b := s.lab.CurrentLabel(u), s.lab.CurrentLabel(v)
+	l := s.app.Labeler()
+	a, b := l.CurrentLabel(u), l.CurrentLabel(v)
 	return (a.K2 < b.K2) != (a.K3 < b.K3)
 }
 
@@ -695,8 +587,9 @@ func (s *Session) ByContext(u, v dag.VertexID) bool {
 // scan: the vertices reaching v when up, those v reaches otherwise. It is
 // the live counterpart of core.Labeling.AppendCone.
 func (s *Session) AppendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag.VertexID {
-	for u := dag.VertexID(0); int(u) < s.names.Len(); u++ {
-		if u != v && (up && s.lab.Reachable(u, v) || !up && s.lab.Reachable(v, u)) {
+	l := s.app.Labeler()
+	for u := dag.VertexID(0); int(u) < l.NumVertices(); u++ {
+		if u != v && (up && l.Reachable(u, v) || !up && l.Reachable(v, u)) {
 			dst = append(dst, u)
 		}
 	}

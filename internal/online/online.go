@@ -98,8 +98,8 @@ func (l *Labeler) NumVertices() int { return l.numVertices }
 // copy: the next parallel copy for forks, or the iteration appended at the
 // end of the chain for loops. The site is created on first use.
 func (l *Labeler) StartCopy(parent *Copy, hnode int) (*Copy, error) {
-	if hnode < 1 || hnode >= l.s.Hier.NumNodes() || l.s.Hier.Parent[hnode] != parent.hnode {
-		return nil, fmt.Errorf("online: hierarchy node %d is not a child of %d", hnode, parent.hnode)
+	if err := CheckChild(l.s, parent.hnode, hnode); err != nil {
+		return nil, err
 	}
 	st := parent.sites[hnode]
 	if st == nil {
@@ -107,6 +107,34 @@ func (l *Labeler) StartCopy(parent *Copy, hnode int) (*Copy, error) {
 		parent.sites[hnode] = st
 	}
 	return l.insertCopy(st, len(st.copies)), nil
+}
+
+// CheckChild reports whether a copy of hierarchy node hnode may start
+// inside a copy of hierarchy node parent: hnode must be parent's child.
+// StartCopy and events.Applier.Check both make the check through it.
+func CheckChild(s *spec.Spec, parent, hnode int) error {
+	if hnode < 1 || hnode >= s.Hier.NumNodes() || s.Hier.Parent[hnode] != parent {
+		return fmt.Errorf("online: hierarchy node %d is not a child of %d", hnode, parent)
+	}
+	return nil
+}
+
+// CheckExec reports whether module origin may execute inside a copy of
+// hierarchy node hnode: origin must be a module of the specification,
+// and of hnode's subgraph unless hnode is the root. AddExec and
+// events.Applier.Check both make the check through it.
+func CheckExec(s *spec.Spec, hnode int, origin dag.VertexID) error {
+	if origin < 0 || int(origin) >= s.NumVertices() {
+		return fmt.Errorf("online: invalid origin %d", origin)
+	}
+	if hnode != 0 {
+		sub := s.SubgraphOf(hnode)
+		if !sub.HasVertex(origin) {
+			return fmt.Errorf("online: module %q is not in subgraph %q..%q",
+				s.NameOf(origin), s.NameOf(sub.Source), s.NameOf(sub.Sink))
+		}
+	}
+	return nil
 }
 
 // StartLoopIterationAfter begins a loop iteration inserted immediately
@@ -246,15 +274,8 @@ func (l *Labeler) redistribute(ord int, e *elem) {
 // origin, belonging to the given copy (its context: the deepest fork or
 // loop copy dominating it). It returns the new run vertex's ID.
 func (l *Labeler) AddExec(c *Copy, origin dag.VertexID) (dag.VertexID, error) {
-	if origin < 0 || int(origin) >= l.s.NumVertices() {
-		return 0, fmt.Errorf("online: invalid origin %d", origin)
-	}
-	if c.hnode != 0 {
-		sub := l.s.SubgraphOf(c.hnode)
-		if !sub.HasVertex(origin) {
-			return 0, fmt.Errorf("online: module %q is not in subgraph %q..%q",
-				l.s.NameOf(origin), l.s.NameOf(sub.Source), l.s.NameOf(sub.Sink))
-		}
+	if err := CheckExec(l.s, c.hnode, origin); err != nil {
+		return 0, err
 	}
 	v := dag.VertexID(l.numVertices)
 	l.numVertices++

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dag"
+	"repro/internal/events"
 	"repro/internal/label"
 	"repro/internal/online"
 	"repro/internal/run"
@@ -30,7 +31,7 @@ func TestReplayMatchesOracle(t *testing.T) {
 		for trial := 0; trial < 6; trial++ {
 			et := run.RandomExecSteps(s, rng, 3+rng.Intn(25))
 			r, truth := run.MustMaterialize(s, et)
-			l, err := online.ReplayPlan(s, skel, truth, r.Origin)
+			l, err := events.Replay(s, skel, events.Emit(r, truth))
 			if err != nil {
 				t.Fatalf("replay: %v", err)
 			}
@@ -287,7 +288,7 @@ func TestQuickReplayAgainstOracle(t *testing.T) {
 		}
 		et := run.RandomExecSteps(s, rng, rng.Intn(60))
 		r, truth := run.MustMaterialize(s, et)
-		l, err := online.ReplayPlan(s, skel, truth, r.Origin)
+		l, err := events.Replay(s, skel, events.Emit(r, truth))
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

@@ -108,10 +108,11 @@ func (s *Server) deleteIdleRun(name string) (bool, error) {
 	return err == nil, err
 }
 
-// EnforceMaxRuns deletes stored runs until at most max remain. Two
-// classes are never victims: the explicitly named runs, and any run
-// with an ingest in flight (a PUT acknowledged between this sweep's
-// listing and its deletes must not be the sweep's victim). Everything
+// EnforceMaxRuns deletes stored runs until at most max remain. A run
+// with an ingest in flight is never a victim: a PUT acknowledged
+// between this sweep's listing and its deletes must not be the sweep's
+// victim, and the PUT or /finish that sweeps after storing its own run
+// still counts as in flight, so it never deletes that run. Everything
 // else is ordered by value — cache membership is query-driven, so
 // cached means hot: cold (never-queried) runs go first, by ascending
 // name for deterministic sweeps, and only when those run out are
@@ -126,7 +127,7 @@ func (s *Server) deleteIdleRun(name string) (bool, error) {
 // game the moment its handler returns: at the bound, ingest-then-query
 // clients should query promptly (making the run hot) or size MaxRuns
 // above their working set.
-func (s *Server) EnforceMaxRuns(max int, protect ...string) ([]string, error) {
+func (s *Server) EnforceMaxRuns(max int) ([]string, error) {
 	if max < 1 {
 		return nil, nil
 	}
@@ -142,11 +143,8 @@ func (s *Server) EnforceMaxRuns(max int, protect ...string) ([]string, error) {
 	for _, n := range names {
 		stored[n] = true
 	}
-	keep := make(map[string]bool, len(protect))
-	for _, n := range protect {
-		keep[n] = true
-	}
 	s.ingestingMu.Lock()
+	keep := make(map[string]bool, len(s.ingesting))
 	for n := range s.ingesting {
 		keep[n] = true
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/label"
 	"repro/internal/run"
 	"repro/internal/spec"
@@ -209,8 +210,7 @@ func TestRetentionProtectsInflightIngest(t *testing.T) {
 	s.ingestingMu.Unlock()
 	// A concurrent sweep (any other PUT's, or deployment-driven) sees 3
 	// runs over a bound of 2 — it must evict a cold old run, never the
-	// in-flight one, even though "fresh" is cold and unprotected by the
-	// caller's own protect list.
+	// in-flight one, even though "fresh" is cold.
 	deleted, err := s.EnforceMaxRuns(2)
 	if err != nil {
 		t.Fatal(err)
@@ -417,5 +417,25 @@ func TestWarmRestartAfterDelete(t *testing.T) {
 	}
 	if _, err := st3.OpenRun("ghost", label.TCM{}); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("ghost unexpectedly exists: %v", err)
+	}
+}
+
+// TestRetentionSparesOwnFinish: the sweep after a stream's /finish
+// never deletes the run it just sealed, although that run is cold and
+// sorts before every other victim.
+func TestRetentionSparesOwnFinish(t *testing.T) {
+	s, st := newStreamServer(t, Config{EnableIngest: true, MaxRuns: 1})
+	sp := st.Spec()
+	r, _ := run.GenerateSized(sp, rand.New(rand.NewSource(5)), 60)
+	if rec := do(t, s, "PUT", "/runs/zz", encodeRun(t, r, nil), nil); rec.Code != 200 {
+		t.Fatalf("PUT zz: %d %s", rec.Code, rec.Body.String())
+	}
+	fr, p := run.Figure3Run(sp)
+	streamRun(t, s, "a0", events.Emit(fr, p), 4)
+	if rec := do(t, s, "POST", "/runs/a0/finish", "", nil); rec.Code != 200 {
+		t.Fatalf("finish a0: %d %s", rec.Code, rec.Body.String())
+	}
+	if names, err := st.Runs(); err != nil || fmt.Sprint(names) != "[a0]" {
+		t.Fatalf("runs after the finish's sweep = %v, %v; want [a0]", names, err)
 	}
 }

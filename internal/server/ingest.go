@@ -152,9 +152,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	if s.maxRuns > 0 {
 		// Retention rides the write path: every PUT that may have grown
 		// the store sweeps it back under the bound. The just-ingested run
-		// is protected — a PUT must never delete its own run, even when
-		// nobody has queried it yet.
-		if _, err := s.EnforceMaxRuns(s.maxRuns, name); err != nil {
+		// is still marked in flight, so the sweep never deletes it, even
+		// when nobody has queried it yet.
+		if _, err := s.EnforceMaxRuns(s.maxRuns); err != nil {
 			s.logf("server: retention sweep after PUT %q: %v", name, err)
 		}
 	}

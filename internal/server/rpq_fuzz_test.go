@@ -87,10 +87,11 @@ func TestRPQStateBudgetOverWire(t *testing.T) {
 	if err := st.PutRun("r1", r, nil, label.TCM{}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Store: st, RPQMaxDFAStates: 1})
+	s, err := New(Config{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.rpqMaxStates = 1
 	// Any edge (u, v) will do: pattern "." steps the DFA from the start
 	// subset to a distinct accept subset, the second state.
 	var u, v dag.VertexID

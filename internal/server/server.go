@@ -129,6 +129,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/label"
 	"repro/internal/live"
+	"repro/internal/rpq"
 	"repro/internal/store"
 )
 
@@ -195,10 +196,6 @@ type Config struct {
 	// while the breaker is open — and the Retry-After clients are told.
 	// <= 0 defaults to 500ms.
 	BreakerCooldown time.Duration
-	// RPQMaxDFAStates caps how many DFA states one POST /rpq
-	// evaluation may lazily determinize before the pattern is rejected
-	// as pathological (400). <= 0 uses rpq.DefaultMaxDFAStates.
-	RPQMaxDFAStates int
 }
 
 // Server answers provenance queries over one store. It is an
@@ -211,12 +208,16 @@ type Server struct {
 	ingest         bool
 	maxIngestBytes int64
 	maxRuns        int
-	rpqMaxStates   int
 	logf           func(format string, args ...any)
 	runMu          runLocks
 	adm            *admission
 	brk            *breaker
 	mux            *http.ServeMux
+
+	// rpqMaxStates caps how many DFA states one POST /rpq evaluation may
+	// lazily determinize before the pattern is rejected as pathological
+	// (400): rpq.DefaultMaxDFAStates, lowered only by tests.
+	rpqMaxStates int
 
 	// escapeNames is namesNeedEscaping of the store's spec, decided once:
 	// a store serves one spec.
@@ -316,7 +317,7 @@ func New(cfg Config) (*Server, error) {
 		ingest:         cfg.EnableIngest,
 		maxIngestBytes: cfg.MaxIngestBytes,
 		maxRuns:        cfg.MaxRuns,
-		rpqMaxStates:   cfg.RPQMaxDFAStates,
+		rpqMaxStates:   rpq.DefaultMaxDFAStates,
 		logf:           cfg.Logf,
 		adm:            newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.RatePerClient, cfg.RateBurst),
 		mux:            http.NewServeMux(),

@@ -207,7 +207,7 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) error {
 	}
 	s.logf("server: finished streamed run %q (%d events, %d vertices)", name, seq, rn.NumVertices())
 	if s.maxRuns > 0 {
-		if _, err := s.EnforceMaxRuns(s.maxRuns, name); err != nil {
+		if _, err := s.EnforceMaxRuns(s.maxRuns); err != nil {
 			s.logf("server: retention sweep after finish %q: %v", name, err)
 		}
 	}

@@ -354,7 +354,6 @@ func Run(t *testing.T, newBackend Factory) {
 			}
 		}
 		for g := 0; g < writers; g++ {
-			g := g
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
@@ -632,7 +631,6 @@ func Run(t *testing.T, newBackend Factory) {
 			}
 		}
 		for g := 0; g < writers; g++ {
-			g := g
 			wg.Add(2)
 			go func() {
 				defer wg.Done()

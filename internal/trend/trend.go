@@ -6,9 +6,12 @@
 //
 // The file format is "provbench.v1": a flat benches map of
 // name -> {ns_op, b_op, allocs_op, mb_s}, with the pre-PR baseline
-// embedded under "baseline". BASELINE_<n>.json is the measurement taken
-// just before PR n's changes; comparing consecutive baselines (and the
-// current run) therefore renders how each benchmark moved across PRs.
+// embedded under "baseline". A b_op or allocs_op the benchmark reported
+// is written even when it is 0; an absent one was not reported (files
+// recorded before zeros were written omit reported zeros too).
+// BASELINE_<n>.json is the measurement taken just before PR n's
+// changes; comparing consecutive baselines (and the current run)
+// therefore renders how each benchmark moved across PRs.
 package trend
 
 import (
@@ -25,11 +28,12 @@ import (
 	"time"
 )
 
-// Bench is one benchmark's measurements.
+// Bench is one benchmark's measurements. BOp and AllocsOp are nil when
+// the benchmark did not report them.
 type Bench struct {
 	NsOp     float64 `json:"ns_op"`
-	BOp      int64   `json:"b_op,omitempty"`
-	AllocsOp int64   `json:"allocs_op,omitempty"`
+	BOp      *int64  `json:"b_op,omitempty"`
+	AllocsOp *int64  `json:"allocs_op,omitempty"`
 	MBs      float64 `json:"mb_s,omitempty"`
 }
 
@@ -90,9 +94,9 @@ func ParseBench(r io.Reader) (map[string]Bench, error) {
 			val, unit, _ := strings.Cut(strings.TrimSpace(f), " ")
 			switch unit {
 			case "B/op":
-				b.BOp, _ = strconv.ParseInt(val, 10, 64)
+				b.BOp = parseCount(val)
 			case "allocs/op":
-				b.AllocsOp, _ = strconv.ParseInt(val, 10, 64)
+				b.AllocsOp = parseCount(val)
 			case "MB/s":
 				b.MBs, _ = strconv.ParseFloat(val, 64)
 			}
@@ -109,6 +113,24 @@ func ParseBench(r io.Reader) (map[string]Bench, error) {
 		return nil, fmt.Errorf("no benchmark lines found")
 	}
 	return benches, nil
+}
+
+// parseCount parses a reported B/op or allocs/op figure; one that does
+// not parse counts as not reported.
+func parseCount(val string) *int64 {
+	n, err := strconv.ParseInt(val, 10, 64)
+	if err != nil {
+		return nil
+	}
+	return &n
+}
+
+// count returns a B/op or allocs/op figure and whether it was reported.
+func count(n *int64) (float64, bool) {
+	if n == nil {
+		return 0, false
+	}
+	return float64(*n), true
 }
 
 // trimGOMAXPROCS drops the "-8" CPU suffix go test appends to
@@ -183,9 +205,11 @@ func LoadLineage(dir, currentPath string) ([]Point, error) {
 // The gate's per-metric relative slack: a measurement regresses when
 // cur > prev*(1+tol) AND the absolute growth clears a small noise floor
 // (50ns, 64 B, 2 allocs) — so a 2-alloc wobble on a 22-alloc benchmark
-// or scheduler jitter on a 3µs one never fails CI. Wall time is
-// deliberately loose (shared CI runners are noisy); the deterministic
-// allocation metrics are tighter and are the stable regression signal.
+// or scheduler jitter on a 3µs one never fails CI. A reported zero B/op
+// or allocs/op is a baseline like any other: from 0, growth past the
+// floor alone regresses. Wall time is deliberately loose (shared CI
+// runners are noisy); the deterministic allocation metrics are tighter
+// and are the stable regression signal.
 const (
 	TolNsOp     = 0.50
 	TolBOp      = 0.25
@@ -199,6 +223,17 @@ const (
 	noiseAllocs = 2.0
 )
 
+// gated lists the metrics Gate compares, each with its tolerance and
+// noise floor.
+var gated = []struct {
+	metric     Metric
+	tol, floor float64
+}{
+	{MetricNsOp, TolNsOp, noiseNs},
+	{MetricBOp, TolBOp, noiseBytes},
+	{MetricAllocsOp, TolAllocsOp, noiseAllocs},
+}
+
 // Regression is one gate failure.
 type Regression struct {
 	Bench  string
@@ -209,15 +244,20 @@ type Regression struct {
 }
 
 func (r Regression) String() string {
-	return fmt.Sprintf("%s: %s %s -> %s (+%.1f%%, tolerance %.0f%%)",
+	growth := "from zero"
+	if r.Prev > 0 {
+		growth = fmt.Sprintf("+%.1f%%", (r.Cur/r.Prev-1)*100)
+	}
+	return fmt.Sprintf("%s: %s %s -> %s (%s, tolerance %.0f%%)",
 		r.Bench, r.Metric, formatMetric(r.Metric, r.Prev), formatMetric(r.Metric, r.Cur),
-		(r.Cur/r.Prev-1)*100, r.Tol*100)
+		growth, r.Tol*100)
 }
 
 // Gate compares cur against prev bench-by-bench. Benchmarks present in
 // prev but missing from cur (renamed or retired) are tolerated and
 // returned in missing; benchmarks new in cur have no baseline and are
-// ignored.
+// ignored. A B/op or allocs/op figure is compared when both runs
+// reported it.
 func Gate(prev, cur map[string]Bench) (regs []Regression, missing []string) {
 	names := make([]string, 0, len(prev))
 	for name := range prev {
@@ -231,17 +271,12 @@ func Gate(prev, cur map[string]Bench) (regs []Regression, missing []string) {
 			missing = append(missing, name)
 			continue
 		}
-		exceeds := func(prevV, curV, tol, floor float64) bool {
-			return prevV > 0 && curV > prevV*(1+tol) && curV-prevV > floor
-		}
-		if exceeds(p.NsOp, c.NsOp, TolNsOp, noiseNs) {
-			regs = append(regs, Regression{Bench: name, Metric: "ns/op", Prev: p.NsOp, Cur: c.NsOp, Tol: TolNsOp})
-		}
-		if exceeds(float64(p.BOp), float64(c.BOp), TolBOp, noiseBytes) {
-			regs = append(regs, Regression{Bench: name, Metric: "B/op", Prev: float64(p.BOp), Cur: float64(c.BOp), Tol: TolBOp})
-		}
-		if exceeds(float64(p.AllocsOp), float64(c.AllocsOp), TolAllocsOp, noiseAllocs) {
-			regs = append(regs, Regression{Bench: name, Metric: "allocs/op", Prev: float64(p.AllocsOp), Cur: float64(c.AllocsOp), Tol: TolAllocsOp})
+		for _, g := range gated {
+			prevV, okP := g.metric.of(p)
+			curV, okC := g.metric.of(c)
+			if okP && okC && curV > prevV*(1+g.tol) && curV-prevV > g.floor {
+				regs = append(regs, Regression{Bench: name, Metric: string(g.metric), Prev: prevV, Cur: curV, Tol: g.tol})
+			}
 		}
 	}
 	return regs, missing
@@ -261,9 +296,9 @@ func (m Metric) of(b Bench) (float64, bool) {
 	case MetricNsOp:
 		return b.NsOp, b.NsOp > 0
 	case MetricBOp:
-		return float64(b.BOp), b.BOp > 0
+		return count(b.BOp)
 	case MetricAllocsOp:
-		return float64(b.AllocsOp), b.AllocsOp > 0
+		return count(b.AllocsOp)
 	}
 	return 0, false
 }

@@ -1,6 +1,7 @@
 package trend
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -48,12 +49,12 @@ func TestLoadLineageFixtures(t *testing.T) {
 	}
 	// Values every fixture must agree on (from the real lineage).
 	b3 := points[0].Benches["ServerBatchReachable/pairs=1024"]
-	if b3.NsOp != 563822 || b3.AllocsOp != 2095 {
+	if b3.NsOp != 563822 || *b3.AllocsOp != 2095 {
 		t.Errorf("PR 3 base pairs=1024 = %+v, fixture drifted", b3)
 	}
 	b5 := points[2].Benches["ServerBatchReachable/pairs=1024"]
-	if b5.AllocsOp != 24 {
-		t.Errorf("PR 5 base pairs=1024 allocs = %d, want 24", b5.AllocsOp)
+	if *b5.AllocsOp != 24 {
+		t.Errorf("PR 5 base pairs=1024 allocs = %d, want 24", *b5.AllocsOp)
 	}
 }
 
@@ -84,8 +85,8 @@ func TestTableGolden(t *testing.T) {
 }
 
 func TestGateImprovementPasses(t *testing.T) {
-	prev := map[string]Bench{"X": {NsOp: 1000, BOp: 512, AllocsOp: 20}}
-	cur := map[string]Bench{"X": {NsOp: 600, BOp: 256, AllocsOp: 10}}
+	prev := map[string]Bench{"X": {NsOp: 1000, BOp: n(512), AllocsOp: n(20)}}
+	cur := map[string]Bench{"X": {NsOp: 600, BOp: n(256), AllocsOp: n(10)}}
 	regs, missing := Gate(prev, cur)
 	if len(regs) != 0 || len(missing) != 0 {
 		t.Errorf("improvement flagged: regs=%v missing=%v", regs, missing)
@@ -93,8 +94,8 @@ func TestGateImprovementPasses(t *testing.T) {
 }
 
 func TestGateRegressionBeyondTolerance(t *testing.T) {
-	prev := map[string]Bench{"X": {NsOp: 10_000, BOp: 4096, AllocsOp: 50}}
-	cur := map[string]Bench{"X": {NsOp: 30_000, BOp: 4096, AllocsOp: 120}}
+	prev := map[string]Bench{"X": {NsOp: 10_000, BOp: n(4096), AllocsOp: n(50)}}
+	cur := map[string]Bench{"X": {NsOp: 30_000, BOp: n(4096), AllocsOp: n(120)}}
 	regs, _ := Gate(prev, cur)
 	if len(regs) != 2 {
 		t.Fatalf("want ns/op + allocs/op regressions, got %v", regs)
@@ -109,15 +110,66 @@ func TestGateNoiseFloors(t *testing.T) {
 	// huge: 22 -> 24 allocs is +9% but only +2 allocs; 30ns -> 70ns is
 	// +133% but under the 50ns floor.
 	prev := map[string]Bench{
-		"allocs": {NsOp: 1000, AllocsOp: 22},
+		"allocs": {NsOp: 1000, AllocsOp: n(22)},
 		"fast":   {NsOp: 30},
 	}
 	cur := map[string]Bench{
-		"allocs": {NsOp: 1000, AllocsOp: 24},
+		"allocs": {NsOp: 1000, AllocsOp: n(24)},
 		"fast":   {NsOp: 70},
 	}
 	if regs, _ := Gate(prev, cur); len(regs) != 0 {
 		t.Errorf("noise-floor wobble gated: %v", regs)
+	}
+}
+
+// n returns a reported B/op or allocs/op figure.
+func n(v int64) *int64 { return &v }
+
+// TestGateZeroBaseline: a reported zero is gated against the absolute
+// noise floors, a figure one run did not report is not gated, and the
+// failure message does not divide by the zero.
+func TestGateZeroBaseline(t *testing.T) {
+	prev := map[string]Bench{
+		"grows":      {NsOp: 1000, BOp: n(0), AllocsOp: n(0)},
+		"wobbles":    {NsOp: 1000, BOp: n(0), AllocsOp: n(0)},
+		"unknown":    {NsOp: 1000},
+		"unmeasured": {NsOp: 1000, BOp: n(0), AllocsOp: n(0)},
+	}
+	cur := map[string]Bench{
+		"grows":      {NsOp: 1000, BOp: n(128), AllocsOp: n(3)},
+		"wobbles":    {NsOp: 1000, BOp: n(32), AllocsOp: n(2)},
+		"unknown":    {NsOp: 1000, BOp: n(1 << 20), AllocsOp: n(1000)},
+		"unmeasured": {NsOp: 1000},
+	}
+	regs, _ := Gate(prev, cur)
+	if len(regs) != 2 || regs[0].Bench != "grows" || regs[0].Metric != "B/op" || regs[1].Metric != "allocs/op" {
+		t.Fatalf("want B/op and allocs/op regressions on grows, got %v", regs)
+	}
+	if got, want := regs[0].String(), "grows: B/op 0B -> 128B (from zero, tolerance 25%)"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
+// A zero ParseBench reads is recorded as a reported zero, and survives
+// a JSON round trip as one.
+func TestParseBenchKeepsZero(t *testing.T) {
+	got, err := ParseBench(strings.NewReader("BenchmarkCone-2 \t 100 \t 412 ns/op \t 0 B/op \t 0 allocs/op\nBenchmarkPlain-2 \t 100 \t 9 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"Cone":{"ns_op":412,"b_op":0,"allocs_op":0},"Plain":{"ns_op":9}}`; string(raw) != want {
+		t.Errorf("recorded %s, want %s", raw, want)
+	}
+	var back map[string]Bench
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, got) {
+		t.Errorf("round trip = %+v, want %+v", back, got)
 	}
 }
 
@@ -158,11 +210,11 @@ func TestParseBench(t *testing.T) {
 	}
 	want := map[string]Bench{
 		// The faster of the two runs, with that run's B/op, allocs and MB/s.
-		"ServerIngest": {NsOp: 2650337, BOp: 851201, AllocsOp: 5114, MBs: 57.32},
+		"ServerIngest": {NsOp: 2650337, BOp: n(851201), AllocsOp: n(5114), MBs: 57.32},
 		// Only the trailing -N is trimmed, not a dash inside the name.
-		"ServerRPQ/wild-card": {NsOp: 14295, BOp: 10756, AllocsOp: 100},
+		"ServerRPQ/wild-card": {NsOp: 14295, BOp: n(10756), AllocsOp: n(100)},
 		// Custom metrics (bytes/label) are skipped.
-		"SnapshotDecode/SKL2/n=4000": {NsOp: 38893, BOp: 57392, AllocsOp: 2, MBs: 365.93},
+		"SnapshotDecode/SKL2/n=4000": {NsOp: 38893, BOp: n(57392), AllocsOp: n(2), MBs: 365.93},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ParseBench =\n%+v\nwant\n%+v", got, want)
