@@ -43,7 +43,9 @@ bench-harness:
 
 # Serving-path benchmarks — the SKL2 snapshot codec (encode+decode),
 # the label-only lineage cone on 5,000-vertex stand-in runs,
-# /batch reachability over fs and mem stores, the cold-load path (every
+# /batch reachability over fs and mem stores, one cache-hit /reachable
+# (the per-request front: admission, routing, query parameters,
+# response headers), the cold-load path (every
 # /reachable a cache miss) and its per-stage split, /lineage over a
 # resident run and its split into cone and name encode, the ingest,
 # delete, stream-append, stream-finish and /rpq paths, the per-stage
@@ -60,7 +62,7 @@ bench-harness:
 # package forces, so the heap stays bounded by one run).
 trend:
 	$(GO) test -run='^$$' -bench='BenchmarkSnapshotDecode|BenchmarkSnapshotEncode|BenchmarkAppendCone' -benchtime=100x -count=3 ./internal/core/ > trend.out
-	$(GO) test -run='^$$' -bench='BenchmarkServerBatchReachable' -benchtime=50x -count=3 . >> trend.out
+	$(GO) test -run='^$$' -bench='BenchmarkServerBatchReachable|BenchmarkServerReachable' -benchtime=50x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerColdRead|BenchmarkColdLoad' -benchtime=200x -count=3 . >> trend.out
 	$(GO) test -run='^$$' -bench='BenchmarkServerLineage|BenchmarkLineageStages' -benchtime=200x -count=3 . >> trend.out
 	GOGC=off $(GO) test -run='^$$' -bench='BenchmarkServerIngest|BenchmarkServerDelete|BenchmarkServerAppendEvents|BenchmarkServerFinish' -benchtime=20x -count=3 . >> trend.out
@@ -125,7 +127,8 @@ rpq-smoke:
 # walk on fuzzed DAGs against dag.MatchAutomaton and the map-based walk
 # it replaced (internal/rpq), one verdict per event log from
 # events.Replay and a live session, with the same reachability when
-# both accept (internal/live), and the PUT write
+# both accept (internal/live), the query-string scanner against
+# url.ParseQuery (internal/server), and the PUT write
 # path (internal/server), where every
 # accepted body must be stored byte for byte and say what its run's
 # canonical encoding says. The seed corpora of every fuzz target already run in
@@ -146,6 +149,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGraphOracle -fuzztime 30s ./internal/dag/
 	$(GO) test -run '^$$' -fuzz FuzzRPQEvalOracle -fuzztime 30s ./internal/rpq/
 	$(GO) test -run '^$$' -fuzz FuzzReplayVerdict -fuzztime 30s ./internal/live/
+	$(GO) test -run '^$$' -fuzz FuzzQueryOracle -fuzztime 30s ./internal/server/
 
 # Static analysis: cmd/provlint runs the repo-specific analyzer suite
 # (internal/lint — %w wrapping in the store, documented lock discipline,

@@ -10,7 +10,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"repro"
@@ -486,6 +488,66 @@ func benchServerBatch(b *testing.B, st *repro.Store, r *repro.Run) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkServerReachable measures the per-request front of a query:
+// one cache-hit GET /reachable by occurrence names on a 5,000-vertex
+// run, sent through ServeHTTP as a load generator sends it, with the
+// request reused and a ResponseWriter whose header map and body buffer
+// are reused, so every allocation it reports is the server's.
+func BenchmarkServerReachable(b *testing.B) {
+	r := benchRun(b, 5000)
+	st, err := repro.NewMemStore(r.Spec, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.PutRun("r1", r, nil, repro.TCM); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := repro.NewServer(repro.ServerConfig{Store: st})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := url.Values{"run": {"r1"}, "from": {r.NameOf(0)}, "to": {r.NameOf(repro.VertexID(r.NumVertices() - 1))}}
+	req := httptest.NewRequest("GET", "/reachable?"+q.Encode(), nil)
+	w := &reuseWriter{h: http.Header{}}
+	serve := func() {
+		clear(w.h)
+		w.code, w.body = 0, w.body[:0]
+		srv.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.code, w.body)
+		}
+	}
+	serve() // load the session: the loop measures cache hits only
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+}
+
+// reuseWriter is an http.ResponseWriter kept across requests.
+type reuseWriter struct {
+	h    http.Header
+	code int
+	body []byte
+}
+
+func (w *reuseWriter) Header() http.Header { return w.h }
+
+func (w *reuseWriter) Write(p []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+
+func (w *reuseWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
 	}
 }
 

@@ -218,8 +218,7 @@ func readCheckpoint(st *store.Store, name string) ([]byte, error) {
 
 // DeleteState deletes name's durable stream state from st and reports
 // whether there was any: its event log, then its checkpoint if it has
-// one (clearing writes the checkpoint empty, so a run without one gets
-// no blob). A failed read is an error, never a "no", and removes
+// one. A failed read is an error, never a "no", and removes
 // nothing; otherwise DeleteState stops at the first failure. The log
 // goes first: a checkpoint left without its log still counts as state,
 // and Recover refuses it rather than resurrect a stream, so a retried
@@ -241,7 +240,7 @@ func DeleteState(st *store.Store, name string) (bool, error) {
 		return false, nil
 	}
 	if len(ckpt) > 0 {
-		if err := st.Backend().WriteMeta(CheckpointMeta(name), nil); err != nil {
+		if err := st.Backend().DeleteMeta(CheckpointMeta(name)); err != nil {
 			return false, fmt.Errorf("live: clearing checkpoint for %q: %w", name, err)
 		}
 	}

@@ -44,6 +44,10 @@ type admission struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket // guarded by mu
 	now     func() time.Time   // injectable clock for tests; set once, read-only after
+
+	// release is a.releaseSlot bound once, so admit hands every request
+	// the same func value instead of a new closure.
+	release func()
 }
 
 // bucket is one client's token bucket; guarded by admission.mu (client
@@ -75,7 +79,7 @@ func newAdmission(maxInflight, queueDepth int, rate, burst float64) *admission {
 		// every request forever; one token is the smallest usable burst.
 		burst = 1
 	}
-	return &admission{
+	a := &admission{
 		slots:      make(chan struct{}, maxInflight),
 		queueDepth: int64(queueDepth),
 		rate:       rate,
@@ -83,13 +87,20 @@ func newAdmission(maxInflight, queueDepth int, rate, burst float64) *admission {
 		buckets:    make(map[string]*bucket),
 		now:        time.Now,
 	}
+	a.release = a.releaseSlot
+	return a
 }
 
 // admit applies both gates. On success it returns a release function the
 // caller must invoke when the request finishes. On overload it writes
-// the 429 (with Retry-After) itself and returns ok=false.
+// the 429 (with Retry-After) itself and returns ok=false. Without rate
+// limiting the client is never identified and admission allocates
+// nothing.
 func (a *admission) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	client := clientKey(r)
+	var client string
+	if a.rate > 0 {
+		client = clientKey(r)
+	}
 	if retry, limited := a.takeToken(client); limited {
 		a.rejectedRate.Add(1)
 		writeRetryAfter(w, retry)
@@ -134,10 +145,13 @@ func (a *admission) admit(w http.ResponseWriter, r *http.Request) (release func(
 			break
 		}
 	}
-	return func() {
-		a.inflight.Add(-1)
-		<-a.slots
-	}, true
+	return a.release, true
+}
+
+// releaseSlot frees an admitted request's slot.
+func (a *admission) releaseSlot() {
+	a.inflight.Add(-1)
+	<-a.slots
 }
 
 // takeToken charges one token to the client's bucket, reporting how long

@@ -93,9 +93,10 @@ func TestStreamLogIsTheOnlyCopy(t *testing.T) {
 }
 
 // TestClearLeavesNoCheckpointFile pins that clearing stream state on
-// an fs store creates no checkpoint file for a run that never had one:
-// neither a DELETE of a PUT run on a streaming server nor a /finish or
-// DELETE of a streamed run.
+// an fs store leaves no checkpoint file: none for a run that never had
+// one (a DELETE of a PUT run on a streaming server, a /finish or DELETE
+// of a streamed run), and none for a stream whose torn tail recovery
+// fenced with a checkpoint, whether it is then finished or deleted.
 func TestClearLeavesNoCheckpointFile(t *testing.T) {
 	dir := t.TempDir()
 	sp := spec.PaperSpec()
@@ -128,6 +129,41 @@ func TestClearLeavesNoCheckpointFile(t *testing.T) {
 	}
 	if files, err := filepath.Glob(filepath.Join(dir, ".ckpt-*")); err != nil || len(files) != 0 {
 		t.Fatalf("checkpoint files after PUT, DELETE and finish: %v (%v), want none", files, err)
+	}
+
+	// Two streams end in a torn record, as after a crash mid-append; a
+	// restarted server's recovery fences each tail with a checkpoint.
+	half := len(evs) / 2
+	for _, name := range []string{"torn", "tornabort"} {
+		streamRun(t, s, name, evs[:half], 16)
+		if err := st.Backend().AppendEventLog(name, []byte("exec b")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := New(Config{Store: st, EnableIngest: true, EnableStream: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recovered, _, err := s2.RecoverStreams(); err != nil || recovered != 2 {
+		t.Fatalf("RecoverStreams: %d recovered, %v; want 2", recovered, err)
+	}
+	for _, name := range []string{"torn", "tornabort"} {
+		if checkpointOf(t, st, name) == "" {
+			t.Fatalf("recovery of %s fenced no torn tail", name)
+		}
+	}
+	target := fmt.Sprintf("/runs/torn/events?offset=%d", half)
+	if rec := do(t, s2, "POST", target, logText(t, evs[half:]), nil); rec.Code != 200 {
+		t.Fatalf("append after recovery: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, s2, "POST", "/runs/torn/finish", "", nil); rec.Code != 200 {
+		t.Fatalf("finish fenced stream: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := do(t, s2, "DELETE", "/runs/tornabort", "", nil); rec.Code != 200 {
+		t.Fatalf("DELETE fenced stream: %d %s", rec.Code, rec.Body.String())
+	}
+	if files, err := filepath.Glob(filepath.Join(dir, ".ckpt-*")); err != nil || len(files) != 0 {
+		t.Fatalf("checkpoint files after finishing and deleting fenced streams: %v (%v), want none", files, err)
 	}
 }
 
@@ -164,7 +200,7 @@ func TestDeleteFailedClearKeepsStream(t *testing.T) {
 		torn bool
 	}{
 		{"event-log", faultinject.OpDeleteEventLog, false},
-		{"checkpoint", faultinject.OpWriteMeta, true},
+		{"checkpoint", faultinject.OpDeleteMeta, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, fb, st := newFaultServer(t, Config{EnableStream: true})

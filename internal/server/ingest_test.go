@@ -298,15 +298,17 @@ func TestAdmissionRateLimit(t *testing.T) {
 	now := time.Unix(1000, 0)
 	s.adm.now = func() time.Time { return now }
 
-	get := func(client string) *httptest.ResponseRecorder {
+	getFrom := func(client, remoteAddr string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest("GET", "/runs", nil)
 		if client != "" {
 			req.Header.Set("X-Client-ID", client)
 		}
+		req.RemoteAddr = remoteAddr
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		return rec
 	}
+	get := func(client string) *httptest.ResponseRecorder { return getFrom(client, "192.0.2.1:1234") }
 	// Burst of 2 passes, third is limited.
 	for i := 0; i < 2; i++ {
 		if rec := get("alice"); rec.Code != 200 {
@@ -331,6 +333,23 @@ func TestAdmissionRateLimit(t *testing.T) {
 	now = now.Add(time.Second)
 	if rec := get("alice"); rec.Code != 200 {
 		t.Fatalf("after refill: %d", rec.Code)
+	}
+	// Without X-Client-ID the key is the remote host: two connections
+	// from one host share its bucket whatever their ports, and another
+	// host has its own.
+	for i, addr := range []string{"198.51.100.7:40001", "198.51.100.7:40002"} {
+		if rec := getFrom("", addr); rec.Code != 200 {
+			t.Fatalf("host request %d from %s: %d", i, addr, rec.Code)
+		}
+	}
+	if rec := getFrom("", "198.51.100.7:40003"); rec.Code != 429 {
+		t.Fatalf("third request from one host on a new port = %d, want 429", rec.Code)
+	}
+	if rec := getFrom("", "198.51.100.8:40001"); rec.Code != 200 {
+		t.Fatalf("another host: %d", rec.Code)
+	}
+	if adm := s.AdmissionState(); adm.RejectedRate != 2 || adm.RateLimitedClients != 4 {
+		t.Fatalf("admission stats after host-keyed requests = %+v", adm)
 	}
 }
 

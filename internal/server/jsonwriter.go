@@ -42,10 +42,17 @@ func respond() *jsonWriter {
 
 func (jw *jsonWriter) release() { jsonWriterPool.Put(jw) }
 
+// jsonContentType is every JSON response's Content-Type value, one
+// slice shared by all of them and set under the canonical key, so no
+// response canonicalizes the key or allocates the value. Its length is
+// its capacity: Header.Add regrows it and Header.Set replaces it, and
+// neither writes into it.
+var jsonContentType = []string{"application/json"}
+
 // send closes the object and writes it as the response with status.
 func (jw *jsonWriter) send(w http.ResponseWriter, status int) {
 	jw.buf = append(jw.buf, "}\n"...)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(jw.buf)
 	jw.release()
@@ -170,7 +177,7 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 // writeJSON encodes v with encoding/json: /healthz's body, whose stats
 // structs nest.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }

@@ -42,11 +42,19 @@
 //	POST /rpq                  {"run":R,"from":U,"to":V,"pattern":P} -> does
 //	                           some path from U to V spell P (see rpq.go)
 //
-// One wrapper serves every route: it counts the request under the
-// route's key in /healthz "served", answers a wrong method 405 with
-// Allow, calls the handler and sends its error through Server.fail. A
-// request no route matches keeps the mux's own plain-text 404 or 405
-// and counts as "other".
+// One wrapper, serveRoute, serves every route: it counts the request
+// under the route's key in /healthz "served", answers a wrong method 405
+// with Allow, calls the handler and sends its error through Server.fail.
+// The route table is registered on an http.ServeMux, and ServeHTTP
+// indexes the same table's method-less, wildcard-free patterns (/healthz,
+// /specs, /runs, /reachable, /batch, /lineage, /rpq) by path: a request
+// for one of those exact, already-clean paths (no escaped form, not a
+// CONNECT) goes straight to the wrapper, with r.Pattern set as the mux
+// sets it. Everything else is the mux's: the {name} routes, unclean or
+// escaped paths and their redirects. A request no route matches keeps
+// the mux's own plain-text 404 or 405 and counts as "other". Query
+// parameters are read by one map-free scan of the raw query string
+// (queryParam), which answers what url.ParseQuery's Get would.
 //
 // Vertices are addressed by occurrence name ("b2" = second execution of
 // module b) or by numeric vertex ID, resolved the same way for every
@@ -109,6 +117,12 @@
 // plus optional per-client token-bucket rate limits. Overload answers
 // 429 with Retry-After instead of accumulating unbounded in-flight
 // work, so cold-cache stampedes and ingest bursts degrade gracefully.
+// Admission identifies the client (X-Client-ID, else the remote host)
+// only when rate limiting is on, and hands every admitted request the
+// same release func, so with it off a request passes the gate without
+// allocating. Together with the exact-path lookup, the query scanner and
+// a shared Content-Type value, a cache-hit query's front (admission,
+// routing, parameters, headers) allocates nothing.
 //
 // The write path (ingest.go) pairs with warm-restart support:
 // SaveHotList persists which sessions were resident at shutdown and
@@ -122,6 +136,7 @@ import (
 	"fmt"
 	"io/fs"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -241,17 +256,20 @@ type Server struct {
 	ingestingMu sync.Mutex
 	ingesting   map[string]int
 
-	// routes is the endpoint table New registers on mux; other counts
-	// the requests no route matched (the mux's own 404s and 405s).
+	// routes is the endpoint table New registers on mux; exact indexes
+	// its method-less, wildcard-free patterns by path for ServeHTTP's
+	// lookup; other counts the requests no route matched (the mux's own
+	// 404s and 405s).
 	routes []route
+	exact  map[string]*route
 	other  atomic.Int64
 }
 
 // route is one endpoint, declared once: its mux pattern, the method a
 // pattern without one requires, the key its served counter has in
-// /healthz, the counter and the handler. New registers every route
-// through one wrapper, so each is counted, method-checked and has its
-// errors mapped by s.fail the same way.
+// /healthz, the counter and the handler. Every route is served through
+// one wrapper, s.serveRoute, so each is counted, method-checked and has
+// its errors mapped by s.fail the same way.
 type route struct {
 	pattern string
 	method  string
@@ -357,19 +375,13 @@ func New(cfg Config) (*Server, error) {
 		{pattern: "/lineage", method: http.MethodGet, key: "lineage", h: s.handleLineage},
 		{pattern: "/rpq", method: http.MethodPost, key: "rpq", h: s.handleRPQ},
 	}
+	s.exact = make(map[string]*route)
 	for i := range s.routes {
 		rt := &s.routes[i]
-		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
-			rt.served.Add(1)
-			if rt.method != "" && r.Method != rt.method {
-				w.Header().Set("Allow", rt.method)
-				writeErr(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-				return
-			}
-			if err := rt.h(w, r); err != nil {
-				s.fail(w, err)
-			}
-		})
+		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { s.serveRoute(rt, w, r) })
+		if !strings.ContainsAny(rt.pattern, " {") && !strings.HasSuffix(rt.pattern, "/") {
+			s.exact[rt.pattern] = rt
+		}
 	}
 	return s, nil
 }
@@ -377,6 +389,13 @@ func New(cfg Config) (*Server, error) {
 // ServeHTTP implements http.Handler. /healthz bypasses admission so the
 // server stays observable while shedding load; everything else pays the
 // admission toll (rate limit + bounded concurrency) before dispatch.
+//
+// A request for an exact, already-clean path of a method-less route is
+// served from s.exact: the mux would match it to that route whatever
+// the method, so the lookup sets r.Pattern as the mux does and calls the
+// same wrapper, without the mux's path cleaning and tree walk. Anything
+// else (a {name} route, an escaped or unclean path, a CONNECT) goes to
+// the mux, with its redirects and its own 404 and 405.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/healthz" {
 		release, ok := s.adm.admit(w, r)
@@ -385,9 +404,27 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		defer release()
 	}
+	if rt := s.exact[r.URL.Path]; rt != nil && r.URL.RawPath == "" && r.Method != http.MethodConnect {
+		r.Pattern = rt.pattern
+		s.serveRoute(rt, w, r)
+		return
+	}
 	s.mux.ServeHTTP(w, r)
 	if r.Pattern == "" {
 		s.other.Add(1)
+	}
+}
+
+// serveRoute is the one wrapper every route is served through.
+func (s *Server) serveRoute(rt *route, w http.ResponseWriter, r *http.Request) {
+	rt.served.Add(1)
+	if rt.method != "" && r.Method != rt.method {
+		w.Header().Set("Allow", rt.method)
+		writeErr(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		return
+	}
+	if err := rt.h(w, r); err != nil {
+		s.fail(w, err)
 	}
 }
 
@@ -510,7 +547,7 @@ func (s *Server) handleSpecs(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) error {
-	if name := r.URL.Query().Get("run"); name != "" {
+	if name := queryParam(r.URL.RawQuery, "run"); name != "" {
 		return s.writeRunStatus(w, name)
 	}
 	if s.brk.isOpen() {
@@ -526,12 +563,13 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	from, to := q.Get("from"), q.Get("to")
+	q := r.URL.RawQuery
+	from, to := queryParam(q, "from"), queryParam(q, "to")
 	if from == "" || to == "" {
 		return badRequestf("missing 'from' or 'to' parameter")
 	}
-	view, release, err := s.resolveRun(q.Get("run"))
+	name := queryParam(q, "run")
+	view, release, err := s.resolveRun(name)
 	if err != nil {
 		return err
 	}
@@ -545,7 +583,7 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	respond().boolean("by_context", view.ByContext(u, v)).str("from", from).
-		boolean("reachable", view.Reachable(u, v)).str("run", q.Get("run")).str("to", to).send(w, http.StatusOK)
+		boolean("reachable", view.Reachable(u, v)).str("run", name).str("to", to).send(w, http.StatusOK)
 	return nil
 }
 
@@ -588,8 +626,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	ref, dir := q.Get("vertex"), q.Get("dir")
+	q := r.URL.RawQuery
+	ref, dir := queryParam(q, "vertex"), queryParam(q, "dir")
 	if ref == "" {
 		return badRequestf("missing 'vertex' parameter")
 	}
@@ -599,7 +637,8 @@ func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) error {
 	if dir != "up" && dir != "down" {
 		return badRequestf("dir must be 'up' or 'down', got %q", dir)
 	}
-	view, release, err := s.resolveRun(q.Get("run"))
+	name := queryParam(q, "run")
+	view, release, err := s.resolveRun(name)
 	if err != nil {
 		return err
 	}
@@ -612,7 +651,7 @@ func (s *Server) handleLineage(w http.ResponseWriter, r *http.Request) error {
 	jw := respond()
 	jw.cone = view.AppendCone(jw.cone, v, dir == "up")
 	jw.names("cone", nm, jw.cone, s.escapeNames).num("count", len(jw.cone)).
-		str("direction", dir).str("run", q.Get("run")).str("vertex", ref).send(w, http.StatusOK)
+		str("direction", dir).str("run", name).str("vertex", ref).send(w, http.StatusOK)
 	return nil
 }
 

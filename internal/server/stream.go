@@ -102,7 +102,7 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) erro
 		return err
 	}
 	offset := -1
-	if raw := r.URL.Query().Get("offset"); raw != "" {
+	if raw := queryParam(r.URL.RawQuery, "offset"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 {
 			return badRequestf("offset must be a non-negative integer, got %q", raw)

@@ -134,6 +134,9 @@ type Backend interface {
 	// overwriting any previous value. Implementations must not retain
 	// the slice.
 	WriteMeta(name string, data []byte) error
+	// DeleteMeta removes the named metadata blob; removing one that
+	// does not exist is a successful no-op.
+	DeleteMeta(name string) error
 	// Stat cheaply describes the backend for monitoring (no I/O heavier
 	// than constant-time bookkeeping).
 	Stat() Stats

@@ -264,6 +264,22 @@ func Run(t *testing.T, newBackend Factory) {
 			if err := b.WriteMeta(bad, []byte("x")); err == nil {
 				t.Fatalf("WriteMeta(%q) accepted an invalid meta name", bad)
 			}
+			if err := b.DeleteMeta(bad); err == nil {
+				t.Fatalf("DeleteMeta(%q) accepted an invalid meta name", bad)
+			}
+		}
+		// DeleteMeta removes the blob, and deleting a missing one (the
+		// same one again, or one never written) is a no-op.
+		for _, name := range []string{".probe", ".probe", ".never"} {
+			if err := b.DeleteMeta(name); err != nil {
+				t.Fatalf("DeleteMeta(%q) = %v, want nil", name, err)
+			}
+		}
+		if rc, err := b.ReadMeta(".probe"); !errors.Is(err, fs.ErrNotExist) {
+			if rc != nil {
+				rc.Close()
+			}
+			t.Fatalf("ReadMeta after DeleteMeta = %v, want fs.ErrNotExist", err)
 		}
 		// Metas never leak into run listings.
 		if err := b.WriteRun("r", []byte("d"), []byte("l")); err != nil {

@@ -79,6 +79,7 @@ const (
 	OpListEventLogs  Op = "ListEventLogs"
 	OpReadMeta       Op = "ReadMeta"
 	OpWriteMeta      Op = "WriteMeta"
+	OpDeleteMeta     Op = "DeleteMeta"
 )
 
 // ReadOps lists the operations that only observe the store; WriteOps
@@ -86,7 +87,7 @@ const (
 // two sets.
 var (
 	ReadOps  = []Op{OpReadSpec, OpReadRun, OpReadLabels, OpListRuns, OpReadEventLog, OpListEventLogs, OpReadMeta}
-	WriteOps = []Op{OpWriteSpec, OpWriteRun, OpDeleteRun, OpAppendEventLog, OpDeleteEventLog, OpWriteMeta}
+	WriteOps = []Op{OpWriteSpec, OpWriteRun, OpDeleteRun, OpAppendEventLog, OpDeleteEventLog, OpWriteMeta, OpDeleteMeta}
 )
 
 // Rule says how one operation (or the default for all of them)
@@ -351,6 +352,13 @@ func (b *Backend) WriteMeta(name string, data []byte) error {
 		return err
 	}
 	return b.inner.WriteMeta(name, data)
+}
+
+func (b *Backend) DeleteMeta(name string) error {
+	if err := b.enter(OpDeleteMeta); err != nil {
+		return err
+	}
+	return b.inner.DeleteMeta(name)
 }
 
 func (b *Backend) Stat() store.Stats {

@@ -280,6 +280,19 @@ func (b *fsBackend) WriteMeta(name string, data []byte) error {
 	return writeFileAtomic(filepath.Join(b.dir, name), data)
 }
 
+func (b *fsBackend) DeleteMeta(name string) error {
+	if err := ValidMetaName(name); err != nil {
+		return err
+	}
+	if err := os.Remove(filepath.Join(b.dir, name)); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		return fmt.Errorf("store: %w", err)
+	}
+	return syncDir(b.dir)
+}
+
 func (b *fsBackend) ListRuns() ([]string, error) {
 	entries, err := os.ReadDir(filepath.Join(b.dir, "runs"))
 	if err != nil {

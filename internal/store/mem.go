@@ -155,6 +155,19 @@ func (b *memBackend) WriteMeta(name string, data []byte) error {
 	return nil
 }
 
+func (b *memBackend) DeleteMeta(name string) error {
+	if err := ValidMetaName(name); err != nil {
+		return err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return fmt.Errorf("store: mem backend is closed")
+	}
+	delete(b.metas, name)
+	return nil
+}
+
 // Event logs live in their own map, independent of the run pair and
 // invisible to ListRuns. Appends grow the stored slice under the write
 // lock; readers capture the slice at its current length, and growth

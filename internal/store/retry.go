@@ -182,6 +182,10 @@ func (b *retryBackend) WriteMeta(name string, data []byte) error {
 	return b.do(func() error { return b.inner.WriteMeta(name, data) })
 }
 
+func (b *retryBackend) DeleteMeta(name string) error {
+	return b.do(func() error { return b.inner.DeleteMeta(name) })
+}
+
 func (b *retryBackend) Stat() Stats {
 	inner := b.inner.Stat()
 	return Stats{
