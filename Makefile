@@ -15,7 +15,7 @@ ADDR ?= :8080
 # bench/BASELINE_<new>.json.
 PR ?= $(shell ls bench | sed -n 's/^BASELINE_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -n 1)
 
-.PHONY: build test race bench bench-store bench-harness trend load-smoke chaos-smoke rpq-smoke fuzz lint loc fmt vet serve ci
+.PHONY: build test race bench bench-store bench-harness trend load-smoke chaos-smoke rpq-smoke fuzz-seeds fuzz lint loc fmt vet serve ci
 
 build:
 	$(GO) build ./...
@@ -108,6 +108,11 @@ rpq-smoke:
 		-slo-error-rate 0 -fail-on-slo -quiet -report RPQ_LOAD.json
 	@echo "rpq-smoke: report in RPQ_LOAD.json"
 
+# Every fuzz target's seed corpus, on its own: the seeds also run in
+# `make test` and `make race`, and this step names them apart in CI.
+fuzz-seeds:
+	$(GO) test -run 'Fuzz' ./...
+
 # Time-boxed fuzzing against the oracles kept in the tests: the run
 # decoder against encoding/xml (internal/xmlio), the label snapshot
 # decoder on untrusted bytes (whatever it accepts must round-trip
@@ -187,4 +192,4 @@ vet:
 serve:
 	$(GO) run ./cmd/provserve -store $(STORE) -addr $(ADDR)
 
-ci: fmt vet lint build loc race bench bench-store bench-harness fuzz load-smoke chaos-smoke rpq-smoke trend
+ci: fmt vet lint build loc race bench bench-store bench-harness fuzz-seeds fuzz load-smoke chaos-smoke rpq-smoke trend

@@ -271,12 +271,13 @@ func BenchmarkOnlineAppend(b *testing.B) {
 }
 
 // BenchmarkServerIngest measures the write path end to end — reading
-// the body, its one decode (which validates the run against the spec),
-// skeleton labeling, SKL2 snapshot encode, the backend write of the
-// body as received plus the snapshot, and session-cache refresh — as
-// PUT /runs overwrites of one run name over the in-memory backend. This
-// is the per-run cost of remote ingest through store.PutRunDocument;
-// nothing on it re-encodes the document.
+// the body into a pooled decoder, its one decode there (which validates
+// the run against the spec), plan construction, skeleton labeling, SKL2
+// snapshot encode, the backend write of the body as received plus the
+// snapshot, and session-cache refresh — as PUT /runs overwrites of one
+// run name over the in-memory backend. This is the per-run cost of
+// remote ingest through store.PutRunDocument; nothing on it copies or
+// re-encodes the document.
 func BenchmarkServerIngest(b *testing.B) {
 	r := benchRun(b, 1000)
 	st, err := repro.NewMemStore(r.Spec, "bench")
@@ -910,15 +911,20 @@ func BenchmarkConstructPlan(b *testing.B) {
 }
 
 // BenchmarkIngestStages splits the write path into its stages, each
-// timed alone over the same run. A PUT is decode (which includes its
-// one run.Validate), plan construction (Section 5), orders and labels
-// over that plan, SKL2 snapshot encode, and the backend write of the
-// received document and the snapshot to the in-memory store; those
-// stages' sum approximates BenchmarkServerIngest minus HTTP and cache
-// plumbing, so an ingest change names the stage that moved. The
-// validate and encode rows are the costs only an in-memory run pays
-// (store.PutRun and a stream's /finish): with no bytes received, it is
-// validated on its own and stored in its canonical encoding.
+// timed alone over the same run. A PUT is decode (read into a pooled
+// decoder, canonical elements matched in one step, and its one
+// run.Validate), plan construction (Section 5, on pooled scratch),
+// orders and labels over that plan, SKL2 snapshot encode, and the
+// backend write of the received document and the snapshot to the
+// in-memory store; those stages' sum approximates BenchmarkServerIngest
+// minus HTTP and cache plumbing, so an ingest change names the stage
+// that moved. The validate and encode rows are the costs only an
+// in-memory run pays (store.PutRun and a stream's /finish): with no
+// bytes received, it is validated on its own and stored in its
+// canonical encoding. The decode, validate and plan rows allocate only
+// what they return on warm scratch, and a decoder fresh from the pool
+// sizes its scratch from the document in one step, so their allocs/op
+// do not depend on how often the pool comes back empty.
 func BenchmarkIngestStages(b *testing.B) {
 	r := benchRun(b, 1000)
 	st, err := repro.NewMemStore(r.Spec, "bench")

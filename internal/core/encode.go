@@ -124,6 +124,10 @@ const (
 // SKL2, the only format written.
 func (l *Labeling) WriteTo(w io.Writer) (int64, error) { return l.snap.WriteTo(w) }
 
+// AppendSnapshot appends the bytes WriteTo writes to dst and returns the
+// extended slice, for a caller that keeps its own buffer.
+func (l *Labeling) AppendSnapshot(dst []byte) []byte { return appendSnapshotV2(dst, &l.snap) }
+
 // Snapshot is a deserialized label set: it answers reachability queries
 // from stored labels and a skeleton labeling, with no run graph needed.
 //

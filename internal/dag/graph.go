@@ -129,47 +129,35 @@ func (g *Graph) HasEdge(u, v VertexID) bool {
 	return false
 }
 
-// Sources returns the vertices with in-degree zero, in increasing ID order.
-func (g *Graph) Sources() []VertexID {
-	var s []VertexID
-	for v := range g.NumVertices() {
-		if g.InDegree(VertexID(v)) == 0 {
-			s = append(s, VertexID(v))
-		}
-	}
-	return s
-}
-
-// Sinks returns the vertices with out-degree zero, in increasing ID order.
-func (g *Graph) Sinks() []VertexID {
-	var s []VertexID
-	for v := range g.NumVertices() {
-		if g.OutDegree(VertexID(v)) == 0 {
-			s = append(s, VertexID(v))
-		}
-	}
-	return s
-}
-
 // FlowNetworkTerminals returns the unique source and sink of g if g is an
 // acyclic flow network (single source, single sink, acyclic). Otherwise it
-// returns an error describing the first violated condition.
+// returns an error describing the first violated condition. Sources and
+// sinks are counted from the list boundaries and acyclicity is checked
+// on pooled scratch, so a graph that passes costs no allocation.
 func (g *Graph) FlowNetworkTerminals() (source, sink VertexID, err error) {
-	if g.NumVertices() == 0 {
+	n := g.NumVertices()
+	if n == 0 {
 		return 0, 0, fmt.Errorf("dag: empty graph is not a flow network")
 	}
-	srcs := g.Sources()
-	if len(srcs) != 1 {
-		return 0, 0, fmt.Errorf("dag: flow network needs exactly 1 source, found %d", len(srcs))
+	srcs, snks := 0, 0
+	for v := n - 1; v >= 0; v-- {
+		if g.csr[v] == g.csr[v+1] {
+			sink, snks = VertexID(v), snks+1
+		}
+		if g.csr[n+v] == g.csr[n+v+1] {
+			source, srcs = VertexID(v), srcs+1
+		}
 	}
-	snks := g.Sinks()
-	if len(snks) != 1 {
-		return 0, 0, fmt.Errorf("dag: flow network needs exactly 1 sink, found %d", len(snks))
+	if srcs != 1 {
+		return 0, 0, fmt.Errorf("dag: flow network needs exactly 1 source, found %d", srcs)
 	}
-	if _, ok := g.TopoSort(); !ok {
+	if snks != 1 {
+		return 0, 0, fmt.Errorf("dag: flow network needs exactly 1 sink, found %d", snks)
+	}
+	if !g.IsAcyclic() {
 		return 0, 0, fmt.Errorf("dag: graph contains a cycle")
 	}
-	return srcs[0], snks[0], nil
+	return source, sink, nil
 }
 
 func (g *Graph) checkVertex(v VertexID) {

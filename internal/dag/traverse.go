@@ -1,6 +1,8 @@
 package dag
 
 import (
+	"sync"
+
 	"repro/internal/bitset"
 )
 
@@ -9,11 +11,19 @@ import (
 // algorithm with a FIFO frontier seeded in increasing vertex order).
 func (g *Graph) TopoSort() ([]VertexID, bool) {
 	n := g.NumVertices()
-	indeg := make([]int32, n)
-	// Kahn's algorithm with the order as its own queue: the vertices
-	// still to visit are order[head:].
-	order := make([]VertexID, 0, n)
-	for v := 0; v < n; v++ {
+	order := g.kahn(make([]int32, n), make([]VertexID, 0, n))
+	if len(order) != n {
+		return nil, false
+	}
+	return order, true
+}
+
+// kahn runs Kahn's algorithm with indeg (length n) as its in-degree
+// scratch and the order as its own queue: the vertices still to visit
+// are order[head:]. The order it returns holds every vertex exactly
+// when the graph is acyclic.
+func (g *Graph) kahn(indeg []int32, order []VertexID) []VertexID {
+	for v := range indeg {
 		if indeg[v] = int32(g.InDegree(VertexID(v))); indeg[v] == 0 {
 			order = append(order, VertexID(v))
 		}
@@ -25,15 +35,29 @@ func (g *Graph) TopoSort() ([]VertexID, bool) {
 			}
 		}
 	}
-	if len(order) != n {
-		return nil, false
-	}
-	return order, true
+	return order
 }
 
-// IsAcyclic reports whether the graph has no directed cycle.
+// topoScratch is the in-degree and queue scratch of an acyclicity
+// check, pooled so that validating a run allocates nothing.
+type topoScratch struct {
+	indeg []int32
+	order []VertexID
+}
+
+var topoPool = sync.Pool{New: func() any { return new(topoScratch) }}
+
+// IsAcyclic reports whether the graph has no directed cycle. It runs
+// on pooled scratch and allocates nothing once the pool is warm.
 func (g *Graph) IsAcyclic() bool {
-	_, ok := g.TopoSort()
+	sc := topoPool.Get().(*topoScratch)
+	n := g.NumVertices()
+	if cap(sc.indeg) < n {
+		sc.indeg, sc.order = make([]int32, n), make([]VertexID, 0, n)
+	}
+	sc.order = g.kahn(sc.indeg[:n], sc.order[:0])
+	ok := len(sc.order) == n
+	topoPool.Put(sc)
 	return ok
 }
 

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/dag"
@@ -31,10 +32,15 @@ import (
 // conform — does not depend on the layout. A deleted edge stays linked
 // until the next walk of a list that holds it, which unlinks it; each
 // edge is unlinked from its two lists once, so the walks stay O(m + n)
-// in total. Plan nodes come from slabs, and each node's Children are
-// sliced from one array filled when construction ends, so the
-// allocation count grows with the hierarchy and the plan's size in
-// slabs, not with the number of edges.
+// in total. The arena, the lists and every other piece of scratch come
+// from a pool and are reused across calls; plan nodes are recorded in
+// that scratch by index, and only when construction ends is the output
+// Plan allocated, its nodes in one array and its node, context and
+// child pointers in another. A call on warm scratch therefore
+// allocates a constant number of times, whatever the size of the run.
+// What depends only on the specification (each hierarchy node's region,
+// and which origin pairs seed the leaf copies) is read from tables
+// spec.Validate builds.
 //
 // Construct returns an error if the graph does not conform to the
 // specification's fork/loop structure.
@@ -42,9 +48,19 @@ func Construct(s *spec.Spec, g *dag.Graph, origin []dag.VertexID) (*Plan, error)
 	if len(origin) != g.NumVertices() {
 		return nil, fmt.Errorf("plan: %d origins for %d vertices", len(origin), g.NumVertices())
 	}
-	c := newConstructor(s, g, origin)
-	return c.run()
+	c := constructorPool.Get().(*constructor)
+	p, err := c.construct(s, g, origin)
+	if cap(c.edges) <= maxPooledEdges {
+		constructorPool.Put(c)
+	}
+	return p, err
 }
+
+// maxPooledEdges bounds the edge arena a pooled constructor keeps, so
+// one oversized run does not stay pinned in the pool.
+const maxPooledEdges = 1 << 18
+
+var constructorPool = sync.Pool{New: func() any { return new(constructor) }}
 
 // List directions: an edge sits on its tail's out-list and its head's
 // in-list.
@@ -77,32 +93,37 @@ type adjacency struct {
 	first, last [2]int32
 }
 
-// nodeSlab is how many plan nodes one slab allocation holds at most.
-const nodeSlab = 256
+// nodeRec is a plan node while construction runs: the output Node is
+// made from it when construction ends.
+type nodeRec struct {
+	hnode  int32
+	parent int32 // -1 until linked
+	plus   bool
+}
 
+// constructor is the scratch of one construction. Construct takes it
+// from a pool and reset sizes it for the run; nothing in it survives
+// into the Plan.
 type constructor struct {
 	s      *spec.Spec
 	origin []dag.VertexID
 
-	p     *Plan
 	edges []workEdge
 	adj   []adjacency
-	// slab holds the plan nodes not yet handed out; links records every
-	// (parent, child) link in order, so finishChildren can fill all
-	// Children slices from one array.
-	slab  []Node
-	links [][2]int32
+	// nodes are the plan nodes made so far, by ID; context[v] is the ID
+	// of run vertex v's context, or -1; links records every (parent,
+	// child) link in order, so the Children slices can be filled from
+	// one array; end is that fill's counting scratch.
+	nodes   []nodeRec
+	context []int32
+	links   [][2]int32
+	end     []int32
 
-	// member[h] marks the specification vertices in V(H) of hierarchy
-	// node h (all vertices for the root).
-	member []*bitset.Set
-	// leaderChild[h] is the child hierarchy node designated as leader for
-	// internal node h, or 0.
-	leaderChild []int
 	// seeds[h] collects the seed edges for copies of hierarchy node h.
 	seeds [][]int32
 
-	// DFS scratch.
+	// DFS scratch. visited holds generation stamps; stamps left by
+	// earlier runs are all below the current generation.
 	visited  []uint32
 	gen      uint32
 	frontier []dag.VertexID
@@ -117,8 +138,8 @@ type constructor struct {
 
 	// Grouping scratch. copyEdges holds the level's copy edges; chain,
 	// conn and hasPred are indexed by position in it; copyAt by run
-	// vertex (all -1 between uses); buckets, first and last by fork
-	// bucket.
+	// vertex (all of copyAt[:cap] is -1 between uses); buckets, first
+	// and last by fork bucket.
 	copyEdges   []int32
 	chain       []int32
 	conn        []int32
@@ -128,94 +149,114 @@ type constructor struct {
 	first, last []int32
 }
 
-func newConstructor(s *spec.Spec, g *dag.Graph, origin []dag.VertexID) *constructor {
-	n := g.NumVertices()
-	m := g.NumEdges()
-	c := &constructor{
-		s:       s,
-		origin:  origin,
-		p:       &Plan{Spec: s, Context: make([]*Node, n)},
-		edges:   make([]workEdge, 0, m+m/2+1),
-		adj:     make([]adjacency, n),
-		seeds:   make([][]int32, s.Hier.NumNodes()),
-		visited: make([]uint32, n),
+// reset sizes the scratch for a run of g and fills the edge arena from
+// g's lists, in g.Edges order, seeding every leaf subgraph with the run
+// edges whose origin pair is the leaf's designated leader edge.
+func (c *constructor) reset(s *spec.Spec, g *dag.Graph, origin []dag.VertexID) {
+	n, m, k := g.NumVertices(), g.NumEdges(), s.Hier.NumNodes()
+	c.s, c.origin = s, origin
+	c.nodes, c.links = c.nodes[:0], c.links[:0]
+	c.context = resize(c.context, n)
+	for v := range c.context {
+		c.context[v] = -1
 	}
+	c.adj = resize(c.adj, n)
 	for v := range c.adj {
 		c.adj[v] = adjacency{first: [2]int32{-1, -1}, last: [2]int32{-1, -1}}
 	}
-	for _, e := range g.Edges() {
-		c.addEdge(workEdge{tail: e.Tail, head: e.Head, copyPlus: -1, group: -1})
+	if cap(c.visited) < n {
+		c.visited = make([]uint32, n)
 	}
-	nSpec := s.Graph.NumVertices()
-	c.member = make([]*bitset.Set, s.Hier.NumNodes())
-	all := bitset.New(nSpec)
-	for v := 0; v < nSpec; v++ {
-		all.Set(v)
+	c.visited = c.visited[:n]
+	c.seeds = resize(c.seeds, k)
+	for h := range c.seeds {
+		c.seeds[h] = c.seeds[h][:0]
 	}
-	c.member[0] = all
-	for i, sub := range s.Subgraphs {
-		b := bitset.New(nSpec)
-		for _, v := range sub.Vertices {
-			b.Set(int(v))
-		}
-		c.member[i+1] = b
+	if want := m + m/2 + 1; cap(c.edges) < want {
+		c.edges = make([]workEdge, 0, want)
 	}
-	c.leaderChild = make([]int, s.Hier.NumNodes())
-	for h := 0; h < s.Hier.NumNodes(); h++ {
-		if kids := s.Hier.Children[h]; len(kids) > 0 {
-			c.leaderChild[h] = kids[0]
+	c.edges = c.edges[:0]
+	for u := range n {
+		ou := origin[u]
+		for _, v := range g.Out(dag.VertexID(u)) {
+			e := c.addEdge(workEdge{tail: dag.VertexID(u), head: v, copyPlus: -1, group: -1})
+			if h := s.LeafLeader(ou, origin[v]); h > 0 {
+				c.seeds[h] = append(c.seeds[h], e)
+			}
 		}
 	}
-	return c
 }
 
-// newDetached creates a plan node without linking it to a parent.
-func (c *constructor) newDetached(plus bool, hnode int) *Node {
-	if len(c.slab) == cap(c.slab) {
-		c.slab = make([]Node, 0, min(nodeSlab, 16+2*len(c.p.Nodes)))
-	}
-	c.slab = c.slab[:len(c.slab)+1]
-	n := &c.slab[len(c.slab)-1]
-	*n = Node{ID: len(c.p.Nodes), Plus: plus, HNode: hnode}
-	c.p.Nodes = append(c.p.Nodes, n)
-	return n
+// construct builds the plan of a run on c's scratch and drops c's
+// references to the caller's specification and origins.
+func (c *constructor) construct(s *spec.Spec, g *dag.Graph, origin []dag.VertexID) (*Plan, error) {
+	c.reset(s, g, origin)
+	p, err := c.run()
+	c.s, c.origin, c.memb = nil, nil, nil
+	return p, err
+}
+
+// newDetached creates a plan node without linking it to a parent and
+// returns its ID.
+func (c *constructor) newDetached(plus bool, hnode int) int32 {
+	c.nodes = append(c.nodes, nodeRec{hnode: int32(hnode), parent: -1, plus: plus})
+	return int32(len(c.nodes) - 1)
 }
 
 // link makes child the next child of parent. Children slices are
-// filled by finishChildren, in link order.
-func (c *constructor) link(parent, child *Node) {
-	child.Parent = parent
-	c.links = append(c.links, [2]int32{int32(parent.ID), int32(child.ID)})
+// filled by finishPlan, in link order.
+func (c *constructor) link(parent, child int32) {
+	c.nodes[child].parent = parent
+	c.links = append(c.links, [2]int32{parent, child})
 }
 
-// finishChildren gives every node its Children, in the order link
-// attached them, sliced from one array. Each slice is capped at its
+// finishPlan allocates the output Plan from the recorded nodes,
+// contexts and links: the nodes in one array, and the Nodes, Context
+// and Children pointers in another. Every node's Children, in the order
+// link attached them, is sliced from that array and capped at its
 // length, so appending to one never writes into another.
-func (c *constructor) finishChildren() {
-	nodes := c.p.Nodes
+func (c *constructor) finishPlan(root int32) *Plan {
+	k, n := len(c.nodes), len(c.context)
+	nodes := make([]Node, k)
+	ptrs := make([]*Node, k+n+len(c.links))
+	p := &Plan{Spec: c.s, Root: &nodes[root], Nodes: ptrs[:k:k], Context: ptrs[k : k+n : k+n]}
+	kids := ptrs[k+n:]
+	for i, rec := range c.nodes {
+		nd := &nodes[i]
+		*nd = Node{ID: i, Plus: rec.plus, HNode: int(rec.hnode)}
+		if rec.parent >= 0 {
+			nd.Parent = &nodes[rec.parent]
+		}
+		p.Nodes[i] = nd
+	}
+	for v, ctx := range c.context {
+		p.Context[v] = &nodes[ctx]
+	}
 	// A counting sort of the links by parent: end[p] first counts p's
 	// children, then is where the next one goes, and ends at p's end.
-	end := make([]int32, len(nodes))
+	end := resize(c.end, k)
+	clear(end)
+	c.end = end
 	for _, l := range c.links {
 		end[l[0]]++
 	}
 	var off int32
-	for p, k := range end {
+	for p, n := range end {
 		end[p] = off
-		off += k
+		off += n
 	}
-	kids := make([]*Node, len(c.links))
 	for _, l := range c.links {
-		kids[end[l[0]]] = nodes[l[1]]
+		kids[end[l[0]]] = &nodes[l[1]]
 		end[l[0]]++
 	}
 	var begin int32
-	for p, n := range nodes {
-		if end[p] > begin {
-			n.Children = kids[begin:end[p]:end[p]]
+	for i := range nodes {
+		if end[i] > begin {
+			nodes[i].Children = kids[begin:end[i]:end[i]]
 		}
-		begin = end[p]
+		begin = end[i]
 	}
+	return p
 }
 
 // addEdge appends e to the arena and to the tails of its two lists, and
@@ -264,27 +305,6 @@ func (c *constructor) nextLive(v dag.VertexID, d int, prev int32) int32 {
 }
 
 func (c *constructor) run() (*Plan, error) {
-	// Initial scan: seeds for every leaf subgraph are the run edges whose
-	// origin pair equals the leaf's designated leader edge.
-	leafLeader := make(map[dag.Edge]int)
-	for i, sub := range c.s.Subgraphs {
-		h := i + 1
-		if len(c.s.Hier.Children[h]) == 0 {
-			leafLeader[sub.Edges[0]] = h
-		}
-	}
-	if len(leafLeader) > 0 {
-		for v := range c.adj {
-			for e := c.adj[v].first[outList]; e >= 0; e = c.edges[e].next[outList] {
-				we := &c.edges[e]
-				key := dag.Edge{Tail: c.origin[we.tail], Head: c.origin[we.head]}
-				if h, ok := leafLeader[key]; ok {
-					c.seeds[h] = append(c.seeds[h], e)
-				}
-			}
-		}
-	}
-
 	for d := c.s.Hier.MaxDepth; d >= 2; d-- {
 		for _, h := range c.s.Hier.NodesAtDepth(d) {
 			if err := c.processSubgraph(h); err != nil {
@@ -310,7 +330,7 @@ func (c *constructor) processSubgraph(h int) error {
 		}
 		c.copyEdges = append(c.copyEdges, ce)
 	}
-	c.seeds[h] = nil
+	c.seeds[h] = c.seeds[h][:0]
 	if len(c.copyEdges) == 0 {
 		return fmt.Errorf("plan: no copies of %s %q..%q found in run",
 			kind, c.s.NameOf(c.s.SourceOf(h)), c.s.NameOf(c.s.SinkOf(h)))
@@ -377,15 +397,13 @@ func (c *constructor) visit(v dag.VertexID, d int) error {
 func (c *constructor) collapseCopy(h int, seed int32) (int32, error) {
 	c.kind = c.s.KindOf(h)
 	c.srcOrig, c.snkOrig = c.s.SourceOf(h), c.s.SinkOf(h)
-	c.memb = c.member[h]
+	c.memb = c.s.Region(h)
 
 	plus := c.newDetached(true, h)
 
 	c.gen++
 	if c.gen == 0 {
-		for i := range c.visited {
-			c.visited[i] = 0
-		}
+		clear(c.visited[:cap(c.visited)])
 		c.gen = 1
 	}
 	c.sTerm, c.tTerm = -1, -1
@@ -440,7 +458,7 @@ func (c *constructor) collapseCopy(h int, seed int32) (int32, error) {
 	for _, e := range c.collected {
 		we := &c.edges[e]
 		if we.group >= 0 {
-			c.link(plus, c.p.Nodes[we.group])
+			c.link(plus, we.group)
 		}
 		we.deleted = true
 	}
@@ -452,13 +470,13 @@ func (c *constructor) collapseCopy(h int, seed int32) (int32, error) {
 			if c.kind == spec.Fork && (v == c.sTerm || v == c.tTerm) {
 				continue
 			}
-			if c.p.Context[v] == nil {
-				c.p.Context[v] = plus
+			if c.context[v] < 0 {
+				c.context[v] = plus
 			}
 		}
 	}
 
-	return c.addEdge(workEdge{tail: c.sTerm, head: c.tTerm, copyPlus: int32(plus.ID), group: -1, hnode: int32(h)}), nil
+	return c.addEdge(workEdge{tail: c.sTerm, head: c.tTerm, copyPlus: plus, group: -1, hnode: int32(h)}), nil
 }
 
 // groupForks merges parallel copy edges sharing both endpoints into F−
@@ -490,7 +508,7 @@ func (c *constructor) groupForks(h int) error {
 		ends := c.edges[c.copyEdges[i]]
 		for ; i >= 0; i = c.chain[i] {
 			we := &c.edges[c.copyEdges[i]]
-			c.link(minus, c.p.Nodes[we.copyPlus])
+			c.link(minus, we.copyPlus)
 			we.deleted = true
 		}
 		c.emitGroupEdge(h, minus, ends.tail, ends.head)
@@ -515,7 +533,7 @@ func (c *constructor) groupLoops(h int) error {
 		last := i
 		for j := i; j >= 0; j = int(c.chain[j]) {
 			we := &c.edges[c.copyEdges[j]]
-			c.link(minus, c.p.Nodes[we.copyPlus])
+			c.link(minus, we.copyPlus)
 			we.deleted = true
 			if conn := c.conn[j]; conn >= 0 {
 				c.edges[conn].deleted = true
@@ -542,12 +560,13 @@ func (c *constructor) findConnectors(h int) error {
 	srcOrig := c.s.SourceOf(h)
 	k := len(c.copyEdges)
 	c.chain, c.conn, c.hasPred = resize(c.chain, k), resize(c.conn, k), resize(c.hasPred, k)
-	if c.copyAt == nil {
+	if cap(c.copyAt) < len(c.adj) {
 		c.copyAt = make([]int32, len(c.adj))
 		for v := range c.copyAt {
 			c.copyAt[v] = -1
 		}
 	}
+	c.copyAt = c.copyAt[:len(c.adj)]
 	for i, ce := range c.copyEdges {
 		c.chain[i], c.conn[i], c.hasPred[i] = -1, -1, false
 		c.copyAt[c.edges[ce].tail] = int32(i) // the last copy with a source wins
@@ -594,9 +613,12 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func (c *constructor) emitGroupEdge(h int, minus *Node, sV, tV dag.VertexID) {
-	ge := c.addEdge(workEdge{tail: sV, head: tV, copyPlus: -1, group: int32(minus.ID), hnode: int32(h)})
-	if parent := c.s.Hier.Parent[h]; parent > 0 && c.leaderChild[parent] == h {
+// emitGroupEdge replaces a site's copies by one group edge for minus.
+// The first child of an internal hierarchy node is its leader: the
+// leader's group edges seed the copies of its parent.
+func (c *constructor) emitGroupEdge(h int, minus int32, sV, tV dag.VertexID) {
+	ge := c.addEdge(workEdge{tail: sV, head: tV, copyPlus: -1, group: minus, hnode: int32(h)})
+	if parent := c.s.Hier.Parent[h]; parent > 0 && c.s.Hier.Children[parent][0] == h {
 		c.seeds[parent] = append(c.seeds[parent], ge)
 	}
 }
@@ -605,19 +627,18 @@ func (c *constructor) emitGroupEdge(h int, minus *Node, sV, tV dag.VertexID) {
 // the surviving group edges to the root + node, and validates leftovers.
 func (c *constructor) finishRoot() (*Plan, error) {
 	root := c.newDetached(true, 0)
-	c.p.Root = root
 	for v := range c.adj {
 		u := dag.VertexID(v)
 		for e := c.nextLive(u, outList, -1); e >= 0; e = c.nextLive(u, outList, e) {
 			we := &c.edges[e]
-			if we.group >= 0 && c.p.Nodes[we.group].Parent == nil {
-				c.link(root, c.p.Nodes[we.group])
+			if we.group >= 0 && c.nodes[we.group].parent < 0 {
+				c.link(root, we.group)
 			}
 		}
 	}
-	for v, ctx := range c.p.Context {
-		if ctx == nil {
-			c.p.Context[v] = root
+	for v, ctx := range c.context {
+		if ctx < 0 {
+			c.context[v] = root
 		}
 	}
 	// Conformance: no ungrouped copy edges may survive.
@@ -628,6 +649,5 @@ func (c *constructor) finishRoot() (*Plan, error) {
 			}
 		}
 	}
-	c.finishChildren()
-	return c.p, nil
+	return c.finishPlan(root), nil
 }

@@ -52,6 +52,9 @@ func (r *Run) NameOf(v dag.VertexID) string {
 //   - every origin is a valid specification vertex;
 //   - every run edge's origin pair is either a specification edge or a
 //     loop connector (t(H), s(H)) for some loop H.
+//
+// Each edge costs one probe of the specification's pair table, and a
+// run that passes costs no allocation.
 func (r *Run) Validate() error {
 	if len(r.Origin) != r.Graph.NumVertices() {
 		return fmt.Errorf("run: %d origins for %d vertices", len(r.Origin), r.Graph.NumVertices())
@@ -77,24 +80,13 @@ func (r *Run) Validate() error {
 	for u, ou := range r.Origin {
 		for _, v := range r.Graph.Out(dag.VertexID(u)) {
 			ov := r.Origin[v]
-			if !r.Spec.Graph.HasEdge(ou, ov) && !loopConnector(r.Spec, ou, ov) {
+			if !r.Spec.AllowsRunEdge(ou, ov) {
 				return fmt.Errorf("run: edge %d->%d originates from (%q,%q), which is neither a spec edge nor a loop connector",
 					u, v, r.Spec.NameOf(ou), r.Spec.NameOf(ov))
 			}
 		}
 	}
 	return nil
-}
-
-// loopConnector reports whether (t, h) is the connector (t(H), s(H)) of
-// some loop H of the specification.
-func loopConnector(s *spec.Spec, t, h dag.VertexID) bool {
-	for _, sub := range s.Subgraphs {
-		if sub.Kind == spec.Loop && sub.Sink == t && sub.Source == h {
-			return true
-		}
-	}
-	return false
 }
 
 // OriginByName computes the origin function for a run graph whose vertex

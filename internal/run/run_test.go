@@ -1,6 +1,7 @@
 package run
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -318,6 +319,66 @@ func TestValidateCatchesCorruptRuns(t *testing.T) {
 	bad3 := &Run{Spec: s, Graph: g, Origin: r.Origin}
 	if err := bad3.Validate(); err == nil {
 		t.Error("cross-branch edge accepted")
+	}
+}
+
+// Validate's refusals keep their texts: each corruption of the paper's
+// minimal run is refused with the message the run's checks gave before
+// they moved onto the specification's pair table, and a run whose loop
+// copies are joined by connectors, origin pairs that are no spec
+// edges, is still accepted.
+func TestValidateRefusalTexts(t *testing.T) {
+	s := spec.PaperSpec()
+	r, _ := MustMaterialize(s, SingleExec(s))
+	n := r.NumVertices()
+	vertexOf := func(module spec.ModuleName) dag.VertexID {
+		for v, o := range r.Origin {
+			if s.NameOf(o) == module {
+				return dag.VertexID(v)
+			}
+		}
+		t.Fatalf("no vertex of module %s", module)
+		return -1
+	}
+	a, c, d := vertexOf("a"), vertexOf("c"), vertexOf("d")
+	withEdges := func(extra int, es ...dag.Edge) *Run {
+		origin := append([]dag.VertexID(nil), r.Origin...)
+		for range extra {
+			origin = append(origin, r.Origin[a])
+		}
+		return &Run{Spec: s, Graph: dag.FromEdges(n+extra, append(r.Graph.Edges(), es...)), Origin: origin}
+	}
+	for _, tc := range []struct {
+		name string
+		run  *Run
+		want string
+	}{
+		{"two sources", withEdges(1), "run: dag: flow network needs exactly 1 source, found 2"},
+		{"two sinks", withEdges(1, dag.Edge{Tail: a, Head: dag.VertexID(n)}), "run: dag: flow network needs exactly 1 sink, found 2"},
+		{"cycle", withEdges(0, dag.Edge{Tail: c, Head: vertexOf("b")}), "run: dag: graph contains a cycle"},
+		{"non-spec origin pair", withEdges(0, dag.Edge{Tail: c, Head: d}),
+			fmt.Sprintf(`run: edge %d->%d originates from ("c","d"), which is neither a spec edge nor a loop connector`, c, d)},
+	} {
+		err := tc.run.Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate() = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
+	fig3, _ := MustMaterialize(s, figure3Exec(t, s))
+	connectors := 0
+	for u, ou := range fig3.Origin {
+		for _, v := range fig3.Graph.Out(dag.VertexID(u)) {
+			if !s.Graph.HasEdge(ou, fig3.Origin[v]) {
+				connectors++
+			}
+		}
+	}
+	if connectors == 0 {
+		t.Fatal("the Figure 3 run has no loop connector")
+	}
+	if err := fig3.Validate(); err != nil {
+		t.Errorf("a run with %d loop connectors refused: %v", connectors, err)
 	}
 }
 

@@ -12,15 +12,18 @@ import (
 
 // ingest.go is the server's write path: PUT /runs/{name} accepts a run
 // document (the xmlio run XML, with data items inline when present),
-// reads it whole with xmlio.ReadRunDocument, and hands the bytes to
-// store.PutRunDocument, which decodes them once (the decode validates
-// the run against the spec), labels the run under the server's scheme
-// and stores the body as received next to the label snapshot. Nothing
-// on this path re-encodes the document. The handler then refreshes the
-// session cache so the very next query sees the new run, and reports
-// the stored snapshot's version and size. Ingest is off unless
-// Config.EnableIngest is set: a provserve fronting a read-only store
-// stays read-only.
+// reads it whole into one pooled decoder with xmlio.ReadRunDocument,
+// and hands that xmlio.Document to store.PutRunDocument, which decodes
+// it once where it was read (the decode validates the run against the
+// spec), labels the run under the server's scheme and gives the
+// backend the same bytes, the body as received, next to the label
+// snapshot. Nothing on this path copies or re-encodes the document,
+// and validation and plan construction run on pooled scratch. The
+// handler then refreshes the session cache so the very next query sees
+// the new run, reports the stored snapshot's version and size, and
+// releases the decoder once the response is written. Ingest is off
+// unless Config.EnableIngest is set: a provserve fronting a read-only
+// store stays read-only.
 //
 // The store contract leaves same-name write/write and write/read races
 // to the caller, and this server is that caller: runLocks is a striped
@@ -125,6 +128,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return badRequestf("malformed run document: %w", err)
 	}
+	defer doc.Release()
 
 	mu := s.runMu.forName(name)
 	mu.Lock()

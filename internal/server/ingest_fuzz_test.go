@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/xmlio"
+	"repro/internal/xmlio/xmliotest"
 )
 
 // FuzzIngestRun throws hostile bodies at the write path: whatever the
@@ -52,6 +55,14 @@ func FuzzIngestRun(f *testing.F) {
 	f.Add(`<run>` + strings.Repeat(`<vertices>`, 200))
 	f.Add(`<?xml version="1.0"?><!DOCTYPE run [<!ENTITY a "aaaa">]><run>&a;</run>`)
 	f.Add("")
+	// Near-canonical variants, each leaving the decoder's one-step
+	// element match for its general tokenizer at a different byte.
+	for _, doc := range []string{genDoc.String(), figDoc.String()} {
+		seeds := xmliotest.NearCanonical(doc)
+		for _, name := range slices.Sorted(maps.Keys(seeds)) {
+			f.Add(seeds[name])
+		}
+	}
 
 	st, err := store.NewMem(sp, "paper")
 	if err != nil {

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -20,6 +22,7 @@ import (
 	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/store"
+	"repro/internal/workload"
 	"repro/internal/xmlio"
 )
 
@@ -713,7 +716,12 @@ func TestPutStoresReceivedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	put, err := gotStore.PutRunDocument("direct", []byte(body), label.TCM{})
+	held, err := xmlio.ReadRunDocument(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := gotStore.PutRunDocument("direct", held, label.TCM{})
+	held.Release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -744,5 +752,68 @@ func TestPutStoresReceivedBytes(t *testing.T) {
 		if g.Code != 200 || g.Code != w.Code || g.Body.String() != w.Body.String() {
 			t.Errorf("%s %s: %d %s, canonical PUT answers %d %s", q.method, q.target, g.Code, g.Body, w.Code, w.Body)
 		}
+	}
+}
+
+// statusWriter is a ResponseWriter kept across requests that keeps only
+// the status code.
+type statusWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *statusWriter) Header() http.Header       { return w.h }
+func (*statusWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *statusWriter) WriteHeader(code int)      { w.code = code }
+
+// A PUT allocates about as often for a 16,245-vertex run as for a
+// 1,029-vertex one: the body is decoded in the decoder it was read
+// into, validation and plan construction run on pooled scratch, and
+// what remains per PUT (the run, its plan and labels, the stored
+// copies) is allocated in a number of pieces that does not depend on
+// the run's size. Collection is off while it counts, as in make
+// trend's write-path rows: a collection empties the pools, and how
+// often one runs during a PUT depends on the heap, not on the code.
+func TestPutAllocationsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	sp := workload.MustStandIn("QBLAST", 1)
+	st, err := store.NewMem(sp, "QBLAST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Store: st, EnableIngest: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(target int) (int, float64) {
+		r, _ := run.GenerateSized(sp, rand.New(rand.NewSource(int64(target))), target)
+		var doc bytes.Buffer
+		if err := xmlio.EncodeRun(&doc, r, nil, "QBLAST"); err != nil {
+			t.Fatal(err)
+		}
+		body := bytes.NewReader(doc.Bytes())
+		req := httptest.NewRequest("PUT", "/runs/r", nil)
+		w := &statusWriter{h: make(http.Header)}
+		put := func() {
+			body.Reset(doc.Bytes())
+			req.Body = io.NopCloser(body)
+			clear(w.h)
+			w.code = 0
+			s.ServeHTTP(w, req)
+			if w.code != 200 {
+				t.Fatalf("PUT of %d vertices: status %d", r.NumVertices(), w.code)
+			}
+		}
+		put() // grow the pooled scratch
+		return r.NumVertices(), testing.AllocsPerRun(10, put)
+	}
+	smallN, small := allocs(1000)
+	largeN, large := allocs(16000)
+	t.Logf("PUT allocs: %v at %d vertices, %v at %d", small, smallN, large, largeN)
+	if large > small+16 {
+		t.Fatalf("PUT allocs grow with the run: %v at %d vertices, %v at %d", small, smallN, large, largeN)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bitset"
 	"repro/internal/dag"
 )
 
@@ -92,10 +93,13 @@ type Spec struct {
 	// Hier is the fork-and-loop hierarchy T_G.
 	Hier *Hierarchy
 
-	// Validate fills the module index and, per hierarchy node, the
-	// direct vertices and direct edges; a Spec assembled as a struct
-	// literal has none of them until then.
+	// Validate fills the module index, the pair table and, per
+	// hierarchy node, the region, the direct vertices and the direct
+	// edges; a Spec assembled as a struct literal has none of them
+	// until then.
 	byName      map[ModuleName]dag.VertexID
+	pairs       pairTable
+	regions     []*bitset.Set
 	direct      [][]dag.VertexID
 	directEdges [][]dag.Edge
 }
@@ -288,4 +292,129 @@ func (s *Spec) directTables() ([][]dag.VertexID, [][]dag.Edge) {
 		edges[owner[i]] = append(edges[owner[i]], e)
 	}
 	return direct, edges
+}
+
+// AllowsRunEdge reports whether a run edge may join a vertex of origin t
+// to a vertex of origin h: (t, h) is a specification edge or the
+// connector (t(H), s(H)) of a loop H. It is one probe of the pair table
+// Validate builds. It panics on a Spec that was never validated.
+func (s *Spec) AllowsRunEdge(t, h dag.VertexID) bool {
+	_, ok := s.pair("AllowsRunEdge", t, h)
+	return ok
+}
+
+// LeafLeader returns the leaf hierarchy node whose first edge
+// (Subgraphs[node-1].Edges[0], its leader) is (t, h), or 0 when (t, h)
+// leads no leaf. A run edge whose origin pair leads a leaf seeds a copy
+// of that leaf in plan construction. It panics on a Spec that was never
+// validated.
+func (s *Spec) LeafLeader(t, h dag.VertexID) int {
+	leader, _ := s.pair("LeafLeader", t, h)
+	return int(leader)
+}
+
+// Region returns V(H) of hierarchy node i as a set over specification
+// vertices (every vertex for the root). Validate builds the sets once;
+// the returned set is the Spec's own and must not be modified. It
+// panics on a Spec that was never validated.
+func (s *Spec) Region(node int) *bitset.Set {
+	if s.regions == nil {
+		unvalidated("Region")
+	}
+	return s.regions[node]
+}
+
+func (s *Spec) pair(method string, t, h dag.VertexID) (int32, bool) {
+	if s.pairs.keys == nil {
+		unvalidated(method)
+	}
+	return s.pairs.find(t, h)
+}
+
+// pairTable is an open-addressed hash table over the pairs of
+// specification vertices a run edge may originate from: every edge of G
+// and every loop connector (t(H), s(H)). Each pair carries the leaf
+// hierarchy node it leads, or 0. At most half the slots are used, so a
+// probe ends at an empty slot in expected O(1) steps.
+type pairTable struct {
+	keys   []uint64 // pairKey of the pair in each slot, 0 when empty
+	leader []int32
+	shift  uint // 64 - log2(len(keys))
+}
+
+// pairKey packs (t, h) into a key that is never 0, the empty slot.
+func pairKey(t, h dag.VertexID) uint64 {
+	return 1<<63 | uint64(uint32(t))<<32 | uint64(uint32(h))
+}
+
+func (p *pairTable) slot(key uint64) uint64 {
+	return (key * 0x9E3779B97F4A7C15) >> p.shift // Fibonacci hashing
+}
+
+func (p *pairTable) find(t, h dag.VertexID) (int32, bool) {
+	key := pairKey(t, h)
+	mask := uint64(len(p.keys) - 1)
+	for i := p.slot(key); ; i = (i + 1) & mask {
+		switch p.keys[i] {
+		case key:
+			return p.leader[i], true
+		case 0:
+			return 0, false
+		}
+	}
+}
+
+// set inserts (t, h), or finds it, and raises its leader to leader.
+func (p *pairTable) set(t, h dag.VertexID, leader int32) {
+	key := pairKey(t, h)
+	mask := uint64(len(p.keys) - 1)
+	i := p.slot(key)
+	for p.keys[i] != 0 && p.keys[i] != key {
+		i = (i + 1) & mask
+	}
+	p.keys[i] = key
+	p.leader[i] = max(p.leader[i], leader)
+}
+
+// buildPairs builds the table of allowed origin pairs, once the hierarchy
+// is built: the specification edges, the loop connectors, and each
+// leaf's leader edge.
+func (s *Spec) buildPairs() pairTable {
+	size, shift := 2, uint(63)
+	for size < 2*(s.Graph.NumEdges()+len(s.Subgraphs))+1 {
+		size, shift = 2*size, shift-1
+	}
+	p := pairTable{keys: make([]uint64, size), leader: make([]int32, size), shift: shift}
+	for u := range s.Graph.NumVertices() {
+		for _, v := range s.Graph.Out(dag.VertexID(u)) {
+			p.set(dag.VertexID(u), v, 0)
+		}
+	}
+	for i, sub := range s.Subgraphs {
+		if sub.Kind == Loop {
+			p.set(sub.Sink, sub.Source, 0)
+		}
+		if h := i + 1; len(s.Hier.Children[h]) == 0 {
+			p.set(sub.Edges[0].Tail, sub.Edges[0].Head, int32(h))
+		}
+	}
+	return p
+}
+
+// regionSets builds V(H) of every hierarchy node as a set, the root's
+// holding every vertex.
+func (s *Spec) regionSets() []*bitset.Set {
+	n := s.Graph.NumVertices()
+	regions := make([]*bitset.Set, s.Hier.NumNodes())
+	regions[0] = bitset.New(n)
+	for v := range n {
+		regions[0].Set(v)
+	}
+	for i, sub := range s.Subgraphs {
+		regions[i+1] = bitset.New(n)
+		for _, v := range sub.Vertices {
+			regions[i+1].Set(int(v))
+		}
+	}
+	return regions
 }

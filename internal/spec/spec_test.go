@@ -410,6 +410,9 @@ func TestUnvalidatedSpecPanics(t *testing.T) {
 		"VertexOfBytes":  func() { s.VertexOfBytes([]byte("c")) },
 		"DirectVertices": func() { s.DirectVertices(0) },
 		"DirectEdges":    func() { s.DirectEdges(0) },
+		"AllowsRunEdge":  func() { s.AllowsRunEdge(0, 1) },
+		"LeafLeader":     func() { s.LeafLeader(0, 1) },
+		"Region":         func() { s.Region(0) },
 	} {
 		func() {
 			defer func() {

@@ -71,6 +71,7 @@ func Validate(s *Spec) error {
 		return err
 	}
 	s.Hier = hier
+	s.pairs, s.regions = s.buildPairs(), s.regionSets()
 	s.direct, s.directEdges = s.directTables()
 	return nil
 }

@@ -103,7 +103,12 @@ type Backend interface {
 	// its bytes like ReadRun.
 	ReadLabels(name string) (io.ReadCloser, error)
 	// WriteRun atomically persists a run document and its label snapshot
-	// under name. Implementations must not retain the slices.
+	// under name. Implementations must not retain the slices, nor read
+	// them after returning: the store hands over pooled buffers (a PUT
+	// body in its decoder, an encoded document or snapshot) and reuses
+	// them once WriteRun returns. fs writes them to files, mem copies
+	// them, and the retry and fault-injection wrappers pass them to
+	// their inner backend within the call.
 	WriteRun(name string, runDoc, labels []byte) error
 	// DeleteRun removes the named run's document and label snapshot,
 	// document first (see the contract above). Deleting a name that is

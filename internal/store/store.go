@@ -214,30 +214,48 @@ func (st *Store) PutRunSession(name string, r *run.Run, p *plan.Plan, ann *provd
 			}
 		}
 	}
-	var doc bytes.Buffer
-	if err := xmlio.EncodeRun(&doc, r, ann, st.specName); err != nil {
-		return nil, err
-	}
 	if p != nil && p.Spec != st.spec {
 		p = nil
 	}
-	return st.putRun(name, r, p, ann, doc.Bytes(), scheme)
+	// The canonical document is appended into one pooled buffer and
+	// written from there: the backend does not keep it.
+	bp := bufPool.Get().(*[]byte)
+	*bp = xmlio.AppendRun((*bp)[:0], r, ann, st.specName)
+	defer putBuf(bp)
+	return st.putRun(name, r, p, ann, *bp, scheme)
+}
+
+// maxPooledBuf bounds the buffers bufPool keeps, so one oversized run
+// does not stay pinned in the pool.
+const maxPooledBuf = 4 << 20
+
+// bufPool holds the buffers the write path encodes run documents and
+// label snapshots into, for backends that do not keep what they are
+// given.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func putBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		bufPool.Put(bp)
+	}
 }
 
 // PutRunDocument is PutRunSession for a run that arrives as a document:
-// it decodes doc against the store's specification (xmlio.DecodeRunBytes,
-// which validates the run) and stores doc itself, the bytes as given,
-// with the label snapshot. The store keeps no reference to doc. Data
-// items with empty names are kept: the stored bytes hold them.
-func (st *Store) PutRunDocument(name string, doc []byte, scheme label.Scheme) (*Session, error) {
+// it decodes doc against the store's specification (Document.Decode,
+// which validates the run) and stores doc's bytes, as given, with the
+// label snapshot. The decode and the write both read the bytes in the
+// decoder's buffer, which the backend copies or writes out and does not
+// keep; the caller releases doc afterwards. Data items with empty names
+// are kept: the stored bytes hold them.
+func (st *Store) PutRunDocument(name string, doc xmlio.Document, scheme label.Scheme) (*Session, error) {
 	if err := ValidRunName(name); err != nil {
 		return nil, err
 	}
-	r, ann, err := xmlio.DecodeRunBytes(doc, st.spec)
+	r, ann, err := doc.Decode(st.spec)
 	if err != nil {
 		return nil, &InvalidRunError{err}
 	}
-	return st.putRun(name, r, nil, ann, doc, scheme)
+	return st.putRun(name, r, nil, ann, doc.Bytes(), scheme)
 }
 
 // putRun is the write path's shared tail, for a run validated against
@@ -261,14 +279,13 @@ func (st *Store) putRun(name string, r *run.Run, p *plan.Plan, ann *provdata.Ann
 	if err != nil {
 		return nil, &InvalidRunError{err}
 	}
-	var labels bytes.Buffer
-	if _, err := l.WriteTo(&labels); err != nil {
+	bp := bufPool.Get().(*[]byte)
+	*bp = l.AppendSnapshot((*bp)[:0])
+	defer putBuf(bp)
+	if err := st.backend.WriteRun(name, doc, *bp); err != nil {
 		return nil, err
 	}
-	if err := st.backend.WriteRun(name, doc, labels.Bytes()); err != nil {
-		return nil, err
-	}
-	sess := &Session{Labels: l, SnapshotVersion: core.SnapshotV2, SnapshotBytes: labels.Len()}
+	sess := &Session{Labels: l, SnapshotVersion: core.SnapshotV2, SnapshotBytes: len(*bp)}
 	sess.once.Do(func() { sess.run, sess.data = r, ann })
 	return sess, nil
 }

@@ -22,32 +22,51 @@
 // # Encoding
 //
 // EncodeRun renders the document into a pooled buffer and writes it
-// with one Write. The bytes are the ones encoding/xml's Encoder wrote
-// with Indent("", "  ") for the reflective schema this codec replaced,
-// plus a final newline. That includes its escaping (the five markup
-// characters, tab, newline and carriage return as references; bytes
-// that are not XML characters as U+FFFD), the empty
-// <vertices></vertices> of a run without vertices, and the omission of
-// empty item names. A store writes EncodeRun's bytes only for a run
-// that exists only in memory (store.PutRun, a finished stream); a run
-// that arrives as a document is stored as the bytes the client sent.
+// with one Write; AppendRun renders it into the caller's buffer, grown
+// once to the document's size before anything is written. The bytes
+// are the ones encoding/xml's Encoder wrote with Indent("", "  ") for
+// the reflective schema this codec replaced, plus a final newline.
+// That includes its escaping (the five markup characters, tab, newline
+// and carriage return as references; bytes that are not XML characters
+// as U+FFFD), the empty <vertices></vertices> of a run without
+// vertices, and the omission of empty item names. A store writes this
+// encoding only for a run that exists only in memory (store.PutRun, a
+// finished stream), appended into a pooled buffer it writes from; a
+// run that arrives as a document is stored as the bytes the client
+// sent.
 //
 // # Decoding
 //
 // DecodeRun reads the whole body first, so a size cap such as
 // http.MaxBytesReader covers all of it. It then scans the bytes without
-// reflection and without allocating per element: names, attribute
-// values and text are classified eight bytes a step against 256-entry
-// class tables, and an end tag is matched against the name its start
-// tag spelled. The two steps are also exported apart, ReadRunDocument
-// then DecodeRunBytes, and they are the ingest pair: the server reads a
-// PUT body with ReadRunDocument, and store.PutRunDocument decodes it
-// with DecodeRunBytes and stores those same bytes, so a stored document
-// is the client's. ReadRunDocument serves only that PUT path: a stored
+// reflection and without allocating per element. Each child of
+// <vertices> or <edges> is first matched in one step against the
+// layout AppendRun writes: indentation of spaces and newlines, then
+// <vertex id="DIGITS" module="TEXT"> or <edge from="DIGITS"
+// to="DIGITS">, then the end tag or "/>", where DIGITS is 1 to 18 ASCII
+// digits and TEXT has no entity, quote, '<', ']' or non-ASCII byte. An
+// element that matches is recorded as the tokenizer would record it; at
+// the first byte that departs from the layout (an entity, a carriage
+// return, a tab, another attribute order, an extra attribute, a
+// prefix, a comment, a <data> child) nothing has been consumed, and the
+// general tokenizer reads the element. That tokenizer is the only path
+// for every other part of a document. It classifies names, attribute
+// values and text eight bytes a step against 256-entry class tables,
+// and matches an end tag against the name its start tag spelled.
+//
+// The two steps are also exported apart, for the ingest path:
+// ReadRunDocument reads a PUT body into a pooled decoder and returns
+// it as a Document. store.PutRunDocument decodes the Document where it
+// was read (Document.Decode) and hands the same bytes to the backend's
+// WriteRun, so a stored document is the client's and the body is held
+// once; the server releases the decoder after the response. A stored
 // session gets its document from store.ReadBlob, which borrows a blob
-// the backend holds in memory and reads a file at its size, and
-// decodes it with DecodeRunBytes only when needed. DecodeRun accepts what encoding/xml's
-// strict Decoder accepted for the schema:
+// the backend holds in memory and reads a file at its size, and decodes
+// it with DecodeRunBytes only when needed. The decoder sizes its vertex
+// and edge scratch from the document's length in one step, so a
+// decoder fresh from the pool allocates as often as a reused one, give
+// or take that one step. DecodeRun accepts what encoding/xml's strict
+// Decoder accepted for the schema:
 //
 //   - an XML declaration (version 1.0 or none given, encoding UTF-8 or
 //     none given), comments, processing instructions and <!DOCTYPE ...>
@@ -94,6 +113,12 @@
 //   - A read error after the root element. The oracle stops reading at
 //     </run>; DecodeRun reads the whole body, so a failing read
 //     anywhere fails the decode.
+//
+// TestDecodeRunNearCanonical does the same for the hand-over between
+// the one-step element match and the tokenizer, on every variant
+// xmliotest.NearCanonical makes of a canonical document (which also
+// seed FuzzDecodeRunOracle and the PUT path's FuzzIngestRun) and on
+// every prefix of one.
 //
 // FuzzEncodeRunOracle and TestEncodeRunMatchesOracle hold EncodeRun to
 // the oracle's bytes the same way.

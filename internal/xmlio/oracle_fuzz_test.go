@@ -18,6 +18,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/workload"
 	"repro/internal/xmlio"
+	"repro/internal/xmlio/xmliotest"
 )
 
 // paperDoc is a small canonical run document of the paper specification
@@ -114,6 +115,29 @@ func grammarSeeds(doc string) map[string]string {
 	}
 }
 
+// plainDoc is the canonical document of the paper's Figure 3 run
+// without data items: every vertex and every edge is laid out as the
+// decoder's one-step element match expects.
+func plainDoc(t testing.TB) string {
+	s := spec.PaperSpec()
+	r, _ := run.Figure3Run(s)
+	return string(canonical(t, r, nil, "paper"))
+}
+
+// nearCanonicalSeeds are the near-canonical variants of the document
+// with data items and of the one without.
+func nearCanonicalSeeds(t testing.TB) map[string]string {
+	_, doc := paperDoc(t)
+	seeds := make(map[string]string)
+	for name, in := range xmliotest.NearCanonical(doc) {
+		seeds["items, "+name] = in
+	}
+	for name, in := range xmliotest.NearCanonical(plainDoc(t)) {
+		seeds["plain, "+name] = in
+	}
+	return seeds
+}
+
 // FuzzDecodeRunOracle pins DecodeRun to encoding/xml: whatever it
 // accepts the reflective decoder accepts with the same origins, edges
 // and annotation, and whatever that decoder rejects it rejects too. The
@@ -122,6 +146,7 @@ func grammarSeeds(doc string) map[string]string {
 func FuzzDecodeRunOracle(f *testing.F) {
 	s, doc := paperDoc(f)
 	seeds := grammarSeeds(doc)
+	maps.Copy(seeds, nearCanonicalSeeds(f))
 	for _, name := range slices.Sorted(maps.Keys(seeds)) {
 		f.Add(seeds[name])
 	}
@@ -179,6 +204,42 @@ func TestDecodeRunGrammar(t *testing.T) {
 		if _, _, err := xmlio.DecodeRun(strings.NewReader(in), s); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// Where a document departs from the layout the one-step element match
+// takes, the general tokenizer must carry on exactly as the oracle
+// does: every near-canonical variant, and every prefix of a small
+// canonical document, decodes as encoding/xml decodes it or is
+// rejected as it rejects it. The variants that must still decode do.
+func TestDecodeRunNearCanonical(t *testing.T) {
+	s := spec.PaperSpec()
+	seeds := nearCanonicalSeeds(t)
+	for _, name := range slices.Sorted(maps.Keys(seeds)) {
+		t.Run(name, func(t *testing.T) { checkAgainstOracle(t, s, seeds[name]) })
+	}
+	for _, name := range []string{
+		"crlf", "cr indent", "tab indent", "leading zero id", "leading zero from", "18-digit id",
+		"19-digit id", "19-digit to", "spaced id", "single-quoted id", "swapped vertex attrs",
+		"swapped edge attrs", "extra vertex attr", "extra leading attr", "extra edge attr",
+		"space before close", "self-closing", "spaced self-closing", "end tag space", "edge data",
+		"edge data indented", "edge unknown child", "vertex child", "prefixed vertex",
+		"prefixed attribute", "comment between", "text between", "entity between", "module char ref",
+		"edge in vertices", "vertex in edges", "vertex before container",
+	} {
+		for _, doc := range []string{"items, ", "plain, "} {
+			in, ok := seeds[doc+name]
+			if !ok {
+				t.Fatalf("no seed %q", doc+name)
+			}
+			if _, _, err := xmlio.DecodeRun(strings.NewReader(in), s); err != nil {
+				t.Errorf("%s%s: %v", doc, name, err)
+			}
+		}
+	}
+	doc := plainDoc(t)
+	for i := range len(doc) {
+		checkAgainstOracle(t, s, doc[:i])
 	}
 }
 
@@ -256,44 +317,50 @@ func TestDecodeRunRetainsNoInput(t *testing.T) {
 	}
 }
 
-// ReadRunDocument hands back exactly the document, in a buffer of its
-// own exact size, and a DecodeRunBytes of it neither changes those bytes
-// nor keeps them in the decoders' pool.
-func TestReadRunDocumentThenDecodeBytes(t *testing.T) {
+// A Document holds exactly the document read, Decode decodes it as
+// DecodeRun does without changing those bytes, and the decoded run
+// keeps nothing of the decoder's buffer once the Document is released
+// and the pool has read and decoded something else into it.
+func TestReadRunDocumentThenDecode(t *testing.T) {
 	s, doc := paperDoc(t)
 	held, err := xmlio.ReadRunDocument(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(held) != doc || cap(held) != len(held) {
-		t.Fatalf("held %d bytes (cap %d) for a %d-byte document", len(held), cap(held), len(doc))
+	if string(held.Bytes()) != doc {
+		t.Fatalf("held %d bytes for a %d-byte document", len(held.Bytes()), len(doc))
 	}
-	r, ann, err := xmlio.DecodeRunBytes(held, s)
+	r, ann, err := held.Decode(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(held) != doc {
-		t.Fatal("DecodeRunBytes modified its input")
+	if string(held.Bytes()) != doc {
+		t.Fatal("Decode modified the document")
 	}
+	wr, wann, err := xmlio.DecodeRun(strings.NewReader(doc), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDecode(t, r, ann, wr, wann)
 	before := fmt.Sprintf("%v %q", r.Origin, ann.Items)
-	// Reading and decoding other documents through the pool must not
-	// write into the held bytes.
+	held.Release()
+	// Reading and decoding other documents through the pool reuses the
+	// released buffer; the decoded run must not change.
 	other := strings.ReplaceAll(doc, "<data>x", "<data>y")
-	if _, _, err := xmlio.DecodeRun(strings.NewReader(other), s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := xmlio.ReadRunDocument(strings.NewReader(other)); err != nil {
-		t.Fatal(err)
-	}
-	if string(held) != doc {
-		t.Fatal("pooled decoding wrote into bytes DecodeRunBytes was given")
-	}
-	for i := range held {
-		held[i] = 'z'
+	for range 3 {
+		od, err := xmlio.ReadRunDocument(strings.NewReader(other))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := od.Decode(s); err != nil {
+			t.Fatal(err)
+		}
+		od.Release()
 	}
 	if after := fmt.Sprintf("%v %q", r.Origin, ann.Items); after != before {
-		t.Fatalf("decoded run changed with its input:\n%s\n%s", before, after)
+		t.Fatalf("decoded run changed with the decoder's buffer:\n%s\n%s", before, after)
 	}
+	xmlio.Document{}.Release() // the zero Document holds nothing to release
 
 	// A read failing mid-document keeps its identity, under the same
 	// prefix DecodeRun gives it.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,8 +18,9 @@ import (
 )
 
 // maxPooledBuf bounds the read buffer a pooled decoder keeps, so one
-// oversized document does not stay pinned in the pool.
-const maxPooledBuf = 1 << 20
+// oversized document does not stay pinned in the pool. 4 MiB holds the
+// document of a run of about 50,000 vertices.
+const maxPooledBuf = 4 << 20
 
 var decoderPool = sync.Pool{New: func() any { return new(runDecoder) }}
 
@@ -26,28 +28,49 @@ var decoderPool = sync.Pool{New: func() any { return new(runDecoder) }}
 // present) against the given specification and validates it. See the
 // package documentation for the accepted grammar.
 func DecodeRun(rd io.Reader, s *spec.Spec) (*run.Run, *provdata.Annotation, error) {
-	d := decoderPool.Get().(*runDecoder)
-	defer d.release()
-	if err := d.read(rd); err != nil {
-		return nil, nil, fmt.Errorf("xmlio: decode run: %w", err)
+	doc, err := ReadRunDocument(rd)
+	if err != nil {
+		return nil, nil, err
 	}
-	return d.decode(s)
+	defer doc.Release()
+	return doc.Decode(s)
 }
 
-// ReadRunDocument reads a whole run document of unknown length, a PUT
-// body, for a later DecodeRunBytes: through the decoders' pooled read
-// buffer, then into one exactly sized copy the caller owns. Read errors
-// keep their identity under DecodeRun's prefix. A stored document is
-// not read here: store.OpenRun borrows it or reads it at its size.
-func ReadRunDocument(rd io.Reader) ([]byte, error) {
+// Document is a run document read whole into a pooled decoder's buffer
+// by ReadRunDocument. Bytes and Decode work on the bytes where they
+// were read; Release hands the decoder back to the pool, and with it
+// the bytes. The zero Document holds nothing.
+type Document struct{ d *runDecoder }
+
+// ReadRunDocument reads a whole run document of unknown length, such as
+// a PUT body, into a pooled decoder. Read errors keep their identity
+// under DecodeRun's prefix. A stored document is not read here:
+// store.OpenRun borrows it or reads it at its size.
+func ReadRunDocument(rd io.Reader) (Document, error) {
 	d := decoderPool.Get().(*runDecoder)
-	defer d.release()
 	if err := d.read(rd); err != nil {
-		return nil, fmt.Errorf("xmlio: decode run: %w", err)
+		d.release()
+		return Document{}, fmt.Errorf("xmlio: decode run: %w", err)
 	}
-	doc := make([]byte, len(d.buf))
-	copy(doc, d.buf)
-	return doc, nil
+	return Document{d}, nil
+}
+
+// Bytes returns the document as read. The slice is the decoder's: it
+// stays valid and unchanged until Release, and must not be modified.
+func (doc Document) Bytes() []byte { return doc.d.buf }
+
+// Decode is DecodeRun over the document, scanned where it lies in the
+// decoder's buffer. Nothing it returns refers to that buffer.
+func (doc Document) Decode(s *spec.Spec) (*run.Run, *provdata.Annotation, error) {
+	return doc.d.decode(s)
+}
+
+// Release returns the decoder to the pool. The Document and every
+// slice Bytes returned must not be used afterwards.
+func (doc Document) Release() {
+	if doc.d != nil {
+		doc.d.release()
+	}
 }
 
 // DecodeRunBytes is DecodeRun over a document already held in memory.
@@ -137,15 +160,21 @@ func (d *runDecoder) release() {
 
 // read slurps the whole document. Read errors are returned as they are,
 // so callers can still classify them (http.MaxBytesError, transient
-// storage errors).
+// storage errors). A reader that knows how much it holds (bytes.Reader,
+// strings.Reader, bytes.Buffer) is read into a buffer grown once to
+// that size plus the byte that lets the last Read report EOF.
 func (d *runDecoder) read(rd io.Reader) error {
 	b := d.buf[:0]
-	if cap(b) == 0 {
-		b = make([]byte, 0, 4096)
+	want := 4096
+	if l, ok := rd.(interface{ Len() int }); ok {
+		want = l.Len() + 1
+	}
+	if cap(b) < want {
+		b = make([]byte, 0, want)
 	}
 	for {
 		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
+			b = slices.Grow(b, len(b)) // doubling, however large b is
 		}
 		n, err := rd.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
@@ -168,6 +197,16 @@ func (d *runDecoder) parse(s *spec.Spec) error {
 	d.open = d.open[:0]
 	d.origin, d.edges, d.items, d.itemText = d.origin[:0], d.edges[:0], d.items[:0], d.itemText[:0]
 	d.badID, d.badMod = -1, -1
+	// Size the vertex and edge scratch from the document once, so a
+	// fresh decoder grows each in one step rather than by doubling: a
+	// canonical element takes about 40 bytes, and a run has about as
+	// many edges as vertices.
+	if est := len(d.buf) / 64; cap(d.origin) < est {
+		d.origin = make([]dag.VertexID, 0, est)
+	}
+	if est := len(d.buf) / 32; cap(d.edges) < est {
+		d.edges = make([]int64, 0, est)
+	}
 	for {
 		tok, err := d.next(nil)
 		if err != nil {
@@ -206,9 +245,21 @@ func (d *runDecoder) parse(s *spec.Spec) error {
 }
 
 // container decodes the children of <vertices> or <edges>: every child
-// named child is a vertex or an edge, anything else is skipped.
+// named child is a vertex or an edge, anything else is skipped. Each
+// child first goes through the one-step match of the layout AppendRun
+// writes (canonicalVertex, canonicalEdge); whatever that does not
+// match, the tokenizer reads.
 func (d *runDecoder) container(child string, s *spec.Spec) error {
 	for {
+		if !d.closeNext {
+			if child == "vertex" {
+				for d.canonicalVertex(s) {
+				}
+			} else {
+				for d.canonicalEdge() {
+				}
+			}
+		}
 		tok, err := d.next(nil)
 		if err != nil {
 			return err
@@ -245,6 +296,13 @@ func (d *runDecoder) vertex(s *spec.Spec) error {
 			module = d.value(a)
 		}
 	}
+	d.addVertex(id, module, s)
+	return d.skip()
+}
+
+// addVertex records the next vertex, noting for build the first id out
+// of place and the first module the specification does not have.
+func (d *runDecoder) addVertex(id int64, module []byte, s *spec.Spec) {
 	i := len(d.origin)
 	if id != int64(i) && d.badID < 0 {
 		d.badID, d.badIDVal = i, id
@@ -254,7 +312,104 @@ func (d *runDecoder) vertex(s *spec.Spec) error {
 		d.badMod, d.badModStr = i, string(module)
 	}
 	d.origin = append(d.origin, o)
-	return d.skip()
+}
+
+// canonicalVertex matches, at d.pos, one <vertex> element as AppendRun
+// writes it: indentation of spaces and newlines, then
+// <vertex id="DIGITS" module="TEXT"> closed by </vertex>, or the same
+// start tag self-closed by "/>". DIGITS is 1 to 18 ASCII digits and
+// TEXT a run of plainText bytes, so both read exactly as the tokenizer
+// and parseIntAttr read them. On a match it records the vertex as
+// vertex does and moves past it; otherwise it consumes nothing.
+func (d *runDecoder) canonicalVertex(s *spec.Spec) bool {
+	buf := d.buf
+	i := skipIndent(buf, d.pos)
+	if !hasAt(buf, i, `<vertex id="`) {
+		return false
+	}
+	id, i := digitsAt(buf, i+len(`<vertex id="`))
+	if i < 0 || !hasAt(buf, i, `" module="`) {
+		return false
+	}
+	start := i + len(`" module="`)
+	if i = scanClass(buf, start, &plainText); i >= len(buf) || buf[i] != '"' {
+		return false
+	}
+	end := closeAt(buf, i+1, `></vertex>`)
+	if end < 0 {
+		return false
+	}
+	d.addVertex(id, buf[start:i], s)
+	d.pos = end
+	return true
+}
+
+// canonicalEdge is canonicalVertex for <edge from="DIGITS"
+// to="DIGITS">: an edge with no <data> child, as AppendRun writes it.
+func (d *runDecoder) canonicalEdge() bool {
+	buf := d.buf
+	i := skipIndent(buf, d.pos)
+	if !hasAt(buf, i, `<edge from="`) {
+		return false
+	}
+	from, i := digitsAt(buf, i+len(`<edge from="`))
+	if i < 0 || !hasAt(buf, i, `" to="`) {
+		return false
+	}
+	to, i := digitsAt(buf, i+len(`" to="`))
+	if i < 0 || !hasAt(buf, i, `"`) {
+		return false
+	}
+	end := closeAt(buf, i+1, `></edge>`)
+	if end < 0 {
+		return false
+	}
+	d.edges = append(d.edges, from, to)
+	d.pos = end
+	return true
+}
+
+// skipIndent returns the index of the first byte at or after i that is
+// neither a space nor a newline.
+func skipIndent(buf []byte, i int) int {
+	for i < len(buf) && (buf[i] == ' ' || buf[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// hasAt reports whether buf holds lit at i.
+func hasAt(buf []byte, i int, lit string) bool {
+	return i+len(lit) <= len(buf) && string(buf[i:i+len(lit)]) == lit
+}
+
+// closeAt returns the end of a start tag's closing at i, either end
+// (">" and the end tag) or "/>", or -1 for anything else.
+func closeAt(buf []byte, i int, end string) int {
+	switch {
+	case hasAt(buf, i, end):
+		return i + len(end)
+	case hasAt(buf, i, "/>"):
+		return i + 2
+	}
+	return -1
+}
+
+// digitsAt parses the 1 to 18 ASCII digits at i. It returns their value
+// and the index after them, or -1 when there are none or more than 18.
+func digitsAt(buf []byte, i int) (int64, int) {
+	var n int64
+	start := i
+	for ; i < len(buf) && '0' <= buf[i] && buf[i] <= '9'; i++ {
+		if i-start == 18 {
+			return 0, -1
+		}
+		n = n*10 + int64(buf[i]-'0')
+	}
+	if i == start {
+		return 0, -1
+	}
+	return n, i
 }
 
 func (d *runDecoder) edge() error {
@@ -336,6 +491,9 @@ func (d *runDecoder) build(s *spec.Spec) (*run.Run, *provdata.Annotation, error)
 		return nil, nil, fmt.Errorf("run: vertex %d has module %q not present in the specification", d.badMod, d.badModStr)
 	}
 	n := int64(len(d.origin))
+	if m := len(d.edges) / 2; cap(d.graphEdges) < m {
+		d.graphEdges = make([]dag.Edge, 0, m)
+	}
 	d.graphEdges = d.graphEdges[:0]
 	var ann *provdata.Annotation
 	var itemOf map[string]int
@@ -442,10 +600,7 @@ func (d *runDecoder) next(text *[]byte) (token, error) {
 	for {
 		// Indentation, then printable ASCII text, decodes to itself and
 		// is passed over here; anything else takes charData's full check.
-		i := d.pos
-		for i < len(buf) && (buf[i] == ' ' || buf[i] == '\n') {
-			i++
-		}
+		i := skipIndent(buf, d.pos)
 		if i < len(buf) && buf[i] != '<' {
 			i = scanClass(buf, i, &plainText)
 		}

@@ -3,6 +3,7 @@ package xmlio
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -20,7 +21,7 @@ var encodePool = sync.Pool{New: func() any { return new([]byte) }}
 // written with a single Write.
 func EncodeRun(w io.Writer, r *run.Run, ann *provdata.Annotation, workflowName string) error {
 	bp := encodePool.Get().(*[]byte)
-	b := appendRun((*bp)[:0], r, ann, workflowName)
+	b := AppendRun((*bp)[:0], r, ann, workflowName)
 	_, err := w.Write(b)
 	if cap(b) <= maxPooledBuf {
 		*bp = b
@@ -32,10 +33,14 @@ func EncodeRun(w io.Writer, r *run.Run, ann *provdata.Annotation, workflowName s
 	return nil
 }
 
-// appendRun appends the run document in the layout encoding/xml's
-// Encoder produced for it with Indent("", "  "), plus a final newline.
-// Empty item names are omitted, as its omitempty did.
-func appendRun(b []byte, r *run.Run, ann *provdata.Annotation, workflowName string) []byte {
+// AppendRun appends the document EncodeRun writes to b and returns the
+// extended slice, for a caller that keeps its own buffer: the layout
+// encoding/xml's Encoder produced for it with Indent("", "  "), plus a
+// final newline. Empty item names are omitted, as its omitempty did. b
+// is grown once, to the size of the document without data items,
+// before anything is written.
+func AppendRun(b []byte, r *run.Run, ann *provdata.Annotation, workflowName string) []byte {
+	b = slices.Grow(b, runSize(r, workflowName))
 	b = append(b, "<run"...)
 	if workflowName != "" {
 		b = append(b, ` workflow="`...)
@@ -91,6 +96,23 @@ func appendRun(b []byte, r *run.Run, ann *provdata.Annotation, workflowName stri
 		b = append(b, "\n  "...)
 	}
 	return append(b, "</edges>\n</run>\n"...)
+}
+
+// runSize is the size of r's document without data items, or a little
+// more: it counts every id with as many digits as the largest one, and
+// module names unescaped.
+func runSize(r *run.Run, workflowName string) int {
+	n, m := r.NumVertices(), r.NumEdges()
+	digits := 1
+	for x := n; x >= 10; x /= 10 {
+		digits++
+	}
+	size := len("<run workflow=\"\">\n  <vertices>\n  </vertices>\n  <edges>\n  </edges>\n</run>\n") + len(workflowName)
+	size += n * (len("\n    <vertex id=\"\" module=\"\"></vertex>") + digits)
+	for _, o := range r.Origin[:n] {
+		size += len(r.Spec.Names[o])
+	}
+	return size + m*(len("\n    <edge from=\"\" to=\"\"></edge>")+2*digits)
 }
 
 // appendEscaped appends s escaped as encoding/xml escapes attribute
