@@ -317,11 +317,12 @@ func TestDecodeRunRetainsNoInput(t *testing.T) {
 	}
 }
 
-// A Document holds exactly the document read, Decode decodes it as
-// DecodeRun does without changing those bytes, and the decoded run
-// keeps nothing of the decoder's buffer once the Document is released
-// and the pool has read and decoded something else into it.
-func TestReadRunDocumentThenDecode(t *testing.T) {
+// A Document holds exactly the document read, Decode and DecodeRunBytes
+// over its bytes decode it as DecodeRun does without changing those
+// bytes, and the decoded run keeps nothing of the decoder's buffer once
+// the Document is released and the pool has read and decoded something
+// else into it.
+func TestReadRunDocumentThenDecodeBytes(t *testing.T) {
 	s, doc := paperDoc(t)
 	held, err := xmlio.ReadRunDocument(strings.NewReader(doc))
 	if err != nil {
@@ -342,6 +343,14 @@ func TestReadRunDocumentThenDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameDecode(t, r, ann, wr, wann)
+	br, bann, err := xmlio.DecodeRunBytes(held.Bytes(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(held.Bytes()) != doc {
+		t.Fatal("DecodeRunBytes modified the document")
+	}
+	sameDecode(t, br, bann, wr, wann)
 	before := fmt.Sprintf("%v %q", r.Origin, ann.Items)
 	held.Release()
 	// Reading and decoding other documents through the pool reuses the
