@@ -921,7 +921,10 @@ func BenchmarkConstructPlan(b *testing.B) {
 // that moved. The validate and encode rows are the costs only an
 // in-memory run pays (store.PutRun and a stream's /finish): with no
 // bytes received, it is validated on its own and stored in its
-// canonical encoding. The decode, validate and plan rows allocate only
+// canonical encoding. The decode-crlf and decode-data rows decode the
+// same run laid out otherwise (CRLF line endings; one data item per
+// edge on average), where the tokenizer reads what the one-step element
+// match refuses. The decode, validate and plan rows allocate only
 // what they return on warm scratch, and a decoder fresh from the pool
 // sizes its scratch from the document in one step, so their allocs/op
 // do not depend on how often the pool comes back empty.
@@ -936,6 +939,14 @@ func BenchmarkIngestStages(b *testing.B) {
 		b.Fatal(err)
 	}
 	body := doc.Bytes()
+	// Two documents off the canonical layout: every element of the
+	// first fails the one-step match at its line ending, and each edge
+	// of the second fails it after its start tag, at its <data> child.
+	crlf := bytes.ReplaceAll(body, []byte("\n"), []byte("\r\n"))
+	var withData bytes.Buffer
+	if err := repro.WriteRunXML(&withData, r, repro.RandomData(r, rand.New(rand.NewSource(1)), 1, 0.1), "bench"); err != nil {
+		b.Fatal(err)
+	}
 	skel, err := repro.TCM.Build(r.Spec.Graph)
 	if err != nil {
 		b.Fatal(err)
@@ -958,6 +969,14 @@ func BenchmarkIngestStages(b *testing.B) {
 	}{
 		{"decode", func() error {
 			_, _, err := repro.ReadRunXML(bytes.NewReader(body), r.Spec)
+			return err
+		}},
+		{"decode-crlf", func() error {
+			_, _, err := repro.ReadRunXML(bytes.NewReader(crlf), r.Spec)
+			return err
+		}},
+		{"decode-data", func() error {
+			_, _, err := repro.ReadRunXML(bytes.NewReader(withData.Bytes()), r.Spec)
 			return err
 		}},
 		{"validate", r.Validate},

@@ -98,7 +98,7 @@ type Spec struct {
 	// edges; a Spec assembled as a struct literal has none of them
 	// until then.
 	byName      map[ModuleName]dag.VertexID
-	pairs       pairTable
+	pairs       map[uint64]int32
 	regions     []*bitset.Set
 	direct      [][]dag.VertexID
 	directEdges [][]dag.Edge
@@ -325,81 +325,42 @@ func (s *Spec) Region(node int) *bitset.Set {
 }
 
 func (s *Spec) pair(method string, t, h dag.VertexID) (int32, bool) {
-	if s.pairs.keys == nil {
+	if s.pairs == nil {
 		unvalidated(method)
 	}
-	return s.pairs.find(t, h)
+	leader, ok := s.pairs[pairKey(t, h)]
+	return leader, ok
 }
 
-// pairTable is an open-addressed hash table over the pairs of
-// specification vertices a run edge may originate from: every edge of G
-// and every loop connector (t(H), s(H)). Each pair carries the leaf
-// hierarchy node it leads, or 0. At most half the slots are used, so a
-// probe ends at an empty slot in expected O(1) steps.
-type pairTable struct {
-	keys   []uint64 // pairKey of the pair in each slot, 0 when empty
-	leader []int32
-	shift  uint // 64 - log2(len(keys))
-}
-
-// pairKey packs (t, h) into a key that is never 0, the empty slot.
-func pairKey(t, h dag.VertexID) uint64 {
-	return 1<<63 | uint64(uint32(t))<<32 | uint64(uint32(h))
-}
-
-func (p *pairTable) slot(key uint64) uint64 {
-	return (key * 0x9E3779B97F4A7C15) >> p.shift // Fibonacci hashing
-}
-
-func (p *pairTable) find(t, h dag.VertexID) (int32, bool) {
-	key := pairKey(t, h)
-	mask := uint64(len(p.keys) - 1)
-	for i := p.slot(key); ; i = (i + 1) & mask {
-		switch p.keys[i] {
-		case key:
-			return p.leader[i], true
-		case 0:
-			return 0, false
-		}
-	}
-}
-
-// set inserts (t, h), or finds it, and raises its leader to leader.
-func (p *pairTable) set(t, h dag.VertexID, leader int32) {
-	key := pairKey(t, h)
-	mask := uint64(len(p.keys) - 1)
-	i := p.slot(key)
-	for p.keys[i] != 0 && p.keys[i] != key {
-		i = (i + 1) & mask
-	}
-	p.keys[i] = key
-	p.leader[i] = max(p.leader[i], leader)
-}
-
-// buildPairs builds the table of allowed origin pairs, once the hierarchy
-// is built: the specification edges, the loop connectors, and each
-// leaf's leader edge.
-func (s *Spec) buildPairs() pairTable {
-	size, shift := 2, uint(63)
-	for size < 2*(s.Graph.NumEdges()+len(s.Subgraphs))+1 {
-		size, shift = 2*size, shift-1
-	}
-	p := pairTable{keys: make([]uint64, size), leader: make([]int32, size), shift: shift}
+// buildPairs builds, once the hierarchy is built, the table of origin
+// pairs a run edge may join: every edge of G and every loop connector
+// (t(H), s(H)). Each pair maps to the leaf hierarchy node whose first
+// edge it is, or 0.
+func (s *Spec) buildPairs() map[uint64]int32 {
+	pairs := make(map[uint64]int32, s.Graph.NumEdges()+len(s.Subgraphs))
 	for u := range s.Graph.NumVertices() {
 		for _, v := range s.Graph.Out(dag.VertexID(u)) {
-			p.set(dag.VertexID(u), v, 0)
+			pairs[pairKey(dag.VertexID(u), v)] = 0
 		}
 	}
-	for i, sub := range s.Subgraphs {
+	for _, sub := range s.Subgraphs {
 		if sub.Kind == Loop {
-			p.set(sub.Sink, sub.Source, 0)
-		}
-		if h := i + 1; len(s.Hier.Children[h]) == 0 {
-			p.set(sub.Edges[0].Tail, sub.Edges[0].Head, int32(h))
+			pairs[pairKey(sub.Sink, sub.Source)] = 0
 		}
 	}
-	return p
+	// Leaders last: a leaf's first edge may also be a loop connector.
+	for i, sub := range s.Subgraphs {
+		if h := i + 1; len(s.Hier.Children[h]) == 0 {
+			pairs[pairKey(sub.Edges[0].Tail, sub.Edges[0].Head)] = int32(h)
+		}
+	}
+	return pairs
 }
+
+// pairKey packs (t, h) into the pair table's key. A uint64 key takes
+// the map's 64-bit fast path, which a [2]dag.VertexID key does not:
+// with it Run.Validate read about twice as slow.
+func pairKey(t, h dag.VertexID) uint64 { return uint64(uint32(t))<<32 | uint64(uint32(h)) }
 
 // regionSets builds V(H) of every hierarchy node as a set, the root's
 // holding every vertex.

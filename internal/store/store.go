@@ -219,25 +219,10 @@ func (st *Store) PutRunSession(name string, r *run.Run, p *plan.Plan, ann *provd
 	}
 	// The canonical document is appended into one pooled buffer and
 	// written from there: the backend does not keep it.
-	bp := bufPool.Get().(*[]byte)
-	*bp = xmlio.AppendRun((*bp)[:0], r, ann, st.specName)
-	defer putBuf(bp)
+	bp := xmlio.GetBuffer()
+	*bp = xmlio.AppendRun(*bp, r, ann, st.specName)
+	defer xmlio.PutBuffer(bp)
 	return st.putRun(name, r, p, ann, *bp, scheme)
-}
-
-// maxPooledBuf bounds the buffers bufPool keeps, so one oversized run
-// does not stay pinned in the pool.
-const maxPooledBuf = 4 << 20
-
-// bufPool holds the buffers the write path encodes run documents and
-// label snapshots into, for backends that do not keep what they are
-// given.
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-func putBuf(bp *[]byte) {
-	if cap(*bp) <= maxPooledBuf {
-		bufPool.Put(bp)
-	}
 }
 
 // PutRunDocument is PutRunSession for a run that arrives as a document:
@@ -279,9 +264,9 @@ func (st *Store) putRun(name string, r *run.Run, p *plan.Plan, ann *provdata.Ann
 	if err != nil {
 		return nil, &InvalidRunError{err}
 	}
-	bp := bufPool.Get().(*[]byte)
-	*bp = l.AppendSnapshot((*bp)[:0])
-	defer putBuf(bp)
+	bp := xmlio.GetBuffer()
+	*bp = l.AppendSnapshot(*bp)
+	defer xmlio.PutBuffer(bp)
 	if err := st.backend.WriteRun(name, doc, *bp); err != nil {
 		return nil, err
 	}

@@ -3,8 +3,10 @@ package xmlio
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/provdata"
 	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/workload"
@@ -47,5 +49,28 @@ func TestCanonicalElementsMatchInOneStep(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A document made mostly of data items sizes the vertex and edge
+// scratch by no more than a pooled document's worth of bytes, however
+// long it is.
+func TestScratchSizingIgnoresData(t *testing.T) {
+	s := spec.PaperSpec()
+	r, _ := run.Figure3Run(s)
+	ann := provdata.RandomItems(r, rand.New(rand.NewSource(1)), 1, 0)
+	for i := range ann.Items {
+		ann.Items[i].Name = strings.Repeat("x", 2*maxPooledBuf/len(ann.Items))
+	}
+	doc := AppendRun(nil, r, ann, "w")
+	if len(doc) <= maxPooledBuf {
+		t.Fatalf("document of %d bytes, want more than %d", len(doc), maxPooledBuf)
+	}
+	d := &runDecoder{buf: doc}
+	if _, _, err := d.decode(s); err != nil {
+		t.Fatal(err)
+	}
+	if cap(d.origin) > maxPooledVertices || cap(d.edges) > maxPooledEdgeEnds || cap(d.graphEdges) > maxPooledEdgeEnds/2 {
+		t.Fatalf("scratch sized by the data: %d origins, %d edge ends, %d graph edges", cap(d.origin), cap(d.edges), cap(d.graphEdges))
 	}
 }

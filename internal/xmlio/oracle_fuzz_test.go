@@ -317,13 +317,31 @@ func TestDecodeRunRetainsNoInput(t *testing.T) {
 	}
 }
 
-// A Document holds exactly the document read, Decode and DecodeRunBytes
-// over its bytes decode it as DecodeRun does without changing those
-// bytes, and the decoded run keeps nothing of the decoder's buffer once
-// the Document is released and the pool has read and decoded something
-// else into it.
+// A Document holds exactly the document read, and Decode decodes it as
+// DecodeRun does without changing it. DecodeRunBytes decodes a slice
+// the caller owns without writing into it, even while the pool reads
+// and decodes other documents, and keeps no reference to it. Neither
+// decoded run shares memory with the bytes it came from: overwriting
+// them afterwards changes nothing.
 func TestReadRunDocumentThenDecodeBytes(t *testing.T) {
 	s, doc := paperDoc(t)
+	want, wantAnn, err := xmlio.DecodeRun(strings.NewReader(doc), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A slice the caller owns, as store.OpenRun passes a borrowed blob.
+	owned := []byte(doc)
+	br, bann, err := xmlio.DecodeRunBytes(owned, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(owned) != doc {
+		t.Fatal("DecodeRunBytes modified its input")
+	}
+	sameDecode(t, br, bann, want, wantAnn)
+	bytesBefore := fmt.Sprintf("%v %q", br.Origin, bann.Items)
+
 	held, err := xmlio.ReadRunDocument(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
@@ -338,25 +356,25 @@ func TestReadRunDocumentThenDecodeBytes(t *testing.T) {
 	if string(held.Bytes()) != doc {
 		t.Fatal("Decode modified the document")
 	}
-	wr, wann, err := xmlio.DecodeRun(strings.NewReader(doc), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDecode(t, r, ann, wr, wann)
-	br, bann, err := xmlio.DecodeRunBytes(held.Bytes(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(held.Bytes()) != doc {
-		t.Fatal("DecodeRunBytes modified the document")
-	}
-	sameDecode(t, br, bann, wr, wann)
+	sameDecode(t, r, ann, want, wantAnn)
 	before := fmt.Sprintf("%v %q", r.Origin, ann.Items)
+	// Overwrite the decoder's buffer before handing it back: whether or
+	// not the pool returns this decoder, nothing decoded may change.
+	for i, b := 0, held.Bytes(); i < len(b); i++ {
+		b[i] = 'z'
+	}
 	held.Release()
-	// Reading and decoding other documents through the pool reuses the
-	// released buffer; the decoded run must not change.
+	if after := fmt.Sprintf("%v %q", r.Origin, ann.Items); after != before {
+		t.Fatalf("decoded run changed with the decoder's buffer:\n%s\n%s", before, after)
+	}
+
+	// Reading and decoding other documents through the pool must not
+	// write into the bytes DecodeRunBytes was given.
 	other := strings.ReplaceAll(doc, "<data>x", "<data>y")
 	for range 3 {
+		if _, _, err := xmlio.DecodeRun(strings.NewReader(other), s); err != nil {
+			t.Fatal(err)
+		}
 		od, err := xmlio.ReadRunDocument(strings.NewReader(other))
 		if err != nil {
 			t.Fatal(err)
@@ -365,6 +383,18 @@ func TestReadRunDocumentThenDecodeBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		od.Release()
+		if _, _, err := xmlio.DecodeRunBytes([]byte(other), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(owned) != doc {
+		t.Fatal("pooled decoding wrote into bytes DecodeRunBytes was given")
+	}
+	for i := range owned {
+		owned[i] = 'z'
+	}
+	if after := fmt.Sprintf("%v %q", br.Origin, bann.Items); after != bytesBefore {
+		t.Fatalf("decoded run changed with its input:\n%s\n%s", bytesBefore, after)
 	}
 	if after := fmt.Sprintf("%v %q", r.Origin, ann.Items); after != before {
 		t.Fatalf("decoded run changed with the decoder's buffer:\n%s\n%s", before, after)

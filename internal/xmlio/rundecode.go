@@ -22,6 +22,18 @@ import (
 // document of a run of about 50,000 vertices.
 const maxPooledBuf = 4 << 20
 
+// maxPooledVertices and maxPooledEdgeEnds bound the vertex and edge
+// scratch a pooled decoder keeps. parse sizes a fresh decoder's scratch
+// in one step: a canonical element takes about 40 bytes, and a run has
+// about as many edges as vertices, so n bytes of document get n/64
+// origins and n/32 edge ends. It reads at most maxPooledBuf bytes, so a
+// stored document that is mostly data items does not size that scratch
+// by its data; release drops a decoder whose scratch outgrew the bound.
+const (
+	maxPooledVertices = maxPooledBuf / 64
+	maxPooledEdgeEnds = maxPooledBuf / 32
+)
+
 var decoderPool = sync.Pool{New: func() any { return new(runDecoder) }}
 
 // DecodeRun reads a run (and its data annotation, if any items are
@@ -151,7 +163,8 @@ type itemRef struct {
 }
 
 func (d *runDecoder) release() {
-	if cap(d.buf) > maxPooledBuf || cap(d.vals) > maxPooledBuf || cap(d.itemText) > maxPooledBuf {
+	if cap(d.buf) > maxPooledBuf || cap(d.vals) > maxPooledBuf || cap(d.itemText) > maxPooledBuf ||
+		cap(d.origin) > maxPooledVertices || cap(d.edges) > maxPooledEdgeEnds || cap(d.graphEdges) > maxPooledEdgeEnds/2 {
 		return
 	}
 	d.buf, d.badModStr = d.buf[:0], ""
@@ -197,14 +210,13 @@ func (d *runDecoder) parse(s *spec.Spec) error {
 	d.open = d.open[:0]
 	d.origin, d.edges, d.items, d.itemText = d.origin[:0], d.edges[:0], d.items[:0], d.itemText[:0]
 	d.badID, d.badMod = -1, -1
-	// Size the vertex and edge scratch from the document once, so a
-	// fresh decoder grows each in one step rather than by doubling: a
-	// canonical element takes about 40 bytes, and a run has about as
-	// many edges as vertices.
-	if est := len(d.buf) / 64; cap(d.origin) < est {
+	// Size the vertex and edge scratch once (see maxPooledVertices),
+	// so a fresh decoder grows each in one step rather than by doubling.
+	n := min(len(d.buf), maxPooledBuf)
+	if est := n / 64; cap(d.origin) < est {
 		d.origin = make([]dag.VertexID, 0, est)
 	}
-	if est := len(d.buf) / 32; cap(d.edges) < est {
+	if est := n / 32; cap(d.edges) < est {
 		d.edges = make([]int64, 0, est)
 	}
 	for {

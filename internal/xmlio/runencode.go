@@ -13,20 +13,36 @@ import (
 	"repro/internal/run"
 )
 
-var encodePool = sync.Pool{New: func() any { return new([]byte) }}
+// bufPool holds the byte buffers run documents and label snapshots are
+// encoded into, here and on the store's write path.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// GetBuffer returns a pooled byte buffer, of length 0, to append a run
+// document or a label snapshot into. Hand it back with PutBuffer once
+// nothing reads it.
+func GetBuffer() *[]byte {
+	bp := bufPool.Get().(*[]byte)
+	*bp = (*bp)[:0]
+	return bp
+}
+
+// PutBuffer returns a buffer GetBuffer gave out, keeping it only up to
+// maxPooledBuf, the bound a pooled decoder's buffer has too.
+func PutBuffer(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		bufPool.Put(bp)
+	}
+}
 
 // EncodeRun writes the run (and, when ann is non-nil, its data items) as
 // XML. Items shared across channels appear on every channel they flow
 // over, identified by name, like x1 in Figure 11. The document is
 // written with a single Write.
 func EncodeRun(w io.Writer, r *run.Run, ann *provdata.Annotation, workflowName string) error {
-	bp := encodePool.Get().(*[]byte)
-	b := AppendRun((*bp)[:0], r, ann, workflowName)
-	_, err := w.Write(b)
-	if cap(b) <= maxPooledBuf {
-		*bp = b
-		encodePool.Put(bp)
-	}
+	bp := GetBuffer()
+	*bp = AppendRun(*bp, r, ann, workflowName)
+	_, err := w.Write(*bp)
+	PutBuffer(bp)
 	if err != nil {
 		return fmt.Errorf("xmlio: encode run: %w", err)
 	}
