@@ -19,9 +19,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/spec"
 	"repro/internal/store"
-	// Registers the fault:// store URL scheme (chaos-testing backend
-	// wrapper), so OpenStoreURL and every CLI accept it.
-	_ "repro/internal/store/faultinject"
+	"repro/internal/store/faultinject"
 	"repro/internal/workload"
 	"repro/internal/xmlio"
 )
@@ -332,9 +330,11 @@ func CreateStore(dir string, s *Spec, name string) (*Store, error) {
 }
 
 // OpenStoreURL opens an existing store from a URL picking the backend:
-// "fs://dir" (a bare path means the same) or "mem://dir" (preload the
-// fs store at dir into RAM and serve from memory).
-func OpenStoreURL(url string) (*Store, error) { return store.OpenURL(url) }
+// "fs://dir" (a bare path means the same), "mem://dir" (preload the
+// fs store at dir into RAM and serve from memory) or
+// "fault://opts/inner-url" (the chaos-testing wrapper around the inner
+// URL's backend).
+func OpenStoreURL(url string) (*Store, error) { return faultinject.OpenURL(url) }
 
 // NewMemStore returns a store over a fresh in-memory backend — the
 // fastest substrate for tests, examples and ephemeral serving.

@@ -912,8 +912,8 @@ func BenchmarkConstructPlan(b *testing.B) {
 
 // BenchmarkIngestStages splits the write path into its stages, each
 // timed alone over the same run. A PUT is decode (read into a pooled
-// decoder, canonical elements matched in one step, and its one
-// run.Validate), plan construction (Section 5, on pooled scratch),
+// decoder, the document matched in one step against the layout
+// AppendRun writes, and its one run.Validate), plan construction (Section 5, on pooled scratch),
 // orders and labels over that plan, SKL2 snapshot encode, and the
 // backend write of the received document and the snapshot to the
 // in-memory store; those stages' sum approximates BenchmarkServerIngest
@@ -923,8 +923,11 @@ func BenchmarkConstructPlan(b *testing.B) {
 // bytes received, it is validated on its own and stored in its
 // canonical encoding. The decode-crlf and decode-data rows decode the
 // same run laid out otherwise (CRLF line endings; one data item per
-// edge on average), where the tokenizer reads what the one-step element
-// match refuses. The decode, validate and plan rows allocate only
+// edge on average), which the one-step match still takes; decode-foreign
+// decodes it with an XML declaration and single-quoted attributes,
+// which the match refuses at its first byte and encoding/xml decodes
+// instead: the price of a body from another writer. The decode,
+// validate and plan rows allocate only
 // what they return on warm scratch, and a decoder fresh from the pool
 // sizes its scratch from the document in one step, so their allocs/op
 // do not depend on how often the pool comes back empty.
@@ -939,10 +942,11 @@ func BenchmarkIngestStages(b *testing.B) {
 		b.Fatal(err)
 	}
 	body := doc.Bytes()
-	// Two documents off the canonical layout: every element of the
-	// first fails the one-step match at its line ending, and each edge
-	// of the second fails it after its start tag, at its <data> child.
+	// Three documents off the exact bytes AppendRun writes: CRLF line
+	// endings and data items stay inside the layout the one-step match
+	// takes, a declaration and single quotes do not.
 	crlf := bytes.ReplaceAll(body, []byte("\n"), []byte("\r\n"))
+	foreign := append([]byte(`<?xml version="1.0" encoding="UTF-8"?>`+"\n"), bytes.ReplaceAll(body, []byte(`"`), []byte(`'`))...)
 	var withData bytes.Buffer
 	if err := repro.WriteRunXML(&withData, r, repro.RandomData(r, rand.New(rand.NewSource(1)), 1, 0.1), "bench"); err != nil {
 		b.Fatal(err)
@@ -977,6 +981,10 @@ func BenchmarkIngestStages(b *testing.B) {
 		}},
 		{"decode-data", func() error {
 			_, _, err := repro.ReadRunXML(bytes.NewReader(withData.Bytes()), r.Spec)
+			return err
+		}},
+		{"decode-foreign", func() error {
+			_, _, err := repro.ReadRunXML(bytes.NewReader(foreign), r.Spec)
 			return err
 		}},
 		{"validate", r.Validate},

@@ -6,7 +6,7 @@
 //
 // The wrapper composes around any backend — fs, mem, or the
 // retry wrapper itself — either in-process via Wrap, or from a store
-// URL once this package is imported:
+// URL through OpenURL:
 //
 //	fault://rate=0.05,seed=7/mem://dir
 //	fault://torn=0.1,latency=2ms/fs:///var/prov
@@ -486,22 +486,32 @@ func parseRate(val string) (float64, error) {
 	return f, nil
 }
 
-// init registers the fault:// scheme: everything up to the first "/" is
-// the ParsePlan option list, the rest is the inner store URL.
-func init() {
-	store.RegisterURLScheme("fault", func(rest string) (store.Backend, error) {
-		opts, innerURL, ok := strings.Cut(rest, "/")
-		if !ok || innerURL == "" {
-			return nil, fmt.Errorf("faultinject: fault:// needs an inner store URL: fault://<opts>/<url>")
-		}
-		plan, err := ParsePlan(opts)
-		if err != nil {
-			return nil, err
-		}
-		inner, err := store.OpenBackendURL(innerURL)
-		if err != nil {
-			return nil, err
-		}
-		return Wrap(inner, plan), nil
-	})
+// OpenURL opens the store a URL names, as store.OpenURL does, and also
+// fault://<opts>/<inner-url>: everything up to the first "/" is the
+// ParsePlan option list, and the rest is the inner store URL, opened
+// through store.OpenBackendURL and wrapped with that plan armed.
+func OpenURL(rawurl string) (*store.Store, error) {
+	rest, ok := strings.CutPrefix(rawurl, "fault://")
+	if !ok {
+		return store.OpenURL(rawurl)
+	}
+	opts, innerURL, ok := strings.Cut(rest, "/")
+	if !ok || innerURL == "" {
+		return nil, fmt.Errorf("faultinject: fault:// needs an inner store URL: fault://<opts>/<url>")
+	}
+	plan, err := ParsePlan(opts)
+	if err != nil {
+		return nil, err
+	}
+	inner, err := store.OpenBackendURL(innerURL)
+	if err != nil {
+		return nil, err
+	}
+	b := Wrap(inner, plan)
+	st, err := store.OpenBackend(b)
+	if err != nil {
+		b.Close()
+		return nil, err
+	}
+	return st, nil
 }

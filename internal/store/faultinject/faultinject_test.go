@@ -308,7 +308,7 @@ func TestParsePlan(t *testing.T) {
 	}
 }
 
-// fault:// composes through store.OpenURL around a real fs store.
+// fault:// composes through OpenURL around a real fs store.
 func TestFaultURLOverFS(t *testing.T) {
 	dir := t.TempDir()
 	if st, err := store.Create(dir, spec.PaperSpec(), "paper"); err != nil {
@@ -317,7 +317,7 @@ func TestFaultURLOverFS(t *testing.T) {
 		st.Close()
 	}
 
-	st, err := store.OpenURL("fault://seed=5/" + dir)
+	st, err := faultinject.OpenURL("fault://seed=5/" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,12 +329,12 @@ func TestFaultURLOverFS(t *testing.T) {
 
 	// failfirst=1 through the URL: the very first backend call (the
 	// spec read during open) fails, so OpenURL itself reports transient.
-	if _, err := store.OpenURL("fault://failfirst=1/fs://" + dir); !store.IsTransient(err) {
+	if _, err := faultinject.OpenURL("fault://failfirst=1/fs://" + dir); !store.IsTransient(err) {
 		t.Fatalf("OpenURL with failfirst=1 = %v, want transient spec-read failure", err)
 	}
 
 	for _, bad := range []string{"fault://", "fault://rate=0.5", "fault://rate=bogus/" + dir} {
-		if _, err := store.OpenURL(bad); err == nil {
+		if _, err := faultinject.OpenURL(bad); err == nil {
 			t.Fatalf("OpenURL(%q) succeeded, want error", bad)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"io/fs"
 	"strings"
-	"sync"
 )
 
 // OpenURL opens an existing store from a URL-style locator:
@@ -15,9 +14,8 @@ import (
 //	mem://dir         preload the fs store at dir into RAM and serve from
 //	                  memory (ephemeral: writes are lost on exit)
 //
-// Additional schemes can be added through RegisterURLScheme; importing
-// internal/store/faultinject registers "fault", a fault-injecting
-// wrapper around any inner URL (fault://rate=0.05,seed=7/fs://dir).
+// faultinject.OpenURL adds "fault", a fault-injecting wrapper around
+// any inner URL (fault://rate=0.05,seed=7/fs://dir).
 //
 // A bare "mem://" cannot be opened — an empty memory store has no
 // specification; build one in-process with NewMem instead.
@@ -32,34 +30,6 @@ func OpenURL(rawurl string) (*Store, error) {
 		return nil, err
 	}
 	return st, nil
-}
-
-// schemes holds the extension openers RegisterURLScheme added; the
-// built-in fs and mem schemes are matched first and cannot be
-// overridden.
-var (
-	schemesMu sync.RWMutex
-	schemes   = make(map[string]func(rest string) (Backend, error))
-)
-
-// RegisterURLScheme makes OpenURL and OpenBackendURL recognize
-// scheme:// by delegating everything after the "://" to open. It is the
-// database/sql-driver pattern for storage substrates: wrapper and
-// remote backends register themselves from their own package's init, so
-// the core store package never imports them. Registering a built-in
-// scheme (fs, mem) or registering the same scheme twice panics —
-// both are wiring bugs, not runtime conditions.
-func RegisterURLScheme(scheme string, open func(rest string) (Backend, error)) {
-	switch scheme {
-	case "fs", "mem":
-		panic("store: cannot override built-in URL scheme " + scheme)
-	}
-	schemesMu.Lock()
-	defer schemesMu.Unlock()
-	if _, dup := schemes[scheme]; dup {
-		panic("store: URL scheme " + scheme + " registered twice")
-	}
-	schemes[scheme] = open
 }
 
 // OpenBackendURL opens just the blob-level backend a store URL names,
@@ -90,13 +60,7 @@ func OpenBackendURL(rawurl string) (Backend, error) {
 		}
 		return mem, nil
 	default:
-		schemesMu.RLock()
-		open, ok := schemes[scheme]
-		schemesMu.RUnlock()
-		if !ok {
-			return nil, fmt.Errorf("store: unknown store URL scheme %q (want fs, mem or a registered scheme)", scheme)
-		}
-		return open(rest)
+		return nil, fmt.Errorf("store: unknown store URL scheme %q (want fs or mem)", scheme)
 	}
 }
 

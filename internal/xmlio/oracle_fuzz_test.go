@@ -106,6 +106,8 @@ func grammarSeeds(doc string) map[string]string {
 		"invalid utf8 cmt":   rep("<vertices>", "<vertices><!-- \xff -->"),
 		"control char":       rep("<vertices>", "<vertices>\x01"),
 		"non-ascii name":     rep("<vertices>", "<vertices><données/>"),
+		"non-ascii attr":     rep(`module="a"`, `module="a" é="1"`),
+		"non-ascii pi":       "<?é?>" + doc,
 		"unclosed":           doc[:len(doc)/2],
 		"space before name":  rep("<vertices>", "< vertices>"),
 		"space in end tag":   all("</edge>", "</edge \n>"),
@@ -138,11 +140,9 @@ func nearCanonicalSeeds(t testing.TB) map[string]string {
 	return seeds
 }
 
-// FuzzDecodeRunOracle pins DecodeRun to encoding/xml: whatever it
-// accepts the reflective decoder accepts with the same origins, edges
-// and annotation, and whatever that decoder rejects it rejects too. The
-// only inputs it may reject that the oracle accepts are the documented
-// divergences.
+// FuzzDecodeRunOracle pins DecodeRun to encoding/xml: it accepts
+// exactly what the reflective decoder accepts, with the same origins,
+// edges and annotation, and rejects the rest with the same error.
 func FuzzDecodeRunOracle(f *testing.F) {
 	s, doc := paperDoc(f)
 	seeds := grammarSeeds(doc)
@@ -175,8 +175,10 @@ func checkAgainstOracle(t *testing.T, s *spec.Spec, input string) {
 		t.Fatalf("accepted what the oracle rejects (%v)", oerr)
 	case err == nil:
 		sameDecode(t, r, ann, or, oann)
-	case oerr == nil && !documentedDivergence(input):
+	case oerr == nil:
 		t.Fatalf("rejected what the oracle accepts: %v", err)
+	case err.Error() != oerr.Error():
+		t.Fatalf("err = %q, oracle err = %q", err, oerr)
 	}
 }
 
@@ -195,7 +197,8 @@ func TestDecodeRunGrammar(t *testing.T) {
 		"unknown in edge", "unknown in data", "nested containers", "self closing", "split vertices",
 		"edges first", "leading text", "byte order mark", "trailing garbage", "second root",
 		"id empty", "id spaced", "id plus", "id unicode space", "from plus", "duplicate id",
-		"duplicate module", "invalid utf8 cmt", "space in end tag",
+		"duplicate module", "invalid utf8 cmt", "space in end tag", "non-ascii name", "non-ascii attr",
+		"non-ascii pi",
 	} {
 		in, ok := seeds[name]
 		if !ok {
@@ -207,11 +210,11 @@ func TestDecodeRunGrammar(t *testing.T) {
 	}
 }
 
-// Where a document departs from the layout the one-step element match
-// takes, the general tokenizer must carry on exactly as the oracle
-// does: every near-canonical variant, and every prefix of a small
-// canonical document, decodes as encoding/xml decodes it or is
-// rejected as it rejects it. The variants that must still decode do.
+// Where a document departs from the layout matchRun takes, the
+// encoding/xml fallback decides: every near-canonical variant, and every
+// prefix of a small canonical document, decodes as encoding/xml decodes
+// it or is rejected with its error, whichever path took it. The
+// variants that must still decode do.
 func TestDecodeRunNearCanonical(t *testing.T) {
 	s := spec.PaperSpec()
 	seeds := nearCanonicalSeeds(t)
@@ -225,7 +228,7 @@ func TestDecodeRunNearCanonical(t *testing.T) {
 		"space before close", "self-closing", "spaced self-closing", "end tag space", "edge data",
 		"edge data indented", "edge unknown child", "vertex child", "prefixed vertex",
 		"prefixed attribute", "comment between", "text between", "entity between", "module char ref",
-		"edge in vertices", "vertex in edges", "vertex before container",
+		"edge in vertices", "vertex in edges", "vertex before container", "data name cr",
 	} {
 		for _, doc := range []string{"items, ", "plain, "} {
 			in, ok := seeds[doc+name]
@@ -243,24 +246,10 @@ func TestDecodeRunNearCanonical(t *testing.T) {
 	}
 }
 
-// The documented divergences, one test each: inputs encoding/xml
-// accepts and DecodeRun rejects by design.
+// The one way DecodeRun departs from encoding/xml: it reads the whole
+// body, so a read error after the root element fails the decode.
 func TestDecodeRunDivergences(t *testing.T) {
 	s, doc := paperDoc(t)
-	t.Run("non-ascii names", func(t *testing.T) {
-		for _, in := range []string{
-			strings.Replace(doc, "<vertices>", "<vertices><données/>", 1),
-			strings.Replace(doc, `module="a"`, `module="a" é="1"`, 1),
-			"<?é?>" + doc,
-		} {
-			if _, _, err := oracleDecodeRun(strings.NewReader(in), s); err != nil {
-				t.Fatalf("oracle rejects %q: %v", in[:40], err)
-			}
-			if _, _, err := xmlio.DecodeRun(strings.NewReader(in), s); err == nil {
-				t.Fatal("non-ASCII name accepted")
-			}
-		}
-	})
 	t.Run("read error after the root", func(t *testing.T) {
 		// The oracle stops reading at </run>; DecodeRun reads the whole
 		// body, so a failure after the root still fails the decode.

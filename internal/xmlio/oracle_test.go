@@ -5,43 +5,24 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"repro/internal/dag"
 	"repro/internal/provdata"
 	"repro/internal/run"
 	"repro/internal/spec"
+	"repro/internal/xmlio"
 )
 
-// The reflective run codec the hand-written one replaced. It is the
-// oracle: DecodeRun must accept only what oracleDecodeRun accepts (and
-// decode it identically), and EncodeRun must write oracleEncodeRun's
-// bytes.
-
-type xmlRun struct {
-	XMLName  xml.Name     `xml:"run"`
-	Workflow string       `xml:"workflow,attr,omitempty"`
-	Vertices []xmlVertex  `xml:"vertices>vertex"`
-	Edges    []xmlRunEdge `xml:"edges>edge"`
-}
-
-type xmlVertex struct {
-	ID     int    `xml:"id,attr"`
-	Module string `xml:"module,attr"`
-}
-
-type xmlRunEdge struct {
-	From  int      `xml:"from,attr"`
-	To    int      `xml:"to,attr"`
-	Items []string `xml:"data,omitempty"`
-}
+// The reflective run codec over the schema the decoder falls back to.
+// It is the oracle: DecodeRun must accept exactly what oracleDecodeRun
+// accepts (and decode it identically), and EncodeRun must write
+// oracleEncodeRun's bytes.
 
 func oracleEncodeRun(w io.Writer, r *run.Run, ann *provdata.Annotation, workflowName string) error {
-	x := xmlRun{Workflow: workflowName}
+	x := xmlio.XMLRun{Workflow: workflowName}
 	for v := 0; v < r.NumVertices(); v++ {
-		x.Vertices = append(x.Vertices, xmlVertex{ID: v, Module: string(r.Spec.NameOf(r.Origin[v]))})
+		x.Vertices = append(x.Vertices, xmlio.XMLVertex{ID: v, Module: string(r.Spec.NameOf(r.Origin[v]))})
 	}
 	itemsOn := make(map[dag.Edge][]string)
 	if ann != nil {
@@ -53,7 +34,7 @@ func oracleEncodeRun(w io.Writer, r *run.Run, ann *provdata.Annotation, workflow
 		}
 	}
 	for _, e := range r.Graph.Edges() {
-		x.Edges = append(x.Edges, xmlRunEdge{From: int(e.Tail), To: int(e.Head), Items: itemsOn[e]})
+		x.Edges = append(x.Edges, xmlio.XMLRunEdge{From: int(e.Tail), To: int(e.Head), Items: itemsOn[e]})
 	}
 	enc := xml.NewEncoder(w)
 	enc.Indent("", "  ")
@@ -66,7 +47,7 @@ func oracleEncodeRun(w io.Writer, r *run.Run, ann *provdata.Annotation, workflow
 }
 
 func oracleDecodeRun(rd io.Reader, s *spec.Spec) (*run.Run, *provdata.Annotation, error) {
-	var x xmlRun
+	var x xmlio.XMLRun
 	if err := xml.NewDecoder(rd).Decode(&x); err != nil {
 		return nil, nil, fmt.Errorf("xmlio: decode run: %w", err)
 	}
@@ -145,53 +126,6 @@ func sameDecode(t *testing.T, r *run.Run, ann *provdata.Annotation, or *run.Run,
 	if got, want := fmt.Sprintf("%q", ann.Items), fmt.Sprintf("%q", oann.Items); got != want {
 		t.Fatalf("items %s, oracle %s", got, want)
 	}
-}
-
-// documentedDivergence reports whether input is one the oracle accepts
-// but DecodeRun rejects by design (see the package documentation): an
-// element, attribute or processing-instruction name outside ASCII among
-// the tokens the oracle reads.
-func documentedDivergence(input string) bool {
-	d := xml.NewDecoder(strings.NewReader(input))
-	depth := 0
-	for {
-		tok, err := d.RawToken()
-		if err != nil {
-			return false
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if !ascii(t.Name.Space) || !ascii(t.Name.Local) {
-				return true
-			}
-			for _, a := range t.Attr {
-				if !ascii(a.Name.Space) || !ascii(a.Name.Local) {
-					return true
-				}
-			}
-			depth++
-		case xml.EndElement:
-			if !ascii(t.Name.Space) || !ascii(t.Name.Local) {
-				return true
-			}
-			if depth--; depth == 0 {
-				return false
-			}
-		case xml.ProcInst:
-			if !ascii(t.Target) {
-				return true
-			}
-		}
-	}
-}
-
-func ascii(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			return false
-		}
-	}
-	return true
 }
 
 // canonical encodes through the oracle encoder, for comparisons.

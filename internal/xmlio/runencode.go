@@ -178,3 +178,12 @@ func appendEscaped(b []byte, s string) []byte {
 	}
 	return append(b, s[last:]...)
 }
+
+func isInCharacterRange(r rune) bool {
+	return r == 0x09 ||
+		r == 0x0A ||
+		r == 0x0D ||
+		r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD ||
+		r >= 0x10000 && r <= 0x10FFFF
+}

@@ -1,11 +1,12 @@
 // Package xmliotest holds test inputs shared by the run decoder's
 // oracle tests (internal/xmlio) and the PUT path's fuzz target
 // (internal/server): near-canonical variants of a canonical run
-// document. The decoder matches a <vertex> or <edge> element laid out
-// as xmlio.AppendRun writes it in one step and hands anything else to
-// its general tokenizer; each variant departs from that layout at one
-// place, so the two paths must agree on where one ends and the other
-// takes over.
+// document. The decoder matches a whole document laid out as
+// xmlio.AppendRun writes it in one step and hands anything else to
+// encoding/xml; each variant departs from that layout at one place, or
+// stays inside it where the layout is easy to misread (white space is
+// indentation only between elements), so the two paths must agree on
+// where one ends and the other takes over.
 package xmliotest
 
 import (
@@ -40,6 +41,7 @@ func NearCanonical(doc string) map[string]string {
 		"module char ref":         vertexWith(fmt.Sprintf(`id="0" module="&#%d;%s"`, module[0], module[1:])),
 		"module non-ascii":        vertexWith(`id="0" module="` + module + `é"`),
 		"module tab":              vertexWith(`id="0" module="` + module + "\t\""),
+		"module cr tab":           vertexWith(`id="0" module="` + module + "\r\t\""),
 		"module empty":            vertexWith(`id="0" module=""`),
 		"crlf":                    all("\n", "\r\n"),
 		"cr indent":               rep("\n    <vertex", "\r    <vertex"),
@@ -70,6 +72,7 @@ func NearCanonical(doc string) map[string]string {
 		"end tag space":           rep("</vertex>", "</vertex >"),
 		"edge data":               rep(edge+"</edge>", edge+"<data>x9</data></edge>"),
 		"edge data indented":      rep(edge+"</edge>", edge+"\n      <data>x9</data>\n    </edge>"),
+		"data name cr":            rep(edge, edge+"\n      <data>x\r9</data>"),
 		"edge unknown child":      rep(edge+"</edge>", edge+"<w/></edge>"),
 		"vertex child":            rep(vertex+"</vertex>", vertex+"<note/></vertex>"),
 		"prefixed vertex":         rep(vertex+"</vertex>", "<x:vertex"+vertex[len("<vertex"):]+"</x:vertex>"),
