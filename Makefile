@@ -124,7 +124,8 @@ fuzz-seeds:
 # labels from plan.Construct's on every vertex pair of random runs
 # (internal/core), and the event-log parser against the
 # bufio/Sscanf parser it replaced (internal/events), the /batch and
-# /rpq request decoders against encoding/json (internal/server), and the
+# /rpq request decoders against encoding/json in both directions
+# (internal/server), and the
 # vertex namer, grown by Add and built in two counting passes, against
 # Run.NameOf and each other
 # (internal/run), graphs built by dag.FromEdges against plain
@@ -133,7 +134,9 @@ fuzz-seeds:
 # it replaced (internal/rpq), one verdict per event log from
 # events.Replay and a live session, with the same reachability when
 # both accept (internal/live), the query-string scanner against
-# url.ParseQuery (internal/server), and the PUT write
+# url.ParseQuery, whole /rpq requests end to end (never a 5xx), the
+# response writer's string escaper (whose jsonPlain table the request
+# matcher shares) against encoding/json (internal/server), and the PUT write
 # path (internal/server), where every
 # accepted body must be stored byte for byte and say what its run's
 # canonical encoding says. The seed corpora of every fuzz target already run in
@@ -155,6 +158,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRPQEvalOracle -fuzztime 30s ./internal/rpq/
 	$(GO) test -run '^$$' -fuzz FuzzReplayVerdict -fuzztime 30s ./internal/live/
 	$(GO) test -run '^$$' -fuzz FuzzQueryOracle -fuzztime 30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzServerRPQ -fuzztime 30s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzAppendJSONString -fuzztime 30s ./internal/server/
 
 # Static analysis: cmd/provlint runs the repo-specific analyzer suite
 # (internal/lint — %w wrapping in the store, documented lock discipline,

@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"repro/internal/dag"
 	"repro/internal/label"
@@ -117,7 +117,6 @@ func TestParseBatchRequestErrors(t *testing.T) {
 		`{"run":"r","pairs":[["a","b"]]`,       // unterminated
 		`{"x":-,"run":"r","pairs":[[0,1]]}`,    // bare minus in skipped number
 		`{"x":"\q","run":"r","pairs":[[0,1]]}`, // bad escape in skipped string
-		strings.Repeat(`{"x":`, 100) + `1` + strings.Repeat(`}`, 100), // deep nesting in a skipped key
 		// Numbers outside the JSON grammar, as a pair element or in a
 		// skipped key.
 		`{"run":"r","pairs":[[01,2]]}`,
@@ -228,93 +227,285 @@ func TestBatchByteIdentical(t *testing.T) {
 	}
 }
 
-// FuzzBatchRequestOracle checks the /batch decoder against
-// encoding/json: a body parseBatchRequest accepts is valid JSON, and
-// its run and pair texts are what encoding/json decodes into the old
-// request struct, its pair elements widened from strings to strings or
-// numbers. Bodies in the decoder's two documented divergences (keys
-// that only case-folding matches, invalid UTF-8) are skipped.
+// batchOracle decodes body as encoding/json decodes it into the /batch
+// request: accepted iff encoding/json accepts it and every pair holds
+// two elements, each a string or a JSON number that is a bare
+// non-negative integer (kept as its text).
+func batchOracle(body string) (run string, pairs [][]any, ok bool) {
+	if !json.Valid([]byte(body)) {
+		return "", nil, false
+	}
+	var req struct {
+		Run   string  `json:"run"`
+		Pairs [][]any `json:"pairs"`
+	}
+	dec := json.NewDecoder(strings.NewReader(body))
+	dec.UseNumber()
+	if dec.Decode(&req) != nil {
+		return "", nil, false
+	}
+	for _, pair := range req.Pairs {
+		if len(pair) != 2 {
+			return "", nil, false
+		}
+		for _, e := range pair {
+			switch e := e.(type) {
+			case string:
+			case json.Number:
+				if strings.Trim(e.String(), "0123456789") != "" {
+					return "", nil, false
+				}
+			default:
+				return "", nil, false
+			}
+		}
+	}
+	return req.Run, req.Pairs, true
+}
+
+// checkBatch fails t unless sc holds run and pairs as batchOracle
+// decoded them: string elements by their text, numbers by their digits
+// and value (a value past 2^30 need only resolve to no vertex).
+func checkBatch(t *testing.T, body string, sc *batchScratch, run string, pairs [][]any) {
+	t.Helper()
+	if string(sc.run) != run || len(sc.tokens) != len(pairs) {
+		t.Fatalf("%q: run %q with %d pairs, encoding/json %q with %d", body, sc.run, len(sc.tokens), run, len(pairs))
+	}
+	for i, pair := range pairs {
+		for k, e := range pair {
+			tok := sc.tokens[i][k]
+			text, ok := e.(string)
+			if ok {
+				ok = string(tok.raw) == text && tok.id == -1
+			} else {
+				text = e.(json.Number).String()
+				v, err := strconv.ParseUint(text, 10, 64)
+				ok = string(tok.raw) == text && tok.id >= 0 &&
+					(err == nil && v < 1<<30 && tok.id == int(v) || (err != nil || v >= 1<<30) && tok.id >= 1<<30)
+			}
+			if !ok {
+				t.Fatalf("%q: pair %d element %d = %q (id %d), encoding/json %#v", body, i, k, tok.raw, tok.id, e)
+			}
+		}
+	}
+}
+
+// rpqOracle decodes body as encoding/json decodes it into the /rpq
+// request.
+func rpqOracle(body string) (fields [4]string, ok bool) {
+	var req struct{ Run, From, To, Pattern string }
+	if json.Unmarshal([]byte(body), &req) != nil {
+		return fields, false
+	}
+	return [4]string{req.Run, req.From, req.To, req.Pattern}, true
+}
+
+func rpqFields(sc *batchScratch) [4]string {
+	return [4]string{string(sc.run), string(sc.from), string(sc.to), string(sc.pattern)}
+}
+
+// TestMatchTakesMarshalLayout pins the split between the one-step
+// matcher and encoding/json: every body an in-repo writer produces is
+// matched, and each way off json.Marshal's layout is declined and then
+// decoded as encoding/json decodes it.
+func TestMatchTakesMarshalLayout(t *testing.T) {
+	perfbench, err := json.Marshal(map[string]any{"run": "run-003", "pairs": [][2]string{{"v12", "a1"}, {"0", "b27"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loadgen bytes.Buffer
+	fmt.Fprintf(&loadgen, `{"run":%q,"pairs":[`, "run-017")
+	for i, p := range [][2]int{{0, 7}, {12, 4999}, {1000000, 3}} {
+		if i > 0 {
+			loadgen.WriteByte(',')
+		}
+		fmt.Fprintf(&loadgen, "[%d,%d]", p[0], p[1])
+	}
+	loadgen.WriteString("]}")
+	batches := []string{
+		string(perfbench),
+		loadgen.String(),
+		`{"run":"r1","pairs":[["b1","c3"],[12,34]]}`, // README's curl body
+		`{"pairs":[],"run":"r"}`,
+		`{}`,
+	}
+	for _, body := range batches {
+		sc := getBatchScratch()
+		if _, ok := matchBatch([]byte(body), sc, 100); !ok {
+			t.Errorf("matchBatch declined %s", body)
+		} else {
+			run, pairs, _ := batchOracle(body)
+			checkBatch(t, body, sc, run, pairs)
+		}
+		sc.release()
+	}
+	var rpqs []string
+	for _, m := range []map[string]string{
+		{"run": "run-003", "from": "v12", "to": "a1", "pattern": "(a|b)* d|."},
+		{"run": "r1", "from": "0", "to": "4999", "pattern": "()"},
+		{"run": "r1", "pattern": "."},
+	} {
+		body, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rpqs = append(rpqs, string(body))
+	}
+	for _, body := range rpqs {
+		sc := getBatchScratch()
+		want, _ := rpqOracle(body)
+		if !matchRPQ([]byte(body), sc) {
+			t.Errorf("matchRPQ declined %s", body)
+		} else if got := rpqFields(sc); got != want {
+			t.Errorf("%s: matched %q, encoding/json %q", body, got, want)
+		}
+		sc.release()
+	}
+
+	for _, c := range []struct{ why, batch, rpq string }{
+		{"spaces", `{"run": "r1","pairs":[[1, 2]]}`, `{"run":"r1", "from":"0","to":"1","pattern":"."}`},
+		{"an escape", `{"run":"r\u0031","pairs":[[1,2]]}`, `{"run":"r1","from":"0","to":"1","pattern":"\\."}`},
+		{"a raw <", `{"run":"r1","pairs":[["a<b",2]]}`, `{"run":"r1","from":"0","to":"1","pattern":"a<b"}`},
+		{"non-ASCII", `{"run":"r1","pairs":[["é",2]]}`, `{"run":"r1","from":"é","to":"1","pattern":"."}`},
+		{"a repeated key", `{"run":"r1","pairs":[[1,2]],"run":"r2"}`, `{"run":"r1","from":"0","to":"1","pattern":".","to":"2"}`},
+		{"an unknown key", `{"run":"r1","pairs":[[1,2]],"n":1}`, `{"run":"r1","from":"0","to":"1","x":"","pattern":"."}`},
+		{"a case-folded key", `{"Run":"r1","pairs":[[1,2]]}`, `{"run":"r1","FROM":"0","to":"1","pattern":"."}`},
+		{"null", `{"run":"r1","pairs":null}`, `{"run":null,"from":"0","to":"1","pattern":"."}`},
+		{"1.5", `{"run":"r1","pairs":[[1.5,2]]}`, ""},
+		{"-1", `{"run":"r1","pairs":[[-1,2]]}`, ""},
+	} {
+		sc := getBatchScratch()
+		if _, ok := matchBatch([]byte(c.batch), sc, 100); ok {
+			t.Errorf("%s: matchBatch took %s", c.why, c.batch)
+		}
+		sc.resetRequest()
+		err := parseBatchRequest([]byte(c.batch), sc, 100)
+		if run, pairs, ok := batchOracle(c.batch); !ok {
+			if err == nil {
+				t.Errorf("%s: accepted %s, which encoding/json refuses", c.why, c.batch)
+			}
+		} else if err != nil {
+			t.Errorf("%s: %s: %v", c.why, c.batch, err)
+		} else {
+			checkBatch(t, c.batch, sc, run, pairs)
+		}
+		if c.rpq != "" {
+			sc.resetRequest()
+			if matchRPQ([]byte(c.rpq), sc) {
+				t.Errorf("%s: matchRPQ took %s", c.why, c.rpq)
+			}
+			sc.resetRequest()
+			want, _ := rpqOracle(c.rpq)
+			if err := parseRPQRequest([]byte(c.rpq), sc); err != nil {
+				t.Errorf("%s: %s: %v", c.why, c.rpq, err)
+			} else if got := rpqFields(sc); got != want {
+				t.Errorf("%s: %s decoded %q, encoding/json %q", c.why, c.rpq, got, want)
+			}
+		}
+		sc.release()
+	}
+}
+
+// TestRequestBodiesDecodeAsEncodingJSON pins, over HTTP, the answers a
+// body off json.Marshal's layout gets now that encoding/json decodes
+// it: case-folded keys, invalid UTF-8, nulls, deep unknown values,
+// over-limit bodies and encoding/json's own error texts.
+func TestRequestBodiesDecodeAsEncodingJSON(t *testing.T) {
+	_, st := newTestStore(t)
+	s := newTestServer(t, st, 4, 4)
+	deep := strings.Repeat(`{"x":`, 100) + `1` + strings.Repeat(`}`, 100)
+	jsonErr := func(body string, req any) string { return json.Unmarshal([]byte(body), req).Error() }
+	for _, c := range []struct {
+		why, target, body string
+		status            int
+		want              string // in the response body
+	}{
+		{"case-folded keys", "/batch", `{"RUN":"alpha","Pairs":[["a1","h1"]]}`, 200, `"run":"alpha","count":1`},
+		{"case-folded keys", "/rpq", `{"Run":"alpha","FROM":"a1","to":"h1","Pattern":".*"}`, 200, `"match":`},
+		{"raw invalid UTF-8", "/batch", "{\"run\":\"alpha\",\"pairs\":[[\"a1\xff\",\"h1\"]]}", 404, "a1�"},
+		{"null pairs", "/batch", `{"run":"alpha","pairs":null}`, 200, `"count":0,"results":[]`},
+		{"null run", "/batch", `{"run":null,"pairs":[]}`, 400, "missing 'run'"},
+		{"null run", "/rpq", `{"run":null,"from":"a1","to":"h1","pattern":"."}`, 400, "missing 'run'"},
+		{"null from", "/rpq", `{"run":"alpha","from":null,"to":"h1","pattern":"."}`, 400, "missing 'from' or 'to'"},
+		{"null to", "/rpq", `{"run":"alpha","from":"a1","to":null,"pattern":"."}`, 400, "missing 'from' or 'to'"},
+		{"deep unknown key", "/batch", deep, 400, "missing 'run'"},
+		{"deep unknown key", "/batch", `{"run":"alpha","x":` + deep + `,"pairs":[["a1","h1"]]}`, 200, `"count":1`},
+		{"over the limit and malformed", "/batch", `{"run":"alpha","pairs":[[0,1],[0,1],[0,1],[0,1],[0,1],]}`, 400, "invalid character ']'"},
+		{"over the limit, one bad pair", "/batch", `{"run":"alpha","pairs":[[0,1],[0,1],[0,1],[0,1],[0]]}`, 400, "pair 4 has 1 elements"},
+		{"over the limit, spaced", "/batch", `{"run":"alpha", "pairs":[[0,1],[0,1],[0,1],[0,1],[0,1]]}`, 413, "batch exceeds limit of 4 pairs"},
+		{"a bad element", "/batch", `{"run":"alpha","pairs":[[0,1],[true,1]]}`, 400, "pair 1: element 0 is not a string"},
+		{"syntax", "/batch", "{not json", 400, jsonErr("{not json", new(batchRequest))},
+		{"a wrong type", "/batch", `{"run":1}`, 400, jsonErr(`{"run":1}`, new(batchRequest))},
+		{"a wrong type", "/rpq", `{"run":"alpha","from":1}`, 400, jsonErr(`{"run":"alpha","from":1}`, new(rpqRequest))},
+		{"trailing data", "/rpq", `{"run":"alpha","from":"a1","to":"h1","pattern":"."} x`, 400, "invalid character 'x' after top-level value"},
+	} {
+		rec := do(t, s, "POST", c.target, c.body, nil)
+		if rec.Code != c.status || !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("%s: POST %s %.60q: %d %s, want %d with %q", c.why, c.target, c.body, rec.Code, rec.Body.String(), c.status, c.want)
+		}
+	}
+}
+
+// FuzzBatchRequestOracle holds the /batch decoder to encoding/json in
+// both directions: parseBatchRequest accepts exactly the bodies
+// batchOracle accepts, with the same run and pairs, and over a limit of
+// two pairs answers errBatchTooLarge exactly for accepted bodies of
+// more.
 func FuzzBatchRequestOracle(f *testing.F) {
 	for _, body := range []string{
 		`{"run":"r1","pairs":[["b1","c3"],[12,34],["12",7]]}`,
+		`{"pairs":[["v12","a1"],["0","b27"]],"run":"run-003"}`,
 		`{"pairs":[],"run":"r2"}`,
 		` { "run" : "r1" , "pairs" : [ [ "a1" , 0 ] ] } `,
 		`{"run":"r1","debug":true,"opts":{"a":[1,{"b":null}],"s":"x,][}"},"n":-1.5e3,"pairs":[["a1","b2"]]}`,
 		`{"run":"r\u0031","pairs":[["\ud83d\ude00","b\n1"],["\ud800\u0041","\udc00"]]}`,
 		`{"run":"a","pairs":[[1,2]],"run":"b","pairs":[[3,4],[5,6]]}`,
-		`{"run":"r","pairs":[[99999999999999999999,0]],"n":[0,-0,0.5,1E+2,2e-3]}`,
+		`{"pairs":[[1,2]],"pairs":[[3,4]],"run":"r"}`,
+		`{"run":"r","pairs":[[99999999999999999999,0],[2147483629,2147483630]],"n":[0,-0,0.5,1E+2,2e-3]}`,
 		`{"run":"r","pairs":[[01,2]]}`,
 		`{"run":"r","pairs":[[1,2]],"n":1.2.3}`,
+		`{"run":"r","pairs":[[1,2],[3]]}`,
+		`{"run":"r","pairs":[[1,2],[3,4],[5,6]]}`,
+		`{"run":"r","pairs":null}`,
+		`{"run":null,"pairs":[[null,1]]}`,
 		`{"RUN":"r","Pairs":[[1,2]]}`,
 		"{\"run\":\"r\xff\",\"pairs\":[]}",
+		`{"run":"<&>","pairs":[["é","1"]]}`,
 	} {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
-		sc := getBatchScratch()
-		defer sc.release()
-		if parseBatchRequest([]byte(body), sc, 1<<20) != nil {
-			return
-		}
-		if !json.Valid([]byte(body)) {
-			t.Fatalf("accepted invalid JSON %q", body)
-		}
-		if !utf8.ValidString(body) || hasFoldedKey(t, body, "run", "pairs") {
-			return
-		}
-		var req struct {
-			Run   string   `json:"run"`
-			Pairs [][2]any `json:"pairs"`
-		}
-		dec := json.NewDecoder(strings.NewReader(body))
-		dec.UseNumber()
-		if err := dec.Decode(&req); err != nil {
-			t.Fatalf("accepted %q, encoding/json: %v", body, err)
-		}
-		if string(sc.run) != req.Run || len(sc.tokens) != len(req.Pairs) {
-			t.Fatalf("%q: run %q with %d pairs, encoding/json %q with %d", body, sc.run, len(sc.tokens), req.Run, len(req.Pairs))
-		}
-		for i, pair := range req.Pairs {
-			for k, e := range pair {
-				tok := sc.tokens[i][k]
-				text, _ := e.(string)
-				n, numeric := e.(json.Number)
-				if numeric {
-					text = n.String()
+		run, pairs, ok := batchOracle(body)
+		for _, limit := range []int{1 << 20, 2} {
+			sc := getBatchScratch()
+			err := parseBatchRequest([]byte(body), sc, limit)
+			switch {
+			case !ok:
+				if err == nil || errors.Is(err, errBatchTooLarge) {
+					t.Fatalf("limit %d: %q, which encoding/json refuses: err %v", limit, body, err)
 				}
-				if string(tok.raw) != text || (tok.id >= 0) != numeric {
-					t.Fatalf("%q: pair %d element %d = %q (id %d), encoding/json %#v", body, i, k, tok.raw, tok.id, e)
+			case len(pairs) > limit:
+				if !errors.Is(err, errBatchTooLarge) {
+					t.Fatalf("limit %d: %q holds %d pairs: err %v", limit, body, len(pairs), err)
 				}
+			case err != nil:
+				t.Fatalf("limit %d: refused %q, which encoding/json accepts: %v", limit, body, err)
+			default:
+				checkBatch(t, body, sc, run, pairs)
 			}
+			sc.release()
 		}
 	})
 }
 
-// hasFoldedKey reports whether the object body has a top-level key that
-// encoding/json matches to one of fields only by case-folding.
-func hasFoldedKey(t *testing.T, body string, fields ...string) bool {
-	var keys map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(body), &keys); err != nil {
-		t.Fatal(err)
-	}
-	for k := range keys {
-		for _, f := range fields {
-			if k != f && strings.EqualFold(k, f) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// FuzzRPQRequestOracle holds the /rpq body decoder to encoding/json: a
-// body it accepts is valid JSON, and its four fields are what
-// encoding/json decodes into the struct the handler used to unmarshal
-// (the documented divergences aside: exact key match, raw invalid UTF-8
-// kept).
+// FuzzRPQRequestOracle holds the /rpq body decoder to encoding/json in
+// both directions: parseRPQRequest accepts exactly the bodies
+// json.Unmarshal accepts into the request struct, with the same four
+// fields.
 func FuzzRPQRequestOracle(f *testing.F) {
 	for _, body := range []string{
 		`{"run":"r1","from":"b1","to":"c3","pattern":".*"}`,
+		`{"from":"v12","pattern":"(a|b)* d","run":"run-003","to":"a1"}`,
 		`{"pattern":"(a|b)* d","to":"7","from":"0","run":"r2"}`,
 		` { "run" : "r1" , "from" : "0" , "to" : "1" , "pattern" : "()" } `,
 		`{"run":"r1","debug":true,"opts":{"a":[1,{"b":null}],"s":"x,][}"},"n":-1.5e3,"from":"a1","to":"b2","pattern":"."}`,
@@ -323,36 +514,28 @@ func FuzzRPQRequestOracle(f *testing.F) {
 		`{"run":"r","from":null,"to":"1","pattern":"."}`,
 		`{"run":"r","from":0,"to":"1","pattern":"."}`,
 		`{"run":"r","pattern":"."}`,
+		`{}`,
 		`{"RUN":"r","From":"0","TO":"1","Pattern":"."}`,
 		"{\"run\":\"r\xff\",\"from\":\"0\",\"to\":\"1\",\"pattern\":\".\"}",
 		`{"run":"r","from":"0","to":"1","pattern":"."} x`,
+		`{"run":"r","from":"0","to":"1","pattern":"a<b&c"}`,
 	} {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
 		sc := getBatchScratch()
 		defer sc.release()
-		if parseRPQRequest([]byte(body), sc) != nil {
-			return
-		}
-		if !json.Valid([]byte(body)) {
-			t.Fatalf("accepted invalid JSON %q", body)
-		}
-		if !utf8.ValidString(body) || hasFoldedKey(t, body, "run", "from", "to", "pattern") {
-			return
-		}
-		var req struct {
-			Run     string `json:"run"`
-			From    string `json:"from"`
-			To      string `json:"to"`
-			Pattern string `json:"pattern"`
-		}
-		if err := json.Unmarshal([]byte(body), &req); err != nil {
-			t.Fatalf("accepted %q, encoding/json: %v", body, err)
-		}
-		got := [4]string{string(sc.run), string(sc.from), string(sc.to), string(sc.pattern)}
-		if want := [4]string{req.Run, req.From, req.To, req.Pattern}; got != want {
-			t.Fatalf("%q: decoded %q, encoding/json %q", body, got, want)
+		err := parseRPQRequest([]byte(body), sc)
+		want, ok := rpqOracle(body)
+		switch {
+		case !ok && err == nil:
+			t.Fatalf("accepted %q, which encoding/json refuses", body)
+		case ok && err != nil:
+			t.Fatalf("refused %q, which encoding/json accepts: %v", body, err)
+		case ok:
+			if got := rpqFields(sc); got != want {
+				t.Fatalf("%q: decoded %q, encoding/json %q", body, got, want)
+			}
 		}
 	})
 }

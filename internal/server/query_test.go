@@ -8,9 +8,9 @@ import (
 // queryKeys are the parameter names the handlers read.
 var queryKeys = []string{"run", "from", "to", "vertex", "dir", "offset"}
 
-// FuzzQueryOracle holds queryParam to the map-building parser it
-// replaced: for any raw query and key, it must return what
-// url.ParseQuery(raw).Get(key) returns.
+// FuzzQueryOracle holds queryParam to url.ParseQuery: for any raw
+// query and key, it must return what url.ParseQuery(raw).Get(key)
+// returns, whether it scans raw in place or hands it over.
 func FuzzQueryOracle(f *testing.F) {
 	for _, seed := range []struct{ raw, key string }{
 		{"run=r1&from=b2&to=h1", "run"},
@@ -43,21 +43,16 @@ func FuzzQueryOracle(f *testing.F) {
 	})
 }
 
-// TestQueryParamAllocs pins the scanner's one allocation: a value that
-// needs unescaping. A plain value is a substring of the raw query.
+// TestQueryParamAllocs pins the in-place scan: a query with no '%', '+'
+// or ';' costs no allocation, and its value is a substring of raw.
 func TestQueryParamAllocs(t *testing.T) {
-	for _, c := range []struct {
-		raw, key string
-		allocs   float64
-	}{
-		{"run=r1&from=b2&to=h1", "to", 0},
-		{"run=r1&from=b2&to=h1", "missing", 0},
-		{"r%75n=r1", "run", 0},
-		{"run=a+b", "run", 1},
-		{"run=%41", "run", 1},
+	for _, c := range []struct{ raw, key string }{
+		{"run=r1&from=b2&to=h1", "to"},
+		{"run=r1&from=b2&to=h1", "missing"},
+		{"&&=x&run&run=r2", "run"},
 	} {
-		if got := testing.AllocsPerRun(100, func() { queryParam(c.raw, c.key) }); got != c.allocs {
-			t.Errorf("queryParam(%q, %q): %v allocs, want %v", c.raw, c.key, got, c.allocs)
+		if got := testing.AllocsPerRun(100, func() { queryParam(c.raw, c.key) }); got != 0 {
+			t.Errorf("queryParam(%q, %q): %v allocs, want 0", c.raw, c.key, got)
 		}
 	}
 }

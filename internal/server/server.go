@@ -53,8 +53,10 @@
 // sets it. Everything else is the mux's: the {name} routes, unclean or
 // escaped paths and their redirects. A request no route matches keeps
 // the mux's own plain-text 404 or 405 and counts as "other". Query
-// parameters are read by one map-free scan of the raw query string
-// (queryParam), which answers what url.ParseQuery's Get would.
+// parameters come from queryParam, which answers what url.ParseQuery's
+// Get would: a raw query with no '%', '+' or ';' (what url.Values.Encode
+// writes over plain names) is scanned in place, any other is handed to
+// url.ParseQuery.
 //
 // Vertices are addressed by occurrence name ("b2" = second execution of
 // module b) or by numeric vertex ID, resolved the same way for every
@@ -106,11 +108,12 @@
 // (three integer columns, about 13 bytes per vertex); only /rpq and
 // finished-run status decode the run document.
 //
-// /batch is the allocation-critical path: request decode, pair
-// resolution and batch evaluation run in pooled per-request scratch
-// (see batchcodec.go), the response in the pooled writer, and batches
-// of 1024 pairs or more fan out across GOMAXPROCS CPUs through the
-// labeling's parallel batch evaluator.
+// /batch is the allocation-critical path: a body in the layout
+// json.Marshal writes is matched in one step (any other goes to
+// encoding/json; see batchcodec.go), pair resolution and batch
+// evaluation run in pooled per-request scratch, the response in the
+// pooled writer, and batches of 1024 pairs or more fan out across
+// GOMAXPROCS CPUs through the labeling's parallel batch evaluator.
 //
 // Every endpoint except /healthz sits behind an admission-control layer
 // (admission.go): a bounded concurrency gate with a bounded wait queue,

@@ -17,7 +17,7 @@ import (
 // faultinject.OpenURL adds "fault", a fault-injecting wrapper around
 // any inner URL (fault://rate=0.05,seed=7/fs://dir).
 //
-// A bare "mem://" cannot be opened — an empty memory store has no
+// A bare "mem://" or "mem:" cannot be opened — an empty memory store has no
 // specification; build one in-process with NewMem instead.
 func OpenURL(rawurl string) (*Store, error) {
 	b, err := OpenBackendURL(rawurl)
@@ -39,8 +39,11 @@ func OpenURL(rawurl string) (*Store, error) {
 func OpenBackendURL(rawurl string) (Backend, error) {
 	scheme, rest, ok := strings.Cut(rawurl, "://")
 	if !ok {
-		if rawurl == "" {
+		switch rawurl {
+		case "":
 			return nil, fmt.Errorf("store: empty store URL")
+		case "mem:":
+			return nil, errEmptyMem
 		}
 		return NewFSBackend(rawurl), nil
 	}
@@ -52,7 +55,7 @@ func OpenBackendURL(rawurl string) (Backend, error) {
 		return NewFSBackend(rest), nil
 	case "mem":
 		if rest == "" {
-			return nil, fmt.Errorf("store: mem:// starts empty and has no spec to open; use mem://<dir> to preload a directory, or build one in-process with NewMem")
+			return nil, errEmptyMem
 		}
 		mem := NewMemBackend()
 		if err := Copy(mem, NewFSBackend(rest)); err != nil {
@@ -63,6 +66,10 @@ func OpenBackendURL(rawurl string) (Backend, error) {
 		return nil, fmt.Errorf("store: unknown store URL scheme %q (want fs or mem)", scheme)
 	}
 }
+
+// errEmptyMem refuses "mem://" and "mem:", which name no directory to
+// preload.
+var errEmptyMem = errors.New("store: mem:// starts empty and has no spec to open; use mem://<dir> to preload a directory, or build one in-process with NewMem")
 
 // Copy replicates src's spec and every run into dst. It is the
 // workhorse behind "mem://<dir>" warm loading and works between any two

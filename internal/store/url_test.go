@@ -145,10 +145,14 @@ func TestOpenURL(t *testing.T) {
 		t.Fatalf("mem:// write leaked to disk: %v, %v", diskRuns, err)
 	}
 
-	for _, bad := range []string{"", "mem://", "fs://", "shard://", "s3://bucket"} {
+	for _, bad := range []string{"", "mem://", "mem:", "fs://", "shard://", "s3://bucket"} {
 		if _, err := store.OpenURL(bad); err == nil {
 			t.Errorf("OpenURL(%q) succeeded", bad)
 		}
+	}
+	// "mem:" is the empty memory store, not a directory named "mem:".
+	if _, err := store.OpenBackendURL("mem:"); err == nil || !strings.Contains(err.Error(), "mem:// starts empty") {
+		t.Errorf(`OpenBackendURL("mem:") = %v, want the empty-memory-store error`, err)
 	}
 	// A scheme that is neither built in nor registered is refused, and
 	// the error names it.
