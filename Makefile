@@ -122,8 +122,12 @@ fuzz-seeds:
 # per-vertex label scan over any snapshot the decoder accepts
 # (internal/core), labels from a materialized execution plan against
 # labels from plan.Construct's on every vertex pair of random runs
-# (internal/core), and the event-log parser against the
-# bufio/Sscanf parser it replaced (internal/events), the /batch and
+# (internal/core), and the event-log parser, with and without a
+# specification to intern module names against, against the
+# bufio/Sscanf parser it replaced (internal/events), the slab online
+# labeler against the pointer labeler it replaced on random
+# StartCopy, StartLoopIterationAfter and AddExec programs (the same
+# errors, labels, answers and renumbers; internal/online), the /batch and
 # /rpq request decoders against encoding/json in both directions
 # (internal/server), and the
 # vertex namer, grown by Add and built in two counting passes, against
@@ -151,6 +155,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConeOracle -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzMaterializedPlanOracle -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReadLogOracle -fuzztime 30s ./internal/events/
+	$(GO) test -run '^$$' -fuzz FuzzOnlineOracle -fuzztime 30s ./internal/online/
 	$(GO) test -run '^$$' -fuzz FuzzBatchRequestOracle -fuzztime 30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzRPQRequestOracle -fuzztime 30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzNamerOracle -fuzztime 30s ./internal/run/

@@ -368,60 +368,115 @@ func BenchmarkServerDelete(b *testing.B) {
 // batches of 64 engine events against the in-memory backend. This is
 // the per-batch cost of live ingest, the streaming counterpart of
 // BenchmarkServerIngest. The event log is the stream's only durable
-// write, so every iteration measures the same work.
+// write, so every iteration measures the same work. Each batch's request
+// and the ResponseWriter are reused, as in BenchmarkServerReachable, so
+// every allocation it reports is the server's.
 func BenchmarkServerAppendEvents(b *testing.B) {
+	app := newAppendBench(b)
+	b.SetBytes(app.bytes / int64(len(app.reqs)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		app.next(b)
+	}
+}
+
+// TestAppendEventsAllocs pins what a warm 64-event append allocates
+// through ServeHTTP, request and writer reused: at most 12 allocations
+// a batch, whatever the batch's size.
+func TestAppendEventsAllocs(t *testing.T) {
+	app := newAppendBench(t)
+	for range app.reqs {
+		app.next(t) // one whole stream first: pools and routes warm
+	}
+	// AllocsPerRun's own first call restarts the stream; the counted
+	// calls are the rest of that stream, the growth of its columns
+	// included.
+	if allocs := testing.AllocsPerRun(len(app.reqs)-1, func() { app.next(t) }); allocs > 12 {
+		t.Fatalf("a 64-event append allocates %v times, want at most 12", allocs)
+	}
+}
+
+// appendBench streams a 1,000-vertex QBLAST stand-in run's event log
+// into a server in 64-event POST /runs/r1/events requests, one request
+// and one body reader per batch and one ResponseWriter, all reused.
+type appendBench struct {
+	srv    http.Handler
+	reqs   []*http.Request
+	bodies []*reuseBody
+	logs   [][]byte
+	bytes  int64
+	w      *reuseWriter
+	step   int
+}
+
+// reuseBody is a request body that can be read again after Reset.
+type reuseBody struct{ bytes.Reader }
+
+func (*reuseBody) Close() error { return nil }
+
+func newAppendBench(tb testing.TB) *appendBench {
+	tb.Helper()
 	s, err := repro.StandInSpec("QBLAST", 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	r, p := repro.GenerateRun(s, rand.New(rand.NewSource(1000)), 1000)
 	evs := repro.EmitEvents(r, p)
-	const per = 64
-	var batches [][]byte
-	var offsets []int
-	var total int64
-	for i := 0; i < len(evs); i += per {
-		var buf bytes.Buffer
-		if err := repro.WriteEventLog(&buf, evs[i:min(i+per, len(evs))]); err != nil {
-			b.Fatal(err)
-		}
-		batches = append(batches, buf.Bytes())
-		offsets = append(offsets, i)
-		total += int64(len(buf.Bytes()))
-	}
 	st, err := repro.NewMemStore(s, "bench")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv, err := repro.NewServer(repro.ServerConfig{Store: st, EnableStream: true})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.SetBytes(total / int64(len(batches)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	step := 0
-	for i := 0; i < b.N; i++ {
-		if step == len(batches) {
-			// Log exhausted: retire the live run off the clock and
-			// restart the stream from offset zero.
+	app := &appendBench{srv: srv, w: &reuseWriter{h: http.Header{}}}
+	const per = 64
+	for i := 0; i < len(evs); i += per {
+		var buf bytes.Buffer
+		if err := repro.WriteEventLog(&buf, evs[i:min(i+per, len(evs))]); err != nil {
+			tb.Fatal(err)
+		}
+		body := new(reuseBody)
+		app.logs = append(app.logs, buf.Bytes())
+		app.bodies = append(app.bodies, body)
+		app.reqs = append(app.reqs, httptest.NewRequest("POST", fmt.Sprintf("/runs/r1/events?offset=%d", i), body))
+		app.bytes += int64(buf.Len())
+	}
+	return app
+}
+
+// next sends the next batch. When the log is exhausted it first
+// retires the live run off the clock and restarts the stream from
+// offset zero.
+func (app *appendBench) next(tb testing.TB) {
+	b, _ := tb.(*testing.B)
+	if app.step == len(app.reqs) {
+		if b != nil {
 			b.StopTimer()
-			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, httptest.NewRequest("DELETE", "/runs/r1", nil))
-			if rec.Code != 200 {
-				b.Fatalf("DELETE: status %d: %s", rec.Code, rec.Body.String())
-			}
-			step = 0
-			b.StartTimer()
 		}
 		rec := httptest.NewRecorder()
-		req := httptest.NewRequest("POST", fmt.Sprintf("/runs/r1/events?offset=%d", offsets[step]), bytes.NewReader(batches[step]))
-		srv.ServeHTTP(rec, req)
+		app.srv.ServeHTTP(rec, httptest.NewRequest("DELETE", "/runs/r1", nil))
 		if rec.Code != 200 {
-			b.Fatalf("append at %d: status %d: %s", offsets[step], rec.Code, rec.Body.String())
+			tb.Fatalf("DELETE: status %d: %s", rec.Code, rec.Body.String())
 		}
-		step++
+		app.step = 0
+		if b != nil {
+			b.StartTimer()
+		}
 	}
+	req, body := app.reqs[app.step], app.bodies[app.step]
+	body.Reset(app.logs[app.step])
+	req.Body = body // the handler wraps the body it was given
+	w := app.w
+	clear(w.h)
+	w.code, w.body = 0, w.body[:0]
+	app.srv.ServeHTTP(w, req)
+	if w.code != http.StatusOK {
+		tb.Fatalf("append batch %d: status %d: %s", app.step, w.code, w.body)
+	}
+	app.step++
 }
 
 // BenchmarkServerBatchReachable measures the query server's batched
@@ -1040,9 +1095,10 @@ func BenchmarkIngestStages(b *testing.B) {
 }
 
 // BenchmarkAppendStages splits BenchmarkServerAppendEvents's 64-event
-// batch into its stages: parsing the wire log, applying the events to
-// an online labeler, and rendering plus durably appending the log bytes
-// to the in-memory store. Batches walk one 1000-vertex run's event
+// batch into its stages: parsing the wire log (parse through ReadLog,
+// parse-handler the way the append handler does), applying the events
+// to an online labeler, and rendering plus durably appending the log
+// bytes to the in-memory store. Batches walk one 1000-vertex run's event
 // stream in order; when it is exhausted the labeler and the log are
 // reset off the clock.
 func BenchmarkAppendStages(b *testing.B) {
@@ -1077,6 +1133,23 @@ func BenchmarkAppendStages(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := repro.ReadEventLog(bytes.NewReader(logs[i%len(logs)])); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// parse-handler parses as the append handler does: the body read
+	// whole into reused scratch, the events into a reused slice, module
+	// names interned against the store's spec, under the server's
+	// default limits.
+	b.Run("parse-handler", func(b *testing.B) {
+		var body bytes.Buffer
+		var dst []repro.EngineEvent
+		rd := new(bytes.Reader)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rd.Reset(logs[i%len(logs)])
+			var err error
+			if dst, err = events.ReadLogInto(dst[:0], &body, rd, st.Spec(), 4096, (16<<20)/8); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,7 +2,9 @@ package events
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/dag"
 	"repro/internal/label"
 	"repro/internal/online"
 	"repro/internal/run"
@@ -37,9 +39,13 @@ type Applier struct {
 	copies []*online.Copy
 	table  run.CopyTable
 	names  *run.Namer
-	// started is Check's scratch: the hierarchy nodes of the copies the
-	// batch being checked starts.
+	// The batch Check last accepted: its length, the hierarchy nodes of
+	// the copies it starts, and the origin of each of its module
+	// executions in order, which Apply uses rather than resolve the
+	// names again. checked is -1 when there is none.
+	checked int
 	started []int32
+	origins []dag.VertexID
 }
 
 // NewApplier returns an applier holding an empty run of s: the root
@@ -47,11 +53,12 @@ type Applier struct {
 func NewApplier(s *spec.Spec, skeleton label.Labeling) *Applier {
 	l := online.New(s, skeleton)
 	return &Applier{
-		sp:     s,
-		lab:    l,
-		copies: []*online.Copy{l.Root()},
-		table:  run.CopyTable{HNode: []int32{0}, Parent: []int32{-1}},
-		names:  run.NewNamerFromOrigins(s, nil),
+		sp:      s,
+		lab:     l,
+		copies:  []*online.Copy{l.Root()},
+		table:   run.CopyTable{HNode: []int32{0}, Parent: []int32{-1}},
+		names:   run.NewNamerFromOrigins(s, nil),
+		checked: -1,
 	}
 }
 
@@ -67,10 +74,11 @@ func (a *Applier) Table() run.CopyTable { return a.table }
 func (a *Applier) Namer() *run.Namer { return a.names }
 
 // Check checks a batch against the applier's state as if its events
-// were applied in order, and changes nothing. The first event that would
-// not apply is reported as an *EventError carrying its index in evs.
+// were applied in order, and changes nothing but the record of the
+// batch Apply reads. The first event that would not apply is reported
+// as an *EventError carrying its index in evs.
 func (a *Applier) Check(evs []Event) error {
-	a.started = a.started[:0]
+	a.checked, a.started, a.origins = -1, a.started[:0], a.origins[:0]
 	base := len(a.copies)
 	hnodeOf := func(id int) (int, bool) {
 		switch {
@@ -108,19 +116,34 @@ func (a *Applier) Check(evs []Event) error {
 			if err := online.CheckExec(a.sp, h, orig); err != nil {
 				return &EventError{i, err}
 			}
+			a.origins = append(a.origins, orig)
 		default:
 			return &EventError{i, fmt.Errorf("unknown event kind %d", e.Kind)}
 		}
 	}
+	a.checked = len(evs)
 	return nil
 }
 
-// Apply applies a batch Check accepted against the applier's current
-// state: each copy start starts a copy in the labeler and the table,
-// each module execution adds a vertex to the labeler and the namer. The
-// labeler refuses only what Check refuses, so Apply cannot fail on a
-// checked batch; an unchecked one that the labeler refuses panics.
+// Apply applies the batch Check last accepted, which evs must be,
+// against the applier's current state: each copy start starts a copy in
+// the labeler and the table, each module execution adds a vertex of the
+// origin Check resolved to the labeler and the namer. Every column grows
+// once, by the counts Check found. The labeler refuses only what Check
+// refuses, so Apply cannot fail on a checked batch; it panics on any
+// other.
 func (a *Applier) Apply(evs []Event) {
+	if len(evs) != a.checked {
+		panic(fmt.Sprintf("events: Apply of an unchecked batch of %d events", len(evs)))
+	}
+	a.checked = -1
+	copies, execs := len(a.started), len(a.origins)
+	a.lab.Grow(copies, execs)
+	a.names.Grow(execs)
+	a.copies = slices.Grow(a.copies, copies)
+	a.table.HNode = slices.Grow(a.table.HNode, copies)
+	a.table.Parent = slices.Grow(a.table.Parent, copies)
+	x := 0
 	for i, e := range evs {
 		var err error
 		switch e.Kind {
@@ -132,7 +155,8 @@ func (a *Applier) Apply(evs []Event) {
 				a.table.Parent = append(a.table.Parent, int32(e.Parent))
 			}
 		case ModuleExec:
-			orig, _ := a.sp.VertexOf(e.Module)
+			orig := a.origins[x]
+			x++
 			if _, err = a.lab.AddExec(a.copies[e.Copy], orig); err == nil {
 				a.names.Add(orig)
 			}

@@ -67,10 +67,16 @@ func partialIntegerRejection(input []byte, err error) bool {
 	return false
 }
 
-// compareWithOracle parses input with ReadLogLimits and with the
-// pre-codec parser, and fails unless they return the same events, or
-// errors with the same text, or ReadLogLimits's error is the documented
-// partial-integer rejection.
+// oracleParseSpecs are the specifications compareWithOracle also parses
+// with, so module names are interned against each: the paper's, whose
+// modules the seeds name, and a QBLAST stand-in's.
+var oracleParseSpecs = []*spec.Spec{spec.PaperSpec(), workload.MustStandIn("QBLAST", 1)}
+
+// compareWithOracle parses input with ReadLogLimits, and with ParseLog
+// with and without a specification, and with the pre-codec parser, and
+// fails unless each returns the oracle's events, or an error with the
+// same text, or the documented partial-integer rejection. The byte
+// parsers must also agree with each other exactly.
 func compareWithOracle(t *testing.T, input []byte, maxLine, maxEvents int) {
 	t.Helper()
 	got, gotErr := events.ReadLogLimits(bytes.NewReader(input), maxLine, maxEvents)
@@ -84,13 +90,28 @@ func compareWithOracle(t *testing.T, input []byte, maxLine, maxEvents int) {
 	case gotErr != nil || wantErr != nil:
 		t.Fatalf("limits %d/%d, input %q:\nerror %v\noracle error %v", maxLine, maxEvents, input, gotErr, wantErr)
 	default:
-		if len(got) != len(want) {
-			t.Fatalf("input %q: %d events, oracle %d", input, len(got), len(want))
+		sameEvents(t, input, got, want)
+	}
+	for _, s := range append([]*spec.Spec{nil}, oracleParseSpecs...) {
+		parsed, err := events.ParseLog(nil, input, s, maxLine, maxEvents)
+		if (err == nil) != (gotErr == nil) || err != nil && err.Error() != gotErr.Error() {
+			t.Fatalf("limits %d/%d, input %q: ParseLog error %v, ReadLogLimits error %v", maxLine, maxEvents, input, err, gotErr)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("input %q: event %d is %+v, oracle %+v", input, i, got[i], want[i])
-			}
+		if err == nil {
+			sameEvents(t, input, parsed, got)
+		}
+	}
+}
+
+// sameEvents fails unless got and want hold equal events.
+func sameEvents(t *testing.T, input []byte, got, want []events.Event) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("input %q: %d events, oracle %d", input, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("input %q: event %d is %+v, oracle %+v", input, i, got[i], want[i])
 		}
 	}
 }
@@ -190,22 +211,94 @@ func oracleSeeds(tb testing.TB) []string {
 		"exec a b c d e f g h\n",
 		"garbage\n",
 		"exec a copy 0",
+		"exec a copy 0\r",
+		"exec\ta\tcopy\t0\n\t\n",
+		"# a comment\nexec zz copy 0\n",
+		"exec v47 copy 0\nexec v4 copy 0\nexec v471 copy 0\n",
+		lineOf(4095), lineOf(4096), lineOf(4097),
+		lineOf(4095) + "\n" + lineOf(4096) + "\n",
+		strings.TrimSuffix(lineOf(4096), "\n"),
+		strings.TrimSuffix(lineOf(4095), "\n") + "\r\n",
 	}
 }
 
-// FuzzReadLogOracle holds ReadLogLimits to the bufio/Sscanf parser it
-// replaced, under random line and event limits: the same events, or an
-// error with the same text, except where the package doc's integer rule
-// rejects a field the oracle read a prefix of.
+// lineOf returns an exec record of exactly n bytes, its newline not
+// counted, naming a module of n-12 bytes.
+func lineOf(n int) string {
+	return "exec " + strings.Repeat("m", n-len("exec  copy 0")) + " copy 0\n"
+}
+
+// FuzzReadLogOracle holds ReadLogLimits, and ParseLog with and without
+// a specification, to the bufio/Sscanf parser they replaced, under
+// random line and event limits: the same events, or an error with the
+// same text, except where the package doc's integer rule rejects a
+// field the oracle read a prefix of.
 func FuzzReadLogOracle(f *testing.F) {
 	for i, seed := range oracleSeeds(f) {
 		f.Add([]byte(seed), uint16(0), uint8(0))
 		f.Add([]byte(seed), uint16(8+i%24), uint8(i%5))
 		f.Add([]byte(seed), uint16(4096), uint8(255))
+		f.Add([]byte(seed), uint16(4097), uint8(0))
 	}
 	f.Fuzz(func(t *testing.T, input []byte, maxLine uint16, maxEvents uint8) {
 		compareWithOracle(t, input, int(maxLine), int(maxEvents))
 	})
+}
+
+// TestParseLogDefaultLineCap holds the default line cap, 64KiB, to the
+// oracle's: a line one byte short of it parses, a line of it does not,
+// ended by a newline or not.
+func TestParseLogDefaultLineCap(t *testing.T) {
+	for _, n := range []int{65535, 65536} {
+		line := lineOf(n)
+		compareWithOracle(t, []byte(line), 0, 0)
+		compareWithOracle(t, []byte(strings.TrimSuffix(line, "\n")), 0, 0)
+		compareWithOracle(t, []byte("exec a copy 0\n"+line), -1, 0)
+	}
+	if _, err := events.ParseLog(nil, []byte(lineOf(65536)), nil, 0, 0); err == nil || err.Error() != "events: bufio.Scanner: token too long" {
+		t.Fatalf("a 64KiB line: %v", err)
+	}
+}
+
+// TestParseLogAllocs pins that parsing a stand-in run's log against its
+// specification into a slice with room allocates nothing: every module
+// name is the specification's own string.
+func TestParseLogAllocs(t *testing.T) {
+	s := workload.MustStandIn("QBLAST", 1)
+	r, p := run.GenerateSized(s, rand.New(rand.NewSource(1)), 1000)
+	var log bytes.Buffer
+	if err := events.WriteLog(&log, events.Emit(r, p)); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := events.ParseLog(nil, log.Bytes(), s, 4096, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		dst, err = events.ParseLog(dst[:0], log.Bytes(), s, 4096, 0)
+	}); allocs != 0 || err != nil {
+		t.Fatalf("ParseLog: %v allocs, error %v", allocs, err)
+	}
+}
+
+// TestParseLogOwnsNames pins that no parsed event refers to the bytes
+// it was parsed from, with or without a specification: overwriting them
+// changes no module name, whether the name was interned or copied.
+func TestParseLogOwnsNames(t *testing.T) {
+	const log = "exec a copy 0\nexec zz copy 0\r\nexec \u00e9t\u00e9 copy 1"
+	for _, s := range []*spec.Spec{nil, spec.PaperSpec()} {
+		data := []byte(log)
+		evs, err := events.ParseLog(nil, data, s, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			data[i] = 'z'
+		}
+		if evs[0].Module != "a" || evs[1].Module != "zz" || evs[2].Module != "\u00e9t\u00e9" {
+			t.Fatalf("spec %v: names changed with the bytes: %+v", s != nil, evs)
+		}
+	}
 }
 
 // TestReadLogRejectsPartialIntegers pins the one divergence from the

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -97,6 +98,20 @@ func WriteLog(w io.Writer, events []Event) error {
 	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
 		buf = ab.AvailableBuffer()
 	}
+	buf, err := AppendLog(buf, events)
+	if err != nil || len(buf) == 0 {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// AppendLog appends the log WriteLog writes for events to dst and
+// returns the extended slice. On an event of unknown kind it returns
+// dst unextended and an error. It grows dst once, by an estimate of
+// logLineBytes a line, when dst has less room than that.
+func AppendLog(dst []byte, events []Event) ([]byte, error) {
+	buf := slices.Grow(dst, logLineBytes*len(events))
 	for _, e := range events {
 		switch e.Kind {
 		case CopyStart:
@@ -112,19 +127,19 @@ func WriteLog(w io.Writer, events []Event) error {
 			buf = append(buf, " copy "...)
 			buf = strconv.AppendInt(buf, int64(e.Copy), 10)
 		default:
-			return fmt.Errorf("events: unknown kind %d", e.Kind)
+			return dst, fmt.Errorf("events: unknown kind %d", e.Kind)
 		}
 		buf = append(buf, '\n')
 	}
-	if len(buf) == 0 {
-		return nil
-	}
-	_, err := w.Write(buf)
-	return err
+	return buf, nil
 }
 
-// ReadLog parses a log written by WriteLog. Lines are capped at
-// bufio.Scanner's default 64KiB and the event count is unbounded; use
+// logLineBytes is about the length of a log line: "exec v47 copy 123\n"
+// is 18 bytes and "copy 123 parent 45 hnode 6\n" 27.
+const logLineBytes = 24
+
+// ReadLog parses a log written by WriteLog. Lines are capped at 64KiB,
+// bufio.Scanner's default, and the event count is unbounded; use
 // ReadLogLimits when the reader is fed from the wire.
 func ReadLog(r io.Reader) ([]Event, error) {
 	return ReadLogLimits(r, 0, 0)
@@ -135,51 +150,115 @@ func ReadLog(r io.Reader) ([]Event, error) {
 // bounds a server applies to wire input so a hostile body can neither
 // balloon a single token nor an event slice past what the request-size
 // cap implies. Zero (or negative) disables either limit, leaving the
-// scanner's default 64KiB line cap. The package doc lists what a line
-// may hold.
+// default 64KiB line cap. It reads r whole and parses it with
+// ParseLog; the package doc lists what a line may hold. A reader that
+// knows how much it holds (bytes.Reader, strings.Reader) is read into a
+// buffer grown once, and the events slice starts at about one event per
+// logLineBytes of it.
 func ReadLogLimits(r io.Reader, maxLine, maxEvents int) ([]Event, error) {
-	var events []Event
-	sc := bufio.NewScanner(r)
-	if maxLine > 0 {
-		sc.Buffer(make([]byte, 0, min(maxLine, 64*1024)), maxLine)
+	var buf bytes.Buffer
+	var dst []Event
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+		dst = make([]Event, 0, l.Len()/logLineBytes+1)
+	}
+	evs, err := ReadLogInto(dst, &buf, r, nil, maxLine, maxEvents)
+	if err != nil {
+		return nil, err
+	}
+	return evs, nil
+}
+
+// ReadLogInto reads r whole into buf, which it resets first, and parses
+// what it read with ParseLog, appending the events to dst. A read error
+// is reported only when every line read before it parses (a read cut
+// short parses its last, partial line too), so an error names the first
+// bad line whether or not the read failed later. A caller that parses
+// many logs passes the same buf and dst each time and allocates nothing
+// once they have grown.
+func ReadLogInto(dst []Event, buf *bytes.Buffer, r io.Reader, s *spec.Spec, maxLine, maxEvents int) ([]Event, error) {
+	buf.Reset()
+	_, rerr := buf.ReadFrom(r)
+	evs, err := ParseLog(dst, buf.Bytes(), s, maxLine, maxEvents)
+	if err == nil && rerr != nil {
+		err = fmt.Errorf("events: %w", rerr)
+	}
+	return evs, err
+}
+
+// defaultMaxLine is the line cap when none is given: bufio.Scanner's
+// default token size, which ReadLog had before it parsed in place.
+const defaultMaxLine = bufio.MaxScanTokenSize
+
+// ParseLog parses the log held in data and appends its events to dst,
+// returning the extended slice; on an error it returns the events of
+// the lines before the bad one. Lines end at "\n", and a line of
+// maxLine bytes or more (its "\n" not counted) is an error, as it was
+// for the bufio.Scanner ReadLogLimits once read with; zero or negative
+// means 64KiB. More than maxEvents events is an error when maxEvents is
+// positive.
+//
+// The events do not refer to data. A module name s has is the spec's
+// own string (spec.Spec.NameOf), so a log of known modules parses with
+// no allocation once dst has room; any other name, or every name when s
+// is nil, is copied.
+func ParseLog(dst []Event, data []byte, s *spec.Spec, maxLine, maxEvents int) ([]Event, error) {
+	if maxLine <= 0 {
+		maxLine = defaultMaxLine
 	}
 	var scratch [7][]byte
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line, fields := splitLine(sc.Bytes(), scratch[:0])
+	n0 := len(dst)
+	for lineNo := 1; len(data) > 0; lineNo++ {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		if len(line) >= maxLine {
+			return dst, fmt.Errorf("events: %w", bufio.ErrTooLong)
+		}
+		line, fields := splitLine(line, scratch[:0])
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		if maxEvents > 0 && len(events) >= maxEvents {
-			return nil, fmt.Errorf("events: line %d: more than %d events in one log", lineNo, maxEvents)
+		if maxEvents > 0 && len(dst)-n0 >= maxEvents {
+			return dst, fmt.Errorf("events: line %d: more than %d events in one log", lineNo, maxEvents)
 		}
 		var e Event
 		var err error
 		switch {
 		case len(fields) == 6 && string(fields[0]) == "copy" && string(fields[2]) == "parent" && string(fields[4]) == "hnode":
 			e.Kind = CopyStart
-			if e.Copy, err = parseInt(fields[1]); err == nil {
-				if e.Parent, err = parseInt(fields[3]); err == nil {
-					e.HNode, err = parseInt(fields[5])
+			if e.Copy, err = ParseInt(fields[1]); err == nil {
+				if e.Parent, err = ParseInt(fields[3]); err == nil {
+					e.HNode, err = ParseInt(fields[5])
 				}
 			}
 		case len(fields) == 4 && string(fields[0]) == "exec" && string(fields[2]) == "copy":
 			e.Kind = ModuleExec
-			e.Module = spec.ModuleName(fields[1])
-			e.Copy, err = parseInt(fields[3])
+			e.Module = moduleName(s, fields[1])
+			e.Copy, err = ParseInt(fields[3])
 		default:
-			return nil, fmt.Errorf("events: line %d: unrecognized record %q", lineNo, line)
+			return dst, fmt.Errorf("events: line %d: unrecognized record %q", lineNo, line)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("events: line %d: %w", lineNo, err)
+			return dst, fmt.Errorf("events: line %d: %w", lineNo, err)
 		}
-		events = append(events, e)
+		dst = append(dst, e)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("events: %w", err)
+	return dst, nil
+}
+
+// moduleName returns name as a module name: s's own string when s has
+// the module, a copy otherwise.
+func moduleName(s *spec.Spec, name []byte) spec.ModuleName {
+	if s != nil {
+		if v, ok := s.VertexOfBytes(name); ok {
+			return s.NameOf(v)
+		}
 	}
-	return events, nil
+	return spec.ModuleName(name)
 }
 
 // splitLine trims a line's surrounding white space and splits it into
@@ -224,21 +303,34 @@ func splitLine(line []byte, dst [][]byte) (trimmed []byte, fields [][]byte) {
 // asciiSpace marks the ASCII bytes unicode.IsSpace reports as space.
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
-// parseInt parses a whole field as a decimal int: an optional sign and
-// at least one digit, nothing else.
-func parseInt(tok []byte) (int, error) {
+// ParseInt parses a whole field as a decimal int: an optional sign and
+// at least one digit, nothing else, in the range of int. It is the rule
+// every integer field of a log is read by, exported for the stream
+// checkpoint header that carries two more.
+func ParseInt(tok []byte) (int, error) {
 	digits := tok
+	neg := false
 	if len(digits) > 0 && (digits[0] == '+' || digits[0] == '-') {
-		digits = digits[1:]
+		neg, digits = digits[0] == '-', digits[1:]
 	}
 	if len(digits) == 0 {
 		return 0, fmt.Errorf("integer field %q is not a decimal integer", tok)
 	}
+	v := 0
 	for _, c := range digits {
 		if c < '0' || c > '9' {
 			return 0, fmt.Errorf("integer field %q is not a decimal integer", tok)
 		}
+		v = v*10 + int(c-'0') // nine digits cannot overflow
 	}
-	v, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
-	return int(v), err
+	if len(digits) > 9 {
+		// Past nine digits the value may be out of range: strconv says
+		// so in its own words.
+		v, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
+		return int(v), err
+	}
+	if neg {
+		v = -v
+	}
+	return v, nil
 }

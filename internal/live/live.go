@@ -62,6 +62,7 @@ import (
 	"repro/internal/label"
 	"repro/internal/plan"
 	"repro/internal/run"
+	"repro/internal/spec"
 	"repro/internal/store"
 )
 
@@ -327,6 +328,16 @@ func (s *Session) Broken() bool { return s.broken }
 // on a storage error the session is marked broken (the log's tail is
 // unknown) and must be rebuilt with Recover.
 func (s *Session) Append(evs []events.Event, offset int) (int, error) {
+	var scratch []byte
+	return s.AppendScratch(evs, offset, &scratch)
+}
+
+// AppendScratch is Append rendering the log bytes of the fresh events
+// into *scratch, from its start, growing it when it is too short; a
+// caller that appends many batches, like the server's append handler,
+// passes the same scratch each time and renders every log without
+// allocating. The session keeps no reference to scratch or evs.
+func (s *Session) AppendScratch(evs []events.Event, offset int, scratch *[]byte) (int, error) {
 	if s.broken {
 		return 0, fmt.Errorf("live: session %q needs recovery after a storage failure", s.name)
 	}
@@ -349,11 +360,12 @@ func (s *Session) Append(evs []events.Event, offset int) (int, error) {
 	if err := s.app.Check(fresh); err != nil {
 		return 0, err
 	}
-	var buf bytes.Buffer
-	if err := events.WriteLog(&buf, fresh); err != nil {
+	log, err := events.AppendLog((*scratch)[:0], fresh)
+	*scratch = log
+	if err != nil {
 		return 0, err
 	}
-	if err := s.st.AppendRunEvents(s.name, buf.Bytes()); err != nil {
+	if err := s.st.AppendRunEvents(s.name, log); err != nil {
 		// A transient error guarantees no bytes landed (the store failure
 		// model), so the session stays consistent and appendable — the
 		// client retries the batch at the same offset. Any other error
@@ -364,7 +376,7 @@ func (s *Session) Append(evs []events.Event, offset int) (int, error) {
 		}
 		return 0, fmt.Errorf("live: appending event log for %q: %w", s.name, err)
 	}
-	s.logBytes += int64(buf.Len())
+	s.logBytes += int64(len(log))
 	s.app.Apply(fresh)
 	s.history = append(s.history, fresh...)
 	s.g.events.Add(int64(len(fresh)))
@@ -389,12 +401,11 @@ func (s *Session) Checkpoint() error {
 	if s.broken {
 		return fmt.Errorf("live: session %q needs recovery after a storage failure", s.name)
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "ckpt %d %d\n", len(s.history), s.logBytes)
-	if err := events.WriteLog(&buf, s.history); err != nil {
+	buf, err := events.AppendLog(fmt.Appendf(nil, "ckpt %d %d\n", len(s.history), s.logBytes), s.history)
+	if err != nil {
 		return err
 	}
-	if err := s.st.Backend().WriteMeta(CheckpointMeta(s.name), buf.Bytes()); err != nil {
+	if err := s.st.Backend().WriteMeta(CheckpointMeta(s.name), buf); err != nil {
 		return fmt.Errorf("live: checkpointing %q: %w", s.name, err)
 	}
 	s.ckptSeq = len(s.history)
@@ -421,16 +432,17 @@ func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Ses
 		return nil, err
 	}
 	haveCkpt := len(ckpt) > 0
-	var prefix []events.Event
+	sp := st.Spec()
+	var evs []events.Event
 	if haveCkpt {
-		seq, logBytes, evs, perr := parseCheckpoint(ckpt)
+		seq, logBytes, prefix, perr := parseCheckpoint(ckpt, sp)
 		if perr != nil {
 			return nil, fmt.Errorf("live: checkpoint for %q: %w", name, perr)
 		}
-		if len(evs) != seq {
-			return nil, fmt.Errorf("live: checkpoint for %q holds %d events but declares %d", name, len(evs), seq)
+		if len(prefix) != seq {
+			return nil, fmt.Errorf("live: checkpoint for %q holds %d events but declares %d", name, len(prefix), seq)
 		}
-		prefix = evs
+		evs = prefix
 		s.ckptSeq, s.ckptLogBytes = seq, logBytes
 	}
 
@@ -457,13 +469,13 @@ func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Ses
 	if i := bytes.LastIndexByte(tail, '\n'); i >= 0 {
 		clean = i + 1
 	}
-	evs, err := events.ReadLog(bytes.NewReader(tail[:clean]))
+	// The log past the checkpoint follows its prefix: one check and one
+	// apply over both, and an event's index counts from the prefix's
+	// first.
+	evs, err = events.ParseLog(evs, tail[:clean], sp, 0, 0)
 	if err != nil {
 		return nil, fmt.Errorf("live: event log for %q: %w", name, err)
 	}
-	// One check and one apply over the checkpoint's prefix and the log
-	// past it: an event's index counts from the prefix's first.
-	evs = append(prefix, evs...)
 	if err := s.app.Check(evs); err != nil {
 		return nil, fmt.Errorf("live: stream state for %q: %w", name, err)
 	}
@@ -485,18 +497,32 @@ func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Ses
 	return s, nil
 }
 
-func parseCheckpoint(data []byte) (seq int, logBytes int64, evs []events.Event, err error) {
+// parseCheckpoint reads a checkpoint blob: a header line "ckpt <seq>
+// <logBytes>", two whole integer fields by the event log's integer rule
+// (events.ParseInt), neither negative, then the event log of the
+// applied prefix, whose module names it interns against sp.
+func parseCheckpoint(data []byte, sp *spec.Spec) (seq int, logBytes int64, evs []events.Event, err error) {
 	i := bytes.IndexByte(data, '\n')
 	if i < 0 {
 		return 0, 0, nil, errors.New("missing header line")
 	}
-	if _, err := fmt.Sscanf(string(data[:i]), "ckpt %d %d", &seq, &logBytes); err != nil {
-		return 0, 0, nil, fmt.Errorf("malformed header %q: %w", data[:i], err)
+	header := data[:i]
+	f := bytes.Fields(header)
+	if len(f) != 3 || string(f[0]) != "ckpt" {
+		return 0, 0, nil, fmt.Errorf("malformed header %q: want \"ckpt <seq> <log bytes>\"", header)
 	}
-	if seq < 0 || logBytes < 0 {
-		return 0, 0, nil, fmt.Errorf("negative header values in %q", data[:i])
+	seq, err = events.ParseInt(f[1])
+	var n int
+	if err == nil {
+		n, err = events.ParseInt(f[2])
 	}
-	evs, err = events.ReadLog(bytes.NewReader(data[i+1:]))
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("malformed header %q: %w", header, err)
+	}
+	if logBytes = int64(n); seq < 0 || logBytes < 0 {
+		return 0, 0, nil, fmt.Errorf("negative header values in %q", header)
+	}
+	evs, err = events.ParseLog(nil, data[i+1:], sp, 0, 0)
 	if err != nil {
 		return 0, 0, nil, err
 	}

@@ -11,10 +11,23 @@
 // exhausted, keys are redistributed in an exponentially expanding
 // neighborhood (counted via Renumbers, amortized cheap). Reachability
 // queries evaluate Algorithm 3 on the live keys.
+//
+// # Slabs
+//
+// The labeler keeps its state in columns it owns, so starting a copy or
+// recording an execution allocates nothing beyond their amortized
+// growth. The three lists share one column of elements, each a key and
+// the int32 positions of its neighbors. Copies are cut from chunks the
+// labeler allocates, so a *Copy handle stays valid while the chunks
+// grow. A copy's sites (one per child of its hierarchy node, where that
+// child's copies start) are a run of a site column, found by the child's
+// position among its siblings (spec.Hierarchy.Index); a site links its
+// copies in serial order through each copy's next field.
 package online
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/label"
@@ -26,60 +39,76 @@ import (
 type Copy struct {
 	hnode  int
 	parent *Copy // nil for root
-	minus  *site // the site this copy belongs to; nil for root
-	sites  map[int]*site
+	// site is the site this copy belongs to (-1 for root); sites is
+	// where this copy's own sites start in the labeler's site column.
+	site, sites int32
+	// next is the copy after this one in its site's serial order.
+	next *Copy
 	// elems are this copy's positions in the three order lists; end
 	// caches the last element of this copy's subtree block per order.
-	elems [3]*elem
-	end   [3]*elem
+	elems, end [3]int32
 }
 
 // HNode returns the hierarchy node this copy instantiates.
 func (c *Copy) HNode() int { return c.hnode }
 
+// site is where the copies of one hierarchy node start inside one
+// parent copy.
 type site struct {
-	hnode  int
-	parent *Copy
-	kind   spec.Kind
-	copies []*Copy
+	kind spec.Kind
+	// last is the copy at the end of the serial order, nil before the
+	// first copy starts.
+	last *Copy
 	// first caches the earliest element of the site's block per order.
-	first [3]*elem
+	first [3]int32
 }
 
-// elem is a node of one order list.
+// elem is a node of one order list: its key and the positions of its
+// neighbors in the labeler's element column.
 type elem struct {
 	key        uint64
-	prev, next *elem
+	prev, next int32
 }
+
+// Copy chunks start at minCopyChunk copies and double up to
+// maxCopyChunk, so a short stream allocates little and a long one
+// allocates rarely.
+const (
+	minCopyChunk = 8
+	maxCopyChunk = 1024
+)
 
 // Labeler grows a labeled run incrementally.
 type Labeler struct {
-	s            *spec.Spec
-	skeleton     label.Labeling
-	root         *Copy
-	heads, tails [3]*elem
-	renumbers    int
-	numVertices  int
-	contexts     []*Copy
-	origins      []dag.VertexID
+	s        *spec.Spec
+	skeleton label.Labeling
+	root     *Copy
+	// elems holds all three order lists; elements 2*ord and 2*ord+1 are
+	// order ord's head and tail sentinels.
+	elems []elem
+	sites []site
+	// chunk is the chunk new copies are cut from.
+	chunk     []Copy
+	renumbers int
+	contexts  []*Copy
+	origins   []dag.VertexID
 }
 
 // New starts an empty run for the specification. The root copy exists
 // immediately; module executions and fork/loop copies are reported as the
 // run progresses.
 func New(s *spec.Spec, skeleton label.Labeling) *Labeler {
-	l := &Labeler{s: s, skeleton: skeleton}
-	for i := 0; i < 3; i++ {
-		h := &elem{key: 0}
-		t := &elem{key: ^uint64(0)}
-		h.next, t.prev = t, h
-		l.heads[i], l.tails[i] = h, t
+	l := &Labeler{s: s, skeleton: skeleton, elems: make([]elem, 6, 16)}
+	for ord := int32(0); ord < 3; ord++ {
+		h, t := 2*ord, 2*ord+1
+		l.elems[h] = elem{key: 0, prev: -1, next: t}
+		l.elems[t] = elem{key: ^uint64(0), prev: h, next: -1}
 	}
-	root := &Copy{hnode: 0, sites: make(map[int]*site)}
-	for i := 0; i < 3; i++ {
-		e := l.insertAfter(i, l.heads[i])
-		root.elems[i] = e
-		root.end[i] = e
+	root := l.newCopy(0, nil, -1)
+	for ord := int32(0); ord < 3; ord++ {
+		e := l.insertAfter(ord, 2*ord)
+		root.elems[ord] = e
+		root.end[ord] = e
 	}
 	l.root = root
 	return l
@@ -92,21 +121,45 @@ func (l *Labeler) Root() *Copy { return l.root }
 func (l *Labeler) Renumbers() int { return l.renumbers }
 
 // NumVertices returns the number of module executions recorded.
-func (l *Labeler) NumVertices() int { return l.numVertices }
+func (l *Labeler) NumVertices() int { return len(l.origins) }
+
+// Grow makes room for copies more copies and execs more module
+// executions, so a caller that knows a batch's counts (an event log
+// checked before it is applied) grows each column once.
+func (l *Labeler) Grow(copies, execs int) {
+	l.contexts = slices.Grow(l.contexts, execs)
+	l.origins = slices.Grow(l.origins, execs)
+	l.elems = slices.Grow(l.elems, 3*copies)
+	if cap(l.chunk)-len(l.chunk) < copies {
+		l.chunk = make([]Copy, 0, max(copies, min(2*cap(l.chunk), maxCopyChunk)))
+	}
+}
+
+// newCopy cuts a copy of hierarchy node hnode, belonging to site in of
+// the parent copy, from the current chunk, with a site for each child of
+// hnode.
+func (l *Labeler) newCopy(hnode int, parent *Copy, in int32) *Copy {
+	if len(l.chunk) == cap(l.chunk) {
+		l.chunk = make([]Copy, 0, min(max(2*cap(l.chunk), minCopyChunk), maxCopyChunk))
+	}
+	l.chunk = l.chunk[:len(l.chunk)+1]
+	c := &l.chunk[len(l.chunk)-1]
+	*c = Copy{hnode: hnode, parent: parent, site: in, sites: int32(len(l.sites))}
+	for _, child := range l.s.Hier.Children[hnode] {
+		l.sites = append(l.sites, site{kind: l.s.KindOf(child)})
+	}
+	return c
+}
 
 // StartCopy begins a new copy of hierarchy node hnode within the parent
 // copy: the next parallel copy for forks, or the iteration appended at the
-// end of the chain for loops. The site is created on first use.
+// end of the chain for loops.
 func (l *Labeler) StartCopy(parent *Copy, hnode int) (*Copy, error) {
 	if err := CheckChild(l.s, parent.hnode, hnode); err != nil {
 		return nil, err
 	}
-	st := parent.sites[hnode]
-	if st == nil {
-		st = &site{hnode: hnode, parent: parent, kind: l.s.KindOf(hnode)}
-		parent.sites[hnode] = st
-	}
-	return l.insertCopy(st, len(st.copies)), nil
+	st := parent.sites + int32(l.s.Hier.Index[hnode])
+	return l.insertCopy(parent, st, hnode, l.sites[st].last), nil
 }
 
 // CheckChild reports whether a copy of hierarchy node hnode may start
@@ -141,79 +194,69 @@ func CheckExec(s *spec.Spec, hnode int, origin dag.VertexID) error {
 // after the given copy in its serial chain (re-execution of an
 // intermediate iteration). prev must be a loop copy.
 func (l *Labeler) StartLoopIterationAfter(prev *Copy) (*Copy, error) {
-	if prev.minus == nil || prev.minus.kind != spec.Loop {
+	if prev.site < 0 || l.sites[prev.site].kind != spec.Loop {
 		return nil, fmt.Errorf("online: copy is not a loop iteration")
 	}
-	st := prev.minus
-	for i, c := range st.copies {
-		if c == prev {
-			return l.insertCopy(st, i+1), nil
-		}
-	}
-	return nil, fmt.Errorf("online: copy not found in its site")
+	return l.insertCopy(prev.parent, prev.site, prev.hnode, prev), nil
 }
 
-// insertCopy creates the copy at serial index idx of the site and places
-// its element in all three order lists, maintaining the block caches.
-func (l *Labeler) insertCopy(st *site, idx int) *Copy {
-	c := &Copy{hnode: st.hnode, parent: st.parent, minus: st, sites: make(map[int]*site)}
-	for ord := 0; ord < 3; ord++ {
-		reversed := l.reversedAt(st.kind, ord)
-		var after *elem
+// insertCopy creates a copy of hierarchy node hnode in site st of the
+// parent copy, serially right after pred (nil when the site has no copy
+// yet), and places its element in all three order lists, maintaining
+// the block caches.
+func (l *Labeler) insertCopy(parent *Copy, st int32, hnode int, pred *Copy) *Copy {
+	c := l.newCopy(hnode, parent, st)
+	s := &l.sites[st]
+	for ord := int32(0); ord < 3; ord++ {
+		var after int32
 		atFront := false
 		switch {
-		case len(st.copies) == 0:
+		case pred == nil:
 			// First copy: the site block opens at the end of the parent
 			// copy's subtree block (site order is creation order in every
 			// traversal, keeping unordered children consistent across the
 			// three orders).
-			after = st.parent.end[ord]
-		case reversed:
-			if idx == len(st.copies) {
-				// Highest logical index is visited first in reverse: the
-				// element opens the site block.
-				after = st.first[ord].prev
-				atFront = true
-			} else {
-				// Visited immediately after the copy at logical index idx.
-				after = st.copies[idx].end[ord]
-			}
+			after = parent.end[ord]
+		case !reversedAt(s.kind, ord):
+			after = pred.end[ord]
+		case pred == s.last:
+			// The highest serial index is visited first in reverse: the
+			// element opens the site block.
+			after = l.elems[s.first[ord]].prev
+			atFront = true
 		default:
-			if idx == 0 {
-				after = st.first[ord].prev
-				atFront = true
-			} else {
-				after = st.copies[idx-1].end[ord]
-			}
+			// Visited immediately after pred's serial successor.
+			after = pred.next.end[ord]
 		}
 		e := l.insertAfter(ord, after)
 		c.elems[ord] = e
 		c.end[ord] = e
-		if len(st.copies) == 0 || atFront {
-			st.first[ord] = e
+		if pred == nil || atFront {
+			s.first[ord] = e
 		}
 		// Extend ancestor subtree-end caches when the insertion happened
 		// at a block boundary.
-		for a := st.parent; a != nil; a = a.parent {
+		for a := parent; a != nil; a = a.parent {
 			if a.end[ord] != after {
 				break
 			}
 			a.end[ord] = e
 		}
 	}
-	if idx == len(st.copies) {
-		st.copies = append(st.copies, c) // O(1) amortized for the hot append path
+	if pred == nil {
+		s.last = c
 	} else {
-		st.copies = append(st.copies, nil)
-		copy(st.copies[idx+1:], st.copies[idx:])
-		st.copies[idx] = c
+		c.next, pred.next = pred.next, c
+		if s.last == pred {
+			s.last = c
+		}
 	}
 	return c
 }
 
 // reversedAt reports whether order ord visits the children of a − node of
 // the given kind in reverse (Algorithm 1: O2 reverses forks, O3 loops).
-func (l *Labeler) reversedAt(kind spec.Kind, ord int) bool {
+func reversedAt(kind spec.Kind, ord int32) bool {
 	return (ord == 1 && kind == spec.Fork) || (ord == 2 && kind == spec.Loop)
 }
 
@@ -222,51 +265,53 @@ func (l *Labeler) reversedAt(kind spec.Kind, ord int) bool {
 // an exponentially expanding neighborhood (Bender-style local relabeling),
 // keeping hot-spot inserts amortized polylogarithmic instead of paying a
 // global renumbering.
-func (l *Labeler) insertAfter(ord int, prev *elem) *elem {
-	next := prev.next
-	e := &elem{prev: prev, next: next}
-	prev.next = e
-	next.prev = e
-	if next.key-prev.key < 2 {
+func (l *Labeler) insertAfter(ord, prev int32) int32 {
+	next := l.elems[prev].next
+	e := int32(len(l.elems))
+	l.elems = append(l.elems, elem{prev: prev, next: next})
+	l.elems[prev].next = e
+	l.elems[next].prev = e
+	if lo, hi := l.elems[prev].key, l.elems[next].key; hi-lo < 2 {
 		l.redistribute(ord, e)
 	} else {
-		e.key = prev.key + (next.key-prev.key)/2
+		l.elems[e].key = lo + (hi-lo)/2
 	}
 	return e
 }
 
 // redistribute reassigns keys in a window around e wide enough to give
 // every window element at least minSpacing of slack.
-func (l *Labeler) redistribute(ord int, e *elem) {
+func (l *Labeler) redistribute(ord, e int32) {
 	l.renumbers++
 	const minSpacing = 1 << 12
-	head, tail := l.heads[ord], l.tails[ord]
-	lo, hi := e.prev, e.next
+	els := l.elems
+	head, tail := 2*ord, 2*ord+1
+	lo, hi := els[e].prev, els[e].next
 	count := 1 // elements strictly between lo and hi
 	step := 8
 	for {
 		for i := 0; i < step && lo != head; i++ {
-			lo = lo.prev
+			lo = els[lo].prev
 			count++
 		}
 		for i := 0; i < step && hi != tail; i++ {
-			hi = hi.next
+			hi = els[hi].next
 			count++
 		}
-		span := hi.key - lo.key
+		span := els[hi].key - els[lo].key
 		if span/uint64(count+1) >= minSpacing || (lo == head && hi == tail) {
 			break
 		}
 		step *= 2
 	}
-	spacing := (hi.key - lo.key) / uint64(count+1)
+	spacing := (els[hi].key - els[lo].key) / uint64(count+1)
 	if spacing < 2 {
 		spacing = 2 // unreachable with 64-bit keys, kept as a safety net
 	}
-	key := lo.key
-	for x := lo.next; x != hi; x = x.next {
+	key := els[lo].key
+	for x := els[lo].next; x != hi; x = els[x].next {
 		key += spacing
-		x.key = key
+		els[x].key = key
 	}
 }
 
@@ -277,8 +322,7 @@ func (l *Labeler) AddExec(c *Copy, origin dag.VertexID) (dag.VertexID, error) {
 	if err := CheckExec(l.s, c.hnode, origin); err != nil {
 		return 0, err
 	}
-	v := dag.VertexID(l.numVertices)
-	l.numVertices++
+	v := dag.VertexID(len(l.origins))
 	l.contexts = append(l.contexts, c)
 	l.origins = append(l.origins, origin)
 	return v, nil
@@ -299,9 +343,9 @@ type Label struct {
 func (l *Labeler) CurrentLabel(v dag.VertexID) Label {
 	c := l.contexts[v]
 	return Label{
-		K1:   c.elems[0].key,
-		K2:   c.elems[1].key,
-		K3:   c.elems[2].key,
+		K1:   l.elems[c.elems[0]].key,
+		K2:   l.elems[c.elems[1]].key,
+		K3:   l.elems[c.elems[2]].key,
 		Orig: l.origins[v],
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/online"
 	"repro/internal/run"
 	"repro/internal/spec"
+	"repro/internal/workload"
 )
 
 func skeletonFor(t testing.TB, s *spec.Spec) label.Labeling {
@@ -308,6 +309,51 @@ func TestQuickReplayAgainstOracle(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestStreamAllocs pins that StartCopy and AddExec allocate nothing of
+// their own: labeling a 2,000-vertex QBLAST stream, labeler included,
+// costs less than one allocation per 20 calls, all of it the amortized
+// growth of the labeler's columns and copy chunks.
+func TestStreamAllocs(t *testing.T) {
+	s := workload.MustStandIn("QBLAST", 1)
+	skel := skeletonFor(t, s)
+	r, p := run.GenerateSized(s, rand.New(rand.NewSource(7)), 2000)
+	evs := events.Emit(r, p)
+	origins := make([]dag.VertexID, len(evs))
+	for i, e := range evs {
+		if e.Kind == events.ModuleExec {
+			origins[i], _ = s.VertexOf(e.Module)
+		}
+	}
+	copies := make([]*online.Copy, 0, len(evs)+1)
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		l := online.New(s, skel)
+		copies = append(copies[:0], l.Root())
+		for i, e := range evs {
+			if e.Kind == events.CopyStart {
+				var c *online.Copy
+				c, err = l.StartCopy(copies[e.Parent], e.HNode)
+				copies = append(copies, c)
+			} else {
+				_, err = l.AddExec(copies[e.Copy], origins[i])
+			}
+			if err != nil {
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NumVertices() < 2000 {
+		t.Fatalf("run has %d vertices, want at least 2,000", r.NumVertices())
+	}
+	if perCall := allocs / float64(len(evs)); perCall >= 0.05 {
+		t.Fatalf("%v allocations for %d calls: %.3f per call", allocs, len(evs), perCall)
+	}
+	t.Logf("%v allocations for %d calls", allocs, len(evs))
 }
 
 func BenchmarkOnlineAppendLoopIteration(b *testing.B) {

@@ -38,6 +38,8 @@ type Namer struct {
 	origin   []dag.VertexID
 	rank     []int32
 	byOrigin [][]dag.VertexID
+	// lists is the chunk Add cuts an origin's first list from.
+	lists []dag.VertexID
 	// Vertex looks up only the splits that could match: a prefix that
 	// starts like a module name and is no longer than the longest, a
 	// rank no larger than the largest given.
@@ -48,9 +50,14 @@ type Namer struct {
 
 // firstListCap is the capacity an origin's vertex list starts at when
 // Add meets the origin first, so a namer grown by Add (a live stream)
-// skips append's smallest growth steps. NewNamerFromOrigins cuts each
-// list it can count to its exact size.
-const firstListCap = 8
+// skips append's smallest growth steps. Add cuts these first lists from
+// a shared chunk of up to listChunk lists (no more than the spec has
+// modules), so meeting a new origin seldom allocates. NewNamerFromOrigins cuts each list it can count to its
+// exact size.
+const (
+	firstListCap = 8
+	listChunk    = 64
+)
 
 // maxRankDigits bounds a rank's decimal digits: ranks are int32.
 const maxRankDigits = 10
@@ -111,13 +118,26 @@ func (nm *Namer) Add(origin dag.VertexID) dag.VertexID {
 	v := dag.VertexID(len(nm.origin))
 	nm.origin = append(nm.origin, origin)
 	if cap(nm.byOrigin[origin]) == 0 {
-		nm.byOrigin[origin] = make([]dag.VertexID, 0, firstListCap)
+		if cap(nm.lists)-len(nm.lists) < firstListCap {
+			nm.lists = make([]dag.VertexID, 0, min(listChunk, len(nm.byOrigin))*firstListCap)
+		}
+		n := len(nm.lists)
+		nm.lists = nm.lists[:n+firstListCap]
+		nm.byOrigin[origin] = nm.lists[n : n : n+firstListCap]
 	}
 	nm.byOrigin[origin] = append(nm.byOrigin[origin], v)
 	r := int32(len(nm.byOrigin[origin]))
 	nm.rank = append(nm.rank, r)
 	nm.maxRank = max(nm.maxRank, r)
 	return v
+}
+
+// Grow makes room for n more vertices in the columns Add appends to
+// every time (each vertex's origin and rank), so a caller that knows how
+// many it will add grows them once.
+func (nm *Namer) Grow(n int) {
+	nm.origin = slices.Grow(nm.origin, n)
+	nm.rank = slices.Grow(nm.rank, n)
 }
 
 // Len returns the number of vertices named.

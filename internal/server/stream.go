@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"repro/internal/events"
 	"repro/internal/live"
@@ -37,6 +39,32 @@ import (
 // longest legitimate record is two decimal ints plus a module name, so
 // 4 KiB is generous without letting one token balloon.
 const maxEventLine = 4096
+
+// appendScratch is what one append request reads, parses and renders
+// into: the body, its events, and the log bytes of the fresh ones.
+// Nothing a request leaves behind refers to it.
+type appendScratch struct {
+	body bytes.Buffer
+	evs  []events.Event
+	log  []byte
+}
+
+// appendScratchPool is a pointer so a test can hand the handler a
+// scratch it holds.
+var appendScratchPool = &sync.Pool{New: func() any { return new(appendScratch) }}
+
+// maxPooledAppend bounds the body and log bytes a pooled appendScratch
+// keeps, so one large batch does not stay pinned in the pool; a
+// 64-event batch is about 1.5 KiB.
+const maxPooledAppend = 1 << 20
+
+func (sc *appendScratch) release() {
+	if sc.body.Cap() > maxPooledAppend || cap(sc.log) > maxPooledAppend || cap(sc.evs) > maxPooledAppend/16 {
+		return
+	}
+	clear(sc.evs) // drop the copied names of unknown modules
+	appendScratchPool.Put(sc)
+}
 
 // errFinished is openStream's answer for a run that is already stored:
 // the store wins over any leftover stream state. s.fail answers it 409.
@@ -114,8 +142,14 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) erro
 	// Parse before taking the run lock: a slow client body must not
 	// block queries. The event count cap is what the byte cap implies
 	// (every record is several bytes), so neither bound is the weak one.
+	// The body is read whole into pooled scratch and parsed there, each
+	// module name interned against the spec; the fresh events' log is
+	// rendered into the same scratch.
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxIngestBytes)
-	evs, err := events.ReadLogLimits(r.Body, maxEventLine, int(s.maxIngestBytes/8))
+	sc := appendScratchPool.Get().(*appendScratch)
+	defer sc.release()
+	evs, err := events.ReadLogInto(sc.evs[:0], &sc.body, r.Body, s.st.Spec(), maxEventLine, int(s.maxIngestBytes/8))
+	sc.evs = evs
 	if err != nil {
 		return badRequestf("malformed event log: %w", err)
 	}
@@ -141,7 +175,7 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) erro
 	if offset < 0 {
 		offset = ls.Seq()
 	}
-	applied, err := ls.Append(evs, offset)
+	applied, err := ls.AppendScratch(evs, offset, &sc.log)
 	if err != nil {
 		var evErr *live.EventError
 		if errors.Is(err, live.ErrGap) || errors.Is(err, live.ErrConflict) || errors.As(err, &evErr) {
