@@ -27,7 +27,7 @@ import (
 
 // benchRun builds a deterministic run of roughly the given size over the
 // QBLAST stand-in.
-func benchRun(b *testing.B, target int) *repro.Run {
+func benchRun(b testing.TB, target int) *repro.Run {
 	b.Helper()
 	s, err := repro.StandInSpec("QBLAST", 1)
 	if err != nil {
@@ -980,6 +980,28 @@ func BenchmarkConstructPlan(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestConstructPlanAllocs pins plan construction at the 3 allocations
+// of the Plan it returns, at both of BenchmarkConstructPlan's sizes.
+// testing.AllocsPerRun runs at GOMAXPROCS 1, so every construction
+// after its warm-up takes the constructor the previous one returned to
+// sync.Pool's one per-P private slot. The benchmark's rows run at the
+// process's GOMAXPROCS and read 3 or 9 allocs at n=16245 from one
+// process to the next, as the pool's private slot of the P that runs
+// the next construction does or does not hold a warm constructor.
+func TestConstructPlanAllocs(t *testing.T) {
+	for _, size := range []int{1000, 16000} {
+		r := benchRun(t, size)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := repro.ConstructPlan(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 3 {
+			t.Errorf("n=%d: plan construction allocates %v times, want 3", r.NumVertices(), allocs)
+		}
 	}
 }
 

@@ -95,8 +95,9 @@
 // Each append carries the sequence number of its first event
 // (?offset=N; omit it to append at the current cursor). The cursor
 // makes retries idempotent: events the server already holds are
-// deduplicated against history and only the surplus applies; a batch
-// past the cursor is a gap and a batch contradicting history is a
+// deduplicated against the applied events and only the surplus
+// applies; a batch past the cursor is a gap and a batch contradicting
+// the applied events is a
 // conflict, both answered 409 with the current cursor so a client
 // resyncs with one status GET. `provquery -append <base-url> -run
 // <log.events> -as <name>` implements that client loop, and `provquery

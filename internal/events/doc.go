@@ -22,6 +22,16 @@
 // numbering, such as one that starts copy 2 first, exactly as a live
 // stream refuses it.
 //
+// The applier is also the one record of what it applied, and keeps no
+// copy of the events: 8 pointer-free bytes per event, a copy start's
+// copy ID or an exec's copy and vertex IDs. Len counts the applied
+// events, and Event(i) rebuilds event i: a copy start's parent and
+// hierarchy node from the copy table, an exec's module as the
+// specification's name of the vertex's origin in the namer. A rebuilt
+// event has the fields its kind carries and zero in the others; a live
+// session compares a resent event with it and renders its checkpoint
+// from it.
+//
 // # Log format
 //
 // A log has one event per line:
@@ -73,8 +83,8 @@
 // over-long line, which starts with "events:".
 //
 // AppendLog renders events into a caller's buffer, the bytes WriteLog
-// writes; a live session renders each batch's fresh events into the
-// append request's scratch before it appends them to the event log.
+// writes; a live session renders each batch's fresh events into a
+// buffer it keeps before it appends them to the event log.
 //
 // # The oracle
 //

@@ -3,10 +3,11 @@
 // instead of arriving as one finished document. Each Session feeds its
 // events.Event appends to an events.Applier, which owns the
 // online.Labeler (the paper's Section 9 incremental scheme), the copy
-// table the execution tree is reconstructed from and the run.Namer
-// that names vertices as they execute. A session checks every batch
-// with the applier, persists it to a per-run event log blob
-// (store.Backend.AppendEventLog), and only then applies it.
+// table the execution tree is reconstructed from, the run.Namer that
+// names vertices as they execute, and the record of the applied events
+// (8 bytes each, no pointer), the session's one copy of them. A session
+// checks every batch with the applier, persists it to a per-run event
+// log blob (store.Backend.AppendEventLog), and only then applies it.
 //
 // # Durability
 //
@@ -28,7 +29,10 @@
 // event. A batch whose offset runs past the applied sequence is a gap
 // (ErrGap); a batch overlapping the applied prefix must resend the
 // identical events (idempotent resume — anything else is ErrConflict)
-// and only the surplus is applied. Copies must be numbered densely in
+// and only the surplus is applied. A resent event is compared with the
+// applied one the applier rebuilds, on the fields its kind carries:
+// kind and copy, plus parent and hierarchy node for a copy start or the
+// module for an exec. Copies must be numbered densely in
 // start order (copy 0 is the run itself and is never started), parents
 // before children and loop iterations in serial order — the convention
 // events.Emit produces. events.Applier.Check enforces it, the check
@@ -254,16 +258,17 @@ type Session struct {
 	st   *store.Store
 	g    *Gauges
 
-	// app holds the labeler, the copy table Finish materializes and the
-	// namer, and checks every batch before it reaches the log.
-	app     *events.Applier
-	history []events.Event
+	// app holds the labeler, the copy table Finish materializes, the
+	// namer and the record of the applied events, and checks every
+	// batch before it reaches the log.
+	app *events.Applier
+	// log is the buffer each append renders its fresh events into.
+	log []byte
 
-	// logBytes is how much of the run's event log this session's history
-	// accounts for; appends extend it, recovery re-derives it.
-	logBytes     int64
-	ckptSeq      int
-	ckptLogBytes int64
+	// logBytes is how much of the run's event log the applied events
+	// account for; appends extend it, recovery re-derives it.
+	logBytes int64
+	ckptSeq  int
 
 	lastRenumbers int
 	broken        bool
@@ -296,7 +301,7 @@ func NewSession(st *store.Store, name string, skel label.Labeling, g *Gauges) *S
 
 // Seq returns the number of events applied — the offset the next
 // append continues from.
-func (s *Session) Seq() int { return len(s.history) }
+func (s *Session) Seq() int { return s.app.Len() }
 
 // NumCopies returns the number of started copies including the root.
 func (s *Session) NumCopies() int { return len(s.app.Table().HNode) }
@@ -310,7 +315,7 @@ func (s *Session) CheckpointSeq() int { return s.ckptSeq }
 
 // SinceCheckpoint returns how many applied events lie past the last
 // checkpoint: all of them when none was written.
-func (s *Session) SinceCheckpoint() int { return len(s.history) - s.ckptSeq }
+func (s *Session) SinceCheckpoint() int { return s.app.Len() - s.ckptSeq }
 
 // EventLogBytes returns how many event-log bytes the session covers.
 func (s *Session) EventLogBytes() int64 { return s.logBytes }
@@ -320,36 +325,24 @@ func (s *Session) EventLogBytes() int64 { return s.logBytes }
 func (s *Session) Broken() bool { return s.broken }
 
 // Append applies a batch whose first event has sequence number offset.
-// Events up to the current sequence must match the applied history
-// (they are skipped — idempotent resume after a lost response); the
-// rest is validated, durably appended to the run's event log, and only
-// then applied to the labeler. It returns how many events were newly
-// applied. On ErrGap, ErrConflict or *EventError nothing was applied;
+// Events up to the current sequence must match the applied ones (they
+// are skipped — idempotent resume after a lost response); the rest is
+// validated, rendered into the session's log buffer, durably appended
+// to the run's event log, and only then applied to the labeler. It
+// returns how many events were newly applied, and keeps no reference
+// to evs. On ErrGap, ErrConflict or *EventError nothing was applied;
 // on a storage error the session is marked broken (the log's tail is
 // unknown) and must be rebuilt with Recover.
 func (s *Session) Append(evs []events.Event, offset int) (int, error) {
-	var scratch []byte
-	return s.AppendScratch(evs, offset, &scratch)
-}
-
-// AppendScratch is Append rendering the log bytes of the fresh events
-// into *scratch, from its start, growing it when it is too short; a
-// caller that appends many batches, like the server's append handler,
-// passes the same scratch each time and renders every log without
-// allocating. The session keeps no reference to scratch or evs.
-func (s *Session) AppendScratch(evs []events.Event, offset int, scratch *[]byte) (int, error) {
 	if s.broken {
 		return 0, fmt.Errorf("live: session %q needs recovery after a storage failure", s.name)
 	}
-	if offset < 0 || offset > len(s.history) {
-		return 0, fmt.Errorf("%w: offset %d with %d applied", ErrGap, offset, len(s.history))
+	if offset < 0 || offset > s.Seq() {
+		return 0, fmt.Errorf("%w: offset %d with %d applied", ErrGap, offset, s.Seq())
 	}
-	overlap := len(s.history) - offset
-	if overlap > len(evs) {
-		overlap = len(evs)
-	}
-	for i := 0; i < overlap; i++ {
-		if evs[i] != s.history[offset+i] {
+	overlap := min(s.Seq()-offset, len(evs))
+	for i, e := range evs[:overlap] {
+		if !sameEvent(e, s.app.Event(offset+i)) {
 			return 0, fmt.Errorf("%w: batch event %d differs at sequence %d", ErrConflict, i, offset+i)
 		}
 	}
@@ -360,10 +353,14 @@ func (s *Session) AppendScratch(evs []events.Event, offset int, scratch *[]byte)
 	if err := s.app.Check(fresh); err != nil {
 		return 0, err
 	}
-	log, err := events.AppendLog((*scratch)[:0], fresh)
-	*scratch = log
+	log, err := events.AppendLog(s.log[:0], fresh)
 	if err != nil {
 		return 0, err
+	}
+	// Keep the buffer for the next batch unless it outgrew 1 MiB, so one
+	// large batch does not stay pinned (64 events render about 1.5 KiB).
+	if s.log = log; cap(log) > 1<<20 {
+		s.log = nil
 	}
 	if err := s.st.AppendRunEvents(s.name, log); err != nil {
 		// A transient error guarantees no bytes landed (the store failure
@@ -376,40 +373,54 @@ func (s *Session) AppendScratch(evs []events.Event, offset int, scratch *[]byte)
 		}
 		return 0, fmt.Errorf("live: appending event log for %q: %w", s.name, err)
 	}
-	s.logBytes += int64(len(log))
-	s.app.Apply(fresh)
-	s.history = append(s.history, fresh...)
-	s.g.events.Add(int64(len(fresh)))
-	s.bumpRenumbers()
+	s.apply(fresh, int64(len(log)))
 	return len(fresh), nil
 }
 
-func (s *Session) bumpRenumbers() {
+// sameEvent reports whether a resent event is the applied event a, on
+// the fields a's kind carries.
+func sameEvent(e, a events.Event) bool {
+	if a.Kind == events.CopyStart {
+		return e.Kind == a.Kind && e.Copy == a.Copy && e.Parent == a.Parent && e.HNode == a.HNode
+	}
+	return e.Kind == a.Kind && e.Copy == a.Copy && e.Module == a.Module
+}
+
+// apply applies the batch the applier last checked, which covers
+// logBytes more of the event log, and counts it in the gauges.
+func (s *Session) apply(evs []events.Event, logBytes int64) {
+	s.app.Apply(evs)
+	s.logBytes += logBytes
+	s.g.events.Add(int64(len(evs)))
 	if rn := s.app.Labeler().Renumbers(); rn != s.lastRenumbers {
 		s.g.renumbers.Add(int64(rn - s.lastRenumbers))
 		s.lastRenumbers = rn
 	}
 }
 
-// Checkpoint atomically persists the applied event prefix and the log
-// bytes it covers to the run's checkpoint meta blob; recovery then
-// replays the prefix from that blob and parses the log only past those
-// bytes. Recover calls it to fence a torn tail. The serving layer never
-// calls it otherwise: the prefix is already in the log, so a periodic
-// copy costs writes and saves recovery nothing.
+// Checkpoint atomically persists the applied event prefix, rebuilt
+// from the applier's record, and the log bytes it covers to the run's
+// checkpoint meta blob; recovery then replays the prefix from that blob
+// and parses the log only past those bytes. Recover calls it to fence a
+// torn tail. The serving layer never calls it otherwise: the prefix is
+// already in the log, so a periodic copy costs writes and saves
+// recovery nothing.
 func (s *Session) Checkpoint() error {
 	if s.broken {
 		return fmt.Errorf("live: session %q needs recovery after a storage failure", s.name)
 	}
-	buf, err := events.AppendLog(fmt.Appendf(nil, "ckpt %d %d\n", len(s.history), s.logBytes), s.history)
+	prefix := make([]events.Event, s.Seq())
+	for i := range prefix {
+		prefix[i] = s.app.Event(i)
+	}
+	buf, err := events.AppendLog(fmt.Appendf(nil, "ckpt %d %d\n", len(prefix), s.logBytes), prefix)
 	if err != nil {
 		return err
 	}
 	if err := s.st.Backend().WriteMeta(CheckpointMeta(s.name), buf); err != nil {
 		return fmt.Errorf("live: checkpointing %q: %w", s.name, err)
 	}
-	s.ckptSeq = len(s.history)
-	s.ckptLogBytes = s.logBytes
+	s.ckptSeq = len(prefix)
 	s.g.checkpoints.Add(1)
 	return nil
 }
@@ -434,6 +445,7 @@ func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Ses
 	haveCkpt := len(ckpt) > 0
 	sp := st.Spec()
 	var evs []events.Event
+	var ckptLogBytes int64
 	if haveCkpt {
 		seq, logBytes, prefix, perr := parseCheckpoint(ckpt, sp)
 		if perr != nil {
@@ -443,7 +455,7 @@ func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Ses
 			return nil, fmt.Errorf("live: checkpoint for %q holds %d events but declares %d", name, len(prefix), seq)
 		}
 		evs = prefix
-		s.ckptSeq, s.ckptLogBytes = seq, logBytes
+		s.ckptSeq, ckptLogBytes = seq, logBytes
 	}
 
 	var data []byte
@@ -461,10 +473,10 @@ func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Ses
 	default:
 		return nil, err
 	}
-	if int64(len(data)) < s.ckptLogBytes {
-		return nil, fmt.Errorf("live: event log for %q is %d bytes but its checkpoint covers %d", name, len(data), s.ckptLogBytes)
+	if int64(len(data)) < ckptLogBytes {
+		return nil, fmt.Errorf("live: event log for %q is %d bytes but its checkpoint covers %d", name, len(data), ckptLogBytes)
 	}
-	tail := data[s.ckptLogBytes:]
+	tail := data[ckptLogBytes:]
 	clean := 0
 	if i := bytes.LastIndexByte(tail, '\n'); i >= 0 {
 		clean = i + 1
@@ -479,12 +491,9 @@ func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Ses
 	if err := s.app.Check(evs); err != nil {
 		return nil, fmt.Errorf("live: stream state for %q: %w", name, err)
 	}
-	s.app.Apply(evs)
-	s.history = evs
-	s.logBytes = s.ckptLogBytes + int64(clean)
+	s.logBytes = ckptLogBytes
+	s.apply(evs, int64(clean))
 	s.g.replays.Add(1)
-	s.g.events.Add(int64(len(s.history)))
-	s.bumpRenumbers()
 	if clean < len(tail) {
 		// Torn tail: account the garbage bytes to the session and
 		// checkpoint over them, so appends resume past them and no

@@ -14,20 +14,19 @@ import (
 )
 
 // TestAppendBorrowedBody pins that an append keeps nothing of the
-// pooled scratch it parsed and rendered in: after every append, the
-// body, event and log bytes of the one scratch the handler is handed
-// are overwritten, and the session's history, its event log and its
-// answers stay what the events say.
+// pooled scratch it parsed in: after every append, the body and event
+// bytes of the one scratch the handler is handed are overwritten, and
+// the session's applied events, its event log and its answers stay
+// what the events say.
 func TestAppendBorrowedBody(t *testing.T) {
 	sc, pool := new(appendScratch), appendScratchPool
 	appendScratchPool = &sync.Pool{New: func() any { return sc }}
 	defer func() { appendScratchPool = pool }()
 	clobber := func() {
 		body := sc.body.Bytes()
-		for _, b := range [][]byte{body[:cap(body)], sc.log[:cap(sc.log)]} {
-			for i := range b {
-				b[i] = 'z'
-			}
+		body = body[:cap(body)]
+		for i := range body {
+			body[i] = 'z'
 		}
 		evs := sc.evs[:cap(sc.evs)]
 		for i := range evs {
@@ -62,8 +61,8 @@ func TestAppendBorrowedBody(t *testing.T) {
 	if want := logText(t, evs); string(log) != want {
 		t.Fatalf("event log after clobbering:\n%q\nwant\n%q", log, want)
 	}
-	// The whole log resent from offset 0 must match the applied history
-	// event for event, or the append is a conflict.
+	// The whole log resent from offset 0 must match the applied events
+	// one for one, or the append is a conflict.
 	var resp struct{ Applied, Seq int }
 	if rec := do(t, streamed, "POST", "/runs/r/events?offset=0", logText(t, evs), &resp); rec.Code != 200 || resp.Applied != 0 || resp.Seq != len(evs) {
 		t.Fatalf("resend: %d %s", rec.Code, rec.Body.String())

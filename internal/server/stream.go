@@ -40,26 +40,24 @@ import (
 // 4 KiB is generous without letting one token balloon.
 const maxEventLine = 4096
 
-// appendScratch is what one append request reads, parses and renders
-// into: the body, its events, and the log bytes of the fresh ones.
-// Nothing a request leaves behind refers to it.
+// appendScratch is what one append request reads and parses into: the
+// body and its events. Nothing a request leaves behind refers to it.
 type appendScratch struct {
 	body bytes.Buffer
 	evs  []events.Event
-	log  []byte
 }
 
 // appendScratchPool is a pointer so a test can hand the handler a
 // scratch it holds.
 var appendScratchPool = &sync.Pool{New: func() any { return new(appendScratch) }}
 
-// maxPooledAppend bounds the body and log bytes a pooled appendScratch
+// maxPooledAppend bounds the body bytes a pooled appendScratch
 // keeps, so one large batch does not stay pinned in the pool; a
 // 64-event batch is about 1.5 KiB.
 const maxPooledAppend = 1 << 20
 
 func (sc *appendScratch) release() {
-	if sc.body.Cap() > maxPooledAppend || cap(sc.log) > maxPooledAppend || cap(sc.evs) > maxPooledAppend/16 {
+	if sc.body.Cap() > maxPooledAppend || cap(sc.evs) > maxPooledAppend/16 {
 		return
 	}
 	clear(sc.evs) // drop the copied names of unknown modules
@@ -143,8 +141,7 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) erro
 	// block queries. The event count cap is what the byte cap implies
 	// (every record is several bytes), so neither bound is the weak one.
 	// The body is read whole into pooled scratch and parsed there, each
-	// module name interned against the spec; the fresh events' log is
-	// rendered into the same scratch.
+	// module name interned against the spec.
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxIngestBytes)
 	sc := appendScratchPool.Get().(*appendScratch)
 	defer sc.release()
@@ -175,7 +172,7 @@ func (s *Server) handleAppendEvents(w http.ResponseWriter, r *http.Request) erro
 	if offset < 0 {
 		offset = ls.Seq()
 	}
-	applied, err := ls.AppendScratch(evs, offset, &sc.log)
+	applied, err := ls.Append(evs, offset)
 	if err != nil {
 		var evErr *live.EventError
 		if errors.Is(err, live.ErrGap) || errors.Is(err, live.ErrConflict) || errors.As(err, &evErr) {
