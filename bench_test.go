@@ -385,6 +385,9 @@ func BenchmarkServerAppendEvents(b *testing.B) {
 // through ServeHTTP, request and writer reused: at most 12 allocations
 // a batch, whatever the batch's size.
 func TestAppendEventsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
 	app := newAppendBench(t)
 	for range app.reqs {
 		app.next(t) // one whole stream first: pools and routes warm
@@ -983,6 +986,9 @@ func BenchmarkConstructPlan(b *testing.B) {
 	}
 }
 
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
 // TestConstructPlanAllocs pins plan construction at the 3 allocations
 // of the Plan it returns, at both of BenchmarkConstructPlan's sizes.
 // testing.AllocsPerRun runs at GOMAXPROCS 1, so every construction
@@ -992,6 +998,9 @@ func BenchmarkConstructPlan(b *testing.B) {
 // process to the next, as the pool's private slot of the P that runs
 // the next construction does or does not hold a warm constructor.
 func TestConstructPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
 	for _, size := range []int{1000, 16000} {
 		r := benchRun(t, size)
 		allocs := testing.AllocsPerRun(20, func() {

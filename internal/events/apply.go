@@ -25,9 +25,8 @@ func (e *EventError) Unwrap() error { return e.Err }
 // Applier replays an event stream into an online labeler. It owns the
 // labeler, the labeler's handle of every started copy by copy ID, the
 // copy table (each copy's hierarchy node and parent copy, in start
-// order: the execution tree run.MaterializeTable rebuilds), the namer
-// that names each module execution as it is applied, and the record of
-// the applied events, from which Event rebuilds each one.
+// order: the execution tree run.MaterializeTable rebuilds) and the
+// namer that names each module execution as it is applied.
 //
 // Check holds a batch to the Emit convention: copies are numbered
 // densely in start order (copy 0 is the run itself and is never
@@ -40,11 +39,6 @@ type Applier struct {
 	copies []*online.Copy
 	table  run.CopyTable
 	names  *run.Namer
-	// record holds 8 pointer-free bytes per applied event, in order: a
-	// copy start's copy ID with recordStart set, or an exec's copy ID in
-	// the high word and its vertex ID in the low one. The rest of an
-	// event is in the copy table and the namer.
-	record []uint64
 	// The batch Check last accepted: its length, the hierarchy nodes of
 	// the copies it starts, and the origin of each of its module
 	// executions in order, which Apply uses rather than resolve the
@@ -78,23 +72,6 @@ func (a *Applier) Table() run.CopyTable { return a.table }
 // Namer names the applied module executions, one per vertex in event
 // order.
 func (a *Applier) Namer() *run.Namer { return a.names }
-
-// recordStart marks a copy start in Applier.record.
-const recordStart = 1 << 63
-
-// Len returns the number of events applied.
-func (a *Applier) Len() int { return len(a.record) }
-
-// Event returns applied event i, rebuilt from the record, the copy
-// table and the namer: a copy start's parent and hierarchy node, or an
-// exec's module, with every field its kind does not use zero.
-func (a *Applier) Event(i int) Event {
-	r := a.record[i]
-	if c := uint32(r); r&recordStart != 0 {
-		return Event{Kind: CopyStart, Copy: int(c), Parent: int(a.table.Parent[c]), HNode: int(a.table.HNode[c])}
-	}
-	return Event{Kind: ModuleExec, Copy: int(r >> 32), Module: a.sp.NameOf(a.names.Origins()[uint32(r)])}
-}
 
 // Check checks a batch against the applier's state as if its events
 // were applied in order, and changes nothing but the record of the
@@ -166,7 +143,6 @@ func (a *Applier) Apply(evs []Event) {
 	a.copies = slices.Grow(a.copies, copies)
 	a.table.HNode = slices.Grow(a.table.HNode, copies)
 	a.table.Parent = slices.Grow(a.table.Parent, copies)
-	a.record = slices.Grow(a.record, len(evs))
 	x := 0
 	for i, e := range evs {
 		var err error
@@ -174,7 +150,6 @@ func (a *Applier) Apply(evs []Event) {
 		case CopyStart:
 			var c *online.Copy
 			if c, err = a.lab.StartCopy(a.copies[e.Parent], e.HNode); err == nil {
-				a.record = append(a.record, recordStart|uint64(len(a.copies)))
 				a.copies = append(a.copies, c)
 				a.table.HNode = append(a.table.HNode, int32(e.HNode))
 				a.table.Parent = append(a.table.Parent, int32(e.Parent))
@@ -183,7 +158,7 @@ func (a *Applier) Apply(evs []Event) {
 			orig := a.origins[x]
 			x++
 			if _, err = a.lab.AddExec(a.copies[e.Copy], orig); err == nil {
-				a.record = append(a.record, uint64(e.Copy)<<32|uint64(a.names.Add(orig)))
+				a.names.Add(orig)
 			}
 		}
 		if err != nil {

@@ -20,17 +20,10 @@
 // and cannot fail: the hierarchy and subgraph rules are the labeler's
 // own predicates, online.CheckChild and online.CheckExec. So Replay refuses a log that breaks the dense
 // numbering, such as one that starts copy 2 first, exactly as a live
-// stream refuses it.
-//
-// The applier is also the one record of what it applied, and keeps no
-// copy of the events: 8 pointer-free bytes per event, a copy start's
-// copy ID or an exec's copy and vertex IDs. Len counts the applied
-// events, and Event(i) rebuilds event i: a copy start's parent and
-// hierarchy node from the copy table, an exec's module as the
-// specification's name of the vertex's origin in the namer. A rebuilt
-// event has the fields its kind carries and zero in the others; a live
-// session compares a resent event with it and renders its checkpoint
-// from it.
+// stream refuses it. The applier keeps no copy of the events it
+// applied; a live session, which compares resends with them, keeps its
+// own 8-byte record of each and rebuilds the rest from the applier's
+// copy table and namer.
 //
 // # Log format
 //
@@ -84,7 +77,8 @@
 //
 // AppendLog renders events into a caller's buffer, the bytes WriteLog
 // writes; a live session renders each batch's fresh events into a
-// buffer it keeps before it appends them to the event log.
+// pooled buffer before it appends them to the event log, and renders
+// its checkpoint from the events it rebuilds one at a time.
 //
 // # The oracle
 //

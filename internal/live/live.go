@@ -3,11 +3,13 @@
 // instead of arriving as one finished document. Each Session feeds its
 // events.Event appends to an events.Applier, which owns the
 // online.Labeler (the paper's Section 9 incremental scheme), the copy
-// table the execution tree is reconstructed from, the run.Namer that
-// names vertices as they execute, and the record of the applied events
-// (8 bytes each, no pointer), the session's one copy of them. A session
-// checks every batch with the applier, persists it to a per-run event
-// log blob (store.Backend.AppendEventLog), and only then applies it.
+// table the execution tree is reconstructed from, and the run.Namer that
+// names vertices as they execute. The session's one copy of the applied
+// events is a record of 8 pointer-free bytes each (a copy start's copy
+// ID, or an exec's copy and vertex IDs), from which it rebuilds any
+// applied event against the copy table and the namer. A session checks
+// every batch with the applier, persists it to a per-run event log blob
+// (store.Backend.AppendEventLog), and only then applies it.
 //
 // # Durability
 //
@@ -30,7 +32,7 @@
 // (ErrGap); a batch overlapping the applied prefix must resend the
 // identical events (idempotent resume — anything else is ErrConflict)
 // and only the surplus is applied. A resent event is compared with the
-// applied one the applier rebuilds, on the fields its kind carries:
+// applied one the session rebuilds, on the fields its kind carries:
 // kind and copy, plus parent and hierarchy node for a copy start or the
 // module for an exec. Copies must be numbered densely in
 // start order (copy 0 is the run itself and is never started), parents
@@ -258,12 +260,14 @@ type Session struct {
 	st   *store.Store
 	g    *Gauges
 
-	// app holds the labeler, the copy table Finish materializes, the
-	// namer and the record of the applied events, and checks every
-	// batch before it reaches the log.
+	// app holds the labeler, the copy table Finish materializes and the
+	// namer, and checks every batch before it reaches the log.
 	app *events.Applier
-	// log is the buffer each append renders its fresh events into.
-	log []byte
+	// record holds 8 pointer-free bytes per applied event, in order: a
+	// copy start's copy ID with recordStart set, or an exec's copy ID in
+	// the high word and its vertex ID in the low one. event rebuilds the
+	// rest from the copy table and the namer.
+	record []uint64
 
 	// logBytes is how much of the run's event log the applied events
 	// account for; appends extend it, recovery re-derives it.
@@ -301,7 +305,7 @@ func NewSession(st *store.Store, name string, skel label.Labeling, g *Gauges) *S
 
 // Seq returns the number of events applied — the offset the next
 // append continues from.
-func (s *Session) Seq() int { return s.app.Len() }
+func (s *Session) Seq() int { return len(s.record) }
 
 // NumCopies returns the number of started copies including the root.
 func (s *Session) NumCopies() int { return len(s.app.Table().HNode) }
@@ -315,7 +319,7 @@ func (s *Session) CheckpointSeq() int { return s.ckptSeq }
 
 // SinceCheckpoint returns how many applied events lie past the last
 // checkpoint: all of them when none was written.
-func (s *Session) SinceCheckpoint() int { return s.app.Len() - s.ckptSeq }
+func (s *Session) SinceCheckpoint() int { return len(s.record) - s.ckptSeq }
 
 // EventLogBytes returns how many event-log bytes the session covers.
 func (s *Session) EventLogBytes() int64 { return s.logBytes }
@@ -327,8 +331,8 @@ func (s *Session) Broken() bool { return s.broken }
 // Append applies a batch whose first event has sequence number offset.
 // Events up to the current sequence must match the applied ones (they
 // are skipped — idempotent resume after a lost response); the rest is
-// validated, rendered into the session's log buffer, durably appended
-// to the run's event log, and only then applied to the labeler. It
+// validated, rendered into a pooled buffer, durably appended to the
+// run's event log, and only then applied to the labeler. It
 // returns how many events were newly applied, and keeps no reference
 // to evs. On ErrGap, ErrConflict or *EventError nothing was applied;
 // on a storage error the session is marked broken (the log's tail is
@@ -342,7 +346,7 @@ func (s *Session) Append(evs []events.Event, offset int) (int, error) {
 	}
 	overlap := min(s.Seq()-offset, len(evs))
 	for i, e := range evs[:overlap] {
-		if !sameEvent(e, s.app.Event(offset+i)) {
+		if !sameEvent(e, s.event(offset+i)) {
 			return 0, fmt.Errorf("%w: batch event %d differs at sequence %d", ErrConflict, i, offset+i)
 		}
 	}
@@ -353,14 +357,13 @@ func (s *Session) Append(evs []events.Event, offset int) (int, error) {
 	if err := s.app.Check(fresh); err != nil {
 		return 0, err
 	}
-	log, err := events.AppendLog(s.log[:0], fresh)
+	buf := logPool.Get().(*[]byte)
+	log, err := events.AppendLog((*buf)[:0], fresh)
+	if *buf = log; cap(log) <= MaxPooledBytes {
+		defer logPool.Put(buf)
+	}
 	if err != nil {
 		return 0, err
-	}
-	// Keep the buffer for the next batch unless it outgrew 1 MiB, so one
-	// large batch does not stay pinned (64 events render about 1.5 KiB).
-	if s.log = log; cap(log) > 1<<20 {
-		s.log = nil
 	}
 	if err := s.st.AppendRunEvents(s.name, log); err != nil {
 		// A transient error guarantees no bytes landed (the store failure
@@ -377,6 +380,29 @@ func (s *Session) Append(evs []events.Event, offset int) (int, error) {
 	return len(fresh), nil
 }
 
+// MaxPooledBytes bounds the bytes a pooled append buffer keeps, here
+// and in the serving layer, so one large batch does not stay pinned; a
+// 64-event batch renders about 1.5 KiB.
+const MaxPooledBytes = 1 << 20
+
+// logPool holds the buffers appends render their fresh events' log
+// into, shared by every session.
+var logPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// recordStart marks a copy start in Session.record.
+const recordStart = 1 << 63
+
+// event returns applied event i, rebuilt from the record, the copy
+// table and the namer: a copy start's parent and hierarchy node, or an
+// exec's module, with every field its kind does not use zero.
+func (s *Session) event(i int) events.Event {
+	r := s.record[i]
+	if c := uint32(r); r&recordStart != 0 {
+		return events.Event{Kind: events.CopyStart, Copy: int(c), Parent: int(s.app.Table().Parent[c]), HNode: int(s.app.Table().HNode[c])}
+	}
+	return events.Event{Kind: events.ModuleExec, Copy: int(r >> 32), Module: s.st.Spec().NameOf(s.app.Namer().Origins()[uint32(r)])}
+}
+
 // sameEvent reports whether a resent event is the applied event a, on
 // the fields a's kind carries.
 func sameEvent(e, a events.Event) bool {
@@ -387,9 +413,18 @@ func sameEvent(e, a events.Event) bool {
 }
 
 // apply applies the batch the applier last checked, which covers
-// logBytes more of the event log, and counts it in the gauges.
+// logBytes more of the event log, records it and counts it in the
+// gauges.
 func (s *Session) apply(evs []events.Event, logBytes int64) {
+	v := uint64(len(s.app.Namer().Origins()))
 	s.app.Apply(evs)
+	for _, e := range evs {
+		r := recordStart | uint64(e.Copy)
+		if e.Kind == events.ModuleExec {
+			r, v = uint64(e.Copy)<<32|v, v+1
+		}
+		s.record = append(s.record, r)
+	}
 	s.logBytes += logBytes
 	s.g.events.Add(int64(len(evs)))
 	if rn := s.app.Labeler().Renumbers(); rn != s.lastRenumbers {
@@ -399,28 +434,27 @@ func (s *Session) apply(evs []events.Event, logBytes int64) {
 }
 
 // Checkpoint atomically persists the applied event prefix, rebuilt
-// from the applier's record, and the log bytes it covers to the run's
-// checkpoint meta blob; recovery then replays the prefix from that blob
-// and parses the log only past those bytes. Recover calls it to fence a
-// torn tail. The serving layer never calls it otherwise: the prefix is
+// from the session's record one event at a time, and the log bytes it
+// covers to the run's checkpoint meta blob; recovery then replays the
+// prefix from that blob and parses the log only past those bytes.
+// Recover calls it to fence a torn tail. The serving layer never calls it otherwise: the prefix is
 // already in the log, so a periodic copy costs writes and saves
 // recovery nothing.
 func (s *Session) Checkpoint() error {
 	if s.broken {
 		return fmt.Errorf("live: session %q needs recovery after a storage failure", s.name)
 	}
-	prefix := make([]events.Event, s.Seq())
-	for i := range prefix {
-		prefix[i] = s.app.Event(i)
-	}
-	buf, err := events.AppendLog(fmt.Appendf(nil, "ckpt %d %d\n", len(prefix), s.logBytes), prefix)
-	if err != nil {
-		return err
+	// The rendered prefix is the log bytes the session covers, less any
+	// torn tail, so the blob is allocated once.
+	buf := fmt.Appendf(make([]byte, 0, 64+s.logBytes), "ckpt %d %d\n", s.Seq(), s.logBytes)
+	for i := range s.Seq() {
+		// A rebuilt event's kind is known, so AppendLog cannot fail.
+		buf, _ = events.AppendLog(buf, []events.Event{s.event(i)})
 	}
 	if err := s.st.Backend().WriteMeta(CheckpointMeta(s.name), buf); err != nil {
 		return fmt.Errorf("live: checkpointing %q: %w", s.name, err)
 	}
-	s.ckptSeq = len(prefix)
+	s.ckptSeq = s.Seq()
 	s.g.checkpoints.Add(1)
 	return nil
 }
@@ -491,8 +525,7 @@ func Recover(st *store.Store, name string, skel label.Labeling, g *Gauges) (*Ses
 	if err := s.app.Check(evs); err != nil {
 		return nil, fmt.Errorf("live: stream state for %q: %w", name, err)
 	}
-	s.logBytes = ckptLogBytes
-	s.apply(evs, int64(clean))
+	s.apply(evs, ckptLogBytes+int64(clean))
 	s.g.replays.Add(1)
 	if clean < len(tail) {
 		// Torn tail: account the garbage bytes to the session and

@@ -107,9 +107,14 @@ func TestResendConflicts(t *testing.T) {
 // event: a QBLAST stand-in run of 96,893 events streamed in 64-event
 // appends over a mem store holds at most 90 B/event of heap, the
 // store's event log included (about 20 B/event), measured after two
-// collections with the inputs kept alive. The applier keeps 8 B of
+// collections with the inputs kept alive. The session keeps 8 B of
 // record per event; the bound sits below what a copy of every applied
 // event (48 B and a string pointer each) on top of that would cost.
+// Streams that each take one batch whose log is just under
+// live.MaxPooledBytes retain at most 8 B/event more than the same
+// events appended 64 at a time: the buffer an append renders into is
+// pooled, not kept by the session, so an idle stream pins none of it
+// (one kept per session would add about 24 B/event).
 func TestStreamBytesPerEvent(t *testing.T) {
 	sp := workload.MustStandIn("QBLAST", 1)
 	r, p := run.GenerateSized(sp, rand.New(rand.NewSource(7)), 100000)
@@ -129,14 +134,38 @@ func TestStreamBytesPerEvent(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	before := heap()
-	ls := live.NewSession(st, "stream", skel, nil)
-	appendAll(t, ls, evs, 64)
-	perEvent := float64(int64(heap()-before)) / float64(len(evs))
-	runtime.KeepAlive(evs)
-	runtime.KeepAlive(ls)
-	t.Logf("%d events, %.1f B/event retained", len(evs), perEvent)
-	if perEvent > 90 {
-		t.Fatalf("a stream of %d events retains %.1f B/event, want at most 90", len(evs), perEvent)
+	// retained streams evs[:n] into each of streams new sessions, batch
+	// events an append, and returns the heap they retain per event.
+	var opened int
+	retained := func(t *testing.T, streams, n, batch int) float64 {
+		before := heap()
+		sessions := make([]*live.Session, streams)
+		for k := range sessions {
+			opened++
+			sessions[k] = live.NewSession(st, fmt.Sprintf("stream-%d", opened), skel, nil)
+			appendAll(t, sessions[k], evs[:n], batch)
+		}
+		perEvent := float64(int64(heap()-before)) / float64(streams*n)
+		runtime.KeepAlive(evs)
+		runtime.KeepAlive(sessions)
+		t.Logf("%d streams of %d events in %d-event appends: %.1f B/event retained", streams, n, batch, perEvent)
+		return perEvent
 	}
+	t.Run("64-event appends", func(t *testing.T) {
+		if b := retained(t, 1, len(evs), 64); b > 90 {
+			t.Fatalf("a stream of %d events retains %.1f B/event, want at most 90", len(evs), b)
+		}
+	})
+	t.Run("one large batch per stream", func(t *testing.T) {
+		// large is the longest prefix of evs whose log fits a buffer of
+		// at most MaxPooledBytes as AppendLog sizes it.
+		large := min(len(evs), live.MaxPooledBytes/26)
+		if lg, _ := events.AppendLog(nil, evs[:large]); cap(lg) > live.MaxPooledBytes {
+			t.Fatalf("a %d-event batch renders into %d bytes, past the pool's bound", large, cap(lg))
+		}
+		small := retained(t, 4, large, 64)
+		if b := retained(t, 4, large, large); b > small+8 {
+			t.Fatalf("streams of one %d-event batch retain %.1f B/event, want at most 8 more than the %.1f of 64-event appends", large, b, small)
+		}
+	})
 }

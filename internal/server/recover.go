@@ -73,8 +73,8 @@ func (s *Server) RecoverStreams() (recovered, cleaned int, err error) {
 // SweepIdleStreams expires live sessions idle for at least ttl, clearing
 // them exactly as a DELETE would — an abandoned stream (a client that
 // crashed mid-run and never resumed) must not hold its applier (the
-// labeler, copy table, namer and applied-event record) in memory
-// forever; one whose clear fails stays for the next
+// labeler, copy table and namer) and its applied-event record in
+// memory forever; one whose clear fails stays for the next
 // sweep. Activity is anything that touches the session: appends,
 // finishes and queries all stamp it. Returns the expired run names;
 // /healthz counts them cumulatively as streams_expired. provserve runs

@@ -51,13 +51,10 @@ type appendScratch struct {
 // scratch it holds.
 var appendScratchPool = &sync.Pool{New: func() any { return new(appendScratch) }}
 
-// maxPooledAppend bounds the body bytes a pooled appendScratch
-// keeps, so one large batch does not stay pinned in the pool; a
-// 64-event batch is about 1.5 KiB.
-const maxPooledAppend = 1 << 20
-
+// release pools sc unless it outgrew live.MaxPooledBytes, the bound a
+// live session's pooled log buffer has too.
 func (sc *appendScratch) release() {
-	if sc.body.Cap() > maxPooledAppend || cap(sc.evs) > maxPooledAppend/16 {
+	if sc.body.Cap() > live.MaxPooledBytes || cap(sc.evs) > live.MaxPooledBytes/16 {
 		return
 	}
 	clear(sc.evs) // drop the copied names of unknown modules
