@@ -1014,6 +1014,35 @@ func TestConstructPlanAllocs(t *testing.T) {
 	}
 }
 
+// TestLabelRunAllocs pins labeling over a given plan at 5 allocations,
+// at both of BenchmarkConstructPlan's sizes: the Labeling, the one
+// scratch position per plan node that Algorithm 1's three traversals
+// share, the snapshot's context column and row table (one block), its
+// origin column, and its span index. The traversals write each
+// position where the snapshot reads it, so the count does not grow
+// with the run.
+func TestLabelRunAllocs(t *testing.T) {
+	for _, size := range []int{1000, 16000} {
+		r := benchRun(t, size)
+		skel, err := repro.TCM.Build(r.Spec.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := repro.ConstructPlan(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := repro.LabelWithPlan(r, p, skel); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 5 {
+			t.Errorf("n=%d: labeling allocates %v times, want at most 5", r.NumVertices(), allocs)
+		}
+	}
+}
+
 // BenchmarkIngestStages splits the write path into its stages, each
 // timed alone over the same run. A PUT is decode (read into a pooled
 // decoder, the document matched in one step against the layout

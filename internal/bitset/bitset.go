@@ -27,9 +27,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// Len returns the capacity of the set (the n passed to New).
-func (s *Set) Len() int { return s.n }
-
 // Set sets bit i.
 func (s *Set) Set(i int) {
 	s.check(i)
@@ -82,13 +79,6 @@ func (s *Set) Intersects(t *Set) bool {
 	return false
 }
 
-// Reset clears all bits.
-func (s *Set) Reset() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Count returns the number of set bits.
 func (s *Set) Count() int {
 	c := 0
@@ -105,19 +95,6 @@ func (s *Set) Clone() *Set {
 	return t
 }
 
-// Equal reports whether s and t have the same capacity and contents.
-func (s *Set) Equal(t *Set) bool {
-	if s.n != t.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != t.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls fn for every set bit, in increasing order.
 func (s *Set) ForEach(fn func(i int)) {
 	for wi, w := range s.words {
@@ -127,27 +104,6 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// NextSet returns the smallest set index >= i, or -1 if none exists.
-func (s *Set) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := s.words[wi] >> (uint(i) % wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(s.words[wi])
-		}
-	}
-	return -1
 }
 
 // String renders the set as a sorted list of indices, e.g. "{1 3 9}".

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/dag"
+	"repro/internal/order"
 )
 
 // maxConeMemo bounds the per-query skeleton memo (one byte per spec
@@ -40,14 +41,15 @@ var coneScratchPool = sync.Pool{New: func() any { return new(coneScratch) }}
 //
 // Algorithm 3's predicate πr splits in two. Its context test reads only
 // (Q1, Q2, Q3), which every vertex of one plan context shares, so when
-// d2·d3 < 0 one comparison against a context's row decides all its
-// vertices. Otherwise the answer is the skeleton query on the origins,
-// and a per-query memo over spec vertices makes that at most one
-// skeleton.Reachable per origin rather than per vertex. So AppendCone
-// first decides each context once, then walks the snapshot's context
-// spans in vertex order: a span whose context is out of the cone is
-// skipped whole, one in the cone is appended as a range, and only the
-// vertices of undecided spans go through the skeleton memo. That costs
+// Lemma 4.5 (order.Context) decides, one comparison against a
+// context's row decides all its vertices. Otherwise the answer is the
+// skeleton query on the origins, and a per-query memo over spec
+// vertices makes that at most one skeleton.Reachable per origin rather
+// than per vertex. So AppendCone first decides each context once, then
+// walks the snapshot's context spans in vertex order: a span whose
+// context is out of the cone is skipped whole, one in the cone is
+// appended as a range, and only the vertices of undecided spans go
+// through the skeleton memo. That costs
 // O(n⁺_T + spans + vertices in undecided spans + |cone|). When
 // contexts interleave in vertex order, spans are too short to pay for
 // their index, the snapshot keeps none (see minSpanLen), and AppendCone
@@ -72,7 +74,7 @@ func (l *Labeling) AppendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag
 			from, to = w.s, from
 		}
 		w.verdict[q] = askSkeleton
-		if reach, decided := byContext(from, to); decided {
+		if reach, decided := order.Context(from.Q1, from.Q2, from.Q3, to.Q1, to.Q2, to.Q3); decided {
 			w.verdict[q] = outOfCone
 			if reach {
 				w.verdict[q] = inCone
@@ -91,7 +93,7 @@ func (l *Labeling) AppendCone(dst []dag.VertexID, v dag.VertexID, up bool) []dag
 		lo, hi := dag.VertexID(spans[i-1]), dag.VertexID(spans[i])
 		switch w.verdict[q1[lo]] {
 		case inCone:
-			// v's own context has v's row (d2 = d3 = 0), which the
+			// v's own context has v's row (equal places), which the
 			// context test never decides, so v is in no such span.
 			for u := lo; u < hi; u++ {
 				out[k] = u

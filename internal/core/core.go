@@ -24,6 +24,7 @@ import (
 	"repro/internal/order"
 	"repro/internal/plan"
 	"repro/internal/run"
+	"repro/internal/spec"
 )
 
 // Label is the SKL reachability label of one run vertex: the context's
@@ -70,31 +71,47 @@ func LabelRun(r *run.Run, skeleton label.Labeling) (*Labeling, error) {
 // LabelRunWithPlan labels a run whose execution plan and context are
 // already available (the paper's "with execution plan & context" setting,
 // e.g. extracted from a workflow engine's log).
+//
+// It runs Algorithm 1's three traversals itself and writes each
+// position where the snapshot reads it. One scratch entry per plan node
+// first marks the nonempty + nodes, then holds each one's O1 position,
+// its Q1; the O2 and O3 positions go straight into its context's row.
+// The orders give each plan node one position apiece, so the labels
+// factor by construction; labelCheck's checks are for stored labels.
 func LabelRunWithPlan(r *run.Run, p *plan.Plan, skeleton label.Labeling) (*Labeling, error) {
 	n := r.NumVertices()
 	if len(p.Context) != n {
 		return nil, fmt.Errorf("core: plan context covers %d vertices, run has %d", len(p.Context), n)
 	}
-	o := order.Generate(p)
-	l := &Labeling{skeleton: skeleton}
-	var err error
-	if l.snap, err = newSnapshot(uint64(n), uint64(o.NumPositioned), uint64(r.Spec.NumVertices()), 0); err != nil {
-		return nil, err
-	}
-	// The orders give each plan node one position apiece, so the labels
-	// factor by construction; labelCheck's checks are for stored labels.
-	s := &l.snap
+	pos := make([]uint32, len(p.Nodes))
 	for v, x := range p.Context {
 		if x == nil {
 			return nil, fmt.Errorf("core: vertex %d has no context", v)
 		}
-		q := o.Pos1[x.ID]
-		s.q1[v], s.orig[v] = q, r.Origin[v]
-		s.ord[2*q], s.ord[2*q+1] = o.Pos2[x.ID], o.Pos3[x.ID]
+		pos[x.ID] = 1
+	}
+	var k uint32
+	order.Preorder(p, pos, noReversal, func(x *plan.Node) { k++; pos[x.ID] = k })
+	l := &Labeling{skeleton: skeleton}
+	var err error
+	if l.snap, err = newSnapshot(uint64(n), uint64(k), uint64(r.Spec.NumVertices()), 0); err != nil {
+		return nil, err
+	}
+	s := &l.snap
+	for v, x := range p.Context {
+		s.q1[v], s.orig[v] = pos[x.ID], r.Origin[v]
+	}
+	for col, reverseAt := range [2]spec.Kind{spec.Fork, spec.Loop} {
+		k = 0
+		order.Preorder(p, pos, reverseAt, func(x *plan.Node) { k++; s.ord[2*pos[x.ID]+uint32(col)] = k })
 	}
 	s.spans = contextSpans(s.q1)
 	return l, nil
 }
+
+// noReversal is the reverseAt of O1, which reverses no − node: it is
+// neither spec.Fork nor spec.Loop.
+const noReversal = ^spec.Kind(0)
 
 // Label returns the label of run vertex v.
 func (l *Labeling) Label(v dag.VertexID) Label { return l.snap.Label(v) }
@@ -122,25 +139,13 @@ func (l *Labeling) Reachable(u, v dag.VertexID) bool {
 }
 
 // ReachableLabels is the binary predicate πr of Algorithm 3, evaluated on
-// two labels alone.
+// two labels alone: Lemma 4.5 on the positions (order.Context), and
+// the skeleton query on the origins when the positions do not decide.
 func (l *Labeling) ReachableLabels(a, b Label) bool {
-	if reach, decided := byContext(a, b); decided {
+	if reach, decided := order.Context(a.Q1, a.Q2, a.Q3, b.Q1, b.Q2, b.Q3); decided {
 		return reach
 	}
 	return l.skeleton.Reachable(a.Orig, b.Orig)
-}
-
-// byContext is πr's context part, on order positions alone: decided
-// reports whether the contexts' LCA is an F− or L− node (d2·d3 < 0), and
-// reach is then the answer — reachable exactly for a forward loop
-// relationship. Otherwise the skeleton query on the origins decides.
-func byContext(a, b Label) (reach, decided bool) {
-	d2 := int64(a.Q2) - int64(b.Q2)
-	d3 := int64(a.Q3) - int64(b.Q3)
-	if d2*d3 < 0 {
-		return a.Q1 < b.Q1 && a.Q3 > b.Q3, true
-	}
-	return false, false
 }
 
 // AnsweredByContext reports whether the query (u, v) is decided by the
@@ -148,7 +153,8 @@ func byContext(a, b Label) (reach, decided bool) {
 // the experiments to explain why query time *drops* as runs grow when the
 // skeleton labeling is search-based (Section 8.2).
 func (l *Labeling) AnsweredByContext(u, v dag.VertexID) bool {
-	_, decided := byContext(l.snap.Label(u), l.snap.Label(v))
+	a, b := l.snap.Label(u), l.snap.Label(v)
+	_, decided := order.Context(a.Q1, a.Q2, a.Q3, b.Q1, b.Q2, b.Q3)
 	return decided
 }
 

@@ -78,7 +78,7 @@ func (a *Applier) Namer() *run.Namer { return a.names }
 // batch Apply reads. The first event that would not apply is reported
 // as an *EventError carrying its index in evs.
 func (a *Applier) Check(evs []Event) error {
-	a.checked, a.started, a.origins = -1, a.started[:0], a.origins[:0]
+	a.checked, a.started, a.origins = -1, emptied(a.started), emptied(a.origins)
 	base := len(a.copies)
 	hnodeOf := func(id int) (int, bool) {
 		switch {
@@ -165,6 +165,21 @@ func (a *Applier) Apply(evs []Event) {
 			panic(fmt.Sprintf("events: Apply of an unchecked batch: event %d: %v", i, err))
 		}
 	}
+	a.started, a.origins = emptied(a.started), emptied(a.origins)
+}
+
+// maxKeptBatch bounds the capacity of the batch record (started and
+// origins) an applier keeps between batches, so a stream that once took
+// a large batch does not pin its record for the rest of its life.
+const maxKeptBatch = 4096
+
+// emptied returns s emptied for the next batch: its own storage up to
+// maxKeptBatch entries, none beyond.
+func emptied[T any](s []T) []T {
+	if cap(s) > maxKeptBatch {
+		return nil
+	}
+	return s[:0]
 }
 
 // Replay feeds an event stream into a new online labeler and returns it;

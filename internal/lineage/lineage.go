@@ -15,7 +15,6 @@ package lineage
 import (
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/provdata"
 	"repro/internal/run"
 )
 
@@ -111,82 +110,4 @@ func Explain(r *run.Run, u, v dag.VertexID) []dag.VertexID {
 		}
 	}
 	return nil
-}
-
-// ExplainData returns a derivation chain of data items from y to x
-// (inclusive): consecutive items x_{i+1} produced by a module that read
-// x_i, witnessing that x depends on y. Returns nil when no dependency
-// exists.
-func ExplainData(r *run.Run, ann *provdata.Annotation, x, y provdata.ItemID) []provdata.ItemID {
-	if x == y {
-		return []provdata.ItemID{x}
-	}
-	// BFS over items: item a -> item b when some consumer of a is (or
-	// reaches through channels carrying b's producer)... operationally:
-	// b's producer is a consumer of a, or reachable from one. For a
-	// faithful item-granular chain we link a -> b when b's producer
-	// consumed a.
-	producedBy := make(map[dag.VertexID][]provdata.ItemID)
-	for i, it := range ann.Items {
-		producedBy[it.Producer] = append(producedBy[it.Producer], provdata.ItemID(i))
-	}
-	// consumersOf[v] = items read by vertex v.
-	readBy := make(map[dag.VertexID][]provdata.ItemID)
-	for i, it := range ann.Items {
-		for _, c := range it.Consumers {
-			readBy[c] = append(readBy[c], provdata.ItemID(i))
-		}
-	}
-	prev := make(map[provdata.ItemID]provdata.ItemID)
-	seen := map[provdata.ItemID]bool{y: true}
-	queue := []provdata.ItemID{y}
-	for len(queue) > 0 {
-		a := queue[0]
-		queue = queue[1:]
-		for _, consumer := range ann.Items[a].Consumers {
-			for _, b := range producedBy[consumer] {
-				if seen[b] {
-					continue
-				}
-				seen[b] = true
-				prev[b] = a
-				if b == x {
-					var chain []provdata.ItemID
-					for at := x; ; at = prev[at] {
-						chain = append(chain, at)
-						if at == y {
-							break
-						}
-					}
-					for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-						chain[i], chain[j] = chain[j], chain[i]
-					}
-					return chain
-				}
-				queue = append(queue, b)
-			}
-		}
-	}
-	return nil
-}
-
-// ConeSubgraph extracts the induced provenance subgraph of v: all
-// upstream vertices plus v and every edge among them, with a vertex map
-// back to the original run. Useful for visualizing or archiving the
-// derivation of a single result.
-func ConeSubgraph(r *run.Run, v dag.VertexID) (*dag.Graph, []dag.VertexID) {
-	members := append(Upstream(r, v), v)
-	idx := make(map[dag.VertexID]dag.VertexID, len(members))
-	for i, m := range members {
-		idx[m] = dag.VertexID(i)
-	}
-	var edges []dag.Edge
-	for _, m := range members {
-		for _, w := range r.Graph.Out(m) {
-			if j, ok := idx[w]; ok {
-				edges = append(edges, dag.Edge{Tail: idx[m], Head: j})
-			}
-		}
-	}
-	return dag.FromEdges(len(members), edges), members
 }

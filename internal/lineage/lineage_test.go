@@ -10,7 +10,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/label"
 	"repro/internal/lineage"
-	"repro/internal/provdata"
 	"repro/internal/run"
 	"repro/internal/spec"
 )
@@ -149,75 +148,5 @@ func TestQuickExplainConsistentWithLabels(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: ExplainData returns a chain exactly when DependsOn holds
-// (every channel carries at least one item, making the label test and
-// the chain definition equivalent).
-func TestQuickExplainDataConsistent(t *testing.T) {
-	s := spec.PaperSpec()
-	skel, _ := label.TCM{}.Build(s.Graph)
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		et := run.RandomExecSteps(s, rng, rng.Intn(20))
-		r, _ := run.MustMaterialize(s, et)
-		ann := provdata.RandomItems(r, rng, 1.2, 0.4)
-		mod, err := core.LabelRun(r, skel)
-		if err != nil {
-			return false
-		}
-		dl, err := provdata.LabelData(ann, mod)
-		if err != nil {
-			return false
-		}
-		k := len(ann.Items)
-		for q := 0; q < 100; q++ {
-			x := provdata.ItemID(rng.Intn(k))
-			y := provdata.ItemID(rng.Intn(k))
-			if x == y {
-				continue
-			}
-			chain := lineage.ExplainData(r, ann, x, y)
-			if (chain != nil) != dl.DependsOn(x, y) {
-				t.Logf("seed %d: chain/%v DependsOn/%v for (%d,%d)", seed, chain != nil, dl.DependsOn(x, y), x, y)
-				return false
-			}
-			// Verify the chain structure: consecutive producer/consumer links.
-			for i := 0; i+1 < len(chain); i++ {
-				a, b := ann.Items[chain[i]], ann.Items[chain[i+1]]
-				linked := false
-				for _, c := range a.Consumers {
-					if c == b.Producer {
-						linked = true
-					}
-				}
-				if !linked {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestConeSubgraph(t *testing.T) {
-	r, _ := figure3(t)
-	g, members := lineage.ConeSubgraph(r, byName(t, r, "c2"))
-	if g.NumVertices() != 5 { // a1,b1,c1,b2 + c2
-		t.Fatalf("cone has %d vertices, want 5", g.NumVertices())
-	}
-	if len(members) != g.NumVertices() {
-		t.Fatal("member map size mismatch")
-	}
-	// The cone must be a connected chain ending at c2 with 4 edges.
-	if g.NumEdges() != 4 {
-		t.Fatalf("cone has %d edges, want 4", g.NumEdges())
-	}
-	if !g.IsAcyclic() {
-		t.Fatal("cone must be acyclic")
 	}
 }

@@ -66,6 +66,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/events"
 	"repro/internal/label"
+	"repro/internal/order"
 	"repro/internal/plan"
 	"repro/internal/run"
 	"repro/internal/spec"
@@ -647,7 +648,8 @@ func (s *Session) Reachable(u, v dag.VertexID) bool { return s.app.Labeler().Rea
 func (s *Session) ByContext(u, v dag.VertexID) bool {
 	l := s.app.Labeler()
 	a, b := l.CurrentLabel(u), l.CurrentLabel(v)
-	return (a.K2 < b.K2) != (a.K3 < b.K3)
+	_, decided := order.Context(a.K1, a.K2, a.K3, b.K1, b.K2, b.K3)
+	return decided
 }
 
 // AppendCone appends v's lineage cone in ascending vertex ID, by label

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/events"
 	"repro/internal/label"
@@ -200,6 +201,50 @@ func TestLiveNamesCollide(t *testing.T) {
 	}
 	if collisions == 0 {
 		t.Fatal("no occurrence names collide: the run does not exercise the collision rule")
+	}
+}
+
+// TestByContextOfflineOnlineAgree checks that the stored labels and the
+// live ones decide the same queries by their contexts, through the one
+// Lemma 4.5 rule (order.Context) on dense positions and on sparse keys,
+// and answer them alike: on sampled pairs of a streamed run of every
+// Table-1 stand-in, core.Labeling's AnsweredByContext and Reachable
+// equal the session's ByContext and Reachable.
+func TestByContextOfflineOnlineAgree(t *testing.T) {
+	for _, w := range workload.RealWorkflows() {
+		sp := workload.MustStandIn(w.Name, 1)
+		st, err := store.NewMem(sp, w.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		skel, err := st.Skeleton(label.TCM{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(8))
+		r, p := run.GenerateSized(sp, rng, 800)
+		ls := live.NewSession(st, w.Name, skel, nil)
+		appendAll(t, ls, events.Emit(r, p), 256)
+		l, err := core.LabelRunWithPlan(r, p, skel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, decided := r.NumVertices(), 0
+		for range 4000 {
+			u, v := dag.VertexID(rng.Intn(n)), dag.VertexID(rng.Intn(n))
+			if got, want := ls.ByContext(u, v), l.AnsweredByContext(u, v); got != want {
+				t.Fatalf("%s: ByContext(%d, %d) is %v live, %v stored", w.Name, u, v, got, want)
+			}
+			if got, want := ls.Reachable(u, v), l.Reachable(u, v); got != want {
+				t.Fatalf("%s: Reachable(%d, %d) is %v live, %v stored", w.Name, u, v, got, want)
+			}
+			if l.AnsweredByContext(u, v) {
+				decided++
+			}
+		}
+		if decided == 0 {
+			t.Fatalf("%s: no sampled pair is decided by its contexts", w.Name)
+		}
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/label"
+	"repro/internal/order"
 	"repro/internal/spec"
 )
 
@@ -357,12 +358,12 @@ func (l *Labeler) Reachable(u, v dag.VertexID) bool {
 }
 
 // ReachableLabels evaluates Algorithm 3's predicate on two label
-// snapshots taken under the same numbering epoch.
+// snapshots taken under the same numbering epoch: Lemma 4.5 on the keys
+// (order.Context, the offline labels' rule), and the skeleton query on
+// the origins when the keys do not decide.
 func (l *Labeler) ReachableLabels(a, b Label) bool {
-	lt2 := a.K2 < b.K2
-	lt3 := a.K3 < b.K3
-	if lt2 != lt3 {
-		return a.K1 < b.K1 && a.K3 > b.K3
+	if reach, decided := order.Context(a.K1, a.K2, a.K3, b.K1, b.K2, b.K3); decided {
+		return reach
 	}
 	return l.skeleton.Reachable(a.Orig, b.Orig)
 }

@@ -1,9 +1,11 @@
-// Package order implements the three-dimensional context encoding of
-// Section 4.3: three preorder traversals of the execution plan that differ
-// only in the direction in which the children of F− (respectively L−)
-// nodes are visited. Comparing a pair of nonempty + nodes across the three
-// resulting total orders reveals whether their least common ancestor is an
-// F− node, an L− node, or a + node (Lemma 4.5).
+// Package order implements the context encoding of Section 4.3 in its
+// two parts: Algorithm 1's preorder traversal of the execution plan,
+// run three times with the children of F− (O2) or L− (O3) nodes visited
+// in reverse, and Lemma 4.5's rule, which compares two contexts' places
+// in the three resulting total orders and decides reachability when
+// their least common ancestor is an F− or L− node. The offline labeler
+// (internal/core) places contexts at dense positions, the online one
+// (internal/online) at sparse keys; both decide through Context.
 package order
 
 import (
@@ -11,124 +13,44 @@ import (
 	"repro/internal/spec"
 )
 
-// Orders holds the positions of every nonempty + node of a plan in the
-// three total orders O1, O2, O3. Positions are 1-based; nodes without a
-// position (− nodes and empty + nodes) hold 0.
-type Orders struct {
-	// Pos1, Pos2, Pos3 are indexed by plan node ID.
-	Pos1, Pos2, Pos3 []uint32
-	// NumPositioned is the number of nonempty + nodes (the paper's n⁺_T).
-	NumPositioned int
+// Preorder runs one traversal of Algorithm 1 over p and calls visit on
+// every plan node x with pos[x.ID] != 0 (the nonempty + nodes, once
+// the caller has marked them), in visit order. The children of a −
+// node of kind reverseAt are visited right to left, all others left to
+// right; a reverseAt that is neither spec.Fork nor spec.Loop gives O1.
+// pos is indexed by plan node ID, and visit may overwrite the entry of
+// the node it is given. The recursion is as deep as the plan: two
+// levels per level of the fork-and-loop hierarchy.
+func Preorder(p *plan.Plan, pos []uint32, reverseAt spec.Kind, visit func(x *plan.Node)) {
+	preorder(p, p.Root, pos, reverseAt, visit)
 }
 
-// Generate runs Algorithm 1: three preorder traversals of the plan.
-//
-//   - O1 visits children left to right everywhere;
-//   - O2 reverses the children of F− nodes;
-//   - O3 reverses the children of L− nodes.
-//
-// Only nonempty + nodes (those serving as the context of at least one run
-// vertex) receive positions.
-func Generate(p *plan.Plan) *Orders {
-	n := len(p.Nodes)
-	o := &Orders{
-		Pos1: make([]uint32, n),
-		Pos2: make([]uint32, n),
-		Pos3: make([]uint32, n),
+func preorder(p *plan.Plan, x *plan.Node, pos []uint32, reverseAt spec.Kind, visit func(x *plan.Node)) {
+	if pos[x.ID] != 0 {
+		visit(x)
 	}
-	occupied := make([]bool, n)
-	for _, c := range p.Context {
-		if c != nil {
-			occupied[c.ID] = true
+	if !x.Plus && p.KindOf(x) == reverseAt {
+		for i := len(x.Children) - 1; i >= 0; i-- {
+			preorder(p, x.Children[i], pos, reverseAt, visit)
 		}
+		return
 	}
-	for _, flag := range occupied {
-		if flag {
-			o.NumPositioned++
-		}
-	}
-	o.traverse(p, occupied, o.Pos1, spec.Kind(255)) // no reversal
-	o.traverse(p, occupied, o.Pos2, spec.Fork)      // reverse at F−
-	o.traverse(p, occupied, o.Pos3, spec.Loop)      // reverse at L−
-	return o
-}
-
-// traverse performs one preorder traversal, reversing the children of −
-// nodes whose subgraph kind equals reverseAt, and records 1-based visit
-// positions of occupied + nodes into pos.
-func (o *Orders) traverse(p *plan.Plan, occupied []bool, pos []uint32, reverseAt spec.Kind) {
-	counter := uint32(0)
-	// Iterative preorder with an explicit stack (plans can be deep for
-	// long loop chains is false — depth is bounded by 2·[T_G] — but the
-	// iterative form avoids growing the goroutine stack in hot paths).
-	type frame struct {
-		n *plan.Node
-	}
-	stack := make([]frame, 0, 64)
-	stack = append(stack, frame{p.Root})
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := f.n
-		if n.Plus && occupied[n.ID] {
-			counter++
-			pos[n.ID] = counter
-		}
-		kids := n.Children
-		reversed := !n.Plus && p.KindOf(n) == reverseAt
-		// Push in the order that pops into the desired visit order.
-		if reversed {
-			for i := 0; i < len(kids); i++ {
-				stack = append(stack, frame{kids[i]})
-			}
-		} else {
-			for i := len(kids) - 1; i >= 0; i-- {
-				stack = append(stack, frame{kids[i]})
-			}
-		}
+	for _, c := range x.Children {
+		preorder(p, c, pos, reverseAt, visit)
 	}
 }
 
-// LCAClass classifies the least common ancestor of two positioned nodes
-// using only their order positions, per Lemma 4.5 and Algorithm 3's
-// decision structure. It is exposed for testing and for the experiments'
-// context-only-answer accounting.
-type LCAClass uint8
-
-const (
-	// SameContext means the two positions belong to the same node.
-	SameContext LCAClass = iota
-	// ForkMinus means the LCA is an F− node: mutually unreachable.
-	ForkMinus
-	// LoopMinusForward means the LCA is an L− node with the first node in
-	// an earlier iteration: first reaches second.
-	LoopMinusForward
-	// LoopMinusBackward is the symmetric case: second reaches first.
-	LoopMinusBackward
-	// PlusAncestor means the LCA is a + node: fall back to skeleton labels.
-	PlusAncestor
-)
-
-// Classify applies the order-comparison rules to two positioned triples.
-func Classify(q1, q2, q3, r1, r2, r3 uint32) LCAClass {
-	if q1 == r1 {
-		return SameContext
+// Context is Lemma 4.5 on two contexts' places in O1, O2 and O3: a1, a2,
+// a3 for the first, b1, b2, b3 for the second. When O2 and O3 order the
+// two oppositely, their least common ancestor is an F− or L− node and
+// decided is true; reach is then whether the first reaches the second,
+// which holds exactly for a loop (O1 and O2 agree) with the first in an
+// earlier iteration. Otherwise the ancestor is a + node (or the
+// contexts are one) and the skeleton labels decide. Distinct contexts
+// never share a place in any order, so equal places mean one context.
+func Context[T uint32 | uint64](a1, a2, a3, b1, b2, b3 T) (reach, decided bool) {
+	if a2 < b2 && a3 > b3 || a2 > b2 && a3 < b3 {
+		return a1 < b1 && a3 > b3, true
 	}
-	d2 := int64(q2) - int64(r2)
-	d3 := int64(q3) - int64(r3)
-	if d2*d3 < 0 {
-		// O2 and O3 disagree: the LCA is an F− or L− node; O1 vs O3 tells
-		// which and, for loops, in which direction.
-		if q1 < r1 {
-			if q3 > r3 {
-				return LoopMinusForward
-			}
-			return ForkMinus
-		}
-		if q3 < r3 {
-			return LoopMinusBackward
-		}
-		return ForkMinus
-	}
-	return PlusAncestor
+	return false, false
 }

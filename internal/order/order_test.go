@@ -3,8 +3,10 @@ package order_test
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
+	"repro/internal/dag"
+	"repro/internal/events"
+	"repro/internal/label"
 	"repro/internal/order"
 	"repro/internal/plan"
 	"repro/internal/run"
@@ -36,17 +38,35 @@ func lca(a, b *plan.Node) *plan.Node {
 	return a
 }
 
-func TestGeneratePositionsAreDenseAndConsistent(t *testing.T) {
+// positions returns each plan node's 1-based place in O1, O2 and O3 (0
+// for − nodes and empty + nodes) and the count of nonempty + nodes,
+// n⁺_T: the positions core.LabelRunWithPlan writes, by the same
+// traversals.
+func positions(p *plan.Plan) (pos [3][]uint32, np int) {
+	mark := make([]uint32, len(p.Nodes))
+	for _, c := range p.Context {
+		mark[c.ID] = 1
+	}
+	for i, reverseAt := range [3]spec.Kind{^spec.Kind(0), spec.Fork, spec.Loop} {
+		pos[i] = make([]uint32, len(p.Nodes))
+		k := uint32(0)
+		order.Preorder(p, mark, reverseAt, func(x *plan.Node) { k++; pos[i][x.ID] = k })
+		np = int(k)
+	}
+	return pos, np
+}
+
+func TestPreorderPositionsAreDenseAndConsistent(t *testing.T) {
 	s := spec.PaperSpec()
 	rng := rand.New(rand.NewSource(1))
 	et := run.RandomExecSteps(s, rng, 20)
 	_, p := run.MustMaterialize(s, et)
-	o := order.Generate(p)
+	pos, np := positions(p)
 	nonEmpty := p.NonEmptyPlus()
-	if o.NumPositioned != len(nonEmpty) {
-		t.Fatalf("NumPositioned = %d, want %d", o.NumPositioned, len(nonEmpty))
+	if np != len(nonEmpty) {
+		t.Fatalf("n+T = %d, want %d", np, len(nonEmpty))
 	}
-	for _, pos := range [][]uint32{o.Pos1, o.Pos2, o.Pos3} {
+	for _, pos := range pos {
 		seen := make(map[uint32]bool)
 		count := 0
 		for _, n := range p.Nodes {
@@ -62,58 +82,70 @@ func TestGeneratePositionsAreDenseAndConsistent(t *testing.T) {
 			}
 			seen[q] = true
 			count++
-			if q > uint32(o.NumPositioned) {
-				t.Fatalf("position %d exceeds n+T %d", q, o.NumPositioned)
+			if q > uint32(np) {
+				t.Fatalf("position %d exceeds n+T %d", q, np)
 			}
 		}
-		if count != o.NumPositioned {
-			t.Fatalf("order covers %d nodes, want %d", count, o.NumPositioned)
+		if count != np {
+			t.Fatalf("order covers %d nodes, want %d", count, np)
 		}
 	}
 }
 
 // TestLemma45 verifies all three rules of Lemma 4.5 exhaustively: for
-// every pair of nonempty + nodes, the order comparison classifies their
-// true least common ancestor correctly, including the serial direction
-// for loops.
+// every pair of nonempty + nodes, order.Context on their places decides
+// exactly when their true least common ancestor is an − node, and then
+// answers as that node says: never across an F− node, and across an L−
+// node only from an earlier iteration to a later one. A context paired
+// with itself is never decided. The places are the offline labels'
+// dense positions and the online labeler's sparse keys after replaying
+// the run's events.
 func TestLemma45(t *testing.T) {
 	specs := []*spec.Spec{spec.PaperSpec(), spec.IntroSpec()}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		s := specs[trial%len(specs)]
 		et := run.RandomExecSteps(s, rng, 5+rng.Intn(30))
-		_, p := run.MustMaterialize(s, et)
-		o := order.Generate(p)
+		r, p := run.MustMaterialize(s, et)
+		pos, _ := positions(p)
+		skel, err := label.TCM{}.Build(s.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lab, err := events.Replay(s, skel, events.Emit(r, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// vertex is one run vertex per context, whose online label
+		// carries its context's keys.
+		vertex := make(map[*plan.Node]dag.VertexID)
+		for v, c := range p.Context {
+			if _, ok := vertex[c]; !ok {
+				vertex[c] = dag.VertexID(v)
+			}
+		}
 		nodes := p.NonEmptyPlus()
-		// Precompute each node's position among its L− parent's children
-		// for direction checking.
 		for _, x := range nodes {
 			for _, y := range nodes {
-				if x == y {
-					continue
+				var wantReach, wantDecided bool
+				if anc := lca(x, y); !anc.Plus {
+					wantDecided = true
+					if p.KindOf(anc) == spec.Loop {
+						wantReach = childIndexUnder(anc, x) < childIndexUnder(anc, y)
+					}
 				}
-				got := order.Classify(
-					o.Pos1[x.ID], o.Pos2[x.ID], o.Pos3[x.ID],
-					o.Pos1[y.ID], o.Pos2[y.ID], o.Pos3[y.ID])
-				anc := lca(x, y)
-				switch {
-				case anc.Plus:
-					if got != order.PlusAncestor {
-						t.Fatalf("LCA is +, classified %v", got)
-					}
-				case p.KindOf(anc) == spec.Fork:
-					if got != order.ForkMinus {
-						t.Fatalf("LCA is F−, classified %v", got)
-					}
-				default: // L− ancestor: direction must match child order
-					xi, yi := childIndexUnder(anc, x), childIndexUnder(anc, y)
-					want := order.LoopMinusForward
-					if xi > yi {
-						want = order.LoopMinusBackward
-					}
-					if got != want {
-						t.Fatalf("LCA is L− (indices %d,%d), classified %v want %v", xi, yi, got, want)
-					}
+				reach, decided := order.Context(
+					pos[0][x.ID], pos[1][x.ID], pos[2][x.ID],
+					pos[0][y.ID], pos[1][y.ID], pos[2][y.ID])
+				if reach != wantReach || decided != wantDecided {
+					t.Fatalf("nodes %d, %d: positions give (reach %v, decided %v), want (%v, %v)",
+						x.ID, y.ID, reach, decided, wantReach, wantDecided)
+				}
+				a, b := lab.CurrentLabel(vertex[x]), lab.CurrentLabel(vertex[y])
+				reach, decided = order.Context(a.K1, a.K2, a.K3, b.K1, b.K2, b.K3)
+				if reach != wantReach || decided != wantDecided {
+					t.Fatalf("nodes %d, %d: online keys give (reach %v, decided %v), want (%v, %v)",
+						x.ID, y.ID, reach, decided, wantReach, wantDecided)
 				}
 			}
 		}
@@ -133,49 +165,4 @@ func childIndexUnder(anc, n *plan.Node) int {
 		}
 	}
 	return -1
-}
-
-func TestClassifySameContext(t *testing.T) {
-	if order.Classify(3, 5, 7, 3, 5, 7) != order.SameContext {
-		t.Error("identical triples should classify as SameContext")
-	}
-}
-
-// Property: classification is antisymmetric — swapping the arguments maps
-// forward to backward and leaves fork/plus classifications fixed.
-func TestQuickClassifyAntisymmetric(t *testing.T) {
-	s := spec.PaperSpec()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		et := run.RandomExecSteps(s, rng, rng.Intn(40))
-		_, p := run.MustMaterialize(s, et)
-		o := order.Generate(p)
-		nodes := p.NonEmptyPlus()
-		for q := 0; q < 200; q++ {
-			x := nodes[rng.Intn(len(nodes))]
-			y := nodes[rng.Intn(len(nodes))]
-			ab := order.Classify(o.Pos1[x.ID], o.Pos2[x.ID], o.Pos3[x.ID], o.Pos1[y.ID], o.Pos2[y.ID], o.Pos3[y.ID])
-			ba := order.Classify(o.Pos1[y.ID], o.Pos2[y.ID], o.Pos3[y.ID], o.Pos1[x.ID], o.Pos2[x.ID], o.Pos3[x.ID])
-			ok := false
-			switch ab {
-			case order.SameContext:
-				ok = ba == order.SameContext
-			case order.ForkMinus:
-				ok = ba == order.ForkMinus
-			case order.PlusAncestor:
-				ok = ba == order.PlusAncestor
-			case order.LoopMinusForward:
-				ok = ba == order.LoopMinusBackward
-			case order.LoopMinusBackward:
-				ok = ba == order.LoopMinusForward
-			}
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
 }

@@ -5,7 +5,9 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/label"
 	"repro/internal/plan"
 	"repro/internal/run"
 	"repro/internal/spec"
@@ -47,6 +49,12 @@ func mutateRun(rng *rand.Rand, r *run.Run) (*dag.Graph, []dag.VertexID, string) 
 // wrong answers is the only failure mode.
 func TestFaultInjection(t *testing.T) {
 	s := spec.PaperSpec()
+	// A search skeleton answers from the spec graph alone, so the labels
+	// carry no index of their own to agree with.
+	skel, err := label.BFS{}.Build(s.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(1234))
 	accepted, rejected := 0, 0
 	for trial := 0; trial < 300; trial++ {
@@ -75,12 +83,15 @@ func TestFaultInjection(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: accepted cyclic mutant", trial)
 		}
-		reachable := buildPredicate(p, origin)
+		l, err := core.LabelRunWithPlan(mutated, p, skel)
+		if err != nil {
+			t.Fatalf("trial %d: labeling an accepted plan: %v", trial, err)
+		}
 		n := g.NumVertices()
 		for q := 0; q < 400; q++ {
 			u := dag.VertexID(rng.Intn(n))
 			v := dag.VertexID(rng.Intn(n))
-			if reachable(u, v) != closure.Reachable(u, v) {
+			if l.Reachable(u, v) != closure.Reachable(u, v) {
 				t.Fatalf("trial %d: silently accepted mutant with wrong answers at (%d,%d)", trial, u, v)
 			}
 		}
