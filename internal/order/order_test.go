@@ -152,6 +152,17 @@ func TestLemma45(t *testing.T) {
 	}
 }
 
+// TestClassifySameContext checks that a context paired with itself is
+// never decided, whether its places are dense positions or sparse keys.
+func TestClassifySameContext(t *testing.T) {
+	if reach, decided := order.Context[uint32](3, 5, 7, 3, 5, 7); reach || decided {
+		t.Errorf("identical positions give (reach %v, decided %v), want (false, false)", reach, decided)
+	}
+	if reach, decided := order.Context[uint64](1<<40, 5, 1<<33, 1<<40, 5, 1<<33); reach || decided {
+		t.Errorf("identical keys give (reach %v, decided %v), want (false, false)", reach, decided)
+	}
+}
+
 // childIndexUnder returns the index of the child of anc on the path from
 // anc down to n.
 func childIndexUnder(anc, n *plan.Node) int {
