@@ -67,7 +67,7 @@ func main() {
 		bodies  = flag.Int("put-bodies", 8, "self-serve mode: distinct run documents cycled by PUT traffic")
 		putXML  = flag.String("put-xml", "", "target mode: comma-separated run XML files for PUT traffic")
 
-		clients  = flag.Int("clients", 16, "simulated clients (each with its own X-Client-ID and arrival process)")
+		clients  = flag.Int("clients", 16, "simulated clients (each with its own arrival process and stream name)")
 		rate     = flag.Float64("rate", 500, "total target arrival rate, requests/second (open loop)")
 		duration = flag.Duration("duration", 10*time.Second, "load duration")
 		mixFlag  = flag.String("mix", "reachable=70,batch=15,lineage=5,put=8,delete=2", "traffic mix weights")
@@ -83,7 +83,6 @@ func main() {
 		cacheSize   = flag.Int("cache", 16, "self-serve mode: server session-cache size")
 		maxInflight = flag.Int("max-inflight", 64, "self-serve mode: server admission bound")
 		queueDepth  = flag.Int("queue-depth", 0, "self-serve mode: server admission queue (0 = 2*max-inflight)")
-		rateLimit   = flag.Float64("rate-limit", 0, "self-serve mode: server per-client rate limit, req/s (0 = off)")
 
 		sloReadP99  = flag.Duration("slo-read-p99", 100*time.Millisecond, "SLO: p99 bound on reachable/batch/lineage (0 = skip)")
 		sloWriteP99 = flag.Duration("slo-write-p99", 500*time.Millisecond, "SLO: p99 bound on put/delete (0 = skip)")
@@ -205,7 +204,6 @@ func main() {
 			EnableStream:     needStream,
 			MaxInflight:      *maxInflight,
 			QueueDepth:       *queueDepth,
-			RatePerClient:    *rateLimit,
 			BreakerThreshold: *brkThresh,
 			Logf:             logf,
 		})

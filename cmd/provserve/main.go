@@ -68,10 +68,11 @@
 // strings or bare integers; large batches fan out across all CPUs.
 //
 // Admission control: at most -max-inflight requests execute at once
-// with up to -queue-depth more waiting; beyond that (or past a
-// per-client -rate requests/second) the server answers 429 with
-// Retry-After instead of building unbounded backlog. /healthz bypasses
-// admission so monitoring works under load.
+// with up to -queue-depth more waiting; beyond that the server answers
+// 429 with Retry-After instead of building unbounded backlog. /healthz
+// bypasses admission so monitoring works under load. A per-peer request
+// rate belongs in the reverse proxy in front, which sees the real peer
+// address.
 //
 // With -warm, shutdown (SIGINT/SIGTERM) snapshots the list of hot
 // sessions to the store and the next -warm start preloads them before
@@ -102,11 +103,9 @@ func main() {
 		ingest      = flag.Bool("ingest", false, "accept PUT /runs/{name} run documents and DELETE /runs/{name} (the write path)")
 		stream      = flag.Bool("stream", false, "accept streaming ingest: POST /runs/{name}/events and /finish (see internal/server)")
 		maxIngest   = flag.Int64("max-ingest-bytes", 16<<20, "maximum ingest request body size")
-		maxRuns     = flag.Int("max-runs", 0, "retention bound: after each ingest, delete least-recently-used runs beyond this count (0 = unlimited; needs -ingest)")
+		maxRuns     = flag.Int("max-runs", 0, "retention bound: after each PUT or /finish, delete least-recently-used runs beyond this count (0 = unlimited; needs -ingest or -stream)")
 		maxInflight = flag.Int("max-inflight", 64, "maximum concurrently executing requests")
 		queueDepth  = flag.Int("queue-depth", 0, "requests allowed to wait for a slot before 429 (0 = 2*max-inflight)")
-		rate        = flag.Float64("rate", 0, "per-client rate limit in requests/second (0 = unlimited)")
-		burst       = flag.Float64("burst", 0, "per-client rate-limit burst, min 1 token (0 = 2*rate)")
 		warm        = flag.Bool("warm", false, "preload the store's saved hot-session list on start and save it on shutdown")
 		retry       = flag.Int("retry", 0, "retry transient backend errors up to this many attempts with jittered backoff (0 disables)")
 		brkThresh   = flag.Int("breaker-threshold", 0, "consecutive transient backend failures before degraded read-only mode (0 = default 5, negative disables)")
@@ -149,8 +148,6 @@ func main() {
 		MaxRuns:          *maxRuns,
 		MaxInflight:      *maxInflight,
 		QueueDepth:       *queueDepth,
-		RatePerClient:    *rate,
-		RateBurst:        *burst,
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCooldown,
 		Logf:             log.Printf,

@@ -183,30 +183,31 @@
 //     leaves the stream live for the retry).
 //
 // Retention builds on deletion: `provserve -ingest -max-runs N` (or
-// ServerConfig.MaxRuns / Server.EnforceMaxRuns in-process) sweeps after
-// every ingest, deleting least-valuable runs until at most N remain —
-// cold (never-queried) runs go first, then cached sessions in LRU
-// order, and the just-ingested run is never its own victim. A
-// long-lived ingesting server therefore holds a bounded working set
-// instead of accumulating runs forever. `provquery -delete <base-url>
-// -run <name>` is the command-line client for one-off deletion. The
-// warm-restart hot list participates too: Store.WriteHotList prunes
-// names the store no longer holds, and a stale .hot entry (deleted
-// behind the store's back) costs a logged skip at warm preload, never a
-// failed startup. store.Copy skips runs deleted mid-copy, so retention
+// -stream; ServerConfig.MaxRuns / Server.EnforceMaxRuns in-process)
+// sweeps after every PUT or /finish, deleting least-valuable runs
+// until at most N remain — cold (never-queried) runs go first, then
+// cached sessions in LRU order, and the just-stored run is never its
+// own victim. A long-lived ingesting server therefore holds a bounded
+// working set instead of accumulating runs forever. `provquery -delete
+// <base-url> -run <name>` is the command-line client for one-off
+// deletion. The warm-restart hot list participates too:
+// Store.WriteHotList prunes names the store no longer holds, and a
+// stale .hot entry (deleted behind the store's back) costs a logged
+// skip at warm preload, never a failed startup. store.Copy skips runs deleted mid-copy, so retention
 // can run against a store that is concurrently being replicated.
 //
 // # Admission control
 //
 // Every endpoint but /healthz sits behind an admission layer: at most
 // MaxInflight requests execute concurrently, up to QueueDepth more wait
-// for a slot, and everything beyond that — or past an optional
-// per-client token-bucket rate (RatePerClient/RateBurst, keyed by
-// X-Client-ID or remote host) — is answered 429 with a Retry-After the
-// client can honor. A cold-cache stampede or an ingest burst therefore
-// degrades into queued-then-shed load with bounded memory instead of
-// unbounded in-flight labelings. /healthz reports the gauges
-// (inflight, queued, peak, rejects) alongside cache and store stats.
+// for a slot, and everything beyond that is answered 429 with a
+// Retry-After the client can honor. A cold-cache stampede or an ingest
+// burst therefore degrades into queued-then-shed load with bounded
+// memory instead of unbounded in-flight labelings. /healthz reports the
+// gauges (inflight, queued, peak, rejects) alongside cache and store
+// stats. The gate bounds the work in flight, not any one client's
+// share: a per-peer rate belongs in the reverse proxy, which sees the
+// real peer address rather than a header the client picks.
 //
 // # Warm restarts
 //

@@ -153,7 +153,7 @@ type Config struct {
 	// concurrent connections.
 	Client *http.Client
 	// Clients is the number of simulated clients, each with its own
-	// X-Client-ID, rng and arrival process. Default 8.
+	// rng, arrival process and stream name. Default 8.
 	Clients int
 	// Rate is the total target arrival rate in requests/second across
 	// all clients (open loop). Default 100.
@@ -259,7 +259,6 @@ type EndpointStats struct {
 type ServerDelta struct {
 	Admitted      int64            `json:"admitted"`
 	RejectedQueue int64            `json:"rejected_queue"`
-	RejectedRate  int64            `json:"rejected_rate"`
 	CacheHits     int64            `json:"cache_hits"`
 	CacheMisses   int64            `json:"cache_misses"`
 	CacheHitRate  float64          `json:"cache_hit_rate"`
@@ -603,7 +602,6 @@ func (w *worker) exec(ctx context.Context, op Op, r request) sample {
 	if err != nil {
 		return sample{op: op, ns: time.Since(t0).Nanoseconds(), class: clsNetErr}
 	}
-	req.Header.Set("X-Client-ID", w.clientID)
 	if r.contentType != "" {
 		req.Header.Set("Content-Type", r.contentType)
 	}
@@ -748,7 +746,6 @@ func delta(before, after *healthzDoc) *ServerDelta {
 	d := &ServerDelta{
 		Admitted:      after.Admission.Admitted - before.Admission.Admitted,
 		RejectedQueue: after.Admission.RejectedQueue - before.Admission.RejectedQueue,
-		RejectedRate:  after.Admission.RejectedRate - before.Admission.RejectedRate,
 		CacheHits:     after.Cache.Hits - before.Cache.Hits,
 		CacheMisses:   after.Cache.Misses - before.Cache.Misses,
 		Evictions:     after.Cache.Evictions - before.Cache.Evictions,
@@ -836,8 +833,8 @@ func (r *Report) WriteText(w io.Writer) {
 	}
 	row("TOTAL", r.Total)
 	if r.Server != nil {
-		fmt.Fprintf(w, "server: admitted=%d rejected_queue=%d rejected_rate=%d cache_hit_rate=%.3f (hits=%d misses=%d evictions=%d)\n",
-			r.Server.Admitted, r.Server.RejectedQueue, r.Server.RejectedRate,
+		fmt.Fprintf(w, "server: admitted=%d rejected_queue=%d cache_hit_rate=%.3f (hits=%d misses=%d evictions=%d)\n",
+			r.Server.Admitted, r.Server.RejectedQueue,
 			r.Server.CacheHitRate, r.Server.CacheHits, r.Server.CacheMisses, r.Server.Evictions)
 	}
 	if r.SLO != nil {

@@ -13,13 +13,14 @@ import (
 // (Config.MaxRuns / provserve -max-runs) applies the same primitive
 // automatically so a long-lived ingesting server stops accumulating
 // runs forever. Deletion shares the write path's gate: it is enabled by
-// Config.EnableIngest and coordinates with loads and ingests on the
-// same striped per-run-name locks — a DELETE holds the write side
-// across the backend delete and the cache invalidation, so a concurrent
-// cache-miss load can never observe the run half-gone or resurrect a
-// session for it (the delete-side twin of the ingest torn-session
-// guarantee), and the cache's generation fence keeps any load already
-// in flight from landing its pre-delete result in the cache.
+// Config.EnableIngest or EnableStream and coordinates with loads and
+// ingests on the same striped per-run-name locks — a DELETE holds the
+// write side across the backend delete and the cache invalidation, so
+// a concurrent cache-miss load can never observe the run half-gone or
+// resurrect a session for it (the delete-side twin of the ingest
+// torn-session guarantee), and the cache's generation fence keeps any
+// load already in flight from landing its pre-delete result in the
+// cache.
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	name, err := s.writeTarget(r, s.ingest || s.stream, "ingest or streaming")
@@ -119,9 +120,9 @@ func (s *Server) deleteIdleRun(name string) (bool, error) {
 // cached sessions deleted too, least-recently-used first — the hot
 // list order, so retention and warm restarts agree about which runs
 // matter. A bound below the hot working set therefore does evict hot
-// runs. Returns the deleted names. The ingest path calls this after
-// every successful PUT when Config.MaxRuns is set; it is exported so
-// deployments can run retention on their own schedule too.
+// runs. Returns the deleted names. The write path calls this after
+// every successful PUT or /finish when Config.MaxRuns is set; it is
+// exported so deployments can run retention on their own schedule too.
 //
 // A run whose PUT has completed but that nobody has queried is fair
 // game the moment its handler returns: at the bound, ingest-then-query

@@ -115,9 +115,10 @@ func TestDeleteRejections(t *testing.T) {
 	if rec := do(t, ro, "DELETE", "/runs/anything", "", nil); rec.Code != 403 {
 		t.Errorf("DELETE on read-only server = %d, want 403", rec.Code)
 	}
-	// MaxRuns without ingest is a configuration error, not a silent no-op.
+	// MaxRuns without a write path is a configuration error, not a
+	// silent no-op.
 	if _, err := New(Config{Store: st, MaxRuns: 5}); err == nil {
-		t.Error("New accepted MaxRuns without EnableIngest")
+		t.Error("New accepted MaxRuns without EnableIngest or EnableStream")
 	}
 }
 
@@ -437,5 +438,22 @@ func TestRetentionSparesOwnFinish(t *testing.T) {
 	}
 	if names, err := st.Runs(); err != nil || fmt.Sprint(names) != "[a0]" {
 		t.Fatalf("runs after the finish's sweep = %v, %v; want [a0]", names, err)
+	}
+}
+
+// TestRetentionStreamOnly: a stream-only server stores runs through
+// /finish, so -max-runs bounds its store too.
+func TestRetentionStreamOnly(t *testing.T) {
+	s, st := newStreamServer(t, Config{MaxRuns: 2})
+	fr, p := run.Figure3Run(st.Spec())
+	evs := events.Emit(fr, p)
+	for _, name := range []string{"a", "b", "c"} {
+		streamRun(t, s, name, evs, 4)
+		if rec := do(t, s, "POST", "/runs/"+name+"/finish", "", nil); rec.Code != 200 {
+			t.Fatalf("finish %s: %d %s", name, rec.Code, rec.Body.String())
+		}
+	}
+	if names, err := st.Runs(); err != nil || len(names) != 2 {
+		t.Fatalf("runs after three finishes = %v, %v; want 2", names, err)
 	}
 }

@@ -295,95 +295,6 @@ func TestAdmissionQueueSaturation(t *testing.T) {
 	}
 }
 
-func TestAdmissionRateLimit(t *testing.T) {
-	s, _ := newIngestServer(t, Config{RatePerClient: 1, RateBurst: 2})
-	// Freeze the clock so bucket refill is deterministic.
-	now := time.Unix(1000, 0)
-	s.adm.now = func() time.Time { return now }
-
-	getFrom := func(client, remoteAddr string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest("GET", "/runs", nil)
-		if client != "" {
-			req.Header.Set("X-Client-ID", client)
-		}
-		req.RemoteAddr = remoteAddr
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, req)
-		return rec
-	}
-	get := func(client string) *httptest.ResponseRecorder { return getFrom(client, "192.0.2.1:1234") }
-	// Burst of 2 passes, third is limited.
-	for i := 0; i < 2; i++ {
-		if rec := get("alice"); rec.Code != 200 {
-			t.Fatalf("request %d: %d", i, rec.Code)
-		}
-	}
-	rec := get("alice")
-	if rec.Code != 429 {
-		t.Fatalf("over-rate request = %d, want 429", rec.Code)
-	}
-	if ra := rec.Header().Get("Retry-After"); ra != "1" {
-		t.Fatalf("Retry-After = %q, want \"1\"", ra)
-	}
-	// Another client is unaffected; rejected requests count in stats.
-	if rec := get("bob"); rec.Code != 200 {
-		t.Fatalf("other client: %d", rec.Code)
-	}
-	if adm := s.AdmissionState(); adm.RejectedRate != 1 || adm.RateLimitedClients != 2 {
-		t.Fatalf("admission stats = %+v", adm)
-	}
-	// One second later alice has one token again.
-	now = now.Add(time.Second)
-	if rec := get("alice"); rec.Code != 200 {
-		t.Fatalf("after refill: %d", rec.Code)
-	}
-	// Without X-Client-ID the key is the remote host: two connections
-	// from one host share its bucket whatever their ports, and another
-	// host has its own.
-	for i, addr := range []string{"198.51.100.7:40001", "198.51.100.7:40002"} {
-		if rec := getFrom("", addr); rec.Code != 200 {
-			t.Fatalf("host request %d from %s: %d", i, addr, rec.Code)
-		}
-	}
-	if rec := getFrom("", "198.51.100.7:40003"); rec.Code != 429 {
-		t.Fatalf("third request from one host on a new port = %d, want 429", rec.Code)
-	}
-	if rec := getFrom("", "198.51.100.8:40001"); rec.Code != 200 {
-		t.Fatalf("another host: %d", rec.Code)
-	}
-	if adm := s.AdmissionState(); adm.RejectedRate != 2 || adm.RateLimitedClients != 4 {
-		t.Fatalf("admission stats after host-keyed requests = %+v", adm)
-	}
-}
-
-// TestAdmissionShedRefundsToken: a request shed by the full queue did
-// no work, so it must not consume the client's rate-limit token — a
-// client honoring the capacity 429's Retry-After must not then eat a
-// rate 429 for a request that never executed.
-func TestAdmissionShedRefundsToken(t *testing.T) {
-	a := newAdmission(1, 0, 1, 1) // one slot, no queue, 1 rps with burst 1
-	now := time.Unix(1000, 0)
-	a.now = func() time.Time { return now }
-	newReq := func() *httptest.ResponseRecorder {
-		req := httptest.NewRequest("GET", "/runs", nil)
-		req.Header.Set("X-Client-ID", "c")
-		rec := httptest.NewRecorder()
-		if release, ok := a.admit(rec, req); ok {
-			release()
-			rec.Code = 200
-		}
-		return rec
-	}
-	a.slots <- struct{}{} // occupy the only slot
-	if rec := newReq(); rec.Code != 429 {
-		t.Fatalf("request against a full queue = %d, want 429", rec.Code)
-	}
-	<-a.slots // capacity recovers; the client retries per Retry-After
-	if rec := newReq(); rec.Code != 200 {
-		t.Fatalf("retry after capacity 429 = %d, want 200 (token was not refunded)", rec.Code)
-	}
-}
-
 // TestWarmRestart is the warm-cache persistence loop: serve, save the
 // hot list, "restart" (a fresh server over a reopened store), preload,
 // and prove the first queries are cache hits that never touch disk.

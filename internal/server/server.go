@@ -116,16 +116,14 @@
 // GOMAXPROCS CPUs through the labeling's parallel batch evaluator.
 //
 // Every endpoint except /healthz sits behind an admission-control layer
-// (admission.go): a bounded concurrency gate with a bounded wait queue,
-// plus optional per-client token-bucket rate limits. Overload answers
-// 429 with Retry-After instead of accumulating unbounded in-flight
-// work, so cold-cache stampedes and ingest bursts degrade gracefully.
-// Admission identifies the client (X-Client-ID, else the remote host)
-// only when rate limiting is on, and hands every admitted request the
-// same release func, so with it off a request passes the gate without
-// allocating. Together with the exact-path lookup, the query scanner and
-// a shared Content-Type value, a cache-hit query's front (admission,
-// routing, parameters, headers) allocates nothing.
+// (admission.go): a bounded concurrency gate with a bounded wait queue.
+// Overload answers 429 with Retry-After instead of accumulating
+// unbounded in-flight work, so cold-cache stampedes and ingest bursts
+// degrade gracefully. Admission never identifies the client and hands
+// every admitted request the same release func, so a request passes
+// the gate without allocating. Together with the exact-path lookup, the
+// query scanner and a shared Content-Type value, a cache-hit query's
+// front (admission, routing, parameters, headers) allocates nothing.
 //
 // The write path (ingest.go) pairs with warm-restart support:
 // SaveHotList persists which sessions were resident at shutdown and
@@ -179,10 +177,11 @@ type Config struct {
 	// server may accept streams but not documents, or vice versa.
 	EnableStream bool
 	// MaxRuns, when positive, bounds how many runs the store may hold:
-	// after each successful ingest the retention sweep deletes
-	// least-valuable runs (cold before cached, cached in LRU order —
-	// see EnforceMaxRuns) until the bound holds again. 0 disables
-	// retention. Requires EnableIngest (the sweep rides the write path).
+	// after each successful PUT or stream /finish the retention sweep
+	// deletes least-valuable runs (cold before cached, cached in LRU
+	// order — see EnforceMaxRuns) until the bound holds again. 0
+	// disables retention. Requires EnableIngest or EnableStream (the
+	// sweep rides the write path).
 	MaxRuns int
 	// Logf, when set, receives operational log lines (warm-preload
 	// skips, deletions, retention sweeps) printf-style. Nil discards
@@ -196,14 +195,6 @@ type Config struct {
 	// slot before new arrivals are shed with 429/Retry-After. Defaults
 	// to 2*MaxInflight.
 	QueueDepth int
-	// RatePerClient, when positive, enforces a per-client token-bucket
-	// rate limit (requests per second), keyed by X-Client-ID or remote
-	// host. 0 disables rate limiting.
-	RatePerClient float64
-	// RateBurst is the token bucket's capacity. <= 0 means
-	// 2*RatePerClient; values below one token are clamped to 1 (a
-	// bucket that can never fill a whole token would reject forever).
-	RateBurst float64
 	// BreakerThreshold is how many consecutive transient backend
 	// failures flip the server into degraded read-only mode (see
 	// breaker.go): writes shed with 503 + Retry-After, cache-hit and
@@ -321,8 +312,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 2 * cfg.MaxInflight
 	}
-	if cfg.MaxRuns > 0 && !cfg.EnableIngest {
-		return nil, errors.New("server: Config.MaxRuns requires EnableIngest (retention sweeps ride the write path)")
+	if cfg.MaxRuns > 0 && !cfg.EnableIngest && !cfg.EnableStream {
+		return nil, errors.New("server: Config.MaxRuns requires EnableIngest or EnableStream (retention sweeps ride the write path)")
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -340,7 +331,7 @@ func New(cfg Config) (*Server, error) {
 		maxRuns:        cfg.MaxRuns,
 		rpqMaxStates:   rpq.DefaultMaxDFAStates,
 		logf:           cfg.Logf,
-		adm:            newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.RatePerClient, cfg.RateBurst),
+		adm:            newAdmission(cfg.MaxInflight, cfg.QueueDepth),
 		mux:            http.NewServeMux(),
 	}
 	s.ingesting = make(map[string]int)
