@@ -103,9 +103,8 @@ type (
 	// Store, with an LRU session cache, a batched query endpoint, an
 	// optional write path (PUT and DELETE /runs/{name}, with
 	// count-bounded retention via ServerConfig.MaxRuns /
-	// Server.EnforceMaxRuns), admission control (bounded concurrency
-	// with a bounded wait queue), and warm-restart support
-	// (SaveHotList/WarmFromHotList).
+	// Server.EnforceMaxRuns), and admission control (bounded
+	// concurrency with a bounded wait queue).
 	QueryServer = server.Server
 	// ServerConfig configures a QueryServer.
 	ServerConfig = server.Config

@@ -10,8 +10,7 @@
 //	provserve -store 'mem://./provstore'          preload into RAM, serve
 //	                                              with zero disk I/O
 //	provserve -store ./provstore -addr :9090 -scheme BFS -cache 64
-//	provserve -store ./provstore -ingest -warm    accept PUT/DELETE /runs
-//	                                              and warm-restart the cache
+//	provserve -store ./provstore -ingest          accept PUT/DELETE /runs
 //	provserve -store ./provstore -ingest -max-runs 1000
 //	                                              retention: keep at most
 //	                                              1000 runs, evicting
@@ -37,10 +36,6 @@
 //	                                              serve, everything else
 //	                                              503 + Retry-After until
 //	                                              a backend probe heals
-//	provserve -store ./provstore -stream -recover-at-start
-//	                                              rebuild interrupted live
-//	                                              streams before listening
-//	                                              instead of on first touch
 //	provserve -store ./provstore -stream -stream-ttl 1h
 //	                                              expire live streams idle
 //	                                              past the TTL (session,
@@ -74,10 +69,10 @@
 // rate belongs in the reverse proxy in front, which sees the real peer
 // address.
 //
-// With -warm, shutdown (SIGINT/SIGTERM) snapshots the list of hot
-// sessions to the store and the next -warm start preloads them before
-// accepting traffic, so a restart does not reintroduce cold-load
-// latency on the busiest runs.
+// A started server does nothing a first request would not do itself: a
+// stored run loads into the session cache on its first query, and an
+// interrupted stream is replayed from its event log on its first
+// append, finish or query.
 package main
 
 import (
@@ -106,11 +101,9 @@ func main() {
 		maxRuns     = flag.Int("max-runs", 0, "retention bound: after each PUT or /finish, delete least-recently-used runs beyond this count (0 = unlimited; needs -ingest or -stream)")
 		maxInflight = flag.Int("max-inflight", 64, "maximum concurrently executing requests")
 		queueDepth  = flag.Int("queue-depth", 0, "requests allowed to wait for a slot before 429 (0 = 2*max-inflight)")
-		warm        = flag.Bool("warm", false, "preload the store's saved hot-session list on start and save it on shutdown")
 		retry       = flag.Int("retry", 0, "retry transient backend errors up to this many attempts with jittered backoff (0 disables)")
 		brkThresh   = flag.Int("breaker-threshold", 0, "consecutive transient backend failures before degraded read-only mode (0 = default 5, negative disables)")
 		brkCooldown = flag.Duration("breaker-cooldown", 0, "backend probe interval (and Retry-After) while degraded (0 = default 500ms)")
-		recoverAll  = flag.Bool("recover-at-start", false, "eagerly rebuild interrupted live streams before listening (needs -stream)")
 		streamTTL   = flag.Duration("stream-ttl", 0, "expire live streams idle past this duration, dropping their durable state (0 = never; needs -stream)")
 	)
 	flag.Parse()
@@ -155,17 +148,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("provserve: %v", err)
 	}
-	if *recoverAll {
-		// Recover before listening: the first append or query a client
-		// can reach already finds its stream live, with no request-path
-		// replay latency.
-		recovered, cleaned, err := srv.RecoverStreams()
-		if err != nil {
-			log.Printf("provserve: startup stream recovery failed (streams recover lazily): %v", err)
-		} else {
-			log.Printf("provserve: startup recovery: %d stream(s) live, %d stale state(s) cleaned", recovered, cleaned)
-		}
-	}
 	if *streamTTL > 0 {
 		// Sweep a few times per TTL so a stream expires reasonably soon
 		// after crossing it, with a floor so tiny TTLs don't busy-loop.
@@ -180,16 +162,6 @@ func main() {
 				}
 			}
 		}()
-	}
-	if *warm {
-		// Warm before listening: the first request a client can reach
-		// already hits a preloaded cache.
-		n, err := srv.WarmFromHotList()
-		if err != nil {
-			log.Printf("provserve: warm preload failed (serving cold): %v", err)
-		} else {
-			log.Printf("provserve: warm preloaded %d session(s)", n)
-		}
 	}
 	log.Printf("provserve: serving store %q (spec %q, backend %s, scheme %s, ingest %v, stream %v) on %s",
 		*storeURL, st.SpecName(), st.Stat().Kind, sch.Name(), *ingest, *stream, *addr)
@@ -209,15 +181,5 @@ func main() {
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("provserve: shutdown: %v", err)
-	}
-	// Save the hot list only after the drain: requests completing during
-	// shutdown still load, ingest and evict sessions, and the list
-	// should record where the cache actually ended up.
-	if *warm {
-		if err := srv.SaveHotList(); err != nil {
-			log.Printf("provserve: saving hot list: %v", err)
-		} else {
-			log.Printf("provserve: saved hot list (%d cached session(s))", srv.Stats().Cached)
-		}
 	}
 }

@@ -180,7 +180,10 @@
 //     aborts a live stream under the name, clearing its event log and
 //     any checkpoint so the name can stream again from offset zero; it
 //     answers 200 only once both are gone (a failed clear is a 503 and
-//     leaves the stream live for the retry).
+//     leaves the stream live for the retry). A PUT over a live stream
+//     clears it the same way after storing the run, so the name then
+//     answers as the stored run; a failed clear is a 503 the client
+//     retries (the PUT is an idempotent overwrite).
 //
 // Retention builds on deletion: `provserve -ingest -max-runs N` (or
 // -stream; ServerConfig.MaxRuns / Server.EnforceMaxRuns in-process)
@@ -190,11 +193,8 @@
 // own victim. A long-lived ingesting server therefore holds a bounded
 // working set instead of accumulating runs forever. `provquery -delete
 // <base-url> -run <name>` is the command-line client for one-off
-// deletion. The warm-restart hot list participates too:
-// Store.WriteHotList prunes names the store no longer holds, and a
-// stale .hot entry (deleted behind the store's back) costs a logged
-// skip at warm preload, never a failed startup. store.Copy skips runs deleted mid-copy, so retention
-// can run against a store that is concurrently being replicated.
+// deletion. store.Copy skips runs deleted mid-copy, so retention can
+// run against a store that is concurrently being replicated.
 //
 // # Admission control
 //
@@ -208,17 +208,6 @@
 // stats. The gate bounds the work in flight, not any one client's
 // share: a per-peer rate belongs in the reverse proxy, which sees the
 // real peer address rather than a header the client picks.
-//
-// # Warm restarts
-//
-// `provserve -warm` closes the loop between restarts: on graceful
-// shutdown the server saves which sessions were resident in the cache
-// (the hot list, a meta blob on the store written through the
-// StoreBackend interface), and the next `-warm` start preloads exactly
-// those sessions before accepting traffic — the busiest runs answer
-// their first post-restart query as a cache hit, not a cold load.
-// In-process, Server.SaveHotList and Server.WarmFromHotList expose the
-// same steps.
 //
 // # Storage backends
 //
@@ -273,13 +262,13 @@
 // reports "degraded" plus breaker state, consecutive-failure count and
 // probe totals throughout.
 //
-// Streaming ingest adds two recovery knobs: `-recover-at-start`
-// (Server.RecoverStreams) rebuilds every interrupted live stream
-// before the listener opens — finished runs win over stale stream
-// state, which is cleaned — instead of paying replay latency on first
-// touch, and `-stream-ttl` (Server.SweepIdleStreams) expires live
-// streams idle past the TTL, dropping their session, event log and
-// checkpoint so abandoned streams cannot pin memory and names forever.
+// A started server does nothing a first request would not do itself:
+// a stored run loads into the session cache on its first query, and an
+// interrupted live stream is replayed from its event log on its first
+// append, finish or query (a stored run wins over stale stream state).
+// `-stream-ttl` (Server.SweepIdleStreams) expires live streams idle
+// past the TTL, dropping their session, event log and checkpoint so
+// abandoned streams cannot pin memory and names forever.
 // The provquery -append client retries transient 503/network failures
 // with capped backoff, honoring Retry-After and resyncing its cursor
 // from the server's status GET, so an interrupted stream resumes

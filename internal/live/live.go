@@ -202,10 +202,6 @@ func (r *Registry) Stats() Stats { return r.g.snapshot() }
 // run's stream checkpoint. An absent or empty blob means no checkpoint.
 func CheckpointMeta(name string) string { return ".ckpt-" + name }
 
-// ListStreams lists the runs with an event log in st: the runs that
-// may hold durable stream state to Recover.
-func ListStreams(st *store.Store) ([]string, error) { return st.Backend().ListEventLogs() }
-
 // readCheckpoint reads name's checkpoint blob; an absent one reads as
 // empty.
 func readCheckpoint(st *store.Store, name string) ([]byte, error) {

@@ -208,7 +208,8 @@ func (c *sessionCache) Put(name string, sess *session) {
 
 // Names returns the cached run names, most recently used first.
 // In-flight loads count: a session being loaded right now is by
-// definition hot. The slice is the warm-restart hot list.
+// definition hot. EnforceMaxRuns deletes cached runs in the reverse of
+// this order.
 func (c *sessionCache) Names() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

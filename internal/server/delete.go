@@ -117,12 +117,11 @@ func (s *Server) deleteIdleRun(name string) (bool, error) {
 // else is ordered by value — cache membership is query-driven, so
 // cached means hot: cold (never-queried) runs go first, by ascending
 // name for deterministic sweeps, and only when those run out are
-// cached sessions deleted too, least-recently-used first — the hot
-// list order, so retention and warm restarts agree about which runs
-// matter. A bound below the hot working set therefore does evict hot
-// runs. Returns the deleted names. The write path calls this after
-// every successful PUT or /finish when Config.MaxRuns is set; it is
-// exported so deployments can run retention on their own schedule too.
+// cached sessions deleted too, least-recently-used first. A bound
+// below the hot working set therefore does evict hot runs. Returns the
+// deleted names. The write path calls this after every successful PUT
+// or /finish when Config.MaxRuns is set; it is exported so deployments
+// can run retention on their own schedule too.
 //
 // A run whose PUT has completed but that nobody has queried is fair
 // game the moment its handler returns: at the bound, ingest-then-query

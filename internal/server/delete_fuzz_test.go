@@ -25,7 +25,7 @@ func FuzzDeleteRun(f *testing.F) {
 	f.Add("absent")
 	f.Add("..")
 	f.Add("../../etc/passwd")
-	f.Add(".hot")
+	f.Add(".ckpt-alpha")
 	f.Add(".")
 	f.Add("")
 	f.Add("a/b")

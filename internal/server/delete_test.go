@@ -1,17 +1,13 @@
 package server
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/events"
-	"repro/internal/label"
 	"repro/internal/run"
 	"repro/internal/spec"
 	"repro/internal/store"
@@ -86,7 +82,7 @@ func TestDeleteRejections(t *testing.T) {
 	}{
 		{"missing run", "/runs/absent", 404},
 		{"invalid name", "/runs/..evil", 400},
-		{"meta-shaped name", "/runs/.hot", 400},
+		{"meta-shaped name", "/runs/.ckpt-alpha", 400},
 		{"nested path", "/runs/a%2Fb", 400},
 	}
 	for _, c := range cases {
@@ -336,89 +332,6 @@ func TestDeleteLoadRaceStress(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-}
-
-// TestWarmRestartAfterDelete is the satellite regression: delete a run
-// whose session is hot, shut down saving the hot list, and restart
-// warm — the restart must come up with the surviving sessions, the
-// saved list must not name the deleted run, and a stale list written by
-// an older version (or mutated behind the server's back) must cost a
-// logged skip, never a wedged startup.
-func TestWarmRestartAfterDelete(t *testing.T) {
-	dir, st := newTestStore(t)
-	s1, err := New(Config{Store: st, CacheSize: 4, EnableIngest: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"beta", "alpha"} {
-		if rec := do(t, s1, "GET", "/reachable?run="+name+"&from=a1&to=0", "", nil); rec.Code != 200 {
-			t.Fatalf("warmup %s: %d", name, rec.Code)
-		}
-	}
-	// Both sessions are hot; delete beta, then "SIGTERM": SaveHotList.
-	if rec := do(t, s1, "DELETE", "/runs/beta", "", nil); rec.Code != 200 {
-		t.Fatalf("DELETE beta: %d", rec.Code)
-	}
-	if err := s1.SaveHotList(); err != nil {
-		t.Fatal(err)
-	}
-	if names, err := st.ReadHotList(); err != nil || fmt.Sprint(names) != "[alpha]" {
-		t.Fatalf("hot list after delete = %v, %v; want [alpha] (deleted run pruned)", names, err)
-	}
-
-	// Restart warm over a reopened store.
-	st2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logged []string
-	s2, err := New(Config{Store: st2, CacheSize: 4,
-		Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s2.WarmFromHotList(); err != nil || n != 1 {
-		t.Fatalf("WarmFromHotList = %d, %v; want 1", n, err)
-	}
-	if rec := do(t, s2, "GET", "/reachable?run=alpha&from=a1&to=0", "", nil); rec.Code != 200 {
-		t.Fatalf("surviving run after warm restart: %d", rec.Code)
-	}
-	if rec := do(t, s2, "GET", "/runs?run=beta", "", nil); rec.Code != 404 {
-		t.Fatalf("deleted run after warm restart = %d, want 404", rec.Code)
-	}
-
-	// The hostile variant: a .hot blob naming a deleted run (written
-	// behind the store's back, as an older version could have). Warm
-	// preload must skip it, log it, and still load the rest.
-	if err := st2.Backend().WriteMeta(store.HotListMeta, []byte("ghost\nalpha\n")); err != nil {
-		t.Fatal(err)
-	}
-	st3, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logged = nil
-	s3, err := New(Config{Store: st3, CacheSize: 4,
-		Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := s3.WarmFromHotList()
-	if err != nil || n != 1 {
-		t.Fatalf("WarmFromHotList with ghost entry = %d, %v; want 1 and no error", n, err)
-	}
-	found := false
-	for _, line := range logged {
-		if strings.Contains(line, "ghost") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("skipped ghost entry was not logged: %v", logged)
-	}
-	if _, err := st3.OpenRun("ghost", label.TCM{}); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("ghost unexpectedly exists: %v", err)
-	}
 }
 
 // TestRetentionSparesOwnFinish: the sweep after a stream's /finish

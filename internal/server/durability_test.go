@@ -144,10 +144,11 @@ func TestClearLeavesNoCheckpointFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recovered, _, err := s2.RecoverStreams(); err != nil || recovered != 2 {
-		t.Fatalf("RecoverStreams: %d recovered, %v; want 2", recovered, err)
-	}
 	for _, name := range []string{"torn", "tornabort"} {
+		// First touch: the status query replays the log, fencing its tail.
+		if rec := do(t, s2, "GET", "/runs/"+name, "", nil); rec.Code != 200 {
+			t.Fatalf("GET /runs/%s after restart: %d %s", name, rec.Code, rec.Body.String())
+		}
 		if checkpointOf(t, st, name) == "" {
 			t.Fatalf("recovery of %s fenced no torn tail", name)
 		}
@@ -256,6 +257,35 @@ func TestDeleteFailedClearKeepsStream(t *testing.T) {
 				t.Fatalf("restream after DELETE: %d seq %d %s, want 200 at seq 1", rec.Code, resp.Seq, rec.Body.String())
 			}
 		})
+	}
+}
+
+// TestPutFailedClearRetries pins a PUT over a live stream whose event
+// log fails to delete: the PUT is a 503 with Retry-After, and its retry
+// stores the run again and clears the stream.
+func TestPutFailedClearRetries(t *testing.T) {
+	s, fb, st := newFaultServer(t, Config{EnableIngest: true, EnableStream: true})
+	r, p := run.GenerateSized(spec.PaperSpec(), rand.New(rand.NewSource(45)), 60)
+	evs := events.Emit(r, p)
+	streamRun(t, s, "delta", evs[:len(evs)/2], 16)
+	fb.SetPlan(faultinject.Plan{PerOp: map[faultinject.Op]faultinject.Rule{faultinject.OpDeleteEventLog: {FailFirst: 1}}})
+	rec := do(t, s, "PUT", "/runs/delta", encodeRun(t, r, nil), nil)
+	if rec.Code != 503 || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("PUT under a failed event-log delete: %d (Retry-After %q) %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+	}
+	if rec := do(t, s, "PUT", "/runs/delta", encodeRun(t, r, nil), nil); rec.Code != 200 {
+		t.Fatalf("retried PUT: %d %s", rec.Code, rec.Body.String())
+	}
+	fb.SetPlan(faultinject.Plan{})
+	if _, err := st.ReadRunEvents("delta"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("event log after the retried PUT: err=%v, want ErrNotExist", err)
+	}
+	var status struct {
+		Status string `json:"status"`
+	}
+	if rec := do(t, s, "GET", "/runs/delta", "", &status); rec.Code != 200 || status.Status != "finished" {
+		t.Fatalf("GET after the retried PUT: %d %+v, want the stored run", rec.Code, status)
 	}
 }
 

@@ -135,6 +135,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	sess, err := s.st.PutRunDocument(name, doc, s.scheme)
 	if err == nil {
 		s.refreshCached(name, sess)
+		if s.stream {
+			// A live stream of the name would shadow the stored run until
+			// a restart: the PUT replaces it, as a DELETE would clear it.
+			_, err = s.clearStreamState(name)
+		}
 	}
 	mu.Unlock()
 	var bad *store.InvalidRunError
@@ -150,7 +155,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 		// request was well-formed. A transient failure left no usable
 		// pair behind (a partial write is transient precisely because an
 		// overwrite retry heals it), so the client is told to retry, not
-		// that the server broke.
+		// that the server broke. A failed stream clear is answered the
+		// same way: the run is stored, and the retry stores it again and
+		// clears.
 		return writeFailed("storing run %q: %w", name, err)
 	}
 	if s.maxRuns > 0 {

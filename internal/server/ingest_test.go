@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"runtime/debug"
 	"slices"
 	"strings"
@@ -293,74 +291,6 @@ func TestAdmissionQueueSaturation(t *testing.T) {
 	if adm.PeakInflight > 1 {
 		t.Fatalf("peak inflight %d exceeded the configured bound 1", adm.PeakInflight)
 	}
-}
-
-// TestWarmRestart is the warm-cache persistence loop: serve, save the
-// hot list, "restart" (a fresh server over a reopened store), preload,
-// and prove the first queries are cache hits that never touch disk.
-func TestWarmRestart(t *testing.T) {
-	dir, st := newTestStore(t)
-	s1 := newTestServer(t, st, 4, 100)
-	for _, name := range []string{"beta", "alpha"} { // alpha most recent
-		if rec := do(t, s1, "GET", "/reachable?run="+name+"&from=a1&to=0", "", nil); rec.Code != 200 {
-			t.Fatalf("warmup %s: %d", name, rec.Code)
-		}
-	}
-	if err := s1.SaveHotList(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: reopen the store from disk, warm, then delete the run
-	// files — every query answered after this point provably came from
-	// the preloaded cache.
-	st2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := newTestServer(t, st2, 4, 100)
-	n, err := s2.WarmFromHotList()
-	if err != nil || n != 2 {
-		t.Fatalf("WarmFromHotList = %d, %v; want 2", n, err)
-	}
-	if cs := s2.Stats(); cs.Cached != 2 || cs.Misses != 2 || cs.Hits != 0 {
-		t.Fatalf("stats after warm = %+v", cs)
-	}
-	if err := os.RemoveAll(filepath.Join(dir, "runs")); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"alpha", "beta"} {
-		if rec := do(t, s2, "GET", "/reachable?run="+name+"&from=a1&to=0", "", nil); rec.Code != 200 {
-			t.Fatalf("warm query %s hit the disk: %d", name, rec.Code)
-		}
-	}
-	if cs := s2.Stats(); cs.Hits != 2 || cs.Misses != 2 {
-		t.Fatalf("stats after warm queries = %+v (first queries were cold)", cs)
-	}
-
-	// The saved list is MRU-first: alpha was queried last on s1.
-	names, err := st2.ReadHotList()
-	if err != nil || len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
-		t.Fatalf("hot list = %v, %v; want [alpha beta]", names, err)
-	}
-}
-
-// TestWarmSkipsStaleEntries: a hot list referencing a deleted run warms
-// what it can and skips the rest — stale entries cost one failed load,
-// never a failed startup.
-func TestWarmSkipsStaleEntries(t *testing.T) {
-	dir, st := newTestStore(t)
-	if err := st.WriteHotList([]string{"alpha", "ghost", "beta"}); err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, st, 4, 100)
-	n, err := s.WarmFromHotList()
-	if err != nil || n != 2 {
-		t.Fatalf("WarmFromHotList with stale entry = %d, %v; want 2", n, err)
-	}
-	if cs := s.Stats(); cs.Cached != 2 {
-		t.Fatalf("stats = %+v, want 2 cached", cs)
-	}
-	_ = dir
 }
 
 // TestIngestStress is the write-path concurrency audit (run under

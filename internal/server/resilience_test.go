@@ -272,85 +272,6 @@ func TestDegradedLiveSession(t *testing.T) {
 	}
 }
 
-// TestRecoverStreams checks eager startup recovery: a restarted server
-// rebuilds interrupted live sessions from their durable stream state
-// before taking traffic, and cleans stale stream state for runs whose
-// finish stored the run but crashed before removing the log.
-func TestRecoverStreams(t *testing.T) {
-	sp := spec.PaperSpec()
-	st, err := store.NewMem(sp, "paper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-
-	r1, p1 := run.GenerateSized(sp, rand.New(rand.NewSource(31)), 90)
-	evs1 := events.Emit(r1, p1)
-	r2, p2 := run.GenerateSized(sp, rand.New(rand.NewSource(32)), 60)
-	evs2 := events.Emit(r2, p2)
-
-	s1, err := New(Config{Store: st, EnableStream: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := len(evs1) * 2 / 3
-	seq1 := streamRun(t, s1, "r1", evs1[:half], 16)
-	streamRun(t, s1, "r2", evs2, 16)
-	// Simulate a crash in finish's window: the run document is stored
-	// but the event log was never cleaned up.
-	if err := st.PutRun("r2", r2, nil, label.TCM{}); err != nil {
-		t.Fatal(err)
-	}
-	// s1 "crashes" here: its registry is simply abandoned.
-
-	s2, err := New(Config{Store: st, EnableStream: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered, cleaned, err := s2.RecoverStreams()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recovered != 1 || cleaned != 1 {
-		t.Fatalf("RecoverStreams = (%d recovered, %d cleaned), want (1, 1)", recovered, cleaned)
-	}
-	// r1 is live in memory before any request touches it.
-	if s2.live.Get("r1") == nil {
-		t.Fatal("r1 not registered after eager recovery")
-	}
-	var status struct {
-		Status string `json:"status"`
-		Events int    `json:"events"`
-	}
-	if rec := do(t, s2, "GET", "/runs/r1", "", &status); rec.Code != 200 {
-		t.Fatalf("GET /runs/r1: %d %s", rec.Code, rec.Body.String())
-	}
-	if status.Status != "live" || status.Events != seq1 {
-		t.Fatalf("recovered r1 status %+v, want live at %d", status, seq1)
-	}
-	// r2's stale stream state is gone and the stored run answers.
-	if _, err := st.ReadRunEvents("r2"); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("r2 event log after cleanup: err=%v, want ErrNotExist", err)
-	}
-	if rec := do(t, s2, "GET", "/runs/r2", "", &status); rec.Code != 200 || status.Status != "finished" {
-		t.Fatalf("GET /runs/r2: %d %+v", rec.Code, status)
-	}
-	// The recovered session continues exactly where the crash left it.
-	resumeRun(t, s2, "r1", evs1, seq1, 16)
-	if rec := do(t, s2, "POST", "/runs/r1/finish", "", nil); rec.Code != 200 {
-		t.Fatalf("finish recovered r1: %d %s", rec.Code, rec.Body.String())
-	}
-
-	// A server without streaming is a no-op.
-	s3, err := New(Config{Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec, cl, err := s3.RecoverStreams(); rec != 0 || cl != 0 || err != nil {
-		t.Fatalf("RecoverStreams on non-streaming server: (%d, %d, %v)", rec, cl, err)
-	}
-}
-
 // TestSweepIdleStreams checks the idle-TTL sweep: sessions younger than
 // the TTL survive, idle ones are expired with their durable state, the
 // counter reaches /healthz, and the name is free for a fresh stream.

@@ -124,12 +124,6 @@
 // the gate without allocating. Together with the exact-path lookup, the
 // query scanner and a shared Content-Type value, a cache-hit query's
 // front (admission, routing, parameters, headers) allocates nothing.
-//
-// The write path (ingest.go) pairs with warm-restart support:
-// SaveHotList persists which sessions were resident at shutdown and
-// WarmFromHotList preloads them before a restarted server takes
-// traffic, trading a short startup delay for zero cold-load latency on
-// the first queries (see cmd/provserve's -warm flag).
 package server
 
 import (
@@ -183,8 +177,8 @@ type Config struct {
 	// disables retention. Requires EnableIngest or EnableStream (the
 	// sweep rides the write path).
 	MaxRuns int
-	// Logf, when set, receives operational log lines (warm-preload
-	// skips, deletions, retention sweeps) printf-style. Nil discards
+	// Logf, when set, receives operational log lines (deletions,
+	// retention sweeps, stream recoveries) printf-style. Nil discards
 	// them; cmd/provserve passes log.Printf.
 	Logf func(format string, args ...any)
 	// MaxInflight bounds how many requests execute concurrently across
@@ -382,7 +376,7 @@ func New(cfg Config) (*Server, error) {
 
 // ServeHTTP implements http.Handler. /healthz bypasses admission so the
 // server stays observable while shedding load; everything else pays the
-// admission toll (rate limit + bounded concurrency) before dispatch.
+// admission gate (bounded concurrency, bounded queue) before dispatch.
 //
 // A request for an exact, already-clean path of a method-less route is
 // served from s.exact: the mux would match it to that route whatever
@@ -427,41 +421,6 @@ func (s *Server) Stats() CacheStats { return s.cache.Stats() }
 
 // AdmissionState returns the admission layer's counters.
 func (s *Server) AdmissionState() AdmissionStats { return s.adm.Stats() }
-
-// SaveHotList persists the names of the sessions currently resident in
-// the cache (most recently used first) to the store's hot-list meta
-// blob, so the next server over the same store can WarmFromHotList.
-// Call it on graceful shutdown (cmd/provserve does, under -warm).
-func (s *Server) SaveHotList() error { return s.st.WriteHotList(s.cache.Names()) }
-
-// WarmFromHotList preloads the store's saved hot-session list into the
-// cache, returning how many sessions loaded. Stale entries (runs since
-// deleted, corrupt snapshots) are skipped and logged, never fatal: the
-// list is advisory, and a partially warm cache still beats a cold one —
-// a .hot blob naming a vanished run must never wedge a restart.
-// (Store.WriteHotList prunes deleted names at save time, so skips here
-// mean the run vanished after the list was written — e.g. another
-// process deleted it, or the list predates this version.) Loads run
-// oldest-first so the list's most recently used name ends up at the
-// front of the LRU, exactly as it was at shutdown.
-func (s *Server) WarmFromHotList() (int, error) {
-	names, err := s.st.ReadHotList()
-	if err != nil {
-		return 0, err
-	}
-	if len(names) > s.cache.max {
-		names = names[:s.cache.max]
-	}
-	loaded := 0
-	for i := len(names) - 1; i >= 0; i-- {
-		if _, err := s.cache.Get(names[i]); err == nil {
-			loaded++
-		} else {
-			s.logf("server: warm preload skipping %q: %v", names[i], err)
-		}
-	}
-	return loaded, nil
-}
 
 // NewHTTPServer wraps a handler in the http.Server configuration every
 // deployment of this service should carry: read/idle timeouts so slow

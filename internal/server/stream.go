@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/events"
 	"repro/internal/live"
@@ -33,7 +34,9 @@ import (
 // registered session replays it (openStream). When a run is both
 // stored and has leftover stream state, the stored run wins and the
 // stale stream state is discarded — Finish persists the run before
-// cleaning the log, so its crash window leaves exactly that pair.
+// cleaning the log, so its crash window leaves exactly that pair. A PUT
+// over a live stream clears the stream itself (handleIngest), and an
+// idle stream expires as a DELETE would clear it (SweepIdleStreams).
 
 // maxEventLine bounds one event-log line accepted from the wire; the
 // longest legitimate record is two decimal ints plus a module name, so
@@ -71,10 +74,10 @@ var errFinished = errors.New("already finished")
 // is stored and an error matching fs.ErrNotExist otherwise. With
 // storeWins a stored run answers errFinished before any recovery: its
 // stream state can only be what a crash between Finish's persist and
-// its log cleanup left behind. Appends, queries and startup recovery
-// pass true; /finish passes false, so a finish retried across that
-// crash re-seals the same state and succeeds as the first one did.
-// Callers hold the run's write lock.
+// its log cleanup left behind. Appends and queries pass true; /finish
+// passes false, so a finish retried across that crash re-seals the same
+// state and succeeds as the first one did. Callers hold the run's write
+// lock.
 func (s *Server) openStream(name string, storeWins bool) (*live.Session, error) {
 	if ls := s.live.Get(name); ls != nil {
 		return ls, nil
@@ -279,4 +282,37 @@ func (s *Server) clearStreamState(name string) (bool, error) {
 		return false, err
 	}
 	return s.live.Remove(name) != nil || had, nil
+}
+
+// SweepIdleStreams expires live sessions idle for at least ttl, clearing
+// them exactly as a DELETE would — an abandoned stream (a client that
+// crashed mid-run and never resumed) must not hold its applier (the
+// labeler, copy table and namer) and its applied-event record in
+// memory forever; one whose clear fails stays for the next
+// sweep. Activity is anything that touches the session: appends,
+// finishes and queries all stamp it. Returns the expired run names;
+// /healthz counts them cumulatively as streams_expired. provserve runs
+// this on a ticker when started with -stream-ttl; it is exported for
+// embedders with their own schedule.
+func (s *Server) SweepIdleStreams(ttl time.Duration) []string {
+	if !s.stream || ttl <= 0 {
+		return nil
+	}
+	var expired []string
+	for _, name := range s.live.Names() {
+		mu := s.runMu.forName(name)
+		mu.Lock()
+		if ls := s.live.Get(name); ls != nil && time.Since(ls.LastActive()) >= ttl {
+			if _, err := s.clearStreamState(name); err != nil {
+				s.logf("server: expiring idle stream %q: %v (kept for the next sweep)", name, err)
+			} else {
+				s.streamsExpired.Add(1)
+				expired = append(expired, name)
+				s.logf("server: expired idle stream %q (last active %s ago)",
+					name, time.Since(ls.LastActive()).Round(time.Second))
+			}
+		}
+		mu.Unlock()
+	}
+	return expired
 }

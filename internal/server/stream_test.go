@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -463,6 +466,53 @@ func TestStreamDelete(t *testing.T) {
 	}
 	if resp.Seq != 1 {
 		t.Fatalf("restream seq = %d, want 1 (stale state survived the delete)", resp.Seq)
+	}
+}
+
+// TestPutOverLiveStream pins that a PUT over a live stream replaces it:
+// the PUT clears the name's stream state, so the status, queries and
+// appends that follow answer as a server restarted over the same store
+// answers them — the stored run, with appends refused as finished.
+func TestPutOverLiveStream(t *testing.T) {
+	s, st := newStreamServer(t, Config{EnableIngest: true})
+	r, p := run.GenerateSized(spec.PaperSpec(), rand.New(rand.NewSource(44)), 55)
+	evs := events.Emit(r, p)
+	prefix := len(evs) * 4 / 5
+	streamRun(t, s, "x", evs[:prefix], 16)
+	if rec := do(t, s, "PUT", "/runs/x", encodeRun(t, r, nil), nil); rec.Code != 200 {
+		t.Fatalf("PUT over live stream: %d %s", rec.Code, rec.Body.String())
+	}
+	if _, err := st.ReadRunEvents("x"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("event log after PUT: err=%v, want ErrNotExist", err)
+	}
+	restarted, err := New(Config{Store: st, EnableIngest: true, EnableStream: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var status struct {
+		Status   string `json:"status"`
+		Vertices int    `json:"vertices"`
+	}
+	rec := do(t, s, "GET", "/runs/x", "", &status)
+	if want := do(t, restarted, "GET", "/runs/x", "", nil); rec.Code != want.Code || rec.Body.String() != want.Body.String() {
+		t.Fatalf("status after PUT = %d %s, restarted server answers %d %s",
+			rec.Code, rec.Body.String(), want.Code, want.Body.String())
+	}
+	if status.Status != "finished" || status.Vertices != r.NumVertices() {
+		t.Fatalf("status after PUT = %+v, want finished with %d vertices", status, r.NumVertices())
+	}
+	targets, query := differentialQueries(t, r, "x")
+	for _, tg := range targets {
+		if got, want := query(s, tg), query(restarted, tg); got != want {
+			t.Fatalf("%s after PUT = %q, restarted server answers %q", tg, got, want)
+		}
+	}
+	target := fmt.Sprintf("/runs/x/events?offset=%d", prefix)
+	rec = do(t, s, "POST", target, logText(t, evs[prefix:]), nil)
+	if want := do(t, restarted, "POST", target, logText(t, evs[prefix:]), nil); rec.Code != http.StatusConflict ||
+		rec.Code != want.Code || rec.Body.String() != want.Body.String() {
+		t.Fatalf("append after PUT = %d %s, restarted server answers %d %s",
+			rec.Code, rec.Body.String(), want.Code, want.Body.String())
 	}
 }
 

@@ -59,8 +59,8 @@ import "io"
 // are invisible to ListRuns and independent of the run/labels pair:
 // writing or deleting one side never touches the other. ListEventLogs
 // is their own listing — the names with a log present, sorted ascending
-// — so a restarted serving layer can find interrupted streams without
-// probing every possible name (eager stream recovery).
+// — so a tool can find interrupted streams without probing every
+// possible name.
 //
 // # Resident blobs
 //
@@ -130,8 +130,8 @@ type Backend interface {
 	// sorted ascending — the streams a crash may have interrupted. A
 	// backend holding no logs returns an empty list, not an error.
 	ListEventLogs() ([]string, error)
-	// ReadMeta streams a small named metadata blob (e.g. the serving
-	// layer's hot-session list). Meta names are dot-prefixed (see
+	// ReadMeta streams a small named metadata blob (e.g. a stream's
+	// checkpoint). Meta names are dot-prefixed (see
 	// ValidMetaName), which keeps them disjoint from run names on every
 	// backend.
 	ReadMeta(name string) (io.ReadCloser, error)

@@ -429,52 +429,6 @@ func Run(t *testing.T, newBackend Factory) {
 		}
 	})
 
-	t.Run("HotListRoundTrip", func(t *testing.T) {
-		// The warm-restart hot list rides the meta-blob API end to end
-		// through store.Store: saved MRU-first for stored runs, read back
-		// in order, absent on a store that never saved one, and pruned of
-		// names the store no longer holds — a .hot blob must never keep
-		// naming a deleted run.
-		b := newBackend(t)
-		defer b.Close()
-		s := spec.PaperSpec()
-		st, err := store.New(b, s, "paper")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if names, err := st.ReadHotList(); err != nil || len(names) != 0 {
-			t.Fatalf("ReadHotList on fresh store = %v, %v", names, err)
-		}
-		want := []string{"hot-1", "hot-2", "cold-9"}
-		for i, n := range want {
-			if err := st.PutRun(n, genRun(t, s, int64(i+1), 60), nil, label.TCM{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.WriteHotList(want); err != nil {
-			t.Fatal(err)
-		}
-		got, err := st.ReadHotList()
-		if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("ReadHotList = %v, %v; want %v", got, err, want)
-		}
-		if err := st.WriteHotList([]string{"../evil"}); err == nil {
-			t.Fatal("WriteHotList accepted an invalid run name")
-		}
-		// Deleted (or never-stored) names are pruned at write time: after
-		// hot-2 is deleted, re-saving the same list must not persist it.
-		if err := st.DeleteRun("hot-2"); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.WriteHotList(append(want, "never-stored")); err != nil {
-			t.Fatal(err)
-		}
-		got, err = st.ReadHotList()
-		if err != nil || fmt.Sprint(got) != fmt.Sprint([]string{"hot-1", "cold-9"}) {
-			t.Fatalf("ReadHotList after delete = %v, %v; want pruned [hot-1 cold-9]", got, err)
-		}
-	})
-
 	t.Run("DeleteRun", func(t *testing.T) { DeleteRunConformance(t, newBackend) })
 
 	t.Run("EventLog", func(t *testing.T) {
@@ -551,8 +505,7 @@ func Run(t *testing.T, newBackend Factory) {
 		b := newBackend(t)
 		defer b.Close()
 		mustInit(t, b)
-		// Empty store: an empty listing, not an error (the eager stream
-		// recovery scan runs against stores with no live sessions).
+		// Empty store: an empty listing, not an error.
 		if names, err := b.ListEventLogs(); err != nil || len(names) != 0 {
 			t.Fatalf("ListEventLogs on empty backend = %v, %v; want empty", names, err)
 		}

@@ -41,12 +41,10 @@ package store
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -456,72 +454,6 @@ func ReadBlob(rc io.ReadCloser) ([]byte, error) {
 		}
 	}
 	return io.ReadAll(rc)
-}
-
-// HotListMeta is the meta blob holding the serving layer's hot-session
-// list: the run names that were resident in the query server's session
-// cache when it shut down, one per line, most recently used first. A
-// warm restart preloads these before accepting traffic.
-const HotListMeta = ".hot"
-
-// WriteHotList persists the hot-session list (run names, most recently
-// used first) so a restarted server can preload them. Invalid names are
-// rejected up front; names that no longer exist in the store (runs
-// deleted while their session was still cached) are pruned rather than
-// persisted — a .hot blob must never keep naming a deleted run, so a
-// warm restart spends its startup loads only on runs that can actually
-// load. An empty list (or one pruned empty) is stored as an empty blob.
-func (st *Store) WriteHotList(names []string) error {
-	for _, n := range names {
-		if err := ValidRunName(n); err != nil {
-			return err
-		}
-	}
-	stored, err := st.backend.ListRuns()
-	if err != nil {
-		return err
-	}
-	exists := make(map[string]bool, len(stored))
-	for _, n := range stored {
-		exists[n] = true
-	}
-	kept := make([]string, 0, len(names))
-	for _, n := range names {
-		if exists[n] {
-			kept = append(kept, n)
-		}
-	}
-	return st.backend.WriteMeta(HotListMeta, []byte(strings.Join(kept, "\n")))
-}
-
-// ReadHotList returns the stored hot-session list, most recently used
-// first. A store that never saved one returns an empty list, not an
-// error. Names that are no longer valid are dropped rather than
-// surfaced: the list is advisory (a stale entry just means one cold
-// load), never a reason to refuse startup.
-func (st *Store) ReadHotList() ([]string, error) {
-	rc, err := st.backend.ReadMeta(HotListMeta)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	defer rc.Close()
-	data, err := io.ReadAll(rc)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if line = strings.TrimSpace(line); line == "" {
-			continue
-		}
-		if ValidRunName(line) == nil {
-			names = append(names, line)
-		}
-	}
-	return names, nil
 }
 
 // ValidMetaName reports whether name is usable as a backend meta blob

@@ -72,7 +72,7 @@ func OpenBackendURL(rawurl string) (Backend, error) {
 var errEmptyMem = errors.New("store: mem:// starts empty and has no spec to open; use mem://<dir> to preload a directory, or build one in-process with NewMem")
 
 // Copy replicates src's spec and every run into dst. It is the
-// workhorse behind "mem://<dir>" warm loading and works between any two
+// workhorse behind "mem://<dir>" preloading and works between any two
 // backends — e.g. snapshotting an in-memory store to disk. Runs
 // deleted from src between the listing and their read (a retention
 // sweep on a live store) are skipped, not errors: the copy lands
@@ -112,17 +112,7 @@ func Copy(dst, src Backend) error {
 			return err
 		}
 	}
-	// The hot-session list rides along so a preloaded copy (mem://dir)
-	// can warm-start the serving layer; a store that never saved one
-	// simply has nothing to copy.
-	hot, err := readAll(src.ReadMeta(HotListMeta))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	return dst.WriteMeta(HotListMeta, hot)
+	return nil
 }
 
 func readAll(rc io.ReadCloser, err error) ([]byte, error) {

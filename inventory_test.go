@@ -25,13 +25,11 @@ var provserveFlags = []string{
 	"max-ingest-bytes",
 	"max-runs",
 	"queue-depth",
-	"recover-at-start",
 	"retry",
 	"scheme",
 	"store",
 	"stream",
 	"stream-ttl",
-	"warm",
 }
 
 // serverConfigFields is every exported field of repro.ServerConfig,
